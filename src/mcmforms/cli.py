@@ -15,7 +15,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .exact_algebra import Field, QQ, from_literal
+from .exact_algebra import Field, from_literal
 from .finite_geometry import (
     base_locus_scan,
     characterization_crosscheck,
@@ -33,6 +33,7 @@ from .pipeline import (
     RunConfig,
     _glue_units,
     _transition_units,
+    build_family,
     parse_config,
     replay,
     report_to_json,
@@ -55,7 +56,7 @@ from .schedule import (
     twist_ledger,
     validate_schedule,
 )
-from .section_builder import build_sections, load_family, save_family
+from .section_builder import load_family, save_family
 
 
 def _csv_ints(text: Optional[str]) -> Optional[tuple]:
@@ -71,10 +72,6 @@ def _shape(text: str) -> ProblemShape:
     return ProblemShape(*parts) if len(parts) == 3 else ProblemShape(parts[0], parts[1], 0)
 
 
-def _field(text: str) -> Field:
-    return QQ if text in ("Q", "QQ", "0") else Field(int(text))
-
-
 def _emit(report: dict, json_path: Optional[str]) -> None:
     text = report_to_json(report)
     sys.stdout.write(text)
@@ -85,17 +82,6 @@ def _emit(report: dict, json_path: Optional[str]) -> None:
 
 def _exit_code(report: dict) -> int:
     return 0 if report.get("ok", True) else 1
-
-
-def _build_family_from_args(args) -> object:
-    field = _field(args.field)
-    if args.mode == "mcm":
-        sched = build_schedule(args.shape, heart=args.heart, eps=_csv_ints(args.eps))
-        return build_sections(args.shape, "mcm", field=field, schedule=sched,
-                              seed=args.seed)
-    return build_sections(args.shape, "general_fermat", field=field,
-                          lambdas=_csv_ints(args.lambdas),
-                          degrees=_csv_ints(args.degrees), seed=args.seed)
 
 
 # ----- subcommand handlers -----
@@ -125,7 +111,12 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    fam = _build_family_from_args(args)
+    fam = build_family({
+        "shape": [args.shape.N, args.shape.c, args.shape.r], "mode": args.mode,
+        "field": args.field, "heart": args.heart, "eps": _csv_ints(args.eps),
+        "lambdas": _csv_ints(args.lambdas), "degrees": _csv_ints(args.degrees),
+        "seed": args.seed,
+    })
     save_family(fam, args.out)
     report = {
         "op": "build",
@@ -223,7 +214,7 @@ def _cmd_coup(args) -> int:
     elif args.what == "semigroup":
         report = verify_semigroup_bound(args.s, args.horizon)
     elif args.what == "decompose":
-        field = _field(args.field)
+        field = Field.from_spec(args.field)
         N = args.shape.N
         factors = [[from_literal(lit.strip(), N, field)
                     for lit in group.split(";")]

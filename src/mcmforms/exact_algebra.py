@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .util import _echelon_mod_p
+
 Exponent = Tuple[int, ...]
 
 # Default 31-bit prime for probabilistic identity testing (2**31 - 1).
@@ -97,6 +99,12 @@ class Field:
 
     def __str__(self):
         return "Q" if self.p == 0 else f"F_{self.p}"
+
+    @staticmethod
+    def from_spec(spec: str) -> "Field":
+        """The field named by a config or command-line spec: a prime p, or
+        Q / QQ / 0 for the rationals."""
+        return Field(0) if spec in ("Q", "QQ", "0") else Field(int(spec))
 
 
 def _is_prime(n: int) -> bool:
@@ -364,19 +372,6 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({to_literal(self)!r}, N={self.N}, field={self.field})"
-
-
-def arith(op: str, p: MultiPoly, q: Optional[MultiPoly] = None) -> MultiPoly:
-    """Named dispatcher over the ring operations: add, sub, mul, neg."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    if op == "neg":
-        return -p
-    raise ValueError(f"unknown operation: {op}")
 
 
 def canonical_terms(p: MultiPoly) -> List[Tuple[Exponent, object]]:
@@ -809,25 +804,12 @@ def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
 
 
 def det_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Determinant of an integer matrix over F_p by elimination."""
-    m = [[x % p for x in row] for row in rows]
-    n = len(m)
-    det = 1
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = (-det) % p
-        det = (det * m[col][col]) % p
-        inv = pow(m[col][col], p - 2, p)
-        for i in range(col + 1, n):
-            if m[i][col]:
-                f = (m[i][col] * inv) % p
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[col])]
-    return det % p
+    """Determinant of a square integer matrix over F_p: the signed product
+    of the pivots of its echelon form, or 0 when a pivot is missing."""
+    m, pivots, sign = _echelon_mod_p(rows, p, len(rows))
+    if len(pivots) < len(m):
+        return 0
+    det = sign % p
+    for r in range(len(m)):
+        det = (det * m[r][r]) % p
+    return det

@@ -20,7 +20,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exact_algebra import MultiPoly, deriv, det_mod_p, gradient_rows
-from .section_builder import SectionFamily, build_matrices
+from .section_builder import (
+    SectionFamily,
+    _combine_columns,
+    build_matrices,
+    column_layout,
+    divisor_exponent,
+    selection_layouts,
+)
 from .util import child_rng, kernel_basis_mod_p, rank_mod_p
 
 
@@ -262,33 +269,22 @@ def membership_M_ab(M: RankConditionMatrix) -> bool:
     """The zero-column-sum and rank conditions, as displayed.
 
     (i)   all 2a+2 columns sum to zero;
-    (ii)  for every nu, rank{alpha_0,..,^alpha_nu,..,alpha_a,
-          alpha_nu + sum(beta)} <= a-1;
-    (iii) for every tau < rho, rank{alpha_k + beta_k (k <= tau),
-          alpha_j (tau < j <= a, j != rho), alpha_rho +
-          sum_{j > tau} beta_j} <= a-1.
+    (ii)  for every K_nu and (iii) every K_tau_rho column layout at top
+          level a (section_builder.column_layout), with the alphas as the
+          A and the betas as the B columns, the combined columns have
+          rank <= a-1.
     """
-    a, b, p = M.a, M.b, M.p
+    a, p = M.a, M.p
     alphas = [M.alpha(j) for j in range(a + 1)]
     betas = [M.beta(j) for j in range(a + 1)]
     total = _vec_add(*alphas, *betas)
     if any(v % p for v in total):
         return False
-    s0 = _vec_add(*betas)
-    for nu in range(a + 1):
-        cols = [alphas[j] for j in range(a + 1) if j != nu]
-        cols.append(_vec_add(alphas[nu], s0))
-        if _rank_cols(cols, p) > a - 1:
-            return False
-    for tau in range(a):
-        s_tail = _vec_add(*betas[tau + 1:])
-        for rho in range(tau + 1, a + 1):
-            cols = [_vec_add(alphas[k], betas[k]) for k in range(tau + 1)]
-            cols += [alphas[j] for j in range(tau + 1, a + 1) if j != rho]
-            cols.append(_vec_add(alphas[rho], s_tail))
-            if _rank_cols(cols, p) > a - 1:
-                return False
-    return True
+    memo: dict = {}
+    return all(
+        _rank_cols(_combine_columns(layout, alphas, betas, _vec_add, memo), p) <= a - 1
+        for _, _, layout in selection_layouts(a)
+    )
 
 
 def membership_M_ab_alt(M: RankConditionMatrix) -> bool:
@@ -364,86 +360,61 @@ def _census_exhaustive_F2(a: int, b: int) -> int:
     nfree = 2 * a + 1
     idx = np.arange(1 << (b * nfree), dtype=np.int64)
     mask = (1 << b) - 1
-    free = [(idx >> (b * i)) & mask for i in range(nfree)]
-    alphas = [None] + free[:a]
-    betas = free[a:]
-    a0 = np.zeros_like(idx)
+    # columns in the smallest dtype that holds b bits; keys are int64
+    free = [((idx >> (b * i)) & mask).astype(np.min_scalar_type(mask)) for i in range(nfree)]
+    a0 = np.zeros_like(free[0])
     for col in free:
         a0 ^= col
-    alphas[0] = a0
+    alphas = [a0] + free[:a]
+    betas = free[a:]
 
     lut = _rank_lut_F2(b, a + 1)
 
     def pack(cols):
         key = cols[0].astype(np.int64)
         for i, col in enumerate(cols[1:], start=1):
-            key = key | (col.astype(np.int64) << (b * i))
+            key |= col.astype(np.int64) << (b * i)
         return key
 
     ok = np.ones(idx.shape, dtype=bool)
-    s0 = np.zeros_like(idx)
-    for bcol in betas:
-        s0 ^= bcol
-    for nu in range(a + 1):
-        cols = [alphas[j] for j in range(a + 1) if j != nu]
-        cols.append(alphas[nu] ^ s0)
-        ok &= lut[pack(cols)] <= a - 1
-    for tau in range(a):
-        s_tail = np.zeros_like(idx)
-        for bcol in betas[tau + 1:]:
-            s_tail ^= bcol
-        for rho in range(tau + 1, a + 1):
-            cols = [alphas[k] ^ betas[k] for k in range(tau + 1)]
-            cols += [alphas[j] for j in range(tau + 1, a + 1) if j != rho]
-            cols.append(alphas[rho] ^ s_tail)
-            ok &= lut[pack(cols)] <= a - 1
+    memo: dict = {}
+    for _, _, layout in selection_layouts(a):
+        ok &= lut[pack(_combine_columns(layout, alphas, betas, np.bitwise_xor, memo))] <= a - 1
     return int(ok.sum())
 
 
 def _census_exhaustive_generic(a: int, b: int, q: int) -> int:
-    """Scalar count with the zero-sum condition imposed up front and ranks
-    memoized on sorted column multisets."""
-    width = 2 * (a + 1)
-    rank_cache: Dict[Tuple, int] = {}
+    """Scalar count with the zero-sum condition imposed up front. Columns
+    are coded by their index in F_q^b and summed through an addition table;
+    ranks are memoized on sorted column multisets."""
+    col_space = list(product(range(q), repeat=b))
+    index = {v: i for i, v in enumerate(col_space)}
+    add_table = [[index[tuple((u + w) % q for u, w in zip(x, y))] for y in col_space]
+                 for x in col_space]
+    negate = [index[tuple(-u % q for u in x)] for x in col_space]
+    layouts = [layout for _, _, layout in selection_layouts(a)]
+    rank_cache: Dict[Tuple[int, ...], int] = {}
 
-    def cached_rank(cols: Tuple[Tuple[int, ...], ...]) -> int:
+    def add(x: int, y: int) -> int:
+        return add_table[x][y]
+
+    def cached_rank(cols: List[int]) -> int:
         key = tuple(sorted(cols))
         r = rank_cache.get(key)
         if r is None:
-            r = _rank_cols(list(key), q)
-            rank_cache[key] = r
+            r = rank_cache[key] = _rank_cols([col_space[i] for i in key], q)
         return r
 
     count = 0
-    col_space = list(product(range(q), repeat=b))
-    for free in product(col_space, repeat=width - 1):
-        alpha0 = tuple(-sum(col[i] for col in free) % q for i in range(b))
-        alphas = (alpha0,) + free[: a]
+    for free in product(range(len(col_space)), repeat=2 * a + 1):
+        total = 0  # index of the zero column
+        for col in free:
+            total = add_table[total][col]
+        alphas = (negate[total],) + free[:a]
         betas = free[a:]
-        s0 = tuple(sum(col[i] for col in betas) % q for i in range(b))
-        member = True
-        for nu in range(a + 1):
-            cols = tuple(alphas[j] for j in range(a + 1) if j != nu) + (
-                tuple((alphas[nu][i] + s0[i]) % q for i in range(b)),)
-            if cached_rank(cols) > a - 1:
-                member = False
-                break
-        if member:
-            for tau in range(a):
-                s_tail = tuple(
-                    sum(col[i] for col in betas[tau + 1:]) % q for i in range(b))
-                for rho in range(tau + 1, a + 1):
-                    cols = tuple(
-                        tuple((alphas[k][i] + betas[k][i]) % q for i in range(b))
-                        for k in range(tau + 1))
-                    cols += tuple(alphas[j] for j in range(tau + 1, a + 1) if j != rho)
-                    cols += (tuple((alphas[rho][i] + s_tail[i]) % q for i in range(b)),)
-                    if cached_rank(cols) > a - 1:
-                        member = False
-                        break
-                if not member:
-                    break
-        if member:
+        memo: dict = {}
+        if all(cached_rank(_combine_columns(layout, alphas, betas, add, memo)) <= a - 1
+               for layout in layouts):
             count += 1
     return count
 
@@ -587,47 +558,19 @@ def _numeric_selected_columns(fam: SectionFamily, Mnum: List[List[int]],
                               q: int) -> Tuple[List[List[int]], List[int]]:
     """Columns of the K_nu / K_tau_rho combination of the numeric matrix,
     divided by the declared coordinate powers (legal: all z_i != 0)."""
-    sched = fam.schedule
-    shape = fam.shape
-    N = shape.N
-    d = sched.d
-    lvl = N
-    b = len(Mnum)
-    A = [[Mnum[i][j] for i in range(b)] for j in range(N + 1)]
-    B = [[Mnum[i][N + 1 + j] for i in range(b)] for j in range(N + 1)]
-
-    def divided(col: List[int], coord: int, e: int) -> List[int]:
-        inv = pow(z[coord], (e - 1) * (q - 2), q)
-        return [(x * inv) % q for x in col]
-
+    N = fam.shape.N
+    layout = column_layout(kind, tuple(params), N)
+    A = [[row[j] for row in Mnum] for j in range(N + 1)]
+    B = [[row[N + 1 + j] for row in Mnum] for j in range(N + 1)]
+    combined = _combine_columns(layout, A, B,
+                               lambda x, y: [(u + v) % q for u, v in zip(x, y)])
     cols = []
     exps = []
-    if kind == "K_nu":
-        nu = params[0]
-        delta_top = sched.delta[lvl]
-        for j in range(N + 1):
-            if j == nu:
-                continue
-            cols.append(divided(A[j], j, d - delta_top))
-            exps.append(d - delta_top)
-        combined = [sum(x) % q for x in zip(A[nu], *B)]
-        cols.append(divided(combined, nu, sched.mu[(lvl, 0)]))
-        exps.append(sched.mu[(lvl, 0)])
-    else:
-        tau, rho = params
-        delta_top = sched.delta[lvl]
-        for k in range(tau + 1):
-            merged = [(x + y) % q for x, y in zip(A[k], B[k])]
-            cols.append(divided(merged, k, d - lvl * sched.mu[(lvl, k)]))
-            exps.append(d - lvl * sched.mu[(lvl, k)])
-        for j in range(tau + 1, N + 1):
-            if j == rho:
-                continue
-            cols.append(divided(A[j], j, d - delta_top))
-            exps.append(d - delta_top)
-        combined = [sum(x) % q for x in zip(A[rho], *B[tau + 1:])]
-        cols.append(divided(combined, rho, sched.mu[(lvl, tau + 1)]))
-        exps.append(sched.mu[(lvl, tau + 1)])
+    for col, vec in zip(layout, combined):
+        e = divisor_exponent(col, fam.schedule, N)
+        inv = pow(z[col.a], (e - 1) * (q - 2), q)
+        cols.append([(x * inv) % q for x in vec])
+        exps.append(e)
     return cols, exps
 
 
@@ -638,16 +581,12 @@ def _forms_vanish_numeric(fam: SectionFamily, Mnum: List[List[int]],
     shape = fam.shape
     N, c, r = shape.N, shape.c, shape.r
     cr = c + r
-    selections = [(j,) for j in range(1, c + 1)] if shape.n == 1 else None
-    if selections is None:
+    if shape.n != 1:
         raise ValueError("crosscheck expects n = 1 families")
-    wants = [("K_nu", (nu,)) for nu in range(N + 1)]
-    wants += [("K_tau_rho", (tau, rho))
-              for tau in range(N) for rho in range(tau + 1, N + 1)]
-    for kind, params in wants:
+    for kind, params, _ in selection_layouts(N):
         cols, _ = _numeric_selected_columns(fam, Mnum, z, kind, params, q)
-        for sel in selections:
-            rows = list(range(cr)) + [cr + sel[0] - 1]
+        for j in range(1, c + 1):
+            rows = list(range(cr)) + [cr + j - 1]
             mat = [[cols[jc][ri] for jc in range(1, N + 1)] for ri in rows]
             if det_mod_p(mat, q) % q != 0:
                 return False

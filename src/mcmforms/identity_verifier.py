@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .exact_algebra import (
     IDENTITY_PRIME,
@@ -143,15 +143,15 @@ def verify_cramer(rows: int, seed: int, trials: int = 200, p: int = 101) -> dict
 # ----- gluing certificates -----
 
 
-def _glue_matrix(fam: SectionFamily, selection: Sequence[int],
-                 which: Optional[Tuple]) -> Tuple[FormalMatrixBundle, List[List[MultiPoly]]]:
-    """Row-selected, column-combined, undivided matrix and its bundle."""
-    K = build_matrices(fam)
+def _glue_matrix(K: FormalMatrixBundle, selection: Sequence[int], which: Optional[Tuple] = None
+                 ) -> Tuple[FormalMatrixBundle, List[List[MultiPoly]]]:
+    """Row-selected, undivided matrix of K, column-combined by `which`
+    when given, and the bundle it was read from."""
     if which is not None:
         K = build_selected(K, which)
     if K.layout == "mcm":
         raise ValueError("full mcm bundles need a K_nu/K_tau_rho selection")
-    shape = fam.shape
+    shape = K.family.shape
     n_eff = shape.n - K.eta()
     selection = tuple(selection)
     if len(selection) != n_eff or any(not (1 <= j <= shape.c) for j in selection):
@@ -160,6 +160,7 @@ def _glue_matrix(fam: SectionFamily, selection: Sequence[int],
     row_ids = list(range(cr)) + [cr + j - 1 for j in selection]
     M = [[K.entries[rid][col] for col in range(K.ncols)] for rid in row_ids]
     return K, M
+
 
 def _row_sums(M: List[List[MultiPoly]]) -> List[MultiPoly]:
     out = []
@@ -251,7 +252,7 @@ def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("gluing", [guard], j1=j1, j2=j2)
-    K, M = _glue_matrix(fam, selection, which)
+    _, M = _glue_matrix(build_matrices(fam), selection, which)
     ncols = len(M[0])
     if not (0 <= j1 < ncols and 0 <= j2 < ncols):
         raise ValueError("chart column out of range")
@@ -507,7 +508,7 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
 
     if fam.mode == "general_fermat":
         which = ("hidden",) + vanished
-        K, M = _glue_matrix(fam, selection, which)
+        K, M = _glue_matrix(build_matrices(fam), selection, which)
         ncols = len(M[0])
         for j1 in range(ncols):
             for j2 in range(j1 + 1, ncols):
@@ -531,8 +532,7 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
         ledger = twist_ledger(fam.schedule)
         retained_top = len(hidden.retained) - 1
         for nu in (0, retained_top):
-            sel_bundle = build_selected(hidden, ("K_nu", nu))
-            _, M = _glue_matrix_from_bundle(fam, selection, sel_bundle)
+            _, M = _glue_matrix(hidden, selection, ("K_nu", nu))
             diff = _signed_omit_det(M, 0) - _signed_omit_det(M, 1)
             cert = gluing_certificate(M, 0, 1)
             checks.append(_check(f"certificate K_nu({nu})",
@@ -545,12 +545,3 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
                                  witness=None if ok else {"twist": form.twist,
                                                           "ledger": entry.value}))
     return _report("hidden", checks, eta=eta, vanished=list(vanished))
-
-
-def _glue_matrix_from_bundle(fam: SectionFamily, selection: Sequence[int],
-                             K: FormalMatrixBundle):
-    shape = fam.shape
-    cr = shape.c + shape.r
-    row_ids = list(range(cr)) + [cr + j - 1 for j in selection]
-    M = [[K.entries[rid][col] for col in range(K.ncols)] for rid in row_ids]
-    return K, M

@@ -10,13 +10,12 @@ needed to replay exactly that unit.
 from __future__ import annotations
 
 import configparser
-import io
 import json
 import time
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact_algebra import Field, QQ
+from .exact_algebra import Field
 from .finite_geometry import (
     base_locus_scan,
     characterization_crosscheck,
@@ -39,6 +38,7 @@ from .section_builder import (
     build_sections,
     column_divisors,
     extract_form,
+    selection_layouts,
 )
 from .util import child_rng
 
@@ -92,11 +92,6 @@ class RunConfig:
     max_census: int = 2 ** 28
     crosscheck_sample: int = 10_000
     census_shapes: Tuple[Tuple[int, int, int], ...] = DEFAULT_CENSUS_SHAPES
-
-    def field(self) -> Field:
-        if self.field_spec in ("Q", "QQ", "0"):
-            return QQ
-        return Field(int(self.field_spec))
 
     def to_dict(self) -> dict:
         return {
@@ -199,12 +194,13 @@ def _family_params(cfg: RunConfig, fam_seed: int) -> dict:
     }
 
 
-def _rebuild_family(params: dict):
+def build_family(params: dict):
+    """Build the family a witness `family` dict describes; runs, replays
+    and `mcm build` all construct families here."""
     shape = ProblemShape(*params["shape"])
-    field = QQ if params["field"] in ("Q", "QQ", "0") else Field(int(params["field"]))
+    field = Field.from_spec(params["field"])
     if params["mode"] == "mcm":
-        sched = build_schedule(shape, heart=params["heart"],
-                               eps=params.get("eps") or None)
+        sched = build_schedule(shape, heart=params["heart"], eps=params.get("eps"))
         return build_sections(shape, "mcm", field=field, schedule=sched,
                               seed=params["seed"])
     return build_sections(shape, "general_fermat", field=field,
@@ -246,18 +242,11 @@ def _stage_schedule(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict
 
 def _stage_build(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
     fam_seed = child_rng(cfg.seed, "build", 0).randrange(2 ** 31)
-    if cfg.mode == "mcm":
-        fam = build_sections(cfg.shape, "mcm", field=cfg.field(),
-                             schedule=ctx["schedule"], seed=fam_seed)
-    else:
-        lambdas, degrees = cfg.lambdas, cfg.degrees
-        if lambdas is None or degrees is None:
-            lambdas, degrees = _default_lambdas_degrees(cfg.shape)
-        fam = build_sections(cfg.shape, "general_fermat", field=cfg.field(),
-                             lambdas=lambdas, degrees=degrees, seed=fam_seed)
-        cfg.lambdas, cfg.degrees = lambdas, degrees
-    ctx["family"] = fam
+    if cfg.mode != "mcm" and (cfg.lambdas is None or cfg.degrees is None):
+        # the report's config block echoes the defaulted exponents
+        cfg.lambdas, cfg.degrees = _default_lambdas_degrees(cfg.shape)
     ctx["family_params"] = _family_params(cfg, fam_seed)
+    fam = ctx["family"] = build_family(ctx["family_params"])
     terms = [F.term_count() for F in fam.sections]
     ctx["terms_ok"] = max(terms) <= cfg.max_terms
     report = {
@@ -270,35 +259,11 @@ def _stage_build(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
     return "PASS", report, None
 
 
-def _sec4_divisors(K) -> List[dict]:
-    """Explicit-exponent analogue of column_divisors: column j must carry
-    z_j^(lambda_j) on value rows and z_j^(lambda_j - 1) on differential rows."""
-    fam = K.family
-    cr = K.value_rows()
-    out = []
-    for col, coord in enumerate(K.retained):
-        e = fam.lambdas[coord]
-        for row in range(K.nrows):
-            need = e if row < cr else e - 1
-            entry = K.entries[row][col]
-            if entry.is_zero():
-                continue
-            if min(exp[coord] for exp in entry.terms) < need:
-                raise DivisibilityClaimFailed(
-                    f"entry ({row},{col}) not divisible by z{coord}^{need}",
-                    row=row, col=col)
-        out.append({"col": col, "coordinate": coord, "exponent": e})
-    return out
-
-
 def _all_divisors(fam, K) -> int:
     if fam.mode == "mcm":
-        N = fam.shape.N
-        whichs = [("K_nu", nu) for nu in range(N + 1)]
-        whichs += [("K_tau_rho", t, r) for t in range(N)
-                   for r in range(t + 1, N + 1)]
-        return sum(len(column_divisors(K, w, verify=True)) for w in whichs)
-    return len(_sec4_divisors(K))
+        return sum(len(column_divisors(K, (kind,) + params))
+                   for kind, params, _ in selection_layouts(fam.shape.N))
+    return len(column_divisors(K))
 
 
 def _stage_divisibility(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
@@ -434,7 +399,7 @@ def _stage_twist_ledger(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[
 
 
 def _stage_smoothness(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
-    fld = cfg.field()
+    fld = Field.from_spec(cfg.field_spec)
     if fld.p == 0:
         return "SKIP", {"reason": "rational field: no finite scan"}, None
     fam = ctx["family"]
@@ -456,7 +421,7 @@ def _stage_smoothness(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
     if rep["ok"]:
         params = dict(ctx["family_params"])
         params["seed"] = rep["family_seed"]
-        ctx["scan_family"] = _rebuild_family(params)
+        ctx["scan_family"] = build_family(params)
         ctx["scan_family_params"] = params
         return "PASS", rep, None
     witness = {"schema": SCHEMA_VERSION, "stage": "smoothness",
@@ -475,12 +440,9 @@ def standard_forms(fam) -> list:
     if fam.mode == "mcm":
         selections = [(j,) for j in range(1, shape.c + 1)] if shape.n == 1 else \
             [tuple(range(1, shape.n + 1))]
-        whichs = [("K_nu", nu) for nu in range(shape.N + 1)]
-        whichs += [("K_tau_rho", t, r) for t in range(shape.N)
-                   for r in range(t + 1, shape.N + 1)]
-        for which in whichs:
+        for kind, params, _ in selection_layouts(shape.N):
             for sel in selections:
-                forms.append(extract_form(K, which, sel, omit=0, chart=0))
+                forms.append(extract_form(K, (kind,) + params, sel, omit=0, chart=0))
     else:
         sel = tuple(range(1, shape.n + 1))
         forms.append(extract_form(K, None, sel, omit=0, chart=0, kind="psi"))
@@ -489,7 +451,7 @@ def standard_forms(fam) -> list:
 
 
 def _stage_base_locus(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
-    fld = cfg.field()
+    fld = Field.from_spec(cfg.field_spec)
     q = fld.p
     total_points = (q ** (cfg.shape.N + 1) - 1) // (q - 1)
     if total_points > cfg.max_points:
@@ -514,7 +476,7 @@ def _stage_crosscheck(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
     fam = ctx["scan_family"]
     if fam.mode != "mcm":
         return "SKIP", {"reason": "crosscheck needs an mcm family"}, None
-    q = cfg.field().p
+    q = Field.from_spec(cfg.field_spec).p
     rep = characterization_crosscheck(fam, q, sample=cfg.crosscheck_sample,
                                       seed=cfg.seed)
     if rep["ok"]:
@@ -643,7 +605,7 @@ def replay(witness: dict) -> dict:
         rep["replayed"] = "census"
         return rep
     if stage == "gluing":
-        fam = _rebuild_family(witness["family"])
+        fam = build_family(witness["family"])
         u = witness["unit"]
         rep = verify_gluing(fam, tuple(u["selection"]), u["j1"], u["j2"],
                             which=tuple(u["which"]) if u.get("which") else None,
@@ -652,7 +614,7 @@ def replay(witness: dict) -> dict:
         rep["replayed"] = "gluing"
         return rep
     if stage == "transition":
-        fam = _rebuild_family(witness["family"])
+        fam = build_family(witness["family"])
         u = witness["unit"]
         rep = verify_transition(fam, tuple(u["selection"]), u["omit"], u["l1"],
                                 u["l2"], which=tuple(u["which"]) if u.get("which") else None,
@@ -660,7 +622,7 @@ def replay(witness: dict) -> dict:
         rep["replayed"] = "transition"
         return rep
     if stage == "divisibility":
-        fam = _rebuild_family(witness["family"])
+        fam = build_family(witness["family"])
         K = build_matrices(fam)
         try:
             columns = _all_divisors(fam, K)
@@ -670,12 +632,12 @@ def replay(witness: dict) -> dict:
         rep["replayed"] = "divisibility"
         return rep
     if stage == "smoothness":
-        fam = _rebuild_family(witness["family"])
+        fam = build_family(witness["family"])
         rep = smoothness_check(fam, witness["q"])
         rep["replayed"] = "smoothness"
         return rep
     if stage == "crosscheck":
-        fam = _rebuild_family(witness["family"])
+        fam = build_family(witness["family"])
         rep = characterization_crosscheck(fam, witness["q"],
                                           sample=witness.get("sample", 10_000),
                                           seed=witness.get("seed", 0))

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from math import isqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .exact_algebra import MultiPoly, arith, total_differential
+from .exact_algebra import MultiPoly, total_differential
 from .finite_geometry import _eval_section, proj_points, tangent_directions
 from .schedule import ProblemShape, rescale_ledger
 
@@ -206,7 +206,7 @@ def verify_product_decomposition(factors: Sequence[Sequence[MultiPoly]],
     for fs in factors:
         F = fs[0]
         for g in fs[1:]:
-            F = arith("mul", F, g)
+            F = F * g
         Fs.append(F)
     dFs = [total_differential(F) for F in Fs[:c]]
     dfs = [[total_differential(f) for f in fs] for fs in factors]

@@ -17,14 +17,33 @@ matrix with column groups A_0..A_N, B_0..B_N (B_k collects the top-level
 terms with distinguished coordinate k). Column-combined selections K_nu and
 K_tau_rho, vanishing-coordinate restrictions, declared column divisors, and
 signed divided determinants with twist bookkeeping all live here.
+
+column_layout states the K_nu / K_tau_rho layouts once; build_selected
+applies them to polynomials, finite_geometry to numbers mod p and to F_2
+bit fields. Positions 0..top index the retained coordinates, top is the
+top moving level, and each output column is divided by a power of the
+coordinate of its A column:
+
+  K_nu(nu)             A_j (j != nu)                    d - delta_top
+                       A_nu + sum_j B_j                 mu[top, 0]
+  K_tau_rho(tau, rho)  A_k + B_k (k <= tau)             d - top * mu[top, k]
+                       A_j (tau < j <= top, j != rho)   d - delta_top
+                       A_rho + sum_{j > tau} B_j        mu[top, tau + 1]
+
+Value rows carry the full power, differential rows one less. The divisor
+is declared per column, never read off the summed columns: at
+(tau, rho) = (top - 1, top) the last column is A_top + B_top, yet it
+takes mu[top, top]. finite_geometry.membership_M_ab_alt restates the rank
+conditions by hand, as the deliberately independent oracle.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact_algebra import (
     DivisibilityError,
@@ -97,17 +116,19 @@ class SectionFamily:
 class FormalMatrixBundle:
     """A matrix of polynomials with enough metadata to take divided minors.
 
-    layout "sec4": columns indexed by retained coordinates, divisor template
-    z^(lambda - 1) per column. layout "mcm": 2m+2 grouped columns tagged
-    A_<coord> / B_<coord> over m+1 retained coordinates. layout "selected":
-    m+1 columns produced by a K_nu / K_tau_rho combination, with declared
-    divisor exponents per column.
+    layout "sec4": columns indexed by retained coordinates, declared
+    divisor exponent lambda_j per column. layout "mcm": 2m+2 grouped columns
+    tagged A_<coord> / B_<coord> over m+1 retained coordinates. layout
+    "selected": m+1 columns produced by a K_nu / K_tau_rho combination, with
+    declared divisor exponents per column. column_coords names the
+    coordinate each column's divisor is a power of.
     """
 
     layout: str
     family: SectionFamily
     entries: List[List[MultiPoly]]
     column_tags: Tuple[str, ...]
+    column_coords: Tuple[int, ...]
     retained: Tuple[int, ...]
     vanished: Tuple[int, ...] = ()
     selected_kind: Optional[str] = None
@@ -320,45 +341,25 @@ def build_sections(
 
 def build_matrices(fam: SectionFamily) -> FormalMatrixBundle:
     """The full structured matrix of the family, invariants asserted."""
+    if fam.mode == "mcm":
+        return _mcm_bundle(fam)
+    if fam.mode != "general_fermat":
+        raise ValueError(fam.mode)
     shape = fam.shape
     N, c, cr = shape.N, shape.c, shape.c + shape.r
     coords = tuple(range(N + 1))
-    if fam.mode == "general_fermat":
-        rows: List[List[MultiPoly]] = []
-        for i in range(1, cr + 1):
-            rows.append(
-                [fam.coefficients[f"A:{i}:{j}"] * MultiPoly.z(N, j, fam.field, power=fam.lambdas[j]) for j in coords]
-            )
-        for q in range(1, c + 1):
-            rows.append([total_differential(e) for e in rows[q - 1]])
-        bundle = FormalMatrixBundle(
-            layout="sec4", family=fam, entries=rows,
-            column_tags=tuple(f"col_{j}" for j in coords), retained=coords,
+    rows: List[List[MultiPoly]] = []
+    for i in range(1, cr + 1):
+        rows.append(
+            [fam.coefficients[f"A:{i}:{j}"] * MultiPoly.z(N, j, fam.field, power=fam.lambdas[j]) for j in coords]
         )
-    elif fam.mode == "mcm":
-        sched = fam.schedule
-        d = sched.d
-        groups: List[List[MultiPoly]] = []
-        for i in range(1, cr + 1):
-            row: List[MultiPoly] = []
-            for j in coords:  # A-groups: pure term plus all levels below the top
-                g = fam.coefficients[f"A:{i}:{j}"] * MultiPoly.z(N, j, fam.field, power=d)
-                for level, tup, jk in mcm_tuple_space(shape, coords):
-                    if jk != j or level == N:
-                        continue
-                    g = g + _mcm_term(fam, i, level, tup, jk)
-                row.append(g)
-            for k in coords:  # B-groups: the top level, distinguished coordinate k
-                row.append(_mcm_term(fam, i, N, coords, k))
-            groups.append(row)
-        for q in range(1, c + 1):
-            groups.append([total_differential(e) for e in groups[q - 1]])
-        tags = tuple([f"A_{j}" for j in coords] + [f"B_{k}" for k in coords])
-        bundle = FormalMatrixBundle(
-            layout="mcm", family=fam, entries=groups, column_tags=tags, retained=coords,
-        )
-    else:
-        raise ValueError(fam.mode)
+    for q in range(1, c + 1):
+        rows.append([total_differential(e) for e in rows[q - 1]])
+    bundle = FormalMatrixBundle(
+        layout="sec4", family=fam, entries=rows,
+        column_tags=tuple(f"col_{j}" for j in coords), column_coords=coords,
+        retained=coords, divisor_exponents=tuple(fam.lambdas),
+    )
     _assert_bundle_invariants(bundle)
     return bundle
 
@@ -394,15 +395,16 @@ def _assert_bundle_invariants(bundle: FormalMatrixBundle) -> None:
             assert e == want, f"differential row {q} mismatch at column {col}"
 
 
-def _hidden_mcm_bundle(base: FormalMatrixBundle, vanished: Tuple[int, ...]) -> FormalMatrixBundle:
-    """Rebuild the grouped matrix over the retained coordinates.
+def _mcm_bundle(fam: SectionFamily, vanished: Tuple[int, ...] = ()) -> FormalMatrixBundle:
+    """The grouped matrix over the coordinates not in `vanished`.
 
-    Substituting z_v = 0 into the full groups would leave the surviving
-    top-level terms attached to their old A-groups; on the restricted model
-    the top level is len(retained)-1, so the groups are reassembled from the
-    surviving coefficient terms directly.
+    A_j collects the pure term and every level below the top with
+    distinguished coordinate j; B_k is the top-level term with distinguished
+    coordinate k. On a restricted model the top level is len(retained)-1,
+    so the groups are assembled from the surviving coefficient terms (with
+    z_v = 0 substituted) rather than by restricting the full groups, which
+    would leave surviving top-level terms in their old A-groups.
     """
-    fam = base.family
     shape = fam.shape
     retained = tuple(j for j in range(shape.N + 1) if j not in vanished)
     top = len(retained) - 1
@@ -411,44 +413,136 @@ def _hidden_mcm_bundle(base: FormalMatrixBundle, vanished: Tuple[int, ...]) -> F
         raise ValueError("too many vanished coordinates: no moving level remains")
 
     def sub(p: MultiPoly) -> MultiPoly:
-        return kill_coordinates(p, vanished)
+        return kill_coordinates(p, vanished) if vanished else p
 
     d = fam.schedule.d
+    lower = [t for t in mcm_tuple_space(shape, retained) if t[0] != top]
     rows: List[List[MultiPoly]] = []
     for i in range(1, cr + 1):
         row = []
         for j in retained:
             g = sub(fam.coefficients[f"A:{i}:{j}"]) * MultiPoly.z(shape.N, j, fam.field, power=d)
-            for level, tup, jk in mcm_tuple_space(shape, retained):
-                if jk != j or level == top:
-                    continue
-                g = g + sub(_mcm_term(fam, i, level, tup, jk))
+            for level, tup, jk in lower:
+                if jk == j:
+                    g = g + sub(_mcm_term(fam, i, level, tup, jk))
             row.append(g)
-        for k in retained:
-            row.append(sub(_mcm_term(fam, i, top, retained, k)))
+        row += [sub(_mcm_term(fam, i, top, retained, k)) for k in retained]
         rows.append(row)
     for q in range(1, shape.c + 1):
         rows.append([total_differential(e) for e in rows[q - 1]])
-    tags = tuple([f"A_{j}" for j in retained] + [f"B_{k}" for k in retained])
     bundle = FormalMatrixBundle(
-        layout="mcm", family=fam, entries=rows, column_tags=tags,
-        retained=retained, vanished=vanished,
+        layout="mcm", family=fam, entries=rows,
+        column_tags=tuple([f"A_{j}" for j in retained] + [f"B_{k}" for k in retained]),
+        column_coords=retained + retained, retained=retained, vanished=vanished,
     )
     _assert_bundle_invariants(bundle)
     return bundle
+
+
+# ----- column layouts -----
+
+
+class LayoutColumn(NamedTuple):
+    """One output column of a K_nu / K_tau_rho selection: A_a plus the
+    B_j for j in b (positions in the retained coordinate list), divided by
+    the power of the coordinate at position a that `rule` declares:
+    "plain" d - delta_top, "paired" d - top * mu[top, k], "tail" mu[top, k].
+    """
+
+    a: int
+    b: Tuple[int, ...]
+    rule: str
+    k: int = 0
+
+
+@lru_cache(maxsize=None)
+def column_layout(kind: str, params: Tuple[int, ...], top: int) -> Tuple[LayoutColumn, ...]:
+    """The output columns of ("K_nu", (nu,)) or ("K_tau_rho", (tau, rho))
+    on a model whose top moving level is `top`, in display order (the
+    table in the module docstring)."""
+    if kind == "K_nu":
+        (nu,) = params
+        if not (0 <= nu <= top):
+            raise ValueError(f"nu out of range 0..{top}")
+        cols = [LayoutColumn(j, (), "plain") for j in range(top + 1) if j != nu]
+        cols.append(LayoutColumn(nu, tuple(range(top + 1)), "tail", 0))
+    elif kind == "K_tau_rho":
+        tau, rho = params
+        if not (0 <= tau <= top - 1 and tau + 1 <= rho <= top):
+            raise ValueError(f"need 0 <= tau < rho <= {top}")
+        cols = [LayoutColumn(k, (k,), "paired", k) for k in range(tau + 1)]
+        cols += [LayoutColumn(j, (), "plain") for j in range(tau + 1, top + 1) if j != rho]
+        cols.append(LayoutColumn(rho, tuple(range(tau + 1, top + 1)), "tail", tau + 1))
+    else:
+        raise ValueError(f"unknown selection kind: {kind}")
+    return tuple(cols)
+
+
+@lru_cache(maxsize=None)
+def selection_layouts(top: int) -> Tuple[Tuple[str, Tuple[int, ...], Tuple[LayoutColumn, ...]], ...]:
+    """(kind, params, layout) for every K_nu, then every K_tau_rho."""
+    params = [("K_nu", (nu,)) for nu in range(top + 1)]
+    params += [("K_tau_rho", (tau, rho))
+               for tau in range(top) for rho in range(tau + 1, top + 1)]
+    return tuple((kind, p, column_layout(kind, p, top)) for kind, p in params)
+
+
+def divisor_exponent(col: LayoutColumn, sched: ExponentSchedule, top: int) -> int:
+    """The declared divisor exponent of a layout column."""
+    if col.rule == "plain":
+        return sched.d - sched.delta[top]
+    if col.rule == "paired":
+        return sched.d - top * sched.mu[(top, col.k)]
+    if col.rule == "tail":
+        return sched.mu[(top, col.k)]
+    raise ValueError(f"unknown divisor rule: {col.rule}")
+
+
+def _combine_columns(layout: Sequence[LayoutColumn], A: Sequence, B: Sequence,
+                    add: Callable, memo: Optional[dict] = None) -> list:
+    """Apply a layout to the A- and B-columns of one matrix, over any
+    element type that `add` sums (polynomial columns, vectors mod p, F_2
+    bit fields). memo caches the B-sums; share it between the layouts
+    applied to the same matrix."""
+    if memo is None:
+        memo = {}
+    out = []
+    for col in layout:
+        if not col.b:
+            out.append(A[col.a])
+            continue
+        s = memo.get(col.b)
+        if s is None:
+            s = B[col.b[0]]
+            for j in col.b[1:]:
+                s = add(s, B[j])
+            memo[col.b] = s
+        out.append(add(A[col.a], s))
+    return out
+
+
+def _column_tag(kind: str, col: LayoutColumn, retained: Sequence[int]) -> str:
+    coord = retained[col.a]
+    if col.rule == "plain":
+        return f"A_{coord}"
+    if col.rule == "paired":
+        return f"A_{coord}+B_{coord}"
+    return f"A_{coord}+sumB" if kind == "K_nu" else f"A_{coord}+sumB_gt_tau"
+
+
+def _add_columns(x: List[MultiPoly], y: List[MultiPoly]) -> List[MultiPoly]:
+    return [u + v for u, v in zip(x, y)]
 
 
 def build_selected(K: FormalMatrixBundle, which: Tuple) -> FormalMatrixBundle:
     """Select and combine columns: ("K_nu", nu), ("K_tau_rho", tau, rho), or
     ("hidden", v_1..v_eta).
 
-    K_nu keeps the plain A-columns except position nu and appends the
-    combined column A_nu + sum_j B_j (displayed last; its logical slot is
-    the omitted position). K_tau_rho combines A_k + B_k for k <= tau, keeps
-    A_j for tau < j <= top except rho, and appends A_rho + sum_{j>tau} B_j.
-    Positions refer to the retained coordinate list. hidden restricts to the
-    complement of the vanished set, substituting z_v = 0, dz_v = 0; on mcm
-    bundles the groups are rebuilt over the retained coordinates.
+    K_nu and K_tau_rho combine the A/B groups as column_layout states;
+    positions refer to the retained coordinate list, and the combined
+    columns are displayed last. hidden restricts to the complement of the
+    vanished set, substituting z_v = 0, dz_v = 0; on mcm bundles the groups
+    are rebuilt over the retained coordinates.
     """
     kind = which[0]
     fam = K.family
@@ -466,96 +560,39 @@ def build_selected(K: FormalMatrixBundle, which: Tuple) -> FormalMatrixBundle:
             rows = [[kill_coordinates(K.entries[i][j], vanished) for j in retained] for i in range(K.nrows)]
             bundle = FormalMatrixBundle(
                 layout="sec4", family=fam, entries=rows,
-                column_tags=tuple(f"col_{j}" for j in retained),
+                column_tags=tuple(f"col_{j}" for j in retained), column_coords=retained,
                 retained=retained, vanished=vanished,
+                divisor_exponents=tuple(fam.lambdas[j] for j in retained),
             )
             _assert_bundle_invariants(bundle)
             return bundle
         if K.layout == "mcm":
-            return _hidden_mcm_bundle(K, vanished)
+            return _mcm_bundle(fam, vanished)
         raise ValueError("hidden selection needs a sec4 or mcm bundle")
 
     if K.layout != "mcm":
         raise ValueError("column combinations need an mcm bundle")
-    m1 = len(K.retained)  # m+1 columns in the output
-    top = m1 - 1
-    A = [[row[j] for j in range(m1)] for row in K.entries]
-    B = [[row[m1 + j] for j in range(m1)] for row in K.entries]
-    sched = fam.schedule
-    d = sched.d
-    lvl = top  # top moving level on this (possibly restricted) model
-    delta_top = sched.delta[lvl]
-
-    if kind == "K_nu":
-        (nu,) = which[1:]
-        if not (0 <= nu <= top):
-            raise ValueError(f"nu out of range 0..{top}")
-        cols: List[List[MultiPoly]] = []
-        tags: List[str] = []
-        divisors: List[int] = []
-        for j in range(m1):
-            if j == nu:
-                continue
-            cols.append([A[i][j] for i in range(K.nrows)])
-            tags.append(f"A_{K.retained[j]}")
-            divisors.append(d - delta_top)
-        combined = []
-        for i in range(K.nrows):
-            e = A[i][nu]
-            for j in range(m1):
-                e = e + B[i][j]
-            combined.append(e)
-        cols.append(combined)
-        tags.append(f"A_{K.retained[nu]}+sumB")
-        divisors.append(sched.mu[(lvl, 0)])
-        entries = [[cols[c][i] for c in range(len(cols))] for i in range(K.nrows)]
-        return FormalMatrixBundle(
-            layout="selected", family=fam, entries=entries, column_tags=tuple(tags),
-            retained=K.retained, vanished=K.vanished, selected_kind="K_nu",
-            selected_params=(nu,), divisor_exponents=tuple(divisors),
-        )
-
-    if kind == "K_tau_rho":
-        tau, rho = which[1:]
-        if not (0 <= tau <= top - 1 and tau + 1 <= rho <= top):
-            raise ValueError(f"need 0 <= tau < rho <= {top}")
-        cols = []
-        tags = []
-        divisors = []
-        for k in range(tau + 1):
-            cols.append([A[i][k] + B[i][k] for i in range(K.nrows)])
-            tags.append(f"A_{K.retained[k]}+B_{K.retained[k]}")
-            divisors.append(d - lvl * sched.mu[(lvl, k)])
-        for j in range(tau + 1, m1):
-            if j == rho:
-                continue
-            cols.append([A[i][j] for i in range(K.nrows)])
-            tags.append(f"A_{K.retained[j]}")
-            divisors.append(d - delta_top)
-        combined = []
-        for i in range(K.nrows):
-            e = A[i][rho]
-            for j in range(tau + 1, m1):
-                e = e + B[i][j]
-            combined.append(e)
-        cols.append(combined)
-        tags.append(f"A_{K.retained[rho]}+sumB_gt_tau")
-        divisors.append(sched.mu[(lvl, tau + 1)])
-        entries = [[cols[c][i] for c in range(len(cols))] for i in range(K.nrows)]
-        return FormalMatrixBundle(
-            layout="selected", family=fam, entries=entries, column_tags=tuple(tags),
-            retained=K.retained, vanished=K.vanished, selected_kind="K_tau_rho",
-            selected_params=(tau, rho), divisor_exponents=tuple(divisors),
-        )
-
-    raise ValueError(f"unknown selection kind: {kind}")
+    top = len(K.retained) - 1
+    params = tuple(which[1:])
+    layout = column_layout(kind, params, top)
+    columns = [[row[j] for row in K.entries] for j in range(K.ncols)]
+    combined = _combine_columns(layout, columns[: top + 1], columns[top + 1:], _add_columns)
+    return FormalMatrixBundle(
+        layout="selected", family=fam, entries=[list(row) for row in zip(*combined)],
+        column_tags=tuple(_column_tag(kind, col, K.retained) for col in layout),
+        column_coords=tuple(K.retained[col.a] for col in layout),
+        retained=K.retained, vanished=K.vanished, selected_kind=kind,
+        selected_params=params,
+        divisor_exponents=tuple(divisor_exponent(col, fam.schedule, top) for col in layout),
+    )
 
 
 # ----- divisors -----
 
 
 def column_divisors(K: FormalMatrixBundle, which: Optional[Tuple] = None, verify: bool = True) -> List[Dict[str, object]]:
-    """Declared divisor of each column of a selected bundle, verified.
+    """Declared divisor of each column of a selected or explicit-exponent
+    bundle, verified.
 
     Declared exponents are the induced lambda-template values: value rows
     must be divisible by z^e, differential rows by z^(e-1) (their structure
@@ -565,13 +602,13 @@ def column_divisors(K: FormalMatrixBundle, which: Optional[Tuple] = None, verify
     """
     if which is not None:
         K = build_selected(K, which)
-    if K.layout != "selected" or K.divisor_exponents is None:
-        raise ValueError("column divisors are declared for selected bundles only")
+    if K.divisor_exponents is None:
+        raise ValueError("column divisors are declared for selected and explicit-exponent bundles only")
     out = []
     cr = K.value_rows()
     for col in range(K.ncols):
         e = K.divisor_exponents[col]
-        coord = _column_coordinate(K, col)
+        coord = K.column_coords[col]
         report = {"col": col, "tag": K.column_tags[col], "coordinate": coord, "exponent": e}
         if verify:
             for row in range(K.nrows):
@@ -585,12 +622,6 @@ def column_divisors(K: FormalMatrixBundle, which: Optional[Tuple] = None, verify
                     )
         out.append(report)
     return out
-
-
-def _column_coordinate(K: FormalMatrixBundle, col: int) -> int:
-    tag = K.column_tags[col]
-    head = tag.split("+")[0]
-    return int(head.split("_")[1])
 
 
 # ----- form extraction -----
@@ -637,16 +668,13 @@ def extract_form(
             kind = "omega"
         if kind not in ("psi", "omega"):
             raise ValueError(f"kind {kind!r} invalid for explicit-exponent bundles")
-        divisor_exps = tuple(
-            1 if kind == "psi" else fam.lambdas[coord] for coord in K.retained
-        )
-        omit_coord = K.retained[omit]
+        divisor_exps = K.divisor_exponents if kind == "omega" else (1,) * ncols
     elif K.layout == "selected":
         kind = "phi_nu" if K.selected_kind == "K_nu" else "psi_tau_rho"
         divisor_exps = K.divisor_exponents
-        omit_coord = _column_coordinate(K, omit)
     else:
         raise ValueError("extract_form needs a sec4 or selected bundle")
+    omit_coord = K.column_coords[omit]
     if eta:
         kind = "hidden_" + kind
 
@@ -659,7 +687,7 @@ def extract_form(
             if col == omit:
                 continue
             e = divisor_exps[col]
-            coord = _column_coordinate(K, col) if K.layout == "selected" else K.retained[col]
+            coord = K.column_coords[col]
             entry = K.entries[rid][col]
             if e > 1:
                 mono = [0] * (2 * (shape.N + 1))

@@ -1,4 +1,4 @@
-"""Shared small helpers: seeded RNG streams, canonical JSON, F_p linear algebra.
+"""Shared small helpers: seeded RNG streams and F_p linear algebra.
 
 Randomness discipline: every randomized unit of work draws from its own
 child stream derived from (master seed, stage id, unit index), so results
@@ -7,9 +7,8 @@ are reproducible independently of execution order.
 
 from __future__ import annotations
 
-import json
 import random
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 
 def child_rng(master_seed: int, stage: str, unit) -> random.Random:
@@ -21,78 +20,60 @@ def child_rng(master_seed: int, stage: str, unit) -> random.Random:
     return random.Random(f"{master_seed}:{stage}:{unit}")
 
 
-def canonical_json_bytes(obj) -> bytes:
-    """Serialize with sorted keys and fixed separators, for byte-stable reports."""
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")).encode("utf-8")
+def _echelon_mod_p(rows: Iterable[Sequence[int]], p: int, ncols: Optional[int] = None):
+    """Forward Gaussian elimination over F_p, the one row reduction behind
+    rank_mod_p, kernel_basis_mod_p and exact_algebra.det_mod_p.
 
-
-def mat_mod_p(rows: Iterable[Sequence[int]], p: int) -> List[List[int]]:
-    return [[int(x) % p for x in row] for row in rows]
+    Returns (m, pivots, sign): m is the reduced matrix, whose first
+    len(pivots) rows carry unnormalized pivots in the columns `pivots` with
+    zeros below them; sign is (-1)^(row swaps). Only the first ncols
+    columns (default: all) are searched for pivots.
+    """
+    m = [[x % p for x in row] for row in rows]
+    nrows = len(m)
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+    pivots: List[int] = []
+    sign = 1
+    for col in range(ncols):
+        row = len(pivots)
+        if row == nrows:
+            break
+        for pivot in range(row, nrows):
+            if m[pivot][col]:
+                break
+        else:
+            continue
+        if pivot != row:
+            m[row], m[pivot] = m[pivot], m[row]
+            sign = -sign
+        prow = m[row]
+        inv = pow(prow[col], p - 2, p)
+        for i in range(row + 1, nrows):
+            f = m[i][col]
+            if f:
+                f = (f * inv) % p
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], prow)]
+        pivots.append(col)
+    return m, pivots, sign
 
 
 def rank_mod_p(rows: Iterable[Sequence[int]], p: int) -> int:
-    """Rank of a matrix over F_p by Gaussian elimination."""
-    m = mat_mod_p(rows, p)
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(row, nrows):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = pow(m[row][col], p - 2, p)
-        m[row] = [(x * inv) % p for x in m[row]]
-        for i in range(nrows):
-            if i != row and m[i][col]:
-                f = m[i][col]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[row])]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    """Rank of a matrix over F_p: its pivot count after elimination."""
+    return len(_echelon_mod_p(rows, p)[1])
 
 
 def kernel_basis_mod_p(rows: Iterable[Sequence[int]], p: int, ncols: int) -> List[List[int]]:
-    """Basis of the right kernel {x : M x = 0} over F_p."""
-    m = mat_mod_p(rows, p)
-    if not m:
-        return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    pivots = []
-    row = 0
-    nrows = len(m)
-    for col in range(ncols):
-        pivot = None
-        for i in range(row, nrows):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = pow(m[row][col], p - 2, p)
-        m[row] = [(x * inv) % p for x in m[row]]
-        for i in range(nrows):
-            if i != row and m[i][col]:
-                f = m[i][col]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of the right kernel {x : M x = 0} over F_p: one vector per free
+    column (set to 1, the other free columns to 0), back-substituted."""
+    m, pivots, _ = _echelon_mod_p(rows, p, ncols)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
         vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-m[r][fc]) % p
+        for r in reversed(range(len(pivots))):
+            pc = pivots[r]
+            s = sum(m[r][j] * vec[j] for j in range(pc + 1, ncols))
+            vec[pc] = (-s * pow(m[r][pc], p - 2, p)) % p
         basis.append(vec)
     return basis

@@ -12,7 +12,6 @@ from mcmforms.exact_algebra import (
     MultiPoly,
     ParseError,
     QQ,
-    arith,
     chart_restrict,
     deriv,
     det_mod_p,
@@ -87,19 +86,6 @@ def test_mod_p_coefficients_wrap():
     assert p.terms == {(0, 0, 0, 0): 2}
     q = MultiPoly.z(1, 0, F7).scale(3) * MultiPoly.z(1, 0, F7).scale(5)
     assert list(q.terms.values()) == [1]  # 15 mod 7
-
-
-def test_arith_dispatcher_matches_operators():
-    rng = random.Random(0)
-    for _ in range(10):
-        p = rand_poly(rng, 2, QQ)
-        q = rand_poly(rng, 2, QQ)
-        assert arith("add", p, q) == p + q
-        assert arith("sub", p, q) == p - q
-        assert arith("mul", p, q) == p * q
-        assert arith("neg", p) == -p
-    with pytest.raises(ValueError):
-        arith("div", p, q)
 
 
 def test_power_by_squaring():

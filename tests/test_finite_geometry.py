@@ -11,6 +11,7 @@ from mcmforms.finite_geometry import (
     TangentDirection,
     _census_exhaustive_generic,
     _forms_vanish_numeric,
+    _numeric_selected_columns,
     base_locus_scan,
     canonical_direction,
     characterization_crosscheck,
@@ -25,7 +26,13 @@ from mcmforms.finite_geometry import (
     tangent_directions,
 )
 from mcmforms.schedule import ProblemShape, build_schedule
-from mcmforms.section_builder import build_matrices, build_sections, extract_form
+from mcmforms.section_builder import (
+    build_matrices,
+    build_sections,
+    build_selected,
+    extract_form,
+    selection_layouts,
+)
 
 F2 = Field(2)
 F3 = Field(3)
@@ -419,3 +426,34 @@ def test_membership_forces_numeric_vanishing():
     noise = [[rng.randrange(5) for _ in range(10)] for _ in range(6)]
     assert not membership_M_ab(RankConditionMatrix(tuple(tuple(r) for r in noise), 5))
     assert not _forms_vanish_numeric(fam, noise, z, 5)
+
+
+@pytest.mark.parametrize("shape_t", [(3, 2, 0), (4, 3, 0), (3, 1, 1)])
+def test_numeric_and_symbolic_layouts_agree(shape_t):
+    # every K_nu / K_tau_rho column of the numeric crosscheck path equals
+    # the symbolic build_selected entry, evaluated and divided by its
+    # declared power z_coord^(e-1), with the same declared exponents
+    shape = ProblemShape(*shape_t)
+    fam = mcm_family(7, shape=shape)
+    K = build_matrices(fam)
+    q, N = 5, shape.N
+    rng = random.Random(f"layouts:{shape_t}")
+    points = []
+    for _ in range(5):
+        z = [rng.randrange(1, q) for _ in range(N + 1)]
+        xi = [rng.randrange(q) for _ in range(N + 1)]
+        Mnum = [[e.evaluate(z, xi) % q for e in row] for row in K.entries]
+        points.append((z, xi, Mnum))
+    compared = 0
+    for kind, params, _ in selection_layouts(N):
+        sel = build_selected(K, (kind,) + params)
+        for z, xi, Mnum in points:
+            cols, exps = _numeric_selected_columns(fam, Mnum, z, kind, params, q)
+            assert tuple(exps) == sel.divisor_exponents
+            for c, coord in enumerate(sel.column_coords):
+                inv = pow(z[coord], (exps[c] - 1) * (q - 2), q)
+                for i in range(K.nrows):
+                    assert cols[c][i] == sel.entries[i][c].evaluate(z, xi) * inv % q
+                    compared += 1
+    per_point = {(3, 2, 0): 10 * 4 * 4, (4, 3, 0): 15 * 5 * 6, (3, 1, 1): 10 * 4 * 3}
+    assert compared == 5 * per_point[shape_t]

@@ -388,3 +388,28 @@ def test_general_family_save_load_round_trip(tmp_path):
     save_family(fam, str(path))
     fam2 = load_family(str(path))
     assert fam2.sections == fam.sections and fam2.lambdas == fam.lambdas
+
+
+def test_hidden_K_tau_rho_declares_each_divisor_per_column():
+    # on the depth-1 hidden bundle of (4,2,0) the top level is 3 < N; at
+    # (tau, rho) = (2, 3) the last column is A_3 + B_3, yet it is a tail
+    # column and takes mu[3, 3], not the paired d - 3 * mu[3, 3]
+    shape = ProblemShape(4, 2, 0)
+    sched = build_schedule(shape, 2)
+    fam = build_sections(shape, "mcm", field=F5, schedule=sched, seed=21)
+    H = build_selected(build_matrices(fam), ("hidden", 4))
+    top = len(H.retained) - 1
+    assert top == 3
+    ledger = twist_ledger(sched)
+    pairs = [(tau, rho) for tau in range(top) for rho in range(tau + 1, top + 1)]
+    assert len(pairs) == 6
+    for tau, rho in pairs:
+        which = ("K_tau_rho", tau, rho)
+        sel = build_selected(H, which)
+        assert len(column_divisors(sel)) == top + 1
+        form = extract_form(H, which, (1,), omit=0, chart=0)
+        assert form.twist == ledger.lookup(1, "K_tau_rho", tau, (1,)).value
+    corner = build_selected(H, ("K_tau_rho", 2, 3))
+    assert corner.column_tags[-1] == "A_3+sumB_gt_tau"
+    assert corner.divisor_exponents[-1] == sched.mu[(3, 3)]
+    assert corner.divisor_exponents[-1] != sched.d - 3 * sched.mu[(3, 3)]
