@@ -13,13 +13,12 @@ order and the parser accepts the printed form back byte-exactly.
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .util import _echelon_mod_p
+from .util import _echelon_mod_p, child_rng
 
 Exponent = Tuple[int, ...]
 
@@ -345,7 +344,10 @@ class MultiPoly:
         return total
 
     def evaluate_mod(self, z_vals: Sequence[int], dz_vals: Sequence[int], modulus: int) -> int:
-        """Evaluation mod a prime; Q coefficients are reduced via modular inverses."""
+        """Evaluation mod a prime; Q coefficients are reduced via modular
+        inverses, F_p coefficients only make sense mod p itself."""
+        if self.field.p not in (0, modulus):
+            raise ValueError(f"coefficients live in F_{self.field.p}, not F_{modulus}")
         n1 = self.N + 1
         total = 0
         for exp, c in self.terms.items():
@@ -721,6 +723,40 @@ def gradient_rows(p: MultiPoly) -> List[MultiPoly]:
 # ----- identity testing -----
 
 
+def sample_identity(
+    sides: Callable[[List[int], List[int], int], Iterable[Tuple[int, int]]],
+    N: int,
+    field: Field,
+    trials: int,
+    seed: int,
+    stage: str,
+    nonzero: Sequence[int] = (),
+) -> Optional[tuple]:
+    """Schwartz-Zippel test of identities given only as black boxes.
+
+    Trial t draws z and then dz uniformly mod m (field.p, or the 31-bit
+    IDENTITY_PRIME over Q) from child_rng(seed, stage, t), redrawing the
+    coordinates z_k, k in nonzero, from the nonzero residues in between.
+    sides(z, dz, m) yields the (lhs, rhs) values mod m of each identity at
+    that point. Returns the first mismatch as (trial, z, dz, pair index,
+    lhs, rhs), or None.
+
+    A nonzero polynomial of total degree D vanishes at a uniform point with
+    probability at most D / m, so each trial misses with at most that chance.
+    """
+    m = field.p or IDENTITY_PRIME
+    for t in range(trials):
+        rng = child_rng(seed, stage, t)
+        z = [rng.randrange(m) for _ in range(N + 1)]
+        for k in nonzero:
+            z[k] = rng.randrange(1, m)
+        dz = [rng.randrange(m) for _ in range(N + 1)]
+        for idx, (lhs, rhs) in enumerate(sides(z, dz, m)):
+            if lhs != rhs:
+                return t, z, dz, idx, lhs, rhs
+    return None
+
+
 def identity_test(
     p: MultiPoly,
     q: MultiPoly,
@@ -731,10 +767,9 @@ def identity_test(
     """Decide p == q, exactly or by Schwartz-Zippel point sampling.
 
     Returns {"equal": bool, "mode": used mode, "trials": count, ...}. Exact
-    mode compares canonical term maps. Probabilistic mode evaluates p - q at
-    uniform points, over F_p itself for positive characteristic and modulo
-    a fixed 31-bit prime for Q; a nonzero value certifies inequality, and
-    the miss probability per trial is bounded by total degree / field size.
+    mode compares canonical term maps. Probabilistic mode evaluates p and q
+    separately through sample_identity; a differing value certifies
+    inequality.
     """
     p._check_compat(q)
     if mode == "auto":
@@ -743,23 +778,15 @@ def identity_test(
         return {"equal": p.terms == q.terms, "mode": "exact", "trials": 0}
     if mode != "probabilistic":
         raise ValueError(f"unknown mode: {mode}")
-    diff = p - q
-    if diff.is_zero():
-        return {"equal": True, "mode": "probabilistic", "trials": 0, "note": "difference is identically zero"}
-    modulus = p.field.p if p.field.p else IDENTITY_PRIME
-    rng_stream = random.Random(f"{seed}:identity_test")
-    n1 = p.N + 1
-    for t in range(trials):
-        zv = [rng_stream.randrange(modulus) for _ in range(n1)]
-        dv = [rng_stream.randrange(modulus) for _ in range(n1)]
-        if diff.evaluate_mod(zv, dv, modulus) != 0:
-            return {
-                "equal": False,
-                "mode": "probabilistic",
-                "trials": t + 1,
-                "witness": {"z": zv, "dz": dv},
-            }
-    return {"equal": True, "mode": "probabilistic", "trials": trials, "field_size": modulus}
+    miss = sample_identity(
+        lambda z, dz, m: [(p.evaluate_mod(z, dz, m), q.evaluate_mod(z, dz, m))],
+        p.N, p.field, trials, seed, "identity_test")
+    if miss is not None:
+        t, z, dz = miss[:3]
+        return {"equal": False, "mode": "probabilistic", "trials": t + 1,
+                "witness": {"z": z, "dz": dz}}
+    return {"equal": True, "mode": "probabilistic", "trials": trials,
+            "field_size": p.field.p or IDENTITY_PRIME}
 
 
 # ----- determinants -----

@@ -143,16 +143,10 @@ def points_on_X(fam: Optional[SectionFamily], q: int, N: Optional[int] = None) -
     out = []
     for pt in proj_points(N, q):
         z = list(pt.coords)
-        vals = (_eval_section(F, z, zero_dz, q) for F in fam.sections)
+        vals = (F.evaluate_mod(z, zero_dz, q) for F in fam.sections)
         if all(v == 0 for v in vals):
             out.append(pt)
     return out
-
-
-def _eval_section(F: MultiPoly, z: Sequence[int], dz: Sequence[int], q: int) -> int:
-    if F.field.p:
-        return F.evaluate(z, dz) % q
-    return F.evaluate_mod(z, dz, q)
 
 
 def jacobian_at(fam: SectionFamily, z: Sequence[int], q: int,
@@ -163,7 +157,7 @@ def jacobian_at(fam: SectionFamily, z: Sequence[int], q: int,
     if grads is None:
         grads = section_gradients(fam)
     return [
-        [_eval_section(g, z, zero_dz, q) for g in row]
+        [g.evaluate_mod(z, zero_dz, q) for g in row]
         for row in grads
     ]
 
@@ -516,7 +510,7 @@ def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,
         if not _all_nonzero(z, retained):
             continue
         points_used += 1
-        rows = [[_eval_section(g, z, [0] * (N + 1), q) for g in row] for row in grads]
+        rows = [[g.evaluate_mod(z, [0] * (N + 1), q) for g in row] for row in grads]
         if eta:
             # directions live on the vanishing locus: xi_v = 0
             for v in vanished:
@@ -633,18 +627,18 @@ def characterization_crosscheck(fam: SectionFamily, q: int, sample: int = 10_000
         if data is not None:
             return data
         z = list(zs[zi])
-        fvals = [_eval_section(F, z, zero_dz, q) for F in fam.sections]
+        fvals = [F.evaluate_mod(z, zero_dz, q) for F in fam.sections]
         data = {"z": z, "on_X": all(v == 0 for v in fvals)}
         if data["on_X"]:
-            data["grad"] = [[_eval_section(g, z, zero_dz, q) for g in row]
+            data["grad"] = [[g.evaluate_mod(z, zero_dz, q) for g in row]
                             for row in grads]
             data["values"] = [
-                [_eval_section(K.entries[i][col], z, zero_dz, q)
+                [K.entries[i][col].evaluate_mod(z, zero_dz, q)
                  for col in range(K.ncols)]
                 for i in range(cr)
             ]
             data["diff_grads"] = [
-                [[_eval_section(g, z, zero_dz, q)
+                [[g.evaluate_mod(z, zero_dz, q)
                   for g in gradient_rows(K.entries[cr + i][col])]
                  for col in range(K.ncols)]
                 for i in range(c)

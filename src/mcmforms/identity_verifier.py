@@ -1,6 +1,6 @@
 """Machine checks for the determinant identities behind the glued forms.
 
-Four families of checks:
+Five families of checks:
 
   verify_cramer        numeric omit-one-column determinant identities for
                        matrices whose weighted columns sum to zero.
@@ -19,7 +19,15 @@ Four families of checks:
                        basis has full rank at random points, optionally in
                        the Leibniz-premultiplied variant for a twist factor.
   verify_hidden        the gluing certificate and the twist formula on the
-                       vanishing-coordinate restriction of a family.
+                       vanishing-coordinate restriction of a family, for
+                       every K_nu / K_tau_rho selection of an mcm family.
+
+The gluing and transition identities are each stated once, generic over
+the element type (_gluing_sides, _transition_sides). Exact mode applies
+them to polynomials; probabilistic mode applies them to values mod p at
+the points drawn by exact_algebra.sample_identity, the one Schwartz-Zippel
+loop. A sampled transition evaluates G at the projected tangent w_l(dz)
+and never builds the substituted polynomial.
 
 Every check returns a report dict: {"op", "ok", "checks": [{"id", "mode",
 "trials", "verdict", "witness"}, ...]} plus op-specific extras.
@@ -29,16 +37,16 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import comb
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .exact_algebra import (
-    IDENTITY_PRIME,
     AUTO_EXACT_TERM_LIMIT,
     MultiPoly,
     deriv,
     det_mod_p,
     kill_coordinates,
     poly_det,
+    sample_identity,
     tangent_projection,
     times_monomial,
     to_literal,
@@ -51,6 +59,7 @@ from .section_builder import (
     build_matrices,
     build_selected,
     extract_form,
+    selection_layouts,
 )
 from .util import child_rng, rank_mod_p
 
@@ -162,79 +171,52 @@ def _glue_matrix(K: FormalMatrixBundle, selection: Sequence[int], which: Optiona
     return K, M
 
 
-def _row_sums(M: List[List[MultiPoly]]) -> List[MultiPoly]:
-    out = []
-    for row in M:
-        total = row[0]
-        for e in row[1:]:
-            total = total + e
-        out.append(total)
-    return out
+def _gluing_sides(M: Sequence[Sequence], j1: int, j2: int,
+                  det: Callable) -> Tuple[object, object]:
+    """Both sides of the gluing identity psi_{j1} - psi_{j2} == sum_i G_i * Cof_i.
 
+    M is a matrix over any commutative ring (polynomials, or integers with
+    det = det_mod_p at a point) and det its determinant. psi_j is
+    (-1)^j det(M without column j). For j1 < j2 the certificate is (-1)^{j1}
+    times the determinant of M with column j1 removed and column j2 replaced
+    by the row sums G_i; expanding along that column gives
+    sum_i (-1)^{i + j2 - 1} G_i * minor_i with minor_i the doubly-omitted
+    (columns j1, j2, row i) determinant. Swapping j1 > j2 negates.
+    """
+    def psi(j: int):
+        d = det([[e for c, e in enumerate(row) if c != j] for row in M])
+        return d if j % 2 == 0 else -d
 
-def _signed_omit_det(M: List[List[MultiPoly]], omit: int) -> MultiPoly:
-    det = poly_det([[e for c, e in enumerate(row) if c != omit] for row in M])
-    return det if omit % 2 == 0 else -det
+    difference = psi(j1) - psi(j2)
+    if j1 == j2:
+        return difference, difference
+    a, b = sorted((j1, j2))
+    pieces = []
+    for i, row in enumerate(M):
+        minor = det([[e for c, e in enumerate(other) if c not in (a, b)]
+                     for ri, other in enumerate(M) if ri != i])
+        piece = sum(row[1:], row[0]) * minor
+        pieces.append(piece if (i + b) % 2 else -piece)
+    certificate = sum(pieces[1:], pieces[0])
+    if (a % 2 == 1) != (j1 > j2):
+        certificate = -certificate
+    return difference, certificate
 
 
 def gluing_certificate(M: List[List[MultiPoly]], j1: int, j2: int) -> MultiPoly:
-    """The exact certificate for psi_{j1} - psi_{j2}.
-
-    For j1 < j2 this is (-1)^{j1} times the determinant of M with column j1
-    removed and column j2 replaced by the full row-sum column; expanding
-    along that column gives sum_i (-1)^{i + j2 - 1} G_i * minor_i with
-    minor_i the doubly-omitted (cols j1, j2, row i) determinant. Swapping
-    j1 > j2 negates; j1 == j2 gives zero.
-    """
-    some = M[0][0]
-    if j1 == j2:
-        return MultiPoly.zero(some.N, some.field)
-    flip = j1 > j2
-    a, b = (j1, j2) if j1 < j2 else (j2, j1)
-    sums = _row_sums(M)
-    pos = b - 1
-    total = MultiPoly.zero(some.N, some.field)
-    for i in range(len(M)):
-        sub = [
-            [e for c, e in enumerate(row) if c not in (a, b)]
-            for ri, row in enumerate(M) if ri != i
-        ]
-        piece = sums[i] * poly_det(sub)
-        total = total + (piece if (i + pos) % 2 == 0 else -piece)
-    if a % 2:
-        total = -total
-    return -total if flip else total
+    """The exact certificate sum_i G_i * Cof_i for psi_{j1} - psi_{j2}."""
+    return _gluing_sides(M, j1, j2, poly_det)[1]
 
 
-def _numeric_glue_pair(M: List[List[MultiPoly]], j1: int, j2: int,
-                       z: List[int], dz: List[int], p: int) -> Tuple[int, int]:
-    """(difference, certificate) of the gluing identity at one point."""
-    if j1 == j2:
-        return 0, 0
-    exact = M[0][0].field.p != 0
-    vals = [[(e.evaluate(z, dz) if exact else e.evaluate_mod(z, dz, p)) % p
-             for e in row] for row in M]
-
-    def omit_det(j: int) -> int:
-        det = det_mod_p([[v for c, v in enumerate(row) if c != j] for row in vals], p)
-        return det if j % 2 == 0 else (-det) % p
-
-    diff = (omit_det(j1) - omit_det(j2)) % p
-    flip = j1 > j2
-    a, b = (j1, j2) if j1 < j2 else (j2, j1)
-    sums = [sum(row) % p for row in vals]
-    pos = b - 1
-    total = 0
-    for i in range(len(vals)):
-        sub = [[v for c, v in enumerate(row) if c not in (a, b)]
-               for ri, row in enumerate(vals) if ri != i]
-        piece = sums[i] * det_mod_p(sub, p)
-        total = (total + (piece if (i + pos) % 2 == 0 else -piece)) % p
-    if a % 2:
-        total = -total % p
-    if flip:
-        total = -total % p
-    return diff, total
+def _certificate_check(check_id: str, M: List[List[MultiPoly]], j1: int, j2: int
+                       ) -> Tuple[dict, MultiPoly]:
+    """The exact gluing check of one chart pair, and its certificate."""
+    difference, certificate = _gluing_sides(M, j1, j2, poly_det)
+    witness = None
+    if difference != certificate:
+        gap = difference - certificate
+        witness = {"difference_minus_certificate": to_literal(gap)[:400]}
+    return _check(check_id, "fail" if witness else "pass", witness=witness), certificate
 
 
 def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int,
@@ -246,8 +228,9 @@ def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int
     the sections and the differentials of the selected sections; the Cof_i
     are the signed minors with both chart columns removed. Column indices
     refer to positions in the (possibly column-combined) bundle. Exact mode
-    compares polynomials; probabilistic mode evaluates both sides at random
-    points (over F_p, or modulo the 31-bit prime for rational families).
+    compares polynomials; probabilistic mode evaluates the matrix at random
+    points and both sides of the same identity from its values (over F_p, or
+    modulo the 31-bit prime for rational families).
     """
     guard = _characteristic_skip(fam)
     if guard is not None:
@@ -256,32 +239,25 @@ def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int
     ncols = len(M[0])
     if not (0 <= j1 < ncols and 0 <= j2 < ncols):
         raise ValueError("chart column out of range")
+    check_id = f"certificate j1={j1} j2={j2}"
     if mode == "exact":
-        difference = _signed_omit_det(M, j1) - _signed_omit_det(M, j2)
-        certificate = gluing_certificate(M, j1, j2)
-        equal = difference == certificate
-        witness = None
-        if not equal:
-            gap = difference - certificate
-            witness = {"difference_minus_certificate": to_literal(gap)[:400]}
-        checks = [_check(f"certificate j1={j1} j2={j2}", "pass" if equal else "fail",
-                         witness=witness)]
-        return _report("gluing", checks, j1=j1, j2=j2,
+        check, certificate = _certificate_check(check_id, M, j1, j2)
+        return _report("gluing", [check], j1=j1, j2=j2,
                        generators=len(M), certificate_terms=certificate.term_count())
     if mode != "probabilistic":
         raise ValueError(f"unknown mode {mode!r}")
-    modulus = fam.field.p or IDENTITY_PRIME
+
+    def sides(z, dz, m):
+        vals = [[e.evaluate_mod(z, dz, m) for e in row] for row in M]
+        diff, cert = _gluing_sides(vals, j1, j2, lambda rows: det_mod_p(rows, m))
+        return [(diff % m, cert % m)]
+
+    miss = sample_identity(sides, fam.shape.N, fam.field, trials, seed, "gluing")
     witness = None
-    for t in range(trials):
-        rng = child_rng(seed, "gluing", t)
-        z = [rng.randrange(modulus) for _ in range(M[0][0].N + 1)]
-        dz = [rng.randrange(modulus) for _ in range(M[0][0].N + 1)]
-        diff, cert = _numeric_glue_pair(M, j1, j2, z, dz, modulus)
-        if diff != cert:
-            witness = {"trial": t, "z": z, "dz": dz,
-                       "difference": diff, "certificate": cert}
-            break
-    checks = [_check(f"certificate j1={j1} j2={j2}", "fail" if witness else "pass",
+    if miss is not None:
+        t, z, dz, _, diff, cert = miss
+        witness = {"trial": t, "z": z, "dz": dz, "difference": diff, "certificate": cert}
+    checks = [_check(check_id, "fail" if witness else "pass",
                      "probabilistic", trials, witness)]
     return _report("gluing", checks, j1=j1, j2=j2, generators=len(M))
 
@@ -289,13 +265,19 @@ def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int
 # ----- transition formulas -----
 
 
-def _transition_points(G_N: int, l1: int, l2: int, rng,
-                       modulus: int) -> Tuple[List[int], List[int]]:
-    z = [rng.randrange(modulus) for _ in range(G_N + 1)]
-    z[l1] = rng.randrange(1, modulus)
-    z[l2] = rng.randrange(1, modulus)
-    dz = [rng.randrange(modulus) for _ in range(G_N + 1)]
-    return z, dz
+def _transition_sides(g, at_chart: Callable, times_power: Callable,
+                      l1: int, l2: int) -> Iterator[Tuple[object, object]]:
+    """(lhs, rhs) of each chart-change identity of a form G, in check order.
+
+    g is G itself or its value; at_chart(l) is G at the projected tangent
+    w_l(dz), w_l,k = z_l dz_k - dz_l z_k; times_power(x, l) is z_l^n * x.
+    First the transition z_{l2}^n G(w_{l1}) == z_{l1}^n G(w_{l2}), then the
+    scaling G(w_l) == z_l^n G for each chart l in sorted order.
+    """
+    projected = {l: at_chart(l) for l in sorted({l1, l2})}
+    yield times_power(projected[l1], l2), times_power(projected[l2], l1)
+    for l in sorted({l1, l2}):
+        yield projected[l], times_power(g, l)
 
 
 def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
@@ -311,7 +293,10 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
       exponent     z-degree + dz-degree of G equals the twist plus the
                    omitted column's divisor share plus the coefficient
                    twists, independently recomputed.
-    Probabilistic mode samples points with z_{l1}, z_{l2} != 0.
+    Exact mode substitutes polynomials; probabilistic mode samples points
+    with z_{l1}, z_{l2} != 0 and evaluates G at w_l(dz) there, never
+    building the substituted polynomials. "auto" goes exact while the
+    scaled forms, len({l1, l2}) * (terms of G), stay within the limit.
     """
     guard = _characteristic_skip(fam)
     if guard is not None:
@@ -321,36 +306,30 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
     G = form.value_global
     n_eff = form.dz_degree
     N = G.N
-    projected = {l: tangent_projection(G, l) for l in {l1, l2}}
-    scaled = {l: times_monomial(G, z_power(N, l, n_eff)) for l in {l1, l2}}
-    lhs = times_monomial(projected[l1], z_power(N, l2, n_eff))
-    rhs = times_monomial(projected[l2], z_power(N, l1, n_eff))
 
     if mode == "auto":
-        total = sum(q.term_count() for q in projected.values())
+        total = len({l1, l2}) * G.term_count()
         mode = "exact" if total <= AUTO_EXACT_TERM_LIMIT else "probabilistic"
     checks = []
     if mode == "exact":
-        for l in sorted({l1, l2}):
-            ok = projected[l] == scaled[l]
-            checks.append(_check(f"scaling chart {l}", "pass" if ok else "fail"))
-        ok = lhs == rhs
-        checks.append(_check("transition", "pass" if ok else "fail"))
+        transition, *scaling = _transition_sides(
+            G, lambda l: tangent_projection(G, l),
+            lambda x, l: times_monomial(x, z_power(N, l, n_eff)), l1, l2)
+        for l, (lhs, rhs) in zip(sorted({l1, l2}), scaling):
+            checks.append(_check(f"scaling chart {l}", "pass" if lhs == rhs else "fail"))
+        checks.append(_check("transition", "pass" if transition[0] == transition[1] else "fail"))
     elif mode == "probabilistic":
-        modulus = fam.field.p or IDENTITY_PRIME
-        witness = None
-        for t in range(trials):
-            rng = child_rng(seed, "transition", t)
-            z, dz = _transition_points(N, l1, l2, rng, modulus)
-            pairs = [(lhs, rhs)] + [(projected[l], scaled[l]) for l in sorted({l1, l2})]
-            for idx, (a, b) in enumerate(pairs):
-                va = a.evaluate(z, dz) if fam.field.p else a.evaluate_mod(z, dz, modulus)
-                vb = b.evaluate(z, dz) if fam.field.p else b.evaluate_mod(z, dz, modulus)
-                if va != vb:
-                    witness = {"trial": t, "z": z, "dz": dz, "pair": idx}
-                    break
-            if witness:
-                break
+        def sides(z, dz, m):
+            def at_chart(l):
+                w = [(z[l] * dz[k] - dz[l] * z[k]) % m for k in range(N + 1)]
+                return G.evaluate_mod(z, w, m)
+
+            return _transition_sides(G.evaluate_mod(z, dz, m), at_chart,
+                                     lambda x, l: x * pow(z[l], n_eff, m) % m, l1, l2)
+
+        miss = sample_identity(sides, N, fam.field, trials, seed, "transition",
+                               nonzero=(l1, l2))
+        witness = None if miss is None else dict(zip(("trial", "z", "dz", "pair"), miss))
         checks.append(_check("transition", "fail" if witness else "pass",
                              "probabilistic", trials, witness))
     else:
@@ -506,19 +485,15 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
         checks.append(_check("eta=0 coincidence", "pass" if ok else "fail"))
         return _report("hidden", checks, eta=0)
 
+    hidden = build_selected(build_matrices(fam), ("hidden",) + vanished)
     if fam.mode == "general_fermat":
-        which = ("hidden",) + vanished
-        K, M = _glue_matrix(build_matrices(fam), selection, which)
+        _, M = _glue_matrix(hidden, selection)
         ncols = len(M[0])
         for j1 in range(ncols):
             for j2 in range(j1 + 1, ncols):
-                diff = _signed_omit_det(M, j1) - _signed_omit_det(M, j2)
-                cert = gluing_certificate(M, j1, j2)
-                ok = diff == cert
-                checks.append(_check(f"certificate j1={j1} j2={j2}",
-                                     "pass" if ok else "fail"))
-        full = build_matrices(fam)
-        form = extract_form(full, which, selection, omit=0, chart=K.retained[-1],
+                checks.append(_certificate_check(f"certificate j1={j1} j2={j2}",
+                                                 M, j1, j2)[0])
+        form = extract_form(hidden, None, selection, omit=0, chart=hidden.retained[-1],
                             kind="omega")
         expected = fermat_heart_prime(fam.degrees, fam.lambdas, selection) \
             + sum(fam.lambdas[v] - 1 for v in vanished)
@@ -527,21 +502,17 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
                              witness=None if ok else {"twist": form.twist,
                                                       "expected": expected}))
     else:
-        full = build_matrices(fam)
-        hidden = build_selected(full, ("hidden",) + vanished)
         ledger = twist_ledger(fam.schedule)
-        retained_top = len(hidden.retained) - 1
-        for nu in (0, retained_top):
-            _, M = _glue_matrix(hidden, selection, ("K_nu", nu))
-            diff = _signed_omit_det(M, 0) - _signed_omit_det(M, 1)
-            cert = gluing_certificate(M, 0, 1)
-            checks.append(_check(f"certificate K_nu({nu})",
-                                 "pass" if diff == cert else "fail"))
-            form = extract_form(hidden, ("K_nu", nu), selection, omit=0,
-                                chart=hidden.retained[-1])
-            entry = ledger.lookup(eta, "K_nu", None, selection)
+        for kind, params, _ in selection_layouts(len(hidden.retained) - 1):
+            which = (kind,) + params
+            label = f"{kind}({','.join(map(str, params))})"
+            K, M = _glue_matrix(hidden, selection, which)
+            checks.append(_certificate_check(f"certificate {label}", M, 0, 1)[0])
+            form = extract_form(K, None, selection, omit=0, chart=K.retained[-1])
+            tau = params[0] if kind == "K_tau_rho" else None
+            entry = ledger.lookup(eta, kind, tau, selection)
             ok = form.twist == entry.value
-            checks.append(_check(f"twist K_nu({nu})", "pass" if ok else "fail",
+            checks.append(_check(f"twist {label}", "pass" if ok else "fail",
                                  witness=None if ok else {"twist": form.twist,
                                                           "ledger": entry.value}))
     return _report("hidden", checks, eta=eta, vanished=list(vanished))

@@ -14,7 +14,7 @@ from math import isqrt
 from typing import List, Sequence, Tuple
 
 from .exact_algebra import MultiPoly, total_differential
-from .finite_geometry import _eval_section, proj_points, tangent_directions
+from .finite_geometry import proj_points, tangent_directions
 from .schedule import ProblemShape, rescale_ledger
 
 
@@ -219,15 +219,15 @@ def verify_product_decomposition(factors: Sequence[Sequence[MultiPoly]],
     pairs = 0
     for pt in proj_points(N, q):
         z = list(pt.coords)
-        fvals = [[_eval_section(f, z, zero_dz, q) for f in fs] for fs in factors]
-        Fvals = [_eval_section(F, z, zero_dz, q) for F in Fs]
+        fvals = [[f.evaluate_mod(z, zero_dz, q) for f in fs] for fs in factors]
+        Fvals = [F.evaluate_mod(z, zero_dz, q) for F in Fs]
         for d in tangent_directions(z, [], q):
             xi = list(d.xi)
             pairs += 1
             in_lhs = all(v == 0 for v in Fvals) and all(
-                _eval_section(dF, z, xi, q) == 0 for dF in dFs
+                dF.evaluate_mod(z, xi, q) == 0 for dF in dFs
             )
-            fdiff = [[_eval_section(df, z, xi, q) for df in row] for row in dfs[:c]]
+            fdiff = [[df.evaluate_mod(z, xi, q) for df in row] for row in dfs[:c]]
             in_rhs = any(
                 all(fvals[i][k] == 0 and fdiff[i][k] == 0 for i, k in full)
                 and all(fvals[i][k1] == 0 and fvals[i][k2] == 0 for i, (k1, k2) in two)

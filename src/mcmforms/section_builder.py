@@ -62,6 +62,7 @@ from .exact_algebra import (
 from .schedule import (
     ExponentSchedule,
     ProblemShape,
+    build_schedule,
     fermat_heart,
     fermat_heart_prime,
     fermat_hidden_heart_prime,
@@ -804,5 +805,9 @@ def load_family(path: str) -> SectionFamily:
     if data["mode"] == "general_fermat":
         kwargs.update(lambdas=data["lambdas"], degrees=data["degrees"])
     else:
-        kwargs.update(schedule=schedule_from_dict(data["schedule"]))
+        sched = schedule_from_dict(data["schedule"])
+        if sched != build_schedule(sched.shape, sched.heart, sched.eps, sched.slack):
+            raise ValueError("family schedule does not match its recomputation "
+                             "from shape, heart, eps and slack")
+        kwargs.update(schedule=sched)
     return build_sections(**kwargs)

@@ -22,12 +22,14 @@ from mcmforms.exact_algebra import (
     gradient_rows,
     identity_test,
     poly_det,
+    sample_identity,
     tangent_projection,
     times_monomial,
     to_literal,
     total_differential,
     z_power,
 )
+from mcmforms.util import child_rng
 
 F7 = Field(7)
 
@@ -327,6 +329,43 @@ def test_identity_test_probabilistic_accepts_equal_over_fp():
     q = p + MultiPoly.zero(1, fld)
     res = identity_test(p, q, mode="probabilistic", trials=5, seed=2)
     assert res["equal"]
+
+
+def test_identity_test_probabilistic_evaluates_each_side(monkeypatch):
+    # the two sides are sampled separately; p - q is never expanded
+    fld = Field(101)
+    p = (MultiPoly.z(1, 0, fld) + MultiPoly.z(1, 1, fld)) ** 3
+    q = p + MultiPoly.z(1, 0, fld)
+
+    def refuse(self, other):
+        raise AssertionError("identity_test subtracted its sides")
+
+    monkeypatch.setattr(MultiPoly, "__sub__", refuse)
+    assert identity_test(p, p, mode="probabilistic", trials=5)["equal"]
+    res = identity_test(p, q, mode="probabilistic", trials=5)
+    assert not res["equal"] and res["trials"] >= 1
+
+
+def test_sample_identity_draws_seeded_points_and_reports_the_first_mismatch():
+    seen = []
+
+    def sides(z, dz, m):
+        seen.append((z, dz))
+        yield 0, 0
+        yield z[1], 0
+
+    miss = sample_identity(sides, 2, Field(7), trials=50, seed=3, stage="s",
+                           nonzero=(1,))
+    t, z_miss, _, pair, lhs, rhs = miss
+    assert pair == 1 and lhs == z_miss[1] != 0 and rhs == 0
+    # z is drawn, then the forced-nonzero coordinates, then dz
+    rng = child_rng(3, "s", 0)
+    z = [rng.randrange(7) for _ in range(3)]
+    z[1] = rng.randrange(1, 7)
+    assert seen[0] == (z, [rng.randrange(7) for _ in range(3)])
+    assert t == 0 and len(seen) == 1
+    # over Q the points live modulo the 31-bit prime
+    assert sample_identity(lambda z, dz, m: [(m, 2 ** 31 - 1)], 1, QQ, 3, 0, "q") is None
 
 
 def test_identity_test_auto_small_goes_exact():

@@ -411,6 +411,11 @@ def test_crosscheck_rejects_non_mcm():
         characterization_crosscheck(unit_line_family(field=F5), 5)
 
 
+def test_crosscheck_rejects_a_family_over_another_field():
+    with pytest.raises(ValueError, match="F_5, not F_7"):
+        characterization_crosscheck(mcm_family(1), 7, sample=10)
+
+
 def test_membership_forces_numeric_vanishing():
     # a member matrix (alphas zero, betas proportional) makes every divided
     # determinant vanish at an all-ones point; a generic matrix does not

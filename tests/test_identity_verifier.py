@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+from mcmforms import identity_verifier
 from mcmforms.exact_algebra import (
     Field,
     MultiPoly,
@@ -218,6 +220,64 @@ def test_transition_on_mcm_selected_columns():
     assert rep2["ok"]
 
 
+def test_sampled_gluing_failure_keeps_its_point(monkeypatch):
+    # a determinant off by one on the omit-one minors breaks the identity;
+    # the witness is the point and the two values the sampler saw
+    fam = fermat_family(3, 2, 0, (2, 2, 2, 2), (3, 3), seed=1)
+    real = identity_verifier.det_mod_p
+    monkeypatch.setattr(identity_verifier, "det_mod_p",
+                        lambda rows, p: (real(rows, p) + (len(rows) == 3)) % p)
+    rep = verify_gluing(fam, (1,), 0, 1, mode="probabilistic", seed=2)
+    assert not rep["ok"]
+    assert rep["checks"][0]["witness"] == {
+        "trial": 0, "z": [94, 52, 30, 39], "dz": [65, 31, 35, 29],
+        "difference": 84, "certificate": 82}
+
+
+def test_sampling_catches_a_broken_transition_and_keeps_its_points(monkeypatch):
+    fam = fermat_family(2, 1, 0, (2, 2, 2), (3,), seed=4)
+    real = identity_verifier.extract_form
+
+    def broken(*args, **kwargs):
+        # one bihomogeneous term that no chart change fixes
+        form = real(*args, **kwargs)
+        G = form.value_global
+        zdeg, n = G.bidegree()
+        term = MultiPoly.monomial(G.N, G.field, 1, (zdeg, 0, 0), (0, n, 0))
+        return dataclasses.replace(form, value_global=G + term)
+
+    monkeypatch.setattr(identity_verifier, "extract_form", broken)
+    exact = verify_transition(fam, (1,), omit=2, l1=0, l2=1, mode="exact")
+    assert not exact["ok"]
+    assert [c["verdict"] for c in exact["checks"][:3]] == ["fail"] * 3
+    sampled = verify_transition(fam, (1,), omit=2, l1=0, l2=1, mode="probabilistic")
+    assert not sampled["ok"]
+    assert sampled["checks"][0]["witness"] == {
+        "trial": 0, "z": [18, 20, 40], "dz": [9, 39, 23], "pair": 0}
+    # on one chart the transition pair holds trivially and scaling fails
+    same = verify_transition(fam, (1,), omit=2, l1=1, l2=1, mode="probabilistic")
+    assert same["checks"][0]["witness"] == {
+        "trial": 0, "z": [22, 20, 40], "dz": [9, 39, 23], "pair": 1}
+    exact_same = verify_transition(fam, (1,), omit=2, l1=1, l2=1, mode="exact")
+    assert [(c["id"], c["verdict"]) for c in exact_same["checks"][:2]] == [
+        ("scaling chart 1", "fail"), ("transition", "pass")]
+
+
+def test_sampled_transition_never_substitutes_polynomials(monkeypatch):
+    shape = ProblemShape(3, 2, 0)
+    fam = build_sections(shape, "mcm", field=Field(5),
+                         schedule=build_schedule(shape, 2), seed=3)
+
+    def refuse(*args):
+        raise AssertionError("tangent_projection called in probabilistic mode")
+
+    monkeypatch.setattr(identity_verifier, "tangent_projection", refuse)
+    rep = verify_transition(fam, (1,), omit=0, l1=0, l2=1, mode="probabilistic",
+                            which=("K_nu", 0))
+    assert rep["ok"] and rep["mode"] == "probabilistic"
+    assert rep["checks"][0]["trials"] == 20
+
+
 def test_transition_unknown_mode():
     fam = unit_line_family()
     with pytest.raises(ValueError):
@@ -308,9 +368,12 @@ def test_hidden_mcm_certificates_and_ledger_twist():
     fam = build_sections(shape, "mcm", field=Field(5), schedule=sched, seed=4)
     rep = verify_hidden(fam, (0,), (1,))
     assert rep["ok"]
-    ids = [c["id"] for c in rep["checks"]]
-    assert any(i.startswith("certificate K_nu") for i in ids)
-    assert any(i.startswith("twist K_nu") for i in ids)
+    # every selection of the depth-1 bundle (top level 3): 4 K_nu, 6 K_tau_rho
+    certs = [c for c in rep["checks"] if c["id"].startswith("certificate ")]
+    twists = [c for c in rep["checks"] if c["id"].startswith("twist ")]
+    assert len(certs) == 10 and len(twists) == 10
+    assert all(c["verdict"] == "pass" for c in rep["checks"])
+    assert "certificate K_tau_rho(2,3)" in [c["id"] for c in certs]
 
 
 def test_hidden_characteristic_guard():

@@ -322,6 +322,20 @@ def test_cli_build_verify_scan_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_verify_refuses_a_tampered_family(tmp_path, capsys):
+    fam_path = tmp_path / "family.json"
+    assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
+                 "--seed", "3", "--out", str(fam_path)]) == 0
+    data = json.loads(fam_path.read_text())
+    data["schedule"]["mu"]["3,0"] += 1
+    fam_path.write_text(json.dumps(data))
+    report_path = tmp_path / "verify.json"
+    assert main(["verify", "forms", "--family", str(fam_path),
+                 "--json", str(report_path)]) != 0
+    assert not report_path.exists()
+    assert "schedule" in capsys.readouterr().err
+
+
 def test_cli_scan_census(tmp_path, capsys):
     out = tmp_path / "census.json"
     assert main(["scan", "census", "--a", "2", "--b", "2", "--q", "2",

@@ -228,3 +228,6 @@ def test_decomposition_guards():
         verify_product_decomposition([[f]], ProblemShape(3, 1, 1), 3)
     with pytest.raises(ValueError, match="at least one factor"):
         verify_product_decomposition([[]], ProblemShape(2, 1, 0), 3)
+    g = from_literal("1 * z0^1 + 1 * z1^1", N=2, field=Field(5))
+    with pytest.raises(ValueError, match="F_5, not F_3"):
+        verify_product_decomposition([[g]], ProblemShape(2, 1, 0), 3)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -377,6 +378,17 @@ def test_family_save_load_round_trip(tmp_path):
     assert fam2.sections == fam.sections
     assert fam2.coefficients == fam.coefficients
     assert fam2.schedule == fam.schedule
+
+
+def test_load_family_rejects_a_tampered_schedule(tmp_path):
+    fam = mcm_family(N=3, c=2, r=0, seed=16)
+    path = tmp_path / "family.json"
+    save_family(fam, str(path))
+    data = json.loads(path.read_text())
+    data["schedule"]["mu"]["3,0"] += 1
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="schedule"):
+        load_family(str(path))
 
 
 def test_general_family_save_load_round_trip(tmp_path):
