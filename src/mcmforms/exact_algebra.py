@@ -6,6 +6,18 @@ N+1..2N+1 hold the dz-exponents. The zero polynomial is the empty dict and
 counts as bihomogeneous of every bidegree. Coefficients live in Q (exact
 fractions, p == 0) or in F_p for a prime p < 2**31.
 
+Products and determinants run on packed exponents (Monagan & Pearce, CASC
+2007): each exponent tuple becomes one int whose slot k, b bits wide, holds
+exponent k, so a monomial product is one integer add. b is the smallest of
+8/16/32/64 with 2**b above a degree bound: the sum of the operands' largest
+total degrees for a product, the sum of each row's largest entry degree for
+a determinant. No exponent exceeds its term's total degree, so packed adds
+never carry; a bound of 2**64 or more raises OverflowError. Over F_p the
+loop adds integer products and reduces mod p once per result. Over Q each
+operand (each row of a determinant) is scaled by the lcm of its
+denominators, the loop runs on integers, and unpacking divides by the
+product of the scales. `terms` itself stays keyed by tuples.
+
 The canonical term order is graded lexicographic on the concatenated
 exponent vector, largest first; the literal printer emits terms in that
 order and the parser accepts the printed form back byte-exactly.
@@ -14,8 +26,12 @@ order and the parser accepts the printed form back byte-exactly.
 from __future__ import annotations
 
 import re
+import struct
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm, prod
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .util import _echelon_mod_p, child_rng
@@ -206,25 +222,28 @@ class MultiPoly:
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compat(other)
         out = dict(self.terms)
-        fld = self.field
+        p = self.field.p
         for exp, c in other.terms.items():
             prev = out.get(exp)
             if prev is None:
                 out[exp] = c
+                continue
+            s = (prev + c) % p if p else prev + c
+            if s:
+                out[exp] = s
             else:
-                s = fld.add(prev, c)
-                if s == 0:
-                    del out[exp]
-                else:
-                    out[exp] = s
-        res = MultiPoly(self.N, fld)
+                del out[exp]
+        res = MultiPoly(self.N, self.field)
         res.terms = out
         return res
 
     def __neg__(self) -> "MultiPoly":
-        fld = self.field
-        res = MultiPoly(self.N, fld)
-        res.terms = {exp: fld.neg(c) for exp, c in self.terms.items()}
+        p = self.field.p
+        res = MultiPoly(self.N, self.field)
+        if p:
+            res.terms = {exp: -c % p for exp, c in self.terms.items()}
+        else:
+            res.terms = {exp: -c for exp, c in self.terms.items()}
         return res
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
@@ -232,33 +251,25 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compat(other)
-        fld = self.field
-        out: Dict[Exponent, object] = {}
-        small, big = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
-        for e1, c1 in small.items():
-            for e2, c2 in big.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                c = fld.mul(c1, c2)
-                prev = out.get(exp)
-                if prev is None:
-                    out[exp] = c
-                else:
-                    s = fld.add(prev, c)
-                    if s == 0:
-                        del out[exp]
-                    else:
-                        out[exp] = s
-        res = MultiPoly(self.N, fld)
-        res.terms = out
-        return res
+        a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
+        if not a.terms:
+            return MultiPoly(self.N, self.field)
+        codec = _slot_codec(2 * (self.N + 1), _max_degree(a) + _max_degree(b))
+        sa, sb = _denominator_lcm((a,)), _denominator_lcm((b,))
+        out = _product_into(defaultdict(int), _pack(a, codec, sa), _pack(b, codec, sb))
+        return _unpack(_reduce(out, self.field.p), codec, self.N, self.field, sa * sb)
 
     def scale(self, c) -> "MultiPoly":
         fld = self.field
         c = fld.coerce(c)
         if c == 0:
             return MultiPoly.zero(self.N, fld)
+        p = fld.p
         res = MultiPoly(self.N, fld)
-        res.terms = {exp: fld.mul(v, c) for exp, v in self.terms.items()}
+        if p:
+            res.terms = {exp: (v * c) % p for exp, v in self.terms.items()}
+        else:
+            res.terms = {exp: v * c for exp, v in self.terms.items()}
         return res
 
     def __pow__(self, k: int) -> "MultiPoly":
@@ -603,22 +614,15 @@ def substitute_dz(p: MultiPoly, images: Sequence[MultiPoly]) -> MultiPoly:
     """Replace each dz_k by images[k] (z-variables left alone)."""
     if len(images) != p.N + 1:
         raise ValueError("need one image per dz variable")
-    fld = p.field
-    n1 = p.N + 1
-    total = MultiPoly.zero(p.N, fld)
+    total = MultiPoly.zero(p.N, p.field)
     power_cache: Dict[Tuple[int, int], MultiPoly] = {}
-    for exp, c in p.terms.items():
-        z_part = MultiPoly(p.N, fld, {exp[:n1] + (0,) * n1: c})
-        piece = z_part
-        for k in range(n1):
-            e = exp[n1 + k]
+    for dkey, piece in dz_components(p).items():
+        for k, e in enumerate(dkey):
             if e == 0:
                 continue
-            key = (k, e)
-            pw = power_cache.get(key)
+            pw = power_cache.get((k, e))
             if pw is None:
-                pw = images[k] ** e
-                power_cache[key] = pw
+                pw = power_cache[(k, e)] = images[k] ** e
             piece = piece * pw
         total = total + piece
     return total
@@ -797,7 +801,8 @@ def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
 
     Cofactor expansion along rows with memoization on the remaining column
     subset, so each subset determinant is expanded once (fraction-free by
-    construction; no pseudo-division steps).
+    construction; no pseudo-division steps). Every entry is packed once,
+    every minor is kept packed, and only the determinant is unpacked.
     """
     m = len(rows)
     if m == 0:
@@ -807,27 +812,103 @@ def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
             raise ValueError("matrix is not square")
     sample = rows[0][0]
     N, fld = sample.N, sample.field
-    memo: Dict[Tuple[int, ...], MultiPoly] = {}
+    for row in rows:
+        for entry in row:
+            sample._check_compat(entry)
+    p = fld.p
+    codec = _slot_codec(2 * (N + 1), sum(max(map(_max_degree, row)) for row in rows))
+    scales = [_denominator_lcm(row) for row in rows]
+    packed = [[_pack(entry, codec, s) for entry in row] for row, s in zip(rows, scales)]
+    memo: Dict[Tuple[int, ...], Dict[int, int]] = {}
 
-    def minor(cols: Tuple[int, ...]) -> MultiPoly:
+    def minor(cols: Tuple[int, ...]) -> Dict[int, int]:
         i = m - len(cols)
         if len(cols) == 1:
-            return rows[i][cols[0]]
+            return packed[i][cols[0]]
         cached = memo.get(cols)
         if cached is not None:
             return cached
-        acc = MultiPoly.zero(N, fld)
+        out = defaultdict(int)
         for t, col in enumerate(cols):
-            entry = rows[i][col]
-            if entry.is_zero():
+            entry = packed[i][col]
+            if not entry:
                 continue
-            sub = minor(cols[:t] + cols[t + 1 :])
-            piece = entry * sub
-            acc = acc + piece if t % 2 == 0 else acc - piece
-        memo[cols] = acc
-        return acc
+            if t % 2:
+                entry = {k: -c for k, c in entry.items()}
+            _product_into(out, entry, minor(cols[:t] + cols[t + 1 :]))
+        memo[cols] = out = _reduce(out, p)
+        return out
 
-    return minor(tuple(range(m)))
+    return _unpack(minor(tuple(range(m))), codec, N, fld, prod(scales))
+
+
+# ----- packed exponents -----
+
+_SLOT_CODES = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+
+
+@lru_cache(maxsize=None)
+def _struct_for(width: int, code: str) -> struct.Struct:
+    return struct.Struct(f"<{width}{code}")
+
+
+def _slot_codec(width: int, bound: int) -> struct.Struct:
+    """Packs `width` exponents into slots of the narrowest width whose
+    largest value is at least the degree bound."""
+    for bits, code in _SLOT_CODES:
+        if bound < 1 << bits:
+            return _struct_for(width, code)
+    raise OverflowError(f"degree bound {bound} does not fit a 64-bit exponent slot")
+
+
+def _max_degree(p: MultiPoly) -> int:
+    return max(map(sum, p.terms), default=0)
+
+
+def _denominator_lcm(polys: Sequence[MultiPoly]) -> int:
+    """The lcm of the coefficient denominators over Q; 1 over F_p."""
+    if polys[0].field.p:
+        return 1
+    return lcm(*{c.denominator for p in polys for c in p.terms.values()})
+
+
+def _pack(p: MultiPoly, codec: struct.Struct, scale: int) -> Dict[int, int]:
+    """Packed monomial -> integer coefficient; over Q the coefficients are
+    multiplied by scale, a common multiple of their denominators."""
+    pack, from_bytes = codec.pack, int.from_bytes
+    if p.field.p:
+        return {from_bytes(pack(*e), "little"): c for e, c in p.terms.items()}
+    return {from_bytes(pack(*e), "little"): c.numerator * (scale // c.denominator)
+            for e, c in p.terms.items()}
+
+
+def _product_into(out: Dict[int, int], a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+    """The product loop: adds a * b into out (a defaultdict(int)), unreduced."""
+    items = b.items()
+    for ka, ca in a.items():
+        for kb, cb in items:
+            out[ka + kb] += ca * cb
+    return out
+
+
+def _reduce(out: Dict[int, int], p: int) -> Dict[int, int]:
+    """Coefficients mod p (over F_p), zero terms dropped."""
+    if p:
+        return {k: r for k, c in out.items() if (r := c % p)}
+    return {k: c for k, c in out.items() if c}
+
+
+def _unpack(packed: Dict[int, int], codec: struct.Struct, N: int, field: Field, scale: int) -> MultiPoly:
+    """The polynomial of reduced packed terms; over Q each coefficient is
+    divided by scale."""
+    unpack, size = codec.unpack, codec.size
+    res = MultiPoly(N, field)
+    if field.p:
+        res.terms = {unpack(k.to_bytes(size, "little")): c for k, c in packed.items()}
+    else:
+        res.terms = {unpack(k.to_bytes(size, "little")): Fraction(c, scale)
+                     for k, c in packed.items()}
+    return res
 
 
 def det_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:

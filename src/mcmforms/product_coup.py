@@ -10,12 +10,11 @@ union of factor-level pieces.
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import isqrt
 from typing import List, Sequence, Tuple
 
 from .exact_algebra import MultiPoly, total_differential
 from .finite_geometry import proj_points, tangent_directions
-from .schedule import ProblemShape, rescale_ledger
+from .schedule import ProblemShape, nn2_threshold, rescale_ledger
 
 
 class NoRepresentation(ValueError):
@@ -70,18 +69,23 @@ def verify_semigroup_bound(s: int, horizon: int) -> dict:
 
 
 def effective_bound_NN2(N: int) -> dict:
-    """Exact comparison of d0*(d0+1) with N^(N^2), d0 = N^(N^2/2) - 1.
+    """Check d0*(d0+1) < N^(N^2) for the reference degree d0 = N^(N^2/2) - 1.
 
-    For N <= 2 the bound holds trivially at d = N^(N^2). For even N the
-    comparison is exact big-integer arithmetic. For odd N the exponent
-    N^2/2 is fractional: both integerized thresholds (ceil and floor of
-    N^(N^2/2)) are reported next to the algebraically true real form
-    (x-1)x < x^2; neither integerization overrides the other.
+    This is the product-coup inequality. schedule.effective_bound_report
+    checks another one, d < N^(N^2/2) - 1 for the schedule degree d; both
+    read d0 and N^(N^2) from schedule.nn2_threshold.
+
+    For N <= 2 the bound holds trivially at d = N^(N^2). For even N^2 the
+    comparison is exact big-integer arithmetic. For odd N^2 the exponent
+    N^2/2 is fractional: both integerized thresholds s = d0 + 1 (the ceil
+    and the floor of N^(N^2/2)) are reported next to the algebraically true
+    real form (x-1)x < x^2; neither integerization overrides the other.
     """
     if N < 1:
         raise ValueError("need N >= 1")
+    thr = nn2_threshold(N)
     exponent = N * N
-    bound = N ** exponent
+    bound = thr["big"]
     report = {"op": "effective-bound", "N": N, "exponent": exponent, "bound": bound}
     if N <= 2:
         report.update({
@@ -92,8 +96,8 @@ def effective_bound_NN2(N: int) -> dict:
             "ok": True,
         })
         return report
-    if exponent % 2 == 0:
-        d0 = N ** (exponent // 2) - 1
+    if thr["parity"] == "even":
+        d0 = thr["d0"]
         prod = d0 * (d0 + 1)
         fits = prod < bound
         report.update({
@@ -106,9 +110,9 @@ def effective_bound_NN2(N: int) -> dict:
             "ok": fits,
         })
         return report
-    root = isqrt(bound)  # floor of N^(N^2/2), never exact for odd exponent
     variants = {}
-    for name, s in (("floor", root), ("ceil", root + 1)):
+    for name in ("floor", "ceil"):
+        s = thr[f"d0_{name}"] + 1
         prod = s * (s - 1)
         fits = prod < bound
         variants[name] = {
@@ -119,7 +123,7 @@ def effective_bound_NN2(N: int) -> dict:
         }
     report.update({
         "parity": "odd",
-        "sqrt_floor": root,
+        "sqrt_floor": variants["floor"]["s"],
         "floor_variant": variants["floor"],
         "ceil_variant": variants["ceil"],
         "real_form": {"inequality": "(x-1)*x < x^2 for x = N^(N^2/2) > 1", "verdict": "PASS"},

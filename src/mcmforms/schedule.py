@@ -260,8 +260,10 @@ def fermat_hidden_heart_prime(
 
 
 def nn2_threshold(N: int) -> Dict[str, object]:
-    """The reference degree N^(N^2/2) - 1, exactly for even N^2, else via
-    integer square roots of N^(N^2) (both rounding variants)."""
+    """The reference degree d0 = N^(N^2/2) - 1 and big = N^(N^2): d0
+    exactly for even N^2, else via integer square roots of big (both
+    rounding variants). effective_bound_report and
+    product_coup.effective_bound_NN2 both read it."""
     nsq = N * N
     big = N**nsq
     if nsq % 2 == 0:
@@ -274,12 +276,14 @@ def nn2_threshold(N: int) -> Dict[str, object]:
         "d0_floor": root - 1,
         "d0_ceil": ceil_root - 1,
         "big": big,
-        "approx": f"{big**0.5 - 1:.2f}",
     }
 
 
 def effective_bound_report(s: ExponentSchedule) -> Dict[str, object]:
-    """Compare the schedule degree d = (N+1)*mu[N,N] against N^(N^2/2) - 1.
+    """Check d < N^(N^2/2) - 1 for the schedule degree d = (N+1)*mu[N,N].
+
+    This is the schedule's inequality; product_coup.effective_bound_NN2
+    checks d0*(d0+1) < N^(N^2) for the reference degree d0 itself.
 
     The comparison is surfaced, never asserted: several shapes exceed the
     reference value and are flagged FAIL without raising. For odd N^2 the
@@ -307,7 +311,7 @@ def effective_bound_report(s: ExponentSchedule) -> Dict[str, object]:
         fits = (s.d + 1) * (s.d + 1) < big
         report.update(
             {
-                "d0_approx": thr["approx"],
+                "d0_approx": f"{big**0.5 - 1:.2f}",
                 "d0_floor": thr["d0_floor"],
                 "d0_ceil": thr["d0_ceil"],
                 "comparison": f"({s.d}+1)^2 {'<' if fits else '>='} {N}^{N * N}",

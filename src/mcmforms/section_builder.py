@@ -84,6 +84,18 @@ class DivisibilityClaimFailed(Exception):
         self.col = col
 
 
+class DegreeClaimFailed(ValueError):
+    """A degree claimed for a form is not the one found: `quantity` names
+    the degree, `expected` is the claimed value and `observed` the value
+    the expanded form, or the row degrees and divisors, give."""
+
+    def __init__(self, quantity: str, expected, observed):
+        super().__init__(f"{quantity}: expected {expected}, observed {observed}")
+        self.quantity = quantity
+        self.expected = expected
+        self.observed = observed
+
+
 @dataclass
 class SectionFamily:
     """Sections F_1..F_{c+r} with their coefficient data.
@@ -706,8 +718,10 @@ def extract_form(
     det = poly_det(divided)
     value_global = det if sign == 1 else -det
     if not value_global.is_zero():
-        assert value_global.is_bihomogeneous(), "form value must be bihomogeneous"
-        assert value_global.dz_degree() == n_eff, "form dz-degree must be n - eta"
+        if not value_global.is_bihomogeneous():
+            raise DegreeClaimFailed("bihomogeneous", True, False)
+        if value_global.dz_degree() != n_eff:
+            raise DegreeClaimFailed("dz-degree", n_eff, value_global.dz_degree())
 
     twist = _twist_for(K, kind, selection, divisor_exps)
     _crosscheck_degree(K, value_global, twist, selection, divisor_exps, omit, n_eff)
@@ -750,17 +764,21 @@ def _twist_for(K: FormalMatrixBundle, kind: str, selection, divisor_exps) -> int
 def _crosscheck_degree(K, value_global, twist, selection, divisor_exps, omit, n_eff) -> None:
     """Exact degree bookkeeping: the L-twist equals sum of row L-degrees
     minus sum over all columns of (e-1); the global z-degree carries the
-    a_i twists and keeps the omitted column's share."""
+    a_i twists and keeps the omitted column's share. A mismatch raises
+    DegreeClaimFailed; for the twist, `expected` is the claimed twist (the
+    ledger's, for mcm forms) and `observed` the bookkeeping value."""
     fam = K.family
     ldeg = fam.section_l_degrees()
     rows_l = sum(ldeg) + sum(ldeg[j - 1] for j in selection)
     rows_a = sum(fam.twists) + sum(fam.twists[j - 1] for j in selection)
     spent_all = sum(e - 1 for e in divisor_exps)
-    assert twist == rows_l - spent_all, "twist does not match degree bookkeeping"
+    if twist != rows_l - spent_all:
+        raise DegreeClaimFailed("twist", twist, rows_l - spent_all)
     if not value_global.is_zero():
         spent_kept = spent_all - (divisor_exps[omit] - 1)
         expected_z = rows_l + rows_a - spent_kept - n_eff
-        assert value_global.z_degree() == expected_z, "global z-degree mismatch"
+        if value_global.z_degree() != expected_z:
+            raise DegreeClaimFailed("z-degree", expected_z, value_global.z_degree())
 
 
 # ----- serialization -----

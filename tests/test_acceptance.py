@@ -5,6 +5,7 @@ Run with -s to see the checklist: every test prints exactly one
 integer comparisons; the stated wall-clock budgets are asserted too.
 """
 
+import hashlib
 import time
 
 from mcmforms.exact_algebra import QQ, Field
@@ -45,6 +46,9 @@ from mcmforms.util import child_rng
 
 F3 = Field(3)
 F5 = Field(5)
+
+# sha256 of the canonical report of the default config, modulo timings
+DEFAULT_REPORT_SHA256 = "95ab5300d1d75244e12dd13d6be9d8048a3ce377243e50906e66b448d6c88ca5"
 
 
 def _line(num: int, name: str, ok: bool, note: str = "") -> None:
@@ -287,7 +291,8 @@ def test_acceptance_10_pipeline_determinism():
     j1 = report_to_json(strip_timings(r1))
     j2 = report_to_json(strip_timings(r2))
     elapsed = time.perf_counter() - t0
-    ok = r1["ok"] and r2["ok"] and j1 == j2
+    ok = (r1["ok"] and r2["ok"] and j1 == j2
+          and hashlib.sha256(j1.encode()).hexdigest() == DEFAULT_REPORT_SHA256)
     _line(10, "two default pipeline runs identical modulo timings", ok,
           f"{len(j1)} bytes, {elapsed:.1f}s")
     assert ok

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmforms.exact_algebra import (
+    IDENTITY_PRIME,
     DivisibilityError,
     Field,
     MultiPoly,
@@ -28,6 +29,7 @@ from mcmforms.exact_algebra import (
     to_literal,
     total_differential,
     z_power,
+    _slot_codec,
 )
 from mcmforms.util import child_rng
 
@@ -49,10 +51,36 @@ def rand_poly(rng, N, field, max_terms=5, max_deg=3, with_dz=True):
     return MultiPoly(N, field, terms)
 
 
+def tuple_mul(a, b):
+    """The tuple-exponent product loop MultiPoly.__mul__ ran before exponents
+    were packed: the reference for the packed kernel."""
+    fld = a.field
+    out = {}
+    small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
+    for e1, c1 in small.items():
+        for e2, c2 in big.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            c = fld.mul(c1, c2)
+            prev = out.get(exp)
+            if prev is None:
+                out[exp] = c
+            else:
+                s = fld.add(prev, c)
+                if s == 0:
+                    del out[exp]
+                else:
+                    out[exp] = s
+    res = MultiPoly(a.N, fld)
+    res.terms = out
+    return res
+
+
 def brute_det(rows):
+    """Permutation expansion on tuple_mul, summed with Field.add."""
     n = len(rows)
     sample = rows[0][0]
-    acc = MultiPoly.zero(sample.N, sample.field)
+    fld = sample.field
+    acc = {}
     for perm in permutations(range(n)):
         sign = 1
         seen = list(perm)
@@ -60,11 +88,17 @@ def brute_det(rows):
             for j in range(i + 1, n):
                 if seen[i] > seen[j]:
                     sign = -sign
-        piece = MultiPoly.const(sample.N, sign, sample.field)
+        piece = MultiPoly.const(sample.N, sign, fld)
         for i in range(n):
-            piece = piece * rows[i][perm[i]]
-        acc = acc + piece
-    return acc
+            piece = tuple_mul(piece, rows[i][perm[i]])
+        for exp, c in piece.terms.items():
+            acc[exp] = fld.add(acc[exp], c) if exp in acc else c
+    return MultiPoly(sample.N, fld, acc)
+
+
+def same_poly(p, q):
+    """Equal terms, and coefficients of the same type (Fraction over Q)."""
+    return p == q and all(type(p.terms[e]) is type(c) for e, c in q.terms.items())
 
 
 # ----- ring arithmetic -----
@@ -389,6 +423,107 @@ def test_poly_det_vanishes_on_repeated_rows():
     row = [rand_poly(rng, 2, QQ) for _ in range(3)]
     other = [rand_poly(rng, 2, QQ) for _ in range(3)]
     assert poly_det([row, other, row]).is_zero()
+
+
+# ----- packed-exponent kernel against the tuple loop -----
+
+PROPERTY_FIELDS = (Field(2), Field(5), Field(IDENTITY_PRIME), QQ)
+# the largest exponent of each slot width, and one past it
+SLOT_EDGES = (255, 256, 65535, 65536, 2**32 - 1, 2**32)
+
+
+def _coefficients(field):
+    if field.p:
+        return st.integers(-field.p, 2 * field.p)
+    return st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def _polys(draw, field, N, max_terms=4):
+    """Small exponents, and maybe one more term whose total degree is a slot
+    edge, raised in one slot."""
+    width = 2 * (N + 1)
+    small = st.tuples(*[st.integers(0, 2)] * width)
+    terms = draw(st.dictionaries(small, _coefficients(field), max_size=max_terms))
+    edge = draw(st.sampled_from((0,) + SLOT_EDGES))
+    if edge and terms:
+        exp = list(draw(st.sampled_from(sorted(terms))))
+        slot = draw(st.integers(0, width - 1))
+        exp[slot] = max(0, edge - (sum(exp) - exp[slot]))
+        terms[tuple(exp)] = draw(_coefficients(field))
+    return MultiPoly(N, field, terms)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_packed_product_matches_tuple_loop(data):
+    field = data.draw(st.sampled_from(PROPERTY_FIELDS))
+    N = data.draw(st.integers(0, 2))
+    a = data.draw(_polys(field, N))
+    b = data.draw(_polys(field, N))
+    assert same_poly(a * b, tuple_mul(a, b))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_determinant_matches_tuple_expansion(data):
+    field = data.draw(st.sampled_from(PROPERTY_FIELDS))
+    N = data.draw(st.integers(0, 1))
+    n = data.draw(st.integers(2, 4))
+    rows = [[data.draw(_polys(field, N, max_terms=3)) for _ in range(n)] for _ in range(n)]
+    assert same_poly(poly_det(rows), brute_det(rows))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_sum_negation_and_scaling_match_field_arithmetic(data):
+    field = data.draw(st.sampled_from(PROPERTY_FIELDS))
+    a = data.draw(_polys(field, 1))
+    b = data.draw(_polys(field, 1))
+    k = field.coerce(data.draw(_coefficients(field)))
+    total = dict(a.terms)
+    for exp, c in b.terms.items():
+        total[exp] = field.add(total[exp], c) if exp in total else c
+    assert same_poly(a + b, MultiPoly(1, field, total))
+    assert same_poly(-a, MultiPoly(1, field, {e: field.neg(c) for e, c in a.terms.items()}))
+    assert same_poly(a.scale(k), MultiPoly(1, field, {e: field.mul(c, k) for e, c in a.terms.items()}))
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=str)
+@pytest.mark.parametrize("edge", SLOT_EDGES)
+def test_packed_kernel_at_slot_edges(edge, field):
+    """Degree bounds of exactly 2**b - 1 and 2**b, in the lowest and the
+    highest slot."""
+    N = 1
+    for slot in (0, 2 * N + 1):
+        high = [0] * (2 * (N + 1))
+        high[slot] = edge - 1
+        one = [0] * (2 * (N + 1))
+        one[slot] = 1
+        zero = (0,) * (2 * (N + 1))
+        a = MultiPoly(N, field, {tuple(high): 3, zero: 1})
+        b = MultiPoly(N, field, {tuple(one): 1, zero: Fraction(1, 2) if not field.p else 1})
+        assert same_poly(a * b, tuple_mul(a, b))
+        assert max(map(sum, (a * b).terms)) == edge
+        assert same_poly(poly_det([[a, b], [b, a]]), brute_det([[a, b], [b, a]]))
+
+
+def test_slot_width_is_the_narrowest_above_the_degree_bound():
+    for bits, code in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")):
+        assert _slot_codec(4, 2**bits - 1).format == f"<4{code}"
+    for bits, code in ((8, "H"), (16, "I"), (32, "Q")):
+        assert _slot_codec(4, 2**bits).format == f"<4{code}"
+
+
+def test_degree_bound_beyond_64_bits_raises_instead_of_wrapping():
+    big = MultiPoly.z(1, 0, Field(5), power=2**63)
+    almost = MultiPoly.z(1, 0, Field(5), power=2**63 - 1)
+    assert same_poly(big * almost, tuple_mul(big, almost))
+    with pytest.raises(OverflowError):
+        big * big
+    one = MultiPoly.const(1, 1, Field(5))
+    with pytest.raises(OverflowError):
+        poly_det([[big, one], [one, big]])
 
 
 def test_det_mod_p_agrees_with_poly_det_on_constants():

@@ -24,7 +24,7 @@ from mcmforms.identity_verifier import (
     verify_surjectivity,
     verify_transition,
 )
-from mcmforms.schedule import ProblemShape, build_schedule
+from mcmforms.schedule import ProblemShape, TwistLedger, build_schedule, twist_ledger
 from mcmforms.section_builder import build_matrices, build_sections, extract_form
 from mcmforms.util import rank_mod_p
 
@@ -374,6 +374,33 @@ def test_hidden_mcm_certificates_and_ledger_twist():
     assert len(certs) == 10 and len(twists) == 10
     assert all(c["verdict"] == "pass" for c in rep["checks"])
     assert "certificate K_tau_rho(2,3)" in [c["id"] for c in certs]
+
+
+def _ledger_entry_off_by_one(monkeypatch, key):
+    """Make the twist ledger read one too high at (eta, kind, tau, selection)."""
+    real = TwistLedger.lookup
+
+    def lookup(self, eta, kind, tau, selection):
+        entry = real(self, eta, kind, tau, selection)
+        if (eta, kind, tau, tuple(selection)) == key:
+            return dataclasses.replace(entry, value=entry.value + 1)
+        return entry
+
+    monkeypatch.setattr(TwistLedger, "lookup", lookup)
+
+
+def test_hidden_mcm_twist_check_fails_on_a_corrupted_ledger(monkeypatch):
+    shape = ProblemShape(4, 2, 0)
+    sched = build_schedule(shape, 2)
+    fam = build_sections(shape, "mcm", field=Field(5), schedule=sched, seed=4)
+    true_twist = twist_ledger(sched).lookup(1, "K_tau_rho", 2, (1,)).value
+    _ledger_entry_off_by_one(monkeypatch, (1, "K_tau_rho", 2, (1,)))
+    rep = verify_hidden(fam, (0,), (1,))
+    assert not rep["ok"]
+    failed = [c for c in rep["checks"] if c["verdict"] != "pass"]
+    assert [c["id"] for c in failed] == ["twist K_tau_rho(2,3)"]
+    assert failed[0]["verdict"] == "fail"
+    assert failed[0]["witness"] == {"twist": true_twist, "ledger": true_twist + 1}
 
 
 def test_hidden_characteristic_guard():

@@ -1,5 +1,6 @@
 """Tests for the config-driven pipeline and the command line tool."""
 
+import hashlib
 import json
 
 import pytest
@@ -138,6 +139,17 @@ def test_pipeline_determinism_modulo_timings():
     r2 = run_pipeline(small_config())
     assert r1["timings"] != {}
     assert report_to_json(strip_timings(r1)) == report_to_json(strip_timings(r2))
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (RunConfig(shape=ProblemShape(3, 2, 0), mode="general_fermat", field_spec="11", seed=5),
+     "47b217ec24a9a14e9a89337fba9557785cd7f186417bc8faffb64ca93d3565da"),
+    (RunConfig(shape=ProblemShape(3, 1, 1), mode="mcm", field_spec="5", seed=3),
+     "1408e1ce50def309b4b13c08ae178c2ec069c6ab704bbda9fefa51dc536bcf32"),
+], ids=["general_fermat-320-F11-seed5", "mcm-311-F5-seed3"])
+def test_canonical_report_is_pinned(cfg, digest):
+    text = report_to_json(strip_timings(run_pipeline(cfg)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_budget_change_keeps_executed_units_identical():

@@ -130,6 +130,14 @@ def test_effective_bound_floor_variant_always_passes():
         assert rep["sqrt_floor"] ** 2 < rep["bound"]
 
 
+def test_effective_bound_odd_square_N_has_one_integer_threshold():
+    # 9^(81/2) = 3^81 is an integer, so both roundings give s = 3^81
+    rep = effective_bound_NN2(9)
+    assert rep["parity"] == "odd"
+    assert rep["floor_variant"]["s"] == rep["ceil_variant"]["s"] == 3 ** 81
+    assert rep["ceil_variant"]["verdict"] == "PASS" and not rep["flagged"]
+
+
 def test_effective_bound_even_larger():
     rep = effective_bound_NN2(6)
     assert rep["parity"] == "even"

@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import random
 
 import pytest
 
 from mcmforms.exact_algebra import Field, MultiPoly, QQ, from_literal, to_literal, total_differential
-from mcmforms.schedule import ProblemShape, build_schedule, twist_ledger
+from mcmforms.schedule import ProblemShape, TwistLedger, build_schedule, twist_ledger
 from mcmforms.section_builder import (
+    DegreeClaimFailed,
     DivisibilityClaimFailed,
     SectionFamily,
     build_matrices,
@@ -275,6 +277,23 @@ def test_mcm_K_nu_form_matches_ledger_twist():
         assert form.dz_degree == 1
     form = extract_form(K, ("K_tau_rho", 0, 2), (1,), omit=0, chart=1)
     assert form.kind == "psi_tau_rho" and form.twist == -8
+
+
+def test_extract_form_rejects_a_ledger_that_disagrees_with_the_row_degrees(monkeypatch):
+    fam = mcm_family(seed=13)
+    K = build_matrices(fam)
+    real = TwistLedger.lookup
+
+    def lookup(self, eta, kind, tau, selection):
+        entry = real(self, eta, kind, tau, selection)
+        return dataclasses.replace(entry, value=entry.value + 1) if kind == "K_nu" else entry
+
+    monkeypatch.setattr(TwistLedger, "lookup", lookup)
+    with pytest.raises(DegreeClaimFailed) as info:
+        extract_form(K, ("K_nu", 0), (1,), omit=4, chart=0)
+    assert info.value.quantity == "twist"
+    assert (info.value.expected, info.value.observed) == (-7, -8)
+    assert extract_form(K, ("K_tau_rho", 0, 2), (1,), omit=0, chart=1).twist == -8
 
 
 def test_form_evaluation_matches_value_global():
