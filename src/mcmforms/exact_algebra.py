@@ -18,6 +18,16 @@ operand (each row of a determinant) is scaled by the lcm of its
 denominators, the loop runs on integers, and unpacking divides by the
 product of the scales. `terms` itself stays keyed by tuples.
 
+Evaluation mod m runs in EvalPlan, the one modular evaluation loop: a
+sequence of polynomials is compiled once, its coefficients reduced mod m
+(Fractions through modular inverses) and, per exponent slot, its
+distinct exponents stored with an index array into them. Each call then
+makes one pow per distinct slot exponent and multiplies the resulting
+power-table rows into the coefficient vector in numpy int64. m is below
+2**31, so every residue is below 2**31 and every product of two residues
+below 2**62; reducing mod m after each multiply keeps int64 exact, and a
+modulus of 2**31 or more is refused.
+
 The canonical term order is graded lexicographic on the concatenated
 exponent vector, largest first; the literal printer emits terms in that
 order and the parser accepts the printed form back byte-exactly.
@@ -33,6 +43,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .util import _echelon_mod_p, child_rng
 
@@ -335,51 +347,32 @@ class MultiPoly:
     # ----- evaluation -----
 
     def evaluate(self, z_vals: Sequence, dz_vals: Sequence):
-        """Exact evaluation in the coefficient field."""
+        """Exact evaluation in the coefficient field; over F_p through
+        EvalPlan, the one modular evaluation loop."""
         fld = self.field
+        if fld.p:
+            return self.evaluate_mod([fld.coerce(v) for v in z_vals],
+                                     [fld.coerce(v) for v in dz_vals], fld.p)
         n1 = self.N + 1
         zv = [fld.coerce(v) for v in z_vals]
         dv = [fld.coerce(v) for v in dz_vals]
-        total = fld.coerce(0)
+        total = Fraction(0)
         for exp, c in self.terms.items():
             val = c
             for k in range(n1):
-                e = exp[k]
-                if e:
-                    val = fld.mul(val, pow(zv[k], e, fld.p) if fld.p else zv[k] ** e)
-            for k in range(n1):
-                e = exp[n1 + k]
-                if e:
-                    val = fld.mul(val, pow(dv[k], e, fld.p) if fld.p else dv[k] ** e)
-            total = fld.add(total, val)
+                if exp[k]:
+                    val *= zv[k] ** exp[k]
+                if exp[n1 + k]:
+                    val *= dv[k] ** exp[n1 + k]
+            total += val
         return total
 
     def evaluate_mod(self, z_vals: Sequence[int], dz_vals: Sequence[int], modulus: int) -> int:
         """Evaluation mod a prime; Q coefficients are reduced via modular
-        inverses, F_p coefficients only make sense mod p itself."""
-        if self.field.p not in (0, modulus):
-            raise ValueError(f"coefficients live in F_{self.field.p}, not F_{modulus}")
-        n1 = self.N + 1
-        total = 0
-        for exp, c in self.terms.items():
-            if isinstance(c, Fraction):
-                den = c.denominator % modulus
-                if den == 0:
-                    raise ZeroDivisionError("denominator vanishes mod the test prime")
-                cv = (c.numerator % modulus) * pow(den, modulus - 2, modulus) % modulus
-            else:
-                cv = c % modulus
-            val = cv
-            for k in range(n1):
-                e = exp[k]
-                if e:
-                    val = (val * pow(z_vals[k] % modulus, e, modulus)) % modulus
-            for k in range(n1):
-                e = exp[n1 + k]
-                if e:
-                    val = (val * pow(dz_vals[k] % modulus, e, modulus)) % modulus
-            total = (total + val) % modulus
-        return total
+        inverses, F_p coefficients only make sense mod p itself. Compiles
+        an EvalPlan for one call: to evaluate at many points, build the
+        plan once."""
+        return EvalPlan([self], modulus)(z_vals, dz_vals)[0]
 
     # ----- literals -----
 
@@ -480,32 +473,34 @@ def from_literal(s: str, N: int, field: Field = QQ) -> MultiPoly:
 # ----- calculus and substitutions -----
 
 
+def _add_term(out: Dict[Exponent, object], key: Exponent, c, p: int) -> None:
+    """Adds the nonzero coefficient c at key into out, over F_p (p > 0) or
+    Q (p == 0), dropping the term when the sum vanishes."""
+    prev = out.get(key)
+    if prev is None:
+        out[key] = c
+        return
+    s = (prev + c) % p if p else prev + c
+    if s:
+        out[key] = s
+    else:
+        del out[key]
+
+
 def deriv(p: MultiPoly, j: int) -> MultiPoly:
     """Partial derivative with respect to z_j."""
     if not (0 <= j <= p.N):
         raise ValueError(f"z index {j} out of range")
-    fld = p.field
+    q = p.field.p
     out: Dict[Exponent, object] = {}
+    # lowering exponent j is injective on the terms it keeps: no two merge
     for exp, c in p.terms.items():
         e = exp[j]
-        if e == 0:
-            continue
-        coeff = fld.mul(c, fld.coerce(e))
-        if coeff == 0:
-            continue
-        new = list(exp)
-        new[j] = e - 1
-        key = tuple(new)
-        prev = out.get(key)
-        if prev is None:
-            out[key] = coeff
-        else:
-            s = fld.add(prev, coeff)
-            if s == 0:
-                del out[key]
-            else:
-                out[key] = s
-    res = MultiPoly(p.N, fld)
+        if e:
+            coeff = c * e % q if q else c * e
+            if coeff:
+                out[exp[:j] + (e - 1,) + exp[j + 1:]] = coeff
+    res = MultiPoly(p.N, p.field)
     res.terms = out
     return res
 
@@ -517,7 +512,7 @@ def total_differential(p: MultiPoly) -> MultiPoly:
     differential of the chart restriction, so this is the global lift of
     the chart-wise differential of p / z_l^deg on z_l != 0.
     """
-    fld = p.field
+    q = p.field.p
     n1 = p.N + 1
     out: Dict[Exponent, object] = {}
     for exp, c in p.terms.items():
@@ -525,23 +520,13 @@ def total_differential(p: MultiPoly) -> MultiPoly:
             e = exp[k]
             if e == 0:
                 continue
-            coeff = fld.mul(c, fld.coerce(e))
-            if coeff == 0:
-                continue
-            new = list(exp)
-            new[k] = e - 1
-            new[n1 + k] += 1
-            key = tuple(new)
-            prev = out.get(key)
-            if prev is None:
-                out[key] = coeff
-            else:
-                s = fld.add(prev, coeff)
-                if s == 0:
-                    del out[key]
-                else:
-                    out[key] = s
-    res = MultiPoly(p.N, fld)
+            coeff = c * e % q if q else c * e
+            if coeff:
+                new = list(exp)
+                new[k] = e - 1
+                new[n1 + k] += 1
+                _add_term(out, tuple(new), coeff, q)
+    res = MultiPoly(p.N, p.field)
     res.terms = out
     return res
 
@@ -554,28 +539,14 @@ def chart_restrict(p: MultiPoly, l: int) -> MultiPoly:
     """
     if not (0 <= l <= p.N):
         raise ValueError(f"chart index {l} out of range")
-    fld = p.field
+    q = p.field.p
     n1 = p.N + 1
     out: Dict[Exponent, object] = {}
     for exp, c in p.terms.items():
         if exp[n1 + l]:
             continue
-        if exp[l]:
-            new = list(exp)
-            new[l] = 0
-            key = tuple(new)
-        else:
-            key = exp
-        prev = out.get(key)
-        if prev is None:
-            out[key] = c
-        else:
-            s = fld.add(prev, c)
-            if s == 0:
-                del out[key]
-            else:
-                out[key] = s
-    res = MultiPoly(p.N, fld)
+        _add_term(out, exp[:l] + (0,) + exp[l + 1:] if exp[l] else exp, c, q)
+    res = MultiPoly(p.N, p.field)
     res.terms = out
     return res
 
@@ -630,21 +601,14 @@ def substitute_dz(p: MultiPoly, images: Sequence[MultiPoly]) -> MultiPoly:
 
 def euler_substitute(p: MultiPoly) -> MultiPoly:
     """Substitute dz_k -> z_k; on d(F) this recovers deg(F) * F."""
-    fld = p.field
+    q = p.field.p
     n1 = p.N + 1
+    zero_dz = (0,) * n1
     out: Dict[Exponent, object] = {}
     for exp, c in p.terms.items():
-        new = tuple(exp[k] + exp[n1 + k] if k < n1 else 0 for k in range(2 * n1))
-        prev = out.get(new)
-        if prev is None:
-            out[new] = c
-        else:
-            s = fld.add(prev, c)
-            if s == 0:
-                del out[new]
-            else:
-                out[new] = s
-    res = MultiPoly(p.N, fld)
+        new = tuple(a + b for a, b in zip(exp[:n1], exp[n1:])) + zero_dz
+        _add_term(out, new, c, q)
+    res = MultiPoly(p.N, p.field)
     res.terms = out
     return res
 
@@ -724,7 +688,78 @@ def gradient_rows(p: MultiPoly) -> List[MultiPoly]:
     return grads
 
 
+# ----- modular evaluation -----
+
+
+class EvalPlan:
+    """A sequence of polynomials compiled for evaluation mod m < 2**31.
+
+    Compiling reduces every coefficient mod m once (Fractions through one
+    modular inverse per distinct denominator) and, for each slot where
+    some term has a nonzero exponent, stores the slot's distinct exponents
+    and an index array into them. A call builds one power table per slot, with
+    one pow per distinct exponent, multiplies the table rows into the
+    coefficient vector, and sums each polynomial's terms. Products of two
+    residues below 2**31 stay below 2**62, so the int64 vector is reduced
+    after every multiply and never overflows; the running sum of fewer
+    than 2**32 residues stays below 2**63.
+    """
+
+    __slots__ = ("modulus", "_coeffs", "_slots", "_bounds")
+
+    def __init__(self, polys: Sequence[MultiPoly], modulus: int):
+        if not 2 <= modulus < 2**31:
+            raise ValueError(f"modulus {modulus} outside 2..2**31 - 1: int64 products could overflow")
+        for p in polys:
+            polys[0]._check_compat(p)
+            if p.field.p not in (0, modulus):
+                raise ValueError(f"coefficients live in F_{p.field.p}, not F_{modulus}")
+        self.modulus = modulus
+        inverses: Dict[int, int] = {}
+        coeffs = []
+        for p in polys:
+            for c in p.terms.values():
+                if isinstance(c, Fraction):
+                    inv = inverses.get(c.denominator)
+                    if inv is None:
+                        den = c.denominator % modulus
+                        if den == 0:
+                            raise ZeroDivisionError("denominator vanishes mod the test prime")
+                        inv = inverses[c.denominator] = pow(den, modulus - 2, modulus)
+                    coeffs.append(c.numerator % modulus * inv % modulus)
+                else:
+                    coeffs.append(c % modulus)
+        self._coeffs = np.array(coeffs, dtype=np.int64)
+        self._slots = []
+        if coeffs:
+            for k, column in enumerate(zip(*[exp for p in polys for exp in p.terms])):
+                exps = sorted(set(column))
+                if exps[-1]:
+                    position = {e: i for i, e in enumerate(exps)}
+                    index = np.array([position[e] for e in column], dtype=np.intp)
+                    self._slots.append((k, exps, index))
+        self._bounds = np.cumsum([0] + [len(p.terms) for p in polys])
+
+    def __call__(self, z_vals: Sequence[int], dz_vals: Sequence[int]) -> List[int]:
+        """The value mod m of each compiled polynomial at (z, dz)."""
+        m = self.modulus
+        point = list(z_vals) + list(dz_vals)
+        vals = self._coeffs
+        for k, exps, index in self._slots:
+            x = point[k] % m
+            table = np.array([pow(x, e, m) for e in exps], dtype=np.int64)
+            vals = vals * table[index] % m
+        sums = np.concatenate(([0], np.cumsum(vals)))[self._bounds]
+        return ((sums[1:] - sums[:-1]) % m).tolist()
+
+
 # ----- identity testing -----
+
+
+def identity_modulus(field: Field) -> int:
+    """The modulus identities over `field` are sampled mod: p itself, or the
+    31-bit IDENTITY_PRIME over Q."""
+    return field.p or IDENTITY_PRIME
 
 
 def sample_identity(
@@ -748,7 +783,7 @@ def sample_identity(
     A nonzero polynomial of total degree D vanishes at a uniform point with
     probability at most D / m, so each trial misses with at most that chance.
     """
-    m = field.p or IDENTITY_PRIME
+    m = identity_modulus(field)
     for t in range(trials):
         rng = child_rng(seed, stage, t)
         z = [rng.randrange(m) for _ in range(N + 1)]
@@ -782,15 +817,15 @@ def identity_test(
         return {"equal": p.terms == q.terms, "mode": "exact", "trials": 0}
     if mode != "probabilistic":
         raise ValueError(f"unknown mode: {mode}")
-    miss = sample_identity(
-        lambda z, dz, m: [(p.evaluate_mod(z, dz, m), q.evaluate_mod(z, dz, m))],
-        p.N, p.field, trials, seed, "identity_test")
+    plan = EvalPlan([p, q], identity_modulus(p.field))
+    miss = sample_identity(lambda z, dz, m: [tuple(plan(z, dz))],
+                           p.N, p.field, trials, seed, "identity_test")
     if miss is not None:
         t, z, dz = miss[:3]
         return {"equal": False, "mode": "probabilistic", "trials": t + 1,
                 "witness": {"z": z, "dz": dz}}
     return {"equal": True, "mode": "probabilistic", "trials": trials,
-            "field_size": p.field.p or IDENTITY_PRIME}
+            "field_size": identity_modulus(p.field)}
 
 
 # ----- determinants -----

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact_algebra import MultiPoly, deriv, det_mod_p, gradient_rows
+from .exact_algebra import EvalPlan, MultiPoly, deriv, det_mod_p, gradient_rows
 from .section_builder import (
     SectionFamily,
     _combine_columns,
@@ -28,7 +28,7 @@ from .section_builder import (
     divisor_exponent,
     selection_layouts,
 )
-from .util import child_rng, kernel_basis_mod_p, rank_mod_p
+from .util import child_rng, chunks, kernel_basis_mod_p, rank_mod_p
 
 
 @dataclass(frozen=True)
@@ -140,26 +140,18 @@ def points_on_X(fam: Optional[SectionFamily], q: int, N: Optional[int] = None) -
         raise ValueError(f"family lives over F_{fam.field.p}, not F_{q}")
     N, _ = _scan_dimensions(fam)
     zero_dz = [0] * (N + 1)
-    out = []
-    for pt in proj_points(N, q):
-        z = list(pt.coords)
-        vals = (F.evaluate_mod(z, zero_dz, q) for F in fam.sections)
-        if all(v == 0 for v in vals):
-            out.append(pt)
-    return out
+    sections = EvalPlan(fam.sections, q)
+    return [pt for pt in proj_points(N, q) if not any(sections(pt.coords, zero_dz))]
 
 
 def jacobian_at(fam: SectionFamily, z: Sequence[int], q: int,
-                grads: Optional[List[List[MultiPoly]]] = None) -> List[List[int]]:
-    """The (c+r) x (N+1) matrix (dF_i/dz_j)(z) over F_q."""
+                grads: Optional[EvalPlan] = None) -> List[List[int]]:
+    """The (c+r) x (N+1) matrix (dF_i/dz_j)(z) over F_q. grads is
+    gradient_plan(fam, q), for callers that compile it once for many points."""
     N, _ = _scan_dimensions(fam)
-    zero_dz = [0] * (N + 1)
     if grads is None:
-        grads = section_gradients(fam)
-    return [
-        [g.evaluate_mod(z, zero_dz, q) for g in row]
-        for row in grads
-    ]
+        grads = gradient_plan(fam, q)
+    return chunks(grads(z, [0] * (N + 1)), N + 1)
 
 
 def section_gradients(fam: SectionFamily) -> List[List[MultiPoly]]:
@@ -167,11 +159,17 @@ def section_gradients(fam: SectionFamily) -> List[List[MultiPoly]]:
     return [[deriv(F, j) for j in range(N + 1)] for F in fam.sections]
 
 
+def gradient_plan(fam: SectionFamily, q: int, rows: Optional[int] = None) -> EvalPlan:
+    """The partials dF_i/dz_j of the first `rows` sections (default all),
+    row-major, compiled for evaluation mod q."""
+    return EvalPlan([g for row in section_gradients(fam)[:rows] for g in row], q)
+
+
 def smoothness_check(fam: SectionFamily, q: int) -> dict:
     """Rank of the Jacobian at every F_q-point of X; full rank everywhere
     means no F_q-witness of singularity."""
     _, cr = _scan_dimensions(fam)
-    grads = section_gradients(fam)
+    grads = gradient_plan(fam, q)
     singular = []
     pts = points_on_X(fam, q)
     for pt in pts:
@@ -497,7 +495,7 @@ def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,
     vanished = tuple(sorted(set(vanished)))
     retained = [i for i in range(N + 1) if i not in vanished]
     eta = len(vanished)
-    grads = section_gradients(fam)[:c]
+    grads = gradient_plan(fam, q, c)
     pairs = []
     fiber_counts: Dict[Tuple[int, ...], int] = {}
     singular_tangent = []
@@ -510,7 +508,7 @@ def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,
         if not _all_nonzero(z, retained):
             continue
         points_used += 1
-        rows = [[g.evaluate_mod(z, [0] * (N + 1), q) for g in row] for row in grads]
+        rows = chunks(grads(z, [0] * (N + 1)), N + 1)
         if eta:
             # directions live on the vanishing locus: xi_v = 0
             for v in vanished:
@@ -619,7 +617,14 @@ def characterization_crosscheck(fam: SectionFamily, q: int, sample: int = 10_000
     rng = child_rng(seed, "crosscheck", 0)
     chosen = sorted(rng.sample(range(total), take)) if take < total else range(total)
 
-    grads = section_gradients(fam)[:c]
+    # at a point on X: the gradients of the first c sections, the value
+    # rows of K, and the dz-coefficients of each differential-row entry
+    sections = EvalPlan(fam.sections, q)
+    on_X = EvalPlan(
+        [g for row in section_gradients(fam)[:c] for g in row]
+        + [e for row in K.entries[:cr] for e in row]
+        + [g for row in K.entries[cr:] for e in row for g in gradient_rows(e)], q)
+    n_grad, n_values = c * (N + 1), cr * K.ncols
     value_cache: Dict[int, dict] = {}
 
     def z_data(zi: int) -> dict:
@@ -627,22 +632,12 @@ def characterization_crosscheck(fam: SectionFamily, q: int, sample: int = 10_000
         if data is not None:
             return data
         z = list(zs[zi])
-        fvals = [F.evaluate_mod(z, zero_dz, q) for F in fam.sections]
-        data = {"z": z, "on_X": all(v == 0 for v in fvals)}
+        data = {"z": z, "on_X": not any(sections(z, zero_dz))}
         if data["on_X"]:
-            data["grad"] = [[g.evaluate_mod(z, zero_dz, q) for g in row]
-                            for row in grads]
-            data["values"] = [
-                [K.entries[i][col].evaluate_mod(z, zero_dz, q)
-                 for col in range(K.ncols)]
-                for i in range(cr)
-            ]
-            data["diff_grads"] = [
-                [[g.evaluate_mod(z, zero_dz, q)
-                  for g in gradient_rows(K.entries[cr + i][col])]
-                 for col in range(K.ncols)]
-                for i in range(c)
-            ]
+            vals = on_X(z, zero_dz)
+            data["grad"] = chunks(vals[:n_grad], N + 1)
+            data["values"] = chunks(vals[n_grad:n_grad + n_values], K.ncols)
+            data["diff_grads"] = chunks(chunks(vals[n_grad + n_values:], N + 1), K.ncols)
         value_cache[zi] = data
         return data
 

@@ -41,9 +41,11 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .exact_algebra import (
     AUTO_EXACT_TERM_LIMIT,
+    EvalPlan,
     MultiPoly,
     deriv,
     det_mod_p,
+    identity_modulus,
     kill_coordinates,
     poly_det,
     sample_identity,
@@ -62,7 +64,7 @@ from .section_builder import (
     extract_form,
     selection_layouts,
 )
-from .util import child_rng, rank_mod_p
+from .util import child_rng, chunks, rank_mod_p
 
 
 def _check(check_id: str, verdict: str, mode: str = "exact", trials: int = 0,
@@ -248,9 +250,11 @@ def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int
     if mode != "probabilistic":
         raise ValueError(f"unknown mode {mode!r}")
 
+    plan = EvalPlan([e for row in M for e in row], identity_modulus(fam.field))
+
     def sides(z, dz, m):
-        vals = [[e.evaluate_mod(z, dz, m) for e in row] for row in M]
-        diff, cert = _gluing_sides(vals, j1, j2, lambda rows: det_mod_p(rows, m))
+        diff, cert = _gluing_sides(chunks(plan(z, dz), ncols), j1, j2,
+                                   lambda rows: det_mod_p(rows, m))
         return [(diff % m, cert % m)]
 
     miss = sample_identity(sides, fam.shape.N, fam.field, trials, seed, "gluing")
@@ -320,12 +324,14 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
             checks.append(_check(f"scaling chart {l}", "pass" if lhs == rhs else "fail"))
         checks.append(_check("transition", "pass" if transition[0] == transition[1] else "fail"))
     elif mode == "probabilistic":
+        plan = EvalPlan([G], identity_modulus(fam.field))
+
         def sides(z, dz, m):
             def at_chart(l):
                 w = [(z[l] * dz[k] - dz[l] * z[k]) % m for k in range(N + 1)]
-                return G.evaluate_mod(z, w, m)
+                return plan(z, w)[0]
 
-            return _transition_sides(G.evaluate_mod(z, dz, m), at_chart,
+            return _transition_sides(plan(z, dz)[0], at_chart,
                                      lambda x, l: x * pow(z[l], n_eff, m) % m, l1, l2)
 
         miss = sample_identity(sides, N, fam.field, trials, seed, "transition",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import List, Sequence, Tuple
 
-from .exact_algebra import MultiPoly, total_differential
+from .exact_algebra import EvalPlan, MultiPoly, total_differential
 from .finite_geometry import proj_points, tangent_directions
 from .schedule import ProblemShape, nn2_threshold, rescale_ledger
 
@@ -187,6 +187,15 @@ def _pieces(factor_counts: Sequence[int], c: int) -> List[Tuple]:
     return out
 
 
+def _split(values: List[int], counts: Sequence[int]) -> List[List[int]]:
+    """values cut into consecutive runs of the given lengths."""
+    out, start = [], 0
+    for n in counts:
+        out.append(values[start:start + n])
+        start += n
+    return out
+
+
 def verify_product_decomposition(factors: Sequence[Sequence[MultiPoly]],
                                  shape: ProblemShape, q: int) -> dict:
     """Set equality between the incidence locus of the multiplied sections
@@ -212,10 +221,14 @@ def verify_product_decomposition(factors: Sequence[Sequence[MultiPoly]],
         for g in fs[1:]:
             F = F * g
         Fs.append(F)
-    dFs = [total_differential(F) for F in Fs[:c]]
-    dfs = [[total_differential(f) for f in fs] for fs in factors]
+    counts = [len(fs) for fs in factors]
+    # at z: every factor, then every product; at (z, xi): the differentials
+    # of the first c products, then of their factors
+    at_point = EvalPlan([f for fs in factors for f in fs] + Fs, q)
+    at_direction = EvalPlan([total_differential(F) for F in Fs[:c]]
+                            + [total_differential(f) for fs in factors[:c] for f in fs], q)
 
-    pieces = _pieces([len(fs) for fs in factors], c)
+    pieces = _pieces(counts, c)
     lhs_only = []
     rhs_only = []
     lhs_count = 0
@@ -223,15 +236,15 @@ def verify_product_decomposition(factors: Sequence[Sequence[MultiPoly]],
     pairs = 0
     for pt in proj_points(N, q):
         z = list(pt.coords)
-        fvals = [[f.evaluate_mod(z, zero_dz, q) for f in fs] for fs in factors]
-        Fvals = [F.evaluate_mod(z, zero_dz, q) for F in Fs]
+        vals = at_point(z, zero_dz)
+        fvals = _split(vals, counts)
+        on_lhs = not any(vals[-cr:])
         for d in tangent_directions(z, [], q):
             xi = list(d.xi)
             pairs += 1
-            in_lhs = all(v == 0 for v in Fvals) and all(
-                dF.evaluate_mod(z, xi, q) == 0 for dF in dFs
-            )
-            fdiff = [[df.evaluate_mod(z, xi, q) for df in row] for row in dfs[:c]]
+            dvals = at_direction(z, xi)
+            in_lhs = on_lhs and not any(dvals[:c])
+            fdiff = _split(dvals[c:], counts[:c])
             in_rhs = any(
                 all(fvals[i][k] == 0 and fdiff[i][k] == 0 for i, k in full)
                 and all(fvals[i][k1] == 0 and fvals[i][k2] == 0 for i, (k1, k2) in two)

@@ -13,6 +13,7 @@ N >= 6 with several levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
@@ -279,6 +280,21 @@ def nn2_threshold(N: int) -> Dict[str, object]:
     }
 
 
+def _root_less_one(big: int) -> Tuple[object, str]:
+    """sqrt(big) - 1 for an integer big > 1, and the precision it carries,
+    without converting big to a float: the double nearest sqrt(big), less
+    one, while that double is finite, else a 17-digit Decimal. The double
+    comes from an integer square root with at least 55 bits whose lowest
+    bit is set when inexact, so its one rounding to 53 bits is correct."""
+    k = max(0, 55 - big.bit_length() // 2)
+    scaled = big << 2 * k
+    root = isqrt(scaled)
+    try:
+        return (root | (root * root != scaled)) / (1 << k) - 1, "double precision"
+    except OverflowError:
+        return Decimal(big).sqrt(Context(prec=17)) - 1, "17 significant digits"
+
+
 def effective_bound_report(s: ExponentSchedule) -> Dict[str, object]:
     """Check d < N^(N^2/2) - 1 for the schedule degree d = (N+1)*mu[N,N].
 
@@ -309,16 +325,17 @@ def effective_bound_report(s: ExponentSchedule) -> Dict[str, object]:
         big = thr["big"]
         # d < N^(N^2/2) - 1  <=>  (d+1)^2 < N^(N^2), exactly in integers
         fits = (s.d + 1) * (s.d + 1) < big
+        d0, precision = _root_less_one(big)
         report.update(
             {
-                "d0_approx": f"{big**0.5 - 1:.2f}",
+                "d0_approx": f"{d0:.2f}",
                 "d0_floor": thr["d0_floor"],
                 "d0_ceil": thr["d0_ceil"],
                 "comparison": f"({s.d}+1)^2 {'<' if fits else '>='} {N}^{N * N}",
                 "verdict": "PASS" if fits else "FAIL",
                 "flagged": not fits,
-                "eps0_approx": f"{3.0 / (big**0.5 - 1):.6g}",
-                "eps0_precision": "double precision on N^(N^2/2)",
+                "eps0_approx": f"{3 / d0:.6g}",
+                "eps0_precision": f"{precision} on N^(N^2/2)",
             }
         )
     return report

@@ -41,12 +41,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact_algebra import (
     DivisibilityError,
+    EvalPlan,
     Field,
     MultiPoly,
     QQ,
@@ -70,7 +71,7 @@ from .schedule import (
     schedule_to_dict,
     twist_ledger,
 )
-from .util import child_rng
+from .util import child_rng, chunks
 
 FAMILY_SCHEMA_VERSION = 1
 
@@ -184,13 +185,17 @@ class FormBundle:
     def evaluate_at(self, z_vals: Sequence[int], dz_vals: Sequence[int]):
         """Evaluate the global form; uses the divided matrix when available,
         since the determinant commutes with pointwise evaluation."""
-        fld = self.value_global.field
-        if self.divided_rows and fld.p:
-            numeric = [
-                [e.evaluate(z_vals, dz_vals) for e in row] for row in self.divided_rows
-            ]
-            return (self.sign * det_mod_p(numeric, fld.p)) % fld.p
+        p = self.value_global.field.p
+        if self.divided_rows and p:
+            numeric = chunks(self._divided_plan(z_vals, dz_vals), len(self.divided_rows[0]))
+            return (self.sign * det_mod_p(numeric, p)) % p
         return self.value_global.evaluate(z_vals, dz_vals)
+
+    @cached_property
+    def _divided_plan(self) -> EvalPlan:
+        """divided_rows, flattened and compiled for evaluation mod p."""
+        return EvalPlan([e for row in self.divided_rows for e in row],
+                        self.value_global.field.p)
 
 
 # ----- random coefficients -----

@@ -20,6 +20,12 @@ def child_rng(master_seed: int, stage: str, unit) -> random.Random:
     return random.Random(f"{master_seed}:{stage}:{unit}")
 
 
+def chunks(flat: Sequence, width: int) -> List[Sequence]:
+    """flat cut into consecutive rows of `width` entries, e.g. the values of
+    a row-major flattened matrix back into its rows."""
+    return [flat[i:i + width] for i in range(0, len(flat), width)]
+
+
 def _echelon_mod_p(rows: Iterable[Sequence[int]], p: int, ncols: Optional[int] = None):
     """Forward Gaussian elimination over F_p, the one row reduction behind
     rank_mod_p, kernel_basis_mod_p and exact_algebra.det_mod_p.

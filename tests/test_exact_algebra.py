@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mcmforms.exact_algebra import (
     IDENTITY_PRIME,
     DivisibilityError,
+    EvalPlan,
     Field,
     MultiPoly,
     ParseError,
@@ -73,6 +74,30 @@ def tuple_mul(a, b):
     res = MultiPoly(a.N, fld)
     res.terms = out
     return res
+
+
+def term_evaluate_mod(p, z_vals, dz_vals, modulus):
+    """The per-term loop MultiPoly.evaluate_mod ran before EvalPlan: one pow
+    per exponent of every term, one modular inverse per Q coefficient. The
+    reference for the compiled kernel."""
+    n1 = p.N + 1
+    total = 0
+    for exp, c in p.terms.items():
+        if isinstance(c, Fraction):
+            den = c.denominator % modulus
+            if den == 0:
+                raise ZeroDivisionError("denominator vanishes mod the test prime")
+            cv = (c.numerator % modulus) * pow(den, modulus - 2, modulus) % modulus
+        else:
+            cv = c % modulus
+        val = cv
+        for k in range(n1):
+            if exp[k]:
+                val = (val * pow(z_vals[k] % modulus, exp[k], modulus)) % modulus
+            if exp[n1 + k]:
+                val = (val * pow(dz_vals[k] % modulus, exp[n1 + k], modulus)) % modulus
+        total = (total + val) % modulus
+    return total
 
 
 def brute_det(rows):
@@ -489,6 +514,45 @@ def test_sum_negation_and_scaling_match_field_arithmetic(data):
     assert same_poly(a.scale(k), MultiPoly(1, field, {e: field.mul(c, k) for e, c in a.terms.items()}))
 
 
+def field_transform(p, images):
+    """Reference for the term-wise maps: each term's images (new exponent,
+    coefficient), computed and summed with Field.mul/Field.add."""
+    fld = p.field
+    out = {}
+    for exp, c in p.terms.items():
+        for key, coeff in images(exp, c, fld):
+            if coeff != 0:
+                out[key] = fld.add(out[key], coeff) if key in out else coeff
+    return MultiPoly(p.N, fld, out)
+
+
+def _lowered(exp, k, raise_slot=None):
+    new = list(exp)
+    new[k] -= 1
+    if raise_slot is not None:
+        new[raise_slot] += 1
+    return tuple(new)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_calculus_and_substitutions_match_field_arithmetic(data):
+    field = data.draw(st.sampled_from(PROPERTY_FIELDS))
+    N = data.draw(st.integers(0, 2))
+    n1 = N + 1
+    p = data.draw(_polys(field, N, max_terms=6))
+    j = data.draw(st.integers(0, N))
+    assert same_poly(deriv(p, j), field_transform(
+        p, lambda e, c, f: [(_lowered(e, j), f.mul(c, f.coerce(e[j])))] if e[j] else []))
+    assert same_poly(total_differential(p), field_transform(
+        p, lambda e, c, f: [(_lowered(e, k, n1 + k), f.mul(c, f.coerce(e[k])))
+                            for k in range(n1) if e[k]]))
+    assert same_poly(chart_restrict(p, j), field_transform(
+        p, lambda e, c, f: [] if e[n1 + j] else [(e[:j] + (0,) + e[j + 1:], c)]))
+    assert same_poly(euler_substitute(p), field_transform(
+        p, lambda e, c, f: [(tuple(e[k] + e[n1 + k] for k in range(n1)) + (0,) * n1, c)]))
+
+
 @pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=str)
 @pytest.mark.parametrize("edge", SLOT_EDGES)
 def test_packed_kernel_at_slot_edges(edge, field):
@@ -550,3 +614,72 @@ def test_evaluate_exact_and_mod():
 def test_evaluate_handles_large_exponents_mod_p():
     p = MultiPoly.z(1, 0, Field(5), power=64845)
     assert p.evaluate([2, 1], [0, 0]) == pow(2, 64845, 5)
+
+
+def _test_modulus(field):
+    return field.p or IDENTITY_PRIME
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_eval_plan_matches_the_per_term_loop(data):
+    field = data.draw(st.sampled_from(PROPERTY_FIELDS))
+    N = data.draw(st.integers(0, 2))
+    polys = data.draw(st.lists(_polys(field, N), max_size=4))
+    m = _test_modulus(field)
+    residues = st.integers(-m, 2 * m)
+    z = data.draw(st.lists(residues, min_size=N + 1, max_size=N + 1))
+    dz = data.draw(st.lists(residues, min_size=N + 1, max_size=N + 1))
+    want = [term_evaluate_mod(p, z, dz, m) for p in polys]
+    assert EvalPlan(polys, m)(z, dz) == want
+    assert [p.evaluate_mod(z, dz, m) for p in polys] == want
+    if field.p:
+        assert [p.evaluate(z, dz) for p in polys] == want
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=str)
+def test_eval_plan_on_zero_constant_and_high_degree_polynomials(field):
+    N = 1
+    m = _test_modulus(field)
+    zero = MultiPoly.zero(N, field)
+    const = MultiPoly.const(N, Fraction(3, 4) if not field.p else 3, field)
+    # z1 and dz0 have exponent 0 in every term; z0 and dz1 reach 65536 and
+    # more, z0 even past int64
+    high = MultiPoly(N, field, {(65536, 0, 0, 1): 2, (70001, 0, 0, 2**20): 1,
+                                (2**64 + 1, 0, 0, 1): 4, (0,) * 4: 5})
+    point = ([3, 7], [11, 13])
+    plan = EvalPlan([zero, const, high, zero], m)
+    assert plan(*point) == [term_evaluate_mod(p, *point, m) for p in (zero, const, high, zero)]
+    assert plan(*point)[:2] == [0, field.coerce(3) if field.p else 3 * pow(4, m - 2, m) % m]
+    assert EvalPlan([], m)(*point) == []
+    assert EvalPlan([zero], m)(*point) == [0]
+
+
+def test_eval_plan_inverts_each_denominator_once():
+    # shared numerators, shared and distinct denominators across two polynomials
+    p = MultiPoly(1, QQ, {(k, 0, 0, 0): Fraction(1, k + 2) for k in range(6)})
+    q = MultiPoly(1, QQ, {(0, k, 1, 0): Fraction(5, 2 * k + 3) for k in range(4)})
+    point = ([3, 10], [4, 0])
+    want = [term_evaluate_mod(f, *point, IDENTITY_PRIME) for f in (p, q)]
+    assert EvalPlan([p, q], IDENTITY_PRIME)(*point) == want
+
+
+def test_eval_plan_refusals():
+    q_poly = MultiPoly(1, QQ, {(1, 0, 0, 0): Fraction(1, 7)})
+    with pytest.raises(ZeroDivisionError):
+        EvalPlan([q_poly], 7)
+    with pytest.raises(ZeroDivisionError):
+        EvalPlan([MultiPoly.const(1, Fraction(1, 2 * IDENTITY_PRIME), QQ)], IDENTITY_PRIME)
+    with pytest.raises(ZeroDivisionError):
+        q_poly.evaluate_mod([1, 1], [1, 1], 7)
+    assert EvalPlan([q_poly], 5)([3, 0], [0, 0]) == [3 * pow(7, 3, 5) % 5]
+    f5 = MultiPoly.z(1, 0, Field(5))
+    with pytest.raises(ValueError, match="F_5, not F_7"):
+        EvalPlan([f5], 7)
+    with pytest.raises(ValueError, match="F_5, not F_7"):
+        f5.evaluate_mod([1, 1], [0, 0], 7)
+    with pytest.raises(ValueError, match="mixed"):
+        EvalPlan([f5, MultiPoly.z(1, 0, QQ)], 5)
+    for modulus in (2**31, 2**61 - 1, 1):
+        with pytest.raises(ValueError, match="int64"):
+            EvalPlan([MultiPoly.z(1, 0, QQ)], modulus)

@@ -25,6 +25,7 @@ from mcmforms.finite_geometry import (
     smoothness_with_resampling,
     tangent_directions,
 )
+from mcmforms.product_coup import verify_product_decomposition
 from mcmforms.schedule import ProblemShape, build_schedule
 from mcmforms.section_builder import (
     build_matrices,
@@ -382,6 +383,29 @@ def test_base_locus_hidden_coordinates():
         assert all(pair["z"][i] for i in range(1, 5))
         assert pair["xi"][0] == 0
     assert rep["base_count"] == rep["directions"]
+
+
+def test_scans_compile_each_polynomial_set_once(compiled_plans):
+    # one plan per set of polynomials, however many points are visited
+    fam = unit_line_family(field=F5)
+    psi = line_psi(fam)
+    assert base_locus_scan(fam, [psi], 5)["directions"] == 3
+    assert compiled_plans == [3, 1, 4]  # gradients, sections, psi's divided matrix
+    base_locus_scan(fam, [psi], 5)
+    assert compiled_plans == [3, 1, 4, 3, 1]  # psi keeps its plan
+    del compiled_plans[:]
+    assert smoothness_check(mcm_family(11), 5)["points"] > 0
+    assert compiled_plans == [3 * 5, 3]  # gradients, sections
+    del compiled_plans[:]
+    rep = characterization_crosscheck(mcm_family(1), 5, sample=39_936)
+    assert rep["incidence_pairs"] == 1
+    # sections; then gradients (3 x 5), value rows (3 x 10), dz-coefficients (3 x 10 x 5)
+    assert compiled_plans == [3, 15 + 30 + 150]
+    del compiled_plans[:]
+    f = from_literal("1 * z0^1 + 1 * z1^1", N=2, field=F3)
+    g = from_literal("1 * z1^1 + 2 * z2^1", N=2, field=F3)
+    assert verify_product_decomposition([[f, g]], ProblemShape(2, 1, 0), 3)["ok"]
+    assert compiled_plans == [3, 3]  # f, g, fg at a point; d(fg), df, dg along a direction
 
 
 # ----- characterization crosscheck -----

@@ -9,6 +9,7 @@ from mcmforms.exact_algebra import (
     MultiPoly,
     QQ,
     from_literal,
+    identity_test,
     tangent_projection,
     times_monomial,
     to_literal,
@@ -276,6 +277,21 @@ def test_sampled_transition_never_substitutes_polynomials(monkeypatch):
                             which=("K_nu", 0))
     assert rep["ok"] and rep["mode"] == "probabilistic"
     assert rep["checks"][0]["trials"] == 20
+
+
+def test_sampled_identities_compile_once_and_never_evaluate_term_by_term(compiled_plans):
+    shape = ProblemShape(3, 2, 0)
+    fam = build_sections(shape, "mcm", field=Field(5),
+                         schedule=build_schedule(shape, 2), seed=3)
+    fermat = fermat_family(3, 2, 0, (2, 2, 2, 2), (3, 3), field=QQ, seed=1)
+    assert verify_transition(fam, (1,), omit=0, l1=0, l2=1, mode="probabilistic",
+                             which=("K_nu", 0))["ok"]
+    assert compiled_plans == [1]
+    assert verify_gluing(fermat, (1,), 0, 2, mode="probabilistic")["ok"]
+    assert compiled_plans == [1, 3 * 4]  # c + r + n rows of N + 1 entries, one plan
+    p = from_literal("1/3 * z0^2 dz1^1 + 2 * z1^3 dz0^1", 1)
+    assert identity_test(p, p + p - p, mode="probabilistic")["equal"]
+    assert compiled_plans == [1, 12, 2]
 
 
 def test_transition_unknown_mode():

@@ -1,4 +1,7 @@
+import hashlib
+import json
 from dataclasses import replace
+from decimal import Decimal
 from itertools import combinations
 
 import pytest
@@ -257,6 +260,48 @@ def test_effective_bound_examples():
     rep42 = effective_bound_report(s42)
     assert rep42["verdict"] == "FAIL" and rep42["flagged"]
     assert rep42["d_schedule"] == 35318605 and rep42["d0"] == 65535
+
+
+def _all_bound_reports(max_N):
+    """One line per valid shape with N <= max_N and heart 1..3: the shape and
+    its report as sorted JSON."""
+    for N in range(2, max_N + 1):
+        for c in range(1, N):
+            for r in range(N):
+                try:
+                    shape = ProblemShape(N, c, r)
+                except ValueError:
+                    continue
+                for heart in (1, 2, 3):
+                    rep = effective_bound_report(build_schedule(shape, heart))
+                    yield f"{N} {c} {r} {heart} {json.dumps(rep, sort_keys=True)}\n"
+
+
+def test_effective_bound_reports_up_to_N8_are_unchanged():
+    # digest and approximations recorded when d0_approx was formatted from
+    # a float of N^(N^2)
+    lines = list(_all_bound_reports(8))
+    assert len(lines) == 150
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "996082647085189eefadf627d037d42a2a0190f90e986668e092266d2222ae9c"
+    approx = {3: ("139.30", "0.0215369"), 5: ("545915032.57", "5.49536e-09"),
+              7: ("506876294100502249472.00", "5.9186e-21")}
+    for N, (d0, eps0) in approx.items():
+        rep = effective_bound_report(build_schedule(ProblemShape(N, N - 1, 0), 2))
+        assert (rep["d0_approx"], rep["eps0_approx"]) == (d0, eps0)
+
+
+@pytest.mark.parametrize("shape, precision", [((17, 9, 0), "double precision"),
+                                              ((25, 13, 0), "17 significant digits")])
+def test_effective_bound_report_where_N_to_the_N2_overflows_a_float(shape, precision):
+    # 17^289 is past the float range, its square root is not; 25^625 and its
+    # square root both are
+    rep = effective_bound_report(build_schedule(ProblemShape(*shape), 2))
+    assert rep["parity"] == "odd" and rep["verdict"] == "PASS"
+    assert rep["eps0_precision"] == f"{precision} on N^(N^2/2)"
+    d0 = Decimal(rep["d0_floor"])
+    assert abs(Decimal(rep["d0_approx"]) / d0 - 1) < Decimal("1e-15")
+    assert abs(Decimal(rep["eps0_approx"]) * d0 / 3 - 1) < Decimal("1e-5")
 
 
 # ----- proportionality -----
