@@ -10,13 +10,19 @@ Products and determinants run on packed exponents (Monagan & Pearce, CASC
 2007): each exponent tuple becomes one int whose slot k, b bits wide, holds
 exponent k, so a monomial product is one integer add. b is the smallest of
 8/16/32/64 with 2**b above a degree bound: the sum of the operands' largest
-total degrees for a product, the sum of each row's largest entry degree for
-a determinant. No exponent exceeds its term's total degree, so packed adds
-never carry; a bound of 2**64 or more raises OverflowError. Over F_p the
-loop adds integer products and reduces mod p once per result. Over Q each
-operand (each row of a determinant) is scaled by the lcm of its
+total degrees for a product, the sum of the largest row degrees for the
+minors of a matrix. No exponent exceeds its term's total degree, so packed
+adds never carry; a bound of 2**64 or more raises OverflowError. Over F_p
+the loop adds integer products and reduces mod p once per result. Over Q
+each operand (each row of a matrix) is scaled by the lcm of its
 denominators, the loop runs on integers, and unpacking divides by the
 product of the scales. `terms` itself stays keyed by tuples.
+
+Determinants live in MinorTable: one table per matrix, every minor
+expanded once along its last row and memoised by (rows, columns), so
+determinants sharing all but their last row share the rest. Results stay
+packed (PackedPoly) until a caller unpacks them; poly_det is the table's
+one-determinant wrapper.
 
 Evaluation mod m runs in EvalPlan, the one modular evaluation loop: a
 sequence of polynomials is compiled once, its coefficients reduced mod m
@@ -42,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -569,13 +575,16 @@ def divide_exact(p: MultiPoly, mono: Exponent) -> MultiPoly:
     if len(mono) != 2 * (p.N + 1):
         raise ValueError("divisor exponent width mismatch")
     out: Dict[Exponent, object] = {}
+    slots = [(k, e) for k, e in enumerate(mono) if e]
     for exp, c in p.terms.items():
-        new = tuple(a - b for a, b in zip(exp, mono))
-        if any(e < 0 for e in new):
-            raise DivisibilityError(
-                f"term with exponents {exp} not divisible by monomial {mono}", term=exp
-            )
-        out[new] = c
+        new = list(exp)
+        for k, e in slots:
+            new[k] -= e
+            if new[k] < 0:
+                raise DivisibilityError(
+                    f"term with exponents {exp} not divisible by monomial {mono}", term=exp
+                )
+        out[tuple(new)] = c
     res = MultiPoly(p.N, p.field)
     res.terms = out
     return res
@@ -831,50 +840,118 @@ def identity_test(
 # ----- determinants -----
 
 
-def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Determinant of a square matrix of polynomials.
+class PackedPoly(NamedTuple):
+    """Reduced packed terms with the codec and the scale that unpack them:
+    a determinant or certificate that is kept packed until a caller needs
+    the polynomial."""
 
-    Cofactor expansion along rows with memoization on the remaining column
-    subset, so each subset determinant is expanded once (fraction-free by
-    construction; no pseudo-division steps). Every entry is packed once,
-    every minor is kept packed, and only the determinant is unpacked.
+    terms: Dict[int, int]
+    codec: struct.Struct
+    N: int
+    field: Field
+    scale: int
+
+    def term_count(self) -> int:
+        return len(self.terms)
+
+    def unpack(self) -> MultiPoly:
+        return _unpack(self.terms, self.codec, self.N, self.field, self.scale)
+
+
+class MinorTable:
+    """The minors of one matrix of polynomials, each expanded once and kept
+    packed.
+
+    minor(rows, cols) is the determinant of the square submatrix on the
+    given increasing row and column positions, by cofactor expansion along
+    its last row (fraction-free; no pseudo-division steps). Every minor is
+    memoised by (rows, cols), so determinants that share all but their
+    last row share every smaller minor. Entries are packed once with one
+    codec, whose degree bound is the sum of the largest row degrees, one
+    per column at most: no minor exceeds it. Over Q row r is scaled by
+    the lcm s_r of its denominators, so a minor on rows R carries the
+    factor prod(s_r, r in R), which unpacking divides back out.
     """
+
+    def __init__(self, rows: Sequence[Sequence[MultiPoly]]):
+        if not rows or not rows[0]:
+            raise ValueError("empty matrix")
+        ncols = len(rows[0])
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged matrix")
+        sample = rows[0][0]
+        for row in rows:
+            for entry in row:
+                sample._check_compat(entry)
+        self.N, self.field = sample.N, sample.field
+        row_degrees = sorted((max(map(_max_degree, row)) for row in rows), reverse=True)
+        self.codec = _slot_codec(2 * (self.N + 1), sum(row_degrees[:ncols]))
+        self.scales = [_denominator_lcm(row) for row in rows]
+        self.entries = [[_pack(e, self.codec, s) for e in row] for row, s in zip(rows, self.scales)]
+        self._memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict[int, int]] = {}
+
+    def minor(self, rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Dict[int, int]:
+        """Packed terms of the minor on (rows, cols), reduced; not to be mutated."""
+        if len(rows) != len(cols) or not rows:
+            raise ValueError("minor needs as many rows as columns, at least one")
+        if len(rows) == 1:
+            return self.entries[rows[0]][cols[0]]
+        cached = self._memo.get((rows, cols))
+        if cached is not None:
+            return cached
+        last, above = self.entries[rows[-1]], rows[:-1]
+        out = defaultdict(int)
+        for t, col in enumerate(cols):
+            entry = last[col]
+            if not entry:
+                continue
+            if (len(cols) - 1 + t) % 2:
+                entry = {k: -c for k, c in entry.items()}
+            _product_into(out, entry, self.minor(above, cols[:t] + cols[t + 1:]))
+        self._memo[(rows, cols)] = out = _reduce(out, self.field.p)
+        return out
+
+    def packed(self, terms: Dict[int, int], rows: Iterable[int]) -> PackedPoly:
+        """terms, carrying the scales of `rows`, with what unpacks them."""
+        return PackedPoly(terms, self.codec, self.N, self.field, prod(self.scales[r] for r in rows))
+
+    def combine(self, terms: Iterable[Tuple[int, Optional[int], Tuple[int, ...], Tuple[int, ...]]]
+                ) -> PackedPoly:
+        """The sum of sign * G * minor(rows, cols) over the terms
+        (sign, i, rows, cols), where G is the sum of row i, or 1 for i None,
+        accumulated in one packed dict. Each term must span every row of the
+        table once, counting row i, so that all terms carry one scale."""
+        everything = list(range(len(self.entries)))
+        one = {0: 1}
+        out = defaultdict(int)
+        for sign, i, rows, cols in terms:
+            if sorted(rows + ((i,) if i is not None else ())) != everything:
+                raise ValueError("a combined term must span every row once")
+            factor = one if i is None else self.row_sum(i)
+            if sign < 0:
+                factor = {k: -c for k, c in factor.items()}
+            _product_into(out, factor, self.minor(rows, cols))
+        return self.packed(_reduce(out, self.field.p), everything)
+
+    def row_sum(self, i: int) -> Dict[int, int]:
+        """Packed terms of the sum of row i, reduced, at the row's scale."""
+        out = defaultdict(int)
+        for entry in self.entries[i]:
+            for k, c in entry.items():
+                out[k] += c
+        return _reduce(out, self.field.p)
+
+
+def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
+    """Determinant of a square matrix of polynomials, through a MinorTable."""
     m = len(rows)
     if m == 0:
         raise ValueError("empty matrix")
-    for row in rows:
-        if len(row) != m:
-            raise ValueError("matrix is not square")
-    sample = rows[0][0]
-    N, fld = sample.N, sample.field
-    for row in rows:
-        for entry in row:
-            sample._check_compat(entry)
-    p = fld.p
-    codec = _slot_codec(2 * (N + 1), sum(max(map(_max_degree, row)) for row in rows))
-    scales = [_denominator_lcm(row) for row in rows]
-    packed = [[_pack(entry, codec, s) for entry in row] for row, s in zip(rows, scales)]
-    memo: Dict[Tuple[int, ...], Dict[int, int]] = {}
-
-    def minor(cols: Tuple[int, ...]) -> Dict[int, int]:
-        i = m - len(cols)
-        if len(cols) == 1:
-            return packed[i][cols[0]]
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        out = defaultdict(int)
-        for t, col in enumerate(cols):
-            entry = packed[i][col]
-            if not entry:
-                continue
-            if t % 2:
-                entry = {k: -c for k, c in entry.items()}
-            _product_into(out, entry, minor(cols[:t] + cols[t + 1 :]))
-        memo[cols] = out = _reduce(out, p)
-        return out
-
-    return _unpack(minor(tuple(range(m))), codec, N, fld, prod(scales))
+    if any(len(row) != m for row in rows):
+        raise ValueError("matrix is not square")
+    everything = tuple(range(m))
+    table = MinorTable(rows)
+    return table.packed(table.minor(everything, everything), everything).unpack()
 
 
 # ----- packed exponents -----

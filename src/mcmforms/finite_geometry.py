@@ -126,11 +126,14 @@ def proj_points(N: int, p: int) -> List[ProjPoint]:
     return out
 
 
-def points_on_X(fam: Optional[SectionFamily], q: int, N: Optional[int] = None) -> List[ProjPoint]:
+def points_on_X(fam: Optional[SectionFamily], q: int, N: Optional[int] = None,
+                support: Optional[Sequence[int]] = None) -> List[ProjPoint]:
     """The F_q-points of the common zero locus of the family's sections.
 
     With fam=None (and N given) no equations are imposed and the whole
-    projective space is returned.
+    projective space is returned. With `support` given, only the points
+    whose nonzero coordinates are exactly those listed are kept, and the
+    sections are evaluated at those alone.
     """
     if fam is None:
         if N is None:
@@ -141,7 +144,12 @@ def points_on_X(fam: Optional[SectionFamily], q: int, N: Optional[int] = None) -
     N, _ = _scan_dimensions(fam)
     zero_dz = [0] * (N + 1)
     sections = EvalPlan(fam.sections, q)
-    return [pt for pt in proj_points(N, q) if not any(sections(pt.coords, zero_dz))]
+    points = proj_points(N, q)
+    if support is not None:
+        support = set(support)
+        points = [pt for pt in points
+                  if all((x != 0) == (k in support) for k, x in enumerate(pt.coords))]
+    return [pt for pt in points if not any(sections(pt.coords, zero_dz))]
 
 
 def jacobian_at(fam: SectionFamily, z: Sequence[int], q: int,
@@ -476,10 +484,6 @@ def rank_condition_census(a: int, b: int, q: int, mode: str = "exhaustive",
 # ----- base locus scan -----
 
 
-def _all_nonzero(coords: Sequence[int], retained: Sequence[int]) -> bool:
-    return all(coords[i] for i in retained)
-
-
 def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,
                     vanished: Sequence[int] = ()) -> dict:
     """Common zeros of the given forms over the coordinates-nonvanishing
@@ -501,12 +505,8 @@ def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,
     singular_tangent = []
     points_used = 0
     directions_used = 0
-    for pt in points_on_X(fam, q):
+    for pt in points_on_X(fam, q, support=retained):
         z = list(pt.coords)
-        if any(z[v] for v in vanished):
-            continue
-        if not _all_nonzero(z, retained):
-            continue
         points_used += 1
         rows = chunks(grads(z, [0] * (N + 1)), N + 1)
         if eta:

@@ -22,12 +22,14 @@ Five families of checks:
                        vanishing-coordinate restriction of a family, for
                        every K_nu / K_tau_rho selection of an mcm family.
 
-The gluing and transition identities are each stated once, generic over
-the element type (_gluing_sides, _transition_sides). Exact mode applies
-them to polynomials; probabilistic mode applies them to values mod p at
-the points drawn by exact_algebra.sample_identity, the one Schwartz-Zippel
-loop. A sampled transition evaluates G at the projected tangent w_l(dz)
-and never builds the substituted polynomial.
+The gluing and transition identities are each stated once: the gluing
+identity as signs and index sets (_gluing_identity), the transition
+identity generic over the element type (_transition_sides). Exact gluing
+evaluates the identity on one packed MinorTable and compares packed terms;
+probabilistic mode applies both identities to values mod p at the points
+drawn by exact_algebra.sample_identity, the one Schwartz-Zippel loop. A
+sampled transition evaluates G at the projected tangent w_l(dz) and never
+builds the substituted polynomial.
 
 Every check returns a report dict: {"op", "ok", "checks": [{"id", "mode",
 "trials", "verdict", "witness"}, ...]} plus op-specific extras.
@@ -42,12 +44,13 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 from .exact_algebra import (
     AUTO_EXACT_TERM_LIMIT,
     EvalPlan,
+    MinorTable,
     MultiPoly,
+    PackedPoly,
     deriv,
     det_mod_p,
     identity_modulus,
     kill_coordinates,
-    poly_det,
     sample_identity,
     tangent_projection,
     times_monomial,
@@ -174,50 +177,82 @@ def _glue_matrix(K: FormalMatrixBundle, selection: Sequence[int], which: Optiona
     return K, M
 
 
-def _gluing_sides(M: Sequence[Sequence], j1: int, j2: int,
-                  det: Callable) -> Tuple[object, object]:
-    """Both sides of the gluing identity psi_{j1} - psi_{j2} == sum_i G_i * Cof_i.
+def _gluing_identity(nrows: int, ncols: int, j1: int, j2: int) -> Tuple[list, list]:
+    """The gluing identity psi_{j1} - psi_{j2} == sum_i G_i * Cof_i of an
+    nrows x ncols matrix M (ncols == nrows + 1), as signs and index sets.
 
-    M is a matrix over any commutative ring (polynomials, or integers with
-    det = det_mod_p at a point) and det its determinant. psi_j is
-    (-1)^j det(M without column j). For j1 < j2 the certificate is (-1)^{j1}
-    times the determinant of M with column j1 removed and column j2 replaced
-    by the row sums G_i; expanding along that column gives
+    psi_j is (-1)^j det(M without column j). For j1 < j2 the certificate is
+    (-1)^{j1} times the determinant of M with column j1 removed and column
+    j2 replaced by the row sums G_i; expanding along that column gives
     sum_i (-1)^{i + j2 - 1} G_i * minor_i with minor_i the doubly-omitted
     (columns j1, j2, row i) determinant. Swapping j1 > j2 negates.
+    Returns (difference, certificate): difference lists (sign, cols), the
+    signed determinants on every row; certificate lists (sign, i, rows,
+    cols), the terms sign * G_i * det(rows, cols). For j1 == j2 both sides
+    vanish and the certificate is empty.
     """
-    def psi(j: int):
-        d = det([[e for c, e in enumerate(row) if c != j] for row in M])
-        return d if j % 2 == 0 else -d
+    def without(n: int, *drop: int) -> Tuple[int, ...]:
+        return tuple(k for k in range(n) if k not in drop)
 
-    difference = psi(j1) - psi(j2)
+    difference = [((-1) ** j1, without(ncols, j1)), (-(-1) ** j2, without(ncols, j2))]
     if j1 == j2:
-        return difference, difference
+        return difference, []
     a, b = sorted((j1, j2))
-    pieces = []
-    for i, row in enumerate(M):
-        minor = det([[e for c, e in enumerate(other) if c not in (a, b)]
-                     for ri, other in enumerate(M) if ri != i])
-        piece = sum(row[1:], row[0]) * minor
-        pieces.append(piece if (i + b) % 2 else -piece)
-    certificate = sum(pieces[1:], pieces[0])
-    if (a % 2 == 1) != (j1 > j2):
-        certificate = -certificate
+    flip = -1 if (a % 2 == 1) != (j1 > j2) else 1
+    certificate = [(flip if (i + b) % 2 else -flip, i, without(nrows, i), without(ncols, a, b))
+                   for i in range(nrows)]
     return difference, certificate
+
+
+def _gluing_sides(M: Sequence[Sequence], j1: int, j2: int,
+                  det: Callable) -> Tuple[object, object]:
+    """Both sides of the gluing identity (_gluing_identity) of M, a matrix
+    over any commutative ring: integers with det = det_mod_p at a point, or
+    polynomials with det = poly_det."""
+    def signed(sign: int, x):
+        return x if sign > 0 else -x
+
+    def total(xs: Sequence):
+        return sum(xs[1:], xs[0])
+
+    def minor(rows: Sequence[int], cols: Sequence[int]):
+        return det([[M[r][c] for c in cols] for r in rows])
+
+    difference, certificate = _gluing_identity(len(M), len(M[0]), j1, j2)
+    everything = range(len(M))
+    diff = total([signed(sign, minor(everything, cols)) for sign, cols in difference])
+    if not certificate:
+        return diff, diff
+    return diff, total([signed(sign, total(M[i]) * minor(rows, cols))
+                        for sign, i, rows, cols in certificate])
+
+
+def _packed_gluing_sides(M: List[List[MultiPoly]], j1: int, j2: int
+                         ) -> Tuple[PackedPoly, PackedPoly]:
+    """Both sides of the gluing identity of a polynomial matrix, packed:
+    psi_{j1}, psi_{j2} and the row-omitted minors share one MinorTable, and
+    each side accumulates in one packed dict at the product of the row
+    scales, so equal sides have equal terms."""
+    table = MinorTable(M)
+    difference, certificate = _gluing_identity(len(M), len(M[0]), j1, j2)
+    everything = tuple(range(len(M)))
+    return (table.combine([(sign, None, everything, cols) for sign, cols in difference]),
+            table.combine(certificate))
 
 
 def gluing_certificate(M: List[List[MultiPoly]], j1: int, j2: int) -> MultiPoly:
     """The exact certificate sum_i G_i * Cof_i for psi_{j1} - psi_{j2}."""
-    return _gluing_sides(M, j1, j2, poly_det)[1]
+    return _packed_gluing_sides(M, j1, j2)[1].unpack()
 
 
 def _certificate_check(check_id: str, M: List[List[MultiPoly]], j1: int, j2: int
-                       ) -> Tuple[dict, MultiPoly]:
-    """The exact gluing check of one chart pair, and its certificate."""
-    difference, certificate = _gluing_sides(M, j1, j2, poly_det)
+                       ) -> Tuple[dict, PackedPoly]:
+    """The exact gluing check of one chart pair, and its packed
+    certificate; only a failing check unpacks, for its witness."""
+    difference, certificate = _packed_gluing_sides(M, j1, j2)
     witness = None
-    if difference != certificate:
-        gap = difference - certificate
+    if difference.terms != certificate.terms:
+        gap = difference.unpack() - certificate.unpack()
         witness = {"difference_minus_certificate": to_literal(gap)[:400]}
     return _check(check_id, "fail" if witness else "pass", witness=witness), certificate
 
@@ -306,8 +341,7 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("transition", [guard], omit=omit, charts=(l1, l2))
-    K = build_matrices(fam)
-    form = extract_form(K, which, selection, omit=omit, chart=l1, kind=kind)
+    form = extract_form(build_matrices(fam), which, selection, omit=omit, chart=l1, kind=kind)
     G = form.value_global
     n_eff = form.dz_degree
     N = G.N
@@ -350,12 +384,7 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
         heart_j = fermat_heart_prime(fam.degrees, fam.lambdas, selection) \
             + fam.lambdas[form.omit_coord] - 1
     else:
-        omit_exp = 1
-        if which is not None:
-            omit_exp = build_selected(K, which).divisor_exponents[omit]
-        elif form.kind == "omega":
-            omit_exp = fam.lambdas[form.omit_coord]
-        heart_j = form.twist + omit_exp - 1
+        heart_j = form.twist + form.omit_exponent - 1
     ok = observed is None or observed == heart_j + a_sum
     checks.append(_check("transition exponent", "pass" if ok else "fail",
                          witness=None if ok else {"observed": observed,

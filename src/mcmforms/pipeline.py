@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import json
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact_algebra import Field
@@ -37,7 +37,7 @@ from .section_builder import (
     build_matrices,
     build_sections,
     column_divisors,
-    extract_form,
+    extract_forms,
     selection_layouts,
 )
 from .util import child_rng
@@ -433,21 +433,18 @@ def _stage_smoothness(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
 def standard_forms(fam) -> list:
     """The default form inventory for scans: every selected-bundle kind with
     every admissible differential-row choice (mcm), or the psi/omega pair
-    (explicit exponents), all extracted at omit=0, chart=0."""
+    (explicit exponents), all extracted at omit=0, chart=0. The forms of
+    one layout share one minor table and stay packed."""
     K = build_matrices(fam)
-    forms = []
     shape = fam.shape
     if fam.mode == "mcm":
         selections = [(j,) for j in range(1, shape.c + 1)] if shape.n == 1 else \
             [tuple(range(1, shape.n + 1))]
-        for kind, params, _ in selection_layouts(shape.N):
-            for sel in selections:
-                forms.append(extract_form(K, (kind,) + params, sel, omit=0, chart=0))
-    else:
-        sel = tuple(range(1, shape.n + 1))
-        forms.append(extract_form(K, None, sel, omit=0, chart=0, kind="psi"))
-        forms.append(extract_form(K, None, sel, omit=0, chart=0, kind="omega"))
-    return forms
+        return [form for kind, params, _ in selection_layouts(shape.N)
+                for form in extract_forms(K, (kind,) + params, selections, omit=0, chart=0)]
+    sel = tuple(range(1, shape.n + 1))
+    return [extract_forms(K, None, [sel], omit=0, chart=0, kind=kind)[0]
+            for kind in ("psi", "omega")]
 
 
 def _stage_base_locus(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
@@ -463,7 +460,7 @@ def _stage_base_locus(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
     rep["forms"] = len(forms)
     rep["form_inventory"] = [
         {"kind": f.kind, "twist": f.twist, "dz_degree": f.dz_degree,
-         "terms": f.value_global.term_count()} for f in forms]
+         "terms": f.term_count()} for f in forms]
     if rep["ok"]:
         return "PASS", rep, None
     witness = {"schema": SCHEMA_VERSION, "stage": "base-locus",
@@ -540,8 +537,11 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     A failing or skipped stage halts its dependents (recorded as SKIP with
     the blocking stage named) but not independent stages; the overall
-    verdict is ok iff no executed stage FAILs.
+    verdict is ok iff no executed stage FAILs. The stages run on a copy of
+    cfg, so the caller's config is left as given while the report's config
+    block echoes the defaults the run filled in.
     """
+    cfg = replace(cfg)
     stages = _expand_stages(cfg.stages)
     ctx: dict = {}
     stage_reports: Dict[str, dict] = {}

@@ -41,7 +41,9 @@ def verify_semigroup_bound(s: int, horizon: int) -> dict:
     """Exhaustive split check on [0, horizon] against the threshold s(s-1).
 
     Every d at or above the threshold must split; the unrepresentable d
-    below it are listed (the largest is always s(s-1)-1 for s >= 2).
+    below it are listed (the largest is always s(s-1)-1 for s >= 2). A
+    split that does not give back d with 0 <= q <= s-1 is listed under
+    bad_splits as [d, p, q] and fails the check.
     """
     if s < 2:
         raise ValueError("need s >= 2")
@@ -50,13 +52,15 @@ def verify_semigroup_bound(s: int, horizon: int) -> dict:
         raise ValueError(f"horizon {horizon} is below the threshold {threshold}")
     failures_above = []
     failures_below = []
+    bad_splits = []
     for d in range(horizon + 1):
         try:
             p, q = frobenius_split(d, s)
         except NoRepresentation:
             (failures_below if d < threshold else failures_above).append(d)
             continue
-        assert d == p * s + q * (s + 1) and 0 <= q <= s - 1
+        if d != p * s + q * (s + 1) or not 0 <= q <= s - 1:
+            bad_splits.append([d, p, q])
     return {
         "op": "semigroup-bound",
         "s": s,
@@ -64,7 +68,8 @@ def verify_semigroup_bound(s: int, horizon: int) -> dict:
         "threshold": threshold,
         "gaps_below_threshold": failures_below,
         "failures_at_or_above": failures_above,
-        "ok": not failures_above,
+        "bad_splits": bad_splits,
+        "ok": not failures_above and not bad_splits,
     }
 
 

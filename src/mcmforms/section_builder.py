@@ -49,16 +49,18 @@ from .exact_algebra import (
     DivisibilityError,
     EvalPlan,
     Field,
+    MinorTable,
     MultiPoly,
+    PackedPoly,
     QQ,
     chart_restrict,
     det_mod_p,
     divide_exact,
     from_literal,
     kill_coordinates,
-    poly_det,
     to_literal,
     total_differential,
+    z_power,
 )
 from .schedule import (
     ExponentSchedule,
@@ -85,16 +87,32 @@ class DivisibilityClaimFailed(Exception):
         self.col = col
 
 
+class BundleInvariantError(ValueError):
+    """A matrix bundle breaks its construction: value row `row` does not
+    sum to its section (col is None), or differential row `row` is not the
+    differential of its value row at column `col`."""
+
+    def __init__(self, message: str, row: int, col: Optional[int] = None):
+        super().__init__(message)
+        self.row = row
+        self.col = col
+
+
 class DegreeClaimFailed(ValueError):
     """A degree claimed for a form is not the one found: `quantity` names
     the degree, `expected` is the claimed value and `observed` the value
-    the expanded form, or the row degrees and divisors, give."""
+    the expanded form, or the row degrees and divisors, give. `entry` is
+    the (row, column) of the bundle entry that breaks the claim, when the
+    structural check before expansion found it."""
 
-    def __init__(self, quantity: str, expected, observed):
-        super().__init__(f"{quantity}: expected {expected}, observed {observed}")
+    def __init__(self, quantity: str, expected, observed,
+                 entry: Optional[Tuple[int, int]] = None):
+        where = "" if entry is None else f" at entry {entry}"
+        super().__init__(f"{quantity}: expected {expected}, observed {observed}{where}")
         self.quantity = quantity
         self.expected = expected
         self.observed = observed
+        self.entry = entry
 
 
 @dataclass
@@ -164,9 +182,57 @@ class FormalMatrixBundle:
         return len(self.vanished)
 
 
+class _Unpacked:
+    """A FormBundle polynomial made on first read by the bundle's
+    `_unpack_<name>` method and then kept; a value given to the
+    constructor is kept as given."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the dataclass default
+        value = obj.__dict__.get(self.name)
+        if value is None:
+            value = obj.__dict__[self.name] = getattr(obj, f"_unpack_{self.name}")()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
+class DividedMatrix:
+    """The divided rows of one extraction, shared by the forms taken from
+    them: compiled once for evaluation mod p, and evaluated once per point
+    however many of its forms are evaluated there."""
+
+    def __init__(self, rows: List[List[MultiPoly]]):
+        self.rows = rows
+        self._last: Optional[tuple] = None
+
+    @cached_property
+    def _plan(self) -> EvalPlan:
+        return EvalPlan([e for row in self.rows for e in row], self.rows[0][0].field.p)
+
+    def values_at(self, z_vals: Sequence[int], dz_vals: Sequence[int]) -> List[List[int]]:
+        """The entries' values mod p at (z, dz), row by row."""
+        point = (tuple(z_vals), tuple(dz_vals))
+        if self._last is None or self._last[0] != point:
+            self._last = (point, chunks(self._plan(z_vals, dz_vals), len(self.rows[0])))
+        return self._last[1]
+
+
 @dataclass
 class FormBundle:
-    """One signed, divided determinant with its twist metadata."""
+    """One signed, divided determinant with its twist metadata.
+
+    The determinant stays packed in `det`; value_global, the signed
+    determinant, and value, its restriction to the chart z_chart = 1, are
+    unpacked on first read. The form's divided rows are rows matrix_rows
+    of `matrix`. omit_exponent is the declared divisor exponent of the
+    omitted column (1 for undivided kinds).
+    """
 
     kind: str
     selection: Tuple[int, ...]
@@ -174,28 +240,42 @@ class FormBundle:
     vanished: Tuple[int, ...]
     omit: int
     omit_coord: Optional[int]
+    omit_exponent: int
     chart: int
-    value: MultiPoly
-    value_global: MultiPoly
     twist: int
     dz_degree: int
-    divided_rows: List[List[MultiPoly]] = dc_field(default_factory=list, repr=False)
+    det: Optional[PackedPoly] = dc_field(default=None, repr=False, compare=False)
+    matrix: Optional[DividedMatrix] = dc_field(default=None, repr=False, compare=False)
+    matrix_rows: Tuple[int, ...] = dc_field(default=(), compare=False)
     sign: int = 1
+    value_global: Optional[MultiPoly] = _Unpacked()
+    value: Optional[MultiPoly] = _Unpacked()
+
+    def _unpack_value_global(self) -> MultiPoly:
+        det = self.det.unpack()
+        return det if self.sign == 1 else -det
+
+    def _unpack_value(self) -> MultiPoly:
+        return chart_restrict(self.value_global, self.chart)
+
+    @property
+    def divided_rows(self) -> List[List[MultiPoly]]:
+        return [self.matrix.rows[t] for t in self.matrix_rows]
+
+    def term_count(self) -> int:
+        """Terms of value_global, read off the packed determinant until
+        the polynomial is unpacked."""
+        value = self.__dict__.get("value_global")
+        return value.term_count() if value is not None else self.det.term_count()
 
     def evaluate_at(self, z_vals: Sequence[int], dz_vals: Sequence[int]):
-        """Evaluate the global form; uses the divided matrix when available,
+        """Evaluate the global form; over F_p through the divided matrix,
         since the determinant commutes with pointwise evaluation."""
-        p = self.value_global.field.p
-        if self.divided_rows and p:
-            numeric = chunks(self._divided_plan(z_vals, dz_vals), len(self.divided_rows[0]))
-            return (self.sign * det_mod_p(numeric, p)) % p
+        p = self.matrix.rows[0][0].field.p
+        if p:
+            values = self.matrix.values_at(z_vals, dz_vals)
+            return (self.sign * det_mod_p([values[t] for t in self.matrix_rows], p)) % p
         return self.value_global.evaluate(z_vals, dz_vals)
-
-    @cached_property
-    def _divided_plan(self) -> EvalPlan:
-        """divided_rows, flattened and compiled for evaluation mod p."""
-        return EvalPlan([e for row in self.divided_rows for e in row],
-                        self.value_global.field.p)
 
 
 # ----- random coefficients -----
@@ -358,7 +438,7 @@ def build_sections(
 
 
 def build_matrices(fam: SectionFamily) -> FormalMatrixBundle:
-    """The full structured matrix of the family, invariants asserted."""
+    """The full structured matrix of the family, invariants checked."""
     if fam.mode == "mcm":
         return _mcm_bundle(fam)
     if fam.mode != "general_fermat":
@@ -378,7 +458,7 @@ def build_matrices(fam: SectionFamily) -> FormalMatrixBundle:
         column_tags=tuple(f"col_{j}" for j in coords), column_coords=coords,
         retained=coords, divisor_exponents=tuple(fam.lambdas),
     )
-    _assert_bundle_invariants(bundle)
+    _check_bundle_invariants(bundle)
     return bundle
 
 
@@ -394,7 +474,10 @@ def _mcm_term(fam: SectionFamily, i: int, level: int, tup: Tuple[int, ...], jk: 
     return fam.coefficients[key] * MultiPoly(fam.shape.N, fam.field, {tuple(mono): 1})
 
 
-def _assert_bundle_invariants(bundle: FormalMatrixBundle) -> None:
+def _check_bundle_invariants(bundle: FormalMatrixBundle) -> None:
+    """Value row i sums to section i and each differential row is the
+    total differential of its value row, entry by entry (both with the
+    vanished coordinates killed); raises BundleInvariantError otherwise."""
     fam = bundle.family
     cr = bundle.value_rows()
     for i in range(cr):
@@ -404,13 +487,17 @@ def _assert_bundle_invariants(bundle: FormalMatrixBundle) -> None:
         expected = fam.sections[i]
         if bundle.vanished:
             expected = kill_coordinates(expected, bundle.vanished)
-        assert total == expected, f"row {i} does not sum to its section"
+        if total != expected:
+            raise BundleInvariantError(f"row {i} does not sum to section {i + 1}", row=i)
     for q in range(1, fam.shape.c + 1):
         for col, e in enumerate(bundle.entries[cr + q - 1]):
             want = total_differential(bundle.entries[q - 1][col])
             if bundle.vanished:
                 want = kill_coordinates(want, bundle.vanished)
-            assert e == want, f"differential row {q} mismatch at column {col}"
+            if e != want:
+                raise BundleInvariantError(
+                    f"row {cr + q - 1} is not the differential of row {q - 1} at column {col}",
+                    row=cr + q - 1, col=col)
 
 
 def _mcm_bundle(fam: SectionFamily, vanished: Tuple[int, ...] = ()) -> FormalMatrixBundle:
@@ -453,7 +540,7 @@ def _mcm_bundle(fam: SectionFamily, vanished: Tuple[int, ...] = ()) -> FormalMat
         column_tags=tuple([f"A_{j}" for j in retained] + [f"B_{k}" for k in retained]),
         column_coords=retained + retained, retained=retained, vanished=vanished,
     )
-    _assert_bundle_invariants(bundle)
+    _check_bundle_invariants(bundle)
     return bundle
 
 
@@ -582,7 +669,7 @@ def build_selected(K: FormalMatrixBundle, which: Tuple) -> FormalMatrixBundle:
                 retained=retained, vanished=vanished,
                 divisor_exponents=tuple(fam.lambdas[j] for j in retained),
             )
-            _assert_bundle_invariants(bundle)
+            _check_bundle_invariants(bundle)
             return bundle
         if K.layout == "mcm":
             return _mcm_bundle(fam, vanished)
@@ -645,6 +732,40 @@ def column_divisors(K: FormalMatrixBundle, which: Optional[Tuple] = None, verify
 # ----- form extraction -----
 
 
+def extract_forms(
+    K: FormalMatrixBundle,
+    which: Optional[Tuple],
+    selections: Sequence[Sequence[int]],
+    omit: int,
+    chart: int,
+    kind: Optional[str] = None,
+) -> List[FormBundle]:
+    """One signed divided determinant per selection, kept packed.
+
+    Rows: all c+r value rows plus the differential rows j_1 < ... < j_{n-eta}
+    named by a selection (indices in 1..c). Columns: all but position
+    `omit`; each remaining column is divided by z_coord^(e-1) for its
+    declared exponent e (e = lambda template; e = 1 for the undivided kind
+    "psi"). value_global is (-1)^omit * det of the divided matrix,
+    bihomogeneous of dz-degree n - eta; value is its restriction to the
+    chart z_chart = 1. The twist is sum of the row L-degrees minus sum over
+    all columns of (e - 1), cross-checked against the ledger entry for mcm
+    selections.
+
+    The selection is applied and the rows divided once for all selections,
+    and the determinants share one MinorTable: forms that differ only in
+    their differential rows, expanded last, share every value-row minor.
+    Before any expansion a structural check asks each nonzero divided
+    entry (i, j) to be bihomogeneous of bidegree r_i + c_j: r_i is (deg F,
+    0) on the value row of F and (deg F - 1, 1) on its differential row,
+    c_j is (1 - e, 0). Every term of a minor then has the bidegree summed
+    over its rows and columns, which is the claimed dz-degree and z-degree.
+    A failing claim raises DegreeClaimFailed, in the order bihomogeneous,
+    dz-degree, twist, z-degree.
+    """
+    return _extract(K, which, selections, omit, chart, kind)[0]
+
+
 def extract_form(
     K: FormalMatrixBundle,
     which: Optional[Tuple],
@@ -653,28 +774,35 @@ def extract_form(
     chart: int,
     kind: Optional[str] = None,
 ) -> FormBundle:
-    """Signed divided determinant of the selected rows and columns.
+    """The form of one selection (see extract_forms), unpacked, with the
+    degree claims checked once more on the expanded polynomial."""
+    (form,), (expected_z,) = _extract(K, which, [selection], omit, chart, kind)
+    value_global = form.value_global
+    if not value_global.is_zero():
+        if not value_global.is_bihomogeneous():
+            raise DegreeClaimFailed("bihomogeneous", True, False)
+        if value_global.dz_degree() != form.dz_degree:
+            raise DegreeClaimFailed("dz-degree", form.dz_degree, value_global.dz_degree())
+        if value_global.z_degree() != expected_z:
+            raise DegreeClaimFailed("z-degree", expected_z, value_global.z_degree())
+    return form
 
-    Rows: all c+r value rows plus the differential rows j_1 < ... < j_{n-eta}
-    named by selection (indices in 1..c). Columns: all but position `omit`;
-    each remaining column is divided by z_coord^(e-1) for its declared
-    exponent e (e = lambda template; e = 1 for the undivided kind "psi").
-    value_global is (-1)^omit * det of the divided matrix, bihomogeneous of
-    dz-degree n - eta; value is its restriction to the chart z_chart = 1.
-    The twist is sum of the row L-degrees minus sum over all columns of
-    (e - 1), cross-checked against the ledger entry for mcm selections.
-    """
+
+def _extract(K, which, selections, omit, chart, kind) -> Tuple[List[FormBundle], List[int]]:
+    """The forms of extract_forms and the z-degree each one claims."""
     if which is not None:
         K = build_selected(K, which)
     fam = K.family
     shape = fam.shape
     eta = K.eta()
     n_eff = shape.n - eta
-    selection = tuple(selection)
-    if len(selection) != n_eff or any(not (1 <= j <= shape.c) for j in selection) or len(set(selection)) != n_eff:
-        raise ValueError(f"selection must pick {n_eff} distinct differential rows in 1..{shape.c}")
-    if sorted(selection) != list(selection):
-        raise ValueError("selection must be increasing")
+    selections = [tuple(sel) for sel in selections]
+    for selection in selections:
+        if len(selection) != n_eff or any(not (1 <= j <= shape.c) for j in selection) \
+                or len(set(selection)) != n_eff:
+            raise ValueError(f"selection must pick {n_eff} distinct differential rows in 1..{shape.c}")
+        if sorted(selection) != list(selection):
+            raise ValueError("selection must be increasing")
     ncols = K.ncols
     if not (0 <= omit < ncols):
         raise ValueError("omitted column out of range")
@@ -692,59 +820,91 @@ def extract_form(
         divisor_exps = K.divisor_exponents
     else:
         raise ValueError("extract_form needs a sec4 or selected bundle")
-    omit_coord = K.column_coords[omit]
     if eta:
         kind = "hidden_" + kind
 
     cr = shape.c + shape.r
-    row_ids = list(range(cr)) + [cr + j - 1 for j in selection]
-    divided: List[List[MultiPoly]] = []
-    for rid in row_ids:
-        row = []
-        for col in range(ncols):
-            if col == omit:
-                continue
-            e = divisor_exps[col]
-            coord = K.column_coords[col]
-            entry = K.entries[rid][col]
-            if e > 1:
-                mono = [0] * (2 * (shape.N + 1))
-                mono[coord] = e - 1
-                try:
-                    entry = divide_exact(entry, tuple(mono))
-                except DivisibilityError as err:
-                    raise DivisibilityClaimFailed(
-                        f"column {col} not divisible by z{coord}^{e - 1}", row=rid, col=col
-                    ) from err
-            row.append(entry)
-        divided.append(row)
+    diff_rows = sorted({j for sel in selections for j in sel})
+    row_ids = list(range(cr)) + [cr + j - 1 for j in diff_rows]
+    cols = [col for col in range(ncols) if col != omit]
+    divided = [[_divided_entry(K, rid, col, divisor_exps[col]) for col in cols] for rid in row_ids]
+    degree = [l + a for l, a in zip(fam.section_l_degrees(), fam.twists)]
+    row_bidegrees = [(degree[rid], 0) if rid < cr else (degree[rid - cr] - 1, 1) for rid in row_ids]
+    col_shifts = [1 - divisor_exps[col] for col in cols]
+    faults = _structural_faults(divided, row_bidegrees, col_shifts, row_ids, cols)
+    for quantity in ("bihomogeneous", "dz-degree"):
+        if quantity in faults:
+            raise faults[quantity]
 
+    matrix = DividedMatrix(divided)
+    table = MinorTable(divided)
     sign = -1 if omit % 2 else 1
-    det = poly_det(divided)
-    value_global = det if sign == 1 else -det
-    if not value_global.is_zero():
-        if not value_global.is_bihomogeneous():
-            raise DegreeClaimFailed("bihomogeneous", True, False)
-        if value_global.dz_degree() != n_eff:
-            raise DegreeClaimFailed("dz-degree", n_eff, value_global.dz_degree())
+    forms, expected_z = [], []
+    for selection in selections:
+        twist = _twist_for(K, kind, selection, divisor_exps)
+        _check_twist(fam, twist, selection, divisor_exps)
+        if "z-degree" in faults:
+            raise faults["z-degree"]
+        rows = tuple(range(cr)) + tuple(cr + diff_rows.index(j) for j in selection)
+        forms.append(FormBundle(
+            kind=kind,
+            selection=selection,
+            params=tuple(K.selected_params),
+            vanished=K.vanished,
+            omit=omit,
+            omit_coord=K.column_coords[omit],
+            omit_exponent=divisor_exps[omit],
+            chart=chart,
+            twist=twist,
+            dz_degree=n_eff,
+            det=table.packed(table.minor(rows, tuple(range(len(cols)))), rows),
+            matrix=matrix,
+            matrix_rows=rows,
+            sign=sign,
+        ))
+        expected_z.append(sum(row_bidegrees[t][0] for t in rows) + sum(col_shifts))
+    return forms, expected_z
 
-    twist = _twist_for(K, kind, selection, divisor_exps)
-    _crosscheck_degree(K, value_global, twist, selection, divisor_exps, omit, n_eff)
-    return FormBundle(
-        kind=kind,
-        selection=selection,
-        params=tuple(K.selected_params),
-        vanished=K.vanished,
-        omit=omit,
-        omit_coord=omit_coord,
-        chart=chart,
-        value=chart_restrict(value_global, chart),
-        value_global=value_global,
-        twist=twist,
-        dz_degree=n_eff,
-        divided_rows=divided,
-        sign=sign,
-    )
+
+def _divided_entry(K: FormalMatrixBundle, rid: int, col: int, e: int) -> MultiPoly:
+    """Entry (rid, col) of K divided by the power z_coord^(e-1) of its column."""
+    entry = K.entries[rid][col]
+    if e <= 1:
+        return entry
+    coord = K.column_coords[col]
+    try:
+        return divide_exact(entry, z_power(K.family.shape.N, coord, e - 1))
+    except DivisibilityError as err:
+        raise DivisibilityClaimFailed(
+            f"column {col} not divisible by z{coord}^{e - 1}", row=rid, col=col
+        ) from err
+
+
+def _structural_faults(divided, row_bidegrees, col_shifts, row_ids, cols
+                       ) -> Dict[str, DegreeClaimFailed]:
+    """For each degree claim, the first nonzero divided entry that breaks
+    it: not bihomogeneous, or of dz- or z-degree other than row_bidegrees[i]
+    plus (col_shifts[j], 0). Entries are named by their row and column in
+    the bundle."""
+    faults: Dict[str, DegreeClaimFailed] = {}
+    for (want_z, want_dz), rid, row in zip(row_bidegrees, row_ids, divided):
+        for shift, col, entry in zip(col_shifts, cols, row):
+            if entry.is_zero():
+                continue
+            n1 = entry.N + 1
+            pairs = {(sum(exp[:n1]), sum(exp[n1:])) for exp in entry.terms}
+            if len(pairs) > 1:
+                faults.setdefault("bihomogeneous", DegreeClaimFailed(
+                    "bihomogeneous", True, False, entry=(rid, col)))
+                continue
+            ((z, dz),) = pairs
+            if dz != want_dz:
+                faults.setdefault("dz-degree", DegreeClaimFailed(
+                    "dz-degree", want_dz, dz, entry=(rid, col)))
+            if z != want_z + shift:
+                faults.setdefault("z-degree", DegreeClaimFailed(
+                    "z-degree", want_z + shift, z, entry=(rid, col)))
+    return faults
 
 
 def _twist_for(K: FormalMatrixBundle, kind: str, selection, divisor_exps) -> int:
@@ -766,24 +926,16 @@ def _twist_for(K: FormalMatrixBundle, kind: str, selection, divisor_exps) -> int
     raise ValueError(kind)
 
 
-def _crosscheck_degree(K, value_global, twist, selection, divisor_exps, omit, n_eff) -> None:
-    """Exact degree bookkeeping: the L-twist equals sum of row L-degrees
-    minus sum over all columns of (e-1); the global z-degree carries the
-    a_i twists and keeps the omitted column's share. A mismatch raises
-    DegreeClaimFailed; for the twist, `expected` is the claimed twist (the
-    ledger's, for mcm forms) and `observed` the bookkeeping value."""
-    fam = K.family
+def _check_twist(fam: SectionFamily, twist: int, selection, divisor_exps) -> None:
+    """Exact twist bookkeeping: the L-twist equals sum of row L-degrees
+    minus sum over all columns of (e-1). A mismatch raises
+    DegreeClaimFailed with `expected` the claimed twist (the ledger's, for
+    mcm forms) and `observed` the bookkeeping value."""
     ldeg = fam.section_l_degrees()
     rows_l = sum(ldeg) + sum(ldeg[j - 1] for j in selection)
-    rows_a = sum(fam.twists) + sum(fam.twists[j - 1] for j in selection)
-    spent_all = sum(e - 1 for e in divisor_exps)
-    if twist != rows_l - spent_all:
-        raise DegreeClaimFailed("twist", twist, rows_l - spent_all)
-    if not value_global.is_zero():
-        spent_kept = spent_all - (divisor_exps[omit] - 1)
-        expected_z = rows_l + rows_a - spent_kept - n_eff
-        if value_global.z_degree() != expected_z:
-            raise DegreeClaimFailed("z-degree", expected_z, value_global.z_degree())
+    observed = rows_l - sum(e - 1 for e in divisor_exps)
+    if twist != observed:
+        raise DegreeClaimFailed("twist", twist, observed)
 
 
 # ----- serialization -----

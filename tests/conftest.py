@@ -21,3 +21,26 @@ def compiled_plans(monkeypatch):
 
     monkeypatch.setattr(EvalPlan, "__init__", record)
     return compiled
+
+
+@pytest.fixture
+def run_optimized():
+    """Runs Python source under `python -O`, which strips every `assert`,
+    with this checkout's mcmforms importable; returns its stdout."""
+    import os
+    import subprocess
+    import sys
+
+    import mcmforms
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mcmforms.__file__)))
+
+    def run(code: str) -> str:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run

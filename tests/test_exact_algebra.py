@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from collections import defaultdict
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from mcmforms.exact_algebra import (
     DivisibilityError,
     EvalPlan,
     Field,
+    MinorTable,
     MultiPoly,
     ParseError,
     QQ,
@@ -30,7 +33,13 @@ from mcmforms.exact_algebra import (
     to_literal,
     total_differential,
     z_power,
+    _denominator_lcm,
+    _max_degree,
+    _pack,
+    _product_into,
+    _reduce,
     _slot_codec,
+    _unpack,
 )
 from mcmforms.util import child_rng
 
@@ -600,6 +609,110 @@ def test_det_mod_p_agrees_with_poly_det_on_constants():
         sym = poly_det(rows)
         val = 0 if sym.is_zero() else list(sym.terms.values())[0]
         assert val == det_mod_p(m, p)
+
+
+# ----- minor table against the cofactor loop -----
+
+
+def cofactor_det(rows):
+    """The determinant loop poly_det ran before the minor table: cofactor
+    expansion along the top row, memoised on the remaining columns, packed
+    entries and minors. The reference for MinorTable."""
+    m = len(rows)
+    sample = rows[0][0]
+    N, fld = sample.N, sample.field
+    codec = _slot_codec(2 * (N + 1), sum(max(map(_max_degree, row)) for row in rows))
+    scales = [_denominator_lcm(row) for row in rows]
+    packed = [[_pack(entry, codec, s) for entry in row] for row, s in zip(rows, scales)]
+    memo = {}
+
+    def minor(cols):
+        i = m - len(cols)
+        if len(cols) == 1:
+            return packed[i][cols[0]]
+        if cols in memo:
+            return memo[cols]
+        out = defaultdict(int)
+        for t, col in enumerate(cols):
+            entry = packed[i][col]
+            if not entry:
+                continue
+            if t % 2:
+                entry = {k: -c for k, c in entry.items()}
+            _product_into(out, entry, minor(cols[:t] + cols[t + 1:]))
+        memo[cols] = out = _reduce(out, fld.p)
+        return out
+
+    return _unpack(minor(tuple(range(m))), codec, N, fld, prod(scales))
+
+
+@st.composite
+def _matrices(draw, field, N, nrows, ncols):
+    """Entries of up to 3 terms, often zero; maybe a row repeated or
+    scaled into another, so that square minors on both rows vanish."""
+    rows = [[draw(_polys(field, N, max_terms=3)) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(nrows)))[:2]
+        k = field.coerce(draw(st.sampled_from((1, -1, 2, 3))))
+        rows[dst] = [e.scale(k) for e in rows[src]]
+    return rows
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_poly_det_matches_the_cofactor_loop(data):
+    field = data.draw(st.sampled_from(PROPERTY_FIELDS))
+    N = data.draw(st.integers(0, 1))
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(_matrices(field, N, n, n))
+    assert same_poly(poly_det(rows), cofactor_det(rows))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_minor_table_matches_the_cofactor_loop_on_every_minor(data):
+    field = data.draw(st.sampled_from(PROPERTY_FIELDS))
+    N = data.draw(st.integers(0, 1))
+    nrows = data.draw(st.integers(1, 4))
+    ncols = data.draw(st.integers(1, 4))
+    rows = data.draw(_matrices(field, N, nrows, ncols))
+    table = MinorTable(rows)
+    # every minor, largest first, so that smaller ones come from the memo
+    for k in range(min(nrows, ncols), 0, -1):
+        for r in combinations(range(nrows), k):
+            for c in combinations(range(ncols), k):
+                got = table.packed(table.minor(r, c), r)
+                want = cofactor_det([[rows[i][j] for j in c] for i in r])
+                assert got.term_count() == want.term_count()
+                assert same_poly(got.unpack(), want)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_combined_minors_match_the_sum_of_products(data):
+    field = data.draw(st.sampled_from(PROPERTY_FIELDS))
+    n = data.draw(st.integers(1, 3))
+    rows = data.draw(_matrices(field, 1, n, n + 1))
+    table = MinorTable(rows)
+    everything = tuple(range(n))
+    terms = [(data.draw(st.sampled_from((1, -1))), None, everything, c)
+             for c in combinations(range(n + 1), n)]
+    terms += [(data.draw(st.sampled_from((1, -1))), i, everything[:i] + everything[i + 1:],
+               tuple(range(n - 1))) for i in range(n) if n > 1]
+    want = MultiPoly.zero(1, field)
+    for sign, i, r, c in terms:
+        piece = cofactor_det([[rows[a][b] for b in c] for a in r])
+        if i is not None:
+            piece = sum(rows[i][1:], rows[i][0]) * piece
+        want = want + (piece if sign > 0 else -piece)
+    assert same_poly(table.combine(terms).unpack(), want)
+
+
+def test_combined_terms_must_span_every_row():
+    one = MultiPoly.const(1, 1, F7)
+    table = MinorTable([[one, one], [one, one]])
+    with pytest.raises(ValueError):
+        table.combine([(1, None, (0,), (0,))])
 
 
 # ----- evaluation -----

@@ -10,6 +10,7 @@ from mcmforms.exact_algebra import (
     QQ,
     from_literal,
     identity_test,
+    poly_det,
     tangent_projection,
     times_monomial,
     to_literal,
@@ -134,6 +135,41 @@ def test_gluing_on_combined_mcm_columns():
     fam = build_sections(shape, "mcm", field=Field(5), schedule=sched, seed=3)
     assert verify_gluing(fam, (1,), 0, 4, which=("K_nu", 2))["ok"]
     assert verify_gluing(fam, (2,), 1, 3, which=("K_tau_rho", 0, 2))["ok"]
+
+
+def _misgrouped(fam):
+    """The value rows and first differential row of fam's matrix, with one
+    term of entry (0, 0) moved to entry (0, 1): row sums unchanged."""
+    K = build_matrices(fam)
+    M = [list(K.entries[r]) for r in (0, 1, 2)]
+    exp, c = next(iter(M[0][0].terms.items()))
+    moved = MultiPoly(fam.shape.N, fam.field, {exp: c})
+    M[0][0], M[0][1] = M[0][0] - moved, M[0][1] + moved
+    return M
+
+
+@pytest.mark.parametrize("field", [Field(5), QQ], ids=str)
+def test_packed_and_unpacked_gluing_agree_on_a_broken_matrix(monkeypatch, field):
+    fam = fermat_family(3, 2, 0, (2, 2, 2, 2), (3, 3), field=field, seed=1)
+    M = _misgrouped(fam)
+    check, cert = identity_verifier._certificate_check("c", M, 2, 0)
+    diff_u, cert_u = identity_verifier._gluing_sides(M, 2, 0, poly_det)
+    # the identity holds for every matrix, so both sides pass
+    assert check["verdict"] == "pass" and diff_u == cert_u
+    assert cert.unpack() == cert_u and cert.term_count() == cert_u.term_count()
+    # drop one certificate term: both evaluations fail alike
+    real = identity_verifier._gluing_identity
+
+    def broken(*args):
+        difference, certificate = real(*args)
+        return difference, certificate[1:]
+
+    monkeypatch.setattr(identity_verifier, "_gluing_identity", broken)
+    check, cert = identity_verifier._certificate_check("c", M, 2, 0)
+    diff_u, cert_u = identity_verifier._gluing_sides(M, 2, 0, poly_det)
+    assert check["verdict"] == "fail" and diff_u != cert_u
+    assert check["witness"] == {"difference_minus_certificate": to_literal(diff_u - cert_u)[:400]}
+    assert cert.unpack() == cert_u
 
 
 def test_gluing_characteristic_guard():

@@ -1,5 +1,6 @@
 """Tests for the config-driven pipeline and the command line tool."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -235,7 +236,22 @@ def test_general_pipeline_passes_with_defaulted_exponents():
     assert executed["gluing"] == "PASS"
     assert executed["transition"] == "PASS"
     assert executed["smoothness"] == "PASS"
-    assert cfg.lambdas is not None and cfg.degrees is not None
+    # the report echoes the defaulted exponents; the caller's config keeps None
+    assert report["config"]["lambdas"] == [2, 2, 2, 2]
+    assert report["config"]["degrees"] == [2, 3]
+    assert cfg.lambdas is None and cfg.degrees is None
+
+
+def test_run_pipeline_leaves_the_callers_config_as_given():
+    cfg = RunConfig(shape=ProblemShape(3, 2, 0), mode="general_fermat",
+                    field_spec="11", seed=5, stages=("build",))
+    before = dataclasses.asdict(cfg)
+    first = run_pipeline(cfg)
+    assert dataclasses.asdict(cfg) == before
+    # the config block is the one a config naming the defaults gives
+    named = dataclasses.replace(cfg, lambdas=(2, 2, 2, 2), degrees=(2, 3))
+    for report in (first, run_pipeline(cfg), run_pipeline(named)):
+        assert report_to_json(report["config"]) == report_to_json(named.to_dict())
 
 
 # ----- replay -----

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -239,3 +240,20 @@ def test_decomposition_guards():
     g = from_literal("1 * z0^1 + 1 * z1^1", N=2, field=Field(5))
     with pytest.raises(ValueError, match="F_5, not F_3"):
         verify_product_decomposition([[g]], ProblemShape(2, 1, 0), 3)
+
+
+def test_a_bad_split_fails_the_semigroup_check_under_python_O(run_optimized):
+    out = run_optimized(
+        "import json\n"
+        "from mcmforms import product_coup\n"
+        "real = product_coup.frobenius_split\n"
+        "product_coup.frobenius_split = lambda d, s: (0, s) if d == 7 else real(d, s)\n"
+        "print(json.dumps(product_coup.verify_semigroup_bound(3, 20)))\n")
+    rep = json.loads(out)
+    assert rep["bad_splits"] == [[7, 0, 3]]
+    assert rep["ok"] is False
+
+
+def test_semigroup_report_lists_no_bad_split_on_the_real_splitter():
+    rep = verify_semigroup_bound(4, 200)
+    assert rep["bad_splits"] == [] and rep["ok"]

@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from mcmforms import exact_algebra
 from mcmforms.exact_algebra import Field, MultiPoly, QQ, from_literal, to_literal, total_differential
+from mcmforms.pipeline import standard_forms
 from mcmforms.schedule import ProblemShape, TwistLedger, build_schedule, twist_ledger
 from mcmforms.section_builder import (
+    BundleInvariantError,
     DegreeClaimFailed,
     DivisibilityClaimFailed,
     SectionFamily,
@@ -15,9 +18,11 @@ from mcmforms.section_builder import (
     build_selected,
     column_divisors,
     extract_form,
+    extract_forms,
     load_family,
     random_homogeneous,
     save_family,
+    selection_layouts,
 )
 
 F5 = Field(5)
@@ -135,6 +140,29 @@ def test_row_sum_and_differential_row_invariants():
         assert total == fam.sections[i]
         for col in range(K.ncols):
             assert K.entries[cr + i][col] == total_differential(K.entries[i][col])
+
+
+def test_a_section_that_is_not_its_row_sum_is_rejected():
+    fam = mcm_family(seed=4)
+    fam.sections = (fam.sections[0] + MultiPoly.z(4, 0, fam.field, power=67),) + fam.sections[1:]
+    with pytest.raises(BundleInvariantError) as info:
+        build_matrices(fam)
+    assert (info.value.row, info.value.col) == (0, None)
+
+
+def test_bundle_invariants_hold_under_python_O(run_optimized):
+    out = run_optimized(
+        "from mcmforms.exact_algebra import Field, MultiPoly\n"
+        "from mcmforms.schedule import ProblemShape, build_schedule\n"
+        "from mcmforms.section_builder import BundleInvariantError, build_matrices, build_sections\n"
+        "shape = ProblemShape(4, 3, 0)\n"
+        "fam = build_sections(shape, 'mcm', field=Field(5), schedule=build_schedule(shape, 2), seed=4)\n"
+        "fam.sections = (fam.sections[0] + MultiPoly.z(4, 0, Field(5), power=67),) + fam.sections[1:]\n"
+        "try:\n"
+        "    build_matrices(fam)\n"
+        "except BundleInvariantError as err:\n"
+        "    print(err.row, err.col, err)\n")
+    assert out == "0 None row 0 does not sum to section 1\n"
 
 
 # ----- column selection -----
@@ -384,6 +412,48 @@ def test_hidden_explicit_form_twist():
     assert form.kind == "hidden_omega"
     # heart' skips the vanished lambda: (4 + 4 + 4) - 4*(2-1)
     assert form.twist == 12 - 4
+
+
+def test_lazy_standard_forms_match_eager_extraction_term_for_term():
+    fam = mcm_family()
+    K = build_matrices(fam)
+    lazy = standard_forms(fam)
+    eager = [extract_form(K, (kind,) + params, (j,), omit=0, chart=0)
+             for kind, params, _ in selection_layouts(4) for j in (1, 2, 3)]
+    assert len(lazy) == len(eager) == 45
+    for a, b in zip(lazy, eager):
+        # still packed: the term count is read off the packed determinant
+        assert a.__dict__.get("value_global") is None
+        assert a.term_count() == b.term_count()
+        assert (a.kind, a.selection, a.twist, a.dz_degree, a.omit_exponent) == \
+            (b.kind, b.selection, b.twist, b.dz_degree, b.omit_exponent)
+        assert a.divided_rows == b.divided_rows
+        assert a.value_global.terms == b.value_global.terms
+        assert a.value.terms == b.value.terms
+        assert a == b
+
+
+@pytest.mark.parametrize("change, quantity", [
+    # one more power of z1: the z-degree of the entry, not its dz-degree
+    (lambda e: e * MultiPoly.z(4, 1, F5), "z-degree"),
+    # plus terms of another degree
+    (lambda e: e + e * MultiPoly.z(4, 1, F5), "bihomogeneous"),
+    # one more power of dz1 on a differential row
+    (lambda e: e * MultiPoly.dz(4, 1, F5), "dz-degree"),
+])
+def test_a_corrupted_divided_entry_trips_the_structural_degree_check(monkeypatch, change, quantity):
+    row = 3 if quantity == "dz-degree" else 1
+    S = build_selected(build_matrices(mcm_family()), ("K_nu", 0))
+    S.entries[row][2] = change(S.entries[row][2])
+
+    def refuse(*args):
+        raise AssertionError("a minor expanded before the degree check")
+
+    monkeypatch.setattr(exact_algebra.MinorTable, "minor", refuse)
+    with pytest.raises(DegreeClaimFailed) as info:
+        extract_forms(S, None, [(1,), (2,), (3,)], omit=0, chart=0)
+    assert info.value.quantity == quantity
+    assert info.value.entry == (row, 2)
 
 
 # ----- serialization -----
