@@ -5,16 +5,17 @@ normalized so the first nonzero coordinate equals 1; tangent directions are
 vectors modulo the Euler direction at the base point, canonically reduced.
 The rank-condition variety M(a, b) collects the b x 2(a+1) matrices with
 column blocks alpha_0..alpha_a, beta_0..beta_a satisfying the zero-sum and
-rank inequalities; its census counts members exhaustively (vectorized over
-F_2) or by sampling, and compares against the codimension bound
-q^(dim - (a+b-1) + 1).
+rank inequalities; its census counts members exhaustively (one numpy
+kernel for every q) or by sampling, and compares against the codimension
+bound q^(dim - (a+b-1) + 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
-from math import log
+from math import ceil, exp, lgamma, log, log1p
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -243,14 +244,11 @@ def tangent_directions(z: Sequence[int], constraint_rows: Sequence[Sequence[int]
     basis = kernel_basis_mod_p(constraint_rows, p, N1) if constraint_rows else \
         [[1 if i == j else 0 for i in range(N1)] for j in range(N1)]
     seen = {}
-    k = len(basis)
-    for lead in range(k):
-        for tail in product(range(p), repeat=k - lead - 1):
-            coeffs = (0,) * lead + (1,) + tail
-            v = [sum(c * b[i] for c, b in zip(coeffs, basis)) % p for i in range(N1)]
-            d = canonical_direction(z, v, p)
-            if d is not None:
-                seen[d.xi] = d
+    for coeffs in proj_points(len(basis) - 1, p):
+        v = [sum(c * b[i] for c, b in zip(coeffs.coords, basis)) % p for i in range(N1)]
+        d = canonical_direction(z, v, p)
+        if d is not None:
+            seen[d.xi] = d
     return [seen[key] for key in sorted(seen)]
 
 
@@ -259,10 +257,6 @@ def tangent_directions(z: Sequence[int], constraint_rows: Sequence[Sequence[int]
 
 def _vec_add(*vecs: Sequence[int]) -> Tuple[int, ...]:
     return tuple(sum(col) for col in zip(*vecs))
-
-
-def _rank_cols(cols: Sequence[Sequence[int]], p: int) -> int:
-    return rank_mod_p(list(cols), p)
 
 
 def membership_M_ab(M: RankConditionMatrix) -> bool:
@@ -282,7 +276,7 @@ def membership_M_ab(M: RankConditionMatrix) -> bool:
         return False
     memo: dict = {}
     return all(
-        _rank_cols(_combine_columns(layout, alphas, betas, _vec_add, memo), p) <= a - 1
+        rank_mod_p(_combine_columns(layout, alphas, betas, _vec_add, memo), p) <= a - 1
         for _, _, layout in selection_layouts(a)
     )
 
@@ -307,7 +301,7 @@ def membership_M_ab_alt(M: RankConditionMatrix) -> bool:
     for nu in range(a + 1):
         cols = [alphas[j] for j in range(1, a + 1) if j != nu]
         cols.append(_vec_add(alphas[nu], S[0]))
-        if _rank_cols(cols, p) > a - 1:
+        if rank_mod_p(cols, p) > a - 1:
             return False
     for tau in range(a):
         for rho in range(tau + 1, a + 1):
@@ -317,7 +311,7 @@ def membership_M_ab_alt(M: RankConditionMatrix) -> bool:
             ]
             cols += [alphas[j] for j in range(tau + 1, a + 1) if j != rho]
             cols.append(_vec_add(alphas[rho], S[tau + 1]))
-            if _rank_cols(cols, p) > a - 1:
+            if rank_mod_p(cols, p) > a - 1:
                 return False
     return True
 
@@ -336,87 +330,109 @@ def random_rank_matrix(a: int, b: int, p: int, rng, constrained: bool = False) -
 # ----- rank-condition census -----
 
 
-def _rank_lut_F2(b: int, k: int) -> np.ndarray:
-    """Rank over F_2 of every k-tuple of b-bit column vectors, indexed by
-    the concatenated 2^(b*k) key."""
-    lut = np.zeros(1 << (b * k), dtype=np.int8)
-    mask = (1 << b) - 1
-    for key in range(1 << (b * k)):
-        basis = []
-        for i in range(k):
-            v = (key >> (b * i)) & mask
-            for u in basis:
-                v = min(v, v ^ u)
-            if v:
-                basis.append(v)
-        lut[key] = len(basis)
-    return lut
+# Free-column tuples enumerated together as one numpy block of the census;
+# the remaining free columns are looped over in Python as constants.
+CENSUS_BLOCK = 1 << 15
+CENSUS_CONFIDENCE = 0.95
 
 
-def _census_exhaustive_F2(a: int, b: int) -> int:
-    """Vectorized count of members over F_2: the free columns
-    alpha_1..alpha_a, beta_0..beta_a are enumerated as bit fields and
-    alpha_0 is the xor forced by the zero-sum condition."""
-    nfree = 2 * a + 1
-    idx = np.arange(1 << (b * nfree), dtype=np.int64)
-    mask = (1 << b) - 1
-    # columns in the smallest dtype that holds b bits; keys are int64
-    free = [((idx >> (b * i)) & mask).astype(np.min_scalar_type(mask)) for i in range(nfree)]
-    a0 = np.zeros_like(free[0])
-    for col in free:
-        a0 ^= col
-    alphas = [a0] + free[:a]
-    betas = free[a:]
+def _column_codes(b: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Columns of F_q^b coded by their index in product(range(q), repeat=b)
+    order (code 0 is the zero column): (add, mul), with add[x, y] the code
+    of the sum and mul[t, x] the code of t times column x, so mul[q - 1]
+    negates. Over F_2 add[x, y] == x ^ y."""
+    digits = np.array(list(product(range(q), repeat=b)), dtype=np.int64)
+    weights = q ** np.arange(b - 1, -1, -1)
+    add = ((digits[:, None, :] + digits[None, :, :]) % q) @ weights
+    mul = ((np.arange(q)[:, None, None] * digits[None, :, :]) % q) @ weights
+    code_t = np.min_scalar_type(len(digits) - 1)
+    return add.astype(code_t), mul.astype(code_t)
 
-    lut = _rank_lut_F2(b, a + 1)
 
-    def pack(cols):
-        key = cols[0].astype(np.int64)
-        for i, col in enumerate(cols[1:], start=1):
-            key |= col.astype(np.int64) << (b * i)
-        return key
+def _rank_table(add: np.ndarray, mul: np.ndarray, k: int) -> np.ndarray:
+    """Rank of every k-tuple of the Q coded columns (tables from
+    _column_codes), at key ((x_0 Q + x_1) Q + ...) Q + x_(k-1).
 
-    ok = np.ones(idx.shape, dtype=bool)
+    A span automaton replaces elimination: its states are the subspaces of
+    F_q^b, found breadth first from the zero subspace (state 0), and
+    join[s, x] is the span of s and column x. Folding join over the k
+    columns of every tuple at once gives each tuple's span.
+    """
+    Q = len(add)
+    spans, dim, join = [(0,)], [0], []
+    index = {(0,): 0}
+    while len(join) < len(spans):
+        s = len(join)
+        row = []
+        for x in range(Q):
+            span = tuple(np.unique(add[np.array(spans[s])[:, None], mul[:, x]]).tolist())
+            if index.setdefault(span, len(spans)) == len(spans):
+                spans.append(span)
+                dim.append(dim[s] + 1)
+            row.append(index[span])
+        join.append(row)
+    join = np.array(join)
+    states = np.zeros(1, dtype=np.intp)
+    for _ in range(k):
+        states = join[states].ravel()
+    return np.array(dim, dtype=np.int8)[states]
+
+
+def _rank_mask(alphas: Sequence, betas: Sequence, add, Q: int, low: np.ndarray):
+    """Where the coded columns alpha_0..alpha_a | beta_0..beta_a (code
+    arrays or single codes, summed by add) pass every K_nu and K_tau_rho
+    rank test; low is `_rank_table(add, mul, a + 1) <= a - 1`. The zero-sum
+    condition is not tested here."""
+    key_t = np.min_scalar_type(len(low) - 1).type
     memo: dict = {}
-    for _, _, layout in selection_layouts(a):
-        ok &= lut[pack(_combine_columns(layout, alphas, betas, np.bitwise_xor, memo))] <= a - 1
-    return int(ok.sum())
+    ok = True
+    for _, _, layout in selection_layouts(len(alphas) - 1):
+        key = key_t(0)
+        for col in _combine_columns(layout, alphas, betas, add, memo):
+            key = key * Q + col
+        ok = ok & low[key]
+    return ok
 
 
-def _census_exhaustive_generic(a: int, b: int, q: int) -> int:
-    """Scalar count with the zero-sum condition imposed up front. Columns
-    are coded by their index in F_q^b and summed through an addition table;
-    ranks are memoized on sorted column multisets."""
-    col_space = list(product(range(q), repeat=b))
-    index = {v: i for i, v in enumerate(col_space)}
-    add_table = [[index[tuple((u + w) % q for u, w in zip(x, y))] for y in col_space]
-                 for x in col_space]
-    negate = [index[tuple(-u % q for u in x)] for x in col_space]
-    layouts = [layout for _, _, layout in selection_layouts(a)]
-    rank_cache: Dict[Tuple[int, ...], int] = {}
-
-    def add(x: int, y: int) -> int:
-        return add_table[x][y]
-
-    def cached_rank(cols: List[int]) -> int:
-        key = tuple(sorted(cols))
-        r = rank_cache.get(key)
-        if r is None:
-            r = rank_cache[key] = _rank_cols([col_space[i] for i in key], q)
-        return r
-
+def _census_exhaustive(a: int, b: int, q: int) -> int:
+    """Exact member count over F_q. The free columns alpha_1..alpha_a,
+    beta_0..beta_a run over every tuple of codes and alpha_0 is the negated
+    sum the zero-sum condition forces. The last free columns (at least one)
+    are enumerated once as arrays of at most CENSUS_BLOCK tuples; the
+    others are looped over as constants."""
+    Q, nfree = q ** b, 2 * a + 1
+    add_table, mul = _column_codes(b, q)
+    add = np.bitwise_xor if q == 2 else (lambda x, y: add_table[x, y])
+    low = _rank_table(add_table, mul, a + 1) <= a - 1
+    inner = max([1] + [m for m in range(1, nfree + 1) if Q ** m <= CENSUS_BLOCK])
+    codes = np.arange(Q, dtype=add_table.dtype)
+    block = [np.tile(np.repeat(codes, Q ** (inner - 1 - i)), Q ** i) for i in range(inner)]
+    block_sum = reduce(add, block)
     count = 0
-    for free in product(range(len(col_space)), repeat=2 * a + 1):
-        total = 0  # index of the zero column
-        for col in free:
-            total = add_table[total][col]
-        alphas = (negate[total],) + free[:a]
-        betas = free[a:]
-        memo: dict = {}
-        if all(cached_rank(_combine_columns(layout, alphas, betas, add, memo)) <= a - 1
-               for layout in layouts):
-            count += 1
+    for outer in product(range(Q), repeat=nfree - inner):
+        free = list(outer) + block
+        alphas = [mul[q - 1][add(block_sum, reduce(add, outer, 0))]] + free[:a]
+        count += int(np.count_nonzero(_rank_mask(alphas, free[a:], add, Q, low)))
     return count
+
+
+def clopper_pearson_upper(hits: int, n: int) -> float:
+    """One-sided Clopper-Pearson upper bound, at CENSUS_CONFIDENCE, on a
+    binomial proportion from `hits` successes in `n` trials: the p with
+    P(X <= hits; n, p) = 1 - CENSUS_CONFIDENCE, by bisection on [hits/n, 1]
+    (1.0 when hits == n)."""
+    lo, hi = hits / n, 1.0
+    while lo < (p := (lo + hi) / 2) < hi:
+        # P(X <= hits; n, p) summed from i = hits down: for p >= hits/n the
+        # terms fall, so stop once they no longer change the sum
+        cdf, lp, lq = 0.0, log(p), log1p(-p)
+        for i in range(hits, -1, -1):
+            term = exp(lgamma(n + 1) - lgamma(i + 1) - lgamma(n - i + 1) + i * lp + (n - i) * lq)
+            cdf += term
+            if term <= cdf * 1e-17:
+                break
+        lo, hi = (p, hi) if cdf > 1 - CENSUS_CONFIDENCE else (lo, p)
+    return hi
 
 
 def rank_condition_census(a: int, b: int, q: int, mode: str = "exhaustive",
@@ -425,9 +441,11 @@ def rank_condition_census(a: int, b: int, q: int, mode: str = "exhaustive",
     """Member count of the rank-condition variety versus the codimension
     bound q^(dim - (a+b-1) + 1).
 
-    Exhaustive mode enumerates the whole matrix space (vectorized bit
-    arithmetic over F_2, memoized scalar scan otherwise); above the budget
-    it falls back to uniform sampling and reports the extrapolated count.
+    Exhaustive mode counts every matrix (_census_exhaustive, one kernel for
+    every q). Sample mode, the fallback above the budget, draws uniform
+    matrices: `count` extrapolates the hits, and the verdict compares the
+    bound with `count_upper`, their one-sided Clopper-Pearson upper bound
+    at `confidence`, scaled the same way.
     """
     if not (2 <= a <= b):
         raise ValueError("need 2 <= a <= b")
@@ -435,34 +453,22 @@ def rank_condition_census(a: int, b: int, q: int, mode: str = "exhaustive",
     total = q ** dim
     codim_target = a + b - 1
     bound = q ** (dim - codim_target + 1)
-    forced = False
-    if mode == "exhaustive" and total > budget:
+    forced = mode == "exhaustive" and total > budget
+    if forced:
         mode = "sample"
-        forced = True
 
+    upper = {}
     if mode == "exhaustive":
-        if q == 2:
-            count = _census_exhaustive_F2(a, b)
-        else:
-            count = _census_exhaustive_generic(a, b, q)
-        verdict = "pass" if count <= bound else "fail"
-        exact = True
+        count = _census_exhaustive(a, b, q)
     elif mode == "sample":
         rng = child_rng(seed, "census", f"{a},{b},{q}")
-        hits = 0
-        for _ in range(sample_size):
-            M = random_rank_matrix(a, b, q, rng)
-            if membership_M_ab(M):
-                hits += 1
+        hits = sum(membership_M_ab(random_rank_matrix(a, b, q, rng)) for _ in range(sample_size))
         count = round(hits * total / sample_size)
-        verdict = "pass" if count <= bound else "fail"
-        exact = False
+        upper = {"count_upper": ceil(clopper_pearson_upper(hits, sample_size) * total),
+                 "confidence": CENSUS_CONFIDENCE}
     else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    implied = None
-    if count > 0:
-        implied = dim - log(count, q)
+    verdict = "pass" if upper.get("count_upper", count) <= bound else "fail"
     return {
         "op": "census",
         "a": a,
@@ -470,10 +476,11 @@ def rank_condition_census(a: int, b: int, q: int, mode: str = "exhaustive",
         "q": q,
         "ambient_dim": dim,
         "count": count,
-        "exact": exact,
+        **upper,
+        "exact": mode == "exhaustive",
         "mode": mode,
         "forced_sample": forced,
-        "implied_codim": implied,
+        "implied_codim": dim - log(count, q) if count > 0 else None,
         "codim_target": codim_target,
         "bound": bound,
         "verdict": verdict,
@@ -509,12 +516,8 @@ def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,
         z = list(pt.coords)
         points_used += 1
         rows = chunks(grads(z, [0] * (N + 1)), N + 1)
-        if eta:
-            # directions live on the vanishing locus: xi_v = 0
-            for v in vanished:
-                unit = [0] * (N + 1)
-                unit[v] = 1
-                rows.append(unit)
+        # directions live on the vanishing locus: xi_v = 0
+        rows += [[int(j == v) for j in range(N + 1)] for v in vanished]
         dirs = tangent_directions(z, rows, q)
         expected = N - c - eta
         expected_count = (q ** expected - 1) // (q - 1)
@@ -605,12 +608,8 @@ def characterization_crosscheck(fam: SectionFamily, q: int, sample: int = 10_000
     zero_dz = [0] * (N + 1)
 
     zs = [(1,) + tail for tail in product(range(1, q), repeat=N)]
-    n_dirs = (q ** N - 1) // (q - 1)
-    dirs: List[Tuple[int, ...]] = []
-    for lead in range(1, N + 1):
-        for tail in product(range(q), repeat=N - lead):
-            dirs.append((0,) * lead + (1,) + tail)
-    assert len(dirs) == n_dirs
+    dirs = [(0,) + pt.coords for pt in proj_points(N - 1, q)]
+    n_dirs = len(dirs)
 
     total = len(zs) * n_dirs
     take = min(sample, total)

@@ -1,15 +1,23 @@
 import random
+import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
+from census_oracle import rank as oracle_rank
 
+from mcmforms import finite_geometry
 from mcmforms.exact_algebra import Field, QQ, from_literal, to_literal
 from mcmforms.finite_geometry import (
     Cutout,
     ProjPoint,
     RankConditionMatrix,
     TangentDirection,
-    _census_exhaustive_generic,
+    _census_exhaustive,
+    _column_codes,
+    _rank_mask,
+    _rank_table,
+    clopper_pearson_upper,
     _forms_vanish_numeric,
     _numeric_selected_columns,
     base_locus_scan,
@@ -30,10 +38,12 @@ from mcmforms.schedule import ProblemShape, build_schedule
 from mcmforms.section_builder import (
     build_matrices,
     build_sections,
+    _combine_columns,
     build_selected,
     extract_form,
     selection_layouts,
 )
+from mcmforms.util import rank_mod_p
 
 F2 = Field(2)
 F3 = Field(3)
@@ -283,9 +293,138 @@ def test_census_3_3_2():
     assert 5.9 < rep["implied_codim"] < 6.0
 
 
-def test_census_generic_path_matches_vectorized_path():
-    assert _census_exhaustive_generic(2, 2, 2) == 148
-    assert _census_exhaustive_generic(2, 3, 2) == 596
+def scalar_census(a, b, q):
+    """The scalar member count the census ran over F_q (q > 2) before the
+    numpy kernel: the reference for _census_exhaustive. Columns are coded by
+    their index in F_q^b and summed through an addition table; ranks are
+    memoized on sorted column multisets."""
+    col_space = list(product(range(q), repeat=b))
+    index = {v: i for i, v in enumerate(col_space)}
+    add_table = [[index[tuple((u + w) % q for u, w in zip(x, y))] for y in col_space]
+                 for x in col_space]
+    negate = [index[tuple(-u % q for u in x)] for x in col_space]
+    layouts = [layout for _, _, layout in selection_layouts(a)]
+    rank_cache = {}
+
+    def add(x, y):
+        return add_table[x][y]
+
+    def cached_rank(cols):
+        key = tuple(sorted(cols))
+        r = rank_cache.get(key)
+        if r is None:
+            r = rank_cache[key] = rank_mod_p([col_space[i] for i in key], q)
+        return r
+
+    count = 0
+    for free in product(range(len(col_space)), repeat=2 * a + 1):
+        total = 0  # index of the zero column
+        for col in free:
+            total = add_table[total][col]
+        alphas = (negate[total],) + free[:a]
+        betas = free[a:]
+        memo = {}
+        if all(cached_rank(_combine_columns(layout, alphas, betas, add, memo)) <= a - 1
+               for layout in layouts):
+            count += 1
+    return count
+
+
+def test_census_kernel_matches_scalar_loop():
+    for a, b, q in [(2, 2, 2), (2, 3, 2), (2, 2, 3)]:
+        assert _census_exhaustive(a, b, q) == scalar_census(a, b, q)
+
+
+def _code_of(col, q):
+    code = 0
+    for v in col:
+        code = code * q + v
+    return code
+
+
+@pytest.mark.parametrize("a, b, q", [(2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 3, 2),
+                                     (2, 2, 5), (3, 3, 3)])
+def test_rank_mask_matches_alt_membership(a, b, q):
+    rng = random.Random(f"rank-mask:{a},{b},{q}")
+    mats = [random_rank_matrix(a, b, q, rng, constrained=True) for _ in range(2000)]
+    add_table, mul = _column_codes(b, q)
+    add = np.bitwise_xor if q == 2 else (lambda x, y: add_table[x, y])
+    low = _rank_table(add_table, mul, a + 1) <= a - 1
+    cols = [np.array([_code_of(M.column(j), q) for M in mats], dtype=add_table.dtype)
+            for j in range(2 * a + 2)]
+    mask = _rank_mask(cols[:a + 1], cols[a + 1:], add, q ** b, low)
+    expected = [membership_M_ab_alt(M) for M in mats]
+    assert mask.tolist() == expected
+    assert any(expected)
+
+
+@pytest.mark.parametrize("b, q, k", [(2, 2, 3), (3, 2, 4), (2, 3, 3), (2, 5, 3), (3, 3, 4)])
+def test_rank_table_matches_oracle(b, q, k):
+    add, mul = _column_codes(b, q)
+    Q = q ** b
+    digits = [list(v) for v in product(range(q), repeat=b)]  # digits[x]: column of code x
+    for x in range(Q):
+        for t in range(q):
+            assert mul[t, x] == _code_of([t * v % q for v in digits[x]], q)
+        for y in range(Q):
+            assert add[x, y] == _code_of([(u + v) % q for u, v in zip(digits[x], digits[y])], q)
+            if q == 2:
+                assert add[x, y] == x ^ y
+    table = _rank_table(add, mul, k)
+    assert table.shape == (Q ** k,)
+    ranks = {}  # rank depends on the set of columns only
+    for key, tup in enumerate(product(range(Q), repeat=k)):
+        multiset = tuple(sorted(tup))
+        if multiset not in ranks:
+            ranks[multiset] = oracle_rank([digits[x] for x in multiset], q)
+        assert table[key] == ranks[multiset], tup
+
+
+def test_census_block_size_does_not_change_counts(monkeypatch):
+    calls = []
+    real_mask = finite_geometry._rank_mask
+
+    def counted(*args):
+        calls.append(1)
+        return real_mask(*args)
+
+    monkeypatch.setattr(finite_geometry, "_rank_mask", counted)
+    for a, b, q, count in [(2, 2, 2, 148), (2, 3, 2, 596), (2, 2, 3, 1737)]:
+        Q, nfree = q ** b, 2 * a + 1
+        for block, masks in [(Q, Q ** (nfree - 1)), (Q ** nfree, 1)]:
+            monkeypatch.setattr(finite_geometry, "CENSUS_BLOCK", block)
+            calls.clear()
+            assert _census_exhaustive(a, b, q) == count
+            assert len(calls) == masks  # one inner column, then one block
+
+
+def test_census_memory_stays_bounded():
+    tracemalloc.start()
+    try:
+        rep = rank_condition_census(3, 3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["count"] == 273344
+    assert peak < 4 * 2 ** 20  # whole-space arrays of 2^21 tuples would not fit
+
+
+@pytest.mark.parametrize("n", [1, 20, 5000, 100_000])
+def test_clopper_pearson_closed_forms(n):
+    assert clopper_pearson_upper(n, n) == 1.0
+    assert clopper_pearson_upper(0, n) == pytest.approx(1 - 0.05 ** (1 / n), rel=1e-12)
+
+
+@pytest.mark.parametrize("hits, n", [(0, 5000), (1, 20), (3, 5000), (13, 20_000),
+                                     (168, 5000), (137, 100_000), (19, 20), (20, 20)])
+def test_clopper_pearson_matches_beta_quantile(hits, n):
+    stats = pytest.importorskip("scipy.stats")
+    upper = clopper_pearson_upper(hits, n)
+    if hits == n:
+        assert upper == 1.0
+    else:
+        assert upper == pytest.approx(stats.beta.ppf(0.95, hits + 1, n - hits), rel=1e-9)
+    assert hits / n <= upper <= 1.0
 
 
 def test_census_bound_formula():
@@ -301,10 +440,20 @@ def test_census_sample_mode_and_forced_fallback():
     rep = rank_condition_census(2, 2, 2, mode="sample", sample_size=5000, seed=3)
     assert rep["mode"] == "sample" and not rep["exact"] and not rep["forced_sample"]
     assert rep["count"] == 138  # extrapolated, deterministic for this seed
+    assert rep["confidence"] == 0.95
+    assert rep["count"] <= rep["count_upper"] <= rep["bound"]
     big = rank_condition_census(3, 4, 2, sample_size=20_000, seed=1)
     assert big["forced_sample"] and big["mode"] == "sample" and not big["exact"]
     assert big["verdict"] == "pass"
-    assert big["count"] <= big["bound"]
+    assert big["count"] <= big["count_upper"] <= big["bound"]
+    assert "count_upper" not in rank_condition_census(2, 2, 2)
+
+
+def test_sampled_census_verdict_rests_on_the_upper_bound(monkeypatch):
+    monkeypatch.setattr(finite_geometry, "clopper_pearson_upper", lambda hits, n: 1.0)
+    rep = rank_condition_census(2, 2, 2, mode="sample", sample_size=500, seed=3)
+    assert rep["count"] <= rep["bound"] < rep["count_upper"] == 2 ** 12
+    assert rep["verdict"] == "fail" and not rep["ok"]
 
 
 def test_census_rejects_bad_shapes_and_modes():
