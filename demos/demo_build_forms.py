@@ -13,7 +13,7 @@ from mcmforms.section_builder import (
     build_matrices,
     build_sections,
     column_divisors,
-    extract_form,
+    extract_forms,
     save_family,
 )
 
@@ -34,7 +34,8 @@ print("K_nu=0 column divisors:",
 
 # Extracting a form divides each column by its declared power and takes the
 # signed determinant with one column omitted; the twist comes out negative.
-form = extract_form(K, ("K_nu", 0), selection=(1,), omit=0, chart=0)
+# The determinant stays packed until value_global is first read.
+form = extract_forms(K, ("K_nu", 0), [(1,)], omit=0)[0]
 print(f"extracted form: twist={form.twist}, dz-degree={form.dz_degree},"
       f" terms={form.value_global.term_count()}")
 

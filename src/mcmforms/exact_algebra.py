@@ -512,12 +512,7 @@ def deriv(p: MultiPoly, j: int) -> MultiPoly:
 
 
 def total_differential(p: MultiPoly) -> MultiPoly:
-    """d(p) = sum_k (partial p / partial z_k) * dz_k.
-
-    Chart compatibility: restricting d(p) to the chart z_l = 1 equals the
-    differential of the chart restriction, so this is the global lift of
-    the chart-wise differential of p / z_l^deg on z_l != 0.
-    """
+    """d(p) = sum_k (partial p / partial z_k) * dz_k."""
     q = p.field.p
     n1 = p.N + 1
     out: Dict[Exponent, object] = {}
@@ -532,26 +527,6 @@ def total_differential(p: MultiPoly) -> MultiPoly:
                 new[k] = e - 1
                 new[n1 + k] += 1
                 _add_term(out, tuple(new), coeff, q)
-    res = MultiPoly(p.N, p.field)
-    res.terms = out
-    return res
-
-
-def chart_restrict(p: MultiPoly, l: int) -> MultiPoly:
-    """Restrict to the affine chart z_l = 1: send z_l -> 1 and dz_l -> 0.
-
-    This is a ring homomorphism, so it commutes with sums, products and
-    determinants.
-    """
-    if not (0 <= l <= p.N):
-        raise ValueError(f"chart index {l} out of range")
-    q = p.field.p
-    n1 = p.N + 1
-    out: Dict[Exponent, object] = {}
-    for exp, c in p.terms.items():
-        if exp[n1 + l]:
-            continue
-        _add_term(out, exp[:l] + (0,) + exp[l + 1:] if exp[l] else exp, c, q)
     res = MultiPoly(p.N, p.field)
     res.terms = out
     return res
@@ -606,20 +581,6 @@ def substitute_dz(p: MultiPoly, images: Sequence[MultiPoly]) -> MultiPoly:
             piece = piece * pw
         total = total + piece
     return total
-
-
-def euler_substitute(p: MultiPoly) -> MultiPoly:
-    """Substitute dz_k -> z_k; on d(F) this recovers deg(F) * F."""
-    q = p.field.p
-    n1 = p.N + 1
-    zero_dz = (0,) * n1
-    out: Dict[Exponent, object] = {}
-    for exp, c in p.terms.items():
-        new = tuple(a + b for a, b in zip(exp[:n1], exp[n1:])) + zero_dz
-        _add_term(out, new, c, q)
-    res = MultiPoly(p.N, p.field)
-    res.terms = out
-    return res
 
 
 def kill_coordinates(p: MultiPoly, vanished: Iterable[int]) -> MultiPoly:

@@ -493,7 +493,7 @@ def rank_condition_census(a: int, b: int, q: int, mode: str = "exhaustive",
 
 def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,
                     vanished: Sequence[int] = ()) -> dict:
-    """Common zeros of the given forms over the coordinates-nonvanishing
+    """Common zeros mod q of the given forms over the coordinates-nonvanishing
     part of X, paired with tangent directions.
 
     Points run over X(F_q) with every retained coordinate nonzero (and every
@@ -526,7 +526,7 @@ def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,
         count = 0
         for d in dirs:
             directions_used += 1
-            vals = [f.evaluate_at(z, list(d.xi)) for f in forms]
+            vals = [f.evaluate_at(z, list(d.xi), q) for f in forms]
             if all(v == 0 for v in vals):
                 pairs.append({"z": z, "xi": list(d.xi)})
                 count += 1

@@ -47,7 +47,7 @@ from .exact_algebra import (
     MinorTable,
     MultiPoly,
     PackedPoly,
-    deriv,
+    QQ,
     det_mod_p,
     identity_modulus,
     kill_coordinates,
@@ -55,6 +55,7 @@ from .exact_algebra import (
     tangent_projection,
     times_monomial,
     to_literal,
+    total_differential,
     z_power,
 )
 from .schedule import fermat_heart_prime, twist_ledger
@@ -64,7 +65,7 @@ from .section_builder import (
     SectionFamily,
     build_matrices,
     build_selected,
-    extract_form,
+    extract_forms,
     selection_layouts,
 )
 from .util import child_rng, chunks, rank_mod_p
@@ -341,7 +342,7 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("transition", [guard], omit=omit, charts=(l1, l2))
-    form = extract_form(build_matrices(fam), which, selection, omit=omit, chart=l1, kind=kind)
+    form = extract_forms(build_matrices(fam), which, [selection], omit=omit, kind=kind)[0]
     G = form.value_global
     n_eff = form.dz_degree
     N = G.N
@@ -407,50 +408,24 @@ def monomial_basis(N: int, d: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def _eval_monomial(e: Sequence[int], z: Sequence[int], p: int) -> int:
-    v = 1
-    for zi, ei in zip(z, e):
-        if ei:
-            v = (v * pow(zi, ei, p)) % p
-    return v
-
-
-def _dir_derivative(e: Sequence[int], z: Sequence[int], v: Sequence[int], p: int) -> int:
-    total = 0
-    for i, ei in enumerate(e):
-        if ei == 0:
-            continue
-        shifted = list(e)
-        shifted[i] -= 1
-        total += ei * v[i] * _eval_monomial(shifted, z, p)
-    return total % p
-
-
 def evaluation_matrix(N: int, d: int, z: Sequence[int], tangents: Sequence[Sequence[int]],
                       p: int, twist_factor: Optional[MultiPoly] = None) -> List[List[int]]:
-    """The (N+1) x dim matrix of monomial values and tangent derivatives.
+    """The (N+1) x dim matrix of monomial values and tangent derivatives, mod p.
 
-    Row 0 evaluates every degree-d monomial at z; row 1+t differentiates
-    along tangents[t]. With a twist factor A the rows become A(z)*m(z) and
-    A(z)*Dm(v) + DA(v)*m(z), the Leibniz expansion of differentiating A*m.
+    Row 0 evaluates every degree-d monomial m at z; row 1+t evaluates its
+    differential at (z, tangents[t]). With a twist factor A the monomials
+    become A*m, whose differential at (z, v) is the Leibniz row
+    A(z)*Dm(v) + DA(v)*m(z). Rational coefficients are reduced mod p;
+    a factor over another prime field raises ValueError.
     """
-    basis = monomial_basis(N, d)
-    a_val = 1
-    da_val = [0] * len(tangents)
-    if twist_factor is not None:
-        zero_dz = [0] * (N + 1)
-        a_val = twist_factor.evaluate(z, zero_dz) % p
-        for t, v in enumerate(tangents):
-            da_val[t] = sum(
-                deriv(twist_factor, i).evaluate(z, zero_dz) * v[i] for i in range(N + 1)
-            ) % p
-    rows = [[(a_val * _eval_monomial(e, z, p)) % p for e in basis]]
-    for t, v in enumerate(tangents):
-        rows.append([
-            (a_val * _dir_derivative(e, z, v, p) + da_val[t] * _eval_monomial(e, z, p)) % p
-            for e in basis
-        ])
-    return rows
+    zero = (0,) * (N + 1)
+    if twist_factor is None:
+        polys = [MultiPoly.monomial(N, QQ, 1, e) for e in monomial_basis(N, d)]
+    else:
+        polys = [times_monomial(twist_factor, e + zero) for e in monomial_basis(N, d)]
+    values = EvalPlan(polys, p)
+    differentials = EvalPlan([total_differential(f) for f in polys], p)
+    return [values(z, zero)] + [differentials(z, v) for v in tangents]
 
 
 def verify_surjectivity(N: int, d: int, twist_factor: Optional[MultiPoly] = None,
@@ -463,6 +438,7 @@ def verify_surjectivity(N: int, d: int, twist_factor: Optional[MultiPoly] = None
     """
     if d < 1:
         raise ValueError("need degree at least 1")
+    factor = None if twist_factor is None else EvalPlan([twist_factor], p)
     witness = None
     for t in range(trials):
         rng = child_rng(seed, "surjectivity", t)
@@ -470,9 +446,8 @@ def verify_surjectivity(N: int, d: int, twist_factor: Optional[MultiPoly] = None
             z = [rng.randrange(p) for _ in range(N + 1)]
             if not any(z):
                 continue
-            if twist_factor is not None:
-                if twist_factor.evaluate(z, [0] * (N + 1)) % p == 0:
-                    continue
+            if factor is not None and factor(z, [0] * (N + 1))[0] == 0:
+                continue
             break
         while True:
             tangents = [[rng.randrange(p) for _ in range(N + 1)] for _ in range(N)]
@@ -529,8 +504,7 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
             for j2 in range(j1 + 1, ncols):
                 checks.append(_certificate_check(f"certificate j1={j1} j2={j2}",
                                                  M, j1, j2)[0])
-        form = extract_form(hidden, None, selection, omit=0, chart=hidden.retained[-1],
-                            kind="omega")
+        form = extract_forms(hidden, None, [selection], omit=0, kind="omega")[0]
         expected = fermat_heart_prime(fam.degrees, fam.lambdas, selection) \
             + sum(fam.lambdas[v] - 1 for v in vanished)
         ok = form.twist == expected
@@ -546,10 +520,10 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
             checks.append(_certificate_check(f"certificate {label}", M, 0, 1)[0])
             tau = params[0] if kind == "K_tau_rho" else None
             entry = ledger.lookup(eta, kind, tau, selection)
-            # extract_form takes the twist from the ledger and raises when
+            # extract_forms takes the twist from the ledger and raises when
             # the row degrees and divisors give another one
             try:
-                twist = extract_form(K, None, selection, omit=0, chart=K.retained[-1]).twist
+                twist = extract_forms(K, None, [selection], omit=0)[0].twist
             except DegreeClaimFailed as err:
                 if err.quantity != "twist":
                     raise

@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 
 from .exact_algebra import EvalPlan, MultiPoly, total_differential
 from .finite_geometry import proj_points, tangent_directions
-from .schedule import ProblemShape, nn2_threshold, rescale_ledger
+from .schedule import ProblemShape, nn2_threshold
 
 
 class NoRepresentation(ValueError):
@@ -136,33 +136,6 @@ def effective_bound_NN2(N: int) -> dict:
         "ok": True,
     })
     return report
-
-
-def rescale_grid_report(d_max: int = 100, s_max: int = 20, l_max: int = 20,
-                        a_values: Sequence[int] = (-2, -1, 0, 1, 2)) -> dict:
-    """The exponent identities of the rescale ledger over the whole grid
-    1 <= d' <= d <= d_max, 1 <= s, l <= s_max/l_max, a in a_values."""
-    rows = 0
-    violations = []
-    for s_exp in range(1, s_max + 1):
-        for l_exp in range(1, l_max + 1):
-            for a in a_values:
-                for d in range(1, d_max + 1):
-                    for entry in rescale_ledger(s_exp, l_exp, d, a, cap=d_max):
-                        rows += 1
-                        if not (entry["commutation_ok"] and entry["decomposition_ok"]):
-                            violations.append({"s": s_exp, "l": l_exp, "a": a,
-                                               "d": d, "dprime": entry["dprime"]})
-    return {
-        "op": "rescale-grid",
-        "d_max": d_max,
-        "s_max": s_max,
-        "l_max": l_max,
-        "a_values": list(a_values),
-        "rows": rows,
-        "violations": violations[:10],
-        "ok": not violations,
-    }
 
 
 # ----- pointwise product decomposition -----

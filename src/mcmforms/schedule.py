@@ -3,8 +3,7 @@
 The level recurrences produce the exponents mu_{l,k} and delta_l and the
 final coefficient degree d. On top of the schedule sit the twist-degree
 ledger (the integers heart^nu, heart^{tau,rho} and their hidden variants,
-all required to be <= -(N-eta)*heart), the effective-bound report, and the
-line-bundle proportionality checks.
+all required to be <= -(N-eta)*heart) and the effective-bound report.
 
 All arithmetic is exact big-integer; mu values overflow 64 bits already for
 N >= 6 with several levels.
@@ -339,51 +338,6 @@ def effective_bound_report(s: ExponentSchedule) -> Dict[str, object]:
             }
         )
     return report
-
-
-# ----- line-bundle proportionality -----
-
-
-def proportionality_check(s_exp: int, l_exp: int, d: int, a_twist: int) -> bool:
-    """Decide whether S^s_exp = A tensor L^l_exp tensor (L^d)^l_exp is
-    consistent with S = O(s') for an integer s': s_exp*s' = a + l + l*d,
-    with a + l >= 1 (positivity) and a - 2l <= -1 (negativity).
-    """
-    if d < 1 or s_exp < 1 or l_exp < 1:
-        raise ValueError("need d >= 1, s_exp >= 1, l_exp >= 1")
-    total = a_twist + l_exp + l_exp * d
-    return total % s_exp == 0 and total // s_exp >= 1 and a_twist + l_exp >= 1 and a_twist - 2 * l_exp <= -1
-
-
-def rescale_ledger(s_exp: int, l_exp: int, d: int, a_twist: int, cap: int = 100) -> List[Dict[str, object]]:
-    """Exponent identities for every rescale step d' <= min(d, cap):
-    s*(1+d') = (1+d')*s and a*(1+d') + l*(1+d) + l*(1+d)*d' = (1+d')*(a + l*(1+d))."""
-    rows = []
-    for dp in range(1, min(d, cap) + 1):
-        commut = s_exp * (1 + dp) == (1 + dp) * s_exp
-        lhs = a_twist * (1 + dp) + l_exp * (1 + d) + l_exp * (1 + d) * dp
-        rhs = (1 + dp) * (a_twist + l_exp * (1 + d))
-        rows.append({"dprime": dp, "commutation_ok": commut, "decomposition_ok": lhs == rhs})
-    return rows
-
-
-def proportionality_report(s_exp: int, l_exp: int, d: int, a_twist: int, cap: int = 100) -> Dict[str, object]:
-    ok = proportionality_check(s_exp, l_exp, d, a_twist)
-    ledger = rescale_ledger(s_exp, l_exp, d, a_twist, cap=cap)
-    total = a_twist + l_exp + l_exp * d
-    return {
-        "ok": ok,
-        "s_exp": s_exp,
-        "l_exp": l_exp,
-        "d": d,
-        "a_twist": a_twist,
-        "total": total,
-        "s_prime": total // s_exp if total % s_exp == 0 else None,
-        "positivity": a_twist + l_exp >= 1,
-        "negativity": a_twist - 2 * l_exp <= -1,
-        "rescale_ledger_ok": all(r["commutation_ok"] and r["decomposition_ok"] for r in ledger),
-        "rescale_steps": len(ledger),
-    }
 
 
 def schedule_to_dict(s: ExponentSchedule) -> Dict[str, object]:

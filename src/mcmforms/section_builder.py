@@ -53,11 +53,11 @@ from .exact_algebra import (
     MultiPoly,
     PackedPoly,
     QQ,
-    chart_restrict,
     det_mod_p,
     divide_exact,
     from_literal,
     kill_coordinates,
+    times_monomial,
     to_literal,
     total_differential,
     z_power,
@@ -182,44 +182,25 @@ class FormalMatrixBundle:
         return len(self.vanished)
 
 
-class _Unpacked:
-    """A FormBundle polynomial made on first read by the bundle's
-    `_unpack_<name>` method and then kept; a value given to the
-    constructor is kept as given."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None  # the dataclass default
-        value = obj.__dict__.get(self.name)
-        if value is None:
-            value = obj.__dict__[self.name] = getattr(obj, f"_unpack_{self.name}")()
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
-
-
 class DividedMatrix:
     """The divided rows of one extraction, shared by the forms taken from
-    them: compiled once for evaluation mod p, and evaluated once per point
-    however many of its forms are evaluated there."""
+    them: compiled once per modulus, and evaluated once per point however
+    many of its forms are evaluated there."""
 
     def __init__(self, rows: List[List[MultiPoly]]):
         self.rows = rows
+        self._plans: Dict[int, EvalPlan] = {}
         self._last: Optional[tuple] = None
 
-    @cached_property
-    def _plan(self) -> EvalPlan:
-        return EvalPlan([e for row in self.rows for e in row], self.rows[0][0].field.p)
-
-    def values_at(self, z_vals: Sequence[int], dz_vals: Sequence[int]) -> List[List[int]]:
-        """The entries' values mod p at (z, dz), row by row."""
-        point = (tuple(z_vals), tuple(dz_vals))
+    def values_at(self, z_vals: Sequence[int], dz_vals: Sequence[int],
+                  q: int) -> List[List[int]]:
+        """The entries' values mod q at (z, dz), row by row."""
+        point = (q, tuple(z_vals), tuple(dz_vals))
         if self._last is None or self._last[0] != point:
-            self._last = (point, chunks(self._plan(z_vals, dz_vals), len(self.rows[0])))
+            plan = self._plans.get(q)
+            if plan is None:
+                plan = self._plans[q] = EvalPlan([e for row in self.rows for e in row], q)
+            self._last = (point, chunks(plan(z_vals, dz_vals), len(self.rows[0])))
         return self._last[1]
 
 
@@ -228,10 +209,10 @@ class FormBundle:
     """One signed, divided determinant with its twist metadata.
 
     The determinant stays packed in `det`; value_global, the signed
-    determinant, and value, its restriction to the chart z_chart = 1, are
-    unpacked on first read. The form's divided rows are rows matrix_rows
-    of `matrix`. omit_exponent is the declared divisor exponent of the
-    omitted column (1 for undivided kinds).
+    determinant, is unpacked on first read, and its degrees are checked
+    then against dz_degree and the claimed z_degree. The form's divided
+    rows are rows matrix_rows of `matrix`. omit_exponent is the declared
+    divisor exponent of the omitted column (1 for undivided kinds).
     """
 
     kind: str
@@ -241,22 +222,32 @@ class FormBundle:
     omit: int
     omit_coord: Optional[int]
     omit_exponent: int
-    chart: int
     twist: int
     dz_degree: int
+    z_degree: int
     det: Optional[PackedPoly] = dc_field(default=None, repr=False, compare=False)
     matrix: Optional[DividedMatrix] = dc_field(default=None, repr=False, compare=False)
     matrix_rows: Tuple[int, ...] = dc_field(default=(), compare=False)
     sign: int = 1
-    value_global: Optional[MultiPoly] = _Unpacked()
-    value: Optional[MultiPoly] = _Unpacked()
+
+    @cached_property
+    def value_global(self) -> MultiPoly:
+        return self._unpack_value_global()
 
     def _unpack_value_global(self) -> MultiPoly:
+        """The signed determinant, expanded; raises DegreeClaimFailed, in
+        the order bihomogeneous, dz-degree, z-degree, when it breaks a
+        degree claim."""
         det = self.det.unpack()
-        return det if self.sign == 1 else -det
-
-    def _unpack_value(self) -> MultiPoly:
-        return chart_restrict(self.value_global, self.chart)
+        value = det if self.sign == 1 else -det
+        if not value.is_zero():
+            if not value.is_bihomogeneous():
+                raise DegreeClaimFailed("bihomogeneous", True, False)
+            if value.dz_degree() != self.dz_degree:
+                raise DegreeClaimFailed("dz-degree", self.dz_degree, value.dz_degree())
+            if value.z_degree() != self.z_degree:
+                raise DegreeClaimFailed("z-degree", self.z_degree, value.z_degree())
+        return value
 
     @property
     def divided_rows(self) -> List[List[MultiPoly]]:
@@ -268,14 +259,11 @@ class FormBundle:
         value = self.__dict__.get("value_global")
         return value.term_count() if value is not None else self.det.term_count()
 
-    def evaluate_at(self, z_vals: Sequence[int], dz_vals: Sequence[int]):
-        """Evaluate the global form; over F_p through the divided matrix,
+    def evaluate_at(self, z_vals: Sequence[int], dz_vals: Sequence[int], q: int) -> int:
+        """The form's value mod q at (z, dz), taken from the divided matrix,
         since the determinant commutes with pointwise evaluation."""
-        p = self.matrix.rows[0][0].field.p
-        if p:
-            values = self.matrix.values_at(z_vals, dz_vals)
-            return (self.sign * det_mod_p([values[t] for t in self.matrix_rows], p)) % p
-        return self.value_global.evaluate(z_vals, dz_vals)
+        values = self.matrix.values_at(z_vals, dz_vals, q)
+        return (self.sign * det_mod_p([values[t] for t in self.matrix_rows], q)) % q
 
 
 # ----- random coefficients -----
@@ -407,18 +395,9 @@ def build_sections(
                 coeffs[key] = make(key, cdeg, rng)
                 F = F + coeffs[key] * MultiPoly.z(shape.N, j, field, power=d)
             for level, tup, jk in triples:
-                k_pos = tup.index(jk)
-                m_exp = schedule.mu[(level, k_pos)]
-                if d - level * m_exp < 1:
-                    raise ValueError("schedule residual exponent not positive")
                 key = f"M:{i}:{','.join(map(str, tup))}:{jk}"
                 coeffs[key] = make(key, cdeg, rng)
-                mono = [0] * (2 * (shape.N + 1))
-                for m in tup:
-                    mono[m] = m_exp
-                mono[jk] = d - level * m_exp
-                term = coeffs[key] * MultiPoly(shape.N, field, {tuple(mono): 1})
-                F = F + term
+                F = F + times_monomial(coeffs[key], _moving_monomial(shape.N, schedule, level, tup, jk))
             expected = cdeg + d
             if not F.is_zero() and F.z_degree() != expected:
                 raise ValueError(f"section {i} degree {F.z_degree()} != {expected}")
@@ -462,16 +441,25 @@ def build_matrices(fam: SectionFamily) -> FormalMatrixBundle:
     return bundle
 
 
-def _mcm_term(fam: SectionFamily, i: int, level: int, tup: Tuple[int, ...], jk: int) -> MultiPoly:
-    sched = fam.schedule
-    k_pos = tup.index(jk)
-    m_exp = sched.mu[(level, k_pos)]
-    mono = [0] * (2 * (fam.shape.N + 1))
+def _moving_monomial(N: int, sched: ExponentSchedule, level: int, tup: Tuple[int, ...],
+                     jk: int) -> Tuple[int, ...]:
+    """Exponent tuple of the monomial of the moving term M^{tup;jk}:
+    z_m^mu[level, k] for each m in tup, except z_jk^(d - level * mu[level, k]),
+    k the position of jk in tup."""
+    m_exp = sched.mu[(level, tup.index(jk))]
+    if sched.d - level * m_exp < 1:
+        raise ValueError("schedule residual exponent not positive")
+    mono = [0] * (2 * (N + 1))
     for m in tup:
         mono[m] = m_exp
     mono[jk] = sched.d - level * m_exp
+    return tuple(mono)
+
+
+def _mcm_term(fam: SectionFamily, i: int, level: int, tup: Tuple[int, ...], jk: int) -> MultiPoly:
     key = f"M:{i}:{','.join(map(str, tup))}:{jk}"
-    return fam.coefficients[key] * MultiPoly(fam.shape.N, fam.field, {tuple(mono): 1})
+    return times_monomial(fam.coefficients[key],
+                          _moving_monomial(fam.shape.N, fam.schedule, level, tup, jk))
 
 
 def _check_bundle_invariants(bundle: FormalMatrixBundle) -> None:
@@ -737,7 +725,6 @@ def extract_forms(
     which: Optional[Tuple],
     selections: Sequence[Sequence[int]],
     omit: int,
-    chart: int,
     kind: Optional[str] = None,
 ) -> List[FormBundle]:
     """One signed divided determinant per selection, kept packed.
@@ -747,10 +734,9 @@ def extract_forms(
     `omit`; each remaining column is divided by z_coord^(e-1) for its
     declared exponent e (e = lambda template; e = 1 for the undivided kind
     "psi"). value_global is (-1)^omit * det of the divided matrix,
-    bihomogeneous of dz-degree n - eta; value is its restriction to the
-    chart z_chart = 1. The twist is sum of the row L-degrees minus sum over
-    all columns of (e - 1), cross-checked against the ledger entry for mcm
-    selections.
+    bihomogeneous of dz-degree n - eta. The twist is sum of the row
+    L-degrees minus sum over all columns of (e - 1), cross-checked against
+    the ledger entry for mcm selections.
 
     The selection is applied and the rows divided once for all selections,
     and the determinants share one MinorTable: forms that differ only in
@@ -761,35 +747,9 @@ def extract_forms(
     c_j is (1 - e, 0). Every term of a minor then has the bidegree summed
     over its rows and columns, which is the claimed dz-degree and z-degree.
     A failing claim raises DegreeClaimFailed, in the order bihomogeneous,
-    dz-degree, twist, z-degree.
+    dz-degree, twist, z-degree; each form checks its claims once more when
+    value_global is first unpacked.
     """
-    return _extract(K, which, selections, omit, chart, kind)[0]
-
-
-def extract_form(
-    K: FormalMatrixBundle,
-    which: Optional[Tuple],
-    selection: Sequence[int],
-    omit: int,
-    chart: int,
-    kind: Optional[str] = None,
-) -> FormBundle:
-    """The form of one selection (see extract_forms), unpacked, with the
-    degree claims checked once more on the expanded polynomial."""
-    (form,), (expected_z,) = _extract(K, which, [selection], omit, chart, kind)
-    value_global = form.value_global
-    if not value_global.is_zero():
-        if not value_global.is_bihomogeneous():
-            raise DegreeClaimFailed("bihomogeneous", True, False)
-        if value_global.dz_degree() != form.dz_degree:
-            raise DegreeClaimFailed("dz-degree", form.dz_degree, value_global.dz_degree())
-        if value_global.z_degree() != expected_z:
-            raise DegreeClaimFailed("z-degree", expected_z, value_global.z_degree())
-    return form
-
-
-def _extract(K, which, selections, omit, chart, kind) -> Tuple[List[FormBundle], List[int]]:
-    """The forms of extract_forms and the z-degree each one claims."""
     if which is not None:
         K = build_selected(K, which)
     fam = K.family
@@ -806,8 +766,6 @@ def _extract(K, which, selections, omit, chart, kind) -> Tuple[List[FormBundle],
     ncols = K.ncols
     if not (0 <= omit < ncols):
         raise ValueError("omitted column out of range")
-    if chart not in K.retained:
-        raise ValueError(f"chart {chart} is not a retained coordinate")
 
     if K.layout == "sec4":
         if kind is None:
@@ -819,7 +777,7 @@ def _extract(K, which, selections, omit, chart, kind) -> Tuple[List[FormBundle],
         kind = "phi_nu" if K.selected_kind == "K_nu" else "psi_tau_rho"
         divisor_exps = K.divisor_exponents
     else:
-        raise ValueError("extract_form needs a sec4 or selected bundle")
+        raise ValueError("extract_forms needs a sec4 or selected bundle")
     if eta:
         kind = "hidden_" + kind
 
@@ -839,7 +797,7 @@ def _extract(K, which, selections, omit, chart, kind) -> Tuple[List[FormBundle],
     matrix = DividedMatrix(divided)
     table = MinorTable(divided)
     sign = -1 if omit % 2 else 1
-    forms, expected_z = [], []
+    forms = []
     for selection in selections:
         twist = _twist_for(K, kind, selection, divisor_exps)
         _check_twist(fam, twist, selection, divisor_exps)
@@ -854,16 +812,15 @@ def _extract(K, which, selections, omit, chart, kind) -> Tuple[List[FormBundle],
             omit=omit,
             omit_coord=K.column_coords[omit],
             omit_exponent=divisor_exps[omit],
-            chart=chart,
             twist=twist,
             dz_degree=n_eff,
+            z_degree=sum(row_bidegrees[t][0] for t in rows) + sum(col_shifts),
             det=table.packed(table.minor(rows, tuple(range(len(cols)))), rows),
             matrix=matrix,
             matrix_rows=rows,
             sign=sign,
         ))
-        expected_z.append(sum(row_bidegrees[t][0] for t in rows) + sum(col_shifts))
-    return forms, expected_z
+    return forms
 
 
 def _divided_entry(K: FormalMatrixBundle, rid: int, col: int, e: int) -> MultiPoly:

@@ -17,17 +17,16 @@ from mcmforms.exact_algebra import (
     MultiPoly,
     ParseError,
     QQ,
-    chart_restrict,
     deriv,
     det_mod_p,
     divide_exact,
     dz_components,
-    euler_substitute,
     from_literal,
     gradient_rows,
     identity_test,
     poly_det,
     sample_identity,
+    substitute_dz,
     tangent_projection,
     times_monomial,
     to_literal,
@@ -279,42 +278,8 @@ def test_euler_relation():
                 exp[rng.randrange(N + 1)] += 1
             terms[tuple(exp)] = Fraction(rng.randrange(1, 9))
         f = MultiPoly(N, QQ, terms)
-        assert euler_substitute(total_differential(f)) == f.scale(deg)
-
-
-def test_chart_restrict_examples():
-    p = from_literal("1 * z0^2 z1^1 + 1 * z2^1 dz0^1", 2)
-    assert chart_restrict(p, 0) == from_literal("z1", 2)
-    assert chart_restrict(p, 1) == from_literal("1 * z0^2 + 1 * z2^1 dz0^1", 2)
-
-
-def test_chart_restrict_is_ring_homomorphism():
-    rng = random.Random(5)
-    for _ in range(30):
-        N = rng.randrange(1, 4)
-        l = rng.randrange(N + 1)
-        p = rand_poly(rng, N, QQ)
-        q = rand_poly(rng, N, QQ)
-        assert chart_restrict(p + q, l) == chart_restrict(p, l) + chart_restrict(q, l)
-        assert chart_restrict(p * q, l) == chart_restrict(p, l) * chart_restrict(q, l)
-
-
-def test_chart_restrict_commutes_with_differential():
-    # restricting d(p) to a chart equals the chart-wise differential of p's restriction
-    rng = random.Random(9)
-    for _ in range(30):
-        N = rng.randrange(1, 4)
-        l = rng.randrange(N + 1)
-        p = rand_poly(rng, N, QQ, with_dz=False)
-        assert chart_restrict(total_differential(p), l) == total_differential(chart_restrict(p, l))
-
-
-def test_chart_restrict_commutes_with_determinant():
-    rng = random.Random(13)
-    rows = [[rand_poly(rng, 2, QQ, max_terms=3) for _ in range(3)] for _ in range(3)]
-    d = poly_det(rows)
-    restricted = [[chart_restrict(e, 1) for e in row] for row in rows]
-    assert chart_restrict(d, 1) == poly_det(restricted)
+        euler = substitute_dz(total_differential(f), [MultiPoly.z(N, k) for k in range(N + 1)])
+        assert euler == f.scale(deg)
 
 
 def test_deriv_and_gradient_rows():
@@ -556,10 +521,6 @@ def test_calculus_and_substitutions_match_field_arithmetic(data):
     assert same_poly(total_differential(p), field_transform(
         p, lambda e, c, f: [(_lowered(e, k, n1 + k), f.mul(c, f.coerce(e[k])))
                             for k in range(n1) if e[k]]))
-    assert same_poly(chart_restrict(p, j), field_transform(
-        p, lambda e, c, f: [] if e[n1 + j] else [(e[:j] + (0,) + e[j + 1:], c)]))
-    assert same_poly(euler_substitute(p), field_transform(
-        p, lambda e, c, f: [(tuple(e[k] + e[n1 + k] for k in range(n1)) + (0,) * n1, c)]))
 
 
 @pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=str)

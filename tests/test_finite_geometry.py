@@ -33,6 +33,7 @@ from mcmforms.finite_geometry import (
     smoothness_with_resampling,
     tangent_directions,
 )
+from mcmforms.pipeline import standard_forms
 from mcmforms.product_coup import verify_product_decomposition
 from mcmforms.schedule import ProblemShape, build_schedule
 from mcmforms.section_builder import (
@@ -40,7 +41,7 @@ from mcmforms.section_builder import (
     build_sections,
     _combine_columns,
     build_selected,
-    extract_form,
+    extract_forms,
     selection_layouts,
 )
 from mcmforms.util import rank_mod_p
@@ -472,13 +473,13 @@ class ConstantForm:
     def __init__(self, fn):
         self.fn = fn
 
-    def evaluate_at(self, z, xi):
+    def evaluate_at(self, z, xi, q):
         return self.fn(z, xi)
 
 
 def line_psi(fam):
     K = build_matrices(fam)
-    return extract_form(K, None, selection=(1,), omit=0, chart=0, kind="psi")
+    return extract_forms(K, None, [(1,)], omit=0, kind="psi")[0]
 
 
 def test_base_locus_of_line_form_is_empty():
@@ -492,6 +493,17 @@ def test_base_locus_of_line_form_is_empty():
     assert rep["base_count"] == 0 and rep["base_pairs"] == []
     assert rep["fiber_counts"] == {}
     assert rep["ok"] and rep["singular_tangent"] == []
+
+
+@pytest.mark.parametrize("q, base_count", [(3, 1), (7, 2)])
+def test_base_locus_of_a_rational_family_vanishes_mod_q(q, base_count):
+    fam = build_sections(ProblemShape(2, 1, 0), "general_fermat", field=QQ,
+                         lambdas=(2, 2, 2), degrees=(3,), seed=0)
+    forms = standard_forms(fam)
+    rep = base_locus_scan(fam, forms, q)
+    assert rep["base_count"] == base_count
+    for pair in rep["base_pairs"]:
+        assert all(f.value_global.evaluate_mod(pair["z"], pair["xi"], q) == 0 for f in forms)
 
 
 def test_base_locus_matches_inline_enumeration():

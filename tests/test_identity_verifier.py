@@ -8,6 +8,7 @@ from mcmforms.exact_algebra import (
     Field,
     MultiPoly,
     QQ,
+    deriv,
     from_literal,
     identity_test,
     poly_det,
@@ -27,7 +28,13 @@ from mcmforms.identity_verifier import (
     verify_transition,
 )
 from mcmforms.schedule import ProblemShape, TwistLedger, build_schedule, twist_ledger
-from mcmforms.section_builder import build_matrices, build_sections, extract_form
+from mcmforms.section_builder import (
+    FormBundle,
+    build_matrices,
+    build_sections,
+    extract_forms,
+    random_homogeneous,
+)
 from mcmforms.util import rank_mod_p
 
 F101 = Field(101)
@@ -94,8 +101,8 @@ def test_line_gluing_certificate_matches_hand_expansion():
     dF_z2 = from_literal(
         "1 * z2^1 dz0^1 + 1 * z2^1 dz1^1 + 1 * z2^1 dz2^1", 2)
     assert cert == F_dz2 - dF_z2
-    psi0 = extract_form(K, None, (1,), omit=0, chart=0, kind="psi").value_global
-    psi1 = extract_form(K, None, (1,), omit=1, chart=0, kind="psi").value_global
+    psi0 = extract_forms(K, None, [(1,)], omit=0, kind="psi")[0].value_global
+    psi1 = extract_forms(K, None, [(1,)], omit=1, kind="psi")[0].value_global
     assert psi0 - psi1 == cert
 
 
@@ -201,7 +208,7 @@ def test_gluing_probabilistic_mode():
 def test_tangent_scaling_holds_for_forms_but_not_in_general():
     fam = unit_line_family()
     K = build_matrices(fam)
-    G = extract_form(K, None, (1,), omit=2, chart=0, kind="psi").value_global
+    G = extract_forms(K, None, [(1,)], omit=2, kind="psi")[0].value_global
     for l in range(3):
         assert tangent_projection(G, l) == times_monomial(G, z_power(2, l, 1))
     raw = MultiPoly.dz(2, 0, QQ)
@@ -273,17 +280,17 @@ def test_sampled_gluing_failure_keeps_its_point(monkeypatch):
 
 def test_sampling_catches_a_broken_transition_and_keeps_its_points(monkeypatch):
     fam = fermat_family(2, 1, 0, (2, 2, 2), (3,), seed=4)
-    real = identity_verifier.extract_form
+    real = identity_verifier.extract_forms
 
     def broken(*args, **kwargs):
         # one bihomogeneous term that no chart change fixes
-        form = real(*args, **kwargs)
+        (form,) = real(*args, **kwargs)
         G = form.value_global
         zdeg, n = G.bidegree()
-        term = MultiPoly.monomial(G.N, G.field, 1, (zdeg, 0, 0), (0, n, 0))
-        return dataclasses.replace(form, value_global=G + term)
+        form.value_global = G + MultiPoly.monomial(G.N, G.field, 1, (zdeg, 0, 0), (0, n, 0))
+        return [form]
 
-    monkeypatch.setattr(identity_verifier, "extract_form", broken)
+    monkeypatch.setattr(identity_verifier, "extract_forms", broken)
     exact = verify_transition(fam, (1,), omit=2, l1=0, l2=1, mode="exact")
     assert not exact["ok"]
     assert [c["verdict"] for c in exact["checks"][:3]] == ["fail"] * 3
@@ -390,6 +397,69 @@ def test_rank_verdict_invariant_under_lower_triangular_change():
         assert rank_mod_p(mixed, p) == base
 
 
+def reference_evaluation_matrix(N, d, z, tangents, p, twist_factor=None):
+    """The hand-written loop evaluation_matrix ran before EvalPlan:
+    monomial values and directional derivatives mod p, premultiplied by the
+    twist factor by the Leibniz rule. The reference for evaluation_matrix."""
+    def eval_monomial(e):
+        v = 1
+        for zi, ei in zip(z, e):
+            if ei:
+                v = (v * pow(zi, ei, p)) % p
+        return v
+
+    def dir_derivative(e, v):
+        total = 0
+        for i, ei in enumerate(e):
+            if ei:
+                shifted = list(e)
+                shifted[i] -= 1
+                total += ei * v[i] * eval_monomial(shifted)
+        return total % p
+
+    basis = monomial_basis(N, d)
+    a_val, da_val = 1, [0] * len(tangents)
+    if twist_factor is not None:
+        zero_dz = [0] * (N + 1)
+        a_val = twist_factor.evaluate(z, zero_dz) % p
+        for t, v in enumerate(tangents):
+            da_val[t] = sum(deriv(twist_factor, i).evaluate(z, zero_dz) * v[i]
+                            for i in range(N + 1)) % p
+    rows = [[(a_val * eval_monomial(e)) % p for e in basis]]
+    for t, v in enumerate(tangents):
+        rows.append([(a_val * dir_derivative(e, v) + da_val[t] * eval_monomial(e)) % p
+                     for e in basis])
+    return rows
+
+
+def test_evaluation_matrix_matches_the_reference_loop():
+    rng = random.Random(21)
+    for N, d in [(1, 1), (2, 3), (3, 2), (4, 2)]:
+        factors = [None, random_homogeneous(N, 2, F101, rng), MultiPoly.z(N, N, F101)]
+        for A in factors:
+            for _ in range(5):
+                z = [rng.randrange(101) for _ in range(N + 1)]
+                tangents = [[rng.randrange(101) for _ in range(N + 1)] for _ in range(N)]
+                assert evaluation_matrix(N, d, z, tangents, 101, A) == \
+                    reference_evaluation_matrix(N, d, z, tangents, 101, A)
+
+
+def test_surjectivity_reduces_a_rational_twist_factor_mod_p():
+    A = from_literal("1/2 * z0^1 + 1 * z1^1", 2)
+    residues = from_literal("51 * z0^1 + 1 * z1^1", 2, F101)  # 1/2 = 51 mod 101
+    z, tangents = [3, 5, 7], [[1, 0, 0], [0, 0, 1]]
+    mat = evaluation_matrix(2, 2, z, tangents, 101, A)
+    assert mat == reference_evaluation_matrix(2, 2, z, tangents, 101, residues)
+    assert all(isinstance(x, int) and 0 <= x < 101 for row in mat for x in row)
+    rep = verify_surjectivity(2, 2, twist_factor=A, trials=20)
+    assert rep["ok"] and rep["leibniz"]
+
+
+def test_surjectivity_refuses_a_twist_factor_over_another_field():
+    with pytest.raises(ValueError, match="F_7"):
+        verify_surjectivity(2, 2, twist_factor=MultiPoly.z(2, 0, Field(7)))
+
+
 # ----- hidden -----
 
 
@@ -426,6 +496,19 @@ def test_hidden_mcm_certificates_and_ledger_twist():
     assert len(certs) == 10 and len(twists) == 10
     assert all(c["verdict"] == "pass" for c in rep["checks"])
     assert "certificate K_tau_rho(2,3)" in [c["id"] for c in certs]
+
+
+def test_hidden_reads_twists_without_unpacking_a_form(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a form unpacked")
+
+    monkeypatch.setattr(FormBundle, "_unpack_value_global", refuse)
+    shape = ProblemShape(4, 2, 0)
+    mcm = build_sections(shape, "mcm", field=Field(5), schedule=build_schedule(shape, 2), seed=4)
+    general = fermat_family(4, 2, 0, (2, 2, 2, 2, 2), (3, 3), seed=3)
+    for fam, vanished in ((mcm, (0,)), (general, (4,))):
+        rep = verify_hidden(fam, vanished, (1,))
+        assert rep["ok"] and any(c["id"].startswith("twist") for c in rep["checks"])
 
 
 def _ledger_entry_off_by_one(monkeypatch, key):

@@ -10,7 +10,6 @@ from mcmforms.product_coup import (
     NoRepresentation,
     effective_bound_NN2,
     frobenius_split,
-    rescale_grid_report,
     verify_product_decomposition,
     verify_semigroup_bound,
 )
@@ -149,23 +148,6 @@ def test_effective_bound_even_larger():
 def test_effective_bound_guard():
     with pytest.raises(ValueError):
         effective_bound_NN2(0)
-
-
-# ----- rescale grid -----
-
-
-def test_rescale_grid_full():
-    rep = rescale_grid_report(a_values=(-1,))
-    # one row per (s, l, a, d, d') with 1 <= d' <= d <= 100, s, l <= 20
-    assert rep["rows"] == 20 * 20 * 1 * sum(range(1, 101))
-    assert rep["violations"] == []
-    assert rep["ok"]
-
-
-def test_rescale_grid_multiple_twists():
-    rep = rescale_grid_report(d_max=20, s_max=5, l_max=5, a_values=(-3, 0, 2))
-    assert rep["rows"] == 5 * 5 * 3 * sum(range(1, 21))
-    assert rep["ok"]
 
 
 # ----- product decomposition -----

@@ -15,9 +15,6 @@ from mcmforms.schedule import (
     fermat_heart_prime,
     fermat_hidden_heart_prime,
     ledger_to_dict,
-    proportionality_check,
-    proportionality_report,
-    rescale_ledger,
     schedule_from_dict,
     schedule_to_dict,
     twist_ledger,
@@ -302,30 +299,6 @@ def test_effective_bound_report_where_N_to_the_N2_overflows_a_float(shape, preci
     d0 = Decimal(rep["d0_floor"])
     assert abs(Decimal(rep["d0_approx"]) / d0 - 1) < Decimal("1e-15")
     assert abs(Decimal(rep["eps0_approx"]) * d0 / 3 - 1) < Decimal("1e-5")
-
-
-# ----- proportionality -----
-
-
-def test_proportionality_examples():
-    for d in (1, 5, 64845):
-        assert proportionality_check(1, 1, d, 0)
-        assert proportionality_check(1, 1, d, 1)
-    assert not proportionality_check(1, 1, 10, 3)  # negativity violated
-
-
-def test_proportionality_divisibility():
-    # s_exp = 2 requires the total twist to be even
-    assert proportionality_check(2, 1, 3, 0)  # 0+1+3 = 4 = 2*2
-    assert not proportionality_check(2, 1, 4, 0)  # 0+1+4 = 5 odd
-
-
-def test_rescale_ledger_identities_hold():
-    rows = rescale_ledger(1, 1, 50, 0)
-    assert len(rows) == 50
-    assert all(r["commutation_ok"] and r["decomposition_ok"] for r in rows)
-    rep = proportionality_report(1, 2, 30, -1)
-    assert rep["rescale_ledger_ok"] and rep["s_prime"] == -1 + 2 + 2 * 30
 
 
 # ----- serialization -----

@@ -17,13 +17,13 @@ from mcmforms.section_builder import (
     build_sections,
     build_selected,
     column_divisors,
-    extract_form,
     extract_forms,
     load_family,
     random_homogeneous,
     save_family,
     selection_layouts,
 )
+from test_exact_algebra import cofactor_det
 
 F5 = Field(5)
 F101 = Field(101)
@@ -274,12 +274,14 @@ def test_corrupted_entry_fails_divisor_verification_with_coordinates():
 # ----- form extraction -----
 
 
-def test_line_form_and_chart_restriction():
+def test_line_form_and_its_value_on_a_chart():
     fam = unit_line_family()
     K = build_matrices(fam)
-    form = extract_form(K, None, (1,), omit=2, chart=0, kind="psi")
+    form = extract_forms(K, None, [(1,)], omit=2, kind="psi")[0]
     assert to_literal(form.value_global) == "1 * z0^1 dz1^1 + -1 * z1^1 dz0^1"
-    assert to_literal(form.value) == "1 * dz1^1"
+    # on the chart z0 = 1 (dz0 = 0) the form restricts to dz1
+    for z1, z2, dz1, dz2 in [(2, 3, 5, 7), (-1, 4, 1, 0)]:
+        assert form.value_global.evaluate([1, z1, z2], [0, dz1, dz2]) == dz1
     assert form.twist == 2 and form.dz_degree == 1
 
 
@@ -289,7 +291,7 @@ def test_cubic_divided_form_twist():
         lambdas=(2, 2, 2), degrees=(3,), seed=42,
     )
     K = build_matrices(fam)
-    form = extract_form(K, None, (1,), omit=0, chart=1, kind="omega")
+    form = extract_forms(K, None, [(1,)], omit=0, kind="omega")[0]
     assert form.twist == 2 * 3 - 3 == 3
     assert form.value_global.bidegree()[1] == 1
 
@@ -299,11 +301,11 @@ def test_mcm_K_nu_form_matches_ledger_twist():
     K = build_matrices(fam)
     ledger = twist_ledger(fam.schedule)
     for nu in (0, 3):
-        form = extract_form(K, ("K_nu", nu), (1,), omit=4, chart=0)
+        form = extract_forms(K, ("K_nu", nu), [(1,)], omit=4)[0]
         assert form.kind == "phi_nu"
         assert form.twist == ledger.lookup(0, "K_nu", None, (1,)).value == -8
         assert form.dz_degree == 1
-    form = extract_form(K, ("K_tau_rho", 0, 2), (1,), omit=0, chart=1)
+    form = extract_forms(K, ("K_tau_rho", 0, 2), [(1,)], omit=0)[0]
     assert form.kind == "psi_tau_rho" and form.twist == -8
 
 
@@ -318,37 +320,37 @@ def test_extract_form_rejects_a_ledger_that_disagrees_with_the_row_degrees(monke
 
     monkeypatch.setattr(TwistLedger, "lookup", lookup)
     with pytest.raises(DegreeClaimFailed) as info:
-        extract_form(K, ("K_nu", 0), (1,), omit=4, chart=0)
+        extract_forms(K, ("K_nu", 0), [(1,)], omit=4)[0]
     assert info.value.quantity == "twist"
     assert (info.value.expected, info.value.observed) == (-7, -8)
-    assert extract_form(K, ("K_tau_rho", 0, 2), (1,), omit=0, chart=1).twist == -8
+    assert extract_forms(K, ("K_tau_rho", 0, 2), [(1,)], omit=0)[0].twist == -8
 
 
 def test_form_evaluation_matches_value_global():
     fam = mcm_family(seed=14)
     K = build_matrices(fam)
-    form = extract_form(K, ("K_nu", 1), (1,), omit=2, chart=0)
+    form = extract_forms(K, ("K_nu", 1), [(1,)], omit=2)[0]
     rng = random.Random(0)
     for _ in range(5):
         z = [rng.randrange(1, 5) for _ in range(5)]
         dz = [rng.randrange(5) for _ in range(5)]
-        assert form.evaluate_at(z, dz) == form.value_global.evaluate(z, dz)
+        assert form.evaluate_at(z, dz, 5) == form.value_global.evaluate(z, dz)
 
 
 def test_selection_validation():
     fam = mcm_family(seed=15)
     K = build_matrices(fam)
     with pytest.raises(ValueError):
-        extract_form(K, ("K_nu", 0), (1, 2), omit=0, chart=0)  # too many rows
+        extract_forms(K, ("K_nu", 0), [(1, 2)], omit=0)[0]  # too many rows
     with pytest.raises(ValueError):
-        extract_form(K, ("K_nu", 0), (4,), omit=0, chart=0)  # row index out of range
+        extract_forms(K, ("K_nu", 0), [(4,)], omit=0)[0]  # row index out of range
 
 
 def test_omit_sign_convention():
     fam = unit_line_family()
     K = build_matrices(fam)
-    f0 = extract_form(K, None, (1,), omit=0, chart=1, kind="psi")
-    f1 = extract_form(K, None, (1,), omit=1, chart=0, kind="psi")
+    f0 = extract_forms(K, None, [(1,)], omit=0, kind="psi")[0]
+    f1 = extract_forms(K, None, [(1,)], omit=1, kind="psi")[0]
     # (-1)^0 det[[z1,z2],[dz1,dz2]] and (-1)^1 det[[z0,z2],[dz0,dz2]]
     assert to_literal(f0.value_global) == "1 * z1^1 dz2^1 + -1 * z2^1 dz1^1"
     assert to_literal(f1.value_global) == "-1 * z0^1 dz2^1 + 1 * z2^1 dz0^1"
@@ -372,9 +374,9 @@ def test_twist_consistency_for_random_families_all_small_shapes():
             K = build_matrices(fam)
             selection = tuple(sorted(rng.sample(range(1, c + 1), shape.n)))
             omit = rng.randrange(N + 1)
-            chart = rng.randrange(N + 1)
+            rng.randrange(N + 1)  # the draw of a chart, kept so the families stay the same
             kind = "psi" if trial % 2 else "omega"
-            form = extract_form(K, None, selection, omit=omit, chart=chart, kind=kind)
+            form = extract_forms(K, None, [selection], omit=omit, kind=kind)[0]
             spent = sum(l - 1 for l in lambdas) if kind == "omega" else 0
             expected = sum(degrees) + sum(degrees[j - 1] for j in selection) - spent
             assert form.twist == expected
@@ -393,11 +395,11 @@ def test_hidden_mcm_form_twist_matches_hidden_ledger():
     H = build_selected(K, ("hidden", 4))
     assert H.retained == (0, 1, 2, 3)
     ledger = twist_ledger(sched)
-    form = extract_form(H, ("K_nu", 0), (2,), omit=1, chart=1)
+    form = extract_forms(H, ("K_nu", 0), [(2,)], omit=1)[0]
     assert form.kind == "hidden_phi_nu"
     assert form.twist == ledger.lookup(1, "K_nu", None, (2,)).value
     assert form.dz_degree == 1
-    form2 = extract_form(H, ("K_tau_rho", 0, 3), (1,), omit=2, chart=0)
+    form2 = extract_forms(H, ("K_tau_rho", 0, 3), [(1,)], omit=2)[0]
     assert form2.twist == ledger.lookup(1, "K_tau_rho", 0, (1,)).value
 
 
@@ -408,7 +410,7 @@ def test_hidden_explicit_form_twist():
     )
     K = build_matrices(fam)
     H = build_selected(K, ("hidden", 0))
-    form = extract_form(H, None, (1,), omit=1, chart=2, kind="omega")
+    form = extract_forms(H, None, [(1,)], omit=1, kind="omega")[0]
     assert form.kind == "hidden_omega"
     # heart' skips the vanished lambda: (4 + 4 + 4) - 4*(2-1)
     assert form.twist == 12 - 4
@@ -418,19 +420,42 @@ def test_lazy_standard_forms_match_eager_extraction_term_for_term():
     fam = mcm_family()
     K = build_matrices(fam)
     lazy = standard_forms(fam)
-    eager = [extract_form(K, (kind,) + params, (j,), omit=0, chart=0)
+    alone = [extract_forms(K, (kind,) + params, [(j,)], omit=0)[0]
              for kind, params, _ in selection_layouts(4) for j in (1, 2, 3)]
-    assert len(lazy) == len(eager) == 45
-    for a, b in zip(lazy, eager):
+    assert len(lazy) == len(alone) == 45
+    for a, b in zip(lazy, alone):
         # still packed: the term count is read off the packed determinant
         assert a.__dict__.get("value_global") is None
-        assert a.term_count() == b.term_count()
-        assert (a.kind, a.selection, a.twist, a.dz_degree, a.omit_exponent) == \
-            (b.kind, b.selection, b.twist, b.dz_degree, b.omit_exponent)
-        assert a.divided_rows == b.divided_rows
-        assert a.value_global.terms == b.value_global.terms
-        assert a.value.terms == b.value.terms
-        assert a == b
+        assert a == b and a.divided_rows == b.divided_rows
+        eager = cofactor_det(a.divided_rows)
+        eager = eager if a.sign == 1 else -eager
+        assert a.term_count() == eager.term_count() > 0
+        assert a.value_global.terms == eager.terms
+
+
+def _packed_det(form, terms):
+    """form's packed determinant with its terms replaced by `terms`, a
+    list of (z exponents, dz exponents)."""
+    det = form.det
+    keys = {int.from_bytes(det.codec.pack(*(z + dz)), "little"): det.scale for z, dz in terms}
+    return det._replace(terms=keys)
+
+
+@pytest.mark.parametrize("terms, quantity", [
+    ([((4, 0, 0), (1, 0, 0))], "z-degree"),
+    ([((2, 0, 0), (2, 0, 0))], "dz-degree"),
+    ([((3, 0, 0), (1, 0, 0)), ((1, 0, 0), (1, 0, 0))], "bihomogeneous"),
+])
+def test_first_unpack_checks_the_claimed_degrees(terms, quantity):
+    K = build_matrices(unit_line_family())
+    form = extract_forms(K, None, [(1,)], omit=2, kind="psi")[0]
+    assert (form.z_degree, form.dz_degree) == (1, 1)
+    form.det = _packed_det(form, terms)
+    with pytest.raises(DegreeClaimFailed) as info:
+        form.value_global
+    assert info.value.quantity == quantity
+    form.det = _packed_det(form, [((0, 1, 0), (0, 0, 1))])
+    assert to_literal(form.value_global) == "1 * z1^1 dz2^1"
 
 
 @pytest.mark.parametrize("change, quantity", [
@@ -451,7 +476,7 @@ def test_a_corrupted_divided_entry_trips_the_structural_degree_check(monkeypatch
 
     monkeypatch.setattr(exact_algebra.MinorTable, "minor", refuse)
     with pytest.raises(DegreeClaimFailed) as info:
-        extract_forms(S, None, [(1,), (2,), (3,)], omit=0, chart=0)
+        extract_forms(S, None, [(1,), (2,), (3,)], omit=0)
     assert info.value.quantity == quantity
     assert info.value.entry == (row, 2)
 
@@ -508,7 +533,7 @@ def test_hidden_K_tau_rho_declares_each_divisor_per_column():
         which = ("K_tau_rho", tau, rho)
         sel = build_selected(H, which)
         assert len(column_divisors(sel)) == top + 1
-        form = extract_form(H, which, (1,), omit=0, chart=0)
+        form = extract_forms(H, which, [(1,)], omit=0)[0]
         assert form.twist == ledger.lookup(1, "K_tau_rho", tau, (1,)).value
     corner = build_selected(H, ("K_tau_rho", 2, 3))
     assert corner.column_tags[-1] == "A_3+sumB_gt_tau"
