@@ -13,9 +13,8 @@ from mcmforms.finite_geometry import (
     characterization_crosscheck,
     smoothness_with_resampling,
 )
-from mcmforms.pipeline import standard_forms
 from mcmforms.schedule import ProblemShape, build_schedule
-from mcmforms.section_builder import build_sections
+from mcmforms.section_builder import build_sections, standard_forms
 
 F5 = Field(5)
 shape = ProblemShape(4, 3, 0)
@@ -32,15 +31,17 @@ fam = build_sections(shape, "mcm", field=F5, schedule=sched,
                      seed=smooth["family_seed"])
 
 # The base locus collects (point, tangent direction) pairs where every
-# extracted form vanishes; fiber counts summarize vanishing per point.
+# extracted form vanishes; fiber counts summarize vanishing per point. The
+# forms are evaluated from their divided matrices and never expanded.
 forms = standard_forms(fam)
 locus = base_locus_scan(fam, forms, 5)
 print(f"base locus: {locus['base_count']} of {locus['directions']} pairs"
       f" ({len(forms)} forms), ok={locus['ok']}")
 print("fiber counts:", dict(list(locus["fiber_counts"].items())[:3]))
 
-# Independently, membership in the rank variety must agree with literal
-# form vanishing on every sampled pair; the forward direction is exact.
+# Membership in the rank variety must agree with the vanishing of the same
+# forms on every sampled pair; the forward direction is exact. Only the
+# sampled incidence pairs, from the base-locus walk, are visited.
 cross = characterization_crosscheck(fam, 5, sample=39936, seed=1)
 print(f"crosscheck: {cross['samples']} pairs, agree={cross['agree']},"
       f" incidence={cross['incidence_pairs']},"

@@ -38,7 +38,6 @@ from .pipeline import (
     replay,
     report_to_json,
     run_pipeline,
-    standard_forms,
 )
 from .product_coup import (
     NoRepresentation,
@@ -56,7 +55,7 @@ from .schedule import (
     twist_ledger,
     validate_schedule,
 )
-from .section_builder import load_family, save_family
+from .section_builder import load_family, save_family, standard_forms
 
 
 def _csv_ints(text: Optional[str]) -> Optional[tuple]:

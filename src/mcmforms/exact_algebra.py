@@ -641,23 +641,6 @@ def dz_components(p: MultiPoly) -> Dict[Exponent, MultiPoly]:
     return out
 
 
-def gradient_rows(p: MultiPoly) -> List[MultiPoly]:
-    """For p linear in dz: the z-only coefficients [g_0..g_N] with p = sum g_k dz_k."""
-    n1 = p.N + 1
-    grads = [MultiPoly.zero(p.N, p.field) for _ in range(n1)]
-    for dkey, comp in dz_components(p).items():
-        s = sum(dkey)
-        if s == 0:
-            if not comp.is_zero():
-                raise ValueError("polynomial has a dz-free part; not linear in dz")
-            continue
-        if s != 1:
-            raise ValueError("polynomial is not linear in dz")
-        k = dkey.index(1)
-        grads[k] = grads[k] + comp
-    return grads
-
-
 # ----- modular evaluation -----
 
 

@@ -7,7 +7,9 @@ The rank-condition variety M(a, b) collects the b x 2(a+1) matrices with
 column blocks alpha_0..alpha_a, beta_0..beta_a satisfying the zero-sum and
 rank inequalities; its census counts members exhaustively (one numpy
 kernel for every q) or by sampling, and compares against the codimension
-bound q^(dim - (a+b-1) + 1).
+bound q^(dim - (a+b-1) + 1). Base-locus and the crosscheck walk the same
+incidence pairs (_incidence_points) and evaluate the same standard_forms
+from their divided matrices. Every scan and census rejects a composite q.
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact_algebra import EvalPlan, MultiPoly, deriv, det_mod_p, gradient_rows
+from .exact_algebra import EvalPlan, Field, MultiPoly, deriv
 from .section_builder import (
     SectionFamily,
     _combine_columns,
     build_matrices,
-    column_layout,
-    divisor_exponent,
+    build_sections,
     selection_layouts,
+    standard_forms,
 )
 from .util import child_rng, chunks, kernel_basis_mod_p, rank_mod_p
 
@@ -117,8 +119,15 @@ class RankConditionMatrix:
 # ----- projective enumeration -----
 
 
+def _require_prime(q: int) -> None:
+    """Reject a q that is not a prime below 2**31 (Field reads 0 as Q)."""
+    if not Field(q).p:
+        raise ValueError(f"need a prime q, got {q}")
+
+
 def proj_points(N: int, p: int) -> List[ProjPoint]:
     """All (p^(N+1) - 1)/(p - 1) points of P^N(F_p), normalized."""
+    _require_prime(p)
     out = []
     for lead in range(N + 1):
         for tail in product(range(p), repeat=N - lead):
@@ -153,37 +162,22 @@ def points_on_X(fam: Optional[SectionFamily], q: int, N: Optional[int] = None,
     return [pt for pt in points if not any(sections(pt.coords, zero_dz))]
 
 
-def jacobian_at(fam: SectionFamily, z: Sequence[int], q: int,
-                grads: Optional[EvalPlan] = None) -> List[List[int]]:
-    """The (c+r) x (N+1) matrix (dF_i/dz_j)(z) over F_q. grads is
-    gradient_plan(fam, q), for callers that compile it once for many points."""
-    N, _ = _scan_dimensions(fam)
-    if grads is None:
-        grads = gradient_plan(fam, q)
-    return chunks(grads(z, [0] * (N + 1)), N + 1)
-
-
-def section_gradients(fam: SectionFamily) -> List[List[MultiPoly]]:
-    N, _ = _scan_dimensions(fam)
-    return [[deriv(F, j) for j in range(N + 1)] for F in fam.sections]
-
-
 def gradient_plan(fam: SectionFamily, q: int, rows: Optional[int] = None) -> EvalPlan:
     """The partials dF_i/dz_j of the first `rows` sections (default all),
     row-major, compiled for evaluation mod q."""
-    return EvalPlan([g for row in section_gradients(fam)[:rows] for g in row], q)
+    N, _ = _scan_dimensions(fam)
+    return EvalPlan([deriv(F, j) for F in fam.sections[:rows] for j in range(N + 1)], q)
 
 
 def smoothness_check(fam: SectionFamily, q: int) -> dict:
     """Rank of the Jacobian at every F_q-point of X; full rank everywhere
     means no F_q-witness of singularity."""
-    _, cr = _scan_dimensions(fam)
+    N, cr = _scan_dimensions(fam)
     grads = gradient_plan(fam, q)
     singular = []
     pts = points_on_X(fam, q)
     for pt in pts:
-        jac = jacobian_at(fam, pt.coords, q, grads)
-        rank = rank_mod_p(jac, q)
+        rank = rank_mod_p(chunks(grads(pt.coords, [0] * (N + 1)), N + 1), q)
         if rank != cr:
             singular.append({"z": list(pt.coords), "rank": rank})
     return {
@@ -200,8 +194,6 @@ def smoothness_with_resampling(shape, mode: str, field, schedule=None, seed: int
                                q: Optional[int] = None, attempts: int = 8, **build_kwargs) -> dict:
     """Build a family and scan it; on a singular verdict, rebuild with the
     next derived seed, up to `attempts` times. Mirrors generic-choice claims."""
-    from .section_builder import build_sections
-
     q = q or field.p
     last = None
     for k in range(attempts):
@@ -333,6 +325,9 @@ def random_rank_matrix(a: int, b: int, p: int, rng, constrained: bool = False) -
 # Free-column tuples enumerated together as one numpy block of the census;
 # the remaining free columns are looped over in Python as constants.
 CENSUS_BLOCK = 1 << 15
+# Largest rank table, in entries, a sampled census builds: the table has
+# Q^(a+1) entries, and building it takes an index array eight times that.
+CENSUS_TABLE_MAX = 1 << 20
 CENSUS_CONFIDENCE = 0.95
 
 
@@ -371,7 +366,7 @@ def _rank_table(add: np.ndarray, mul: np.ndarray, k: int) -> np.ndarray:
                 dim.append(dim[s] + 1)
             row.append(index[span])
         join.append(row)
-    join = np.array(join)
+    join = np.array(join, dtype=np.min_scalar_type(len(spans) - 1))
     states = np.zeros(1, dtype=np.intp)
     for _ in range(k):
         states = join[states].ravel()
@@ -416,6 +411,29 @@ def _census_exhaustive(a: int, b: int, q: int) -> int:
     return count
 
 
+def _census_sampled(a: int, b: int, q: int, n: int, rng) -> int:
+    """Members among n uniform b x 2(a+1) matrices, drawn entry by entry in
+    row-major order as random_rank_matrix draws them. Blocks of at most
+    CENSUS_BLOCK entries are coded column by column as in _census_exhaustive;
+    the zero sum is tested through the add table and the rank conditions
+    by _rank_mask. Above CENSUS_TABLE_MAX each draw is tested alone."""
+    Q, width = q ** b, 2 * (a + 1)
+    if Q ** (a + 1) > CENSUS_TABLE_MAX:
+        return sum(membership_M_ab(random_rank_matrix(a, b, q, rng)) for _ in range(n))
+    add_table, mul = _column_codes(b, q)
+    add = np.bitwise_xor if q == 2 else (lambda x, y: add_table[x, y])
+    low = _rank_table(add_table, mul, a + 1) <= a - 1
+    weights = q ** np.arange(b - 1, -1, -1)
+    hits, block = 0, max(1, CENSUS_BLOCK // (b * width))
+    for start in range(0, n, block):
+        m = min(block, n - start)
+        draws = np.array([rng.randrange(q) for _ in range(m * b * width)]).reshape(m, b, width)
+        cols = list(np.einsum("mbw,b->wm", draws, weights).astype(add_table.dtype))
+        ok = (reduce(add, cols) == 0) & _rank_mask(cols[:a + 1], cols[a + 1:], add, Q, low)
+        hits += int(np.count_nonzero(ok))
+    return hits
+
+
 def clopper_pearson_upper(hits: int, n: int) -> float:
     """One-sided Clopper-Pearson upper bound, at CENSUS_CONFIDENCE, on a
     binomial proportion from `hits` successes in `n` trials: the p with
@@ -443,12 +461,16 @@ def rank_condition_census(a: int, b: int, q: int, mode: str = "exhaustive",
 
     Exhaustive mode counts every matrix (_census_exhaustive, one kernel for
     every q). Sample mode, the fallback above the budget, draws uniform
-    matrices: `count` extrapolates the hits, and the verdict compares the
+    matrices and tests them with the same coded columns and rank table
+    (_census_sampled): `count` extrapolates the hits, and the verdict compares the
     bound with `count_upper`, their one-sided Clopper-Pearson upper bound
     at `confidence`, scaled the same way.
     """
     if not (2 <= a <= b):
         raise ValueError("need 2 <= a <= b")
+    _require_prime(q)
+    if sample_size < 1:
+        raise ValueError(f"census sample size must be at least 1, got {sample_size}")
     dim = 2 * b * (a + 1)
     total = q ** dim
     codim_target = a + b - 1
@@ -461,8 +483,7 @@ def rank_condition_census(a: int, b: int, q: int, mode: str = "exhaustive",
     if mode == "exhaustive":
         count = _census_exhaustive(a, b, q)
     elif mode == "sample":
-        rng = child_rng(seed, "census", f"{a},{b},{q}")
-        hits = sum(membership_M_ab(random_rank_matrix(a, b, q, rng)) for _ in range(sample_size))
+        hits = _census_sampled(a, b, q, sample_size, child_rng(seed, "census", f"{a},{b},{q}"))
         count = round(hits * total / sample_size)
         upper = {"count_upper": ceil(clopper_pearson_upper(hits, sample_size) * total),
                  "confidence": CENSUS_CONFIDENCE}
@@ -491,43 +512,48 @@ def rank_condition_census(a: int, b: int, q: int, mode: str = "exhaustive",
 # ----- base locus scan -----
 
 
+def _incidence_points(fam: SectionFamily, q: int, vanished: Sequence[int] = ()):
+    """(z, directions) for each point z of X(F_q) with every retained
+    coordinate nonzero and every listed vanished coordinate zero; the
+    directions solve dF_1..dF_c = 0 at z (and xi_v = 0 for each vanished v)
+    modulo the Euler direction."""
+    N = fam.shape.N
+    grads = gradient_plan(fam, q, fam.shape.c)
+    for pt in points_on_X(fam, q, support=[i for i in range(N + 1) if i not in vanished]):
+        z = list(pt.coords)
+        rows = chunks(grads(z, [0] * (N + 1)), N + 1)
+        # directions live on the vanishing locus: xi_v = 0
+        rows += [[int(j == v) for j in range(N + 1)] for v in vanished]
+        yield z, tangent_directions(z, rows, q)
+
+
 def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,
                     vanished: Sequence[int] = ()) -> dict:
     """Common zeros mod q of the given forms over the coordinates-nonvanishing
     part of X, paired with tangent directions.
 
-    Points run over X(F_q) with every retained coordinate nonzero (and every
-    listed vanished coordinate zero); directions solve dF_1..dF_c = 0 at z
-    modulo the Euler direction. Returns the vanishing pairs, per-point fiber
-    counts, and any points where the tangent solve has wrong dimension.
+    The pairs are those of _incidence_points, and each form is evaluated
+    there from its divided matrix, never expanded. Returns the vanishing
+    pairs, per-point fiber counts, and any points where the tangent solve
+    has wrong dimension.
     """
     shape = fam.shape
-    N, c = shape.N, shape.c
     vanished = tuple(sorted(set(vanished)))
-    retained = [i for i in range(N + 1) if i not in vanished]
-    eta = len(vanished)
-    grads = gradient_plan(fam, q, c)
+    expected = shape.N - shape.c - len(vanished)
+    expected_count = (q ** expected - 1) // (q - 1)
     pairs = []
     fiber_counts: Dict[Tuple[int, ...], int] = {}
     singular_tangent = []
     points_used = 0
     directions_used = 0
-    for pt in points_on_X(fam, q, support=retained):
-        z = list(pt.coords)
+    for z, dirs in _incidence_points(fam, q, vanished):
         points_used += 1
-        rows = chunks(grads(z, [0] * (N + 1)), N + 1)
-        # directions live on the vanishing locus: xi_v = 0
-        rows += [[int(j == v) for j in range(N + 1)] for v in vanished]
-        dirs = tangent_directions(z, rows, q)
-        expected = N - c - eta
-        expected_count = (q ** expected - 1) // (q - 1)
         if len(dirs) != expected_count:
             singular_tangent.append({"z": z, "directions": len(dirs)})
         count = 0
         for d in dirs:
             directions_used += 1
-            vals = [f.evaluate_at(z, list(d.xi), q) for f in forms]
-            if all(v == 0 for v in vals):
+            if all(f.evaluate_at(z, list(d.xi), q) == 0 for f in forms):
                 pairs.append({"z": z, "xi": list(d.xi)})
                 count += 1
         if count:
@@ -548,147 +574,68 @@ def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,
 # ----- characterization crosscheck -----
 
 
-def _numeric_selected_columns(fam: SectionFamily, Mnum: List[List[int]],
-                              z: Sequence[int], kind: str, params: Tuple[int, ...],
-                              q: int) -> Tuple[List[List[int]], List[int]]:
-    """Columns of the K_nu / K_tau_rho combination of the numeric matrix,
-    divided by the declared coordinate powers (legal: all z_i != 0)."""
-    N = fam.shape.N
-    layout = column_layout(kind, tuple(params), N)
-    A = [[row[j] for row in Mnum] for j in range(N + 1)]
-    B = [[row[N + 1 + j] for row in Mnum] for j in range(N + 1)]
-    combined = _combine_columns(layout, A, B,
-                               lambda x, y: [(u + v) % q for u, v in zip(x, y)])
-    cols = []
-    exps = []
-    for col, vec in zip(layout, combined):
-        e = divisor_exponent(col, fam.schedule, N)
-        inv = pow(z[col.a], (e - 1) * (q - 2), q)
-        cols.append([(x * inv) % q for x in vec])
-        exps.append(e)
-    return cols, exps
-
-
-def _forms_vanish_numeric(fam: SectionFamily, Mnum: List[List[int]],
-                          z: Sequence[int], q: int) -> bool:
-    """All divided determinant forms (every K_nu, K_tau_rho and row
-    selection, one chart each) vanish at the evaluated matrix."""
-    shape = fam.shape
-    N, c, r = shape.N, shape.c, shape.r
-    cr = c + r
-    if shape.n != 1:
-        raise ValueError("crosscheck expects n = 1 families")
-    for kind, params, _ in selection_layouts(N):
-        cols, _ = _numeric_selected_columns(fam, Mnum, z, kind, params, q)
-        for j in range(1, c + 1):
-            rows = list(range(cr)) + [cr + j - 1]
-            mat = [[cols[jc][ri] for jc in range(1, N + 1)] for ri in rows]
-            if det_mod_p(mat, q) % q != 0:
-                return False
-    return True
-
-
 def characterization_crosscheck(fam: SectionFamily, q: int, sample: int = 10_000,
                                 seed: int = 0) -> dict:
     """Agreement between 'all forms vanish' and rank-condition membership.
 
     Pairs (z, [xi]) run over the all-coordinates-nonzero points of P^N and
-    all tangent directions modulo Euler. For each sampled pair the numeric
-    2c+r x 2N+2 matrix is evaluated; membership implies the incidence
-    equations (z on X, xi tangent), so off-incidence pairs agree trivially
-    and are counted in bulk; on incidence pairs both sides are computed in
-    full and disagreements are reported as witnesses.
+    all tangent directions modulo Euler, and `sample` of them are drawn by
+    index. Membership implies the incidence equations (z on X, xi tangent),
+    so off-incidence pairs agree trivially and are counted in bulk. The
+    sampled incidence pairs of _incidence_points are visited in index
+    order: the numeric 2c+r x 2N+2 matrix is tested for membership, and
+    the standard_forms are evaluated. Disagreements are witnesses.
     """
-    shape = fam.shape
-    N, c, r = shape.N, shape.c, shape.r
+    N = fam.shape.N
     if fam.mode != "mcm":
         raise ValueError("crosscheck is defined for mcm families")
-    cr = c + r
-    K = build_matrices(fam)
-    zero_dz = [0] * (N + 1)
-
-    zs = [(1,) + tail for tail in product(range(1, q), repeat=N)]
-    dirs = [(0,) + pt.coords for pt in proj_points(N - 1, q)]
-    n_dirs = len(dirs)
-
-    total = len(zs) * n_dirs
+    if sample < 1:
+        raise ValueError(f"crosscheck sample must be at least 1, got {sample}")
+    # pair index zi * len(dirs) + di: z = (1, t_1..t_N) has the base-(q-1)
+    # digits t_k - 1, and xi = (0,) + the di-th point of P^(N-1)
+    dirs = {pt.coords: di for di, pt in enumerate(proj_points(N - 1, q))}
+    total = (q - 1) ** N * len(dirs)
     take = min(sample, total)
     rng = child_rng(seed, "crosscheck", 0)
-    chosen = sorted(rng.sample(range(total), take)) if take < total else range(total)
+    chosen = set(rng.sample(range(total), take)) if take < total else range(total)
+    visits = []
+    for z, tangent in _incidence_points(fam, q):
+        zi = reduce(lambda acc, t: acc * (q - 1) + t - 1, z[1:], 0)
+        for d in tangent:
+            idx = zi * len(dirs) + dirs[d.xi[1:]]
+            if idx in chosen:
+                visits.append((idx, z, list(d.xi)))
+    visits.sort()
 
-    # at a point on X: the gradients of the first c sections, the value
-    # rows of K, and the dz-coefficients of each differential-row entry
-    sections = EvalPlan(fam.sections, q)
-    on_X = EvalPlan(
-        [g for row in section_gradients(fam)[:c] for g in row]
-        + [e for row in K.entries[:cr] for e in row]
-        + [g for row in K.entries[cr:] for e in row for g in gradient_rows(e)], q)
-    n_grad, n_values = c * (N + 1), cr * K.ncols
-    value_cache: Dict[int, dict] = {}
-
-    def z_data(zi: int) -> dict:
-        data = value_cache.get(zi)
-        if data is not None:
-            return data
-        z = list(zs[zi])
-        data = {"z": z, "on_X": not any(sections(z, zero_dz))}
-        if data["on_X"]:
-            vals = on_X(z, zero_dz)
-            data["grad"] = chunks(vals[:n_grad], N + 1)
-            data["values"] = chunks(vals[n_grad:n_grad + n_values], K.ncols)
-            data["diff_grads"] = chunks(chunks(vals[n_grad + n_values:], N + 1), K.ncols)
-        value_cache[zi] = data
-        return data
-
-    agree = 0
-    incidence = 0
+    if visits:
+        if fam.shape.n != 1:
+            raise ValueError("crosscheck expects n = 1 families")
+        forms = standard_forms(fam)
+        values = EvalPlan([e for row in build_matrices(fam).entries for e in row], q)
     vanish_and_member = 0
     vanish_not_member = 0
     member_not_vanish = 0
     disagreements = []
-    for pair_idx in chosen:
-        zi, di = divmod(pair_idx, n_dirs)
-        data = z_data(zi)
-        if not data["on_X"]:
-            agree += 1  # both sides false: the value rows cannot sum to zero
-            continue
-        z = data["z"]
-        xi = list(dirs[di])
-        tangent = all(
-            sum(g * x for g, x in zip(row, xi)) % q == 0 for row in data["grad"]
-        )
-        if not tangent:
-            agree += 1  # both sides false: a differential row sums to dF(z, xi) != 0
-            continue
-        incidence += 1
-        Mnum = [list(row) for row in data["values"]]
-        for i in range(c):
-            Mnum.append([
-                sum(g * x for g, x in zip(data["diff_grads"][i][col], xi)) % q
-                for col in range(K.ncols)
-            ])
-        member = membership_M_ab(
-            RankConditionMatrix(tuple(tuple(v % q for v in row) for row in Mnum), q))
-        vanish = _forms_vanish_numeric(fam, Mnum, z, q)
-        if vanish and member:
-            vanish_and_member += 1
-        elif vanish and not member:
-            vanish_not_member += 1
-        elif member and not vanish:
-            member_not_vanish += 1
-        if vanish == member:
-            agree += 1
-        elif len(disagreements) < 10:
+    for _, z, xi in visits:
+        # value rows are dz-free and differential rows linear in dz
+        Mnum = chunks(values(z, xi), 2 * N + 2)
+        member = membership_M_ab(RankConditionMatrix(tuple(map(tuple, Mnum)), q))
+        vanish = all(f.evaluate_at(z, xi, q) == 0 for f in forms)
+        vanish_and_member += vanish and member
+        vanish_not_member += vanish and not member
+        member_not_vanish += member and not vanish
+        if vanish != member and len(disagreements) < 10:
             disagreements.append({"z": z, "xi": xi, "vanish": vanish,
                                   "member": member})
+    agree = take - vanish_not_member - member_not_vanish
     return {
         "op": "crosscheck",
         "q": q,
         "samples": take,
         "total_pairs": total,
-        "incidence_pairs": incidence,
+        "incidence_pairs": len(visits),
         "agree": agree,
-        "rate": agree / take if take else 1.0,
+        "rate": agree / take,
         "vanish_and_member": vanish_and_member,
         "vanish_not_member": vanish_not_member,
         "member_not_vanish": member_not_vanish,

@@ -37,8 +37,8 @@ from .section_builder import (
     build_matrices,
     build_sections,
     column_divisors,
-    extract_forms,
     selection_layouts,
+    standard_forms,
 )
 from .util import child_rng
 
@@ -428,23 +428,6 @@ def _stage_smoothness(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
                "family": ctx["family_params"], "q": fld.p,
                "singular": rep["singular"][:3]}
     return "FAIL", rep, witness
-
-
-def standard_forms(fam) -> list:
-    """The default form inventory for scans: every selected-bundle kind with
-    every admissible differential-row choice (mcm), or the psi/omega pair
-    (explicit exponents), all extracted at omit=0. The forms of
-    one layout share one minor table and stay packed."""
-    K = build_matrices(fam)
-    shape = fam.shape
-    if fam.mode == "mcm":
-        selections = [(j,) for j in range(1, shape.c + 1)] if shape.n == 1 else \
-            [tuple(range(1, shape.n + 1))]
-        return [form for kind, params, _ in selection_layouts(shape.N)
-                for form in extract_forms(K, (kind,) + params, selections, omit=0)]
-    sel = tuple(range(1, shape.n + 1))
-    return [extract_forms(K, None, [sel], omit=0, kind=kind)[0]
-            for kind in ("psi", "omega")]
 
 
 def _stage_base_locus(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:

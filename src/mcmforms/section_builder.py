@@ -19,9 +19,9 @@ K_tau_rho, vanishing-coordinate restrictions, declared column divisors, and
 signed divided determinants with twist bookkeeping all live here.
 
 column_layout states the K_nu / K_tau_rho layouts once; build_selected
-applies them to polynomials, finite_geometry to numbers mod p and to F_2
-bit fields. Positions 0..top index the retained coordinates, top is the
-top moving level, and each output column is divided by a power of the
+applies them to polynomials, finite_geometry to vectors mod p and to coded
+census columns. Positions 0..top index the retained coordinates, top is
+the top moving level, and each output column is divided by a power of the
 coordinate of its A column:
 
   K_nu(nu)             A_j (j != nu)                    d - delta_top
@@ -208,11 +208,13 @@ class DividedMatrix:
 class FormBundle:
     """One signed, divided determinant with its twist metadata.
 
-    The determinant stays packed in `det`; value_global, the signed
-    determinant, is unpacked on first read, and its degrees are checked
-    then against dz_degree and the claimed z_degree. The form's divided
-    rows are rows matrix_rows of `matrix`. omit_exponent is the declared
-    divisor exponent of the omitted column (1 for undivided kinds).
+    `det` is expanded from the minor table of the extraction on first
+    read and stays packed; value_global, the signed determinant, is
+    unpacked on first read, and its degrees are checked then against
+    dz_degree and the claimed z_degree. Evaluation never expands: the
+    form's divided rows are rows matrix_rows of `matrix`. omit_exponent
+    is the declared divisor exponent of the omitted column (1 for
+    undivided kinds).
     """
 
     kind: str
@@ -225,10 +227,19 @@ class FormBundle:
     twist: int
     dz_degree: int
     z_degree: int
-    det: Optional[PackedPoly] = dc_field(default=None, repr=False, compare=False)
+    table: Optional[MinorTable] = dc_field(default=None, repr=False, compare=False)
     matrix: Optional[DividedMatrix] = dc_field(default=None, repr=False, compare=False)
     matrix_rows: Tuple[int, ...] = dc_field(default=(), compare=False)
     sign: int = 1
+
+    @cached_property
+    def det(self) -> PackedPoly:
+        """The packed determinant on rows matrix_rows and every column. The
+        form then drops the table its extraction shares, whose memoised
+        minors are freed once every form of it has expanded."""
+        table, self.table = self.table, None
+        cols = tuple(range(len(table.entries[0])))
+        return table.packed(table.minor(self.matrix_rows, cols), self.matrix_rows)
 
     @cached_property
     def value_global(self) -> MultiPoly:
@@ -254,10 +265,8 @@ class FormBundle:
         return [self.matrix.rows[t] for t in self.matrix_rows]
 
     def term_count(self) -> int:
-        """Terms of value_global, read off the packed determinant until
-        the polynomial is unpacked."""
-        value = self.__dict__.get("value_global")
-        return value.term_count() if value is not None else self.det.term_count()
+        """Terms of value_global, read off the packed determinant."""
+        return self.det.term_count()
 
     def evaluate_at(self, z_vals: Sequence[int], dz_vals: Sequence[int], q: int) -> int:
         """The form's value mod q at (z, dz), taken from the divided matrix,
@@ -594,8 +603,8 @@ def divisor_exponent(col: LayoutColumn, sched: ExponentSchedule, top: int) -> in
 def _combine_columns(layout: Sequence[LayoutColumn], A: Sequence, B: Sequence,
                     add: Callable, memo: Optional[dict] = None) -> list:
     """Apply a layout to the A- and B-columns of one matrix, over any
-    element type that `add` sums (polynomial columns, vectors mod p, F_2
-    bit fields). memo caches the B-sums; share it between the layouts
+    element type that `add` sums (polynomial columns, vectors mod p, coded
+    census columns). memo caches the B-sums; share it between the layouts
     applied to the same matrix."""
     if memo is None:
         memo = {}
@@ -741,14 +750,16 @@ def extract_forms(
     The selection is applied and the rows divided once for all selections,
     and the determinants share one MinorTable: forms that differ only in
     their differential rows, expanded last, share every value-row minor.
-    Before any expansion a structural check asks each nonzero divided
-    entry (i, j) to be bihomogeneous of bidegree r_i + c_j: r_i is (deg F,
-    0) on the value row of F and (deg F - 1, 1) on its differential row,
-    c_j is (1 - e, 0). Every term of a minor then has the bidegree summed
-    over its rows and columns, which is the claimed dz-degree and z-degree.
-    A failing claim raises DegreeClaimFailed, in the order bihomogeneous,
-    dz-degree, twist, z-degree; each form checks its claims once more when
-    value_global is first unpacked.
+    A form expands its determinant on the first read of `det`, so scans
+    that only evaluate forms expand none. Before any expansion a structural
+    check asks each nonzero divided entry (i, j) to be bihomogeneous of
+    bidegree r_i + c_j: r_i is (deg F, 0) on the value row of F and
+    (deg F - 1, 1) on its differential row, c_j is (1 - e, 0). Every term
+    of a minor then has the bidegree summed over its rows and columns,
+    which is the claimed dz-degree and z-degree. A failing claim raises
+    DegreeClaimFailed, in the order bihomogeneous, dz-degree, twist,
+    z-degree; each form checks its claims once more when value_global is
+    first unpacked.
     """
     if which is not None:
         K = build_selected(K, which)
@@ -815,12 +826,29 @@ def extract_forms(
             twist=twist,
             dz_degree=n_eff,
             z_degree=sum(row_bidegrees[t][0] for t in rows) + sum(col_shifts),
-            det=table.packed(table.minor(rows, tuple(range(len(cols)))), rows),
+            table=table,
             matrix=matrix,
             matrix_rows=rows,
             sign=sign,
         ))
     return forms
+
+
+def standard_forms(fam: SectionFamily) -> List[FormBundle]:
+    """The default form inventory for scans: every selected-bundle kind with
+    every admissible differential-row choice (mcm), or the psi/omega pair
+    (explicit exponents), all extracted at omit=0. The forms of
+    one layout share one minor table and stay unexpanded."""
+    K = build_matrices(fam)
+    shape = fam.shape
+    if fam.mode == "mcm":
+        selections = [(j,) for j in range(1, shape.c + 1)] if shape.n == 1 else \
+            [tuple(range(1, shape.n + 1))]
+        return [form for kind, params, _ in selection_layouts(shape.N)
+                for form in extract_forms(K, (kind,) + params, selections, omit=0)]
+    sel = tuple(range(1, shape.n + 1))
+    return [extract_forms(K, None, [sel], omit=0, kind=kind)[0]
+            for kind in ("psi", "omega")]
 
 
 def _divided_entry(K: FormalMatrixBundle, rid: int, col: int, e: int) -> MultiPoly:

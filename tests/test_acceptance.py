@@ -27,7 +27,6 @@ from mcmforms.pipeline import (
     parse_config,
     report_to_json,
     run_pipeline,
-    standard_forms,
     strip_timings,
 )
 from mcmforms.product_coup import (
@@ -41,6 +40,7 @@ from mcmforms.section_builder import (
     build_sections,
     column_divisors,
     random_homogeneous,
+    standard_forms,
 )
 from mcmforms.util import child_rng
 

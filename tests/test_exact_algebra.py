@@ -22,7 +22,6 @@ from mcmforms.exact_algebra import (
     divide_exact,
     dz_components,
     from_literal,
-    gradient_rows,
     identity_test,
     poly_det,
     sample_identity,
@@ -282,20 +281,13 @@ def test_euler_relation():
         assert euler == f.scale(deg)
 
 
-def test_deriv_and_gradient_rows():
+def test_deriv_and_dz_components():
     f = from_literal("1 * z0^2 z1^1 + 2 * z2^3", 2)
     df = total_differential(f)
-    grads = gradient_rows(df)
-    for k in range(3):
-        assert grads[k] == deriv(f, k)
     comps = dz_components(df)
     assert all(sum(key) == 1 for key in comps)
-
-
-def test_gradient_rows_rejects_nonlinear_dz():
-    p = MultiPoly.dz(1, 0) * MultiPoly.dz(1, 1)
-    with pytest.raises(ValueError):
-        gradient_rows(p)
+    for k in range(3):
+        assert comps[tuple(int(j == k) for j in range(3))] == deriv(f, k)
 
 
 # ----- monomial division -----

@@ -6,20 +6,19 @@ import numpy as np
 import pytest
 from census_oracle import rank as oracle_rank
 
-from mcmforms import finite_geometry
-from mcmforms.exact_algebra import Field, QQ, from_literal, to_literal
+from mcmforms import exact_algebra, finite_geometry
+from mcmforms.exact_algebra import Field, QQ, deriv, det_mod_p, from_literal, to_literal
 from mcmforms.finite_geometry import (
     Cutout,
     ProjPoint,
     RankConditionMatrix,
     TangentDirection,
     _census_exhaustive,
+    _census_sampled,
     _column_codes,
     _rank_mask,
     _rank_table,
     clopper_pearson_upper,
-    _forms_vanish_numeric,
-    _numeric_selected_columns,
     base_locus_scan,
     canonical_direction,
     characterization_crosscheck,
@@ -33,18 +32,20 @@ from mcmforms.finite_geometry import (
     smoothness_with_resampling,
     tangent_directions,
 )
-from mcmforms.pipeline import standard_forms
 from mcmforms.product_coup import verify_product_decomposition
 from mcmforms.schedule import ProblemShape, build_schedule
 from mcmforms.section_builder import (
+    FormBundle,
     build_matrices,
     build_sections,
     _combine_columns,
-    build_selected,
+    column_layout,
+    divisor_exponent,
     extract_forms,
     selection_layouts,
+    standard_forms,
 )
-from mcmforms.util import rank_mod_p
+from mcmforms.util import child_rng, rank_mod_p
 
 F2 = Field(2)
 F3 = Field(3)
@@ -450,6 +451,22 @@ def test_census_sample_mode_and_forced_fallback():
     assert "count_upper" not in rank_condition_census(2, 2, 2)
 
 
+@pytest.mark.parametrize("a, b, q, n", [(2, 2, 2, 5000), (2, 3, 2, 5000), (3, 3, 3, 20_000)])
+def test_sampled_census_kernel_matches_the_per_draw_loop(monkeypatch, a, b, q, n):
+    # the per-draw loop sample mode ran before the block kernel is the
+    # reference: the same draws give the same hits, through the rank table
+    # in blocks and through the per-draw test above CENSUS_TABLE_MAX
+    ref_rng = child_rng(7, "census", f"{a},{b},{q}")
+    hits = sum(membership_M_ab(random_rank_matrix(a, b, q, ref_rng)) for _ in range(n))
+    assert hits > 0
+    monkeypatch.setattr(finite_geometry, "CENSUS_BLOCK", 1024)
+    for table_max in (finite_geometry.CENSUS_TABLE_MAX, 0):
+        monkeypatch.setattr(finite_geometry, "CENSUS_TABLE_MAX", table_max)
+        rng = child_rng(7, "census", f"{a},{b},{q}")
+        assert _census_sampled(a, b, q, n, rng) == hits
+        assert rng.getstate() == ref_rng.getstate()  # every draw taken, no more
+
+
 def test_sampled_census_verdict_rests_on_the_upper_bound(monkeypatch):
     monkeypatch.setattr(finite_geometry, "clopper_pearson_upper", lambda hits, n: 1.0)
     rep = rank_condition_census(2, 2, 2, mode="sample", sample_size=500, seed=3)
@@ -462,6 +479,19 @@ def test_census_rejects_bad_shapes_and_modes():
         rank_condition_census(1, 2, 2)
     with pytest.raises(ValueError, match="unknown mode"):
         rank_condition_census(2, 2, 2, mode="guess")
+
+
+@pytest.mark.parametrize("q", [4, 6, 9, 1, 0, -3])
+def test_census_rejects_a_q_that_is_not_prime(q):
+    for mode in ("exhaustive", "sample"):
+        with pytest.raises(ValueError, match="prime|out of range"):
+            rank_condition_census(2, 2, q, mode=mode, sample_size=10)
+
+
+@pytest.mark.parametrize("size", [0, -5])
+def test_census_rejects_an_empty_sample(size):
+    with pytest.raises(ValueError, match="at least 1"):
+        rank_condition_census(2, 2, 2, mode="sample", sample_size=size)
 
 
 # ----- base locus -----
@@ -560,8 +590,10 @@ def test_scans_compile_each_polynomial_set_once(compiled_plans):
     del compiled_plans[:]
     rep = characterization_crosscheck(mcm_family(1), 5, sample=39_936)
     assert rep["incidence_pairs"] == 1
-    # sections; then gradients (3 x 5), value rows (3 x 10), dz-coefficients (3 x 10 x 5)
-    assert compiled_plans == [3, 15 + 30 + 150]
+    # the base-locus walk: gradients (3 x 5), sections; at the one incidence
+    # pair the matrix (6 x 10) and the divided matrix (6 x 4) of the first
+    # standard form, which does not vanish there
+    assert compiled_plans == [15, 3, 60, 24]
     del compiled_plans[:]
     f = from_literal("1 * z0^1 + 1 * z1^1", N=2, field=F3)
     g = from_literal("1 * z1^1 + 2 * z2^1", N=2, field=F3)
@@ -601,49 +633,200 @@ def test_crosscheck_rejects_a_family_over_another_field():
         characterization_crosscheck(mcm_family(1), 7, sample=10)
 
 
+def test_crosscheck_rejects_an_empty_sample():
+    with pytest.raises(ValueError, match="at least 1"):
+        characterization_crosscheck(mcm_family(1), 5, sample=0)
+
+
+def test_scans_reject_a_q_that_is_not_prime():
+    # a rational family can be scanned mod any prime, and only mod a prime
+    shape = ProblemShape(2, 1, 0)
+    fermat = build_sections(shape, "general_fermat", field=QQ, lambdas=(2, 2, 2),
+                            degrees=(3,), seed=0)
+    mcm = build_sections(shape, "mcm", field=QQ, schedule=build_schedule(shape, heart=2),
+                         seed=0)
+    f = from_literal("1 * z0^1 + 1 * z1^1", N=2)
+    scans = [
+        lambda q: proj_points(2, q),
+        lambda q: tangent_directions((1, 1, 3), [(1, 1, 1)], q),
+        lambda q: smoothness_check(fermat, q),
+        lambda q: base_locus_scan(fermat, standard_forms(fermat), q),
+        lambda q: characterization_crosscheck(mcm, q),
+        lambda q: verify_product_decomposition([[f, f]], shape, q),
+    ]
+    for scan in scans:
+        scan(3)
+        for q in (4, 9):
+            with pytest.raises(ValueError, match="prime"):
+                scan(q)
+
+
+def numeric_selected_columns(fam, Mnum, z, kind, params, q):
+    """Columns of the K_nu / K_tau_rho combination of a numeric matrix,
+    divided by the declared coordinate powers (all z_i != 0): the numeric
+    copy of the forms the crosscheck evaluated before it read the
+    program's forms, kept as the reference."""
+    N = fam.shape.N
+    layout = column_layout(kind, tuple(params), N)
+    A = [[row[j] for row in Mnum] for j in range(N + 1)]
+    B = [[row[N + 1 + j] for row in Mnum] for j in range(N + 1)]
+    combined = _combine_columns(layout, A, B,
+                                lambda x, y: [(u + v) % q for u, v in zip(x, y)])
+    cols = []
+    for col, vec in zip(layout, combined):
+        e = divisor_exponent(col, fam.schedule, N)
+        inv = pow(z[col.a], (e - 1) * (q - 2), q)
+        cols.append([(x * inv) % q for x in vec])
+    return cols
+
+
+def numeric_form_values(fam, Mnum, z, q):
+    """Every divided determinant (each K_nu and K_tau_rho layout, each
+    differential row, column 0 omitted) of the numeric matrix, in
+    standard_forms order."""
+    N, c, cr = fam.shape.N, fam.shape.c, fam.shape.c + fam.shape.r
+    out = []
+    for kind, params, _ in selection_layouts(N):
+        cols = numeric_selected_columns(fam, Mnum, z, kind, params, q)
+        for j in range(1, c + 1):
+            rows = list(range(cr)) + [cr + j - 1]
+            out.append(det_mod_p([[cols[jc][ri] for jc in range(1, N + 1)] for ri in rows], q))
+    return out
+
+
+def reference_crosscheck(fam, q, sample, seed=0):
+    """The crosscheck as it was before it shared the base-locus walk: every
+    sampled ambient pair visited in index order, incidence tested by hand,
+    and the numeric forms above. The reference for characterization_crosscheck."""
+    N, c = fam.shape.N, fam.shape.c
+    K = build_matrices(fam)
+    zero = [0] * (N + 1)
+    zs = [(1,) + tail for tail in product(range(1, q), repeat=N)]
+    dirs = [(0,) + pt.coords for pt in proj_points(N - 1, q)]
+    total = len(zs) * len(dirs)
+    take = min(sample, total)
+    rng = child_rng(seed, "crosscheck", 0)
+    chosen = sorted(rng.sample(range(total), take)) if take < total else range(total)
+    grads = {}
+
+    def gradients(zi):  # None off X, else the gradients of F_1..F_c at z
+        if zi not in grads:
+            z = list(zs[zi])
+            on_X = all(F.evaluate_mod(z, zero, q) == 0 for F in fam.sections)
+            grads[zi] = [[deriv(F, j).evaluate_mod(z, zero, q) for j in range(N + 1)]
+                         for F in fam.sections[:c]] if on_X else None
+        return grads[zi]
+
+    agree = incidence = 0
+    tally = {"vanish_and_member": 0, "vanish_not_member": 0, "member_not_vanish": 0}
+    disagreements = []
+    for idx in chosen:
+        zi, di = divmod(idx, len(dirs))
+        z, xi = list(zs[zi]), list(dirs[di])
+        grad = gradients(zi)
+        if grad is None or any(sum(g * x for g, x in zip(row, xi)) % q for row in grad):
+            agree += 1
+            continue
+        incidence += 1
+        Mnum = [[e.evaluate_mod(z, xi, q) for e in row] for row in K.entries]
+        member = membership_M_ab(RankConditionMatrix(tuple(map(tuple, Mnum)), q))
+        vanish = not any(numeric_form_values(fam, Mnum, z, q))
+        if vanish and member:
+            tally["vanish_and_member"] += 1
+        elif vanish:
+            tally["vanish_not_member"] += 1
+        elif member:
+            tally["member_not_vanish"] += 1
+        if vanish == member:
+            agree += 1
+        elif len(disagreements) < 10:
+            disagreements.append({"z": z, "xi": xi, "vanish": vanish, "member": member})
+    return {"op": "crosscheck", "q": q, "samples": take, "total_pairs": total,
+            "incidence_pairs": incidence, "agree": agree, "rate": agree / take,
+            **tally, "disagreements": disagreements,
+            "ok": tally["member_not_vanish"] == 0}
+
+
+@pytest.mark.parametrize("shape_t, seed, sample, sample_seed", [
+    *(((2, 1, 0), s, 96, 0) for s in range(6)),
+    ((3, 1, 1), 0, 1984, 0),
+    ((3, 1, 1), 0, 500, 3),
+    ((4, 3, 0), 1, 10_000, 0),
+])
+def test_crosscheck_matches_the_ambient_reference(shape_t, seed, sample, sample_seed):
+    fam = mcm_family(seed, shape=ProblemShape(*shape_t))
+    rep = characterization_crosscheck(fam, 5, sample=sample, seed=sample_seed)
+    assert rep == reference_crosscheck(fam, 5, sample, sample_seed)
+    if shape_t == (2, 1, 0) and seed == 4:
+        # both branches: a member pair that vanishes, and non-members
+        assert rep["incidence_pairs"] == 7 and rep["vanish_and_member"] == 1
+
+
+def test_crosscheck_reads_the_programs_forms(monkeypatch):
+    # with every form of the program forced to vanish, each non-member
+    # incidence pair becomes a vanish-not-member disagreement
+    fam = mcm_family(4, shape=ProblemShape(2, 1, 0))
+    honest = characterization_crosscheck(fam, 5, sample=96)
+    monkeypatch.setattr(FormBundle, "evaluate_at", lambda self, z, dz, q: 0)
+    rep = characterization_crosscheck(fam, 5, sample=96)
+    members = honest["vanish_and_member"] + honest["member_not_vanish"]
+    assert rep["vanish_not_member"] == rep["incidence_pairs"] - members == 6
+    assert rep["vanish_and_member"] == members == 1
+
+
+def test_scans_that_only_evaluate_forms_expand_no_determinant(monkeypatch):
+    fam = mcm_family(4, shape=ProblemShape(2, 1, 0))
+    with monkeypatch.context() as m:
+        def refuse(*args):
+            raise AssertionError("a determinant expanded")
+
+        m.setattr(exact_algebra.MinorTable, "minor", refuse)
+        forms = standard_forms(fam)
+        assert characterization_crosscheck(fam, 5, sample=96)["incidence_pairs"] == 7
+        assert base_locus_scan(fam, forms, 5)["directions"] == 7
+    for form in forms:
+        eager = exact_algebra.poly_det(form.divided_rows)
+        assert form.term_count() == eager.term_count()
+        assert form.table is None  # dropped once expanded
+        assert form.value_global == (eager if form.sign == 1 else -eager)
+
+
 def test_membership_forces_numeric_vanishing():
     # a member matrix (alphas zero, betas proportional) makes every divided
-    # determinant vanish at an all-ones point; a generic matrix does not
+    # determinant of the reference vanish at an all-ones point; a generic
+    # matrix does not
     fam = mcm_family(1)
     v = [1, 2, 3, 4, 0, 1]
     Mnum = [[0] * 5 + [v[i]] * 5 for i in range(6)]
     M = RankConditionMatrix(tuple(tuple(r) for r in Mnum), 5)
     assert membership_M_ab(M)
     z = [1, 1, 1, 1, 1]
-    assert _forms_vanish_numeric(fam, Mnum, z, 5)
+    assert not any(numeric_form_values(fam, Mnum, z, 5))
 
     rng = random.Random(9)
     noise = [[rng.randrange(5) for _ in range(10)] for _ in range(6)]
     assert not membership_M_ab(RankConditionMatrix(tuple(tuple(r) for r in noise), 5))
-    assert not _forms_vanish_numeric(fam, noise, z, 5)
+    assert any(numeric_form_values(fam, noise, z, 5))
 
 
 @pytest.mark.parametrize("shape_t", [(3, 2, 0), (4, 3, 0), (3, 1, 1)])
 def test_numeric_and_symbolic_layouts_agree(shape_t):
-    # every K_nu / K_tau_rho column of the numeric crosscheck path equals
-    # the symbolic build_selected entry, evaluated and divided by its
-    # declared power z_coord^(e-1), with the same declared exponents
+    # every divided determinant of the reference's numeric layouts equals
+    # the program's standard form evaluated at the same all-nonzero point
     shape = ProblemShape(*shape_t)
     fam = mcm_family(7, shape=shape)
     K = build_matrices(fam)
+    forms = standard_forms(fam)
     q, N = 5, shape.N
     rng = random.Random(f"layouts:{shape_t}")
-    points = []
+    nonzero = 0
     for _ in range(5):
         z = [rng.randrange(1, q) for _ in range(N + 1)]
         xi = [rng.randrange(q) for _ in range(N + 1)]
-        Mnum = [[e.evaluate(z, xi) % q for e in row] for row in K.entries]
-        points.append((z, xi, Mnum))
-    compared = 0
-    for kind, params, _ in selection_layouts(N):
-        sel = build_selected(K, (kind,) + params)
-        for z, xi, Mnum in points:
-            cols, exps = _numeric_selected_columns(fam, Mnum, z, kind, params, q)
-            assert tuple(exps) == sel.divisor_exponents
-            for c, coord in enumerate(sel.column_coords):
-                inv = pow(z[coord], (exps[c] - 1) * (q - 2), q)
-                for i in range(K.nrows):
-                    assert cols[c][i] == sel.entries[i][c].evaluate(z, xi) * inv % q
-                    compared += 1
-    per_point = {(3, 2, 0): 10 * 4 * 4, (4, 3, 0): 15 * 5 * 6, (3, 1, 1): 10 * 4 * 3}
-    assert compared == 5 * per_point[shape_t]
+        Mnum = [[e.evaluate_mod(z, xi, q) for e in row] for row in K.entries]
+        want = numeric_form_values(fam, Mnum, z, q)
+        assert [f.evaluate_at(z, xi, q) for f in forms] == want
+        nonzero += sum(map(bool, want))
+    per_point = {(3, 2, 0): 10 * 2, (4, 3, 0): 15 * 3, (3, 1, 1): 10 * 1}
+    assert len(forms) == per_point[shape_t]
+    assert nonzero > 0

@@ -390,6 +390,30 @@ def test_cli_coup_decompose(capsys):
     assert report["lhs_count"] == report["rhs_count"] == 10
 
 
+def test_cli_scans_reject_a_composite_q(tmp_path, capsys):
+    fam_path = tmp_path / "family.json"
+    assert main(["build", "--shape", "2,1,0", "--mode", "general_fermat", "--field", "Q",
+                 "--lambdas", "2,2,2", "--degrees", "3", "--seed", "0",
+                 "--out", str(fam_path)]) == 0
+    for what in ("smooth", "base-locus"):
+        assert main(["scan", what, "--family", str(fam_path), "--q", "3"]) == 0
+        assert main(["scan", what, "--family", str(fam_path), "--q", "4"]) == 2
+    assert main(["scan", "census", "--a", "2", "--b", "2", "--q", "4"]) == 2
+    assert main(["coup", "decompose", "--shape", "2,1,0", "--q", "4", "--field", "Q",
+                 "--factors", "1 * z0^1 + 1 * z1^1; 1 * z1^1 + 2 * z2^1"]) == 2
+    assert capsys.readouterr().err.count("must be prime: 4") == 4
+
+
+def test_cli_scans_reject_an_empty_sample(tmp_path, capsys):
+    fam_path = tmp_path / "family.json"
+    assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
+                 "--seed", "3", "--out", str(fam_path)]) == 0
+    assert main(["scan", "crosscheck", "--family", str(fam_path), "--sample", "1"]) == 0
+    assert main(["scan", "crosscheck", "--family", str(fam_path), "--sample", "0"]) == 2
+    assert main(["scan", "census", "--q", "2", "--mode", "sample", "--sample", "0"]) == 2
+    assert capsys.readouterr().err.count("at least 1") == 2
+
+
 def test_cli_run_and_replay(tmp_path, capsys):
     config = tmp_path / "run.ini"
     config.write_text(

@@ -6,7 +6,6 @@ import pytest
 
 from mcmforms import exact_algebra
 from mcmforms.exact_algebra import Field, MultiPoly, QQ, from_literal, to_literal, total_differential
-from mcmforms.pipeline import standard_forms
 from mcmforms.schedule import ProblemShape, TwistLedger, build_schedule, twist_ledger
 from mcmforms.section_builder import (
     BundleInvariantError,
@@ -22,6 +21,7 @@ from mcmforms.section_builder import (
     random_homogeneous,
     save_family,
     selection_layouts,
+    standard_forms,
 )
 from test_exact_algebra import cofactor_det
 
