@@ -28,7 +28,7 @@ print(f"first section, first terms: {to_literal(fam.sections[0])[:70]} ...")
 # The bundle stacks value rows and their total differentials; selected
 # sub-bundles (K_nu, K_tau_rho) carry declared column divisors.
 K = build_matrices(fam)
-divisors = column_divisors(K, ("K_nu", 0), verify=True)
+divisors = column_divisors(K, ("K_nu", 0))
 print("K_nu=0 column divisors:",
       [(d["coordinate"], d["exponent"]) for d in divisors])
 

@@ -6,7 +6,7 @@ Modules:
                    exact division, identity testing, determinants
   schedule         exponent recurrences, twist-degree ledger, bound reports
   section_builder  section families, structured matrices, form extraction
-  identity_verifier  gluing, transition, Cramer and surjectivity checks
+  identity_verifier  gluing, transition, surjectivity and hidden-form checks
   finite_geometry  point enumeration, rank-condition census, base-locus scans
   product_coup     semigroup splits and product-decomposition checks
   pipeline         staged deterministic runs; cli exposes the `mcm` command

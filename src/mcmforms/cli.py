@@ -23,14 +23,12 @@ from .finite_geometry import (
     smoothness_check,
 )
 from .identity_verifier import (
-    verify_cramer,
     verify_gluing,
     verify_hidden,
     verify_surjectivity,
     verify_transition,
 )
 from .pipeline import (
-    RunConfig,
     _glue_units,
     _transition_units,
     build_family,
@@ -134,10 +132,9 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     if args.what in ("forms", "gluing"):
         fam = load_family(args.family)
-        cfg = RunConfig(shape=fam.shape, mode=fam.mode, seed=args.seed)
         checks = []
         ok = True
-        for u in _glue_units(cfg, fam):
+        for u in _glue_units(fam):
             rep = verify_gluing(fam, u["selection"], u["j1"], u["j2"],
                                 which=u["which"], mode=args.mode,
                                 trials=args.trials, seed=args.seed)
@@ -147,10 +144,9 @@ def _cmd_verify(args) -> int:
                   "checks": checks, "ok": ok}
     elif args.what == "transition":
         fam = load_family(args.family)
-        cfg = RunConfig(shape=fam.shape, mode=fam.mode, seed=args.seed)
         checks = []
         ok = True
-        for u in _transition_units(cfg, fam):
+        for u in _transition_units(fam):
             rep = verify_transition(fam, u["selection"], u["omit"], u["l1"],
                                     u["l2"], which=u["which"], kind=u["kind"],
                                     trials=args.trials, seed=args.seed)
@@ -158,8 +154,6 @@ def _cmd_verify(args) -> int:
             ok = ok and rep["ok"]
         report = {"op": "verify-transition", "family": args.family,
                   "checks": checks, "ok": ok}
-    elif args.what == "cramer":
-        report = verify_cramer(args.rows, seed=args.seed, trials=args.trials)
     elif args.what == "surjectivity":
         report = verify_surjectivity(args.N, args.d, trials=args.trials,
                                      seed=args.seed)
@@ -282,13 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("verify", help="run identity checks")
-    p.add_argument("what", choices=("forms", "gluing", "cramer", "transition",
+    p.add_argument("what", choices=("forms", "gluing", "transition",
                                     "surjectivity", "hidden"))
     p.add_argument("--family", help="family file (forms/transition/hidden)")
     p.add_argument("--mode", choices=("exact", "probabilistic"), default="exact")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rows", type=int, default=4, help="matrix size (cramer)")
     p.add_argument("--N", type=int, default=2, help="ambient dim (surjectivity)")
     p.add_argument("--d", type=int, default=3, help="degree (surjectivity)")
     p.add_argument("--vanished", help="coordinates set to zero (hidden)")

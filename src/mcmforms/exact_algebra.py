@@ -104,21 +104,6 @@ class Field:
     def add(self, a, b):
         return (a + b) % self.p if self.p else a + b
 
-    def mul(self, a, b):
-        return (a * b) % self.p if self.p else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.p else -a
-
-    def inv(self, a):
-        if self.p:
-            if a % self.p == 0:
-                raise ZeroDivisionError("inverse of zero in F_p")
-            return pow(a, self.p - 2, self.p)
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in Q")
-        return 1 / Fraction(a)
-
     def rand_elt(self, rng):
         if self.p:
             return rng.randrange(self.p)
@@ -334,11 +319,6 @@ class MultiPoly:
         if len(degs) != 1:
             raise ValueError(f"not dz-homogeneous: degrees {sorted(degs)}")
         return degs.pop()
-
-    def is_bihomogeneous(self) -> bool:
-        n1 = self.N + 1
-        pairs = {(sum(exp[:n1]), sum(exp[n1:])) for exp in self.terms}
-        return len(pairs) <= 1
 
     def bidegree(self) -> Optional[Tuple[int, int]]:
         """(z-degree, dz-degree) when bihomogeneous; None for zero."""
@@ -735,7 +715,10 @@ def sample_identity(
 
     A nonzero polynomial of total degree D vanishes at a uniform point with
     probability at most D / m, so each trial misses with at most that chance.
+    Fewer than one trial would test nothing and raises ValueError.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     m = identity_modulus(field)
     for t in range(trials):
         rng = child_rng(seed, stage, t)

@@ -48,15 +48,6 @@ class ProjPoint:
         if lead % self.p != 1:
             raise ValueError("point is not normalized")
 
-    @staticmethod
-    def normalize(vec: Sequence[int], p: int) -> "ProjPoint":
-        vec = [v % p for v in vec]
-        lead = next((v for v in vec if v), None)
-        if lead is None:
-            raise ValueError("projective point cannot be the zero vector")
-        inv = pow(lead, p - 2, p)
-        return ProjPoint(tuple((v * inv) % p for v in vec), p)
-
 
 @dataclass(frozen=True)
 class TangentDirection:
@@ -136,19 +127,14 @@ def proj_points(N: int, p: int) -> List[ProjPoint]:
     return out
 
 
-def points_on_X(fam: Optional[SectionFamily], q: int, N: Optional[int] = None,
-                support: Optional[Sequence[int]] = None) -> List[ProjPoint]:
-    """The F_q-points of the common zero locus of the family's sections.
+def points_on_X(fam, q: int, support: Optional[Sequence[int]] = None) -> List[ProjPoint]:
+    """The F_q-points of the common zero locus of the sections of a family
+    or a Cutout.
 
-    With fam=None (and N given) no equations are imposed and the whole
-    projective space is returned. With `support` given, only the points
-    whose nonzero coordinates are exactly those listed are kept, and the
-    sections are evaluated at those alone.
+    With `support` given, only the points whose nonzero coordinates are
+    exactly those listed are kept, and the sections are evaluated at those
+    alone.
     """
-    if fam is None:
-        if N is None:
-            raise ValueError("need N when no family is given")
-        return proj_points(N, q)
     if fam.field.p not in (0, q):
         raise ValueError(f"family lives over F_{fam.field.p}, not F_{q}")
     N, _ = _scan_dimensions(fam)
@@ -589,6 +575,8 @@ def characterization_crosscheck(fam: SectionFamily, q: int, sample: int = 10_000
     N = fam.shape.N
     if fam.mode != "mcm":
         raise ValueError("crosscheck is defined for mcm families")
+    if fam.shape.n != 1:
+        raise ValueError("crosscheck expects n = 1 families")
     if sample < 1:
         raise ValueError(f"crosscheck sample must be at least 1, got {sample}")
     # pair index zi * len(dirs) + di: z = (1, t_1..t_N) has the base-(q-1)
@@ -608,8 +596,6 @@ def characterization_crosscheck(fam: SectionFamily, q: int, sample: int = 10_000
     visits.sort()
 
     if visits:
-        if fam.shape.n != 1:
-            raise ValueError("crosscheck expects n = 1 families")
         forms = standard_forms(fam)
         values = EvalPlan([e for row in build_matrices(fam).entries for e in row], q)
     vanish_and_member = 0

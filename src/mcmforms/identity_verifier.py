@@ -1,9 +1,7 @@
 """Machine checks for the determinant identities behind the glued forms.
 
-Five families of checks:
+Four families of checks:
 
-  verify_cramer        numeric omit-one-column determinant identities for
-                       matrices whose weighted columns sum to zero.
   verify_gluing        the chart-difference psi_{j_1} - psi_{j_2} equals an
                        explicit certificate sum_i G_i * Cof_i with G_i the
                        row sums (sections and their differentials) and Cof_i
@@ -63,6 +61,7 @@ from .section_builder import (
     DegreeClaimFailed,
     FormalMatrixBundle,
     SectionFamily,
+    _check_selection,
     build_matrices,
     build_selected,
     extract_forms,
@@ -93,69 +92,6 @@ def _characteristic_skip(fam: SectionFamily) -> Optional[dict]:
     return None
 
 
-# ----- Cramer-style numeric identities -----
-
-
-def _omit_det(cols: List[List[int]], omit: int, p: int) -> int:
-    kept = [cols[j] for j in range(len(cols)) if j != omit]
-    rows = [[kept[j][i] for j in range(len(kept))] for i in range(len(kept[0]))]
-    return det_mod_p(rows, p)
-
-
-def _cramer_identities(cols: List[List[int]], weights: List[int], p: int):
-    """First violated pair of the identities
-    (-1)^{j1} det(omit j1) w_{j2} == (-1)^{j2} det(omit j2) w_{j1}."""
-    n1 = len(cols)
-    dets = [(_omit_det(cols, j, p) * (-1) ** j) % p for j in range(n1)]
-    for j1 in range(n1):
-        for j2 in range(j1 + 1, n1):
-            if (dets[j1] * weights[j2]) % p != (dets[j2] * weights[j1]) % p:
-                return (j1, j2)
-    return None
-
-
-def verify_cramer(rows: int, seed: int, trials: int = 200, p: int = 101) -> dict:
-    """Omit-one-column identities for N x (N+1) matrices over F_p whose
-    weighted columns sum to zero.
-
-    Per trial, column 0 is solved from the others twice: once with unit
-    weights and once with random nonzero weights z_j; all pairwise
-    identities (-1)^{j1} det(..omit j1..) z_{j2} == (-1)^{j2} det(..omit
-    j2..) z_{j1} are asserted. The zero matrix is checked once up front.
-    """
-    if rows < 1:
-        raise ValueError("need at least one row")
-    n1 = rows + 1
-    checks = []
-
-    zero_cols = [[0] * rows for _ in range(n1)]
-    bad = _cramer_identities(zero_cols, [1] * n1, p)
-    checks.append(_check("zero matrix", "fail" if bad else "pass", "numeric", 1,
-                         witness={"pair": bad} if bad else None))
-
-    for case, unit_weights in (("column-sum zero", True), ("weighted", False)):
-        witness = None
-        for t in range(trials):
-            rng = child_rng(seed, f"cramer:{case}", t)
-            cols = [[rng.randrange(p) for _ in range(rows)] for _ in range(n1)]
-            if unit_weights:
-                weights = [1] * n1
-            else:
-                weights = [rng.randrange(1, p) for _ in range(n1)]
-            inv0 = pow(weights[0], p - 2, p)
-            cols[0] = [
-                (-sum(cols[j][i] * weights[j] for j in range(1, n1)) * inv0) % p
-                for i in range(rows)
-            ]
-            bad = _cramer_identities(cols, weights, p)
-            if bad is not None:
-                witness = {"trial": t, "pair": bad, "columns": cols, "weights": weights}
-                break
-        checks.append(_check(case, "fail" if witness else "pass", "numeric",
-                             trials, witness))
-    return _report("cramer", checks, rows=rows, p=p)
-
-
 # ----- gluing certificates -----
 
 
@@ -168,10 +104,7 @@ def _glue_matrix(K: FormalMatrixBundle, selection: Sequence[int], which: Optiona
     if K.layout == "mcm":
         raise ValueError("full mcm bundles need a K_nu/K_tau_rho selection")
     shape = K.family.shape
-    n_eff = shape.n - K.eta()
-    selection = tuple(selection)
-    if len(selection) != n_eff or any(not (1 <= j <= shape.c) for j in selection):
-        raise ValueError(f"selection must pick {n_eff} differential rows in 1..{shape.c}")
+    selection = _check_selection(shape, K.eta(), selection)
     cr = shape.c + shape.r
     row_ids = list(range(cr)) + [cr + j - 1 for j in selection]
     M = [[K.entries[rid][col] for col in range(K.ncols)] for rid in row_ids]
@@ -239,11 +172,6 @@ def _packed_gluing_sides(M: List[List[MultiPoly]], j1: int, j2: int
     everything = tuple(range(len(M)))
     return (table.combine([(sign, None, everything, cols) for sign, cols in difference]),
             table.combine(certificate))
-
-
-def gluing_certificate(M: List[List[MultiPoly]], j1: int, j2: int) -> MultiPoly:
-    """The exact certificate sum_i G_i * Cof_i for psi_{j1} - psi_{j2}."""
-    return _packed_gluing_sides(M, j1, j2)[1].unpack()
 
 
 def _certificate_check(check_id: str, M: List[List[MultiPoly]], j1: int, j2: int
@@ -438,6 +366,8 @@ def verify_surjectivity(N: int, d: int, twist_factor: Optional[MultiPoly] = None
     """
     if d < 1:
         raise ValueError("need degree at least 1")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     factor = None if twist_factor is None else EvalPlan([twist_factor], p)
     witness = None
     for t in range(trials):

@@ -281,21 +281,13 @@ def _stage_divisibility(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[
     return "PASS", {"columns_verified": columns}, None
 
 
-def _glue_units(cfg: RunConfig, fam) -> List[dict]:
-    shape = cfg.shape
-    n = shape.n
-    units = []
+def _glue_units(fam) -> List[dict]:
+    shape = fam.shape
+    sel = tuple(range(1, shape.n + 1))
     if fam.mode == "mcm":
-        sel = (1,)
-        for which in _selected_whichs(shape):
-            units.append({"which": which, "selection": sel, "j1": 0, "j2": 1})
-            units.append({"which": which, "selection": sel, "j1": 1,
-                          "j2": shape.N})
-    else:
-        sel = tuple(range(1, n + 1))
-        units.append({"which": None, "selection": sel, "j1": 0, "j2": 1})
-        units.append({"which": None, "selection": sel, "j1": 0, "j2": shape.N})
-    return units
+        return [{"which": which, "selection": sel, "j1": j1, "j2": j2}
+                for which in _selected_whichs(shape) for j1, j2 in ((0, 1), (1, shape.N))]
+    return [{"which": None, "selection": sel, "j1": 0, "j2": j2} for j2 in (1, shape.N)]
 
 
 def _stage_gluing(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
@@ -305,7 +297,7 @@ def _stage_gluing(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]
     mode = "exact"
     if fam.mode == "general_fermat" and cfg.shape.N >= 4:
         mode = "probabilistic"
-    units = _glue_units(cfg, fam)
+    units = _glue_units(fam)
     sub = []
     skipped = 0
     for idx, u in enumerate(units):
@@ -331,18 +323,16 @@ def _stage_gluing(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]
     return "PASS", {"mode": mode, "units": sub}, None
 
 
-def _transition_units(cfg: RunConfig, fam) -> List[dict]:
-    shape = cfg.shape
-    n = shape.n
+def _transition_units(fam) -> List[dict]:
+    shape = fam.shape
+    sel = tuple(range(1, shape.n + 1))
     if fam.mode == "mcm":
-        sel = (1,)
         return [
             {"which": ("K_nu", 0), "selection": sel, "omit": 0, "l1": 0, "l2": 1,
              "kind": None},
             {"which": ("K_tau_rho", 0, 1), "selection": sel, "omit": 1, "l1": 0,
              "l2": shape.N, "kind": None},
         ]
-    sel = tuple(range(1, n + 1))
     return [
         {"which": None, "selection": sel, "omit": 0, "l1": 0, "l2": 1, "kind": "psi"},
         {"which": None, "selection": sel, "omit": shape.N, "l1": 0, "l2": 1,
@@ -354,7 +344,7 @@ def _stage_transition(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
     fam = ctx["family"]
     if not ctx.get("terms_ok", True):
         return "SKIP", {"reason": "term budget exceeded"}, None
-    units = _transition_units(cfg, fam)
+    units = _transition_units(fam)
     sub = []
     skipped = 0
     for idx, u in enumerate(units):
@@ -456,6 +446,8 @@ def _stage_crosscheck(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
     fam = ctx["scan_family"]
     if fam.mode != "mcm":
         return "SKIP", {"reason": "crosscheck needs an mcm family"}, None
+    if fam.shape.n != 1:
+        return "SKIP", {"reason": "crosscheck needs an n = 1 family"}, None
     q = Field.from_spec(cfg.field_spec).p
     rep = characterization_crosscheck(fam, q, sample=cfg.crosscheck_sample,
                                       seed=cfg.seed)

@@ -11,12 +11,15 @@ Two family modes:
                                             * z_{j_k}^{d - l*mu_{l,k}}
                    with all coefficients homogeneous of degree a_i + eps_i.
 
-From a family we build the (c+r+c) x (N+1) matrix (value rows, then the
-total differentials of the first c rows), or for mcm the (2c+r) x (2N+2)
-matrix with column groups A_0..A_N, B_0..B_N (B_k collects the top-level
-terms with distinguished coordinate k). Column-combined selections K_nu and
-K_tau_rho, vanishing-coordinate restrictions, declared column divisors, and
-signed divided determinants with twist bookkeeping all live here.
+section_terms lists the terms of each section once: build_sections draws
+their coefficients, and the matrices and their hidden restrictions sort the
+same terms into columns. From a family we build the (c+r+c) x (N+1) matrix
+(value rows, then the total differentials of the first c rows), or for mcm
+the (2c+r) x (2N+2) matrix with column groups A_0..A_N, B_0..B_N (B_k
+collects the top-level terms with distinguished coordinate k).
+Column-combined selections K_nu and K_tau_rho, vanishing-coordinate
+restrictions, declared column divisors, and signed divided determinants
+with twist bookkeeping all live here.
 
 column_layout states the K_nu / K_tau_rho layouts once; build_selected
 applies them to polynomials, finite_geometry to vectors mod p and to coded
@@ -252,17 +255,15 @@ class FormBundle:
         det = self.det.unpack()
         value = det if self.sign == 1 else -det
         if not value.is_zero():
-            if not value.is_bihomogeneous():
-                raise DegreeClaimFailed("bihomogeneous", True, False)
-            if value.dz_degree() != self.dz_degree:
-                raise DegreeClaimFailed("dz-degree", self.dz_degree, value.dz_degree())
-            if value.z_degree() != self.z_degree:
-                raise DegreeClaimFailed("z-degree", self.z_degree, value.z_degree())
+            try:
+                z, dz = value.bidegree()
+            except ValueError:
+                raise DegreeClaimFailed("bihomogeneous", True, False) from None
+            if dz != self.dz_degree:
+                raise DegreeClaimFailed("dz-degree", self.dz_degree, dz)
+            if z != self.z_degree:
+                raise DegreeClaimFailed("z-degree", self.z_degree, z)
         return value
-
-    @property
-    def divided_rows(self) -> List[List[MultiPoly]]:
-        return [self.matrix.rows[t] for t in self.matrix_rows]
 
     def term_count(self) -> int:
         """Terms of value_global, read off the packed determinant."""
@@ -298,10 +299,6 @@ def random_homogeneous(N: int, degree: int, field: Field, rng) -> MultiPoly:
 # ----- family construction -----
 
 
-def _coeff_degree_general(i: int, j: int, twists, degrees, lambdas) -> int:
-    return twists[i - 1] + degrees[i - 1] - lambdas[j]
-
-
 def mcm_tuple_space(shape: ProblemShape, coords: Sequence[int]) -> List[Tuple[int, Tuple[int, ...], int]]:
     """All (level, tuple, distinguished coordinate) triples over the given
     coordinates; levels run c+r+1 .. len(coords)-1."""
@@ -315,6 +312,37 @@ def mcm_tuple_space(shape: ProblemShape, coords: Sequence[int]) -> List[Tuple[in
     return out
 
 
+def section_terms(shape: ProblemShape, mode: str, i: int,
+                  lambdas: Optional[Sequence[int]] = None,
+                  schedule: Optional[ExponentSchedule] = None
+                  ) -> List[Tuple[str, Tuple[int, ...], Tuple[int, ...], int]]:
+    """The terms of section i (1-based) in coefficient draw order, as
+    (coefficient key, monomial exponents, coordinates of the monomial,
+    distinguished coordinate jk).
+
+    First A:i:j with z_j^lambda_j (general_fermat) or z_j^d (mcm); then, for
+    mcm, every M:i:j0,..,jl:jk in mcm_tuple_space order, whose monomial is
+    z_m^mu[l, k] for each m in the tuple except z_jk^(d - l * mu[l, k]), k
+    the position of jk. The family's sections, matrices and hidden
+    restrictions are all built from this list.
+    """
+    N = shape.N
+    if mode == "general_fermat":
+        return [(f"A:{i}:{j}", z_power(N, j, lam), (j,), j) for j, lam in enumerate(lambdas)]
+    d = schedule.d
+    terms = [(f"A:{i}:{j}", z_power(N, j, d), (j,), j) for j in range(N + 1)]
+    for level, tup, jk in mcm_tuple_space(shape, range(N + 1)):
+        m_exp = schedule.mu[(level, tup.index(jk))]
+        if d - level * m_exp < 1:
+            raise ValueError("schedule residual exponent not positive")
+        mono = [0] * (2 * (N + 1))
+        for m in tup:
+            mono[m] = m_exp
+        mono[jk] = d - level * m_exp
+        terms.append((f"M:{i}:{','.join(map(str, tup))}:{jk}", tuple(mono), tup, jk))
+    return terms
+
+
 def build_sections(
     shape: ProblemShape,
     mode: str,
@@ -323,7 +351,6 @@ def build_sections(
     lambdas: Optional[Sequence[int]] = None,
     degrees: Optional[Sequence[int]] = None,
     schedule: Optional[ExponentSchedule] = None,
-    coeff_source: str = "random",
     seed: int = 0,
     explicit: Optional[Dict[str, str]] = None,
 ) -> SectionFamily:
@@ -331,8 +358,10 @@ def build_sections(
 
     general_fermat needs lambdas (length N+1, all >= 1) and degrees d_i with
     d_i >= lambda_j everywhere; mcm needs a valid schedule whose shape
-    matches. Random coefficients are seeded; explicit mode takes a dict of
-    polynomial literals keyed like SectionFamily.coefficients.
+    matches. Every coefficient of section i has degree a_i + (L-degree of
+    F_i) - (degree of its monomial). Coefficients are drawn at random from
+    the seed, or, when `explicit` is given, parsed from its polynomial
+    literals keyed like SectionFamily.coefficients.
     """
     cr = shape.c + shape.r
     if twists is None:
@@ -340,22 +369,21 @@ def build_sections(
     twists = tuple(int(a) for a in twists)
     if len(twists) != cr:
         raise ValueError(f"need {cr} twists")
-    coeffs: Dict[str, MultiPoly] = {}
 
     def make(key: str, degree: int, rng) -> MultiPoly:
-        if coeff_source == "explicit":
-            if key not in explicit:
-                raise ValueError(f"missing explicit coefficient {key}")
-            poly = from_literal(explicit[key], shape.N, field)
-            if not poly.is_zero():
-                if poly.dz_degree() != 0:
-                    raise ValueError(f"coefficient {key} must be dz-free")
-                if poly.z_degree() != degree:
-                    raise ValueError(
-                        f"degree bookkeeping mismatch at {key}: got {poly.z_degree()}, need {degree}"
-                    )
-            return poly
-        return random_homogeneous(shape.N, degree, field, rng)
+        if explicit is None:
+            return random_homogeneous(shape.N, degree, field, rng)
+        if key not in explicit:
+            raise ValueError(f"missing explicit coefficient {key}")
+        poly = from_literal(explicit[key], shape.N, field)
+        if not poly.is_zero():
+            if poly.dz_degree() != 0:
+                raise ValueError(f"coefficient {key} must be dz-free")
+            if poly.z_degree() != degree:
+                raise ValueError(
+                    f"degree bookkeeping mismatch at {key}: got {poly.z_degree()}, need {degree}"
+                )
+        return poly
 
     if mode == "general_fermat":
         if lambdas is None or degrees is None:
@@ -370,56 +398,38 @@ def build_sections(
             for j, lam in enumerate(lambdas):
                 if degrees[i - 1] - lam < 0:
                     raise ValueError(f"degree bookkeeping mismatch: d_{i} = {degrees[i - 1]} < lambda_{j} = {lam}")
-        sections = []
-        for i in range(1, cr + 1):
-            rng = child_rng(seed, "build_sections", i)
-            F = MultiPoly.zero(shape.N, field)
-            for j in range(shape.N + 1):
-                key = f"A:{i}:{j}"
-                coeffs[key] = make(key, _coeff_degree_general(i, j, twists, degrees, lambdas), rng)
-                F = F + coeffs[key] * MultiPoly.z(shape.N, j, field, power=lambdas[j])
-            expected = twists[i - 1] + degrees[i - 1]
-            if not F.is_zero() and F.z_degree() != expected:
-                raise ValueError(f"section {i} degree {F.z_degree()} != {expected}")
-            sections.append(F)
-        return SectionFamily(
-            shape=shape, mode=mode, field=field, twists=twists, coefficients=coeffs,
-            sections=tuple(sections), lambdas=lambdas, degrees=degrees, seed=seed,
-        )
-
-    if mode == "mcm":
+        schedule = None
+        l_degrees = degrees
+    elif mode == "mcm":
         if schedule is None:
             raise ValueError("mcm needs an exponent schedule")
         if schedule.shape != shape:
             raise ValueError("schedule shape mismatch")
-        d = schedule.d
-        triples = mcm_tuple_space(shape, range(shape.N + 1))
-        sections = []
-        for i in range(1, cr + 1):
-            rng = child_rng(seed, "build_sections", i)
-            cdeg = twists[i - 1] + schedule.eps[i - 1]
-            F = MultiPoly.zero(shape.N, field)
-            for j in range(shape.N + 1):
-                key = f"A:{i}:{j}"
-                coeffs[key] = make(key, cdeg, rng)
-                F = F + coeffs[key] * MultiPoly.z(shape.N, j, field, power=d)
-            for level, tup, jk in triples:
-                key = f"M:{i}:{','.join(map(str, tup))}:{jk}"
-                coeffs[key] = make(key, cdeg, rng)
-                F = F + times_monomial(coeffs[key], _moving_monomial(shape.N, schedule, level, tup, jk))
-            expected = cdeg + d
-            if not F.is_zero() and F.z_degree() != expected:
-                raise ValueError(f"section {i} degree {F.z_degree()} != {expected}")
-            sections.append(F)
-        # negativity reading of the twist data: heart must exceed every a_i
-        if schedule.heart <= max(twists, default=0):
-            raise ValueError("schedule heart must exceed every twist a_i")
-        return SectionFamily(
-            shape=shape, mode=mode, field=field, twists=twists, coefficients=coeffs,
-            sections=tuple(sections), schedule=schedule, seed=seed,
-        )
+        lambdas = degrees = None
+        l_degrees = tuple(e + schedule.d for e in schedule.eps)
+    else:
+        raise ValueError(f"unknown mode: {mode}")
 
-    raise ValueError(f"unknown mode: {mode}")
+    coeffs: Dict[str, MultiPoly] = {}
+    sections = []
+    for i in range(1, cr + 1):
+        rng = child_rng(seed, "build_sections", i)
+        expected = twists[i - 1] + l_degrees[i - 1]
+        F = MultiPoly.zero(shape.N, field)
+        for key, mono, _, _ in section_terms(shape, mode, i, lambdas, schedule):
+            coeffs[key] = make(key, expected - sum(mono), rng)
+            F = F + times_monomial(coeffs[key], mono)
+        if not F.is_zero() and F.z_degree() != expected:
+            raise ValueError(f"section {i} degree {F.z_degree()} != {expected}")
+        sections.append(F)
+    # negativity reading of the twist data: heart must exceed every a_i
+    if mode == "mcm" and schedule.heart <= max(twists, default=0):
+        raise ValueError("schedule heart must exceed every twist a_i")
+    return SectionFamily(
+        shape=shape, mode=mode, field=field, twists=twists, coefficients=coeffs,
+        sections=tuple(sections), lambdas=lambdas, degrees=degrees, schedule=schedule,
+        seed=seed,
+    )
 
 
 # ----- matrices -----
@@ -427,48 +437,61 @@ def build_sections(
 
 def build_matrices(fam: SectionFamily) -> FormalMatrixBundle:
     """The full structured matrix of the family, invariants checked."""
-    if fam.mode == "mcm":
-        return _mcm_bundle(fam)
-    if fam.mode != "general_fermat":
+    if fam.mode not in ("mcm", "general_fermat"):
         raise ValueError(fam.mode)
+    return _bundle(fam)
+
+
+def _bundle(fam: SectionFamily, vanished: Tuple[int, ...] = ()) -> FormalMatrixBundle:
+    """The matrix of the family over the coordinates not in `vanished`,
+    sorted from section_terms, invariants checked.
+
+    A term survives iff its monomial avoids every vanished coordinate, with
+    z_v = 0 substituted in its coefficient. It goes to the column of its
+    distinguished coordinate jk: col_jk (layout "sec4", divisor exponent
+    lambda_jk), or for mcm (layout "mcm") B_jk when its coordinates are all
+    the retained ones (the top level of the restricted model) and A_jk
+    otherwise. Grouping the surviving terms, rather than restricting the
+    full groups, moves the surviving top-level terms of a restriction to
+    its B columns. Differential rows are the total differentials of the
+    first c value rows.
+    """
     shape = fam.shape
-    N, c, cr = shape.N, shape.c, shape.c + shape.r
-    coords = tuple(range(N + 1))
+    retained = tuple(j for j in range(shape.N + 1) if j not in vanished)
+    cr = shape.c + shape.r
+    mcm = fam.mode == "mcm"
+    if mcm and len(retained) - 1 < cr + 1:
+        raise ValueError("too many vanished coordinates: no moving level remains")
+    width = len(retained)
     rows: List[List[MultiPoly]] = []
     for i in range(1, cr + 1):
-        rows.append(
-            [fam.coefficients[f"A:{i}:{j}"] * MultiPoly.z(N, j, fam.field, power=fam.lambdas[j]) for j in coords]
+        row = [MultiPoly.zero(shape.N, fam.field) for _ in range(2 * width if mcm else width)]
+        for key, mono, coords, jk in section_terms(shape, fam.mode, i, fam.lambdas, fam.schedule):
+            if any(v in coords for v in vanished):
+                continue
+            coeff = fam.coefficients[key]
+            if vanished:
+                coeff = kill_coordinates(coeff, vanished)
+            col = retained.index(jk) + (width if mcm and coords == retained else 0)
+            row[col] = row[col] + times_monomial(coeff, mono)
+        rows.append(row)
+    for q in range(shape.c):
+        rows.append([total_differential(e) for e in rows[q]])
+    if mcm:
+        bundle = FormalMatrixBundle(
+            layout="mcm", family=fam, entries=rows,
+            column_tags=tuple([f"A_{j}" for j in retained] + [f"B_{k}" for k in retained]),
+            column_coords=retained + retained, retained=retained, vanished=vanished,
         )
-    for q in range(1, c + 1):
-        rows.append([total_differential(e) for e in rows[q - 1]])
-    bundle = FormalMatrixBundle(
-        layout="sec4", family=fam, entries=rows,
-        column_tags=tuple(f"col_{j}" for j in coords), column_coords=coords,
-        retained=coords, divisor_exponents=tuple(fam.lambdas),
-    )
+    else:
+        bundle = FormalMatrixBundle(
+            layout="sec4", family=fam, entries=rows,
+            column_tags=tuple(f"col_{j}" for j in retained), column_coords=retained,
+            retained=retained, vanished=vanished,
+            divisor_exponents=tuple(fam.lambdas[j] for j in retained),
+        )
     _check_bundle_invariants(bundle)
     return bundle
-
-
-def _moving_monomial(N: int, sched: ExponentSchedule, level: int, tup: Tuple[int, ...],
-                     jk: int) -> Tuple[int, ...]:
-    """Exponent tuple of the monomial of the moving term M^{tup;jk}:
-    z_m^mu[level, k] for each m in tup, except z_jk^(d - level * mu[level, k]),
-    k the position of jk in tup."""
-    m_exp = sched.mu[(level, tup.index(jk))]
-    if sched.d - level * m_exp < 1:
-        raise ValueError("schedule residual exponent not positive")
-    mono = [0] * (2 * (N + 1))
-    for m in tup:
-        mono[m] = m_exp
-    mono[jk] = sched.d - level * m_exp
-    return tuple(mono)
-
-
-def _mcm_term(fam: SectionFamily, i: int, level: int, tup: Tuple[int, ...], jk: int) -> MultiPoly:
-    key = f"M:{i}:{','.join(map(str, tup))}:{jk}"
-    return times_monomial(fam.coefficients[key],
-                          _moving_monomial(fam.shape.N, fam.schedule, level, tup, jk))
 
 
 def _check_bundle_invariants(bundle: FormalMatrixBundle) -> None:
@@ -495,50 +518,6 @@ def _check_bundle_invariants(bundle: FormalMatrixBundle) -> None:
                 raise BundleInvariantError(
                     f"row {cr + q - 1} is not the differential of row {q - 1} at column {col}",
                     row=cr + q - 1, col=col)
-
-
-def _mcm_bundle(fam: SectionFamily, vanished: Tuple[int, ...] = ()) -> FormalMatrixBundle:
-    """The grouped matrix over the coordinates not in `vanished`.
-
-    A_j collects the pure term and every level below the top with
-    distinguished coordinate j; B_k is the top-level term with distinguished
-    coordinate k. On a restricted model the top level is len(retained)-1,
-    so the groups are assembled from the surviving coefficient terms (with
-    z_v = 0 substituted) rather than by restricting the full groups, which
-    would leave surviving top-level terms in their old A-groups.
-    """
-    shape = fam.shape
-    retained = tuple(j for j in range(shape.N + 1) if j not in vanished)
-    top = len(retained) - 1
-    cr = shape.c + shape.r
-    if top < cr + 1:
-        raise ValueError("too many vanished coordinates: no moving level remains")
-
-    def sub(p: MultiPoly) -> MultiPoly:
-        return kill_coordinates(p, vanished) if vanished else p
-
-    d = fam.schedule.d
-    lower = [t for t in mcm_tuple_space(shape, retained) if t[0] != top]
-    rows: List[List[MultiPoly]] = []
-    for i in range(1, cr + 1):
-        row = []
-        for j in retained:
-            g = sub(fam.coefficients[f"A:{i}:{j}"]) * MultiPoly.z(shape.N, j, fam.field, power=d)
-            for level, tup, jk in lower:
-                if jk == j:
-                    g = g + sub(_mcm_term(fam, i, level, tup, jk))
-            row.append(g)
-        row += [sub(_mcm_term(fam, i, top, retained, k)) for k in retained]
-        rows.append(row)
-    for q in range(1, shape.c + 1):
-        rows.append([total_differential(e) for e in rows[q - 1]])
-    bundle = FormalMatrixBundle(
-        layout="mcm", family=fam, entries=rows,
-        column_tags=tuple([f"A_{j}" for j in retained] + [f"B_{k}" for k in retained]),
-        column_coords=retained + retained, retained=retained, vanished=vanished,
-    )
-    _check_bundle_invariants(bundle)
-    return bundle
 
 
 # ----- column layouts -----
@@ -643,8 +622,8 @@ def build_selected(K: FormalMatrixBundle, which: Tuple) -> FormalMatrixBundle:
     K_nu and K_tau_rho combine the A/B groups as column_layout states;
     positions refer to the retained coordinate list, and the combined
     columns are displayed last. hidden restricts to the complement of the
-    vanished set, substituting z_v = 0, dz_v = 0; on mcm bundles the groups
-    are rebuilt over the retained coordinates.
+    vanished set, substituting z_v = 0, dz_v = 0: the matrix is rebuilt
+    from the surviving terms (_bundle).
     """
     kind = which[0]
     fam = K.family
@@ -655,22 +634,11 @@ def build_selected(K: FormalMatrixBundle, which: Tuple) -> FormalMatrixBundle:
             raise ValueError(f"hidden depth must be 1..n-1, got {eta}")
         if any(not (0 <= v <= fam.shape.N) for v in vanished):
             raise ValueError("vanished index out of range")
-        if K.layout == "sec4":
-            if any(l < 2 for l in fam.lambdas):
-                raise ValueError("hidden forms require all lambda_j >= 2")
-            retained = tuple(j for j in range(fam.shape.N + 1) if j not in vanished)
-            rows = [[kill_coordinates(K.entries[i][j], vanished) for j in retained] for i in range(K.nrows)]
-            bundle = FormalMatrixBundle(
-                layout="sec4", family=fam, entries=rows,
-                column_tags=tuple(f"col_{j}" for j in retained), column_coords=retained,
-                retained=retained, vanished=vanished,
-                divisor_exponents=tuple(fam.lambdas[j] for j in retained),
-            )
-            _check_bundle_invariants(bundle)
-            return bundle
-        if K.layout == "mcm":
-            return _mcm_bundle(fam, vanished)
-        raise ValueError("hidden selection needs a sec4 or mcm bundle")
+        if K.layout not in ("sec4", "mcm"):
+            raise ValueError("hidden selection needs a sec4 or mcm bundle")
+        if K.layout == "sec4" and any(l < 2 for l in fam.lambdas):
+            raise ValueError("hidden forms require all lambda_j >= 2")
+        return _bundle(fam, vanished)
 
     if K.layout != "mcm":
         raise ValueError("column combinations need an mcm bundle")
@@ -692,7 +660,7 @@ def build_selected(K: FormalMatrixBundle, which: Tuple) -> FormalMatrixBundle:
 # ----- divisors -----
 
 
-def column_divisors(K: FormalMatrixBundle, which: Optional[Tuple] = None, verify: bool = True) -> List[Dict[str, object]]:
+def column_divisors(K: FormalMatrixBundle, which: Optional[Tuple] = None) -> List[Dict[str, object]]:
     """Declared divisor of each column of a selected or explicit-exponent
     bundle, verified.
 
@@ -711,22 +679,34 @@ def column_divisors(K: FormalMatrixBundle, which: Optional[Tuple] = None, verify
     for col in range(K.ncols):
         e = K.divisor_exponents[col]
         coord = K.column_coords[col]
-        report = {"col": col, "tag": K.column_tags[col], "coordinate": coord, "exponent": e}
-        if verify:
-            for row in range(K.nrows):
-                need = e if row < cr else e - 1
-                entry = K.entries[row][col]
-                if entry.is_zero():
-                    continue
-                if min(exp[coord] for exp in entry.terms) < need:
-                    raise DivisibilityClaimFailed(
-                        f"entry ({row},{col}) not divisible by z{coord}^{need}", row=row, col=col
-                    )
-        out.append(report)
+        for row in range(K.nrows):
+            need = e if row < cr else e - 1
+            entry = K.entries[row][col]
+            if entry.is_zero():
+                continue
+            if min(exp[coord] for exp in entry.terms) < need:
+                raise DivisibilityClaimFailed(
+                    f"entry ({row},{col}) not divisible by z{coord}^{need}", row=row, col=col
+                )
+        out.append({"col": col, "tag": K.column_tags[col], "coordinate": coord, "exponent": e})
     return out
 
 
 # ----- form extraction -----
+
+
+def _check_selection(shape: ProblemShape, eta: int, selection: Sequence[int]) -> Tuple[int, ...]:
+    """The selection as a tuple, once it names n - eta distinct
+    differential rows in 1..c in increasing order; raises ValueError
+    otherwise. Forms and gluing certificates take their rows from it."""
+    n_eff = shape.n - eta
+    selection = tuple(selection)
+    if len(selection) != n_eff or any(not (1 <= j <= shape.c) for j in selection) \
+            or len(set(selection)) != n_eff:
+        raise ValueError(f"selection must pick {n_eff} distinct differential rows in 1..{shape.c}")
+    if sorted(selection) != list(selection):
+        raise ValueError("selection must be increasing")
+    return selection
 
 
 def extract_forms(
@@ -767,13 +747,7 @@ def extract_forms(
     shape = fam.shape
     eta = K.eta()
     n_eff = shape.n - eta
-    selections = [tuple(sel) for sel in selections]
-    for selection in selections:
-        if len(selection) != n_eff or any(not (1 <= j <= shape.c) for j in selection) \
-                or len(set(selection)) != n_eff:
-            raise ValueError(f"selection must pick {n_eff} distinct differential rows in 1..{shape.c}")
-        if sorted(selection) != list(selection):
-            raise ValueError("selection must be increasing")
+    selections = [_check_selection(shape, eta, sel) for sel in selections]
     ncols = K.ncols
     if not (0 <= omit < ncols):
         raise ValueError("omitted column out of range")
@@ -876,13 +850,12 @@ def _structural_faults(divided, row_bidegrees, col_shifts, row_ids, cols
         for shift, col, entry in zip(col_shifts, cols, row):
             if entry.is_zero():
                 continue
-            n1 = entry.N + 1
-            pairs = {(sum(exp[:n1]), sum(exp[n1:])) for exp in entry.terms}
-            if len(pairs) > 1:
+            try:
+                z, dz = entry.bidegree()
+            except ValueError:
                 faults.setdefault("bihomogeneous", DegreeClaimFailed(
                     "bihomogeneous", True, False, entry=(rid, col)))
                 continue
-            ((z, dz),) = pairs
             if dz != want_dz:
                 faults.setdefault("dz-degree", DegreeClaimFailed(
                     "dz-degree", want_dz, dz, entry=(rid, col)))
@@ -958,7 +931,6 @@ def load_family(path: str) -> SectionFamily:
         mode=data["mode"],
         field=field,
         twists=data["twists"],
-        coeff_source="explicit",
         explicit=data["coefficients"],
         seed=data.get("seed"),
     )

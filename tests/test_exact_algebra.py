@@ -68,7 +68,7 @@ def tuple_mul(a, b):
     for e1, c1 in small.items():
         for e2, c2 in big.items():
             exp = tuple(x + y for x, y in zip(e1, e2))
-            c = fld.mul(c1, c2)
+            c = fld.coerce(c1 * c2)
             prev = out.get(exp)
             if prev is None:
                 out[exp] = c
@@ -146,7 +146,7 @@ def test_zero_polynomial_is_empty_dict():
     z0 = MultiPoly.z(1, 0)
     p = z0 - z0
     assert p.is_zero() and p.terms == {}
-    assert p.is_bihomogeneous() and p.bidegree() is None
+    assert p.bidegree() is None
 
 
 def test_mod_p_coefficients_wrap():
@@ -192,7 +192,6 @@ def test_bidegree_of_monomial():
 
 def test_inhomogeneous_bidegree_raises():
     p = MultiPoly.z(1, 0) + MultiPoly.const(1, 1)
-    assert not p.is_bihomogeneous()
     with pytest.raises(ValueError):
         p.bidegree()
 
@@ -393,6 +392,16 @@ def test_sample_identity_draws_seeded_points_and_reports_the_first_mismatch():
     assert sample_identity(lambda z, dz, m: [(m, 2 ** 31 - 1)], 1, QQ, 3, 0, "q") is None
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sampling_without_a_trial_is_refused(trials):
+    # no point drawn would pass any identity, true or false
+    with pytest.raises(ValueError, match="at least one trial"):
+        sample_identity(lambda z, dz, m: [(1, 0)], 1, Field(5), trials, 0, "s")
+    p = MultiPoly.z(1, 0, Field(5))
+    with pytest.raises(ValueError, match="at least one trial"):
+        identity_test(p, p + p, mode="probabilistic", trials=trials)
+
+
 def test_identity_test_auto_small_goes_exact():
     p = MultiPoly.z(1, 0)
     res = identity_test(p, p, mode="auto")
@@ -476,13 +485,13 @@ def test_sum_negation_and_scaling_match_field_arithmetic(data):
     for exp, c in b.terms.items():
         total[exp] = field.add(total[exp], c) if exp in total else c
     assert same_poly(a + b, MultiPoly(1, field, total))
-    assert same_poly(-a, MultiPoly(1, field, {e: field.neg(c) for e, c in a.terms.items()}))
-    assert same_poly(a.scale(k), MultiPoly(1, field, {e: field.mul(c, k) for e, c in a.terms.items()}))
+    assert same_poly(-a, MultiPoly(1, field, {e: field.coerce(-c) for e, c in a.terms.items()}))
+    assert same_poly(a.scale(k), MultiPoly(1, field, {e: field.coerce(c * k) for e, c in a.terms.items()}))
 
 
 def field_transform(p, images):
     """Reference for the term-wise maps: each term's images (new exponent,
-    coefficient), computed and summed with Field.mul/Field.add."""
+    coefficient), computed and summed with Field.coerce/Field.add."""
     fld = p.field
     out = {}
     for exp, c in p.terms.items():
@@ -509,9 +518,9 @@ def test_calculus_and_substitutions_match_field_arithmetic(data):
     p = data.draw(_polys(field, N, max_terms=6))
     j = data.draw(st.integers(0, N))
     assert same_poly(deriv(p, j), field_transform(
-        p, lambda e, c, f: [(_lowered(e, j), f.mul(c, f.coerce(e[j])))] if e[j] else []))
+        p, lambda e, c, f: [(_lowered(e, j), f.coerce(c * e[j]))] if e[j] else []))
     assert same_poly(total_differential(p), field_transform(
-        p, lambda e, c, f: [(_lowered(e, k, n1 + k), f.mul(c, f.coerce(e[k])))
+        p, lambda e, c, f: [(_lowered(e, k, n1 + k), f.coerce(c * e[k]))
                             for k in range(n1) if e[k]]))
 
 
@@ -562,6 +571,44 @@ def test_det_mod_p_agrees_with_poly_det_on_constants():
         sym = poly_det(rows)
         val = 0 if sym.is_zero() else list(sym.terms.values())[0]
         assert val == det_mod_p(m, p)
+
+
+def _cramer_identities(cols, weights, p):
+    """First pair (j1, j2) of columns violating the omit-one-column identity
+    (-1)^{j1} det(omit j1) w_{j2} == (-1)^{j2} det(omit j2) w_{j1} mod p,
+    or None; cols lists the columns of a rows x (rows + 1) matrix."""
+    n1 = len(cols)
+    dets = []
+    for omit in range(n1):
+        kept = [col for j, col in enumerate(cols) if j != omit]
+        dets.append(det_mod_p([list(row) for row in zip(*kept)], p) * (-1) ** omit % p)
+    for j1 in range(n1):
+        for j2 in range(j1 + 1, n1):
+            if dets[j1] * weights[j2] % p != dets[j2] * weights[j1] % p:
+                return j1, j2
+    return None
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+def test_det_mod_p_satisfies_the_cramer_identities(rows):
+    # rows x (rows + 1) matrices whose weighted columns sum to zero: the
+    # zero matrix, unit weights (column sums zero) and random nonzero
+    # weights, column 0 solved from the others
+    p = 101
+    n1 = rows + 1
+    assert _cramer_identities([[0] * rows for _ in range(n1)], [1] * n1, p) is None
+    for case in ("column-sum zero", "weighted"):
+        for t in range(100):
+            rng = child_rng(rows, f"cramer:{case}", t)
+            cols = [[rng.randrange(p) for _ in range(rows)] for _ in range(n1)]
+            weights = [1] * n1 if case == "column-sum zero" else \
+                [rng.randrange(1, p) for _ in range(n1)]
+            inv0 = pow(weights[0], p - 2, p)
+            cols[0] = [-sum(cols[j][i] * weights[j] for j in range(1, n1)) * inv0 % p
+                       for i in range(rows)]
+            assert _cramer_identities(cols, weights, p) is None, (case, t, cols, weights)
+    # columns that do not sum to zero violate the identities
+    assert _cramer_identities([[1, 0], [0, 1], [1, 1]], [1, 1, 1], p) is not None
 
 
 # ----- minor table against the cofactor loop -----

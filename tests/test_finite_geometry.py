@@ -57,7 +57,7 @@ UNIT_LINE = {"A:1:0": "1", "A:1:1": "1", "A:1:2": "1"}
 def unit_line_family(field=QQ):
     return build_sections(
         ProblemShape(2, 1, 0), "general_fermat", field=field,
-        lambdas=(1, 1, 1), degrees=(1,), coeff_source="explicit", explicit=UNIT_LINE,
+        lambdas=(1, 1, 1), degrees=(1,), explicit=UNIT_LINE,
     )
 
 
@@ -71,12 +71,10 @@ def mcm_family(seed, shape=None, p=5, heart=2):
 
 
 def test_proj_point_normalization():
-    pt = ProjPoint.normalize((2, 4, 0), 5)
-    assert pt.coords == (1, 2, 0)
-    assert ProjPoint.normalize((0, 3, 6), 7).coords == (0, 1, 2)
-    with pytest.raises(ValueError):
-        ProjPoint.normalize((0, 0, 0), 5)
-    with pytest.raises(ValueError):
+    assert ProjPoint((0, 1, 2), 7).coords == (0, 1, 2)
+    with pytest.raises(ValueError, match="zero vector"):
+        ProjPoint((0, 0, 0), 5)
+    with pytest.raises(ValueError, match="not normalized"):
         ProjPoint((0, 2, 1), 5)  # leading coordinate not scaled to 1
 
 
@@ -138,11 +136,10 @@ def test_points_on_line_over_F2():
 
 
 def test_points_on_empty_family():
+    # no equations: the whole projective space
     for N, p in [(2, 3), (3, 2), (2, 5)]:
-        pts = points_on_X(None, p, N=N)
-        assert len(pts) == (p ** (N + 1) - 1) // (p - 1)
-    with pytest.raises(ValueError, match="need N"):
-        points_on_X(None, 3)
+        pts = points_on_X(Cutout(N=N, field=Field(p), sections=()), p)
+        assert [pt.coords for pt in pts] == [pt.coords for pt in proj_points(N, p)]
 
 
 def test_points_on_z0_squared_cutout():
@@ -774,6 +771,14 @@ def test_crosscheck_reads_the_programs_forms(monkeypatch):
     assert rep["vanish_and_member"] == members == 1
 
 
+def test_crosscheck_refuses_an_n_2_family_up_front():
+    # refused before sampling: a sample that meets no incidence pair must
+    # not report ok
+    fam = mcm_family(1, shape=ProblemShape(4, 2, 0))
+    with pytest.raises(ValueError, match="n = 1"):
+        characterization_crosscheck(fam, 5, sample=100)
+
+
 def test_scans_that_only_evaluate_forms_expand_no_determinant(monkeypatch):
     fam = mcm_family(4, shape=ProblemShape(2, 1, 0))
     with monkeypatch.context() as m:
@@ -785,7 +790,7 @@ def test_scans_that_only_evaluate_forms_expand_no_determinant(monkeypatch):
         assert characterization_crosscheck(fam, 5, sample=96)["incidence_pairs"] == 7
         assert base_locus_scan(fam, forms, 5)["directions"] == 7
     for form in forms:
-        eager = exact_algebra.poly_det(form.divided_rows)
+        eager = exact_algebra.poly_det([form.matrix.rows[t] for t in form.matrix_rows])
         assert form.term_count() == eager.term_count()
         assert form.table is None  # dropped once expanded
         assert form.value_global == (eager if form.sign == 1 else -eager)

@@ -18,10 +18,9 @@ from mcmforms.exact_algebra import (
     z_power,
 )
 from mcmforms.identity_verifier import (
+    _packed_gluing_sides,
     evaluation_matrix,
-    gluing_certificate,
     monomial_basis,
-    verify_cramer,
     verify_gluing,
     verify_hidden,
     verify_surjectivity,
@@ -45,7 +44,7 @@ UNIT_LINE = {"A:1:0": "1", "A:1:1": "1", "A:1:2": "1"}
 def unit_line_family():
     return build_sections(
         ProblemShape(2, 1, 0), "general_fermat", field=QQ,
-        lambdas=(1, 1, 1), degrees=(1,), coeff_source="explicit", explicit=UNIT_LINE,
+        lambdas=(1, 1, 1), degrees=(1,), explicit=UNIT_LINE,
     )
 
 
@@ -54,36 +53,6 @@ def fermat_family(N, c, r, lambdas, degrees, field=F101, seed=0, twists=None):
         ProblemShape(N, c, r), "general_fermat", field=field, lambdas=lambdas,
         degrees=degrees, twists=twists, seed=seed,
     )
-
-
-# ----- cramer -----
-
-
-def test_cramer_zero_matrix_and_random_trials():
-    rep = verify_cramer(3, seed=0, trials=200, p=101)
-    assert rep["ok"]
-    ids = [c["id"] for c in rep["checks"]]
-    assert ids == ["zero matrix", "column-sum zero", "weighted"]
-    assert all(c["verdict"] == "pass" for c in rep["checks"])
-    assert rep["checks"][1]["trials"] == 200
-
-
-def test_cramer_various_sizes():
-    for rows in (1, 2, 4):
-        assert verify_cramer(rows, seed=rows, trials=25)["ok"]
-
-
-def test_cramer_rejects_empty():
-    with pytest.raises(ValueError):
-        verify_cramer(0, seed=0)
-
-
-def test_cramer_identity_actually_constrains():
-    # columns that do not sum to zero violate the identities
-    from mcmforms.identity_verifier import _cramer_identities
-
-    cols = [[1, 0], [0, 1], [1, 1]]
-    assert _cramer_identities(cols, [1, 1, 1], 101) is not None
 
 
 # ----- gluing -----
@@ -95,7 +64,7 @@ def test_line_gluing_certificate_matches_hand_expansion():
     assert rep["ok"] and rep["generators"] == 2
     K = build_matrices(fam)
     M = [list(K.entries[0]), list(K.entries[1])]
-    cert = gluing_certificate(M, 0, 1)
+    cert = _packed_gluing_sides(M, 0, 1)[1].unpack()
     F_dz2 = from_literal(
         "1 * z0^1 dz2^1 + 1 * z1^1 dz2^1 + 1 * z2^1 dz2^1", 2)
     dF_z2 = from_literal(
@@ -104,6 +73,18 @@ def test_line_gluing_certificate_matches_hand_expansion():
     psi0 = extract_forms(K, None, [(1,)], omit=0, kind="psi")[0].value_global
     psi1 = extract_forms(K, None, [(1,)], omit=1, kind="psi")[0].value_global
     assert psi0 - psi1 == cert
+
+
+@pytest.mark.parametrize("selection", [(1, 1), (2, 1)])
+def test_gluing_refuses_a_repeated_or_unordered_selection(selection):
+    # with one differential row twice both sides vanish identically, so
+    # the certificate would pass without testing anything
+    fam = fermat_family(4, 2, 0, (2,) * 5, (3, 3), field=Field(5), seed=1)
+    assert verify_gluing(fam, (1, 2), 0, 1)["ok"]
+    with pytest.raises(ValueError, match="distinct|increasing"):
+        verify_gluing(fam, selection, 0, 1)
+    with pytest.raises(ValueError, match="distinct|increasing"):
+        extract_forms(build_matrices(fam), None, [selection], omit=0)
 
 
 def test_gluing_same_chart_is_trivially_zero():
@@ -366,6 +347,15 @@ def test_surjectivity_with_leibniz_twist_factor():
 def test_surjectivity_rejects_degree_zero():
     with pytest.raises(ValueError):
         verify_surjectivity(2, 0)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_checks_without_a_trial_are_refused(trials):
+    with pytest.raises(ValueError, match="at least one trial"):
+        verify_surjectivity(2, 3, trials=trials)
+    fam = fermat_family(2, 1, 0, (2, 2, 2), (3,))
+    with pytest.raises(ValueError, match="at least one trial"):
+        verify_gluing(fam, (1,), 0, 1, mode="probabilistic", trials=trials)
 
 
 def test_monomial_basis_size():

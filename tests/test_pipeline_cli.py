@@ -13,6 +13,9 @@ from mcmforms.pipeline import (
     STAGE_DEPS,
     STAGE_ORDER,
     _expand_stages,
+    _glue_units,
+    _transition_units,
+    build_family,
     default_config_text,
     parse_config,
     replay,
@@ -226,6 +229,29 @@ def test_forced_failure_blocks_dependents(monkeypatch):
     assert not report["ok"]
 
 
+@pytest.mark.parametrize("shape, selection", [((3, 2, 0), (1,)), ((4, 2, 0), (1, 2))])
+@pytest.mark.parametrize("mode", ["mcm", "general_fermat"])
+def test_gluing_and_transition_units_select_n_differential_rows(mode, shape, selection):
+    fam = build_family({"shape": list(shape), "mode": mode, "field": "5", "heart": 2,
+                        "eps": None, "lambdas": [2] * (shape[0] + 1), "degrees": [3, 3],
+                        "seed": 1})
+    units = _glue_units(fam) + _transition_units(fam)
+    assert len(units) == (8 if mode == "mcm" else 4)
+    assert all(u["selection"] == selection for u in units)
+
+
+def test_crosscheck_stage_skips_an_n_2_family():
+    # (4,2,0) has n = 2: the stage skips instead of raising, whatever the
+    # sample meets
+    cfg = RunConfig(shape=ProblemShape(4, 2, 0), seed=1, stages=("crosscheck",))
+    report = run_pipeline(cfg)
+    assert report["stages"]["smoothness"]["status"] == "PASS"
+    assert report["stages"]["crosscheck"] == {
+        "status": "SKIP", "reason": "crosscheck needs an n = 1 family",
+        "report": {"reason": "crosscheck needs an n = 1 family"}}
+    assert report["ok"]
+
+
 def test_general_pipeline_passes_with_defaulted_exponents():
     cfg = RunConfig(shape=ProblemShape(3, 2, 0), mode="general_fermat",
                     field_spec="11", seed=5,
@@ -412,6 +438,17 @@ def test_cli_scans_reject_an_empty_sample(tmp_path, capsys):
     assert main(["scan", "crosscheck", "--family", str(fam_path), "--sample", "0"]) == 2
     assert main(["scan", "census", "--q", "2", "--mode", "sample", "--sample", "0"]) == 2
     assert capsys.readouterr().err.count("at least 1") == 2
+
+
+def test_cli_refuses_checks_without_a_trial(tmp_path, capsys):
+    fam_path = tmp_path / "family.json"
+    assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
+                 "--seed", "3", "--out", str(fam_path)]) == 0
+    for trials in ("0", "-3"):
+        assert main(["verify", "forms", "--family", str(fam_path),
+                     "--mode", "probabilistic", "--trials", trials]) == 2
+        assert main(["verify", "surjectivity", "--trials", trials]) == 2
+    assert capsys.readouterr().err.count("at least one trial") == 4
 
 
 def test_cli_run_and_replay(tmp_path, capsys):

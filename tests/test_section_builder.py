@@ -1,11 +1,21 @@
 import dataclasses
+import hashlib
 import json
 import random
 
 import pytest
 
 from mcmforms import exact_algebra
-from mcmforms.exact_algebra import Field, MultiPoly, QQ, from_literal, to_literal, total_differential
+from mcmforms.exact_algebra import (
+    Field,
+    MultiPoly,
+    QQ,
+    from_literal,
+    kill_coordinates,
+    times_monomial,
+    to_literal,
+    total_differential,
+)
 from mcmforms.schedule import ProblemShape, TwistLedger, build_schedule, twist_ledger
 from mcmforms.section_builder import (
     BundleInvariantError,
@@ -18,6 +28,7 @@ from mcmforms.section_builder import (
     column_divisors,
     extract_forms,
     load_family,
+    mcm_tuple_space,
     random_homogeneous,
     save_family,
     selection_layouts,
@@ -38,7 +49,7 @@ UNIT_LINE = {
 def unit_line_family():
     return build_sections(
         ProblemShape(2, 1, 0), "general_fermat", field=QQ,
-        lambdas=(1, 1, 1), degrees=(1,), coeff_source="explicit", explicit=UNIT_LINE,
+        lambdas=(1, 1, 1), degrees=(1,), explicit=UNIT_LINE,
     )
 
 
@@ -71,7 +82,7 @@ def test_explicit_degree_mismatch_is_rejected():
     with pytest.raises(ValueError, match="bookkeeping"):
         build_sections(
             ProblemShape(2, 1, 0), "general_fermat", field=QQ,
-            lambdas=(1, 1, 1), degrees=(1,), coeff_source="explicit", explicit=bad,
+            lambdas=(1, 1, 1), degrees=(1,), explicit=bad,
         )
 
 
@@ -101,6 +112,76 @@ def test_mcm_heart_must_dominate_twists():
 
 
 # ----- matrices -----
+
+
+def reference_bundle(fam, vanished=()):
+    """(entries, column tags, column coordinates, divisor exponents) of the
+    family's matrix over the coordinates not in `vanished`, assembled mode
+    by mode: the explicit-exponent matrix restricted entry by entry, or the
+    mcm groups built from the surviving coefficient terms, each moving
+    monomial written out from the schedule."""
+    shape = fam.shape
+    N, cr = shape.N, shape.c + shape.r
+    retained = tuple(j for j in range(N + 1) if j not in vanished)
+
+    def sub(p):
+        return kill_coordinates(p, vanished) if vanished else p
+
+    if fam.mode == "general_fermat":
+        rows = [[fam.coefficients[f"A:{i}:{j}"] * MultiPoly.z(N, j, fam.field, power=fam.lambdas[j])
+                 for j in range(N + 1)] for i in range(1, cr + 1)]
+        rows += [[total_differential(e) for e in rows[q]] for q in range(shape.c)]
+        return ([[sub(row[j]) for j in retained] for row in rows],
+                tuple(f"col_{j}" for j in retained), retained,
+                tuple(fam.lambdas[j] for j in retained))
+    sched = fam.schedule
+    d = sched.d
+    top = len(retained) - 1
+
+    def term(i, level, tup, jk):
+        m_exp = sched.mu[(level, tup.index(jk))]
+        mono = [0] * (2 * (N + 1))
+        for m in tup:
+            mono[m] = m_exp
+        mono[jk] = d - level * m_exp
+        key = f"M:{i}:{','.join(map(str, tup))}:{jk}"
+        return sub(times_monomial(fam.coefficients[key], tuple(mono)))
+
+    lower = [t for t in mcm_tuple_space(shape, retained) if t[0] != top]
+    rows = []
+    for i in range(1, cr + 1):
+        row = []
+        for j in retained:
+            g = sub(fam.coefficients[f"A:{i}:{j}"]) * MultiPoly.z(N, j, fam.field, power=d)
+            for level, tup, jk in lower:
+                if jk == j:
+                    g = g + term(i, level, tup, jk)
+            row.append(g)
+        rows.append(row + [term(i, top, retained, k) for k in retained])
+    rows += [[total_differential(e) for e in rows[q]] for q in range(shape.c)]
+    tags = tuple([f"A_{j}" for j in retained] + [f"B_{k}" for k in retained])
+    return rows, tags, retained + retained, None
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=str)
+@pytest.mark.parametrize("mode", ["mcm", "general_fermat"])
+def test_matrices_and_hidden_restrictions_match_the_reference(mode, field):
+    # (4,2,0) has n = 2, so each single vanished coordinate is a hidden model
+    shape = ProblemShape(4, 2, 0)
+    for seed in (0, 1):
+        if mode == "mcm":
+            fam = build_sections(shape, "mcm", field=field, schedule=build_schedule(shape, 2),
+                                 seed=seed)
+        else:
+            fam = build_sections(shape, "general_fermat", field=field, lambdas=(2, 3, 2, 2, 4),
+                                 degrees=(4, 5), twists=(1, 0), seed=seed)
+        K = build_matrices(fam)
+        bundles = [((), K)] + [((v,), build_selected(K, ("hidden", v))) for v in range(5)]
+        for vanished, B in bundles:
+            entries, tags, coords, divisors = reference_bundle(fam, vanished)
+            assert B.vanished == vanished
+            assert B.entries == entries
+            assert (B.column_tags, B.column_coords, B.divisor_exponents) == (tags, coords, divisors)
 
 
 def test_line_matrix_is_coordinates_over_differentials():
@@ -426,8 +507,9 @@ def test_lazy_standard_forms_match_eager_extraction_term_for_term():
     for a, b in zip(lazy, alone):
         # still packed: the term count is read off the packed determinant
         assert a.__dict__.get("value_global") is None
-        assert a == b and a.divided_rows == b.divided_rows
-        eager = cofactor_det(a.divided_rows)
+        rows = [a.matrix.rows[t] for t in a.matrix_rows]
+        assert a == b and rows == [b.matrix.rows[t] for t in b.matrix_rows]
+        eager = cofactor_det(rows)
         eager = eager if a.sign == 1 else -eager
         assert a.term_count() == eager.term_count() > 0
         assert a.value_global.terms == eager.terms
@@ -482,6 +564,43 @@ def test_a_corrupted_divided_entry_trips_the_structural_degree_check(monkeypatch
 
 
 # ----- serialization -----
+
+
+# sha256 of the file save_family writes for two fixed families: it pins the
+# coefficient draws, their order and the serialization
+SAVED_FAMILY_SHA256 = {
+    "mcm": "de50bc83d665365574c1973d24d9ce7a94ac5235ac01d059fc8ae0bc0d155a71",
+    "general_fermat": "523591cbc680612e936649274d4f1421130d3d2dff5dde81c67cea7c53f5c825",
+}
+
+
+def pinned_family(mode):
+    if mode == "mcm":
+        shape = ProblemShape(3, 1, 1)
+        return build_sections(shape, "mcm", field=F5, schedule=build_schedule(shape, 2), seed=3)
+    return build_sections(ProblemShape(3, 2, 0), "general_fermat", field=Field(11),
+                          lambdas=(2, 1, 2, 3), degrees=(4, 3), twists=(1, 0), seed=5)
+
+
+@pytest.mark.parametrize("mode", ["mcm", "general_fermat"])
+def test_saved_family_is_pinned(tmp_path, mode):
+    path = tmp_path / "family.json"
+    save_family(pinned_family(mode), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_FAMILY_SHA256[mode]
+
+
+@pytest.mark.parametrize("mode", ["mcm", "general_fermat"])
+def test_load_family_rejects_tampered_twists(tmp_path, mode):
+    fam = pinned_family(mode)
+    path = tmp_path / "family.json"
+    save_family(fam, str(path))
+    assert load_family(str(path)).sections == fam.sections
+    data = json.loads(path.read_text())
+    data["twists"][0] += 1
+    path.write_text(json.dumps(data))
+    # every coefficient degree follows from the twists
+    with pytest.raises(ValueError, match="degree bookkeeping mismatch at A:1:0"):
+        load_family(str(path))
 
 
 def test_family_save_load_round_trip(tmp_path):

@@ -2,6 +2,7 @@
 
 import ast
 import os
+from pathlib import Path
 
 import mcmforms
 
@@ -42,3 +43,72 @@ def test_no_assert_carries_a_verdict():
                 offending.append(f"{name}:{line} in {func}")
     assert offending == [], "asserts vanish under python -O: " + ", ".join(offending)
     assert allowed_seen == ALLOWED_ASSERTS
+
+
+# Functions, classes and methods of the package that only tests may reach.
+# None is: code that nothing else calls is deleted, not kept for its tests.
+ALLOWED_TEST_ONLY = set()
+
+
+def _docstring_ids(tree):
+    """ids of the docstring constants of a module and of its classes and
+    functions."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                found.add(id(first.value))
+    return found
+
+
+def _definitions(package):
+    """(file, class or None, name) of every top-level function and class of
+    the package and of every method of its classes, dunders aside."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found.append((path.name, None, node.name))
+            if isinstance(node, ast.ClassDef):
+                found += [(path.name, node.name, m.name) for m in node.body
+                          if isinstance(m, ast.FunctionDef)
+                          and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return found
+
+
+def _references(roots):
+    """(names, attribute names, string constants) used by the Python files
+    under roots; docstrings are not uses."""
+    names, attrs, strings = set(), set(), set()
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            docstrings = _docstring_ids(tree)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    attrs.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                        and id(node) not in docstrings:
+                    strings.add(node.value)
+    return names, attrs, strings
+
+
+def test_every_definition_is_reached_outside_tests():
+    # a method counts as reached when its name is read as an attribute or
+    # named in a string (the benchmark tracer patches methods by name)
+    package = Path(mcmforms.__file__).resolve().parent
+    root = package.parent.parent
+    roots = [package.parent, root / "demos", root / "bench"]
+    assert all(r.is_dir() for r in roots)
+    names, attrs, strings = _references(roots)
+    unreached = set()
+    for path, cls, name in _definitions(package):
+        used = name in attrs or name in strings or (cls is None and name in names)
+        if not used:
+            unreached.add(f"{path}:{cls + '.' if cls else ''}{name}")
+    assert sorted(unreached - ALLOWED_TEST_ONLY) == []
+    assert ALLOWED_TEST_ONLY <= unreached
