@@ -5,20 +5,29 @@ normalized so the first nonzero coordinate equals 1; tangent directions are
 vectors modulo the Euler direction at the base point, canonically reduced.
 The rank-condition variety M(a, b) collects the b x 2(a+1) matrices with
 column blocks alpha_0..alpha_a, beta_0..beta_a satisfying the zero-sum and
-rank inequalities; its census counts members exhaustively (one numpy
-kernel for every q) or by sampling, and compares against the codimension
-bound q^(dim - (a+b-1) + 1). Base-locus and the crosscheck walk the same
+rank inequalities. Membership of one matrix, the exhaustive census and the
+sampled census share one rank test: columns of F_q^b are coded by their
+index, summed through an add table, and each K_nu / K_tau_rho layout of
+combined columns is one lookup in the rank table of its shape, folded from
+a span automaton and built once (_rank_tables). Membership takes that path
+while the table has at most CENSUS_TABLE_MAX entries and Gaussian
+elimination above it; membership_M_ab_alt stays the independent oracle.
+The census counts members exhaustively (one numpy kernel for every q) or
+by sampling, and compares against the codimension bound
+q^(dim - (a+b-1) + 1). Base-locus and the crosscheck walk the same
 incidence pairs (_incidence_points) and evaluate the same standard_forms
-from their divided matrices. Every scan and census rejects a composite q.
+from their divided matrices. Every scan, census and rank-condition matrix
+rejects a composite q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from math import ceil, exp, lgamma, log, log1p
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import and_
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,6 +92,7 @@ class RankConditionMatrix:
     p: int
 
     def __post_init__(self):
+        _require_prime(self.p)
         width = len(self.rows[0])
         if width % 2 or any(len(r) != width for r in self.rows):
             raise ValueError("need a b x 2(a+1) matrix")
@@ -110,8 +120,10 @@ class RankConditionMatrix:
 # ----- projective enumeration -----
 
 
+@lru_cache(maxsize=64)
 def _require_prime(q: int) -> None:
-    """Reject a q that is not a prime below 2**31 (Field reads 0 as Q)."""
+    """Reject a q that is not a prime below 2**31 (Field reads 0 as Q).
+    Cached, since every RankConditionMatrix checks its modulus."""
     if not Field(q).p:
         raise ValueError(f"need a prime q, got {q}")
 
@@ -245,7 +257,33 @@ def membership_M_ab(M: RankConditionMatrix) -> bool:
           level a (section_builder.column_layout), with the alphas as the
           A and the betas as the B columns, the combined columns have
           rank <= a-1.
+
+    While the rank table of the shape fits (_table_fits), the columns are
+    coded by their index as in the census, summed through its add table,
+    and each layout's combined columns are one lookup in the same rank
+    table (_rank_tables). Larger shapes are reduced by Gaussian
+    elimination (_membership_by_elimination).
     """
+    a, b, p = M.a, M.b, M.p
+    if not _table_fits(a, b, p):
+        return _membership_by_elimination(M)
+    tables = _rank_tables(a, b, p)
+    add, low = tables.add_rows, tables.low
+    codes = [0] * (2 * a + 2)
+    for row in M.rows:
+        codes = [c * p + x % p for c, x in zip(codes, row)]
+    total = codes[0]
+    for c in codes[1:]:
+        total = add[total][c]
+    if total:
+        return False
+    return all(low[key] for key in _layout_keys(codes[:a + 1], codes[a + 1:],
+                                                  lambda x, y: add[x][y], p ** b, 0))
+
+
+def _membership_by_elimination(M: RankConditionMatrix) -> bool:
+    """membership_M_ab for any shape: the columns as vectors mod p, each
+    layout's rank by rank_mod_p."""
     a, p = M.a, M.p
     alphas = [M.alpha(j) for j in range(a + 1)]
     betas = [M.beta(j) for j in range(a + 1)]
@@ -311,10 +349,17 @@ def random_rank_matrix(a: int, b: int, p: int, rng, constrained: bool = False) -
 # Free-column tuples enumerated together as one numpy block of the census;
 # the remaining free columns are looped over in Python as constants.
 CENSUS_BLOCK = 1 << 15
-# Largest rank table, in entries, a sampled census builds: the table has
-# Q^(a+1) entries, and building it takes an index array eight times that.
+# Largest rank table, in entries, that membership and a sampled census
+# build: the table has Q^(a+1) entries, and building it takes an index
+# array eight times that.
 CENSUS_TABLE_MAX = 1 << 20
 CENSUS_CONFIDENCE = 0.95
+
+
+def _table_fits(a: int, b: int, q: int) -> bool:
+    """Whether the rank table of shape (a, b) over F_q, with (q^b)^(a+1)
+    entries, is within CENSUS_TABLE_MAX."""
+    return q ** (b * (a + 1)) <= CENSUS_TABLE_MAX
 
 
 def _column_codes(b: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -359,20 +404,57 @@ def _rank_table(add: np.ndarray, mul: np.ndarray, k: int) -> np.ndarray:
     return np.array(dim, dtype=np.int8)[states]
 
 
-def _rank_mask(alphas: Sequence, betas: Sequence, add, Q: int, low: np.ndarray):
-    """Where the coded columns alpha_0..alpha_a | beta_0..beta_a (code
-    arrays or single codes, summed by add) pass every K_nu and K_tau_rho
-    rank test; low is `_rank_table(add, mul, a + 1) <= a - 1`. The zero-sum
-    condition is not tested here."""
-    key_t = np.min_scalar_type(len(low) - 1).type
+class RankTables(NamedTuple):
+    """The coded-column tables of one shape (a, b) over F_q, read-only.
+
+    add and mul are _column_codes(b, q); add_rows is add as nested tuples
+    and low is `_rank_table(add, mul, a + 1) <= a - 1` as one byte per key,
+    so that a single matrix is tested with no numpy call."""
+
+    add: np.ndarray
+    mul: np.ndarray
+    add_rows: Tuple[Tuple[int, ...], ...]
+    low: bytes
+
+
+@lru_cache(maxsize=8)
+def _rank_tables(a: int, b: int, q: int) -> RankTables:
+    """The one builder of rank tables, for membership and both censuses."""
+    add, mul = _column_codes(b, q)
+    low = (_rank_table(add, mul, a + 1) <= a - 1).tobytes()
+    add.setflags(write=False)
+    mul.setflags(write=False)
+    return RankTables(add, mul, tuple(map(tuple, add.tolist())), low)
+
+
+def _layout_keys(alphas: Sequence, betas: Sequence, add, Q: int, key):
+    """The rank-table key of the combined columns of every K_nu and
+    K_tau_rho layout, in selection_layouts order, for the coded columns
+    alpha_0..alpha_a | beta_0..beta_a (code arrays or single codes, summed
+    by add). Keys fold from `key`, a zero wide enough for the table."""
     memo: dict = {}
-    ok = True
     for _, _, layout in selection_layouts(len(alphas) - 1):
-        key = key_t(0)
+        k = key
         for col in _combine_columns(layout, alphas, betas, add, memo):
-            key = key * Q + col
-        ok = ok & low[key]
-    return ok
+            k = k * Q + col
+        yield k
+
+
+def _rank_mask(alphas: Sequence, betas: Sequence, add, Q: int, low: np.ndarray):
+    """Where the code arrays alpha_0..alpha_a | beta_0..beta_a pass every
+    K_nu and K_tau_rho rank test; low is `_rank_table(add, mul, a + 1) <=
+    a - 1` as an array. The zero-sum condition is not tested here."""
+    zero = np.min_scalar_type(len(low) - 1).type(0)
+    return reduce(and_, (low[key] for key in _layout_keys(alphas, betas, add, Q, zero)))
+
+
+def _census_kernel(a: int, b: int, q: int):
+    """(tables, add, low) for the census kernels: add sums code arrays
+    (bitwise xor over F_2) and low is the rank table's low bits as an
+    array."""
+    tables = _rank_tables(a, b, q)
+    add = np.bitwise_xor if q == 2 else (lambda x, y: tables.add[x, y])
+    return tables, add, np.frombuffer(tables.low, dtype=np.bool_)
 
 
 def _census_exhaustive(a: int, b: int, q: int) -> int:
@@ -382,17 +464,15 @@ def _census_exhaustive(a: int, b: int, q: int) -> int:
     are enumerated once as arrays of at most CENSUS_BLOCK tuples; the
     others are looped over as constants."""
     Q, nfree = q ** b, 2 * a + 1
-    add_table, mul = _column_codes(b, q)
-    add = np.bitwise_xor if q == 2 else (lambda x, y: add_table[x, y])
-    low = _rank_table(add_table, mul, a + 1) <= a - 1
+    tables, add, low = _census_kernel(a, b, q)
     inner = max([1] + [m for m in range(1, nfree + 1) if Q ** m <= CENSUS_BLOCK])
-    codes = np.arange(Q, dtype=add_table.dtype)
+    codes = np.arange(Q, dtype=tables.add.dtype)
     block = [np.tile(np.repeat(codes, Q ** (inner - 1 - i)), Q ** i) for i in range(inner)]
     block_sum = reduce(add, block)
     count = 0
     for outer in product(range(Q), repeat=nfree - inner):
         free = list(outer) + block
-        alphas = [mul[q - 1][add(block_sum, reduce(add, outer, 0))]] + free[:a]
+        alphas = [tables.mul[q - 1][add(block_sum, reduce(add, outer, 0))]] + free[:a]
         count += int(np.count_nonzero(_rank_mask(alphas, free[a:], add, Q, low)))
     return count
 
@@ -403,19 +483,17 @@ def _census_sampled(a: int, b: int, q: int, n: int, rng) -> int:
     CENSUS_BLOCK entries are coded column by column as in _census_exhaustive;
     the zero sum is tested through the add table and the rank conditions
     by _rank_mask. Above CENSUS_TABLE_MAX each draw is tested alone."""
-    Q, width = q ** b, 2 * (a + 1)
-    if Q ** (a + 1) > CENSUS_TABLE_MAX:
+    width = 2 * (a + 1)
+    if not _table_fits(a, b, q):
         return sum(membership_M_ab(random_rank_matrix(a, b, q, rng)) for _ in range(n))
-    add_table, mul = _column_codes(b, q)
-    add = np.bitwise_xor if q == 2 else (lambda x, y: add_table[x, y])
-    low = _rank_table(add_table, mul, a + 1) <= a - 1
+    tables, add, low = _census_kernel(a, b, q)
     weights = q ** np.arange(b - 1, -1, -1)
     hits, block = 0, max(1, CENSUS_BLOCK // (b * width))
     for start in range(0, n, block):
         m = min(block, n - start)
         draws = np.array([rng.randrange(q) for _ in range(m * b * width)]).reshape(m, b, width)
-        cols = list(np.einsum("mbw,b->wm", draws, weights).astype(add_table.dtype))
-        ok = (reduce(add, cols) == 0) & _rank_mask(cols[:a + 1], cols[a + 1:], add, Q, low)
+        cols = list(np.einsum("mbw,b->wm", draws, weights).astype(tables.add.dtype))
+        ok = (reduce(add, cols) == 0) & _rank_mask(cols[:a + 1], cols[a + 1:], add, q ** b, low)
         hits += int(np.count_nonzero(ok))
     return hits
 

@@ -26,8 +26,9 @@ identity generic over the element type (_transition_sides). Exact gluing
 evaluates the identity on one packed MinorTable and compares packed terms;
 probabilistic mode applies both identities to values mod p at the points
 drawn by exact_algebra.sample_identity, the one Schwartz-Zippel loop. A
-sampled transition evaluates G at the projected tangent w_l(dz) and never
-builds the substituted polynomial.
+sampled transition evaluates G at the projected tangent w_l(dz) as the
+determinant of its evaluated divided matrix (FormBundle.evaluate_at): it
+never expands G nor builds the substituted polynomial.
 
 Every check returns a report dict: {"op", "ok", "checks": [{"id", "mode",
 "trials", "verdict", "witness"}, ...]} plus op-specific extras.
@@ -262,24 +263,27 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
       exponent     z-degree + dz-degree of G equals the twist plus the
                    omitted column's divisor share plus the coefficient
                    twists, independently recomputed.
-    Exact mode substitutes polynomials; probabilistic mode samples points
-    with z_{l1}, z_{l2} != 0 and evaluates G at w_l(dz) there, never
-    building the substituted polynomials. "auto" goes exact while the
-    scaled forms, len({l1, l2}) * (terms of G), stay within the limit.
+    Exact mode expands G and substitutes polynomials; probabilistic mode
+    samples points with z_{l1}, z_{l2} != 0 and evaluates G at w_l(dz)
+    there from its divided matrix, never expanding G. "auto" goes exact
+    while the scaled forms, len({l1, l2}) * (terms of G, read off the
+    packed determinant), stay within the limit. The exponent check reads
+    the z-degree that extract_forms enforces, so it runs in every mode and
+    also on a zero G.
     """
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("transition", [guard], omit=omit, charts=(l1, l2))
     form = extract_forms(build_matrices(fam), which, [selection], omit=omit, kind=kind)[0]
-    G = form.value_global
     n_eff = form.dz_degree
-    N = G.N
+    N = fam.shape.N
 
     if mode == "auto":
-        total = len({l1, l2}) * G.term_count()
+        total = len({l1, l2}) * form.term_count()
         mode = "exact" if total <= AUTO_EXACT_TERM_LIMIT else "probabilistic"
     checks = []
     if mode == "exact":
+        G = form.value_global
         transition, *scaling = _transition_sides(
             G, lambda l: tangent_projection(G, l),
             lambda x, l: times_monomial(x, z_power(N, l, n_eff)), l1, l2)
@@ -287,14 +291,12 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
             checks.append(_check(f"scaling chart {l}", "pass" if lhs == rhs else "fail"))
         checks.append(_check("transition", "pass" if transition[0] == transition[1] else "fail"))
     elif mode == "probabilistic":
-        plan = EvalPlan([G], identity_modulus(fam.field))
-
         def sides(z, dz, m):
             def at_chart(l):
                 w = [(z[l] * dz[k] - dz[l] * z[k]) % m for k in range(N + 1)]
-                return plan(z, w)[0]
+                return form.evaluate_at(z, w, m)
 
-            return _transition_sides(plan(z, dz)[0], at_chart,
+            return _transition_sides(form.evaluate_at(z, dz, m), at_chart,
                                      lambda x, l: x * pow(z[l], n_eff, m) % m, l1, l2)
 
         miss = sample_identity(sides, N, fam.field, trials, seed, "transition",
@@ -305,16 +307,16 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    observed = None
-    if not G.is_zero():
-        observed = G.z_degree() + n_eff
+    # extract_forms holds every term of G to this z-degree before any
+    # expansion, and value_global checks it again when unpacked
+    observed = form.z_degree + n_eff
     a_sum = sum(fam.twists) + sum(fam.twists[j - 1] for j in selection)
     if fam.mode == "general_fermat" and form.kind == "omega":
         heart_j = fermat_heart_prime(fam.degrees, fam.lambdas, selection) \
             + fam.lambdas[form.omit_coord] - 1
     else:
         heart_j = form.twist + form.omit_exponent - 1
-    ok = observed is None or observed == heart_j + a_sum
+    ok = observed == heart_j + a_sum
     checks.append(_check("transition exponent", "pass" if ok else "fail",
                          witness=None if ok else {"observed": observed,
                                                   "expected": heart_j + a_sum}))

@@ -421,11 +421,7 @@ def _stage_smoothness(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
 
 
 def _stage_base_locus(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
-    fld = Field.from_spec(cfg.field_spec)
-    q = fld.p
-    total_points = (q ** (cfg.shape.N + 1) - 1) // (q - 1)
-    if total_points > cfg.max_points:
-        return "SKIP", {"reason": f"point budget: {total_points} > {cfg.max_points}"}, None
+    q = Field.from_spec(cfg.field_spec).p
     if not ctx.get("terms_ok", True):
         return "SKIP", {"reason": "term budget exceeded"}, None
     forms = standard_forms(ctx["scan_family"])
@@ -478,6 +474,19 @@ def _stage_census(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]
     return "FAIL", report, witness
 
 
+def _point_budget(cfg: RunConfig) -> Optional[str]:
+    """The SKIP reason of a stage that enumerates P^N(F_q) when its point
+    count is over max_points; None within budget or over Q."""
+    q = Field.from_spec(cfg.field_spec).p
+    if not q:
+        return None
+    total = (q ** (cfg.shape.N + 1) - 1) // (q - 1)
+    return f"point budget: {total} > {cfg.max_points}" if total > cfg.max_points else None
+
+
+# The stages that enumerate P^N(F_q), each held to max_points.
+_POINT_SCANS = ("smoothness", "base-locus", "crosscheck")
+
 _STAGE_FNS = {
     "schedule": _stage_schedule,
     "build": _stage_build,
@@ -512,7 +521,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     A failing or skipped stage halts its dependents (recorded as SKIP with
     the blocking stage named) but not independent stages; the overall
-    verdict is ok iff no executed stage FAILs. The stages run on a copy of
+    verdict is ok iff no executed stage FAILs. A point scan (_POINT_SCANS)
+    over max_points SKIPs with its point budget as the reason, unless a
+    dependency FAILed or ERRORed. The stages run on a copy of
     cfg, so the caller's config is left as given while the report's config
     block echoes the defaults the run filled in.
     """
@@ -524,6 +535,12 @@ def run_pipeline(cfg: RunConfig) -> dict:
     for name in stages:
         blockers = [d for d in STAGE_DEPS[name]
                     if stage_reports.get(d, {}).get("status") in ("FAIL", "SKIP", "ERROR")]
+        over = None
+        if name in _POINT_SCANS and all(stage_reports[d]["status"] == "SKIP" for d in blockers):
+            over = _point_budget(cfg)
+        if over:
+            stage_reports[name] = {"status": "SKIP", "report": {"reason": over}, "reason": over}
+            continue
         if blockers:
             stage_reports[name] = {"status": "SKIP",
                                    "reason": f"blocked by {blockers[0]}"}

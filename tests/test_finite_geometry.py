@@ -254,6 +254,68 @@ def test_membership_primary_and_alt_agree():
         assert members > 0
 
 
+def test_table_elimination_and_alt_agree_on_every_2_2_2_matrix():
+    members = 0
+    for entries in product(range(2), repeat=12):
+        M = RankConditionMatrix((entries[:6], entries[6:]), 2)
+        table = membership_M_ab(M)
+        assert table == finite_geometry._membership_by_elimination(M) == membership_M_ab_alt(M)
+        members += table
+    assert members == 148
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(finite_geometry, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(finite_geometry, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("a, b, q", [(2, 3, 5), (4, 6, 5)])
+def test_membership_above_the_table_limit_builds_no_table(monkeypatch, a, b, q):
+    assert q ** (b * (a + 1)) > finite_geometry.CENSUS_TABLE_MAX
+    rng = random.Random(f"above:{a},{b},{q}")
+    mats = [random_rank_matrix(a, b, q, rng, constrained=True) for _ in range(200)]
+    expected = [membership_M_ab_alt(M) for M in mats]
+    built = [_count_calls(monkeypatch, name) for name in ("_rank_tables", "_column_codes")]
+    eliminations = _count_calls(monkeypatch, "rank_mod_p")
+    assert [membership_M_ab(M) for M in mats] == expected
+    assert built == [[], []]
+    assert len(eliminations) >= len(mats)  # a zero-sum matrix is reduced at least once
+
+
+def test_membership_within_the_table_limit_builds_each_table_once(monkeypatch):
+    shapes = [(2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 3, 2), (3, 3, 3)]
+    mats, expected = {}, {}
+    for a, b, q in shapes:
+        assert q ** (b * (a + 1)) <= finite_geometry.CENSUS_TABLE_MAX
+        rng = random.Random(f"within:{a},{b},{q}")
+        mats[a, b, q] = [random_rank_matrix(a, b, q, rng, constrained=True) for _ in range(300)]
+        expected[a, b, q] = [membership_M_ab_alt(M) for M in mats[a, b, q]]
+        assert any(expected[a, b, q])
+
+    def refuse(*args):
+        raise AssertionError("membership eliminated within the table limit")
+
+    monkeypatch.setattr(finite_geometry, "rank_mod_p", refuse)
+    finite_geometry._rank_tables.cache_clear()
+    built = _count_calls(monkeypatch, "_rank_table")
+    for shape in shapes:
+        assert [membership_M_ab(M) for M in mats[shape]] == expected[shape]
+    assert len(built) == len(shapes)  # one table per shape, across 300 calls each
+
+
+@pytest.mark.parametrize("p", [4, 1, 0, 6, -3])
+def test_rank_condition_matrix_refuses_a_modulus_that_is_not_prime(p):
+    with pytest.raises(ValueError, match="prime|out of range"):
+        RankConditionMatrix(((0,) * 6, (0,) * 6), p)
+
+
 # ----- census -----
 
 
@@ -450,11 +512,11 @@ def test_census_sample_mode_and_forced_fallback():
 
 @pytest.mark.parametrize("a, b, q, n", [(2, 2, 2, 5000), (2, 3, 2, 5000), (3, 3, 3, 20_000)])
 def test_sampled_census_kernel_matches_the_per_draw_loop(monkeypatch, a, b, q, n):
-    # the per-draw loop sample mode ran before the block kernel is the
-    # reference: the same draws give the same hits, through the rank table
-    # in blocks and through the per-draw test above CENSUS_TABLE_MAX
+    # a per-draw loop through the independent oracle is the reference: the
+    # same draws give the same hits, through the rank table in blocks and
+    # through the per-draw test above CENSUS_TABLE_MAX
     ref_rng = child_rng(7, "census", f"{a},{b},{q}")
-    hits = sum(membership_M_ab(random_rank_matrix(a, b, q, ref_rng)) for _ in range(n))
+    hits = sum(membership_M_ab_alt(random_rank_matrix(a, b, q, ref_rng)) for _ in range(n))
     assert hits > 0
     monkeypatch.setattr(finite_geometry, "CENSUS_BLOCK", 1024)
     for table_max in (finite_geometry.CENSUS_TABLE_MAX, 0):

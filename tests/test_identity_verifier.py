@@ -6,6 +6,7 @@ import pytest
 from mcmforms import identity_verifier
 from mcmforms.exact_algebra import (
     Field,
+    MinorTable,
     MultiPoly,
     QQ,
     deriv,
@@ -264,11 +265,16 @@ def test_sampling_catches_a_broken_transition_and_keeps_its_points(monkeypatch):
     real = identity_verifier.extract_forms
 
     def broken(*args, **kwargs):
-        # one bihomogeneous term that no chart change fixes
+        # one term, of the entry's own bidegree, added to a divided entry of
+        # the differential row: no chart change fixes it, and exact and
+        # sampled checks both read it, from the minor table and the plan
         (form,) = real(*args, **kwargs)
-        G = form.value_global
-        zdeg, n = G.bidegree()
-        form.value_global = G + MultiPoly.monomial(G.N, G.field, 1, (zdeg, 0, 0), (0, n, 0))
+        rows = form.matrix.rows
+        entry = rows[form.matrix_rows[-1]][0]
+        zdeg, n = entry.bidegree()
+        rows[form.matrix_rows[-1]][0] = entry + MultiPoly.monomial(
+            entry.N, entry.field, 1, (zdeg, 0, 0), (0, n, 0))
+        form.table = MinorTable(rows)
         return [form]
 
     monkeypatch.setattr(identity_verifier, "extract_forms", broken)
@@ -310,12 +316,13 @@ def test_sampled_identities_compile_once_and_never_evaluate_term_by_term(compile
     fermat = fermat_family(3, 2, 0, (2, 2, 2, 2), (3, 3), field=QQ, seed=1)
     assert verify_transition(fam, (1,), omit=0, l1=0, l2=1, mode="probabilistic",
                              which=("K_nu", 0))["ok"]
-    assert compiled_plans == [1]
+    # the divided matrix: c + r + n rows of N columns (one omitted), one plan
+    assert compiled_plans == [3 * 3]
     assert verify_gluing(fermat, (1,), 0, 2, mode="probabilistic")["ok"]
-    assert compiled_plans == [1, 3 * 4]  # c + r + n rows of N + 1 entries, one plan
+    assert compiled_plans == [9, 3 * 4]  # c + r + n rows of N + 1 entries, one plan
     p = from_literal("1/3 * z0^2 dz1^1 + 2 * z1^3 dz0^1", 1)
     assert identity_test(p, p + p - p, mode="probabilistic")["equal"]
-    assert compiled_plans == [1, 12, 2]
+    assert compiled_plans == [9, 12, 2]
 
 
 def test_transition_unknown_mode():

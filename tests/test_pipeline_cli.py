@@ -213,6 +213,27 @@ def test_point_budget_skips_base_locus():
     assert report["ok"]
 
 
+def test_point_budget_skips_every_point_scan():
+    text = (f"[run]\nschema = {SCHEMA_VERSION}\nseed = 1\n"
+            "stages = smoothness base-locus crosscheck census\n"
+            "[shape]\nN = 3\nc = 2\n[family]\nmode = mcm\nfield = 5\n"
+            "[budgets]\nmax_points = 100\n[census]\nshapes = 2 2 2\n")
+    cfg = parse_config(text)
+    report = run_pipeline(cfg)
+    for stage in ("smoothness", "base-locus", "crosscheck"):
+        entry = report["stages"][stage]
+        assert entry["status"] == "SKIP"
+        assert entry["reason"] == "point budget: 156 > 100"  # (5^4 - 1) / 4 points
+    assert report["stages"]["build"]["status"] == "PASS"
+    assert report["stages"]["census"]["status"] == "PASS"
+    assert report["ok"]
+    # at exactly the point count the scans run
+    cfg.max_points = 156
+    report = run_pipeline(cfg)
+    assert [report["stages"][s]["status"] for s in ("smoothness", "base-locus", "crosscheck")] \
+        == ["PASS"] * 3
+
+
 def test_forced_failure_blocks_dependents(monkeypatch):
     from mcmforms import pipeline as pl
 
