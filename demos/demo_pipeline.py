@@ -11,6 +11,7 @@ witnesses.
 import json
 
 from mcmforms.pipeline import (
+    RunConfig,
     default_config_text,
     parse_config,
     replay,
@@ -18,6 +19,7 @@ from mcmforms.pipeline import (
     run_pipeline,
     strip_timings,
 )
+from mcmforms.schedule import ProblemShape
 
 # The default config is the flagship shape: N=4, c=3, r=0 over F_5, seed 1.
 print(default_config_text())
@@ -33,13 +35,18 @@ again = run_pipeline(parse_config(default_config_text()))
 same = report_to_json(strip_timings(report)) == report_to_json(strip_timings(again))
 print(f"deterministic: {same}")
 
-# Any failing stage writes a witness with everything needed to re-run just
-# that unit; here we replay a census witness by hand.
-witness = {"schema": 1, "stage": "census", "a": 2, "b": 2, "q": 2,
-           "mode": "exhaustive", "seed": 0, "budget": 2 ** 28, "count": 148}
-rep = replay(witness)
-print(f"replayed census: count={rep['count']} (witness said"
-      f" {witness['count']}), ok={rep['ok']}")
+# A failing stage leaves a witness: the stage, the run config restricted
+# to it, and what failed. Every resampled (2,1,0) general Fermat family
+# over F_2 is singular, so the smoothness stage FAILs; replay reruns the
+# witness's config through run_pipeline and reproduces the failure.
+failing = RunConfig(shape=ProblemShape(2, 1, 0), mode="general_fermat",
+                    field_spec="2", seed=0, stages=("smoothness",))
+witness = run_pipeline(failing)["stages"]["smoothness"]["witness"]
+print(f"witness: stage={witness['stage']}, family_seed={witness['family_seed']},"
+      f" singular points={[p['z'] for p in witness['singular']]}")
+rep = replay(json.loads(report_to_json(witness)))
+print(f"replayed {rep['replayed']}: {rep['status']},"
+      f" same witness: {rep['witness'] == witness}")
 
 # Reports serialize with sorted keys for stable diffs.
 blob = json.loads(report_to_json(report))

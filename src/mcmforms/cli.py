@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json")
     p.set_defaults(fn=_cmd_run)
 
-    p = sub.add_parser("replay", help="re-run the unit behind a failure witness")
+    p = sub.add_parser("replay", help="rerun the stage behind a failure witness")
     p.add_argument("--witness", required=True, help="witness JSON path")
     p.add_argument("--json")
     p.set_defaults(fn=_cmd_replay)

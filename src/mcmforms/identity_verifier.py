@@ -49,7 +49,6 @@ from .exact_algebra import (
     QQ,
     det_mod_p,
     identity_modulus,
-    kill_coordinates,
     sample_identity,
     tangent_projection,
     times_monomial,
@@ -123,15 +122,12 @@ def _gluing_identity(nrows: int, ncols: int, j1: int, j2: int) -> Tuple[list, li
     (columns j1, j2, row i) determinant. Swapping j1 > j2 negates.
     Returns (difference, certificate): difference lists (sign, cols), the
     signed determinants on every row; certificate lists (sign, i, rows,
-    cols), the terms sign * G_i * det(rows, cols). For j1 == j2 both sides
-    vanish and the certificate is empty.
+    cols), the terms sign * G_i * det(rows, cols). Needs j1 != j2.
     """
     def without(n: int, *drop: int) -> Tuple[int, ...]:
         return tuple(k for k in range(n) if k not in drop)
 
     difference = [((-1) ** j1, without(ncols, j1)), (-(-1) ** j2, without(ncols, j2))]
-    if j1 == j2:
-        return difference, []
     a, b = sorted((j1, j2))
     flip = -1 if (a % 2 == 1) != (j1 > j2) else 1
     certificate = [(flip if (i + b) % 2 else -flip, i, without(nrows, i), without(ncols, a, b))
@@ -156,8 +152,6 @@ def _gluing_sides(M: Sequence[Sequence], j1: int, j2: int,
     difference, certificate = _gluing_identity(len(M), len(M[0]), j1, j2)
     everything = range(len(M))
     diff = total([signed(sign, minor(everything, cols)) for sign, cols in difference])
-    if not certificate:
-        return diff, diff
     return diff, total([signed(sign, total(M[i]) * minor(rows, cols))
                         for sign, i, rows, cols in certificate])
 
@@ -198,8 +192,12 @@ def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int
     refer to positions in the (possibly column-combined) bundle. Exact mode
     compares polynomials; probabilistic mode evaluates the matrix at random
     points and both sides of the same identity from its values (over F_p, or
-    modulo the 31-bit prime for rational families).
+    modulo the 31-bit prime for rational families). Equal chart columns
+    raise ValueError: psi_j - psi_j == 0 has an empty certificate and
+    would pass without testing anything.
     """
+    if j1 == j2:
+        raise ValueError("chart columns must differ")
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("gluing", [guard], j1=j1, j2=j2)
@@ -408,9 +406,13 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
     the unrestricted twist plus sum(lambda_v - 1) over the killed
     coordinates (general families) or the depth-eta ledger entry (mcm).
     Depth eta >= n yields an empty report: no forms are requested there.
+    Depth 0 raises ValueError: with nothing killed there is no hidden form
+    to check.
     """
     vanished = tuple(sorted(set(vanished)))
     eta = len(vanished)
+    if eta == 0:
+        raise ValueError("hidden forms need at least one vanished coordinate")
     shape = fam.shape
     if eta >= shape.n:
         return _report("hidden", [], eta=eta,
@@ -419,15 +421,6 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
     if guard is not None:
         return _report("hidden", [guard], eta=eta)
     checks = []
-    if eta == 0:
-        # the vanishing machinery with nothing killed must reproduce the
-        # baseline matrices entry for entry
-        K = build_matrices(fam)
-        killed = [[kill_coordinates(e, ()) for e in row] for row in K.entries]
-        ok = killed == K.entries
-        checks.append(_check("eta=0 coincidence", "pass" if ok else "fail"))
-        return _report("hidden", checks, eta=0)
-
     hidden = build_selected(build_matrices(fam), ("hidden",) + vanished)
     if fam.mode == "general_fermat":
         _, M = _glue_matrix(hidden, selection)

@@ -3,8 +3,14 @@
 A run parses an INI config (schema-versioned), executes the requested
 stages in dependency order, and assembles a JSON-friendly report: identical
 configs produce byte-identical canonical JSON once the timing block is
-stripped. Every failing stage carries a witness with the seeds and indices
-needed to replay exactly that unit.
+stripped. A config is validated in one place, config_from_dict, the inverse
+of RunConfig.to_dict; parse_config fills that dict from the INI file.
+
+Every FAIL or ERROR stage carries a witness: the stage, the run config
+restricted to that stage, and the stage's own detail (the failing unit,
+row and column, singular points, or census shape and count). replay reruns
+the witness's config through run_pipeline, so a stage is replayed by the
+code that ran it.
 """
 
 from __future__ import annotations
@@ -115,8 +121,46 @@ class RunConfig:
         }
 
 
+def config_from_dict(d: dict) -> RunConfig:
+    """The RunConfig that RunConfig.to_dict describes, and the one place a
+    config is validated: a wrong schema, a missing key, an unknown stage or
+    mode, and a value of the wrong type all raise ValueError."""
+    if not isinstance(d, dict) or d.get("schema") != SCHEMA_VERSION:
+        schema = d.get("schema") if isinstance(d, dict) else None
+        raise ValueError(f"unsupported config schema {schema!r}, expected {SCHEMA_VERSION}")
+    try:
+        shape, budgets = d["shape"], d["budgets"]
+        missing = [key for key in ("N", "c", "r") if shape.get(key) is None]
+        if missing:
+            raise ValueError(f"config shape needs {' and '.join(missing)}")
+        unknown = [s for s in d["stages"] if s not in STAGE_ORDER]
+        if unknown:
+            raise ValueError(f"unknown stages: {unknown}")
+        if d["mode"] not in ("mcm", "general_fermat"):
+            raise ValueError(f"unknown family mode {d['mode']!r}")
+
+        def ints(xs):
+            return None if xs is None else tuple(int(x) for x in xs)
+
+        return RunConfig(
+            shape=ProblemShape(*(int(shape[key]) for key in ("N", "c", "r"))),
+            mode=d["mode"], field_spec=str(d["field"]), heart=int(d["heart"]),
+            eps=ints(d["eps"]), lambdas=ints(d["lambdas"]), degrees=ints(d["degrees"]),
+            seed=int(d["seed"]), stages=tuple(s for s in STAGE_ORDER if s in d["stages"]),
+            max_terms=int(budgets["max_terms"]), max_points=int(budgets["max_points"]),
+            max_census=int(budgets["max_census"]),
+            crosscheck_sample=int(budgets["crosscheck_sample"]),
+            census_shapes=tuple((int(a), int(b), int(q)) for a, b, q in d["census_shapes"]))
+    except KeyError as exc:
+        raise ValueError(f"config has no {exc} entry") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed config: {exc}") from exc
+
+
 def parse_config(text: str) -> RunConfig:
-    """INI parser for run configs; every section optional except [run]."""
+    """INI parser for run configs; every section optional except [run].
+    The sections fill in the default config's dict, which config_from_dict
+    validates."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
@@ -124,42 +168,29 @@ def parse_config(text: str) -> RunConfig:
         raise ValueError(f"config parse error: {exc}") from exc
     if "run" not in cp:
         raise ValueError("config needs a [run] section")
+    d = RunConfig().to_dict()
     run = cp["run"]
-    schema = run.getint("schema", fallback=None)
-    if schema != SCHEMA_VERSION:
-        raise ValueError(f"unsupported config schema {schema!r}, expected {SCHEMA_VERSION}")
-    cfg = RunConfig()
-    cfg.seed = run.getint("seed", fallback=cfg.seed)
+    d["schema"] = run.getint("schema", fallback=None)
+    d["seed"] = run.getint("seed", fallback=d["seed"])
     if "stages" in run:
-        wanted = run["stages"].split()
-        unknown = [s for s in wanted if s not in STAGE_ORDER]
-        if unknown:
-            raise ValueError(f"unknown stages: {unknown}")
-        cfg.stages = tuple(s for s in STAGE_ORDER if s in wanted)
+        d["stages"] = run["stages"].split()
     if "shape" in cp:
         sec = cp["shape"]
-        cfg.shape = ProblemShape(sec.getint("N"), sec.getint("c"), sec.getint("r", fallback=0))
+        d["shape"] = {"N": sec.getint("N"), "c": sec.getint("c"), "r": sec.getint("r", fallback=0)}
     if "family" in cp:
         sec = cp["family"]
-        cfg.mode = sec.get("mode", fallback=cfg.mode)
-        cfg.field_spec = sec.get("field", fallback=cfg.field_spec)
-        cfg.heart = sec.getint("heart", fallback=cfg.heart)
+        d["mode"] = sec.get("mode", fallback=d["mode"])
+        d["field"] = sec.get("field", fallback=d["field"])
+        d["heart"] = sec.getint("heart", fallback=d["heart"])
         for key in ("eps", "lambdas", "degrees"):
             if key in sec:
-                setattr(cfg, key, tuple(int(x) for x in sec[key].split()))
+                d[key] = sec[key].split()
     if "budgets" in cp:
-        sec = cp["budgets"]
-        cfg.max_terms = sec.getint("max_terms", fallback=cfg.max_terms)
-        cfg.max_points = sec.getint("max_points", fallback=cfg.max_points)
-        cfg.max_census = sec.getint("max_census", fallback=cfg.max_census)
-        cfg.crosscheck_sample = sec.getint("crosscheck_sample", fallback=cfg.crosscheck_sample)
+        for key, value in d["budgets"].items():
+            d["budgets"][key] = cp["budgets"].getint(key, fallback=value)
     if "census" in cp and "shapes" in cp["census"]:
-        trips = []
-        for chunk in cp["census"]["shapes"].split(";"):
-            a, b, q = (int(x) for x in chunk.split())
-            trips.append((a, b, q))
-        cfg.census_shapes = tuple(trips)
-    return cfg
+        d["census_shapes"] = [chunk.split() for chunk in cp["census"]["shapes"].split(";")]
+    return config_from_dict(d)
 
 
 def default_config_text() -> str:
@@ -178,25 +209,19 @@ def default_config_text() -> str:
     )
 
 
-# ----- family (re)construction shared by run and replay -----
+# ----- family construction -----
 
 
 def _family_params(cfg: RunConfig, fam_seed: int) -> dict:
-    return {
-        "shape": [cfg.shape.N, cfg.shape.c, cfg.shape.r],
-        "mode": cfg.mode,
-        "field": cfg.field_spec,
-        "heart": cfg.heart,
-        "eps": list(cfg.eps) if cfg.eps else None,
-        "lambdas": list(cfg.lambdas) if cfg.lambdas else None,
-        "degrees": list(cfg.degrees) if cfg.degrees else None,
-        "seed": fam_seed,
-    }
+    d = cfg.to_dict()
+    return dict({key: d[key] for key in ("mode", "field", "heart", "eps", "lambdas", "degrees")},
+                shape=[cfg.shape.N, cfg.shape.c, cfg.shape.r], seed=fam_seed)
 
 
 def build_family(params: dict):
-    """Build the family a witness `family` dict describes; runs, replays
-    and `mcm build` all construct families here."""
+    """Build the family a params dict describes (shape, mode, field, heart,
+    eps, lambdas, degrees, seed); pipeline runs and `mcm build` both
+    construct families here."""
     shape = ProblemShape(*params["shape"])
     field = Field.from_spec(params["field"])
     if params["mode"] == "mcm":
@@ -208,19 +233,11 @@ def build_family(params: dict):
                           seed=params["seed"])
 
 
-def _default_lambdas_degrees(shape: ProblemShape) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    lambdas = (2,) * (shape.N + 1)
-    degrees = tuple(2 + i for i in range(shape.c + shape.r))
-    return lambdas, degrees
-
-
 # ----- stage implementations -----
-
-
-def _selected_whichs(shape: ProblemShape) -> List[Tuple]:
-    whichs: List[Tuple] = [("K_nu", 0), ("K_nu", shape.N)]
-    whichs.append(("K_tau_rho", 0, 1))
-    return whichs
+#
+# Each stage returns (status, report, detail): detail is None unless the
+# stage FAILs, and then holds what failed (a unit, a row and column, points,
+# a census shape). run_pipeline turns it into the stage's witness.
 
 
 def _stage_schedule(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
@@ -244,7 +261,8 @@ def _stage_build(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
     fam_seed = child_rng(cfg.seed, "build", 0).randrange(2 ** 31)
     if cfg.mode != "mcm" and (cfg.lambdas is None or cfg.degrees is None):
         # the report's config block echoes the defaulted exponents
-        cfg.lambdas, cfg.degrees = _default_lambdas_degrees(cfg.shape)
+        cfg.lambdas = (2,) * (cfg.shape.N + 1)
+        cfg.degrees = tuple(2 + i for i in range(cfg.shape.c + cfg.shape.r))
     ctx["family_params"] = _family_params(cfg, fam_seed)
     fam = ctx["family"] = build_family(ctx["family_params"])
     terms = [F.term_count() for F in fam.sections]
@@ -269,16 +287,36 @@ def _all_divisors(fam, K) -> int:
 def _stage_divisibility(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
     fam = ctx["family"]
     K = build_matrices(fam)
-    ctx["K"] = K
     columns = 0
     try:
         columns = _all_divisors(fam, K)
     except DivisibilityClaimFailed as exc:
-        witness = {"schema": SCHEMA_VERSION, "stage": "divisibility",
-                   "family": ctx["family_params"],
-                   "row": exc.row, "col": exc.col}
-        return "FAIL", {"columns_verified": columns, "error": str(exc)}, witness
+        return ("FAIL", {"columns_verified": columns, "error": str(exc)},
+                {"row": exc.row, "col": exc.col})
     return "PASS", {"columns_verified": columns}, None
+
+
+def _run_units(ctx: dict, units: List[dict], check, describe,
+               **extra) -> Tuple[str, dict, Optional[dict]]:
+    """The unit loop of the gluing and transition stages: check(u) is the
+    verifier's report on unit u, describe(u, rep) its entry in the stage
+    report. Stops at the first unit that fails, whose entry is the detail;
+    SKIPs when every check of every unit skipped."""
+    if not ctx.get("terms_ok", True):
+        return "SKIP", {"reason": "term budget exceeded"}, None
+    report = dict(extra, units=[])
+    skipped = 0
+    for idx, u in enumerate(units):
+        rep = check(u)
+        verdicts = [c["verdict"] for c in rep["checks"]]
+        skipped += all(v == "skip" for v in verdicts)
+        report["units"].append(dict(describe(u, rep), unit=idx, ok=rep["ok"],
+                                    verdicts=verdicts))
+        if not rep["ok"]:
+            return "FAIL", report, {"unit": report["units"][-1]}
+    if skipped == len(units):
+        return "SKIP", dict(report, reason="characteristic guard"), None
+    return "PASS", report, None
 
 
 def _glue_units(fam) -> List[dict]:
@@ -286,41 +324,21 @@ def _glue_units(fam) -> List[dict]:
     sel = tuple(range(1, shape.n + 1))
     if fam.mode == "mcm":
         return [{"which": which, "selection": sel, "j1": j1, "j2": j2}
-                for which in _selected_whichs(shape) for j1, j2 in ((0, 1), (1, shape.N))]
+                for which in (("K_nu", 0), ("K_nu", shape.N), ("K_tau_rho", 0, 1))
+                for j1, j2 in ((0, 1), (1, shape.N))]
     return [{"which": None, "selection": sel, "j1": 0, "j2": j2} for j2 in (1, shape.N)]
 
 
 def _stage_gluing(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
     fam = ctx["family"]
-    if not ctx.get("terms_ok", True):
-        return "SKIP", {"reason": "term budget exceeded"}, None
-    mode = "exact"
-    if fam.mode == "general_fermat" and cfg.shape.N >= 4:
-        mode = "probabilistic"
-    units = _glue_units(fam)
-    sub = []
-    skipped = 0
-    for idx, u in enumerate(units):
-        rep = verify_gluing(fam, u["selection"], u["j1"], u["j2"],
-                            which=u["which"], mode=mode, seed=cfg.seed)
-        verdicts = [c["verdict"] for c in rep["checks"]]
-        if all(v == "skip" for v in verdicts):
-            skipped += 1
-        sub.append({"unit": idx, "which": list(u["which"]) if u["which"] else None,
-                    "j1": u["j1"], "j2": u["j2"], "ok": rep["ok"],
-                    "verdicts": verdicts})
-        if not rep["ok"]:
-            witness = {"schema": SCHEMA_VERSION, "stage": "gluing",
-                       "family": ctx["family_params"],
-                       "unit": {"which": list(u["which"]) if u["which"] else None,
-                                "selection": list(u["selection"]),
-                                "j1": u["j1"], "j2": u["j2"]},
-                       "mode": mode, "seed": cfg.seed}
-            return "FAIL", {"mode": mode, "units": sub}, witness
-    if skipped == len(units):
-        return "SKIP", {"reason": "characteristic guard", "mode": mode,
-                        "units": sub}, None
-    return "PASS", {"mode": mode, "units": sub}, None
+    mode = "probabilistic" if fam.mode == "general_fermat" and cfg.shape.N >= 4 else "exact"
+    return _run_units(
+        ctx, _glue_units(fam),
+        lambda u: verify_gluing(fam, u["selection"], u["j1"], u["j2"],
+                                which=u["which"], mode=mode, seed=cfg.seed),
+        lambda u, rep: {"which": list(u["which"]) if u["which"] else None,
+                        "j1": u["j1"], "j2": u["j2"]},
+        mode=mode)
 
 
 def _transition_units(fam) -> List[dict]:
@@ -342,31 +360,13 @@ def _transition_units(fam) -> List[dict]:
 
 def _stage_transition(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
     fam = ctx["family"]
-    if not ctx.get("terms_ok", True):
-        return "SKIP", {"reason": "term budget exceeded"}, None
-    units = _transition_units(fam)
-    sub = []
-    skipped = 0
-    for idx, u in enumerate(units):
-        rep = verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
-                                mode="auto", which=u["which"], kind=u["kind"],
-                                seed=cfg.seed)
-        verdicts = [c["verdict"] for c in rep["checks"]]
-        if all(v == "skip" for v in verdicts):
-            skipped += 1
-        sub.append({"unit": idx, "omit": u["omit"], "charts": [u["l1"], u["l2"]],
-                    "ok": rep["ok"], "mode": rep.get("mode"), "verdicts": verdicts})
-        if not rep["ok"]:
-            witness = {"schema": SCHEMA_VERSION, "stage": "transition",
-                       "family": ctx["family_params"],
-                       "unit": {"which": list(u["which"]) if u["which"] else None,
-                                "selection": list(u["selection"]), "omit": u["omit"],
-                                "l1": u["l1"], "l2": u["l2"], "kind": u["kind"]},
-                       "seed": cfg.seed}
-            return "FAIL", {"units": sub}, witness
-    if skipped == len(units):
-        return "SKIP", {"reason": "characteristic guard", "units": sub}, None
-    return "PASS", {"units": sub}, None
+    return _run_units(
+        ctx, _transition_units(fam),
+        lambda u: verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
+                                    mode="auto", which=u["which"], kind=u["kind"],
+                                    seed=cfg.seed),
+        lambda u, rep: {"omit": u["omit"], "charts": [u["l1"], u["l2"]],
+                        "mode": rep.get("mode")})
 
 
 def _stage_twist_ledger(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
@@ -381,11 +381,9 @@ def _stage_twist_ledger(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[
     if ledger.ok:
         return "PASS", report, None
     bad = [e for e in ledger.entries if not e.ok][:3]
-    witness = {"schema": SCHEMA_VERSION, "stage": "twist-ledger",
-               "entries": [{"eta": e.eta, "kind": e.kind, "tau": e.tau,
-                            "selection": list(e.selection), "value": e.value,
-                            "bound": e.bound} for e in bad]}
-    return "FAIL", report, witness
+    return "FAIL", report, {"entries": [
+        {"eta": e.eta, "kind": e.kind, "tau": e.tau, "selection": list(e.selection),
+         "value": e.value, "bound": e.bound} for e in bad]}
 
 
 def _stage_smoothness(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
@@ -396,7 +394,6 @@ def _stage_smoothness(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
     first = smoothness_check(fam, fld.p)
     if first["ok"]:
         ctx["scan_family"] = fam
-        ctx["scan_family_params"] = ctx["family_params"]
         report = dict(first)
         report["attempt"] = 0
         report["family_seed"] = ctx["family_params"]["seed"]
@@ -409,15 +406,10 @@ def _stage_smoothness(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
            {"lambdas": cfg.lambdas, "degrees": cfg.degrees}),
     )
     if rep["ok"]:
-        params = dict(ctx["family_params"])
-        params["seed"] = rep["family_seed"]
-        ctx["scan_family"] = build_family(params)
-        ctx["scan_family_params"] = params
+        ctx["scan_family"] = build_family(dict(ctx["family_params"], seed=rep["family_seed"]))
         return "PASS", rep, None
-    witness = {"schema": SCHEMA_VERSION, "stage": "smoothness",
-               "family": ctx["family_params"], "q": fld.p,
-               "singular": rep["singular"][:3]}
-    return "FAIL", rep, witness
+    # the last resample's seed and points, as in the report
+    return "FAIL", rep, {"family_seed": rep["family_seed"], "singular": rep["singular"][:3]}
 
 
 def _stage_base_locus(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
@@ -432,10 +424,7 @@ def _stage_base_locus(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
          "terms": f.term_count()} for f in forms]
     if rep["ok"]:
         return "PASS", rep, None
-    witness = {"schema": SCHEMA_VERSION, "stage": "base-locus",
-               "family": ctx["scan_family_params"], "q": q,
-               "singular_tangent": rep["singular_tangent"][:3]}
-    return "FAIL", rep, witness
+    return "FAIL", rep, {"singular_tangent": rep["singular_tangent"][:3]}
 
 
 def _stage_crosscheck(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
@@ -449,29 +438,17 @@ def _stage_crosscheck(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
                                       seed=cfg.seed)
     if rep["ok"]:
         return "PASS", rep, None
-    witness = {"schema": SCHEMA_VERSION, "stage": "crosscheck",
-               "family": ctx["scan_family_params"], "q": q,
-               "sample": cfg.crosscheck_sample, "seed": cfg.seed,
-               "disagreements": rep["disagreements"][:3]}
-    return "FAIL", rep, witness
+    return "FAIL", rep, {"disagreements": rep["disagreements"][:3]}
 
 
 def _stage_census(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
-    results = []
-    failed = None
-    for a, b, q in cfg.census_shapes:
-        rep = rank_condition_census(a, b, q, budget=cfg.max_census, seed=cfg.seed)
-        results.append(rep)
-        if not rep["ok"] and failed is None:
-            failed = rep
+    results = [rank_condition_census(a, b, q, budget=cfg.max_census, seed=cfg.seed)
+               for a, b, q in cfg.census_shapes]
+    failed = next((rep for rep in results if not rep["ok"]), None)
     report = {"censuses": results, "all_pass": failed is None}
     if failed is None:
         return "PASS", report, None
-    witness = {"schema": SCHEMA_VERSION, "stage": "census",
-               "a": failed["a"], "b": failed["b"], "q": failed["q"],
-               "mode": failed["mode"], "seed": cfg.seed,
-               "budget": cfg.max_census, "count": failed["count"]}
-    return "FAIL", report, witness
+    return "FAIL", report, {key: failed[key] for key in ("a", "b", "q", "mode", "count")}
 
 
 def _point_budget(cfg: RunConfig) -> Optional[str]:
@@ -526,6 +503,10 @@ def run_pipeline(cfg: RunConfig) -> dict:
     dependency FAILed or ERRORed. The stages run on a copy of
     cfg, so the caller's config is left as given while the report's config
     block echoes the defaults the run filled in.
+
+    Every FAIL or ERROR entry holds a witness: the schema, the stage, the
+    run config restricted to that stage (`config`, as RunConfig.to_dict
+    writes it) and the stage's detail, or the error message.
     """
     cfg = replace(cfg)
     stages = _expand_stages(cfg.stages)
@@ -547,17 +528,17 @@ def run_pipeline(cfg: RunConfig) -> dict:
             continue
         t0 = time.perf_counter()
         try:
-            status, report, witness = _STAGE_FNS[name](cfg, ctx)
-        except Exception as exc:  # pragma: no cover - defensive
+            status, report, detail = _STAGE_FNS[name](cfg, ctx)
+        except Exception as exc:
             status, report = "ERROR", {"error": f"{type(exc).__name__}: {exc}"}
-            witness = {"schema": SCHEMA_VERSION, "stage": name,
-                       "error": str(exc), "seed": cfg.seed}
+            detail = report
         timings[name] = round(time.perf_counter() - t0, 6)
         entry = {"status": status, "report": report}
         if status == "SKIP" and "reason" in report:
             entry["reason"] = report["reason"]
-        if witness is not None:
-            entry["witness"] = witness
+        if status in ("FAIL", "ERROR"):
+            entry["witness"] = dict(detail or {}, schema=SCHEMA_VERSION, stage=name,
+                                    config=replace(cfg, stages=(name,)).to_dict())
         stage_reports[name] = entry
     ok = all(e["status"] not in ("FAIL", "ERROR") for e in stage_reports.values())
     return {
@@ -581,58 +562,26 @@ def strip_timings(report: dict) -> dict:
     return out
 
 
-# ----- replay -----
-
-
 def replay(witness: dict) -> dict:
-    """Re-run exactly the unit recorded in a failure witness."""
-    if witness.get("schema") != SCHEMA_VERSION:
-        raise ValueError(
-            f"stale witness: schema {witness.get('schema')!r} != {SCHEMA_VERSION}")
+    """Rerun the stage a witness names, with its dependencies, through
+    run_pipeline on the witness's config.
+
+    Returns {"op": "replay", "replayed": stage, "ok"} merged with the
+    stage's entry in the run (status, report and, on FAIL or ERROR, the
+    new witness); ok is the run's verdict. A witness of another schema, of
+    no known stage, or without a config that runs exactly its stage (the
+    old format named a family and a unit instead) raises ValueError.
+    """
+    if not isinstance(witness, dict) or witness.get("schema") != SCHEMA_VERSION:
+        schema = witness.get("schema") if isinstance(witness, dict) else None
+        raise ValueError(f"stale witness: schema {schema!r} != {SCHEMA_VERSION}")
     stage = witness.get("stage")
-    if stage == "census":
-        rep = rank_condition_census(witness["a"], witness["b"], witness["q"],
-                                budget=witness.get("budget", 2 ** 28),
-                                seed=witness.get("seed", 0))
-        rep["replayed"] = "census"
-        return rep
-    if stage == "gluing":
-        fam = build_family(witness["family"])
-        u = witness["unit"]
-        rep = verify_gluing(fam, tuple(u["selection"]), u["j1"], u["j2"],
-                            which=tuple(u["which"]) if u.get("which") else None,
-                            mode=witness.get("mode", "exact"),
-                            seed=witness.get("seed", 0))
-        rep["replayed"] = "gluing"
-        return rep
-    if stage == "transition":
-        fam = build_family(witness["family"])
-        u = witness["unit"]
-        rep = verify_transition(fam, tuple(u["selection"]), u["omit"], u["l1"],
-                                u["l2"], which=tuple(u["which"]) if u.get("which") else None,
-                                kind=u.get("kind"), seed=witness.get("seed", 0))
-        rep["replayed"] = "transition"
-        return rep
-    if stage == "divisibility":
-        fam = build_family(witness["family"])
-        K = build_matrices(fam)
-        try:
-            columns = _all_divisors(fam, K)
-            rep = {"ok": True, "columns_verified": columns}
-        except DivisibilityClaimFailed as exc:
-            rep = {"ok": False, "row": exc.row, "col": exc.col, "error": str(exc)}
-        rep["replayed"] = "divisibility"
-        return rep
-    if stage == "smoothness":
-        fam = build_family(witness["family"])
-        rep = smoothness_check(fam, witness["q"])
-        rep["replayed"] = "smoothness"
-        return rep
-    if stage == "crosscheck":
-        fam = build_family(witness["family"])
-        rep = characterization_crosscheck(fam, witness["q"],
-                                          sample=witness.get("sample", 10_000),
-                                          seed=witness.get("seed", 0))
-        rep["replayed"] = "crosscheck"
-        return rep
-    raise ValueError(f"witness names no replayable stage: {stage!r}")
+    if stage not in STAGE_ORDER:
+        raise ValueError(f"witness names no replayable stage: {stage!r}")
+    if "config" not in witness:
+        raise ValueError("witness holds no run config (an old-format witness)")
+    cfg = config_from_dict(witness["config"])
+    if cfg.stages != (stage,):
+        raise ValueError(f"witness config runs stages {list(cfg.stages)}, not [{stage!r}]")
+    report = run_pipeline(cfg)
+    return {"op": "replay", "replayed": stage, "ok": report["ok"], **report["stages"][stage]}

@@ -1,10 +1,14 @@
-"""Every name a demo imports from mcmforms exists.
+"""Every name a demo imports from mcmforms exists, and the pipeline demo
+runs.
 
 The demos run their whole computation at import time, so they are parsed
-with ast, never executed."""
+with ast; only the pipeline demo, about 2 s, is executed."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +39,18 @@ def test_demo_imports_resolve(path):
         mod = importlib.import_module(module)
         if name is not None and not hasattr(mod, name):
             importlib.import_module(f"{module}.{name}")  # a submodule, or fail
+
+
+def test_pipeline_demo_runs_and_replays_its_failure():
+    import mcmforms
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mcmforms.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    demo = next(p for p in DEMOS if p.name == "demo_pipeline.py")
+    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for line in ("overall ok: True", "deterministic: True",
+                 "replayed smoothness: FAIL, same witness: True"):
+        assert line in proc.stdout

@@ -88,17 +88,21 @@ def test_gluing_refuses_a_repeated_or_unordered_selection(selection):
         extract_forms(build_matrices(fam), None, [selection], omit=0)
 
 
-def test_gluing_same_chart_is_trivially_zero():
+@pytest.mark.parametrize("mode", ["exact", "probabilistic"])
+def test_gluing_refuses_equal_chart_columns(mode):
+    # psi_j - psi_j == 0 against an empty certificate tests nothing
     fam = unit_line_family()
-    rep = verify_gluing(fam, (1,), 2, 2)
-    assert rep["ok"] and rep["certificate_terms"] == 0
+    with pytest.raises(ValueError, match="chart columns must differ"):
+        verify_gluing(fam, (1,), 1, 1, which=None, mode=mode)
+    assert verify_gluing(fam, (1,), 1, 2, mode=mode)["ok"]
 
 
 def test_gluing_rational_quadratic_family():
     fam = fermat_family(2, 1, 0, (2, 2, 2), (3,), field=QQ, seed=7)
     for j1 in range(3):
         for j2 in range(3):
-            assert verify_gluing(fam, (1,), j1, j2)["ok"]
+            if j1 != j2:
+                assert verify_gluing(fam, (1,), j1, j2)["ok"]
 
 
 def test_gluing_all_pairs_all_selections_small_shapes():
@@ -177,7 +181,7 @@ def test_gluing_probabilistic_mode():
     assert "certificate_terms" not in rep
     # exact and probabilistic agree on a shape where both are cheap
     small = fermat_family(3, 2, 0, (2, 2, 2, 2), (3, 3), seed=1)
-    for j1, j2 in [(0, 1), (1, 3), (2, 2)]:
+    for j1, j2 in [(0, 1), (1, 3), (2, 0)]:
         assert verify_gluing(small, (1,), j1, j2)["ok"]
         assert verify_gluing(small, (1,), j1, j2, mode="probabilistic")["ok"]
     with pytest.raises(ValueError, match="unknown mode"):
@@ -466,11 +470,12 @@ def test_hidden_depth_at_or_above_n_gives_empty_report():
     assert rep["ok"] and rep["checks"] == [] and "reason" in rep
 
 
-def test_hidden_eta_zero_coincides_with_baseline():
+def test_hidden_refuses_depth_zero():
+    # with nothing killed there is no hidden form: the old "eta=0
+    # coincidence" compared kill_coordinates(e, ()) with e, which cannot fail
     fam = fermat_family(4, 3, 0, (2, 2, 2, 2, 2), (2, 2, 2), seed=2)
-    rep = verify_hidden(fam, (), (1,))
-    assert rep["ok"]
-    assert rep["checks"][0]["id"] == "eta=0 coincidence"
+    with pytest.raises(ValueError, match="at least one vanished coordinate"):
+        verify_hidden(fam, (), (1,))
 
 
 def test_hidden_certificates_and_twist_increment():

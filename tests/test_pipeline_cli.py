@@ -16,6 +16,7 @@ from mcmforms.pipeline import (
     _glue_units,
     _transition_units,
     build_family,
+    config_from_dict,
     default_config_text,
     parse_config,
     replay,
@@ -23,6 +24,7 @@ from mcmforms.pipeline import (
     run_pipeline,
     strip_timings,
 )
+from mcmforms.finite_geometry import smoothness_check
 from mcmforms.schedule import ProblemShape
 
 
@@ -197,7 +199,10 @@ def test_stage_error_blocks_dependents_and_fails_run():
     assert report["stages"]["schedule"]["status"] == "PASS"
     assert report["stages"]["build"]["status"] == "ERROR"
     assert "prime" in report["stages"]["build"]["report"]["error"]
-    assert report["stages"]["build"]["witness"]["stage"] == "build"
+    witness = report["stages"]["build"]["witness"]
+    assert witness["stage"] == "build"
+    assert witness["error"] == report["stages"]["build"]["report"]["error"]
+    assert witness["config"] == dict(report["config"], stages=["build"])
     assert report["stages"]["divisibility"]["status"] == "SKIP"
     assert report["stages"]["divisibility"]["reason"] == "blocked by build"
     assert not report["ok"]
@@ -238,12 +243,12 @@ def test_forced_failure_blocks_dependents(monkeypatch):
     from mcmforms import pipeline as pl
 
     def broken(cfg, ctx):
-        return "FAIL", {"planted": True}, {"schema": SCHEMA_VERSION,
-                                           "stage": "smoothness"}
+        return "FAIL", {"planted": True}, {"planted": "smoothness"}
 
     monkeypatch.setitem(pl._STAGE_FNS, "smoothness", broken)
     report = run_pipeline(small_config())
     assert report["stages"]["smoothness"]["status"] == "FAIL"
+    assert report["stages"]["smoothness"]["witness"]["planted"] == "smoothness"
     assert report["stages"]["base-locus"]["reason"] == "blocked by smoothness"
     assert report["stages"]["crosscheck"]["status"] == "SKIP"
     assert report["stages"]["census"]["status"] == "PASS"
@@ -304,43 +309,102 @@ def test_run_pipeline_leaves_the_callers_config_as_given():
 # ----- replay -----
 
 
-def test_replay_census_witness_reproduces_count():
-    witness = {"schema": SCHEMA_VERSION, "stage": "census", "a": 2, "b": 2,
-               "q": 2, "mode": "exhaustive", "seed": 0, "budget": 2 ** 28,
-               "count": 148}
-    rep = replay(witness)
-    assert rep["replayed"] == "census"
-    assert rep["count"] == 148
-    assert rep["ok"]
+def as_json(obj):
+    """obj as a witness file holds it."""
+    return json.loads(report_to_json(obj))
 
 
-def test_replay_gluing_witness_reruns_exact_unit():
-    witness = {
-        "schema": SCHEMA_VERSION,
-        "stage": "gluing",
-        "family": {"shape": [3, 2, 0], "mode": "mcm", "field": "5",
-                   "heart": 2, "eps": None, "lambdas": None, "degrees": None,
-                   "seed": 42},
-        "unit": {"which": ["K_nu", 0], "selection": [1], "j1": 0, "j2": 1},
-        "mode": "exact",
-        "seed": 3,
-    }
-    rep = replay(witness)
-    assert rep["replayed"] == "gluing"
-    assert rep["ok"]
-    assert rep["checks"][0]["verdict"] == "pass"
+# (2,1,0) general Fermat over F_2, seed 0: no resampled family is smooth
+F2_SINGULAR = RunConfig(shape=ProblemShape(2, 1, 0), mode="general_fermat",
+                        field_spec="2", seed=0, stages=("smoothness",))
+
+
+@pytest.mark.parametrize("outcome", ["FAIL", "ERROR"])
+@pytest.mark.parametrize("stage", STAGE_ORDER)
+def test_every_stage_replays_its_planted_outcome(monkeypatch, stage, outcome):
+    from mcmforms import pipeline as pl
+    real = pl._STAGE_FNS[stage]
+
+    def planted(cfg, ctx):
+        real(cfg, ctx)  # dependents still find what the stage leaves in ctx
+        if outcome == "ERROR":
+            raise RuntimeError(f"planted in {stage}")
+        return "FAIL", {"planted": True}, {"planted": stage}
+
+    monkeypatch.setitem(pl._STAGE_FNS, stage, planted)
+    report = run_pipeline(small_config())
+    entry = report["stages"][stage]
+    witness = entry["witness"]
+    assert entry["status"] == outcome and not report["ok"]
+    assert witness["stage"] == stage and witness["schema"] == SCHEMA_VERSION
+    assert witness["config"] == dict(report["config"], stages=[stage])
+    if outcome == "ERROR":
+        assert witness["error"] == f"RuntimeError: planted in {stage}"
+    rep = replay(as_json(witness))
+    assert (rep["op"], rep["replayed"], rep["ok"]) == ("replay", stage, False)
+    assert rep["status"] == outcome
+    assert rep["witness"] == witness
+
+
+def test_replay_census_witness_reproduces_count(monkeypatch):
+    from mcmforms import pipeline as pl
+    real = pl.rank_condition_census
+
+    def strict(a, b, q, **kwargs):  # a (2,2,2) census that misses its bound
+        rep = real(a, b, q, **kwargs)
+        return dict(rep, verdict="fail", ok=False) if (a, b, q) == (2, 2, 2) else rep
+
+    monkeypatch.setattr(pl, "rank_condition_census", strict)
+    witness = run_pipeline(small_config())["stages"]["census"]["witness"]
+    assert {k: witness[k] for k in ("a", "b", "q", "mode", "count")} == {
+        "a": 2, "b": 2, "q": 2, "mode": "exhaustive", "count": 148}
+    rep = replay(as_json(witness))
+    assert rep["replayed"] == "census" and rep["status"] == "FAIL"
+    assert rep["report"]["censuses"][0]["count"] == 148
+    assert rep["witness"] == witness
+
+
+def test_replay_gluing_witness_reruns_exact_unit(monkeypatch):
+    from mcmforms import pipeline as pl
+    real, calls = pl.verify_gluing, []
+
+    def broken(fam, selection, j1, j2, which=None, **kwargs):
+        calls.append((which, j1, j2))
+        rep = real(fam, selection, j1, j2, which=which, **kwargs)
+        if (which, j1, j2) != (("K_nu", 3), 0, 1):
+            return rep
+        return dict(rep, ok=False, checks=[dict(c, verdict="fail") for c in rep["checks"]])
+
+    monkeypatch.setattr(pl, "verify_gluing", broken)
+    witness = run_pipeline(small_config())["stages"]["gluing"]["witness"]
+    assert witness["unit"] == {"unit": 2, "which": ["K_nu", 3], "j1": 0, "j2": 1,
+                               "ok": False, "verdicts": ["fail"]}
+    run_calls = list(calls)
+    calls.clear()
+    rep = replay(as_json(witness))
+    assert calls == run_calls and calls[-1] == (("K_nu", 3), 0, 1)
+    assert rep["replayed"] == "gluing" and rep["status"] == "FAIL"
+    assert rep["report"]["mode"] == "exact"
+    assert rep["witness"] == witness
 
 
 def test_replay_smoothness_witness_reproduces_singular_family():
-    witness = {"schema": SCHEMA_VERSION, "stage": "smoothness",
-               "family": {"shape": [4, 3, 0], "mode": "mcm", "field": "5",
-                          "heart": 2, "eps": None, "lambdas": None,
-                          "degrees": None, "seed": 11},
-               "q": 5}
-    rep = replay(witness)
-    assert rep["replayed"] == "smoothness"
-    assert not rep["ok"]
-    assert rep["singular"]
+    report = run_pipeline(F2_SINGULAR)
+    entry = report["stages"]["smoothness"]
+    witness = entry["witness"]
+    assert entry["status"] == "FAIL"
+    # the witness names the family whose singular points it lists
+    assert witness["family_seed"] == entry["report"]["family_seed"] == 105480930
+    assert witness["family_seed"] != report["stages"]["build"]["report"]["family_seed"]
+    assert witness["singular"] == entry["report"]["singular"][:3]
+    fam = build_family({"shape": [2, 1, 0], "mode": "general_fermat", "field": "2",
+                        "heart": 2, "eps": None, "lambdas": [2, 2, 2], "degrees": [2],
+                        "seed": witness["family_seed"]})
+    assert smoothness_check(fam, 2)["singular"][:3] == witness["singular"]
+    rep = replay(as_json(witness))
+    assert rep["replayed"] == "smoothness" and rep["status"] == "FAIL"
+    assert not rep["ok"] and rep["report"]["singular"]
+    assert rep["witness"] == witness
 
 
 def test_replay_rejects_stale_schema():
@@ -351,6 +415,48 @@ def test_replay_rejects_stale_schema():
 def test_replay_rejects_unknown_stage():
     with pytest.raises(ValueError, match="no replayable stage"):
         replay({"schema": SCHEMA_VERSION, "stage": "warp"})
+
+
+def test_replay_rejects_a_witness_without_a_config():
+    # the old format named a family and a unit instead of a config
+    old = {"schema": SCHEMA_VERSION, "stage": "census", "a": 2, "b": 2, "q": 2,
+           "mode": "exhaustive", "seed": 0, "budget": 2 ** 28, "count": 148}
+    with pytest.raises(ValueError, match="no run config"):
+        replay(old)
+    with pytest.raises(ValueError, match="stale witness"):
+        replay([old])
+
+
+def test_replay_rejects_a_config_of_other_stages():
+    config = small_config(stages=("census", "schedule")).to_dict()
+    with pytest.raises(ValueError, match="not \\['census'\\]"):
+        replay({"schema": SCHEMA_VERSION, "stage": "census", "config": config})
+
+
+def test_config_from_dict_inverts_to_dict():
+    for cfg in (RunConfig(), small_config(stages=("gluing", "census")), F2_SINGULAR,
+                RunConfig(mode="general_fermat", lambdas=(2, 1, 2, 1, 2), degrees=(3, 3, 4),
+                          eps=(1, 0), max_points=7)):
+        assert config_from_dict(as_json(cfg.to_dict())) == cfg
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.pop("seed"), "no 'seed' entry"),
+    (lambda d: d["budgets"].pop("max_census"), "no 'max_census' entry"),
+    (lambda d: d["shape"].pop("c"), "needs c"),
+    (lambda d: d.update(shape=[3, 2, 0]), "malformed config"),
+    (lambda d: d.update(stages=["warp"]), "unknown stages"),
+    (lambda d: d.update(mode="fermat"), "unknown family mode"),
+    (lambda d: d.update(heart="two"), "invalid literal"),
+    (lambda d: d.update(census_shapes=[[2, 2]]), "not enough values"),
+    (lambda d: d.update(schema=2), "unsupported config schema 2"),
+], ids=["seed", "budget", "shape-c", "shape-list", "stage", "mode", "heart",
+        "census", "schema"])
+def test_config_from_dict_refuses_a_bad_config(mutate, message):
+    d = RunConfig().to_dict()
+    mutate(d)
+    with pytest.raises(ValueError, match=message):
+        config_from_dict(d)
 
 
 # ----- command line -----
@@ -484,13 +590,20 @@ def test_cli_run_and_replay(tmp_path, capsys):
     assert report["ok"]
     assert set(report["stages"]) == {"schedule", "twist-ledger"}
 
+    # a real failure: every resampled (2,1,0) family over F_2 is singular
+    config.write_text(
+        "[run]\nschema = 1\nseed = 0\nstages = smoothness\n\n"
+        "[shape]\nN = 2\nc = 1\n\n[family]\nmode = general_fermat\nfield = 2\n")
+    assert main(["run", "--config", str(config), "--json", str(out)]) == 1
+    capsys.readouterr()
+    entry = json.loads(out.read_text())["stages"]["smoothness"]
     witness = tmp_path / "wit.json"
-    witness.write_text(json.dumps(
-        {"schema": SCHEMA_VERSION, "stage": "census", "a": 2, "b": 2, "q": 2,
-         "mode": "exhaustive", "seed": 0, "budget": 2 ** 28, "count": 148}))
-    assert main(["replay", "--witness", str(witness)]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["count"] == 148
+    witness.write_text(json.dumps(entry["witness"]))
+    assert main(["replay", "--witness", str(witness)]) == 1
+    replayed = json.loads(capsys.readouterr().out)
+    assert replayed["status"] == "FAIL"
+    assert replayed["witness"] == entry["witness"]
+    assert replayed["report"] == entry["report"]
 
 
 def test_cli_replay_stale_witness_is_graceful(tmp_path, capsys):
@@ -499,6 +612,39 @@ def test_cli_replay_stale_witness_is_graceful(tmp_path, capsys):
     assert main(["replay", "--witness", str(witness)]) == 2
     err = capsys.readouterr().err
     assert "stale witness" in err
+
+
+@pytest.mark.parametrize("witness, message", [
+    # an ERROR witness of the old format: replay used to escape with KeyError
+    ({"schema": 1, "stage": "gluing", "error": "boom", "seed": 3}, "no run config"),
+    ({"schema": 1, "stage": "census",
+      "config": {k: v for k, v in RunConfig(stages=("census",)).to_dict().items()
+                 if k != "seed"}}, "no 'seed' entry"),
+    ({"schema": 1, "stage": "census", "config": "census"}, "unsupported config schema"),
+    (["census"], "stale witness"),
+], ids=["old-error", "config-key", "config-type", "list"])
+def test_cli_replay_refuses_a_malformed_witness(tmp_path, capsys, witness, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(witness))
+    assert main(["replay", "--witness", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape, missing", [("c = 2\n", "N"), ("N = 3\n", "c"),
+                                            ("r = 0\n", "N and c")])
+def test_cli_run_refuses_a_shape_without_N_or_c(tmp_path, capsys, shape, missing):
+    config = tmp_path / "bad.ini"
+    config.write_text(f"[run]\nschema = 1\n\n[shape]\n{shape}")
+    assert main(["run", "--config", str(config)]) == 2
+    assert f"error: config shape needs {missing}\n" == capsys.readouterr().err
+
+
+def test_cli_verify_hidden_refuses_depth_zero(tmp_path, capsys):
+    fam_path = tmp_path / "family.json"
+    assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
+                 "--seed", "3", "--out", str(fam_path)]) == 0
+    assert main(["verify", "hidden", "--family", str(fam_path), "--selection", "1"]) == 2
+    assert "at least one vanished coordinate" in capsys.readouterr().err
 
 
 def test_cli_run_rejects_bad_config(tmp_path, capsys):
