@@ -130,30 +130,20 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.what in ("forms", "gluing"):
+    if args.what in ("forms", "gluing", "transition"):
         fam = load_family(args.family)
-        checks = []
-        ok = True
-        for u in _glue_units(fam):
-            rep = verify_gluing(fam, u["selection"], u["j1"], u["j2"],
-                                which=u["which"], mode=args.mode,
-                                trials=args.trials, seed=args.seed)
-            checks.extend(rep["checks"])
-            ok = ok and rep["ok"]
-        report = {"op": "verify-forms", "family": args.family,
-                  "checks": checks, "ok": ok}
-    elif args.what == "transition":
-        fam = load_family(args.family)
-        checks = []
-        ok = True
-        for u in _transition_units(fam):
-            rep = verify_transition(fam, u["selection"], u["omit"], u["l1"],
-                                    u["l2"], which=u["which"], kind=u["kind"],
-                                    trials=args.trials, seed=args.seed)
-            checks.extend(rep["checks"])
-            ok = ok and rep["ok"]
-        report = {"op": "verify-transition", "family": args.family,
-                  "checks": checks, "ok": ok}
+        options = dict(mode=args.mode, trials=args.trials, seed=args.seed)
+        if args.what == "transition":
+            op, reps = "verify-transition", [
+                verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
+                                  which=u["which"], kind=u["kind"], **options)
+                for u in _transition_units(fam)]
+        else:
+            op, reps = "verify-forms", [
+                verify_gluing(fam, u["selection"], u["j1"], u["j2"], which=u["which"], **options)
+                for u in _glue_units(fam)]
+        report = {"op": op, "family": args.family, "checks": [c for r in reps for c in r["checks"]],
+                  "ok": all(r["ok"] for r in reps)}
     elif args.what == "surjectivity":
         report = verify_surjectivity(args.N, args.d, trials=args.trials,
                                      seed=args.seed)

@@ -14,15 +14,18 @@ total degrees for a product, the sum of the largest row degrees for the
 minors of a matrix. No exponent exceeds its term's total degree, so packed
 adds never carry; a bound of 2**64 or more raises OverflowError. Over F_p
 the loop adds integer products and reduces mod p once per result. Over Q
-each operand (each row of a matrix) is scaled by the lcm of its
-denominators, the loop runs on integers, and unpacking divides by the
-product of the scales. `terms` itself stays keyed by tuples.
+each operand of a product is scaled by the lcm of its denominators, every
+entry of a matrix by one lcm of them all, the loop runs on integers, and
+unpacking divides by the product of the scales. `terms` itself stays
+keyed by tuples.
 
 Determinants live in MinorTable: one table per matrix, every minor
 expanded once along its last row and memoised by (rows, columns), so
 determinants sharing all but their last row share the rest. Results stay
-packed (PackedPoly) until a caller unpacks them; poly_det is the table's
-one-determinant wrapper.
+packed (PackedPoly) until a caller unpacks them; sums of minors of one
+size (MinorTable.combine) compare term by term. poly_det is the table's
+one-determinant wrapper. The chart change dz -> w_l(dz) is applied to
+matrix entries linear in dz (tangent_projection), never to a determinant.
 
 Evaluation mod m runs in EvalPlan, the one modular evaluation loop: a
 sequence of polynomials is compiled once, its coefficients reduced mod m
@@ -47,7 +50,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import lcm
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -198,17 +201,13 @@ class MultiPoly:
     def z(N: int, j: int, field: Field = QQ, power: int = 1) -> "MultiPoly":
         if not (0 <= j <= N):
             raise ValueError(f"z index {j} out of range 0..{N}")
-        exp = [0] * (2 * (N + 1))
-        exp[j] = power
-        return MultiPoly(N, field, {tuple(exp): 1})
+        return MultiPoly(N, field, {z_power(N, j, power): 1})
 
     @staticmethod
     def dz(N: int, j: int, field: Field = QQ, power: int = 1) -> "MultiPoly":
         if not (0 <= j <= N):
             raise ValueError(f"dz index {j} out of range 0..{N}")
-        exp = [0] * (2 * (N + 1))
-        exp[N + 1 + j] = power
-        return MultiPoly(N, field, {tuple(exp): 1})
+        return MultiPoly(N, field, {z_power(N, N + 1 + j, power): 1})
 
     @staticmethod
     def monomial(N: int, field: Field, coeff, z_exps: Sequence[int], dz_exps: Sequence[int] = ()) -> "MultiPoly":
@@ -303,32 +302,24 @@ class MultiPoly:
 
     # ----- grading -----
 
+    def _common(self, key: Callable, what: str):
+        """The value of key shared by every term; None for zero."""
+        values = {key(exp) for exp in self.terms}
+        if len(values) > 1:
+            raise ValueError(f"not {what} {sorted(values)}")
+        return values.pop() if values else None
+
     def z_degree(self) -> Optional[int]:
         """Common z-degree when z-homogeneous; None for the zero polynomial."""
-        degs = {sum(exp[: self.N + 1]) for exp in self.terms}
-        if not degs:
-            return None
-        if len(degs) != 1:
-            raise ValueError(f"not z-homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
+        return self._common(lambda exp: sum(exp[: self.N + 1]), "z-homogeneous: degrees")
 
     def dz_degree(self) -> Optional[int]:
-        degs = {sum(exp[self.N + 1 :]) for exp in self.terms}
-        if not degs:
-            return None
-        if len(degs) != 1:
-            raise ValueError(f"not dz-homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
+        return self._common(lambda exp: sum(exp[self.N + 1:]), "dz-homogeneous: degrees")
 
     def bidegree(self) -> Optional[Tuple[int, int]]:
         """(z-degree, dz-degree) when bihomogeneous; None for zero."""
         n1 = self.N + 1
-        pairs = {(sum(exp[:n1]), sum(exp[n1:])) for exp in self.terms}
-        if not pairs:
-            return None
-        if len(pairs) != 1:
-            raise ValueError(f"not bihomogeneous: bidegrees {sorted(pairs)}")
-        return pairs.pop()
+        return self._common(lambda exp: (sum(exp[:n1]), sum(exp[n1:])), "bihomogeneous: bidegrees")
 
     # ----- evaluation -----
 
@@ -513,7 +504,7 @@ def total_differential(p: MultiPoly) -> MultiPoly:
 
 
 def z_power(N: int, j: int, e: int) -> Exponent:
-    """Exponent tuple of the monomial z_j^e."""
+    """Exponent tuple of the monomial z_j^e (of dz_{j-N-1}^e for j > N)."""
     exp = [0] * (2 * (N + 1))
     exp[j] = e
     return tuple(exp)
@@ -545,24 +536,6 @@ def divide_exact(p: MultiPoly, mono: Exponent) -> MultiPoly:
     return res
 
 
-def substitute_dz(p: MultiPoly, images: Sequence[MultiPoly]) -> MultiPoly:
-    """Replace each dz_k by images[k] (z-variables left alone)."""
-    if len(images) != p.N + 1:
-        raise ValueError("need one image per dz variable")
-    total = MultiPoly.zero(p.N, p.field)
-    power_cache: Dict[Tuple[int, int], MultiPoly] = {}
-    for dkey, piece in dz_components(p).items():
-        for k, e in enumerate(dkey):
-            if e == 0:
-                continue
-            pw = power_cache.get((k, e))
-            if pw is None:
-                pw = power_cache[(k, e)] = images[k] ** e
-            piece = piece * pw
-        total = total + piece
-    return total
-
-
 def kill_coordinates(p: MultiPoly, vanished: Iterable[int]) -> MultiPoly:
     """Substitute z_v -> 0 and dz_v -> 0 for every v in vanished.
 
@@ -584,41 +557,21 @@ def kill_coordinates(p: MultiPoly, vanished: Iterable[int]) -> MultiPoly:
 
 
 def tangent_projection(p: MultiPoly, l: int) -> MultiPoly:
-    """Substitute dz_k -> z_l * dz_k - dz_l * z_k for every k.
-
-    This is the coordinate form of projecting a tangent vector into the
-    chart z_l = 1, lifted to a global polynomial substitution.
-    """
+    """p(z, w_l(dz)) for p linear in dz, where w_l,k = z_l dz_k - dz_l z_k
+    projects a tangent vector into the chart z_l = 1: z_l * p - dz_l *
+    p(z, z). Zero maps to zero; any other dz-degree raises ValueError."""
     if not (0 <= l <= p.N):
         raise ValueError(f"chart index {l} out of range")
-    fld = p.field
-    N = p.N
-    images = []
-    for k in range(N + 1):
-        w = MultiPoly.z(N, l, fld) * MultiPoly.dz(N, k, fld) - MultiPoly.dz(N, l, fld) * MultiPoly.z(N, k, fld)
-        images.append(w)
-    return substitute_dz(p, images)
-
-
-def dz_components(p: MultiPoly) -> Dict[Exponent, MultiPoly]:
-    """Split p by dz-exponent pattern; values are z-only polynomials.
-
-    Keys are dz-exponent tuples of length N+1. Useful for rows that are
-    linear in dz: the component at dz_k is the coefficient polynomial.
-    """
-    n1 = p.N + 1
-    buckets: Dict[Exponent, Dict[Exponent, object]] = {}
-    zero_dz = (0,) * n1
+    if p.dz_degree() not in (None, 1):
+        raise ValueError("tangent projection needs a polynomial linear in dz")
+    q, n1 = p.field.p, p.N + 1
+    dz_l = tuple(int(k == l) for k in range(n1))
+    out: Dict[Exponent, object] = {}
     for exp, c in p.terms.items():
-        dkey = exp[n1:]
-        zexp = exp[:n1] + zero_dz
-        buckets.setdefault(dkey, {})[zexp] = c
-    out = {}
-    for dkey, terms in buckets.items():
-        poly = MultiPoly(p.N, p.field)
-        poly.terms = terms
-        out[dkey] = poly
-    return out
+        _add_term(out, exp[:l] + (exp[l] + 1,) + exp[l + 1:], c, q)
+        euler = tuple(a + b for a, b in zip(exp[:n1], exp[n1:])) + dz_l
+        _add_term(out, euler, -c % q if q else -c, q)
+    return MultiPoly(p.N, p.field, out)
 
 
 # ----- modular evaluation -----
@@ -795,9 +748,10 @@ class MinorTable:
     memoised by (rows, cols), so determinants that share all but their
     last row share every smaller minor. Entries are packed once with one
     codec, whose degree bound is the sum of the largest row degrees, one
-    per column at most: no minor exceeds it. Over Q row r is scaled by
-    the lcm s_r of its denominators, so a minor on rows R carries the
-    factor prod(s_r, r in R), which unpacking divides back out.
+    per column at most: no minor exceeds it. Over Q every row is scaled by
+    one s, the lcm of the table's denominators, so a minor on k rows
+    carries the factor s^k, which unpacking divides back out, and two
+    minors of equal size compare term by term whatever rows they use.
     """
 
     def __init__(self, rows: Sequence[Sequence[MultiPoly]]):
@@ -813,8 +767,8 @@ class MinorTable:
         self.N, self.field = sample.N, sample.field
         row_degrees = sorted((max(map(_max_degree, row)) for row in rows), reverse=True)
         self.codec = _slot_codec(2 * (self.N + 1), sum(row_degrees[:ncols]))
-        self.scales = [_denominator_lcm(row) for row in rows]
-        self.entries = [[_pack(e, self.codec, s) for e in row] for row, s in zip(rows, self.scales)]
+        self.scale = _denominator_lcm([e for row in rows for e in row])
+        self.entries = [[_pack(e, self.codec, self.scale) for e in row] for row in rows]
         self._memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict[int, int]] = {}
 
     def minor(self, rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Dict[int, int]:
@@ -838,27 +792,28 @@ class MinorTable:
         self._memo[(rows, cols)] = out = _reduce(out, self.field.p)
         return out
 
-    def packed(self, terms: Dict[int, int], rows: Iterable[int]) -> PackedPoly:
-        """terms, carrying the scales of `rows`, with what unpacks them."""
-        return PackedPoly(terms, self.codec, self.N, self.field, prod(self.scales[r] for r in rows))
+    def packed(self, terms: Dict[int, int], rows: Sequence[int]) -> PackedPoly:
+        """terms of a product of len(rows) rows, with what unpacks them."""
+        return PackedPoly(terms, self.codec, self.N, self.field, self.scale ** len(rows))
 
-    def combine(self, terms: Iterable[Tuple[int, Optional[int], Tuple[int, ...], Tuple[int, ...]]]
+    def combine(self, terms: Sequence[Tuple[int, Optional[int], Tuple[int, ...], Tuple[int, ...]]]
                 ) -> PackedPoly:
         """The sum of sign * G * minor(rows, cols) over the terms
         (sign, i, rows, cols), where G is the sum of row i, or 1 for i None,
-        accumulated in one packed dict. Each term must span every row of the
-        table once, counting row i, so that all terms carry one scale."""
-        everything = list(range(len(self.entries)))
+        accumulated in one packed dict. Every term must have one size, its
+        rows counting row i, so that all terms carry one scale."""
+        sizes = {len(rows) + (i is not None) for _, i, rows, _ in terms}
+        if len(sizes) > 1:
+            raise ValueError(f"combined terms of unequal size {sorted(sizes)}")
         one = {0: 1}
         out = defaultdict(int)
         for sign, i, rows, cols in terms:
-            if sorted(rows + ((i,) if i is not None else ())) != everything:
-                raise ValueError("a combined term must span every row once")
             factor = one if i is None else self.row_sum(i)
             if sign < 0:
                 factor = {k: -c for k, c in factor.items()}
             _product_into(out, factor, self.minor(rows, cols))
-        return self.packed(_reduce(out, self.field.p), everything)
+        return PackedPoly(_reduce(out, self.field.p), self.codec, self.N, self.field,
+                          self.scale ** sizes.pop() if sizes else 1)
 
     def row_sum(self, i: int) -> Dict[int, int]:
         """Packed terms of the sum of row i, reduced, at the row's scale."""
@@ -871,13 +826,10 @@ class MinorTable:
 
 def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     """Determinant of a square matrix of polynomials, through a MinorTable."""
-    m = len(rows)
-    if m == 0:
-        raise ValueError("empty matrix")
-    if any(len(row) != m for row in rows):
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix is not square")
-    everything = tuple(range(m))
-    table = MinorTable(rows)
+    everything = tuple(range(len(rows)))
+    table = MinorTable(rows)  # refuses an empty matrix
     return table.packed(table.minor(everything, everything), everything).unpack()
 
 

@@ -31,7 +31,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact_algebra import EvalPlan, Field, MultiPoly, deriv
+from .exact_algebra import EvalPlan, Field, deriv
 from .section_builder import (
     SectionFamily,
     _combine_columns,
@@ -64,23 +64,6 @@ class TangentDirection:
     with the base-point slot zeroed and the first nonzero entry scaled to 1."""
 
     xi: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Cutout:
-    """Bare homogeneous equations in P^N, for point and smoothness scans
-    that do not need the full family bookkeeping."""
-
-    N: int
-    field: object
-    sections: Tuple[MultiPoly, ...]
-
-
-def _scan_dimensions(fam) -> Tuple[int, int]:
-    """(ambient N, expected Jacobian rank) for a family or a Cutout."""
-    if isinstance(fam, Cutout):
-        return fam.N, len(fam.sections)
-    return fam.shape.N, fam.shape.c + fam.shape.r
 
 
 @dataclass(frozen=True)
@@ -140,8 +123,7 @@ def proj_points(N: int, p: int) -> List[ProjPoint]:
 
 
 def points_on_X(fam, q: int, support: Optional[Sequence[int]] = None) -> List[ProjPoint]:
-    """The F_q-points of the common zero locus of the sections of a family
-    or a Cutout.
+    """The F_q-points of the common zero locus of the sections of a family.
 
     With `support` given, only the points whose nonzero coordinates are
     exactly those listed are kept, and the sections are evaluated at those
@@ -149,7 +131,7 @@ def points_on_X(fam, q: int, support: Optional[Sequence[int]] = None) -> List[Pr
     """
     if fam.field.p not in (0, q):
         raise ValueError(f"family lives over F_{fam.field.p}, not F_{q}")
-    N, _ = _scan_dimensions(fam)
+    N = fam.shape.N
     zero_dz = [0] * (N + 1)
     sections = EvalPlan(fam.sections, q)
     points = proj_points(N, q)
@@ -163,14 +145,14 @@ def points_on_X(fam, q: int, support: Optional[Sequence[int]] = None) -> List[Pr
 def gradient_plan(fam: SectionFamily, q: int, rows: Optional[int] = None) -> EvalPlan:
     """The partials dF_i/dz_j of the first `rows` sections (default all),
     row-major, compiled for evaluation mod q."""
-    N, _ = _scan_dimensions(fam)
+    N = fam.shape.N
     return EvalPlan([deriv(F, j) for F in fam.sections[:rows] for j in range(N + 1)], q)
 
 
 def smoothness_check(fam: SectionFamily, q: int) -> dict:
     """Rank of the Jacobian at every F_q-point of X; full rank everywhere
     means no F_q-witness of singularity."""
-    N, cr = _scan_dimensions(fam)
+    N, cr = fam.shape.N, fam.shape.c + fam.shape.r
     grads = gradient_plan(fam, q)
     singular = []
     pts = points_on_X(fam, q)

@@ -20,15 +20,13 @@ Four families of checks:
                        vanishing-coordinate restriction of a family, for
                        every K_nu / K_tau_rho selection of an mcm family.
 
-The gluing and transition identities are each stated once: the gluing
-identity as signs and index sets (_gluing_identity), the transition
-identity generic over the element type (_transition_sides). Exact gluing
-evaluates the identity on one packed MinorTable and compares packed terms;
-probabilistic mode applies both identities to values mod p at the points
-drawn by exact_algebra.sample_identity, the one Schwartz-Zippel loop. A
-sampled transition evaluates G at the projected tangent w_l(dz) as the
-determinant of its evaluated divided matrix (FormBundle.evaluate_at): it
-never expands G nor builds the substituted polynomial.
+Both identities are signed minors of one matrix, checked by one helper
+(_check_identities): exact mode compares the sides packed on a MinorTable
+that expands each shared minor once, probabilistic mode the same terms
+through det_mod_p at the points of sample_identity. Substituting w_l(dz)
+commutes with the determinant, so the transition sides are minors of the
+form's divided rows stacked with their projections to each chart and
+their multiples by z_l (_transition_rows); no expanded G is substituted.
 
 Every check returns a report dict: {"op", "ok", "checks": [{"id", "mode",
 "trials", "verdict", "witness"}, ...]} plus op-specific extras.
@@ -38,14 +36,13 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .exact_algebra import (
     AUTO_EXACT_TERM_LIMIT,
     EvalPlan,
     MinorTable,
     MultiPoly,
-    PackedPoly,
     QQ,
     det_mod_p,
     identity_modulus,
@@ -54,7 +51,6 @@ from .exact_algebra import (
     times_monomial,
     to_literal,
     total_differential,
-    z_power,
 )
 from .schedule import fermat_heart_prime, twist_ledger
 from .section_builder import (
@@ -68,6 +64,10 @@ from .section_builder import (
     selection_layouts,
 )
 from .util import child_rng, chunks, rank_mod_p
+
+# sign * (sum of row i, or 1 for i None) * minor(rows, cols); (lhs, rhs)
+Term = Tuple[int, Optional[int], Tuple[int, ...], Tuple[int, ...]]
+Identity = Tuple[List[Term], List[Term]]
 
 
 def _check(check_id: str, verdict: str, mode: str = "exact", trials: int = 0,
@@ -92,6 +92,52 @@ def _characteristic_skip(fam: SectionFamily) -> Optional[dict]:
     return None
 
 
+# ----- identities between minors -----
+
+
+def _check_identities(ids: Sequence[str], identities: Sequence[Identity],
+                      names: Tuple[str, str] = ("lhs", "rhs"),
+                      table: Optional[MinorTable] = None, rows_at: Optional[Callable] = None,
+                      sampling: Optional[dict] = None) -> Tuple[List[dict], list]:
+    """Checks of identities between signed sums of minors of one matrix.
+
+    With a MinorTable, check ids[k] compares the sides of identity k packed,
+    which needs all their terms of one size (one scale); a failure's witness
+    is names[0]_minus_names[1], cut to 400 characters. Returns the checks
+    and the packed sides. Else
+    check ids[0] samples every identity from rows_at(z, dz, m), the values
+    mod m, at sample_identity's points (keyword arguments `sampling`); its
+    witness holds the point and the two values of a single identity, or
+    the index of the failing one as "pair".
+    """
+    if table is not None:
+        checks, sides = [], []
+        for check_id, (lhs, rhs) in zip(ids, identities):
+            a, b = table.combine(lhs), table.combine(rhs)
+            gap = None if a.terms == b.terms else to_literal(a.unpack() - b.unpack())[:400]
+            checks.append(_check(check_id, "fail" if gap else "pass",
+                                 witness=gap and {f"{names[0]}_minus_{names[1]}": gap}))
+            sides.append((a, b))
+        return checks, sides
+
+    def side(values, terms, m):
+        return sum(sign * det_mod_p([[values[r][c] for c in cols] for r in rows], m)
+                   * (1 if i is None else sum(values[i])) for sign, i, rows, cols in terms) % m
+
+    def sides_at(z, dz, m):
+        values = rows_at(z, dz, m)
+        return ((side(values, lhs, m), side(values, rhs, m)) for lhs, rhs in identities)
+
+    miss = sample_identity(sides_at, **sampling)
+    witness = None
+    if miss is not None:
+        t, z, dz, pair, lhs, rhs = miss
+        witness = dict(trial=t, z=z, dz=dz, **({names[0]: lhs, names[1]: rhs}
+                                               if len(identities) == 1 else {"pair": pair}))
+    return [_check(ids[0], "fail" if witness else "pass", "probabilistic",
+                   sampling["trials"], witness)], []
+
+
 # ----- gluing certificates -----
 
 
@@ -111,23 +157,23 @@ def _glue_matrix(K: FormalMatrixBundle, selection: Sequence[int], which: Optiona
     return K, M
 
 
-def _gluing_identity(nrows: int, ncols: int, j1: int, j2: int) -> Tuple[list, list]:
+def _gluing_identity(nrows: int, ncols: int, j1: int, j2: int) -> Identity:
     """The gluing identity psi_{j1} - psi_{j2} == sum_i G_i * Cof_i of an
-    nrows x ncols matrix M (ncols == nrows + 1), as signs and index sets.
+    nrows x ncols matrix M (ncols == nrows + 1), as signed minor terms.
 
     psi_j is (-1)^j det(M without column j). For j1 < j2 the certificate is
     (-1)^{j1} times the determinant of M with column j1 removed and column
     j2 replaced by the row sums G_i; expanding along that column gives
     sum_i (-1)^{i + j2 - 1} G_i * minor_i with minor_i the doubly-omitted
     (columns j1, j2, row i) determinant. Swapping j1 > j2 negates.
-    Returns (difference, certificate): difference lists (sign, cols), the
-    signed determinants on every row; certificate lists (sign, i, rows,
-    cols), the terms sign * G_i * det(rows, cols). Needs j1 != j2.
+    Returns (difference, certificate). Needs j1 != j2.
     """
     def without(n: int, *drop: int) -> Tuple[int, ...]:
         return tuple(k for k in range(n) if k not in drop)
 
-    difference = [((-1) ** j1, without(ncols, j1)), (-(-1) ** j2, without(ncols, j2))]
+    everything = tuple(range(nrows))
+    difference = [((-1) ** j1, None, everything, without(ncols, j1)),
+                  (-(-1) ** j2, None, everything, without(ncols, j2))]
     a, b = sorted((j1, j2))
     flip = -1 if (a % 2 == 1) != (j1 > j2) else 1
     certificate = [(flip if (i + b) % 2 else -flip, i, without(nrows, i), without(ncols, a, b))
@@ -135,50 +181,7 @@ def _gluing_identity(nrows: int, ncols: int, j1: int, j2: int) -> Tuple[list, li
     return difference, certificate
 
 
-def _gluing_sides(M: Sequence[Sequence], j1: int, j2: int,
-                  det: Callable) -> Tuple[object, object]:
-    """Both sides of the gluing identity (_gluing_identity) of M, a matrix
-    over any commutative ring: integers with det = det_mod_p at a point, or
-    polynomials with det = poly_det."""
-    def signed(sign: int, x):
-        return x if sign > 0 else -x
-
-    def total(xs: Sequence):
-        return sum(xs[1:], xs[0])
-
-    def minor(rows: Sequence[int], cols: Sequence[int]):
-        return det([[M[r][c] for c in cols] for r in rows])
-
-    difference, certificate = _gluing_identity(len(M), len(M[0]), j1, j2)
-    everything = range(len(M))
-    diff = total([signed(sign, minor(everything, cols)) for sign, cols in difference])
-    return diff, total([signed(sign, total(M[i]) * minor(rows, cols))
-                        for sign, i, rows, cols in certificate])
-
-
-def _packed_gluing_sides(M: List[List[MultiPoly]], j1: int, j2: int
-                         ) -> Tuple[PackedPoly, PackedPoly]:
-    """Both sides of the gluing identity of a polynomial matrix, packed:
-    psi_{j1}, psi_{j2} and the row-omitted minors share one MinorTable, and
-    each side accumulates in one packed dict at the product of the row
-    scales, so equal sides have equal terms."""
-    table = MinorTable(M)
-    difference, certificate = _gluing_identity(len(M), len(M[0]), j1, j2)
-    everything = tuple(range(len(M)))
-    return (table.combine([(sign, None, everything, cols) for sign, cols in difference]),
-            table.combine(certificate))
-
-
-def _certificate_check(check_id: str, M: List[List[MultiPoly]], j1: int, j2: int
-                       ) -> Tuple[dict, PackedPoly]:
-    """The exact gluing check of one chart pair, and its packed
-    certificate; only a failing check unpacks, for its witness."""
-    difference, certificate = _packed_gluing_sides(M, j1, j2)
-    witness = None
-    if difference.terms != certificate.terms:
-        gap = difference.unpack() - certificate.unpack()
-        witness = {"difference_minus_certificate": to_literal(gap)[:400]}
-    return _check(check_id, "fail" if witness else "pass", witness=witness), certificate
+_GLUING_NAMES = ("difference", "certificate")
 
 
 def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int,
@@ -205,47 +208,46 @@ def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int
     ncols = len(M[0])
     if not (0 <= j1 < ncols and 0 <= j2 < ncols):
         raise ValueError("chart column out of range")
-    check_id = f"certificate j1={j1} j2={j2}"
+    ids, identities = [f"certificate j1={j1} j2={j2}"], [_gluing_identity(len(M), ncols, j1, j2)]
     if mode == "exact":
-        check, certificate = _certificate_check(check_id, M, j1, j2)
-        return _report("gluing", [check], j1=j1, j2=j2,
+        checks, ((_, certificate),) = _check_identities(ids, identities, _GLUING_NAMES,
+                                                        table=MinorTable(M))
+        return _report("gluing", checks, j1=j1, j2=j2,
                        generators=len(M), certificate_terms=certificate.term_count())
     if mode != "probabilistic":
         raise ValueError(f"unknown mode {mode!r}")
-
     plan = EvalPlan([e for row in M for e in row], identity_modulus(fam.field))
-
-    def sides(z, dz, m):
-        diff, cert = _gluing_sides(chunks(plan(z, dz), ncols), j1, j2,
-                                   lambda rows: det_mod_p(rows, m))
-        return [(diff % m, cert % m)]
-
-    miss = sample_identity(sides, fam.shape.N, fam.field, trials, seed, "gluing")
-    witness = None
-    if miss is not None:
-        t, z, dz, _, diff, cert = miss
-        witness = {"trial": t, "z": z, "dz": dz, "difference": diff, "certificate": cert}
-    checks = [_check(check_id, "fail" if witness else "pass",
-                     "probabilistic", trials, witness)]
+    checks, _ = _check_identities(
+        ids, identities, _GLUING_NAMES, rows_at=lambda z, dz, m: chunks(plan(z, dz), ncols),
+        sampling=dict(N=fam.shape.N, field=fam.field, trials=trials, seed=seed, stage="gluing"))
     return _report("gluing", checks, j1=j1, j2=j2, generators=len(M))
 
 
 # ----- transition formulas -----
 
 
-def _transition_sides(g, at_chart: Callable, times_power: Callable,
-                      l1: int, l2: int) -> Iterator[Tuple[object, object]]:
-    """(lhs, rhs) of each chart-change identity of a form G, in check order.
+def _transition_rows(value: list, diff: list, at_chart: Callable, times: Callable,
+                     l1: int, l2: int) -> list:
+    """A form's value rows stacked, over any commutative ring, with blocks of
+    its differential rows `diff`: diff; z_{l2} * (diff at w_{l1}) and
+    z_{l1} * (diff at w_{l2}); then diff at w_l and z_l * diff for each chart
+    l in sorted order. at_chart(l) is diff at w_l, times(rows, l) is z_l * rows."""
+    w = {l: at_chart(l) for l in sorted({l1, l2})}
+    blocks = [diff, times(w[l1], l2), times(w[l2], l1)]
+    blocks += [block for l in w for block in (w[l], times(diff, l))]
+    return value + [row for block in blocks for row in block]
 
-    g is G itself or its value; at_chart(l) is G at the projected tangent
-    w_l(dz), w_l,k = z_l dz_k - dz_l z_k; times_power(x, l) is z_l^n * x.
-    First the transition z_{l2}^n G(w_{l1}) == z_{l1}^n G(w_{l2}), then the
-    scaling G(w_l) == z_l^n G for each chart l in sorted order.
-    """
-    projected = {l: at_chart(l) for l in sorted({l1, l2})}
-    yield times_power(projected[l1], l2), times_power(projected[l2], l1)
-    for l in sorted({l1, l2}):
-        yield projected[l], times_power(g, l)
+
+def _transition_identities(nvalue: int, ndiff: int, ncols: int, sign: int, l1: int, l2: int
+                           ) -> Tuple[List[Identity], List[Term]]:
+    """The transition z_{l2}^n G(w_{l1}) == z_{l1}^n G(w_{l2}), then the
+    scaling G(w_l) == z_l^n G for each chart l in sorted order, as maximal
+    minors of _transition_rows (n = ndiff rows each times z_l); and G."""
+    def minor(block: int) -> List[Term]:
+        rows = tuple(range(nvalue + block * ndiff, nvalue + (block + 1) * ndiff))
+        return [(sign, None, tuple(range(nvalue)) + rows, tuple(range(ncols)))]
+
+    return [(minor(2 * j + 1), minor(2 * j + 2)) for j in range(1 + len({l1, l2}))], minor(0)
 
 
 def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
@@ -261,47 +263,50 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
       exponent     z-degree + dz-degree of G equals the twist plus the
                    omitted column's divisor share plus the coefficient
                    twists, independently recomputed.
-    Exact mode expands G and substitutes polynomials; probabilistic mode
-    samples points with z_{l1}, z_{l2} != 0 and evaluates G at w_l(dz)
-    there from its divided matrix, never expanding G. "auto" goes exact
-    while the scaled forms, len({l1, l2}) * (terms of G, read off the
-    packed determinant), stay within the limit. The exponent check reads
-    the z-degree that extract_forms enforces, so it runs in every mode and
-    also on a zero G.
+    Each side is a maximal minor of _transition_rows: exact mode compares
+    them packed on one MinorTable, probabilistic mode evaluates the rows at
+    points with z_{l1}, z_{l2} != 0; neither substitutes into an expanded G.
+    "auto" goes exact while len({l1, l2}) * (terms of G) stays within the
+    limit. The exponent check reads the z-degree that extract_forms
+    enforces, so it runs in every mode and also on a zero G.
     """
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("transition", [guard], omit=omit, charts=(l1, l2))
     form = extract_forms(build_matrices(fam), which, [selection], omit=omit, kind=kind)[0]
-    n_eff = form.dz_degree
-    N = fam.shape.N
-
+    n_eff, N, charts = form.dz_degree, fam.shape.N, sorted({l1, l2})
+    divided = [form.matrix.rows[t] for t in form.matrix_rows]
+    nvalue = len(divided) - n_eff
+    identities, g = _transition_identities(nvalue, n_eff, len(divided[0]), form.sign, l1, l2)
+    table = None
+    if mode in ("exact", "auto"):
+        diff = divided[nvalue:]
+        table = MinorTable(_transition_rows(
+            divided[:nvalue], diff, lambda l: [[tangent_projection(e, l) for e in row] for row in diff],
+            lambda rows, l: [[e * MultiPoly.z(N, l, fam.field) for e in row] for row in rows],
+            l1, l2))
     if mode == "auto":
-        total = len({l1, l2}) * form.term_count()
+        total = len(charts) * table.combine(g).term_count()
         mode = "exact" if total <= AUTO_EXACT_TERM_LIMIT else "probabilistic"
-    checks = []
     if mode == "exact":
-        G = form.value_global
-        transition, *scaling = _transition_sides(
-            G, lambda l: tangent_projection(G, l),
-            lambda x, l: times_monomial(x, z_power(N, l, n_eff)), l1, l2)
-        for l, (lhs, rhs) in zip(sorted({l1, l2}), scaling):
-            checks.append(_check(f"scaling chart {l}", "pass" if lhs == rhs else "fail"))
-        checks.append(_check("transition", "pass" if transition[0] == transition[1] else "fail"))
+        ids = [f"scaling chart {l}" for l in charts] + ["transition"]
+        checks, _ = _check_identities(ids, identities[1:] + identities[:1], table=table)
     elif mode == "probabilistic":
-        def sides(z, dz, m):
-            def at_chart(l):
-                w = [(z[l] * dz[k] - dz[l] * z[k]) % m for k in range(N + 1)]
-                return form.evaluate_at(z, w, m)
+        def rows_at(z, dz, m):
+            def at(point):
+                values = form.matrix.values_at(z, point, m)
+                return [values[t] for t in form.matrix_rows]
 
-            return _transition_sides(form.evaluate_at(z, dz, m), at_chart,
-                                     lambda x, l: x * pow(z[l], n_eff, m) % m, l1, l2)
+            here = at(dz)
+            return _transition_rows(
+                here[:nvalue], here[nvalue:],
+                lambda l: at([(z[l] * dz[k] - dz[l] * z[k]) % m for k in range(N + 1)])[nvalue:],
+                lambda rows, l: [[x * z[l] % m for x in row] for row in rows], l1, l2)
 
-        miss = sample_identity(sides, N, fam.field, trials, seed, "transition",
-                               nonzero=(l1, l2))
-        witness = None if miss is None else dict(zip(("trial", "z", "dz", "pair"), miss))
-        checks.append(_check("transition", "fail" if witness else "pass",
-                             "probabilistic", trials, witness))
+        checks, _ = _check_identities(
+            ["transition"], identities, rows_at=rows_at,
+            sampling=dict(N=N, field=fam.field, trials=trials, seed=seed, stage="transition",
+                          nonzero=(l1, l2)))
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -327,13 +332,8 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
 
 def monomial_basis(N: int, d: int) -> List[Tuple[int, ...]]:
     """Exponent vectors of the degree-d monomials in z_0..z_N."""
-    out = []
-    for combo in combinations_with_replacement(range(N + 1), d):
-        e = [0] * (N + 1)
-        for idx in combo:
-            e[idx] += 1
-        out.append(tuple(e))
-    return out
+    return [tuple(combo.count(k) for k in range(N + 1))
+            for combo in combinations_with_replacement(range(N + 1), d)]
 
 
 def evaluation_matrix(N: int, d: int, z: Sequence[int], tangents: Sequence[Sequence[int]],
@@ -372,13 +372,9 @@ def verify_surjectivity(N: int, d: int, twist_factor: Optional[MultiPoly] = None
     witness = None
     for t in range(trials):
         rng = child_rng(seed, "surjectivity", t)
-        while True:
+        z = [0] * (N + 1)
+        while not any(z) or (factor is not None and factor(z, [0] * (N + 1))[0] == 0):
             z = [rng.randrange(p) for _ in range(N + 1)]
-            if not any(z):
-                continue
-            if factor is not None and factor(z, [0] * (N + 1))[0] == 0:
-                continue
-            break
         while True:
             tangents = [[rng.randrange(p) for _ in range(N + 1)] for _ in range(N)]
             if rank_mod_p([z] + tangents, p) == N + 1:
@@ -405,18 +401,16 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
     must satisfy the certificate identity, and the extracted twist must be
     the unrestricted twist plus sum(lambda_v - 1) over the killed
     coordinates (general families) or the depth-eta ledger entry (mcm).
-    Depth eta >= n yields an empty report: no forms are requested there.
-    Depth 0 raises ValueError: with nothing killed there is no hidden form
-    to check.
+    Depth 0 and depth eta >= n raise ValueError: with nothing killed there
+    is no hidden form, and from depth n on no form is defined, so either
+    report would pass without testing anything.
     """
     vanished = tuple(sorted(set(vanished)))
     eta = len(vanished)
     if eta == 0:
         raise ValueError("hidden forms need at least one vanished coordinate")
-    shape = fam.shape
-    if eta >= shape.n:
-        return _report("hidden", [], eta=eta,
-                       reason=f"no forms at depth {eta} >= n = {shape.n}")
+    if eta >= fam.shape.n:
+        raise ValueError(f"no hidden forms at depth {eta} >= n = {fam.shape.n}")
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("hidden", [guard], eta=eta)
@@ -424,11 +418,11 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
     hidden = build_selected(build_matrices(fam), ("hidden",) + vanished)
     if fam.mode == "general_fermat":
         _, M = _glue_matrix(hidden, selection)
-        ncols = len(M[0])
-        for j1 in range(ncols):
-            for j2 in range(j1 + 1, ncols):
-                checks.append(_certificate_check(f"certificate j1={j1} j2={j2}",
-                                                 M, j1, j2)[0])
+        pairs = [(j1, j2) for j1 in range(len(M[0])) for j2 in range(j1 + 1, len(M[0]))]
+        checks += _check_identities(
+            [f"certificate j1={j1} j2={j2}" for j1, j2 in pairs],
+            [_gluing_identity(len(M), len(M[0]), j1, j2) for j1, j2 in pairs],
+            _GLUING_NAMES, table=MinorTable(M))[0]
         form = extract_forms(hidden, None, [selection], omit=0, kind="omega")[0]
         expected = fermat_heart_prime(fam.degrees, fam.lambdas, selection) \
             + sum(fam.lambdas[v] - 1 for v in vanished)
@@ -442,7 +436,9 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
             which = (kind,) + params
             label = f"{kind}({','.join(map(str, params))})"
             K, M = _glue_matrix(hidden, selection, which)
-            checks.append(_certificate_check(f"certificate {label}", M, 0, 1)[0])
+            checks += _check_identities([f"certificate {label}"],
+                                        [_gluing_identity(len(M), len(M[0]), 0, 1)],
+                                        _GLUING_NAMES, table=MinorTable(M))[0]
             tau = params[0] if kind == "K_tau_rho" else None
             entry = ledger.lookup(eta, kind, tau, selection)
             # extract_forms takes the twist from the ledger and raises when

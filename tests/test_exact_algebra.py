@@ -7,6 +7,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from substitution_oracle import chart_images, substitute_dz
 
 from mcmforms.exact_algebra import (
     IDENTITY_PRIME,
@@ -20,12 +21,10 @@ from mcmforms.exact_algebra import (
     deriv,
     det_mod_p,
     divide_exact,
-    dz_components,
     from_literal,
     identity_test,
     poly_det,
     sample_identity,
-    substitute_dz,
     tangent_projection,
     times_monomial,
     to_literal,
@@ -278,15 +277,23 @@ def test_euler_relation():
         f = MultiPoly(N, QQ, terms)
         euler = substitute_dz(total_differential(f), [MultiPoly.z(N, k) for k in range(N + 1)])
         assert euler == f.scale(deg)
+        # projecting df to chart l keeps z_l df and drops dz_l df(z, z)
+        l = rng.randrange(N + 1)
+        df = total_differential(f)
+        assert MultiPoly.z(N, l) * df - tangent_projection(df, l) == \
+            MultiPoly.dz(N, l) * f.scale(deg)
 
 
 def test_deriv_and_dz_components():
     f = from_literal("1 * z0^2 z1^1 + 2 * z2^3", 2)
     df = total_differential(f)
-    comps = dz_components(df)
-    assert all(sum(key) == 1 for key in comps)
+    # the dz_k component of df, read term by term, is the partial by z_k
+    comps = {}
+    for exp, c in df.terms.items():
+        assert sum(exp[3:]) == 1
+        comps.setdefault(exp[3:].index(1), {})[exp[:3] + (0, 0, 0)] = c
     for k in range(3):
-        assert comps[tuple(int(j == k) for j in range(3))] == deriv(f, k)
+        assert MultiPoly(2, QQ, comps.get(k, {})) == deriv(f, k)
 
 
 # ----- monomial division -----
@@ -322,12 +329,30 @@ def test_tangent_projection_kills_own_direction():
     assert tangent_projection(MultiPoly.dz(2, 1), 1).is_zero()
 
 
-def test_tangent_projection_is_multiplicative_in_dz_factors():
-    N = 2
-    p = MultiPoly.dz(N, 0) * MultiPoly.dz(N, 2)
-    w0 = tangent_projection(MultiPoly.dz(N, 0), 1)
-    w2 = tangent_projection(MultiPoly.dz(N, 2), 1)
-    assert tangent_projection(p, 1) == w0 * w2
+@pytest.mark.parametrize("field", [QQ, Field(5), Field(2)], ids=str)
+def test_tangent_projection_matches_the_substitution(field):
+    # linear in dz: z_l * p - dz_l * p(z, z) is p(z, w_l(dz))
+    rng = random.Random(23)
+    for _ in range(100):
+        N = rng.randrange(1, 4)
+        p = MultiPoly.zero(N, field)
+        for k in range(N + 1):
+            p = p + rand_poly(rng, N, field, with_dz=False) * MultiPoly.dz(N, k, field)
+        if rng.random() < 0.2:
+            p = MultiPoly.zero(N, field)
+        l = rng.randrange(N + 1)
+        assert tangent_projection(p, l) == substitute_dz(p, chart_images(N, field, l))
+
+
+def test_tangent_projection_refuses_a_dz_degree_other_than_one():
+    # the product dz0 * dz2 projects to w_0 * w_2, which the entry-wise
+    # projection does not compute
+    for literal in ("1 * dz0^1 dz2^1", "1 * z0^2", "1 * z1^1 + 1 * dz1^1",
+                    "1 * z0^1 dz0^1 + 1 * dz1^2"):
+        with pytest.raises(ValueError, match="linear in dz|not dz-homogeneous"):
+            tangent_projection(from_literal(literal, 2), 1)
+    with pytest.raises(ValueError, match="chart index"):
+        tangent_projection(MultiPoly.dz(2, 0), 3)
 
 
 # ----- identity testing -----
@@ -708,11 +733,33 @@ def test_combined_minors_match_the_sum_of_products(data):
     assert same_poly(table.combine(terms).unpack(), want)
 
 
-def test_combined_terms_must_span_every_row():
+def test_combined_terms_must_have_one_size():
     one = MultiPoly.const(1, 1, F7)
     table = MinorTable([[one, one], [one, one]])
-    with pytest.raises(ValueError):
-        table.combine([(1, None, (0,), (0,))])
+    with pytest.raises(ValueError, match="unequal size"):
+        table.combine([(1, None, (0,), (0,)), (1, None, (0, 1), (0, 1))])
+    with pytest.raises(ValueError, match="unequal size"):
+        table.combine([(1, 1, (0,), (0,)), (1, None, (1,), (1,))])
+    # one size, whatever the rows: a term need not span the table
+    assert table.combine([(1, None, (0,), (0,)), (-1, None, (1,), (1,))]).terms == {}
+    assert table.combine([(1, 1, (0,), (0,))]).unpack() == MultiPoly.const(1, 2, F7)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_minors_of_one_size_compare_term_by_term(data):
+    # one scale for the whole table: equal polynomials have equal packed
+    # terms whatever rows they come from
+    field = data.draw(st.sampled_from(PROPERTY_FIELDS))
+    rows = data.draw(_matrices(field, 1, 2, 2))
+    k = field.coerce(data.draw(st.sampled_from((1, -1, 2, 3))))
+    table = MinorTable(rows + [[e.scale(k) for e in row] for row in rows])
+    a = table.packed(table.minor((0, 1), (0, 1)), (0, 1))
+    b = table.packed(table.minor((2, 3), (0, 1)), (2, 3))
+    assert a.scale == b.scale
+    k2 = k * k % field.p if field.p else k * k
+    assert b.terms == {key: v for key, c in a.terms.items()
+                       if (v := c * k2 % field.p if field.p else c * k2)}
 
 
 # ----- evaluation -----

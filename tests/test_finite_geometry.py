@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from census_oracle import rank as oracle_rank
 from mcmforms import exact_algebra, finite_geometry
 from mcmforms.exact_algebra import Field, QQ, deriv, det_mod_p, from_literal, to_literal
 from mcmforms.finite_geometry import (
-    Cutout,
     ProjPoint,
     RankConditionMatrix,
     TangentDirection,
@@ -130,6 +130,13 @@ def test_tangent_directions_unconstrained():
 # ----- points_on_X -----
 
 
+def cutout(N, field, sections):
+    """Bare homogeneous equations in P^N, standing in for a family: the
+    scans read only its shape, field and sections."""
+    return SimpleNamespace(shape=SimpleNamespace(N=N, c=len(sections), r=0),
+                           field=field, sections=sections)
+
+
 def test_points_on_line_over_F2():
     pts = points_on_X(unit_line_family(), 2)
     assert {pt.coords for pt in pts} == {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
@@ -138,13 +145,13 @@ def test_points_on_line_over_F2():
 def test_points_on_empty_family():
     # no equations: the whole projective space
     for N, p in [(2, 3), (3, 2), (2, 5)]:
-        pts = points_on_X(Cutout(N=N, field=Field(p), sections=()), p)
+        pts = points_on_X(cutout(N, Field(p), ()), p)
         assert [pt.coords for pt in pts] == [pt.coords for pt in proj_points(N, p)]
 
 
 def test_points_on_z0_squared_cutout():
     sq = from_literal("1 * z0^2", N=2, field=F3)
-    cut = Cutout(N=2, field=F3, sections=(sq,))
+    cut = cutout(2, F3, (sq,))
     pts = points_on_X(cut, 3)
     assert len(pts) == 4  # the line z0 = 0 in P^2(F_3)
     assert all(pt.coords[0] == 0 for pt in pts)
@@ -163,7 +170,7 @@ def test_points_field_mismatch():
 def test_fermat_cubic_in_P3_is_smooth_over_F7():
     F7 = Field(7)
     cubic = from_literal("1 * z0^3 + 1 * z1^3 + 1 * z2^3 + 1 * z3^3", N=3, field=F7)
-    rep = smoothness_check(Cutout(N=3, field=F7, sections=(cubic,)), 7)
+    rep = smoothness_check(cutout(3, F7, (cubic,)), 7)
     assert rep["ok"]
     assert rep["points"] == 99
     assert rep["expected_rank"] == 1
@@ -173,7 +180,7 @@ def test_fermat_cubic_in_P3_is_smooth_over_F7():
 def test_z0_squared_is_singular_along_its_zero_line():
     F5loc = Field(5)
     sq = from_literal("1 * z0^2", N=2, field=F5loc)
-    rep = smoothness_check(Cutout(N=2, field=F5loc, sections=(sq,)), 5)
+    rep = smoothness_check(cutout(2, F5loc, (sq,)), 5)
     assert not rep["ok"]
     assert rep["points"] == 6
     assert len(rep["singular"]) == 6

@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from substitution_oracle import chart_images, reference_transition, substitute_dz
 
 from mcmforms import identity_verifier
 from mcmforms.exact_algebra import (
@@ -19,7 +20,9 @@ from mcmforms.exact_algebra import (
     z_power,
 )
 from mcmforms.identity_verifier import (
-    _packed_gluing_sides,
+    _GLUING_NAMES,
+    _check_identities,
+    _gluing_identity,
     evaluation_matrix,
     monomial_basis,
     verify_gluing,
@@ -27,6 +30,7 @@ from mcmforms.identity_verifier import (
     verify_surjectivity,
     verify_transition,
 )
+from mcmforms.pipeline import _transition_units
 from mcmforms.schedule import ProblemShape, TwistLedger, build_schedule, twist_ledger
 from mcmforms.section_builder import (
     FormBundle,
@@ -65,7 +69,7 @@ def test_line_gluing_certificate_matches_hand_expansion():
     assert rep["ok"] and rep["generators"] == 2
     K = build_matrices(fam)
     M = [list(K.entries[0]), list(K.entries[1])]
-    cert = _packed_gluing_sides(M, 0, 1)[1].unpack()
+    cert = MinorTable(M).combine(_gluing_identity(2, 3, 0, 1)[1]).unpack()
     F_dz2 = from_literal(
         "1 * z0^1 dz2^1 + 1 * z1^1 dz2^1 + 1 * z2^1 dz2^1", 2)
     dF_z2 = from_literal(
@@ -141,25 +145,33 @@ def _misgrouped(fam):
     return M
 
 
+def unpacked_side(M, terms):
+    """One side of a minor identity of M, each minor expanded by poly_det."""
+    total = MultiPoly.zero(M[0][0].N, M[0][0].field)
+    for sign, i, rows, cols in terms:
+        piece = poly_det([[M[r][c] for c in cols] for r in rows])
+        if i is not None:
+            piece = sum(M[i][1:], M[i][0]) * piece
+        total = total + (piece if sign > 0 else -piece)
+    return total
+
+
 @pytest.mark.parametrize("field", [Field(5), QQ], ids=str)
-def test_packed_and_unpacked_gluing_agree_on_a_broken_matrix(monkeypatch, field):
+def test_packed_and_unpacked_gluing_agree_on_a_broken_matrix(field):
     fam = fermat_family(3, 2, 0, (2, 2, 2, 2), (3, 3), field=field, seed=1)
     M = _misgrouped(fam)
-    check, cert = identity_verifier._certificate_check("c", M, 2, 0)
-    diff_u, cert_u = identity_verifier._gluing_sides(M, 2, 0, poly_det)
+    difference, certificate = _gluing_identity(3, 4, 2, 0)
+    (check,), ((diff, cert),) = _check_identities(
+        ["c"], [(difference, certificate)], _GLUING_NAMES, table=MinorTable(M))
+    diff_u, cert_u = unpacked_side(M, difference), unpacked_side(M, certificate)
     # the identity holds for every matrix, so both sides pass
     assert check["verdict"] == "pass" and diff_u == cert_u
-    assert cert.unpack() == cert_u and cert.term_count() == cert_u.term_count()
+    assert diff.unpack() == diff_u and cert.unpack() == cert_u
+    assert cert.term_count() == cert_u.term_count()
     # drop one certificate term: both evaluations fail alike
-    real = identity_verifier._gluing_identity
-
-    def broken(*args):
-        difference, certificate = real(*args)
-        return difference, certificate[1:]
-
-    monkeypatch.setattr(identity_verifier, "_gluing_identity", broken)
-    check, cert = identity_verifier._certificate_check("c", M, 2, 0)
-    diff_u, cert_u = identity_verifier._gluing_sides(M, 2, 0, poly_det)
+    (check,), ((_, cert),) = _check_identities(
+        ["c"], [(difference, certificate[1:])], _GLUING_NAMES, table=MinorTable(M))
+    cert_u = unpacked_side(M, certificate[1:])
     assert check["verdict"] == "fail" and diff_u != cert_u
     assert check["witness"] == {"difference_minus_certificate": to_literal(diff_u - cert_u)[:400]}
     assert cert.unpack() == cert_u
@@ -285,6 +297,13 @@ def test_sampling_catches_a_broken_transition_and_keeps_its_points(monkeypatch):
     exact = verify_transition(fam, (1,), omit=2, l1=0, l2=1, mode="exact")
     assert not exact["ok"]
     assert [c["verdict"] for c in exact["checks"][:3]] == ["fail"] * 3
+    # each witness is lhs - rhs of the broken G, expanded and substituted
+    G = broken(build_matrices(fam), None, [(1,)], omit=2)[0].value_global
+    at = {l: substitute_dz(G, chart_images(2, G.field, l)) for l in (0, 1)}
+    z = {l: MultiPoly.z(2, l, G.field) for l in (0, 1)}
+    gaps = [at[0] - z[0] * G, at[1] - z[1] * G, z[1] * at[0] - z[0] * at[1]]
+    assert [c["witness"] for c in exact["checks"][:3]] == [
+        {"lhs_minus_rhs": to_literal(gap)[:400]} for gap in gaps]
     sampled = verify_transition(fam, (1,), omit=2, l1=0, l2=1, mode="probabilistic")
     assert not sampled["ok"]
     assert sampled["checks"][0]["witness"] == {
@@ -296,6 +315,90 @@ def test_sampling_catches_a_broken_transition_and_keeps_its_points(monkeypatch):
     exact_same = verify_transition(fam, (1,), omit=2, l1=1, l2=1, mode="exact")
     assert [(c["id"], c["verdict"]) for c in exact_same["checks"][:2]] == [
         ("scaling chart 1", "fail"), ("transition", "pass")]
+
+
+def fractional_fermat_family():
+    """A (3,2,0) general Fermat family over Q whose explicit linear
+    coefficients have denominators up to 7."""
+    rng = random.Random(11)
+    explicit = {}
+    for i in (1, 2):
+        for j in range(4):
+            terms = [f"{rng.choice((-1, 1)) * rng.randrange(1, 9)}/{rng.randrange(1, 8)} * z{k}^1"
+                     for k in range(4) if rng.random() < 0.7]
+            explicit[f"A:{i}:{j}"] = " + ".join(terms) or "1/3 * z0^1"
+    return build_sections(ProblemShape(3, 2, 0), "general_fermat", field=QQ,
+                          lambdas=(2, 2, 2, 2), degrees=(3, 3), explicit=explicit)
+
+
+def transition_families():
+    """(label, family) of every shape the exact transition is checked on:
+    mcm over F_5, Fermat over Q, and n = 2 over F_7."""
+    def mcm(N, c, seed):
+        shape = ProblemShape(N, c, 0)
+        return build_sections(shape, "mcm", field=Field(5),
+                              schedule=build_schedule(shape, 2), seed=seed)
+
+    return [
+        ("mcm(3,2,0)/F5", mcm(3, 2, 3)),
+        ("mcm(4,3,0)/F5", mcm(4, 3, 9)),
+        ("fermat(3,2,0)/Q", fermat_family(3, 2, 0, (2, 2, 2, 2), (4, 4), field=QQ, seed=1)),
+        ("fermat(3,2,0)/Q fractional", fractional_fermat_family()),
+        ("fermat(4,2,0)/F7 n=2", fermat_family(4, 2, 0, (2,) * 5, (3, 3), field=Field(7), seed=3)),
+    ]
+
+
+def transition_units(fam):
+    """The pipeline's transition units of fam, and its first unit on one chart."""
+    units = _transition_units(fam)
+    return units + [dict(units[0], l1=units[0]["l2"])]
+
+
+@pytest.mark.parametrize("fam", [pytest.param(fam, id=label)
+                                 for label, fam in transition_families()])
+def test_exact_transition_matches_expand_then_substitute(fam):
+    for u in transition_units(fam):
+        rep = verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
+                                mode="exact", which=u["which"], kind=u["kind"])
+        form = extract_forms(build_matrices(fam), u["which"], [u["selection"]],
+                             omit=u["omit"], kind=u["kind"])[0]
+        got = [(c["id"], c["verdict"]) for c in rep["checks"][:-1]]
+        assert got == reference_transition(form, u["l1"], u["l2"]), u
+        assert rep["ok"] and all(c["mode"] == "exact" for c in rep["checks"])
+
+
+@pytest.mark.parametrize("mode", ["exact", "auto"])
+def test_exact_transition_projects_divided_entries_and_never_expands_G(monkeypatch, mode):
+    # the tangent substitution commutes with the determinant: exact mode
+    # projects the divided differential entries, one at a time, and neither
+    # unpacks G nor substitutes into it
+    def refuse(self):
+        raise AssertionError("G unpacked")
+
+    projected, forms = [], []
+    real_projection, real_extract = identity_verifier.tangent_projection, identity_verifier.extract_forms
+
+    def record(p, l):
+        projected.append(p)
+        return real_projection(p, l)
+
+    def keep(*args, **kwargs):
+        forms.extend(real_extract(*args, **kwargs))
+        return forms[-1:]
+
+    monkeypatch.setattr(FormBundle, "_unpack_value_global", refuse)
+    monkeypatch.setattr(identity_verifier, "tangent_projection", record)
+    monkeypatch.setattr(identity_verifier, "extract_forms", keep)
+    for label, fam in transition_families()[::2]:
+        for u in transition_units(fam):
+            projected.clear()
+            rep = verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
+                                    mode=mode, which=u["which"], kind=u["kind"])
+            assert rep["ok"] and rep["mode"] == "exact", label
+            form = forms[-1]
+            diff = [form.matrix.rows[t] for t in form.matrix_rows[-form.dz_degree:]]
+            assert len(projected) == len({u["l1"], u["l2"]}) * len(diff) * len(diff[0])
+            assert all(any(p is e for row in diff for e in row) for p in projected), label
 
 
 def test_sampled_transition_never_substitutes_polynomials(monkeypatch):
@@ -464,10 +567,13 @@ def test_surjectivity_refuses_a_twist_factor_over_another_field():
 # ----- hidden -----
 
 
-def test_hidden_depth_at_or_above_n_gives_empty_report():
+def test_hidden_refuses_depth_at_or_above_n():
+    # no form is defined from depth n on: an empty report would pass
+    # without testing anything
     fam = fermat_family(3, 2, 0, (2, 2, 2, 2), (3, 3), seed=1)
-    rep = verify_hidden(fam, (0,), (1,))
-    assert rep["ok"] and rep["checks"] == [] and "reason" in rep
+    for vanished in ((0,), (0, 3)):
+        with pytest.raises(ValueError, match=f"no hidden forms at depth {len(vanished)} >= n = 1"):
+            verify_hidden(fam, vanished, (1,))
 
 
 def test_hidden_refuses_depth_zero():

@@ -647,6 +647,38 @@ def test_cli_verify_hidden_refuses_depth_zero(tmp_path, capsys):
     assert "at least one vanished coordinate" in capsys.readouterr().err
 
 
+def test_cli_verify_hidden_refuses_depth_at_or_above_n(tmp_path, capsys):
+    # n = 1 on a (3,2,0) family: one vanished coordinate leaves no form
+    fam_path = tmp_path / "family.json"
+    assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
+                 "--seed", "3", "--out", str(fam_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "hidden", "--family", str(fam_path), "--vanished", "0",
+                 "--selection", "1"]) == 2
+    assert "no hidden forms at depth 1 >= n = 1" in capsys.readouterr().err
+
+
+def test_cli_verify_transition_honours_mode(tmp_path, capsys):
+    fam_path = tmp_path / "family.json"
+    assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
+                 "--seed", "3", "--out", str(fam_path)]) == 0
+    capsys.readouterr()
+    modes = {}
+    for mode in ("probabilistic", None):
+        argv = ["verify", "transition", "--family", str(fam_path)]
+        assert main(argv + (["--mode", mode] if mode else [])) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        modes[mode] = {(c["id"], c["mode"]) for c in checks}
+    # every check but the exponent's, which reads degrees, samples points;
+    # without --mode every check is exact
+    assert modes["probabilistic"] == {("transition", "probabilistic"),
+                                      ("transition exponent", "exact")}
+    assert {m for _, m in modes[None]} == {"exact"}
+    assert {i for i, _ in modes[None]} == {"scaling chart 0", "scaling chart 1",
+                                           "scaling chart 3", "transition",
+                                           "transition exponent"}
+
+
 def test_cli_run_rejects_bad_config(tmp_path, capsys):
     config = tmp_path / "bad.ini"
     config.write_text("[run]\nschema = 99\n")
