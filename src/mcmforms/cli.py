@@ -139,7 +139,7 @@ def _cmd_verify(args) -> int:
                                   which=u["which"], kind=u["kind"], **options)
                 for u in _transition_units(fam)]
         else:
-            op, reps = "verify-forms", [
+            op, reps = f"verify-{args.what}", [
                 verify_gluing(fam, u["selection"], u["j1"], u["j2"], which=u["which"], **options)
                 for u in _glue_units(fam)]
         report = {"op": op, "family": args.family, "checks": [c for r in reps for c in r["checks"]],
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run identity checks")
     p.add_argument("what", choices=("forms", "gluing", "transition",
                                     "surjectivity", "hidden"))
-    p.add_argument("--family", help="family file (forms/transition/hidden)")
+    p.add_argument("--family", help="family file (forms/gluing/transition/hidden)")
     p.add_argument("--mode", choices=("exact", "probabilistic"), default="exact")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)

@@ -22,10 +22,10 @@ keyed by tuples.
 Determinants live in MinorTable: one table per matrix, every minor
 expanded once along its last row and memoised by (rows, columns), so
 determinants sharing all but their last row share the rest. Results stay
-packed (PackedPoly) until a caller unpacks them; sums of minors of one
-size (MinorTable.combine) compare term by term. poly_det is the table's
-one-determinant wrapper. The chart change dz -> w_l(dz) is applied to
-matrix entries linear in dz (tangent_projection), never to a determinant.
+packed (PackedPoly) until a caller unpacks them; minors of one size
+compare term by term. poly_det is the table's one-determinant wrapper.
+The chart change dz -> w_l(dz) is applied to matrix entries linear in dz
+(tangent_projection), never to a determinant.
 
 Evaluation mod m runs in EvalPlan, the one modular evaluation loop: a
 sequence of polynomials is compiled once, its coefficients reduced mod m
@@ -722,8 +722,7 @@ def identity_test(
 
 class PackedPoly(NamedTuple):
     """Reduced packed terms with the codec and the scale that unpack them:
-    a determinant or certificate that is kept packed until a caller needs
-    the polynomial."""
+    a determinant that is kept packed until a caller needs the polynomial."""
 
     terms: Dict[int, int]
     codec: struct.Struct
@@ -795,33 +794,6 @@ class MinorTable:
     def packed(self, terms: Dict[int, int], rows: Sequence[int]) -> PackedPoly:
         """terms of a product of len(rows) rows, with what unpacks them."""
         return PackedPoly(terms, self.codec, self.N, self.field, self.scale ** len(rows))
-
-    def combine(self, terms: Sequence[Tuple[int, Optional[int], Tuple[int, ...], Tuple[int, ...]]]
-                ) -> PackedPoly:
-        """The sum of sign * G * minor(rows, cols) over the terms
-        (sign, i, rows, cols), where G is the sum of row i, or 1 for i None,
-        accumulated in one packed dict. Every term must have one size, its
-        rows counting row i, so that all terms carry one scale."""
-        sizes = {len(rows) + (i is not None) for _, i, rows, _ in terms}
-        if len(sizes) > 1:
-            raise ValueError(f"combined terms of unequal size {sorted(sizes)}")
-        one = {0: 1}
-        out = defaultdict(int)
-        for sign, i, rows, cols in terms:
-            factor = one if i is None else self.row_sum(i)
-            if sign < 0:
-                factor = {k: -c for k, c in factor.items()}
-            _product_into(out, factor, self.minor(rows, cols))
-        return PackedPoly(_reduce(out, self.field.p), self.codec, self.N, self.field,
-                          self.scale ** sizes.pop() if sizes else 1)
-
-    def row_sum(self, i: int) -> Dict[int, int]:
-        """Packed terms of the sum of row i, reduced, at the row's scale."""
-        out = defaultdict(int)
-        for entry in self.entries[i]:
-            for k, c in entry.items():
-                out[k] += c
-        return _reduce(out, self.field.p)
 
 
 def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:

@@ -2,11 +2,13 @@
 
 Four families of checks:
 
-  verify_gluing        the chart-difference psi_{j_1} - psi_{j_2} equals an
-                       explicit certificate sum_i G_i * Cof_i with G_i the
-                       row sums (sections and their differentials) and Cof_i
-                       signed doubly-omitted minors; exact polynomial
-                       equality, no ideal-membership machinery.
+  verify_gluing        the hypothesis under which two chart realizations
+                       psi_{j_1}, psi_{j_2} agree on X: value row i of the
+                       matrix sums to the section F_i, and each differential
+                       row is the total differential of its value row, entry
+                       by entry (_hypothesis_pairs). Then psi_{j_1} - psi_{j_2}
+                       lies in the ideal of the F_i and dF_i, as in Brotbek's
+                       construction that the paper extends.
   verify_transition    chart changes: the tangent substitution multiplies an
                        extracted form by z_l^(dz-degree), hence
                        z_{l_2}^n * G(w_{l_1}) == z_{l_1}^n * G(w_{l_2}),
@@ -16,17 +18,19 @@ Four families of checks:
                        tangent-derivative rows) of the degree-d monomial
                        basis has full rank at random points, optionally in
                        the Leibniz-premultiplied variant for a twist factor.
-  verify_hidden        the gluing certificate and the twist formula on the
+  verify_hidden        the gluing hypothesis and the twist formula on the
                        vanishing-coordinate restriction of a family, for
                        every K_nu / K_tau_rho selection of an mcm family.
 
-Both identities are signed minors of one matrix, checked by one helper
-(_check_identities): exact mode compares the sides packed on a MinorTable
-that expands each shared minor once, probabilistic mode the same terms
-through det_mod_p at the points of sample_identity. Substituting w_l(dz)
-commutes with the determinant, so the transition sides are minors of the
-form's divided rows stacked with their projections to each chart and
-their multiples by z_l (_transition_rows); no expanded G is substituted.
+Gluing compares polynomial pairs: in order in exact mode, through one
+EvalPlan at the points of sample_identity in probabilistic mode. The
+transition sides are maximal minors of one matrix (_check_identities):
+exact mode compares them packed on a MinorTable that expands each shared
+minor once, probabilistic mode through det_mod_p at the points of
+sample_identity. Substituting w_l(dz) commutes with the determinant, so
+the transition sides are minors of the form's divided rows stacked with
+their projections to each chart and their multiples by z_l
+(_transition_rows); no expanded G is substituted.
 
 Every check returns a report dict: {"op", "ok", "checks": [{"id", "mode",
 "trials", "verdict", "witness"}, ...]} plus op-specific extras.
@@ -46,6 +50,7 @@ from .exact_algebra import (
     QQ,
     det_mod_p,
     identity_modulus,
+    kill_coordinates,
     sample_identity,
     tangent_projection,
     times_monomial,
@@ -65,9 +70,10 @@ from .section_builder import (
 )
 from .util import child_rng, chunks, rank_mod_p
 
-# sign * (sum of row i, or 1 for i None) * minor(rows, cols); (lhs, rhs)
-Term = Tuple[int, Optional[int], Tuple[int, ...], Tuple[int, ...]]
-Identity = Tuple[List[Term], List[Term]]
+# two maximal minors of one matrix that must agree, as their row positions
+Identity = Tuple[Tuple[int, ...], Tuple[int, ...]]
+# (bundle, row, col, lhs, rhs): col is None for a row sum
+Pair = Tuple[str, int, Optional[int], MultiPoly, MultiPoly]
 
 
 def _check(check_id: str, verdict: str, mode: str = "exact", trials: int = 0,
@@ -92,135 +98,89 @@ def _characteristic_skip(fam: SectionFamily) -> Optional[dict]:
     return None
 
 
-# ----- identities between minors -----
+# ----- the gluing hypothesis -----
 
 
-def _check_identities(ids: Sequence[str], identities: Sequence[Identity],
-                      names: Tuple[str, str] = ("lhs", "rhs"),
-                      table: Optional[MinorTable] = None, rows_at: Optional[Callable] = None,
-                      sampling: Optional[dict] = None) -> Tuple[List[dict], list]:
-    """Checks of identities between signed sums of minors of one matrix.
+def _label(which: Optional[Tuple]) -> str:
+    return "full" if which is None else f"{which[0]}({','.join(map(str, which[1:]))})"
 
-    With a MinorTable, check ids[k] compares the sides of identity k packed,
-    which needs all their terms of one size (one scale); a failure's witness
-    is names[0]_minus_names[1], cut to 400 characters. Returns the checks
-    and the packed sides. Else
-    check ids[0] samples every identity from rows_at(z, dz, m), the values
-    mod m, at sample_identity's points (keyword arguments `sampling`); its
-    witness holds the point and the two values of a single identity, or
-    the index of the failing one as "pair".
-    """
-    if table is not None:
-        checks, sides = [], []
-        for check_id, (lhs, rhs) in zip(ids, identities):
-            a, b = table.combine(lhs), table.combine(rhs)
-            gap = None if a.terms == b.terms else to_literal(a.unpack() - b.unpack())[:400]
-            checks.append(_check(check_id, "fail" if gap else "pass",
-                                 witness=gap and {f"{names[0]}_minus_{names[1]}": gap}))
-            sides.append((a, b))
-        return checks, sides
 
-    def side(values, terms, m):
-        return sum(sign * det_mod_p([[values[r][c] for c in cols] for r in rows], m)
-                   * (1 if i is None else sum(values[i])) for sign, i, rows, cols in terms) % m
+def _hypothesis_pairs(K: FormalMatrixBundle, bundle: str) -> List[Pair]:
+    """The hypothesis the gluing of K's forms rests on, as pairs that must
+    be equal: (sum of value row i, F_i) for every value row, then (entry,
+    d(value entry)) for every differential entry, both right-hand sides with
+    K's vanished coordinates killed. Every column of K counts, so a
+    column-combined bundle that drops or repeats a column fails its row sums."""
+    fam, cr = K.family, K.value_rows()
 
-    def sides_at(z, dz, m):
-        values = rows_at(z, dz, m)
-        return ((side(values, lhs, m), side(values, rhs, m)) for lhs, rhs in identities)
+    def kill(p: MultiPoly) -> MultiPoly:
+        return kill_coordinates(p, K.vanished) if K.vanished else p
 
-    miss = sample_identity(sides_at, **sampling)
+    pairs = [(bundle, i, None, sum(K.entries[i][1:], K.entries[i][0]), kill(fam.sections[i]))
+             for i in range(cr)]
+    pairs += [(bundle, cr + q, col, e, kill(total_differential(K.entries[q][col])))
+              for q in range(fam.shape.c) for col, e in enumerate(K.entries[cr + q])]
+    return pairs
+
+
+def _check_hypothesis(check_id: str, pairs: Sequence[Pair], fam: SectionFamily,
+                      mode: str, trials: int = 20, seed: int = 0) -> dict:
+    """One check of every pair. Exact mode compares them in order; the
+    first mismatch is the witness (bundle, row, col and lhs - rhs, cut to
+    400 characters). Probabilistic mode compiles both sides of every pair
+    into one EvalPlan and samples them (stage "gluing"); its witness holds
+    the point and the two values of the first pair that differs there."""
+    if mode == "exact":
+        for bundle, row, col, lhs, rhs in pairs:
+            if lhs != rhs:
+                return _check(check_id, "fail", witness=dict(
+                    bundle=bundle, row=row, col=col, lhs_minus_rhs=to_literal(lhs - rhs)[:400]))
+        return _check(check_id, "pass")
+    if mode != "probabilistic":
+        raise ValueError(f"unknown mode {mode!r}")
+    plan = EvalPlan([side for pair in pairs for side in pair[3:]], identity_modulus(fam.field))
+    miss = sample_identity(lambda z, dz, m: chunks(plan(z, dz), 2),
+                           fam.shape.N, fam.field, trials, seed, "gluing")
     witness = None
     if miss is not None:
-        t, z, dz, pair, lhs, rhs = miss
-        witness = dict(trial=t, z=z, dz=dz, **({names[0]: lhs, names[1]: rhs}
-                                               if len(identities) == 1 else {"pair": pair}))
-    return [_check(ids[0], "fail" if witness else "pass", "probabilistic",
-                   sampling["trials"], witness)], []
-
-
-# ----- gluing certificates -----
-
-
-def _glue_matrix(K: FormalMatrixBundle, selection: Sequence[int], which: Optional[Tuple] = None
-                 ) -> Tuple[FormalMatrixBundle, List[List[MultiPoly]]]:
-    """Row-selected, undivided matrix of K, column-combined by `which`
-    when given, and the bundle it was read from."""
-    if which is not None:
-        K = build_selected(K, which)
-    if K.layout == "mcm":
-        raise ValueError("full mcm bundles need a K_nu/K_tau_rho selection")
-    shape = K.family.shape
-    selection = _check_selection(shape, K.eta(), selection)
-    cr = shape.c + shape.r
-    row_ids = list(range(cr)) + [cr + j - 1 for j in selection]
-    M = [[K.entries[rid][col] for col in range(K.ncols)] for rid in row_ids]
-    return K, M
-
-
-def _gluing_identity(nrows: int, ncols: int, j1: int, j2: int) -> Identity:
-    """The gluing identity psi_{j1} - psi_{j2} == sum_i G_i * Cof_i of an
-    nrows x ncols matrix M (ncols == nrows + 1), as signed minor terms.
-
-    psi_j is (-1)^j det(M without column j). For j1 < j2 the certificate is
-    (-1)^{j1} times the determinant of M with column j1 removed and column
-    j2 replaced by the row sums G_i; expanding along that column gives
-    sum_i (-1)^{i + j2 - 1} G_i * minor_i with minor_i the doubly-omitted
-    (columns j1, j2, row i) determinant. Swapping j1 > j2 negates.
-    Returns (difference, certificate). Needs j1 != j2.
-    """
-    def without(n: int, *drop: int) -> Tuple[int, ...]:
-        return tuple(k for k in range(n) if k not in drop)
-
-    everything = tuple(range(nrows))
-    difference = [((-1) ** j1, None, everything, without(ncols, j1)),
-                  (-(-1) ** j2, None, everything, without(ncols, j2))]
-    a, b = sorted((j1, j2))
-    flip = -1 if (a % 2 == 1) != (j1 > j2) else 1
-    certificate = [(flip if (i + b) % 2 else -flip, i, without(nrows, i), without(ncols, a, b))
-                   for i in range(nrows)]
-    return difference, certificate
-
-
-_GLUING_NAMES = ("difference", "certificate")
+        t, z, dz, idx, lhs, rhs = miss
+        bundle, row, col = pairs[idx][:3]
+        witness = dict(trial=t, z=z, dz=dz, bundle=bundle, row=row, col=col, lhs=lhs, rhs=rhs)
+    return _check(check_id, "fail" if witness else "pass", "probabilistic", trials, witness)
 
 
 def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int,
                   which: Optional[Tuple] = None, mode: str = "exact",
                   trials: int = 20, seed: int = 0) -> dict:
-    """Certificate check psi_{j1} - psi_{j2} == sum_i G_i * Cof_i.
+    """The gluing hypothesis for psi_{j1} and psi_{j2}: the rows of the
+    family's matrix sum to its sections and its differential rows are the
+    differentials of its value rows, and with `which` the same of the
+    column-combined bundle, whose columns j1, j2 name the charts.
 
-    The G_i are the row sums of the (undivided) row-selected matrix, i.e.
-    the sections and the differentials of the selected sections; the Cof_i
-    are the signed minors with both chart columns removed. Column indices
-    refer to positions in the (possibly column-combined) bundle. Exact mode
-    compares polynomials; probabilistic mode evaluates the matrix at random
-    points and both sides of the same identity from its values (over F_p, or
-    modulo the 31-bit prime for rational families). Equal chart columns
-    raise ValueError: psi_j - psi_j == 0 has an empty certificate and
-    would pass without testing anything.
+    One check covers both bundles (_check_hypothesis, exactly or by
+    sampling over F_p, or modulo the 31-bit prime for rational families).
+    The selection must name the form's differential rows, a full mcm
+    bundle needs `which`, and equal or out-of-range chart columns raise
+    ValueError: psi_j - psi_j == 0 tests nothing.
     """
     if j1 == j2:
         raise ValueError("chart columns must differ")
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("gluing", [guard], j1=j1, j2=j2)
-    _, M = _glue_matrix(build_matrices(fam), selection, which)
-    ncols = len(M[0])
-    if not (0 <= j1 < ncols and 0 <= j2 < ncols):
+    bundles = [(_label(None), build_matrices(fam))]
+    if which is not None:
+        bundles.append((_label(which), build_selected(bundles[0][1], which)))
+    K = bundles[-1][1]
+    if K.layout == "mcm":
+        raise ValueError("full mcm bundles need a K_nu/K_tau_rho selection")
+    selection = _check_selection(fam.shape, K.eta(), selection)
+    if not (0 <= j1 < K.ncols and 0 <= j2 < K.ncols):
         raise ValueError("chart column out of range")
-    ids, identities = [f"certificate j1={j1} j2={j2}"], [_gluing_identity(len(M), ncols, j1, j2)]
-    if mode == "exact":
-        checks, ((_, certificate),) = _check_identities(ids, identities, _GLUING_NAMES,
-                                                        table=MinorTable(M))
-        return _report("gluing", checks, j1=j1, j2=j2,
-                       generators=len(M), certificate_terms=certificate.term_count())
-    if mode != "probabilistic":
-        raise ValueError(f"unknown mode {mode!r}")
-    plan = EvalPlan([e for row in M for e in row], identity_modulus(fam.field))
-    checks, _ = _check_identities(
-        ids, identities, _GLUING_NAMES, rows_at=lambda z, dz, m: chunks(plan(z, dz), ncols),
-        sampling=dict(N=fam.shape.N, field=fam.field, trials=trials, seed=seed, stage="gluing"))
-    return _report("gluing", checks, j1=j1, j2=j2, generators=len(M))
+    pairs = [pair for label, B in bundles for pair in _hypothesis_pairs(B, label)]
+    check = _check_hypothesis(f"hypothesis j1={j1} j2={j2}", pairs, fam, mode, trials, seed)
+    return _report("gluing", [check], j1=j1, j2=j2,
+                   generators=K.value_rows() + len(selection))
 
 
 # ----- transition formulas -----
@@ -238,16 +198,50 @@ def _transition_rows(value: list, diff: list, at_chart: Callable, times: Callabl
     return value + [row for block in blocks for row in block]
 
 
-def _transition_identities(nvalue: int, ndiff: int, ncols: int, sign: int, l1: int, l2: int
-                           ) -> Tuple[List[Identity], List[Term]]:
+def _transition_identities(nvalue: int, ndiff: int, l1: int, l2: int
+                           ) -> Tuple[List[Identity], Tuple[int, ...]]:
     """The transition z_{l2}^n G(w_{l1}) == z_{l1}^n G(w_{l2}), then the
     scaling G(w_l) == z_l^n G for each chart l in sorted order, as maximal
     minors of _transition_rows (n = ndiff rows each times z_l); and G."""
-    def minor(block: int) -> List[Term]:
-        rows = tuple(range(nvalue + block * ndiff, nvalue + (block + 1) * ndiff))
-        return [(sign, None, tuple(range(nvalue)) + rows, tuple(range(ncols)))]
+    def block(k: int) -> Tuple[int, ...]:
+        return tuple(range(nvalue)) + tuple(range(nvalue + k * ndiff, nvalue + (k + 1) * ndiff))
 
-    return [(minor(2 * j + 1), minor(2 * j + 2)) for j in range(1 + len({l1, l2}))], minor(0)
+    return [(block(2 * j + 1), block(2 * j + 2)) for j in range(1 + len({l1, l2}))], block(0)
+
+
+def _check_identities(ids: Sequence[str], identities: Sequence[Identity], sign: int,
+                      table: Optional[MinorTable] = None, rows_at: Optional[Callable] = None,
+                      sampling: Optional[dict] = None) -> List[dict]:
+    """Checks that the two maximal minors of each identity agree, both
+    taken with `sign`.
+
+    With a MinorTable, check ids[k] compares the packed minors of identity
+    k; a failure's witness is lhs_minus_rhs, cut to 400 characters. Else
+    check ids[0] samples every identity from rows_at(z, dz, m), the values
+    mod m, at sample_identity's points (keyword arguments `sampling`); its
+    witness holds the point and the index of the failing identity as "pair".
+    """
+    if table is not None:
+        cols, checks = tuple(range(len(table.entries[0]))), []
+        for check_id, (lhs, rhs) in zip(ids, identities):
+            a, b = table.minor(lhs, cols), table.minor(rhs, cols)
+            if a == b:
+                checks.append(_check(check_id, "pass"))
+                continue
+            gap = table.packed(a, lhs).unpack() - table.packed(b, rhs).unpack()
+            checks.append(_check(check_id, "fail", witness={
+                "lhs_minus_rhs": to_literal(gap if sign > 0 else -gap)[:400]}))
+        return checks
+
+    def sides_at(z, dz, m):
+        values = rows_at(z, dz, m)
+        return ((sign * det_mod_p([values[r] for r in lhs], m) % m,
+                 sign * det_mod_p([values[r] for r in rhs], m) % m) for lhs, rhs in identities)
+
+    miss = sample_identity(sides_at, **sampling)
+    witness = None if miss is None else dict(trial=miss[0], z=miss[1], dz=miss[2], pair=miss[3])
+    return [_check(ids[0], "fail" if witness else "pass", "probabilistic",
+                   sampling["trials"], witness)]
 
 
 def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
@@ -277,7 +271,7 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
     n_eff, N, charts = form.dz_degree, fam.shape.N, sorted({l1, l2})
     divided = [form.matrix.rows[t] for t in form.matrix_rows]
     nvalue = len(divided) - n_eff
-    identities, g = _transition_identities(nvalue, n_eff, len(divided[0]), form.sign, l1, l2)
+    identities, g = _transition_identities(nvalue, n_eff, l1, l2)
     table = None
     if mode in ("exact", "auto"):
         diff = divided[nvalue:]
@@ -286,11 +280,11 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
             lambda rows, l: [[e * MultiPoly.z(N, l, fam.field) for e in row] for row in rows],
             l1, l2))
     if mode == "auto":
-        total = len(charts) * table.combine(g).term_count()
+        total = len(charts) * len(table.minor(g, tuple(range(len(divided[0])))))
         mode = "exact" if total <= AUTO_EXACT_TERM_LIMIT else "probabilistic"
     if mode == "exact":
         ids = [f"scaling chart {l}" for l in charts] + ["transition"]
-        checks, _ = _check_identities(ids, identities[1:] + identities[:1], table=table)
+        checks = _check_identities(ids, identities[1:] + identities[:1], form.sign, table=table)
     elif mode == "probabilistic":
         def rows_at(z, dz, m):
             def at(point):
@@ -303,8 +297,8 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
                 lambda l: at([(z[l] * dz[k] - dz[l] * z[k]) % m for k in range(N + 1)])[nvalue:],
                 lambda rows, l: [[x * z[l] % m for x in row] for row in rows], l1, l2)
 
-        checks, _ = _check_identities(
-            ["transition"], identities, rows_at=rows_at,
+        checks = _check_identities(
+            ["transition"], identities, form.sign, rows_at=rows_at,
             sampling=dict(N=N, field=fam.field, trials=trials, seed=seed, stage="transition",
                           nonzero=(l1, l2)))
     else:
@@ -395,15 +389,16 @@ def verify_surjectivity(N: int, d: int, twist_factor: Optional[MultiPoly] = None
 
 def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
                   selection: Sequence[int]) -> dict:
-    """Gluing certificates and the twist increment on a vanishing locus.
+    """The gluing hypothesis and the twist increment on a vanishing locus.
 
-    With eta coordinates killed, every chart pair of the restricted bundle
-    must satisfy the certificate identity, and the extracted twist must be
-    the unrestricted twist plus sum(lambda_v - 1) over the killed
-    coordinates (general families) or the depth-eta ledger entry (mcm).
-    Depth 0 and depth eta >= n raise ValueError: with nothing killed there
-    is no hidden form, and from depth n on no form is defined, so either
-    report would pass without testing anything.
+    With eta coordinates killed, the restricted bundle must satisfy the
+    gluing hypothesis (_hypothesis_pairs; for mcm families once per
+    K_nu / K_tau_rho layout, with the layout's pairs), and the extracted
+    twist must be the unrestricted twist plus sum(lambda_v - 1) over the
+    killed coordinates (general families) or the depth-eta ledger entry
+    (mcm). Depth 0 and depth eta >= n raise ValueError: with nothing killed
+    there is no hidden form, and from depth n on no form is defined, so
+    either report would pass without testing anything.
     """
     vanished = tuple(sorted(set(vanished)))
     eta = len(vanished)
@@ -414,15 +409,11 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("hidden", [guard], eta=eta)
-    checks = []
+    selection = _check_selection(fam.shape, eta, selection)
     hidden = build_selected(build_matrices(fam), ("hidden",) + vanished)
+    pairs = _hypothesis_pairs(hidden, _label(("hidden",) + vanished))
     if fam.mode == "general_fermat":
-        _, M = _glue_matrix(hidden, selection)
-        pairs = [(j1, j2) for j1 in range(len(M[0])) for j2 in range(j1 + 1, len(M[0]))]
-        checks += _check_identities(
-            [f"certificate j1={j1} j2={j2}" for j1, j2 in pairs],
-            [_gluing_identity(len(M), len(M[0]), j1, j2) for j1, j2 in pairs],
-            _GLUING_NAMES, table=MinorTable(M))[0]
+        checks = [_check_hypothesis("hypothesis", pairs, fam, "exact")]
         form = extract_forms(hidden, None, [selection], omit=0, kind="omega")[0]
         expected = fermat_heart_prime(fam.degrees, fam.lambdas, selection) \
             + sum(fam.lambdas[v] - 1 for v in vanished)
@@ -431,14 +422,13 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
                              witness=None if ok else {"twist": form.twist,
                                                       "expected": expected}))
     else:
-        ledger = twist_ledger(fam.schedule)
+        checks, ledger = [], twist_ledger(fam.schedule)
         for kind, params, _ in selection_layouts(len(hidden.retained) - 1):
             which = (kind,) + params
-            label = f"{kind}({','.join(map(str, params))})"
-            K, M = _glue_matrix(hidden, selection, which)
-            checks += _check_identities([f"certificate {label}"],
-                                        [_gluing_identity(len(M), len(M[0]), 0, 1)],
-                                        _GLUING_NAMES, table=MinorTable(M))[0]
+            label = _label(which)
+            K = build_selected(hidden, which)
+            checks.append(_check_hypothesis(f"hypothesis {label}",
+                                            pairs + _hypothesis_pairs(K, label), fam, "exact"))
             tau = params[0] if kind == "K_tau_rho" else None
             entry = ledger.lookup(eta, kind, tau, selection)
             # extract_forms takes the twist from the ledger and raises when

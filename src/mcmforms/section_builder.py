@@ -90,17 +90,6 @@ class DivisibilityClaimFailed(Exception):
         self.col = col
 
 
-class BundleInvariantError(ValueError):
-    """A matrix bundle breaks its construction: value row `row` does not
-    sum to its section (col is None), or differential row `row` is not the
-    differential of its value row at column `col`."""
-
-    def __init__(self, message: str, row: int, col: Optional[int] = None):
-        super().__init__(message)
-        self.row = row
-        self.col = col
-
-
 class DegreeClaimFailed(ValueError):
     """A degree claimed for a form is not the one found: `quantity` names
     the degree, `expected` is the claimed value and `observed` the value
@@ -436,7 +425,9 @@ def build_sections(
 
 
 def build_matrices(fam: SectionFamily) -> FormalMatrixBundle:
-    """The full structured matrix of the family, invariants checked."""
+    """The full structured matrix of the family. Its rows sum to the
+    sections and its differential rows are the differentials of its value
+    rows by construction; identity_verifier.verify_gluing checks both."""
     if fam.mode not in ("mcm", "general_fermat"):
         raise ValueError(fam.mode)
     return _bundle(fam)
@@ -444,7 +435,7 @@ def build_matrices(fam: SectionFamily) -> FormalMatrixBundle:
 
 def _bundle(fam: SectionFamily, vanished: Tuple[int, ...] = ()) -> FormalMatrixBundle:
     """The matrix of the family over the coordinates not in `vanished`,
-    sorted from section_terms, invariants checked.
+    sorted from section_terms.
 
     A term survives iff its monomial avoids every vanished coordinate, with
     z_v = 0 substituted in its coefficient. It goes to the column of its
@@ -478,46 +469,17 @@ def _bundle(fam: SectionFamily, vanished: Tuple[int, ...] = ()) -> FormalMatrixB
     for q in range(shape.c):
         rows.append([total_differential(e) for e in rows[q]])
     if mcm:
-        bundle = FormalMatrixBundle(
+        return FormalMatrixBundle(
             layout="mcm", family=fam, entries=rows,
             column_tags=tuple([f"A_{j}" for j in retained] + [f"B_{k}" for k in retained]),
             column_coords=retained + retained, retained=retained, vanished=vanished,
         )
-    else:
-        bundle = FormalMatrixBundle(
-            layout="sec4", family=fam, entries=rows,
-            column_tags=tuple(f"col_{j}" for j in retained), column_coords=retained,
-            retained=retained, vanished=vanished,
-            divisor_exponents=tuple(fam.lambdas[j] for j in retained),
-        )
-    _check_bundle_invariants(bundle)
-    return bundle
-
-
-def _check_bundle_invariants(bundle: FormalMatrixBundle) -> None:
-    """Value row i sums to section i and each differential row is the
-    total differential of its value row, entry by entry (both with the
-    vanished coordinates killed); raises BundleInvariantError otherwise."""
-    fam = bundle.family
-    cr = bundle.value_rows()
-    for i in range(cr):
-        total = MultiPoly.zero(fam.shape.N, fam.field)
-        for e in bundle.entries[i]:
-            total = total + e
-        expected = fam.sections[i]
-        if bundle.vanished:
-            expected = kill_coordinates(expected, bundle.vanished)
-        if total != expected:
-            raise BundleInvariantError(f"row {i} does not sum to section {i + 1}", row=i)
-    for q in range(1, fam.shape.c + 1):
-        for col, e in enumerate(bundle.entries[cr + q - 1]):
-            want = total_differential(bundle.entries[q - 1][col])
-            if bundle.vanished:
-                want = kill_coordinates(want, bundle.vanished)
-            if e != want:
-                raise BundleInvariantError(
-                    f"row {cr + q - 1} is not the differential of row {q - 1} at column {col}",
-                    row=cr + q - 1, col=col)
+    return FormalMatrixBundle(
+        layout="sec4", family=fam, entries=rows,
+        column_tags=tuple(f"col_{j}" for j in retained), column_coords=retained,
+        retained=retained, vanished=vanished,
+        divisor_exponents=tuple(fam.lambdas[j] for j in retained),
+    )
 
 
 # ----- column layouts -----
@@ -698,7 +660,7 @@ def column_divisors(K: FormalMatrixBundle, which: Optional[Tuple] = None) -> Lis
 def _check_selection(shape: ProblemShape, eta: int, selection: Sequence[int]) -> Tuple[int, ...]:
     """The selection as a tuple, once it names n - eta distinct
     differential rows in 1..c in increasing order; raises ValueError
-    otherwise. Forms and gluing certificates take their rows from it."""
+    otherwise. Forms and the gluing check take their rows from it."""
     n_eff = shape.n - eta
     selection = tuple(selection)
     if len(selection) != n_eff or any(not (1 <= j <= shape.c) for j in selection) \

@@ -159,7 +159,7 @@ def test_acceptance_04_gluing_certificates():
         check(fam, shape, "probabilistic")
     elapsed = time.perf_counter() - t0
     ok = not failures and families == 40
-    _line(4, "gluing D == C on every chart pair, 10 families per shape", ok,
+    _line(4, "gluing hypothesis on every chart pair, 10 families per shape", ok,
           f"{families} families, {elapsed:.1f}s")
     assert ok, failures[:3]
     assert elapsed < 300.0

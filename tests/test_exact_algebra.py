@@ -38,7 +38,7 @@ from mcmforms.exact_algebra import (
     _slot_codec,
     _unpack,
 )
-from mcmforms.util import child_rng
+from mcmforms.util import child_rng, chunks
 
 F7 = Field(7)
 
@@ -712,37 +712,82 @@ def test_minor_table_matches_the_cofactor_loop_on_every_minor(data):
                 assert same_poly(got.unpack(), want)
 
 
+def gluing_identity(nrows, ncols, j1, j2):
+    """The gluing identity psi_{j1} - psi_{j2} == sum_i G_i * Cof_i of an
+    nrows x ncols matrix M (ncols == nrows + 1), as terms (sign, i, rows,
+    cols): sign times the sum G_i of row i (1 for i None) times the minor
+    on (rows, cols).
+
+    psi_j is (-1)^j det(M without column j). For j1 < j2 the certificate is
+    (-1)^{j1} times the determinant of M with column j1 removed and column
+    j2 replaced by the row sums G_i; expanding along that column gives
+    sum_i (-1)^{i + j2 - 1} G_i * minor_i with minor_i the doubly-omitted
+    (columns j1, j2, row i) determinant. Swapping j1 > j2 negates. This is
+    the Laplace expansion, true of every matrix. Returns (difference,
+    certificate). Needs j1 != j2.
+    """
+    def without(n, *drop):
+        return tuple(k for k in range(n) if k not in drop)
+
+    everything = tuple(range(nrows))
+    difference = [((-1) ** j1, None, everything, without(ncols, j1)),
+                  (-(-1) ** j2, None, everything, without(ncols, j2))]
+    a, b = sorted((j1, j2))
+    flip = -1 if (a % 2 == 1) != (j1 > j2) else 1
+    certificate = [(flip if (i + b) % 2 else -flip, i, without(nrows, i), without(ncols, a, b))
+                   for i in range(nrows)]
+    return difference, certificate
+
+
+def laplace_side(terms, minor, row_sum, zero):
+    """The sum of sign * row_sum(i) * minor(rows, cols) over the terms of
+    one side of gluing_identity (row_sum(None) is 1), from zero."""
+    total = zero
+    for sign, i, rows, cols in terms:
+        piece = minor(rows, cols) if i is None else row_sum(i) * minor(rows, cols)
+        total = total + piece if sign > 0 else total - piece
+    return total
+
+
+def polynomial_laplace_sides(M, table, j1, j2):
+    """(difference, certificate) of gluing_identity on the polynomial matrix
+    M, every minor read from its MinorTable (the empty minor is 1)."""
+    sample = M[0][0]
+    one = MultiPoly.const(1, sample.N, sample.field)
+
+    def minor(rows, cols):
+        return table.packed(table.minor(rows, cols), rows).unpack() if rows else one
+
+    def row_sum(i):
+        return sum(M[i][1:], M[i][0])
+
+    return tuple(laplace_side(side, minor, row_sum, MultiPoly.zero(sample.N, sample.field))
+                 for side in gluing_identity(len(M), len(M[0]), j1, j2))
+
+
 @given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_combined_minors_match_the_sum_of_products(data):
-    field = data.draw(st.sampled_from(PROPERTY_FIELDS))
-    n = data.draw(st.integers(1, 3))
-    rows = data.draw(_matrices(field, 1, n, n + 1))
-    table = MinorTable(rows)
-    everything = tuple(range(n))
-    terms = [(data.draw(st.sampled_from((1, -1))), None, everything, c)
-             for c in combinations(range(n + 1), n)]
-    terms += [(data.draw(st.sampled_from((1, -1))), i, everything[:i] + everything[i + 1:],
-               tuple(range(n - 1))) for i in range(n) if n > 1]
-    want = MultiPoly.zero(1, field)
-    for sign, i, r, c in terms:
-        piece = cofactor_det([[rows[a][b] for b in c] for a in r])
-        if i is not None:
-            piece = sum(rows[i][1:], rows[i][0]) * piece
-        want = want + (piece if sign > 0 else -piece)
-    assert same_poly(table.combine(terms).unpack(), want)
+@settings(max_examples=60, deadline=None)
+def test_minor_table_and_det_mod_p_satisfy_the_laplace_gluing_identity(data):
+    # psi_{j1} - psi_{j2} == sum_i G_i * Cof_i holds for every matrix, over
+    # Q with fractional entries and over F_5, exactly from the minor table
+    # and at a point through det_mod_p
+    field = data.draw(st.sampled_from((Field(5), QQ)), label="field")
+    n = data.draw(st.integers(1, 4), label="rows")
+    M = data.draw(_matrices(field, 1, n, n + 1))
+    m = field.p or IDENTITY_PRIME
+    point = data.draw(st.lists(st.integers(0, m - 1), min_size=4, max_size=4))
+    values = chunks(EvalPlan([e for row in M for e in row], m)(point[:2], point[2:]), n + 1)
 
+    def minor_mod(rows, cols):
+        return det_mod_p([[values[r][c] for c in cols] for r in rows], m)
 
-def test_combined_terms_must_have_one_size():
-    one = MultiPoly.const(1, 1, F7)
-    table = MinorTable([[one, one], [one, one]])
-    with pytest.raises(ValueError, match="unequal size"):
-        table.combine([(1, None, (0,), (0,)), (1, None, (0, 1), (0, 1))])
-    with pytest.raises(ValueError, match="unequal size"):
-        table.combine([(1, 1, (0,), (0,)), (1, None, (1,), (1,))])
-    # one size, whatever the rows: a term need not span the table
-    assert table.combine([(1, None, (0,), (0,)), (-1, None, (1,), (1,))]).terms == {}
-    assert table.combine([(1, 1, (0,), (0,))]).unpack() == MultiPoly.const(1, 2, F7)
+    table = MinorTable(M)
+    for j1, j2 in permutations(range(n + 1), 2):
+        difference, certificate = polynomial_laplace_sides(M, table, j1, j2)
+        assert same_poly(difference, certificate), (j1, j2)
+        diff_mod, cert_mod = (laplace_side(side, minor_mod, lambda i: sum(values[i]), 0)
+                              for side in gluing_identity(n, n + 1, j1, j2))
+        assert (diff_mod - cert_mod) % m == 0, (j1, j2)
 
 
 @given(st.data())

@@ -13,16 +13,13 @@ from mcmforms.exact_algebra import (
     deriv,
     from_literal,
     identity_test,
-    poly_det,
     tangent_projection,
     times_monomial,
     to_literal,
+    total_differential,
     z_power,
 )
 from mcmforms.identity_verifier import (
-    _GLUING_NAMES,
-    _check_identities,
-    _gluing_identity,
     evaluation_matrix,
     monomial_basis,
     verify_gluing,
@@ -30,7 +27,7 @@ from mcmforms.identity_verifier import (
     verify_surjectivity,
     verify_transition,
 )
-from mcmforms.pipeline import _transition_units
+from mcmforms.pipeline import _glue_units, _transition_units
 from mcmforms.schedule import ProblemShape, TwistLedger, build_schedule, twist_ledger
 from mcmforms.section_builder import (
     FormBundle,
@@ -40,6 +37,7 @@ from mcmforms.section_builder import (
     random_homogeneous,
 )
 from mcmforms.util import rank_mod_p
+from test_exact_algebra import polynomial_laplace_sides
 
 F101 = Field(101)
 
@@ -69,7 +67,7 @@ def test_line_gluing_certificate_matches_hand_expansion():
     assert rep["ok"] and rep["generators"] == 2
     K = build_matrices(fam)
     M = [list(K.entries[0]), list(K.entries[1])]
-    cert = MinorTable(M).combine(_gluing_identity(2, 3, 0, 1)[1]).unpack()
+    _, cert = polynomial_laplace_sides(M, MinorTable(M), 0, 1)
     F_dz2 = from_literal(
         "1 * z0^1 dz2^1 + 1 * z1^1 dz2^1 + 1 * z2^1 dz2^1", 2)
     dF_z2 = from_literal(
@@ -82,8 +80,8 @@ def test_line_gluing_certificate_matches_hand_expansion():
 
 @pytest.mark.parametrize("selection", [(1, 1), (2, 1)])
 def test_gluing_refuses_a_repeated_or_unordered_selection(selection):
-    # with one differential row twice both sides vanish identically, so
-    # the certificate would pass without testing anything
+    # with one differential row twice the form vanishes identically, so
+    # gluing it would test nothing
     fam = fermat_family(4, 2, 0, (2,) * 5, (3, 3), field=Field(5), seed=1)
     assert verify_gluing(fam, (1, 2), 0, 1)["ok"]
     with pytest.raises(ValueError, match="distinct|increasing"):
@@ -94,7 +92,7 @@ def test_gluing_refuses_a_repeated_or_unordered_selection(selection):
 
 @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
 def test_gluing_refuses_equal_chart_columns(mode):
-    # psi_j - psi_j == 0 against an empty certificate tests nothing
+    # psi_j - psi_j == 0 tests nothing
     fam = unit_line_family()
     with pytest.raises(ValueError, match="chart columns must differ"):
         verify_gluing(fam, (1,), 1, 1, which=None, mode=mode)
@@ -134,47 +132,116 @@ def test_gluing_on_combined_mcm_columns():
     assert verify_gluing(fam, (2,), 1, 3, which=("K_tau_rho", 0, 2))["ok"]
 
 
-def _misgrouped(fam):
-    """The value rows and first differential row of fam's matrix, with one
-    term of entry (0, 0) moved to entry (0, 1): row sums unchanged."""
-    K = build_matrices(fam)
-    M = [list(K.entries[r]) for r in (0, 1, 2)]
-    exp, c = next(iter(M[0][0].terms.items()))
-    moved = MultiPoly(fam.shape.N, fam.field, {exp: c})
-    M[0][0], M[0][1] = M[0][0] - moved, M[0][1] + moved
-    return M
+# ----- gluing mutants: each must FAIL, never ERROR or PASS -----
 
 
-def unpacked_side(M, terms):
-    """One side of a minor identity of M, each minor expanded by poly_det."""
-    total = MultiPoly.zero(M[0][0].N, M[0][0].field)
-    for sign, i, rows, cols in terms:
-        piece = poly_det([[M[r][c] for c in cols] for r in rows])
-        if i is not None:
-            piece = sum(M[i][1:], M[i][0]) * piece
-        total = total + (piece if sign > 0 else -piece)
-    return total
+def mcm_430_family():
+    shape = ProblemShape(4, 3, 0)
+    return build_sections(shape, "mcm", field=Field(5), schedule=build_schedule(shape, 2), seed=3)
 
 
-@pytest.mark.parametrize("field", [Field(5), QQ], ids=str)
-def test_packed_and_unpacked_gluing_agree_on_a_broken_matrix(field):
-    fam = fermat_family(3, 2, 0, (2, 2, 2, 2), (3, 3), field=field, seed=1)
-    M = _misgrouped(fam)
-    difference, certificate = _gluing_identity(3, 4, 2, 0)
-    (check,), ((diff, cert),) = _check_identities(
-        ["c"], [(difference, certificate)], _GLUING_NAMES, table=MinorTable(M))
-    diff_u, cert_u = unpacked_side(M, difference), unpacked_side(M, certificate)
-    # the identity holds for every matrix, so both sides pass
-    assert check["verdict"] == "pass" and diff_u == cert_u
-    assert diff.unpack() == diff_u and cert.unpack() == cert_u
-    assert cert.term_count() == cert_u.term_count()
-    # drop one certificate term: both evaluations fail alike
-    (check,), ((_, cert),) = _check_identities(
-        ["c"], [(difference, certificate[1:])], _GLUING_NAMES, table=MinorTable(M))
-    cert_u = unpacked_side(M, certificate[1:])
-    assert check["verdict"] == "fail" and diff_u != cert_u
-    assert check["witness"] == {"difference_minus_certificate": to_literal(diff_u - cert_u)[:400]}
-    assert cert.unpack() == cert_u
+def mutate_matrices(monkeypatch, change):
+    """Make the verifier read every family's matrix with change(K) applied."""
+    real = identity_verifier.build_matrices
+
+    def mutated(fam):
+        K = real(fam)
+        change(K)
+        return K
+
+    monkeypatch.setattr(identity_verifier, "build_matrices", mutated)
+
+
+def glue_all(fam, mode, **kwargs):
+    """verify_gluing on each of the pipeline's gluing units of fam."""
+    return [verify_gluing(fam, u["selection"], u["j1"], u["j2"], which=u["which"],
+                          mode=mode, **kwargs) for u in _glue_units(fam)]
+
+
+@pytest.mark.parametrize("mode", ["exact", "probabilistic"])
+def test_gluing_fails_a_value_row_that_does_not_sum_to_its_section(monkeypatch, mode):
+    # psi_j1 - psi_j2 == sum_i G_i * Cof_i still holds here, as for every
+    # matrix; the row sum no longer equals F_1
+    fam = mcm_430_family()
+    assert all(rep["ok"] for rep in glue_all(fam, mode))
+
+    def add(K):
+        K.entries[0][0] = K.entries[0][0] + MultiPoly.z(4, 1, fam.field, power=7)
+
+    mutate_matrices(monkeypatch, add)
+    for rep in glue_all(fam, mode):
+        (check,) = rep["checks"]
+        assert not rep["ok"] and check["verdict"] == "fail" and check["mode"] == mode
+        witness = check["witness"]
+        assert (witness["bundle"], witness["row"], witness["col"]) == ("full", 0, None)
+        if mode == "exact":
+            assert witness["lhs_minus_rhs"] == "1 * z1^7"
+        else:
+            assert (witness["lhs"] - witness["rhs"] - witness["z"][1] ** 7) % 5 == 0
+
+
+def test_gluing_fails_a_differential_entry_and_names_it(monkeypatch):
+    fam = mcm_430_family()
+    extra = MultiPoly.monomial(4, fam.field, 1, (3, 0, 0, 0, 0), (0, 1, 0, 0, 0))
+
+    def off(K):
+        K.entries[4][2] = K.entries[4][2] + extra
+
+    mutate_matrices(monkeypatch, off)
+    for mode in ("exact", "probabilistic"):
+        (check,) = verify_gluing(fam, (1,), 0, 1, which=("K_nu", 0), mode=mode)["checks"]
+        assert check["verdict"] == "fail"
+        assert (check["witness"]["bundle"], check["witness"]["row"], check["witness"]["col"]) \
+            == ("full", 4, 2)
+    assert check["witness"]["lhs"] != check["witness"]["rhs"]
+    (check,) = verify_gluing(fam, (1,), 0, 1, which=("K_nu", 0))["checks"]
+    assert check["witness"]["lhs_minus_rhs"] == to_literal(extra)
+
+
+def test_gluing_fails_a_layout_that_drops_a_column(monkeypatch):
+    fam = mcm_430_family()
+    real = identity_verifier.build_selected
+
+    def dropped(K, which):
+        S = real(K, which)
+        return dataclasses.replace(S, entries=[row[:-1] for row in S.entries]) \
+            if which == ("K_tau_rho", 0, 1) else S
+
+    monkeypatch.setattr(identity_verifier, "build_selected", dropped)
+    assert verify_gluing(fam, (1,), 0, 1, which=("K_nu", 0))["ok"]
+    for mode in ("exact", "probabilistic"):
+        rep = verify_gluing(fam, (1,), 0, 1, which=("K_tau_rho", 0, 1), mode=mode)
+        witness = rep["checks"][0]["witness"]
+        assert not rep["ok"]
+        assert (witness["bundle"], witness["col"]) == ("K_tau_rho(0,1)", None)
+        # exact mode names the first row; a sampled point over F_5 may
+        # miss row 0 and catch another
+        assert witness["row"] == 0 if mode == "exact" else witness["row"] in (0, 1, 2)
+
+
+def test_a_term_moved_between_A_columns_passes_gluing_and_fails_divisibility(monkeypatch):
+    # every row sum and differential row holds, so gluing cannot see it;
+    # the declared column divisors must
+    from mcmforms import pipeline
+    from mcmforms.pipeline import RunConfig, run_pipeline
+
+    shape = ProblemShape(3, 2, 0)
+    fam = build_sections(shape, "mcm", field=Field(5), schedule=build_schedule(shape, 2), seed=7)
+    real = build_matrices(fam)
+    moved = MultiPoly(3, fam.field, dict([next(iter(real.entries[0][0].terms.items()))]))
+    rows = [list(row) for row in real.entries]
+    rows[0][0], rows[0][1] = rows[0][0] - moved, rows[0][1] + moved
+    rows[2:] = [[total_differential(e) for e in row] for row in rows[:2]]
+    mutant = dataclasses.replace(real, entries=rows)
+    for namespace in (identity_verifier, pipeline):
+        monkeypatch.setattr(namespace, "build_matrices", lambda f: mutant)
+    monkeypatch.setattr(pipeline, "build_family", lambda params: fam)
+    assert all(rep["ok"] for rep in glue_all(fam, "exact"))
+    stages = run_pipeline(RunConfig(shape=shape, stages=("divisibility", "gluing")))["stages"]
+    assert stages["gluing"]["status"] == "PASS"
+    assert stages["divisibility"]["status"] == "FAIL"
+    assert stages["divisibility"]["report"]["error"] == "entry (0,0) not divisible by z1^4011"
+    assert (stages["divisibility"]["witness"]["row"], stages["divisibility"]["witness"]["col"]) == (0, 0)
 
 
 def test_gluing_characteristic_guard():
@@ -191,6 +258,7 @@ def test_gluing_probabilistic_mode():
     check = rep["checks"][0]
     assert check["mode"] == "probabilistic" and check["trials"] == 20
     assert "certificate_terms" not in rep
+    assert "certificate_terms" not in verify_gluing(fam, (1,), 0, 3)
     # exact and probabilistic agree on a shape where both are cheap
     small = fermat_family(3, 2, 0, (2, 2, 2, 2), (3, 3), seed=1)
     for j1, j2 in [(0, 1), (1, 3), (2, 0)]:
@@ -263,17 +331,20 @@ def test_transition_on_mcm_selected_columns():
 
 
 def test_sampled_gluing_failure_keeps_its_point(monkeypatch):
-    # a determinant off by one on the omit-one minors breaks the identity;
-    # the witness is the point and the two values the sampler saw
+    # one term added to a value entry: its row no longer sums to F_1; the
+    # witness is the point, the pair and the two values the sampler saw
     fam = fermat_family(3, 2, 0, (2, 2, 2, 2), (3, 3), seed=1)
-    real = identity_verifier.det_mod_p
-    monkeypatch.setattr(identity_verifier, "det_mod_p",
-                        lambda rows, p: (real(rows, p) + (len(rows) == 3)) % p)
+
+    def add(K):
+        K.entries[0][2] = K.entries[0][2] + MultiPoly.monomial(3, fam.field, 1, (0, 0, 3, 0))
+
+    mutate_matrices(monkeypatch, add)
     rep = verify_gluing(fam, (1,), 0, 1, mode="probabilistic", seed=2)
     assert not rep["ok"]
     assert rep["checks"][0]["witness"] == {
         "trial": 0, "z": [94, 52, 30, 39], "dz": [65, 31, 35, 29],
-        "difference": 84, "certificate": 82}
+        "bundle": "full", "row": 0, "col": None, "lhs": 29, "rhs": 97}
+    assert (29 - 97 - 30 ** 3) % 101 == 0  # the added z2^3 at z
 
 
 def test_sampling_catches_a_broken_transition_and_keeps_its_points(monkeypatch):
@@ -426,10 +497,11 @@ def test_sampled_identities_compile_once_and_never_evaluate_term_by_term(compile
     # the divided matrix: c + r + n rows of N columns (one omitted), one plan
     assert compiled_plans == [3 * 3]
     assert verify_gluing(fermat, (1,), 0, 2, mode="probabilistic")["ok"]
-    assert compiled_plans == [9, 3 * 4]  # c + r + n rows of N + 1 entries, one plan
+    # both sides of c + r row sums and c * (N + 1) differential entries, one plan
+    assert compiled_plans == [9, 2 * (2 + 2 * 4)]
     p = from_literal("1/3 * z0^2 dz1^1 + 2 * z1^3 dz0^1", 1)
     assert identity_test(p, p + p - p, mode="probabilistic")["equal"]
-    assert compiled_plans == [9, 12, 2]
+    assert compiled_plans == [9, 20, 2]
 
 
 def test_transition_unknown_mode():
@@ -588,8 +660,7 @@ def test_hidden_certificates_and_twist_increment():
     fam = fermat_family(4, 2, 0, (2, 2, 2, 2, 2), (3, 3), seed=3)
     rep = verify_hidden(fam, (4,), (1,))
     assert rep["ok"]
-    ids = [c["id"] for c in rep["checks"]]
-    assert ids[-1] == "twist increment" and len(ids) == 6 + 1
+    assert [c["id"] for c in rep["checks"]] == ["hypothesis", "twist increment"]
 
 
 def test_hidden_mcm_certificates_and_ledger_twist():
@@ -599,11 +670,11 @@ def test_hidden_mcm_certificates_and_ledger_twist():
     rep = verify_hidden(fam, (0,), (1,))
     assert rep["ok"]
     # every selection of the depth-1 bundle (top level 3): 4 K_nu, 6 K_tau_rho
-    certs = [c for c in rep["checks"] if c["id"].startswith("certificate ")]
+    certs = [c for c in rep["checks"] if c["id"].startswith("hypothesis ")]
     twists = [c for c in rep["checks"] if c["id"].startswith("twist ")]
     assert len(certs) == 10 and len(twists) == 10
     assert all(c["verdict"] == "pass" for c in rep["checks"])
-    assert "certificate K_tau_rho(2,3)" in [c["id"] for c in certs]
+    assert "hypothesis K_tau_rho(2,3)" in [c["id"] for c in certs]
 
 
 def test_hidden_reads_twists_without_unpacking_a_form(monkeypatch):

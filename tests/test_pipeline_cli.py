@@ -503,6 +503,22 @@ def test_cli_build_verify_scan_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_verify_op_names_the_verb_and_help_lists_gluing(tmp_path, capsys):
+    fam_path = tmp_path / "family.json"
+    assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
+                 "--seed", "3", "--out", str(fam_path)]) == 0
+    for what in ("forms", "gluing"):
+        report_path = tmp_path / f"{what}.json"
+        assert main(["verify", what, "--family", str(fam_path),
+                     "--json", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["op"] == f"verify-{what}" and report["ok"]
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "family file (forms/gluing/transition/hidden)" in " ".join(capsys.readouterr().out.split())
+
+
 def test_cli_verify_refuses_a_tampered_family(tmp_path, capsys):
     fam_path = tmp_path / "family.json"
     assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",

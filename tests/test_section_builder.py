@@ -17,8 +17,8 @@ from mcmforms.exact_algebra import (
     total_differential,
 )
 from mcmforms.schedule import ProblemShape, TwistLedger, build_schedule, twist_ledger
+from mcmforms.identity_verifier import verify_gluing
 from mcmforms.section_builder import (
-    BundleInvariantError,
     DegreeClaimFailed,
     DivisibilityClaimFailed,
     SectionFamily,
@@ -223,27 +223,53 @@ def test_row_sum_and_differential_row_invariants():
             assert K.entries[cr + i][col] == total_differential(K.entries[i][col])
 
 
-def test_a_section_that_is_not_its_row_sum_is_rejected():
+def tampered_family(power=67):
+    """The (4,3,0) mcm family of seed 4 with z0^power added to F_1, so that
+    value row 0 of its matrix no longer sums to its first section."""
     fam = mcm_family(seed=4)
-    fam.sections = (fam.sections[0] + MultiPoly.z(4, 0, fam.field, power=67),) + fam.sections[1:]
-    with pytest.raises(BundleInvariantError) as info:
-        build_matrices(fam)
-    assert (info.value.row, info.value.col) == (0, None)
+    fam.sections = (fam.sections[0] + MultiPoly.z(4, 0, fam.field, power=power),) + fam.sections[1:]
+    return fam
+
+
+def test_a_section_that_is_not_its_row_sum_is_rejected():
+    fam = tampered_family()
+    build_matrices(fam)  # construction does not check: gluing does
+    for mode in ("exact", "probabilistic"):
+        rep = verify_gluing(fam, (1,), 0, 1, which=("K_nu", 0), mode=mode)
+        (check,) = rep["checks"]
+        assert not rep["ok"] and check["verdict"] == "fail"
+        assert (check["witness"]["bundle"], check["witness"]["row"], check["witness"]["col"]) \
+            == ("full", 0, None)
+    rep = verify_gluing(fam, (1,), 0, 1, which=("K_nu", 0))
+    assert rep["checks"][0]["witness"]["lhs_minus_rhs"] == "4 * z0^67"
+
+
+def test_a_tampered_section_fails_the_gluing_stage(monkeypatch):
+    from mcmforms import pipeline
+    from mcmforms.pipeline import RunConfig, run_pipeline
+
+    # of F_1's own degree: the build stage reads every section's degree
+    fam = tampered_family(power=mcm_family(seed=4).sections[0].z_degree())
+    monkeypatch.setattr(pipeline, "build_family", lambda params: fam)
+    entry = run_pipeline(RunConfig(stages=("gluing",)))["stages"]["gluing"]
+    assert entry["status"] == "FAIL"
+    assert entry["witness"]["unit"] == {"unit": 0, "which": ["K_nu", 0], "j1": 0, "j2": 1,
+                                        "ok": False, "verdicts": ["fail"]}
 
 
 def test_bundle_invariants_hold_under_python_O(run_optimized):
     out = run_optimized(
         "from mcmforms.exact_algebra import Field, MultiPoly\n"
+        "from mcmforms.identity_verifier import verify_gluing\n"
         "from mcmforms.schedule import ProblemShape, build_schedule\n"
-        "from mcmforms.section_builder import BundleInvariantError, build_matrices, build_sections\n"
+        "from mcmforms.section_builder import build_sections\n"
         "shape = ProblemShape(4, 3, 0)\n"
         "fam = build_sections(shape, 'mcm', field=Field(5), schedule=build_schedule(shape, 2), seed=4)\n"
         "fam.sections = (fam.sections[0] + MultiPoly.z(4, 0, Field(5), power=67),) + fam.sections[1:]\n"
-        "try:\n"
-        "    build_matrices(fam)\n"
-        "except BundleInvariantError as err:\n"
-        "    print(err.row, err.col, err)\n")
-    assert out == "0 None row 0 does not sum to section 1\n"
+        "check = verify_gluing(fam, (1,), 0, 1, which=('K_nu', 0))['checks'][0]\n"
+        "w = check['witness']\n"
+        "print(check['verdict'], w['bundle'], w['row'], w['col'], w['lhs_minus_rhs'])\n")
+    assert out == "fail full 0 None 4 * z0^67\n"
 
 
 # ----- column selection -----
