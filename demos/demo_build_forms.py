@@ -4,7 +4,7 @@ Building section families and extracting twisted forms
 
 Constructs a moving-coefficients family over F_5, shows the structured
 matrix bundle, verifies the declared column divisors, and extracts one
-negatively twisted symmetric differential form as an exact polynomial.
+negatively twisted symmetric differential form, evaluated at a point.
 """
 
 from mcmforms.exact_algebra import Field, to_literal
@@ -34,10 +34,12 @@ print("K_nu=0 column divisors:",
 
 # Extracting a form divides each column by its declared power and takes the
 # signed determinant with one column omitted; the twist comes out negative.
-# The determinant stays packed until value_global is first read.
+# The determinant is never expanded: the form is evaluated at a point from
+# its divided matrix.
 form = extract_forms(K, ("K_nu", 0), [(1,)], omit=0)[0]
-print(f"extracted form: twist={form.twist}, dz-degree={form.dz_degree},"
-      f" terms={form.value_global.term_count()}")
+z, dz = [1, 1, 1, 1], [1, 0, 0, 0]
+print(f"extracted form: twist={form.twist}, z-degree={form.z_degree},"
+      f" dz-degree={form.dz_degree}, value mod 5 at z={z}, dz={dz}: {form.evaluate_at(z, dz, 5)}")
 
 # Families round-trip through JSON with exact coefficient literals.
 save_family(fam, "/tmp/demo_family.json")

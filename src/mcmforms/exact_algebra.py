@@ -21,9 +21,10 @@ keyed by tuples.
 
 Determinants live in MinorTable: one table per matrix, every minor
 expanded once along its last row and memoised by (rows, columns), so
-determinants sharing all but their last row share the rest. Results stay
-packed (PackedPoly) until a caller unpacks them; minors of one size
-compare term by term. poly_det is the table's one-determinant wrapper.
+determinants sharing all but their last row share the rest. Minors stay
+packed, and minors of one size compare term by term; MinorTable.unpack
+turns one into a polynomial. Only exact identity checks expand
+determinants: forms are evaluated at points from their divided matrix.
 The chart change dz -> w_l(dz) is applied to matrix entries linear in dz
 (tangent_projection), never to a determinant.
 
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -720,23 +721,6 @@ def identity_test(
 # ----- determinants -----
 
 
-class PackedPoly(NamedTuple):
-    """Reduced packed terms with the codec and the scale that unpack them:
-    a determinant that is kept packed until a caller needs the polynomial."""
-
-    terms: Dict[int, int]
-    codec: struct.Struct
-    N: int
-    field: Field
-    scale: int
-
-    def term_count(self) -> int:
-        return len(self.terms)
-
-    def unpack(self) -> MultiPoly:
-        return _unpack(self.terms, self.codec, self.N, self.field, self.scale)
-
-
 class MinorTable:
     """The minors of one matrix of polynomials, each expanded once and kept
     packed.
@@ -791,18 +775,9 @@ class MinorTable:
         self._memo[(rows, cols)] = out = _reduce(out, self.field.p)
         return out
 
-    def packed(self, terms: Dict[int, int], rows: Sequence[int]) -> PackedPoly:
-        """terms of a product of len(rows) rows, with what unpacks them."""
-        return PackedPoly(terms, self.codec, self.N, self.field, self.scale ** len(rows))
-
-
-def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Determinant of a square matrix of polynomials, through a MinorTable."""
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError("matrix is not square")
-    everything = tuple(range(len(rows)))
-    table = MinorTable(rows)  # refuses an empty matrix
-    return table.packed(table.minor(everything, everything), everything).unpack()
+    def unpack(self, terms: Dict[int, int], nrows: int) -> MultiPoly:
+        """The polynomial of the packed terms of a minor on nrows rows."""
+        return _unpack(terms, self.codec, self.N, self.field, self.scale ** nrows)
 
 
 # ----- packed exponents -----

@@ -228,7 +228,7 @@ def _check_identities(ids: Sequence[str], identities: Sequence[Identity], sign: 
             if a == b:
                 checks.append(_check(check_id, "pass"))
                 continue
-            gap = table.packed(a, lhs).unpack() - table.packed(b, rhs).unpack()
+            gap = table.unpack(a, len(lhs)) - table.unpack(b, len(rhs))
             checks.append(_check(check_id, "fail", witness={
                 "lhs_minus_rhs": to_literal(gap if sign > 0 else -gap)[:400]}))
         return checks
@@ -304,8 +304,8 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    # extract_forms holds every term of G to this z-degree before any
-    # expansion, and value_global checks it again when unpacked
+    # extract_forms holds every divided entry, so every term of G, to this
+    # z-degree
     observed = form.z_degree + n_eff
     a_sum = sum(fam.twists) + sum(fam.twists[j - 1] for j in selection)
     if fam.mode == "general_fermat" and form.kind == "omega":

@@ -270,7 +270,7 @@ def _stage_build(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
     report = {
         "family_seed": fam_seed,
         "sections": len(fam.sections),
-        "degrees": [F.z_degree() for F in fam.sections],
+        "degrees": list(fam.section_degrees()),
         "term_counts": terms,
         "within_term_budget": ctx["terms_ok"],
     }
@@ -420,8 +420,7 @@ def _stage_base_locus(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
     rep = base_locus_scan(ctx["scan_family"], forms, q)
     rep["forms"] = len(forms)
     rep["form_inventory"] = [
-        {"kind": f.kind, "twist": f.twist, "dz_degree": f.dz_degree,
-         "terms": f.term_count()} for f in forms]
+        {"kind": f.kind, "twist": f.twist, "dz_degree": f.dz_degree} for f in forms]
     if rep["ok"]:
         return "PASS", rep, None
     return "FAIL", rep, {"singular_tangent": rep["singular_tangent"][:3]}

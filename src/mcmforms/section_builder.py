@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -52,9 +52,7 @@ from .exact_algebra import (
     DivisibilityError,
     EvalPlan,
     Field,
-    MinorTable,
     MultiPoly,
-    PackedPoly,
     QQ,
     det_mod_p,
     divide_exact,
@@ -93,9 +91,9 @@ class DivisibilityClaimFailed(Exception):
 class DegreeClaimFailed(ValueError):
     """A degree claimed for a form is not the one found: `quantity` names
     the degree, `expected` is the claimed value and `observed` the value
-    the expanded form, or the row degrees and divisors, give. `entry` is
-    the (row, column) of the bundle entry that breaks the claim, when the
-    structural check before expansion found it."""
+    the row degrees and divisors, or a divided entry, give. `entry` is the
+    (row, column) of the bundle entry that breaks the claim, when the
+    structural check on the divided entries found it."""
 
     def __init__(self, quantity: str, expected, observed,
                  entry: Optional[Tuple[int, int]] = None):
@@ -134,6 +132,10 @@ class SectionFamily:
             return tuple(self.degrees)
         d = self.schedule.d
         return tuple(e + d for e in self.schedule.eps)
+
+    def section_degrees(self) -> Tuple[int, ...]:
+        """The claimed z-degree of each section: its L-degree plus its twist."""
+        return tuple(l + a for l, a in zip(self.section_l_degrees(), self.twists))
 
 
 @dataclass
@@ -198,13 +200,9 @@ class DividedMatrix:
 
 @dataclass
 class FormBundle:
-    """One signed, divided determinant with its twist metadata.
-
-    `det` is expanded from the minor table of the extraction on first
-    read and stays packed; value_global, the signed determinant, is
-    unpacked on first read, and its degrees are checked then against
-    dz_degree and the claimed z_degree. Evaluation never expands: the
-    form's divided rows are rows matrix_rows of `matrix`. omit_exponent
+    """One signed, divided determinant with its twist metadata, never
+    expanded: the form is sign * det of rows matrix_rows of `matrix`, its
+    degrees held by the structural check of extract_forms. omit_exponent
     is the declared divisor exponent of the omitted column (1 for
     undivided kinds).
     """
@@ -219,44 +217,9 @@ class FormBundle:
     twist: int
     dz_degree: int
     z_degree: int
-    table: Optional[MinorTable] = dc_field(default=None, repr=False, compare=False)
     matrix: Optional[DividedMatrix] = dc_field(default=None, repr=False, compare=False)
     matrix_rows: Tuple[int, ...] = dc_field(default=(), compare=False)
     sign: int = 1
-
-    @cached_property
-    def det(self) -> PackedPoly:
-        """The packed determinant on rows matrix_rows and every column. The
-        form then drops the table its extraction shares, whose memoised
-        minors are freed once every form of it has expanded."""
-        table, self.table = self.table, None
-        cols = tuple(range(len(table.entries[0])))
-        return table.packed(table.minor(self.matrix_rows, cols), self.matrix_rows)
-
-    @cached_property
-    def value_global(self) -> MultiPoly:
-        return self._unpack_value_global()
-
-    def _unpack_value_global(self) -> MultiPoly:
-        """The signed determinant, expanded; raises DegreeClaimFailed, in
-        the order bihomogeneous, dz-degree, z-degree, when it breaks a
-        degree claim."""
-        det = self.det.unpack()
-        value = det if self.sign == 1 else -det
-        if not value.is_zero():
-            try:
-                z, dz = value.bidegree()
-            except ValueError:
-                raise DegreeClaimFailed("bihomogeneous", True, False) from None
-            if dz != self.dz_degree:
-                raise DegreeClaimFailed("dz-degree", self.dz_degree, dz)
-            if z != self.z_degree:
-                raise DegreeClaimFailed("z-degree", self.z_degree, z)
-        return value
-
-    def term_count(self) -> int:
-        """Terms of value_global, read off the packed determinant."""
-        return self.det.term_count()
 
     def evaluate_at(self, z_vals: Sequence[int], dz_vals: Sequence[int], q: int) -> int:
         """The form's value mod q at (z, dz), taken from the divided matrix,
@@ -678,30 +641,26 @@ def extract_forms(
     omit: int,
     kind: Optional[str] = None,
 ) -> List[FormBundle]:
-    """One signed divided determinant per selection, kept packed.
+    """One signed divided determinant per selection, left unexpanded.
 
     Rows: all c+r value rows plus the differential rows j_1 < ... < j_{n-eta}
     named by a selection (indices in 1..c). Columns: all but position
     `omit`; each remaining column is divided by z_coord^(e-1) for its
     declared exponent e (e = lambda template; e = 1 for the undivided kind
-    "psi"). value_global is (-1)^omit * det of the divided matrix,
+    "psi"). The form is (-1)^omit * det of the divided matrix,
     bihomogeneous of dz-degree n - eta. The twist is sum of the row
     L-degrees minus sum over all columns of (e - 1), cross-checked against
     the ledger entry for mcm selections.
 
     The selection is applied and the rows divided once for all selections,
-    and the determinants share one MinorTable: forms that differ only in
-    their differential rows, expanded last, share every value-row minor.
-    A form expands its determinant on the first read of `det`, so scans
-    that only evaluate forms expand none. Before any expansion a structural
-    check asks each nonzero divided entry (i, j) to be bihomogeneous of
-    bidegree r_i + c_j: r_i is (deg F, 0) on the value row of F and
-    (deg F - 1, 1) on its differential row, c_j is (1 - e, 0). Every term
-    of a minor then has the bidegree summed over its rows and columns,
-    which is the claimed dz-degree and z-degree. A failing claim raises
-    DegreeClaimFailed, in the order bihomogeneous, dz-degree, twist,
-    z-degree; each form checks its claims once more when value_global is
-    first unpacked.
+    into one DividedMatrix that the forms share and evaluate at points;
+    no determinant is expanded. A structural check asks each nonzero
+    divided entry (i, j) to be bihomogeneous of bidegree r_i + c_j: r_i is
+    (deg F, 0) on the value row of F and (deg F - 1, 1) on its differential
+    row, c_j is (1 - e, 0). Every term of the determinant then has the
+    bidegree summed over its rows and columns, which is the claimed
+    dz-degree and z-degree. A failing claim raises DegreeClaimFailed, in
+    the order bihomogeneous, dz-degree, twist, z-degree.
     """
     if which is not None:
         K = build_selected(K, which)
@@ -733,7 +692,7 @@ def extract_forms(
     row_ids = list(range(cr)) + [cr + j - 1 for j in diff_rows]
     cols = [col for col in range(ncols) if col != omit]
     divided = [[_divided_entry(K, rid, col, divisor_exps[col]) for col in cols] for rid in row_ids]
-    degree = [l + a for l, a in zip(fam.section_l_degrees(), fam.twists)]
+    degree = fam.section_degrees()
     row_bidegrees = [(degree[rid], 0) if rid < cr else (degree[rid - cr] - 1, 1) for rid in row_ids]
     col_shifts = [1 - divisor_exps[col] for col in cols]
     faults = _structural_faults(divided, row_bidegrees, col_shifts, row_ids, cols)
@@ -742,7 +701,6 @@ def extract_forms(
             raise faults[quantity]
 
     matrix = DividedMatrix(divided)
-    table = MinorTable(divided)
     sign = -1 if omit % 2 else 1
     forms = []
     for selection in selections:
@@ -762,7 +720,6 @@ def extract_forms(
             twist=twist,
             dz_degree=n_eff,
             z_degree=sum(row_bidegrees[t][0] for t in rows) + sum(col_shifts),
-            table=table,
             matrix=matrix,
             matrix_rows=rows,
             sign=sign,
@@ -774,7 +731,7 @@ def standard_forms(fam: SectionFamily) -> List[FormBundle]:
     """The default form inventory for scans: every selected-bundle kind with
     every admissible differential-row choice (mcm), or the psi/omega pair
     (explicit exponents), all extracted at omit=0. The forms of
-    one layout share one minor table and stay unexpanded."""
+    one layout share one divided matrix and stay unexpanded."""
     K = build_matrices(fam)
     shape = fam.shape
     if fam.mode == "mcm":

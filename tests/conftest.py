@@ -1,6 +1,23 @@
 import pytest
 
-from mcmforms.exact_algebra import EvalPlan, MultiPoly
+from mcmforms.exact_algebra import EvalPlan, MinorTable, MultiPoly
+
+
+def det(rows):
+    """The determinant of a square matrix of polynomials, expanded on a
+    MinorTable (which refuses an empty matrix)."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix is not square")
+    everything = tuple(range(len(rows)))
+    table = MinorTable(rows)
+    return table.unpack(table.minor(everything, everything), len(rows))
+
+
+def expand_form(form):
+    """A form as a polynomial: its sign times the determinant of its rows
+    of the divided matrix. The library never expands a form."""
+    value = det([form.matrix.rows[t] for t in form.matrix_rows])
+    return value if form.sign == 1 else -value
 
 
 @pytest.fixture

@@ -7,6 +7,8 @@ transition checks are compared with. Terms are substituted one by one and
 accumulated in a plain dict.
 """
 
+from conftest import expand_form
+
 from mcmforms.exact_algebra import MultiPoly
 
 
@@ -34,9 +36,9 @@ def chart_images(N, field, l):
 
 def reference_transition(form, l1, l2):
     """(id, verdict) of the exact scaling and transition checks of a form,
-    in report order, made by expanding G = form.value_global and
-    substituting w_l into it."""
-    G = form.value_global
+    in report order, made by expanding G (expand_form) and substituting
+    w_l into it."""
+    G = expand_form(form)
     N, field, n = G.N, G.field, form.dz_degree
     charts = sorted({l1, l2})
     at = {l: substitute_dz(G, chart_images(N, field, l)) for l in charts}

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from census_oracle import rank as oracle_rank
+from conftest import expand_form
 
 from mcmforms import exact_algebra, finite_geometry
 from mcmforms.exact_algebra import Field, QQ, deriv, det_mod_p, from_literal, to_literal
@@ -581,7 +582,7 @@ def line_psi(fam):
 def test_base_locus_of_line_form_is_empty():
     fam = unit_line_family(field=F5)
     psi = line_psi(fam)
-    assert to_literal(psi.value_global) == "1 * z1^1 dz2^1 + 4 * z2^1 dz1^1"
+    assert to_literal(expand_form(psi)) == "1 * z1^1 dz2^1 + 4 * z2^1 dz1^1"
     rep = base_locus_scan(fam, [psi], 5)
     assert rep["op"] == "base-locus"
     assert rep["points"] == 3
@@ -598,8 +599,9 @@ def test_base_locus_of_a_rational_family_vanishes_mod_q(q, base_count):
     forms = standard_forms(fam)
     rep = base_locus_scan(fam, forms, q)
     assert rep["base_count"] == base_count
+    expanded = [expand_form(f) for f in forms]
     for pair in rep["base_pairs"]:
-        assert all(f.value_global.evaluate_mod(pair["z"], pair["xi"], q) == 0 for f in forms)
+        assert all(G.evaluate_mod(pair["z"], pair["xi"], q) == 0 for G in expanded)
 
 
 def test_base_locus_matches_inline_enumeration():
@@ -849,20 +851,33 @@ def test_crosscheck_refuses_an_n_2_family_up_front():
 
 
 def test_scans_that_only_evaluate_forms_expand_no_determinant(monkeypatch):
-    fam = mcm_family(4, shape=ProblemShape(2, 1, 0))
-    with monkeypatch.context() as m:
-        def refuse(*args):
-            raise AssertionError("a determinant expanded")
+    # a MinorTable is built only inside an exact identity check: none by the
+    # scans or by the stages that run them, one per exact transition unit
+    from mcmforms.identity_verifier import verify_transition
+    from mcmforms.pipeline import RunConfig, _transition_units, run_pipeline
 
-        m.setattr(exact_algebra.MinorTable, "minor", refuse)
-        forms = standard_forms(fam)
-        assert characterization_crosscheck(fam, 5, sample=96)["incidence_pairs"] == 7
-        assert base_locus_scan(fam, forms, 5)["directions"] == 7
-    for form in forms:
-        eager = exact_algebra.poly_det([form.matrix.rows[t] for t in form.matrix_rows])
-        assert form.term_count() == eager.term_count()
-        assert form.table is None  # dropped once expanded
-        assert form.value_global == (eager if form.sign == 1 else -eager)
+    tables = []
+    real = exact_algebra.MinorTable.__init__
+
+    def count(self, rows):
+        tables.append(len(rows))
+        real(self, rows)
+
+    monkeypatch.setattr(exact_algebra.MinorTable, "__init__", count)
+    fam = mcm_family(4, shape=ProblemShape(2, 1, 0))
+    forms = standard_forms(fam)
+    assert characterization_crosscheck(fam, 5, sample=96)["incidence_pairs"] == 7
+    assert base_locus_scan(fam, forms, 5)["directions"] == 7
+    stages = run_pipeline(RunConfig(stages=("base-locus", "crosscheck")))["stages"]
+    assert [stages[s]["status"] for s in ("base-locus", "crosscheck")] == ["PASS", "PASS"]
+    assert stages["base-locus"]["report"]["forms"] == 45
+    assert tables == []
+    for u in _transition_units(fam):
+        rep = verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
+                                mode="exact", which=u["which"], kind=u["kind"])
+        assert rep["ok"] and rep["mode"] == "exact"
+        assert len(tables) == 1
+        tables.clear()
 
 
 def test_membership_forces_numeric_vanishing():

@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from conftest import expand_form
 from substitution_oracle import chart_images, reference_transition, substitute_dz
 
 from mcmforms import identity_verifier
@@ -30,7 +31,6 @@ from mcmforms.identity_verifier import (
 from mcmforms.pipeline import _glue_units, _transition_units
 from mcmforms.schedule import ProblemShape, TwistLedger, build_schedule, twist_ledger
 from mcmforms.section_builder import (
-    FormBundle,
     build_matrices,
     build_sections,
     extract_forms,
@@ -73,8 +73,8 @@ def test_line_gluing_certificate_matches_hand_expansion():
     dF_z2 = from_literal(
         "1 * z2^1 dz0^1 + 1 * z2^1 dz1^1 + 1 * z2^1 dz2^1", 2)
     assert cert == F_dz2 - dF_z2
-    psi0 = extract_forms(K, None, [(1,)], omit=0, kind="psi")[0].value_global
-    psi1 = extract_forms(K, None, [(1,)], omit=1, kind="psi")[0].value_global
+    psi0 = expand_form(extract_forms(K, None, [(1,)], omit=0, kind="psi")[0])
+    psi1 = expand_form(extract_forms(K, None, [(1,)], omit=1, kind="psi")[0])
     assert psi0 - psi1 == cert
 
 
@@ -274,7 +274,7 @@ def test_gluing_probabilistic_mode():
 def test_tangent_scaling_holds_for_forms_but_not_in_general():
     fam = unit_line_family()
     K = build_matrices(fam)
-    G = extract_forms(K, None, [(1,)], omit=2, kind="psi")[0].value_global
+    G = expand_form(extract_forms(K, None, [(1,)], omit=2, kind="psi")[0])
     for l in range(3):
         assert tangent_projection(G, l) == times_monomial(G, z_power(2, l, 1))
     raw = MultiPoly.dz(2, 0, QQ)
@@ -361,7 +361,6 @@ def test_sampling_catches_a_broken_transition_and_keeps_its_points(monkeypatch):
         zdeg, n = entry.bidegree()
         rows[form.matrix_rows[-1]][0] = entry + MultiPoly.monomial(
             entry.N, entry.field, 1, (zdeg, 0, 0), (0, n, 0))
-        form.table = MinorTable(rows)
         return [form]
 
     monkeypatch.setattr(identity_verifier, "extract_forms", broken)
@@ -369,7 +368,7 @@ def test_sampling_catches_a_broken_transition_and_keeps_its_points(monkeypatch):
     assert not exact["ok"]
     assert [c["verdict"] for c in exact["checks"][:3]] == ["fail"] * 3
     # each witness is lhs - rhs of the broken G, expanded and substituted
-    G = broken(build_matrices(fam), None, [(1,)], omit=2)[0].value_global
+    G = expand_form(broken(build_matrices(fam), None, [(1,)], omit=2)[0])
     at = {l: substitute_dz(G, chart_images(2, G.field, l)) for l in (0, 1)}
     z = {l: MultiPoly.z(2, l, G.field) for l in (0, 1)}
     gaps = [at[0] - z[0] * G, at[1] - z[1] * G, z[1] * at[0] - z[0] * at[1]]
@@ -442,9 +441,9 @@ def test_exact_transition_matches_expand_then_substitute(fam):
 def test_exact_transition_projects_divided_entries_and_never_expands_G(monkeypatch, mode):
     # the tangent substitution commutes with the determinant: exact mode
     # projects the divided differential entries, one at a time, and neither
-    # unpacks G nor substitutes into it
-    def refuse(self):
-        raise AssertionError("G unpacked")
+    # unpacks a minor (a PASS has no witness to write) nor substitutes into G
+    def refuse(self, *args):
+        raise AssertionError("a minor unpacked")
 
     projected, forms = [], []
     real_projection, real_extract = identity_verifier.tangent_projection, identity_verifier.extract_forms
@@ -457,7 +456,7 @@ def test_exact_transition_projects_divided_entries_and_never_expands_G(monkeypat
         forms.extend(real_extract(*args, **kwargs))
         return forms[-1:]
 
-    monkeypatch.setattr(FormBundle, "_unpack_value_global", refuse)
+    monkeypatch.setattr(MinorTable, "unpack", refuse)
     monkeypatch.setattr(identity_verifier, "tangent_projection", record)
     monkeypatch.setattr(identity_verifier, "extract_forms", keep)
     for label, fam in transition_families()[::2]:
@@ -678,10 +677,10 @@ def test_hidden_mcm_certificates_and_ledger_twist():
 
 
 def test_hidden_reads_twists_without_unpacking_a_form(monkeypatch):
-    def refuse(self):
-        raise AssertionError("a form unpacked")
+    def refuse(self, *args):
+        raise AssertionError("a minor table built")
 
-    monkeypatch.setattr(FormBundle, "_unpack_value_global", refuse)
+    monkeypatch.setattr(MinorTable, "__init__", refuse)
     shape = ProblemShape(4, 2, 0)
     mcm = build_sections(shape, "mcm", field=Field(5), schedule=build_schedule(shape, 2), seed=4)
     general = fermat_family(4, 2, 0, (2, 2, 2, 2, 2), (3, 3), seed=3)

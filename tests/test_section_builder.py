@@ -34,6 +34,7 @@ from mcmforms.section_builder import (
     selection_layouts,
     standard_forms,
 )
+from conftest import expand_form
 from test_exact_algebra import cofactor_det
 
 F5 = Field(5)
@@ -223,11 +224,11 @@ def test_row_sum_and_differential_row_invariants():
             assert K.entries[cr + i][col] == total_differential(K.entries[i][col])
 
 
-def tampered_family(power=67):
-    """The (4,3,0) mcm family of seed 4 with z0^power added to F_1, so that
+def tampered_family():
+    """The (4,3,0) mcm family of seed 4 with z0^67 added to F_1, so that
     value row 0 of its matrix no longer sums to its first section."""
     fam = mcm_family(seed=4)
-    fam.sections = (fam.sections[0] + MultiPoly.z(4, 0, fam.field, power=power),) + fam.sections[1:]
+    fam.sections = (fam.sections[0] + MultiPoly.z(4, 0, fam.field, power=67),) + fam.sections[1:]
     return fam
 
 
@@ -248,10 +249,14 @@ def test_a_tampered_section_fails_the_gluing_stage(monkeypatch):
     from mcmforms import pipeline
     from mcmforms.pipeline import RunConfig, run_pipeline
 
-    # of F_1's own degree: the build stage reads every section's degree
-    fam = tampered_family(power=mcm_family(seed=4).sections[0].z_degree())
+    # F_1 is no longer homogeneous: the build stage reports the claimed
+    # degrees and passes, and gluing catches the section
+    fam = tampered_family()
     monkeypatch.setattr(pipeline, "build_family", lambda params: fam)
-    entry = run_pipeline(RunConfig(stages=("gluing",)))["stages"]["gluing"]
+    stages = run_pipeline(RunConfig(stages=("gluing",)))["stages"]
+    assert stages["build"]["status"] == "PASS"
+    assert stages["build"]["report"]["degrees"] == list(fam.section_degrees())
+    entry = stages["gluing"]
     assert entry["status"] == "FAIL"
     assert entry["witness"]["unit"] == {"unit": 0, "which": ["K_nu", 0], "j1": 0, "j2": 1,
                                         "ok": False, "verdicts": ["fail"]}
@@ -385,10 +390,11 @@ def test_line_form_and_its_value_on_a_chart():
     fam = unit_line_family()
     K = build_matrices(fam)
     form = extract_forms(K, None, [(1,)], omit=2, kind="psi")[0]
-    assert to_literal(form.value_global) == "1 * z0^1 dz1^1 + -1 * z1^1 dz0^1"
+    G = expand_form(form)
+    assert to_literal(G) == "1 * z0^1 dz1^1 + -1 * z1^1 dz0^1"
     # on the chart z0 = 1 (dz0 = 0) the form restricts to dz1
     for z1, z2, dz1, dz2 in [(2, 3, 5, 7), (-1, 4, 1, 0)]:
-        assert form.value_global.evaluate([1, z1, z2], [0, dz1, dz2]) == dz1
+        assert G.evaluate([1, z1, z2], [0, dz1, dz2]) == dz1
     assert form.twist == 2 and form.dz_degree == 1
 
 
@@ -400,7 +406,7 @@ def test_cubic_divided_form_twist():
     K = build_matrices(fam)
     form = extract_forms(K, None, [(1,)], omit=0, kind="omega")[0]
     assert form.twist == 2 * 3 - 3 == 3
-    assert form.value_global.bidegree()[1] == 1
+    assert expand_form(form).bidegree()[1] == 1
 
 
 def test_mcm_K_nu_form_matches_ledger_twist():
@@ -437,11 +443,12 @@ def test_form_evaluation_matches_value_global():
     fam = mcm_family(seed=14)
     K = build_matrices(fam)
     form = extract_forms(K, ("K_nu", 1), [(1,)], omit=2)[0]
+    G = expand_form(form)
     rng = random.Random(0)
     for _ in range(5):
         z = [rng.randrange(1, 5) for _ in range(5)]
         dz = [rng.randrange(5) for _ in range(5)]
-        assert form.evaluate_at(z, dz, 5) == form.value_global.evaluate(z, dz)
+        assert form.evaluate_at(z, dz, 5) == G.evaluate(z, dz)
 
 
 def test_selection_validation():
@@ -459,8 +466,8 @@ def test_omit_sign_convention():
     f0 = extract_forms(K, None, [(1,)], omit=0, kind="psi")[0]
     f1 = extract_forms(K, None, [(1,)], omit=1, kind="psi")[0]
     # (-1)^0 det[[z1,z2],[dz1,dz2]] and (-1)^1 det[[z0,z2],[dz0,dz2]]
-    assert to_literal(f0.value_global) == "1 * z1^1 dz2^1 + -1 * z2^1 dz1^1"
-    assert to_literal(f1.value_global) == "-1 * z0^1 dz2^1 + 1 * z2^1 dz0^1"
+    assert to_literal(expand_form(f0)) == "1 * z1^1 dz2^1 + -1 * z2^1 dz1^1"
+    assert to_literal(expand_form(f1)) == "-1 * z0^1 dz2^1 + 1 * z2^1 dz0^1"
 
 
 def test_twist_consistency_for_random_families_all_small_shapes():
@@ -487,8 +494,9 @@ def test_twist_consistency_for_random_families_all_small_shapes():
             spent = sum(l - 1 for l in lambdas) if kind == "omega" else 0
             expected = sum(degrees) + sum(degrees[j - 1] for j in selection) - spent
             assert form.twist == expected
-            if not form.value_global.is_zero():
-                zdeg, dzdeg = form.value_global.bidegree()
+            G = expand_form(form)
+            if not G.is_zero():
+                zdeg, dzdeg = G.bidegree()
                 a_sum = sum(twists) + sum(twists[j - 1] for j in selection)
                 omit_spend = (lambdas[omit] - 1) if kind == "omega" else 0
                 assert zdeg == form.twist + a_sum + omit_spend - dzdeg
@@ -531,39 +539,11 @@ def test_lazy_standard_forms_match_eager_extraction_term_for_term():
              for kind, params, _ in selection_layouts(4) for j in (1, 2, 3)]
     assert len(lazy) == len(alone) == 45
     for a, b in zip(lazy, alone):
-        # still packed: the term count is read off the packed determinant
-        assert a.__dict__.get("value_global") is None
         rows = [a.matrix.rows[t] for t in a.matrix_rows]
         assert a == b and rows == [b.matrix.rows[t] for t in b.matrix_rows]
         eager = cofactor_det(rows)
         eager = eager if a.sign == 1 else -eager
-        assert a.term_count() == eager.term_count() > 0
-        assert a.value_global.terms == eager.terms
-
-
-def _packed_det(form, terms):
-    """form's packed determinant with its terms replaced by `terms`, a
-    list of (z exponents, dz exponents)."""
-    det = form.det
-    keys = {int.from_bytes(det.codec.pack(*(z + dz)), "little"): det.scale for z, dz in terms}
-    return det._replace(terms=keys)
-
-
-@pytest.mark.parametrize("terms, quantity", [
-    ([((4, 0, 0), (1, 0, 0))], "z-degree"),
-    ([((2, 0, 0), (2, 0, 0))], "dz-degree"),
-    ([((3, 0, 0), (1, 0, 0)), ((1, 0, 0), (1, 0, 0))], "bihomogeneous"),
-])
-def test_first_unpack_checks_the_claimed_degrees(terms, quantity):
-    K = build_matrices(unit_line_family())
-    form = extract_forms(K, None, [(1,)], omit=2, kind="psi")[0]
-    assert (form.z_degree, form.dz_degree) == (1, 1)
-    form.det = _packed_det(form, terms)
-    with pytest.raises(DegreeClaimFailed) as info:
-        form.value_global
-    assert info.value.quantity == quantity
-    form.det = _packed_det(form, [((0, 1, 0), (0, 0, 1))])
-    assert to_literal(form.value_global) == "1 * z1^1 dz2^1"
+        assert expand_form(a).terms == eager.terms and eager.term_count() > 0
 
 
 @pytest.mark.parametrize("change, quantity", [
