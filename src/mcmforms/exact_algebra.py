@@ -30,10 +30,14 @@ The chart change dz -> w_l(dz) is applied to matrix entries linear in dz
 
 Evaluation mod m runs in EvalPlan, the one modular evaluation loop: a
 sequence of polynomials is compiled once, its coefficients reduced mod m
-(Fractions through modular inverses) and, per exponent slot, its
-distinct exponents stored with an index array into them. Each call then
-makes one pow per distinct slot exponent and multiplies the resulting
-power-table rows into the coefficient vector in numpy int64. m is below
+(Fractions through modular inverses), its distinct monomials numbered
+and, per exponent slot, the monomials' distinct exponents stored with an
+index array into them. EvalPlan.at_points evaluates a block of points
+(z | dz) in one numpy int64 pass: per slot, one power table over the
+slot's distinct coordinate values is gathered into the monomial values;
+each term then multiplies its coefficient by its monomial's value, and
+each polynomial sums its terms. A call at one point is the one-row case,
+and the scans over F_q make one call for all their points. m is below
 2**31, so every residue is below 2**31 and every product of two residues
 below 2**62; reducing mod m after each multiply keeps int64 exact, and a
 modulus of 2**31 or more is refused.
@@ -65,6 +69,12 @@ IDENTITY_PRIME = 2147483647
 
 # Above this many already-expanded terms, identity_test "auto" goes probabilistic.
 AUTO_EXACT_TERM_LIMIT = 100_000
+
+# Most (point, term) entries in one block of EvalPlan.at_points, so that an
+# int64 temporary of a block stays within 64 KB. On the default pipeline,
+# larger blocks raised the peak RSS (by about 0.7 MB at 1 << 16) and smaller
+# ones slowed the scans (points_on_X took about 1.6 times as long at 1 << 12).
+EVAL_BLOCK = 1 << 13
 
 
 class DivisibilityError(ValueError):
@@ -349,7 +359,7 @@ class MultiPoly:
         """Evaluation mod a prime; Q coefficients are reduced via modular
         inverses, F_p coefficients only make sense mod p itself. Compiles
         an EvalPlan for one call: to evaluate at many points, build the
-        plan once."""
+        plan once and call its at_points on all of them."""
         return EvalPlan([self], modulus)(z_vals, dz_vals)[0]
 
     # ----- literals -----
@@ -582,17 +592,24 @@ class EvalPlan:
     """A sequence of polynomials compiled for evaluation mod m < 2**31.
 
     Compiling reduces every coefficient mod m once (Fractions through one
-    modular inverse per distinct denominator) and, for each slot where
-    some term has a nonzero exponent, stores the slot's distinct exponents
-    and an index array into them. A call builds one power table per slot, with
-    one pow per distinct exponent, multiplies the table rows into the
-    coefficient vector, and sums each polynomial's terms. Products of two
-    residues below 2**31 stay below 2**62, so the int64 vector is reduced
-    after every multiply and never overflows; the running sum of fewer
-    than 2**32 residues stays below 2**63.
+    modular inverse per distinct denominator), numbers the distinct
+    monomials of all the polynomials, and, for each slot where some
+    monomial has a nonzero exponent, stores the slot's distinct exponents
+    and an index array into them. at_points evaluates many points at once:
+    per slot it builds one power table over the slot's distinct coordinate
+    values, with one pow per value and exponent. Each block of points then
+    multiplies the table rows of its values into the monomial values; the
+    terms take their coefficient times their monomial's value, and each
+    polynomial sums its terms. A slot with one distinct value multiplies in
+    a single row, so the values stay 1-D until two points differ in a slot,
+    and a single point never leaves 1-D. Products of two residues below
+    2**31 stay below 2**62, so the int64 values are reduced after every
+    multiply and never overflow; the running sum of fewer than 2**32
+    residues stays below 2**63. A block holds at most EVAL_BLOCK (point,
+    term) entries, and at least one point.
     """
 
-    __slots__ = ("modulus", "_coeffs", "_slots", "_bounds")
+    __slots__ = ("modulus", "_coeffs", "_monomial", "_slots", "_bounds")
 
     def __init__(self, polys: Sequence[MultiPoly], modulus: int):
         if not 2 <= modulus < 2**31:
@@ -617,27 +634,62 @@ class EvalPlan:
                 else:
                     coeffs.append(c % modulus)
         self._coeffs = np.array(coeffs, dtype=np.int64)
+        monomials: Dict[Exponent, int] = {}
+        self._monomial = np.array([monomials.setdefault(exp, len(monomials))
+                                   for p in polys for exp in p.terms], dtype=np.intp)
         self._slots = []
-        if coeffs:
-            for k, column in enumerate(zip(*[exp for p in polys for exp in p.terms])):
-                exps = sorted(set(column))
-                if exps[-1]:
-                    position = {e: i for i, e in enumerate(exps)}
-                    index = np.array([position[e] for e in column], dtype=np.intp)
-                    self._slots.append((k, exps, index))
+        for k, column in enumerate(zip(*monomials)):
+            exps = sorted(set(column))
+            if exps[-1]:
+                position = {e: i for i, e in enumerate(exps)}
+                index = np.array([position[e] for e in column], dtype=np.intp)
+                self._slots.append((k, exps, index))
         self._bounds = np.cumsum([0] + [len(p.terms) for p in polys])
 
     def __call__(self, z_vals: Sequence[int], dz_vals: Sequence[int]) -> List[int]:
         """The value mod m of each compiled polynomial at (z, dz)."""
+        return self.at_points([list(z_vals) + list(dz_vals)])[0].tolist()
+
+    def at_points(self, points: Sequence[Sequence[int]]) -> np.ndarray:
+        """The value mod m of each compiled polynomial at each row (z | dz)
+        of `points`: an int64 array of shape (rows, polynomials)."""
         m = self.modulus
-        point = list(z_vals) + list(dz_vals)
-        vals = self._coeffs
-        for k, exps, index in self._slots:
-            x = point[k] % m
-            table = np.array([pow(x, e, m) for e in exps], dtype=np.int64)
-            vals = vals * table[index] % m
-        sums = np.concatenate(([0], np.cumsum(vals)))[self._bounds]
-        return ((sums[1:] - sums[:-1]) % m).tolist()
+        try:
+            pts = np.asarray(points, dtype=np.int64)
+        except OverflowError:
+            pts = np.asarray([[x % m for x in row] for row in points], dtype=np.int64)
+        out = np.empty((len(pts), len(self._bounds) - 1), dtype=np.int64)
+        if not len(pts):
+            return out
+        # per slot, the powers of its distinct coordinate values, and for
+        # each row the index of its value (None when there is one value)
+        tables = []
+        for k, exps, _ in self._slots:
+            if len(pts) == 1:
+                distinct, where = [int(pts[0, k])], None
+            else:
+                column = pts[:, k] % m
+                # sorted in Python, not by np.unique: numpy's sort kernels
+                # add about 0.5 MB of resident code
+                distinct = sorted(set(column.tolist()))
+                where = np.searchsorted(distinct, column) if len(distinct) > 1 else None
+            powers = np.array([pow(x, e, m) for x in distinct for e in exps], dtype=np.int64)
+            tables.append((powers if where is None else powers.reshape(len(distinct), -1), where))
+        step = max(1, EVAL_BLOCK // max(1, len(self._coeffs)))
+        for start in range(0, len(pts), step):
+            vals = None  # the monomials' values over the slots so far
+            for (_, _, index), (powers, where) in zip(self._slots, tables):
+                factor = powers[index] if where is None else \
+                    powers[where[start:start + step]][:, index]
+                vals = factor if vals is None else vals * factor % m
+            terms = self._coeffs if vals is None else self._coeffs * vals[..., self._monomial] % m
+            # each polynomial's sum as a difference of prefix sums that start
+            # at 0, so a zero polynomial (an empty run of terms) sums to 0
+            sums = np.zeros(terms.shape[:-1] + (terms.shape[-1] + 1,), dtype=np.int64)
+            np.cumsum(terms, axis=-1, out=sums[..., 1:])
+            sums = sums[..., self._bounds]
+            out[start:start + step] = (sums[..., 1:] - sums[..., :-1]) % m
+        return out
 
 
 # ----- identity testing -----

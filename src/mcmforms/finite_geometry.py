@@ -122,24 +122,34 @@ def proj_points(N: int, p: int) -> List[ProjPoint]:
     return out
 
 
+def _at_z(plan: EvalPlan, points: Sequence[ProjPoint], N: int) -> np.ndarray:
+    """The plan's values at each point z of P^N, with dz = 0, in one
+    batched call: one row per point."""
+    z = np.array([pt.coords for pt in points], dtype=np.int64).reshape(-1, N + 1)
+    return plan.at_points(np.hstack((z, np.zeros_like(z))))
+
+
 def points_on_X(fam, q: int, support: Optional[Sequence[int]] = None) -> List[ProjPoint]:
     """The F_q-points of the common zero locus of the sections of a family.
 
     With `support` given, only the points whose nonzero coordinates are
     exactly those listed are kept, and the sections are evaluated at those
-    alone.
+    alone; a listed coordinate outside 0..N raises ValueError. The sections
+    are evaluated at every candidate point in one batched call.
     """
     if fam.field.p not in (0, q):
         raise ValueError(f"family lives over F_{fam.field.p}, not F_{q}")
     N = fam.shape.N
-    zero_dz = [0] * (N + 1)
     sections = EvalPlan(fam.sections, q)
     points = proj_points(N, q)
     if support is not None:
         support = set(support)
+        if not support <= set(range(N + 1)):
+            raise ValueError(f"support {sorted(support)} has coordinates outside 0..{N}")
         points = [pt for pt in points
                   if all((x != 0) == (k in support) for k, x in enumerate(pt.coords))]
-    return [pt for pt in points if not any(sections(pt.coords, zero_dz))]
+    on_X = ~_at_z(sections, points, N).any(axis=1)
+    return [pt for pt, keep in zip(points, on_X.tolist()) if keep]
 
 
 def gradient_plan(fam: SectionFamily, q: int, rows: Optional[int] = None) -> EvalPlan:
@@ -156,8 +166,8 @@ def smoothness_check(fam: SectionFamily, q: int) -> dict:
     grads = gradient_plan(fam, q)
     singular = []
     pts = points_on_X(fam, q)
-    for pt in pts:
-        rank = rank_mod_p(chunks(grads(pt.coords, [0] * (N + 1)), N + 1), q)
+    for pt, gradient in zip(pts, _at_z(grads, pts, N).tolist()):
+        rank = rank_mod_p(chunks(gradient, N + 1), q)
         if rank != cr:
             singular.append({"z": list(pt.coords), "rank": rank})
     return {
@@ -565,9 +575,10 @@ def _incidence_points(fam: SectionFamily, q: int, vanished: Sequence[int] = ()):
     modulo the Euler direction."""
     N = fam.shape.N
     grads = gradient_plan(fam, q, fam.shape.c)
-    for pt in points_on_X(fam, q, support=[i for i in range(N + 1) if i not in vanished]):
+    pts = points_on_X(fam, q, support=[i for i in range(N + 1) if i not in vanished])
+    for pt, gradient in zip(pts, _at_z(grads, pts, N).tolist()):
         z = list(pt.coords)
-        rows = chunks(grads(z, [0] * (N + 1)), N + 1)
+        rows = chunks(gradient, N + 1)
         # directions live on the vanishing locus: xi_v = 0
         rows += [[int(j == v) for j in range(N + 1)] for v in vanished]
         yield z, tangent_directions(z, rows, q)
@@ -581,10 +592,15 @@ def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,
     The pairs are those of _incidence_points, and each form is evaluated
     there from its divided matrix, never expanded. Returns the vanishing
     pairs, per-point fiber counts, and any points where the tangent solve
-    has wrong dimension.
+    has wrong dimension. A vanished coordinate outside 0..N, or more
+    vanished coordinates than N - c, raises ValueError.
     """
     shape = fam.shape
     vanished = tuple(sorted(set(vanished)))
+    if any(not 0 <= v <= shape.N for v in vanished):
+        raise ValueError(f"vanished {list(vanished)} has coordinates outside 0..{shape.N}")
+    if len(vanished) > shape.N - shape.c:
+        raise ValueError(f"{len(vanished)} vanished coordinates exceed N - c = {shape.N - shape.c}")
     expected = shape.N - shape.c - len(vanished)
     expected_count = (q ** expected - 1) // (q - 1)
     pairs = []
@@ -655,16 +671,18 @@ def characterization_crosscheck(fam: SectionFamily, q: int, sample: int = 10_000
                 visits.append((idx, z, list(d.xi)))
     visits.sort()
 
+    entries = []
     if visits:
         forms = standard_forms(fam)
-        values = EvalPlan([e for row in build_matrices(fam).entries for e in row], q)
+        # value rows are dz-free and differential rows linear in dz
+        entries = EvalPlan([e for row in build_matrices(fam).entries for e in row],
+                           q).at_points([z + xi for _, z, xi in visits]).tolist()
     vanish_and_member = 0
     vanish_not_member = 0
     member_not_vanish = 0
     disagreements = []
-    for _, z, xi in visits:
-        # value rows are dz-free and differential rows linear in dz
-        Mnum = chunks(values(z, xi), 2 * N + 2)
+    for (_, z, xi), flat in zip(visits, entries):
+        Mnum = chunks(flat, 2 * N + 2)
         member = membership_M_ab(RankConditionMatrix(tuple(map(tuple, Mnum)), q))
         vanish = all(f.evaluate_at(z, xi, q) == 0 for f in forms)
         vanish_and_member += vanish and member

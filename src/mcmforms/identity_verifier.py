@@ -347,7 +347,7 @@ def evaluation_matrix(N: int, d: int, z: Sequence[int], tangents: Sequence[Seque
         polys = [times_monomial(twist_factor, e + zero) for e in monomial_basis(N, d)]
     values = EvalPlan(polys, p)
     differentials = EvalPlan([total_differential(f) for f in polys], p)
-    return [values(z, zero)] + [differentials(z, v) for v in tangents]
+    return [values(z, zero)] + differentials.at_points([list(z) + list(v) for v in tangents]).tolist()
 
 
 def verify_surjectivity(N: int, d: int, twist_factor: Optional[MultiPoly] = None,

@@ -182,7 +182,9 @@ def verify_product_decomposition(factors: Sequence[Sequence[MultiPoly]],
     The left side collects the pairs (z, [xi]) with F_i(z) = 0 for every i
     and dF_j(z, xi) = 0 for j <= c, where F_i is the product of the i-th
     factor list. The right side is the union over all pieces; mismatch
-    witnesses are dumped both ways.
+    witnesses are dumped both ways. Factors and products are evaluated at
+    every point in one batched call, and the differentials at every pair
+    in another.
     """
     cr = shape.c + shape.r
     if len(factors) != cr:
@@ -206,42 +208,40 @@ def verify_product_decomposition(factors: Sequence[Sequence[MultiPoly]],
     at_direction = EvalPlan([total_differential(F) for F in Fs[:c]]
                             + [total_differential(f) for fs in factors[:c] for f in fs], q)
 
+    points = [list(pt.coords) for pt in proj_points(N, q)]
+    point_vals = at_point.at_points([z + zero_dz for z in points]).tolist()
+    factor_vals = [_split(vals, counts) for vals in point_vals]
+    pairs = [(zi, list(d.xi)) for zi, z in enumerate(points) for d in tangent_directions(z, [], q)]
+    pair_vals = at_direction.at_points([points[zi] + xi for zi, xi in pairs]).tolist()
+
     pieces = _pieces(counts, c)
     lhs_only = []
     rhs_only = []
     lhs_count = 0
     rhs_count = 0
-    pairs = 0
-    for pt in proj_points(N, q):
-        z = list(pt.coords)
-        vals = at_point(z, zero_dz)
-        fvals = _split(vals, counts)
-        on_lhs = not any(vals[-cr:])
-        for d in tangent_directions(z, [], q):
-            xi = list(d.xi)
-            pairs += 1
-            dvals = at_direction(z, xi)
-            in_lhs = on_lhs and not any(dvals[:c])
-            fdiff = _split(dvals[c:], counts[:c])
-            in_rhs = any(
-                all(fvals[i][k] == 0 and fdiff[i][k] == 0 for i, k in full)
-                and all(fvals[i][k1] == 0 and fvals[i][k2] == 0 for i, (k1, k2) in two)
-                and all(fvals[i][k] == 0 for i, k in single)
-                for full, two, single in pieces
-            )
-            lhs_count += in_lhs
-            rhs_count += in_rhs
-            if in_lhs and not in_rhs and len(lhs_only) < 10:
-                lhs_only.append({"z": z, "xi": xi})
-            if in_rhs and not in_lhs and len(rhs_only) < 10:
-                rhs_only.append({"z": list(z), "xi": xi})
+    for (zi, xi), dvals in zip(pairs, pair_vals):
+        z, fvals = points[zi], factor_vals[zi]
+        in_lhs = not any(point_vals[zi][-cr:]) and not any(dvals[:c])
+        fdiff = _split(dvals[c:], counts[:c])
+        in_rhs = any(
+            all(fvals[i][k] == 0 and fdiff[i][k] == 0 for i, k in full)
+            and all(fvals[i][k1] == 0 and fvals[i][k2] == 0 for i, (k1, k2) in two)
+            and all(fvals[i][k] == 0 for i, k in single)
+            for full, two, single in pieces
+        )
+        lhs_count += in_lhs
+        rhs_count += in_rhs
+        if in_lhs and not in_rhs and len(lhs_only) < 10:
+            lhs_only.append({"z": z, "xi": xi})
+        if in_rhs and not in_lhs and len(rhs_only) < 10:
+            rhs_only.append({"z": list(z), "xi": xi})
     return {
         "op": "product-coup",
         "q": q,
         "shape": {"N": N, "c": c, "r": shape.r},
         "factor_counts": [len(fs) for fs in factors],
         "pieces": len(pieces),
-        "pairs": pairs,
+        "pairs": len(pairs),
         "lhs_count": lhs_count,
         "rhs_count": rhs_count,
         "only_lhs": lhs_only,

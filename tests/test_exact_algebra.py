@@ -4,6 +4,7 @@ from collections import defaultdict
 from itertools import combinations, permutations
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +39,7 @@ from mcmforms.exact_algebra import (
     _slot_codec,
     _unpack,
 )
+from mcmforms import exact_algebra
 from mcmforms.util import child_rng, chunks
 
 F7 = Field(7)
@@ -889,3 +891,57 @@ def test_eval_plan_refusals():
     for modulus in (2**31, 2**61 - 1, 1):
         with pytest.raises(ValueError, match="int64"):
             EvalPlan([MultiPoly.z(1, 0, QQ)], modulus)
+
+
+# ----- batched evaluation -----
+
+BATCH_FIELDS = (Field(5), F7, QQ)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_at_points_rows_match_the_one_point_call(data):
+    field = data.draw(st.sampled_from(BATCH_FIELDS))
+    N = data.draw(st.integers(0, 2))
+    polys = data.draw(st.lists(_polys(field, N), max_size=4))
+    # a zero polynomial (an empty run of terms) first, in the middle or last
+    at = data.draw(st.sampled_from((None, 0, len(polys) // 2, len(polys))))
+    if at is not None:
+        polys.insert(at, MultiPoly.zero(N, field))
+    m = _test_modulus(field)
+    residues = st.integers(-m, 2 * m) | st.sampled_from((0, 1, m - 1, m))
+    points = data.draw(st.lists(st.lists(residues, min_size=2 * N + 2, max_size=2 * N + 2),
+                                max_size=6))
+    if points:
+        points += data.draw(st.lists(st.sampled_from(points), max_size=3))  # repeated rows
+    plan = EvalPlan(polys, m)
+    values = plan.at_points(points)
+    assert values.dtype == np.int64 and values.shape == (len(points), len(polys))
+    for point, row in zip(points, values.tolist()):
+        z, dz = point[:N + 1], point[N + 1:]
+        assert row == plan(z, dz) == [p.evaluate_mod(z, dz, m) for p in polys]
+        assert row == [term_evaluate_mod(p, z, dz, m) for p in polys]
+
+
+@pytest.mark.parametrize("field", BATCH_FIELDS, ids=str)
+def test_at_points_edge_cases(field, monkeypatch):
+    m = _test_modulus(field)
+    zero = MultiPoly.zero(1, field)
+    half = Fraction(1, 2) if not field.p else 3
+    mixed = MultiPoly(1, field, {(0, 0, 0, 0): 2, (2, 0, 0, 1): half, (0, 3, 1, 0): 1})
+    polys = [zero, MultiPoly.z(1, 0, field), zero, mixed, zero]
+    plan = EvalPlan(polys, m)
+    # 0^0 = 1 under the constant term; coordinates negative, >= m and past int64
+    points = [[0, 0, 0, 0], [-1, m + 2, 2 * m, -m], [0, 0, 0, 0], [3, 4, 5, 6],
+              [2**70 + 1, -(2**65), 7, 0]]
+    want = [[term_evaluate_mod(p, pt[:2], pt[2:], m) for p in polys] for pt in points]
+    assert plan.at_points(points).tolist() == want
+    assert want[0] == [0, 0, 0, 2, 0]
+    assert EvalPlan([], m).at_points(points).shape == (5, 0)
+    assert EvalPlan([zero, zero], m).at_points(points).tolist() == [[0, 0]] * 5
+    assert plan.at_points([]).shape == (0, 5)
+    # four terms in blocks of at most 8 entries: two rows a block, 20 blocks
+    monkeypatch.setattr(exact_algebra, "EVAL_BLOCK", 8)
+    many = [[k, k * k - 3, 2 * k + 1, m - k] for k in range(-10, 30)]
+    assert plan.at_points(many).tolist() == [
+        [term_evaluate_mod(p, pt[:2], pt[2:], m) for p in polys] for pt in many]

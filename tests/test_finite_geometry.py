@@ -9,7 +9,7 @@ from census_oracle import rank as oracle_rank
 from conftest import expand_form
 
 from mcmforms import exact_algebra, finite_geometry
-from mcmforms.exact_algebra import Field, QQ, deriv, det_mod_p, from_literal, to_literal
+from mcmforms.exact_algebra import EvalPlan, Field, QQ, deriv, det_mod_p, from_literal, to_literal
 from mcmforms.finite_geometry import (
     ProjPoint,
     RankConditionMatrix,
@@ -43,6 +43,7 @@ from mcmforms.section_builder import (
     column_layout,
     divisor_exponent,
     extract_forms,
+    random_homogeneous,
     selection_layouts,
     standard_forms,
 )
@@ -667,6 +668,67 @@ def test_scans_compile_each_polynomial_set_once(compiled_plans):
     g = from_literal("1 * z1^1 + 2 * z2^1", N=2, field=F3)
     assert verify_product_decomposition([[f, g]], ProblemShape(2, 1, 0), 3)["ok"]
     assert compiled_plans == [3, 3]  # f, g, fg at a point; d(fg), df, dg along a direction
+
+
+@pytest.fixture
+def evaluation_calls(monkeypatch):
+    """Counts EvalPlan.at_points and EvalPlan.__call__ calls; a one-point
+    call goes through at_points and counts there too."""
+    calls = {"at_points": 0, "__call__": 0}
+    real_at, real_call = EvalPlan.at_points, EvalPlan.__call__
+
+    def at_points(self, points):
+        calls["at_points"] += 1
+        return real_at(self, points)
+
+    def call(self, z_vals, dz_vals):
+        calls["__call__"] += 1
+        return real_call(self, z_vals, dz_vals)
+
+    monkeypatch.setattr(EvalPlan, "at_points", at_points)
+    monkeypatch.setattr(EvalPlan, "__call__", call)
+    return calls
+
+
+def test_scans_evaluate_all_their_points_in_one_call(evaluation_calls):
+    # the call count is fixed by the scan, not by the points it visits
+    counts = set()
+    for seed in (1, 3, 11):
+        fam = mcm_family(seed)
+        evaluation_calls.update({"at_points": 0, "__call__": 0})
+        counts.add(smoothness_check(fam, 5)["points"])
+        assert evaluation_calls == {"at_points": 2, "__call__": 0}  # sections, gradients
+        evaluation_calls.update({"at_points": 0, "__call__": 0})
+        assert points_on_X(fam, 5)
+        assert evaluation_calls == {"at_points": 1, "__call__": 0}
+    assert counts == {6, 3, 10}
+    rng = random.Random(5)
+    factors = [[random_homogeneous(3, 2, F3, rng) for _ in range(2)] for _ in range(2)]
+    evaluation_calls.update({"at_points": 0, "__call__": 0})
+    rep = verify_product_decomposition(factors, ProblemShape(3, 2, 0), 3)
+    assert rep["pairs"] == 40 * 13
+    assert evaluation_calls == {"at_points": 2, "__call__": 0}  # at points, along pairs
+
+
+@pytest.mark.parametrize("vanished, message", [
+    ((9,), r"vanished \[9\] has coordinates outside 0\.\.4"),
+    ((-1,), r"vanished \[-1\] has coordinates outside 0\.\.4"),
+    ((0, 1), r"2 vanished coordinates exceed N - c = 1"),
+])
+def test_base_locus_refuses_bad_vanished_coordinates(vanished, message):
+    # each used to report: (9,) and (-1,) a bogus singular tangent at
+    # z = [1, 1, 1, 3, 2], (0, 1) ok on 0 points with a float expected count
+    fam = mcm_family(1)
+    with pytest.raises(ValueError, match=message):
+        base_locus_scan(fam, [], 5, vanished=vanished)
+    assert base_locus_scan(fam, [], 5, vanished=(0,))["ok"]
+
+
+def test_points_on_X_refuses_a_support_outside_the_coordinates():
+    fam = mcm_family(1)
+    assert points_on_X(fam, 5, support=[0, 1, 2, 3, 4])
+    with pytest.raises(ValueError, match=r"support \[0, 1, 2, 3, 9\] has coordinates outside 0\.\.4"):
+        points_on_X(fam, 5, support=[0, 1, 2, 3, 9])
 
 
 # ----- characterization crosscheck -----

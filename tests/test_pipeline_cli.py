@@ -583,6 +583,19 @@ def test_cli_scans_reject_an_empty_sample(tmp_path, capsys):
     assert capsys.readouterr().err.count("at least 1") == 2
 
 
+def test_cli_base_locus_refuses_bad_vanished_coordinates(tmp_path, capsys):
+    fam_path = tmp_path / "family.json"
+    assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
+                 "--seed", "3", "--out", str(fam_path)]) == 0
+    scan = ["scan", "base-locus", "--family", str(fam_path)]
+    assert main(scan + ["--vanished", "0"]) == 0
+    capsys.readouterr()
+    for vanished, message in (("9", "outside 0..3"), ("-1", "outside 0..3"),
+                              ("0,1", "exceed N - c = 1")):
+        assert main(scan + [f"--vanished={vanished}"]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_cli_refuses_checks_without_a_trial(tmp_path, capsys):
     fam_path = tmp_path / "family.json"
     assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
