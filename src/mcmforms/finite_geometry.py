@@ -6,18 +6,22 @@ vectors modulo the Euler direction at the base point, canonically reduced.
 The rank-condition variety M(a, b) collects the b x 2(a+1) matrices with
 column blocks alpha_0..alpha_a, beta_0..beta_a satisfying the zero-sum and
 rank inequalities. Membership of one matrix, the exhaustive census and the
-sampled census share one rank test: columns of F_q^b are coded by their
-index, summed through an add table, and each K_nu / K_tau_rho layout of
-combined columns is one lookup in the rank table of its shape, folded from
-a span automaton and built once (_rank_tables). Membership takes that path
-while the table has at most CENSUS_TABLE_MAX entries and Gaussian
+sampled census share one rank test, made after the zero sum: columns of
+F_q^b are coded by their index and summed through an add table, each
+K_nu / K_tau_rho layout drops its alpha_0 column (on a zero-sum matrix it
+is minus the sum of the other a, so the rank is theirs), and the a
+columns left are one lookup in an a-column rank table, folded from a span
+automaton and built once per shape (_rank_tables). Membership takes that
+path while (q^b)^(a+1) is at most CENSUS_TABLE_MAX and Gaussian
 elimination above it; membership_M_ab_alt stays the independent oracle.
-The census counts members exhaustively (one numpy kernel for every q) or
-by sampling, and compares against the codimension bound
-q^(dim - (a+b-1) + 1). Base-locus and the crosscheck walk the same
-incidence pairs (_incidence_points) and evaluate the same standard_forms
-from their divided matrices. Every scan, census and rank-condition matrix
-rejects a composite q.
+The census counts members exhaustively or by sampling, and compares
+against the codimension bound q^(dim - (a+b-1) + 1). The exhaustive count
+is factored: with alpha_0 dropped, the K_nu layouts see the betas only
+through their sum and the K_tau_rho layouts never see beta_0, so it sums
+N_nu(A) N_tau_rho(A) over A = (alpha_1..alpha_a). Base-locus and the
+crosscheck walk the same incidence pairs (_incidence_points) and evaluate
+the same standard_forms from their divided matrices. Every scan, census
+and rank-condition matrix rejects a composite q.
 """
 
 from __future__ import annotations
@@ -250,11 +254,12 @@ def membership_M_ab(M: RankConditionMatrix) -> bool:
           A and the betas as the B columns, the combined columns have
           rank <= a-1.
 
-    While the rank table of the shape fits (_table_fits), the columns are
-    coded by their index as in the census, summed through its add table,
-    and each layout's combined columns are one lookup in the same rank
-    table (_rank_tables). Larger shapes are reduced by Gaussian
-    elimination (_membership_by_elimination).
+    While the shape fits (_table_fits), the columns are coded by their
+    index as in the census and summed through its add table; once the zero
+    sum holds, each layout's combined columns, less the one that holds
+    alpha_0, are one lookup in the same a-column rank table (_rank_tables,
+    _layout_keys). Larger shapes are reduced by Gaussian elimination
+    (_membership_by_elimination).
     """
     a, b, p = M.a, M.b, M.p
     if not _table_fits(a, b, p):
@@ -338,19 +343,21 @@ def random_rank_matrix(a: int, b: int, p: int, rng, constrained: bool = False) -
 # ----- rank-condition census -----
 
 
-# Free-column tuples enumerated together as one numpy block of the census;
-# the remaining free columns are looped over in Python as constants.
+# Column-code tuples enumerated together as one numpy block of a census
+# walk; the remaining leading columns are looped over in Python as constants.
 CENSUS_BLOCK = 1 << 15
-# Largest rank table, in entries, that membership and a sampled census
-# build: the table has Q^(a+1) entries, and building it takes an index
-# array eight times that.
+# Gate on the shapes for which membership and a sampled census build the
+# rank table: Q^(a+1) <= CENSUS_TABLE_MAX with Q = q^b. The table keys the
+# a columns a layout keeps once its alpha_0 column is dropped, so it has
+# Q^a entries, and building it takes an index array eight times that.
 CENSUS_TABLE_MAX = 1 << 20
 CENSUS_CONFIDENCE = 0.95
 
 
 def _table_fits(a: int, b: int, q: int) -> bool:
-    """Whether the rank table of shape (a, b) over F_q, with (q^b)^(a+1)
-    entries, is within CENSUS_TABLE_MAX."""
+    """Whether shape (a, b) over F_q takes the rank-table path:
+    (q^b)^(a+1) <= CENSUS_TABLE_MAX. The table itself has (q^b)^a entries,
+    a q^b-th of the gate."""
     return q ** (b * (a + 1)) <= CENSUS_TABLE_MAX
 
 
@@ -400,7 +407,7 @@ class RankTables(NamedTuple):
     """The coded-column tables of one shape (a, b) over F_q, read-only.
 
     add and mul are _column_codes(b, q); add_rows is add as nested tuples
-    and low is `_rank_table(add, mul, a + 1) <= a - 1` as one byte per key,
+    and low is `_rank_table(add, mul, a) <= a - 1` as one byte per key,
     so that a single matrix is tested with no numpy call."""
 
     add: np.ndarray
@@ -413,31 +420,42 @@ class RankTables(NamedTuple):
 def _rank_tables(a: int, b: int, q: int) -> RankTables:
     """The one builder of rank tables, for membership and both censuses."""
     add, mul = _column_codes(b, q)
-    low = (_rank_table(add, mul, a + 1) <= a - 1).tobytes()
+    low = (_rank_table(add, mul, a) <= a - 1).tobytes()
     add.setflags(write=False)
     mul.setflags(write=False)
     return RankTables(add, mul, tuple(map(tuple, add.tolist())), low)
 
 
-def _layout_keys(alphas: Sequence, betas: Sequence, add, Q: int, key):
+def _layout_keys(alphas: Sequence, betas: Sequence, add, Q: int, key, kind: Optional[str] = None):
     """The rank-table key of the combined columns of every K_nu and
-    K_tau_rho layout, in selection_layouts order, for the coded columns
-    alpha_0..alpha_a | beta_0..beta_a (code arrays or single codes, summed
-    by add). Keys fold from `key`, a zero wide enough for the table."""
+    K_tau_rho layout (only those of `kind` when given), in
+    selection_layouts order, for the coded columns alpha_0..alpha_a |
+    beta_0..beta_a (code arrays or single codes, summed by add). Keys fold
+    from `key`, a zero wide enough for the table.
+
+    Each layout drops its column that holds alpha_0. A layout's columns
+    sum to the matrix's column sum, so on a zero-sum matrix the dropped
+    column is minus the sum of the other a, and the rank is theirs. So
+    alpha_0 is never read, the K_nu layouts read the betas only through
+    their sum, and the K_tau_rho layouts never read beta_0."""
     memo: dict = {}
-    for _, _, layout in selection_layouts(len(alphas) - 1):
-        k = key
-        for col in _combine_columns(layout, alphas, betas, add, memo):
-            k = k * Q + col
-        yield k
+    for kind_, _, layout in selection_layouts(len(alphas) - 1):
+        if kind in (None, kind_):
+            k = key
+            for col in _combine_columns([c for c in layout if c.a], alphas, betas, add, memo):
+                k = k * Q + col
+            yield k
 
 
-def _rank_mask(alphas: Sequence, betas: Sequence, add, Q: int, low: np.ndarray):
+def _rank_mask(alphas: Sequence, betas: Sequence, add, Q: int, low: np.ndarray,
+               kind: Optional[str] = None):
     """Where the code arrays alpha_0..alpha_a | beta_0..beta_a pass every
-    K_nu and K_tau_rho rank test; low is `_rank_table(add, mul, a + 1) <=
-    a - 1` as an array. The zero-sum condition is not tested here."""
+    K_nu and K_tau_rho rank test (of `kind` only, when given); low is
+    `_rank_table(add, mul, a) <= a - 1` as an array. The zero-sum
+    condition is not tested here, and the verdict holds only where it is
+    met (_layout_keys)."""
     zero = np.min_scalar_type(len(low) - 1).type(0)
-    return reduce(and_, (low[key] for key in _layout_keys(alphas, betas, add, Q, zero)))
+    return reduce(and_, (low[key] for key in _layout_keys(alphas, betas, add, Q, zero, kind)))
 
 
 def _census_kernel(a: int, b: int, q: int):
@@ -449,23 +467,51 @@ def _census_kernel(a: int, b: int, q: int):
     return tables, add, np.frombuffer(tables.low, dtype=np.bool_)
 
 
-def _census_exhaustive(a: int, b: int, q: int) -> int:
-    """Exact member count over F_q. The free columns alpha_1..alpha_a,
-    beta_0..beta_a run over every tuple of codes and alpha_0 is the negated
-    sum the zero-sum condition forces. The last free columns (at least one)
-    are enumerated once as arrays of at most CENSUS_BLOCK tuples; the
-    others are looped over as constants."""
-    Q, nfree = q ** b, 2 * a + 1
-    tables, add, low = _census_kernel(a, b, q)
-    inner = max([1] + [m for m in range(1, nfree + 1) if Q ** m <= CENSUS_BLOCK])
-    codes = np.arange(Q, dtype=tables.add.dtype)
+def _code_blocks(Q: int, m: int, dtype):
+    """Every m-tuple of Q column codes, in lexicographic order, as
+    (index of the block's first tuple, its m columns). The last columns
+    (at least one) are arrays enumerating at most CENSUS_BLOCK tuples
+    together; the others are looped over as constants."""
+    inner = max([1] + [k for k in range(1, m + 1) if Q ** k <= CENSUS_BLOCK])
+    codes = np.arange(Q, dtype=dtype)
     block = [np.tile(np.repeat(codes, Q ** (inner - 1 - i)), Q ** i) for i in range(inner)]
-    block_sum = reduce(add, block)
+    for i, outer in enumerate(product(range(Q), repeat=m - inner)):
+        yield i * Q ** inner, list(outer) + block
+
+
+def _per_lead(ok: np.ndarray, start: int, run: int):
+    """A block's mask over the tuples start.. of a walk whose leading
+    columns change every `run` tuples, summed per leading value:
+    (slice of the leading indices met, their counts)."""
+    sums = ok.reshape(-1, min(ok.size, run)).sum(axis=1)
+    return slice(start // run, start // run + sums.size), sums
+
+
+def _census_exhaustive(a: int, b: int, q: int) -> int:
+    """Exact member count over F_q, factored. The free columns are
+    A = (alpha_1..alpha_a) and beta_0..beta_a; alpha_0 is the negated sum
+    the zero-sum condition forces, and no layout reads it (_layout_keys).
+    The K_nu layouts read the betas only through T = sum beta, and for
+    fixed beta_1..beta_a the map beta_0 -> T is a bijection; the K_tau_rho
+    layouts never read beta_0. So the count is the sum over A of
+    N_nu(A) N_tau_rho(A): N_nu(A) counts the T in F_q^b that pass every
+    K_nu layout, N_tau_rho(A) the (beta_1..beta_a) that pass every
+    K_tau_rho layout. The two walks, A-major over Q^(a+1) and Q^(2a)
+    tuples, run in the blocks of _code_blocks."""
+    Q = q ** b
+    tables, add, low = _census_kernel(a, b, q)
+    dtype = tables.add.dtype
+    n_nu = np.zeros(Q ** a, dtype=np.int64)
+    for start, cols in _code_blocks(Q, a + 1, dtype):
+        # T stands in for the sum of the betas: (T, 0, .., 0)
+        ok = _rank_mask([0] + cols[:a], cols[a:] + [0] * a, add, Q, low, "K_nu")
+        at, sums = _per_lead(ok, start, Q)
+        n_nu[at] += sums
     count = 0
-    for outer in product(range(Q), repeat=nfree - inner):
-        free = list(outer) + block
-        alphas = [tables.mul[q - 1][add(block_sum, reduce(add, outer, 0))]] + free[:a]
-        count += int(np.count_nonzero(_rank_mask(alphas, free[a:], add, Q, low)))
+    for start, cols in _code_blocks(Q, 2 * a, dtype):
+        ok = _rank_mask([0] + cols[:a], [0] + cols[a:], add, Q, low, "K_tau_rho")
+        at, sums = _per_lead(ok, start, Q ** a)
+        count += int(sums @ n_nu[at])
     return count
 
 
@@ -516,11 +562,14 @@ def rank_condition_census(a: int, b: int, q: int, mode: str = "exhaustive",
     bound q^(dim - (a+b-1) + 1).
 
     Exhaustive mode counts every matrix (_census_exhaustive, one kernel for
-    every q). Sample mode, the fallback above the budget, draws uniform
-    matrices and tests them with the same coded columns and rank table
-    (_census_sampled): `count` extrapolates the hits, and the verdict compares the
-    bound with `count_upper`, their one-sided Clopper-Pearson upper bound
-    at `confidence`, scaled the same way.
+    every q), factored as the sum over (alpha_1..alpha_a) of the K_nu count
+    times the K_tau_rho count, each read from the a-column rank table: it
+    walks q^(b(a+1)) + q^(2ab) column tuples, not q^(b(2a+1)). Sample mode,
+    the fallback above the budget, draws uniform matrices and tests them
+    with the same coded columns and rank table (_census_sampled): `count`
+    extrapolates the hits, and the verdict compares the bound with
+    `count_upper`, their one-sided Clopper-Pearson upper bound at
+    `confidence`, scaled the same way.
     """
     if not (2 <= a <= b):
         raise ValueError("need 2 <= a <= b")

@@ -184,7 +184,8 @@ def verify_product_decomposition(factors: Sequence[Sequence[MultiPoly]],
     factor list. The right side is the union over all pieces; mismatch
     witnesses are dumped both ways. Factors and products are evaluated at
     every point in one batched call, and the differentials at every pair
-    in another.
+    in another. The tangent directions are walked once per index of a
+    point's first nonzero coordinate, at most N + 1 walks.
     """
     cr = shape.c + shape.r
     if len(factors) != cr:
@@ -211,7 +212,15 @@ def verify_product_decomposition(factors: Sequence[Sequence[MultiPoly]],
     points = [list(pt.coords) for pt in proj_points(N, q)]
     point_vals = at_point.at_points([z + zero_dz for z in points]).tolist()
     factor_vals = [_split(vals, counts) for vals in point_vals]
-    pairs = [(zi, list(d.xi)) for zi, z in enumerate(points) for d in tangent_directions(z, [], q)]
+    # with no constraint rows, the sorted directions at z depend on z only
+    # through its first nonzero coordinate: one walk of P^N per lead index
+    by_lead: dict = {}
+    pairs = []
+    for zi, z in enumerate(points):
+        lead = next(i for i, v in enumerate(z) if v)
+        if lead not in by_lead:
+            by_lead[lead] = [d.xi for d in tangent_directions(z, [], q)]
+        pairs += [(zi, list(xi)) for xi in by_lead[lead]]
     pair_vals = at_direction.at_points([points[zi] + xi for zi, xi in pairs]).tolist()
 
     pieces = _pieces(counts, c)

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from functools import reduce
 from itertools import product
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from mcmforms.finite_geometry import (
     _column_codes,
     _rank_mask,
     _rank_table,
+    _rank_tables,
     clopper_pearson_upper,
     base_locus_scan,
     canonical_direction,
@@ -417,15 +419,50 @@ def _code_of(col, q):
 def test_rank_mask_matches_alt_membership(a, b, q):
     rng = random.Random(f"rank-mask:{a},{b},{q}")
     mats = [random_rank_matrix(a, b, q, rng, constrained=True) for _ in range(2000)]
-    add_table, mul = _column_codes(b, q)
-    add = np.bitwise_xor if q == 2 else (lambda x, y: add_table[x, y])
-    low = _rank_table(add_table, mul, a + 1) <= a - 1
-    cols = [np.array([_code_of(M.column(j), q) for M in mats], dtype=add_table.dtype)
+    tables = _rank_tables(a, b, q)
+    add = np.bitwise_xor if q == 2 else (lambda x, y: tables.add[x, y])
+    low = np.frombuffer(tables.low, dtype=np.bool_)
+    assert len(low) == q ** (a * b)  # one key per a-column tuple
+    cols = [np.array([_code_of(M.column(j), q) for M in mats], dtype=tables.add.dtype)
             for j in range(2 * a + 2)]
     mask = _rank_mask(cols[:a + 1], cols[a + 1:], add, q ** b, low)
     expected = [membership_M_ab_alt(M) for M in mats]
     assert mask.tolist() == expected
     assert any(expected)
+
+
+def _layout_ranks(M, keep):
+    """rank_mod_p of the combined columns of every layout of M, keeping the
+    layout columns for which keep(col) holds."""
+    q = M.p
+    alphas = [M.alpha(j) for j in range(M.a + 1)]
+    betas = [M.beta(j) for j in range(M.a + 1)]
+
+    def add(x, y):
+        return tuple((u + v) % q for u, v in zip(x, y))
+
+    return [rank_mod_p(_combine_columns([c for c in layout if keep(c)], alphas, betas, add), q)
+            for _, _, layout in selection_layouts(M.a)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_dropping_the_alpha_0_column_keeps_every_layout_rank(q):
+    for a in (2, 3):
+        for _, _, layout in selection_layouts(a):
+            # each A_j and each B_j once, so the columns sum to the column sum
+            assert sorted(c.a for c in layout) == list(range(a + 1))
+            assert sorted(j for c in layout for j in c.b) == list(range(a + 1))
+    rng = random.Random(f"drop-alpha-0:{q}")
+    for a, b in [(2, 2), (2, 3), (3, 3), (3, 4)]:
+        for _ in range(150):
+            M = random_rank_matrix(a, b, q, rng, constrained=True)
+            assert _layout_ranks(M, lambda c: c.a) == _layout_ranks(M, lambda c: True)
+    # without the zero sum the dropped column can raise the rank
+    broken = 0
+    for _ in range(50):
+        M = random_rank_matrix(2, 3, q, rng)
+        broken += _layout_ranks(M, lambda c: c.a) != _layout_ranks(M, lambda c: True)
+    assert broken
 
 
 @pytest.mark.parametrize("b, q, k", [(2, 2, 3), (3, 2, 4), (2, 3, 3), (2, 5, 3), (3, 3, 4)])
@@ -450,22 +487,85 @@ def test_rank_table_matches_oracle(b, q, k):
         assert table[key] == ranks[multiset], tup
 
 
-def test_census_block_size_does_not_change_counts(monkeypatch):
-    calls = []
+CENSUS_SHAPES = [(2, 2, 2, 148), (2, 3, 2, 596), (2, 2, 3, 1737), (3, 3, 2, 273344),
+                 (2, 2, 5, 36025)]
+
+
+def full_enumeration_census(a, b, q):
+    """The exhaustive census before it was factored: the reference for
+    _census_exhaustive. The free columns alpha_1..alpha_a, beta_0..beta_a
+    run over every tuple of codes and alpha_0 is their negated sum; the
+    last free columns (at least one) are enumerated as arrays of at most
+    CENSUS_BLOCK tuples, the others looped over as constants. Every
+    layout's a + 1 combined columns are one key of an (a + 1)-column rank
+    table."""
+    add_table, mul = _column_codes(b, q)
+    add = np.bitwise_xor if q == 2 else (lambda x, y: add_table[x, y])
+    low = _rank_table(add_table, mul, a + 1) <= a - 1
+    Q, nfree = q ** b, 2 * a + 1
+    zero = np.min_scalar_type(len(low) - 1).type(0)
+    layouts = [layout for _, _, layout in selection_layouts(a)]
+
+    def rank_mask(alphas, betas):
+        memo, ok = {}, True
+        for layout in layouts:
+            key = zero
+            for col in _combine_columns(layout, alphas, betas, add, memo):
+                key = key * Q + col
+            ok = ok & low[key]
+        return ok
+
+    inner = max([1] + [m for m in range(1, nfree + 1) if Q ** m <= finite_geometry.CENSUS_BLOCK])
+    codes = np.arange(Q, dtype=add_table.dtype)
+    block = [np.tile(np.repeat(codes, Q ** (inner - 1 - i)), Q ** i) for i in range(inner)]
+    block_sum = reduce(add, block)
+    count = 0
+    for outer in product(range(Q), repeat=nfree - inner):
+        free = list(outer) + block
+        alphas = [mul[q - 1][add(block_sum, reduce(add, outer, 0))]] + free[:a]
+        count += int(np.count_nonzero(rank_mask(alphas, free[a:])))
+    return count
+
+
+@pytest.mark.parametrize("a, b, q, count", CENSUS_SHAPES)
+def test_factored_census_matches_full_enumeration(a, b, q, count):
+    assert _census_exhaustive(a, b, q) == full_enumeration_census(a, b, q) == count
+
+
+@pytest.fixture
+def mask_sizes(monkeypatch):
+    """The size of every mask _rank_mask returns: one per census block."""
+    sizes = []
     real_mask = finite_geometry._rank_mask
 
     def counted(*args):
-        calls.append(1)
-        return real_mask(*args)
+        ok = real_mask(*args)
+        sizes.append(ok.size)
+        return ok
 
     monkeypatch.setattr(finite_geometry, "_rank_mask", counted)
+    return sizes
+
+
+def test_census_block_size_does_not_change_counts(monkeypatch, mask_sizes):
     for a, b, q, count in [(2, 2, 2, 148), (2, 3, 2, 596), (2, 2, 3, 1737)]:
-        Q, nfree = q ** b, 2 * a + 1
-        for block, masks in [(Q, Q ** (nfree - 1)), (Q ** nfree, 1)]:
+        Q = q ** b
+        # one inner column per block: Q^a blocks of the K_nu walk and
+        # Q^(2a-1) of the K_tau_rho walk; then one block per walk
+        for block, masks in [(Q, Q ** a + Q ** (2 * a - 1)), (Q ** (2 * a + 1), 2)]:
             monkeypatch.setattr(finite_geometry, "CENSUS_BLOCK", block)
-            calls.clear()
+            mask_sizes.clear()
             assert _census_exhaustive(a, b, q) == count
-            assert len(calls) == masks  # one inner column, then one block
+            assert len(mask_sizes) == masks
+            assert sum(mask_sizes) == Q ** (a + 1) + Q ** (2 * a)
+
+
+@pytest.mark.parametrize("a, b, q, count", CENSUS_SHAPES)
+def test_census_examines_the_two_factored_walks(mask_sizes, a, b, q, count):
+    Q = q ** b
+    assert _census_exhaustive(a, b, q) == count
+    assert sum(mask_sizes) == Q ** (a + 1) + Q ** (2 * a)  # not Q^(2a+1)
+    assert max(mask_sizes) <= max(Q, finite_geometry.CENSUS_BLOCK)
 
 
 def test_census_memory_stays_bounded():

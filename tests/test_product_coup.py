@@ -239,3 +239,28 @@ def test_a_bad_split_fails_the_semigroup_check_under_python_O(run_optimized):
 def test_semigroup_report_lists_no_bad_split_on_the_real_splitter():
     rep = verify_semigroup_bound(4, 200)
     assert rep["bad_splits"] == [] and rep["ok"]
+
+
+def test_decomposition_walks_directions_once_per_lead_coordinate(monkeypatch):
+    from mcmforms import finite_geometry, product_coup
+
+    calls = []
+
+    def counted(z, rows, q):
+        calls.append(list(z))
+        return finite_geometry.tangent_directions(z, rows, q)
+
+    rng = random.Random(5)
+    factors = [[random_homogeneous(3, 2, F3, rng) for _ in range(2)] for _ in range(2)]
+    monkeypatch.setattr(product_coup, "tangent_directions", counted)
+    rep = verify_product_decomposition(factors, ProblemShape(3, 2, 0), 3)
+    # one walk per index of the first nonzero coordinate, not one per point
+    assert [z.index(1) for z in calls] == [0, 1, 2, 3]
+    assert rep["pairs"] == 40 * 13
+    assert rep["lhs_count"] == rep["rhs_count"] == 36 and rep["ok"]
+    # the walk it reuses is the one each point would have made
+    for pt in finite_geometry.proj_points(3, 3):
+        z = list(pt.coords)
+        lead = next(i for i, v in enumerate(z) if v)
+        assert finite_geometry.tangent_directions(z, [], 3) == \
+            finite_geometry.tangent_directions(calls[lead], [], 3)
