@@ -6,27 +6,11 @@ N+1..2N+1 hold the dz-exponents. The zero polynomial is the empty dict and
 counts as bihomogeneous of every bidegree. Coefficients live in Q (exact
 fractions, p == 0) or in F_p for a prime p < 2**31.
 
-Products and determinants run on packed exponents (Monagan & Pearce, CASC
-2007): each exponent tuple becomes one int whose slot k, b bits wide, holds
-exponent k, so a monomial product is one integer add. b is the smallest of
-8/16/32/64 with 2**b above a degree bound: the sum of the operands' largest
-total degrees for a product, the sum of the largest row degrees for the
-minors of a matrix. No exponent exceeds its term's total degree, so packed
-adds never carry; a bound of 2**64 or more raises OverflowError. Over F_p
-the loop adds integer products and reduces mod p once per result. Over Q
-each operand of a product is scaled by the lcm of its denominators, every
-entry of a matrix by one lcm of them all, the loop runs on integers, and
-unpacking divides by the product of the scales. `terms` itself stays
-keyed by tuples.
-
-Determinants live in MinorTable: one table per matrix, every minor
-expanded once along its last row and memoised by (rows, columns), so
-determinants sharing all but their last row share the rest. Minors stay
-packed, and minors of one size compare term by term; MinorTable.unpack
-turns one into a polynomial. Only exact identity checks expand
-determinants: forms are evaluated at points from their divided matrix.
-The chart change dz -> w_l(dz) is applied to matrix entries linear in dz
-(tangent_projection), never to a determinant.
+Products run one loop over pairs of terms, adding exponent tuples: the
+program multiplies only small polynomials, such as a coordinate by part of
+one matrix entry. Nothing here expands a determinant: forms are evaluated
+at points from their divided matrix, and the exact identity checks compare
+matrix entries, not determinants (identity_verifier).
 
 Evaluation mod m runs in EvalPlan, the one modular evaluation loop: a
 sequence of polynomials is compiled once, its coefficients reduced mod m
@@ -50,12 +34,9 @@ order and the parser accepts the printed form back byte-exactly.
 from __future__ import annotations
 
 import re
-import struct
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,9 +47,6 @@ Exponent = Tuple[int, ...]
 
 # Default 31-bit prime for probabilistic identity testing (2**31 - 1).
 IDENTITY_PRIME = 2147483647
-
-# Above this many already-expanded terms, identity_test "auto" goes probabilistic.
-AUTO_EXACT_TERM_LIMIT = 100_000
 
 # Most (point, term) entries in one block of EvalPlan.at_points, so that an
 # int64 temporary of a block stays within 64 KB. On the default pipeline,
@@ -265,12 +243,16 @@ class MultiPoly:
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compat(other)
         a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        if not a.terms:
-            return MultiPoly(self.N, self.field)
-        codec = _slot_codec(2 * (self.N + 1), _max_degree(a) + _max_degree(b))
-        sa, sb = _denominator_lcm((a,)), _denominator_lcm((b,))
-        out = _product_into(defaultdict(int), _pack(a, codec, sa), _pack(b, codec, sb))
-        return _unpack(_reduce(out, self.field.p), codec, self.N, self.field, sa * sb)
+        out: Dict[Exponent, object] = {}
+        get, items = out.get, b.terms.items()
+        for ea, ca in a.terms.items():
+            for eb, cb in items:
+                key = tuple(map(add, ea, eb))
+                out[key] = get(key, 0) + ca * cb
+        p = self.field.p
+        res = MultiPoly(self.N, self.field)
+        res.terms = {k: r for k, c in out.items() if (r := c % p if p else c)}
+        return res
 
     def scale(self, c) -> "MultiPoly":
         fld = self.field
@@ -567,24 +549,6 @@ def kill_coordinates(p: MultiPoly, vanished: Iterable[int]) -> MultiPoly:
     return res
 
 
-def tangent_projection(p: MultiPoly, l: int) -> MultiPoly:
-    """p(z, w_l(dz)) for p linear in dz, where w_l,k = z_l dz_k - dz_l z_k
-    projects a tangent vector into the chart z_l = 1: z_l * p - dz_l *
-    p(z, z). Zero maps to zero; any other dz-degree raises ValueError."""
-    if not (0 <= l <= p.N):
-        raise ValueError(f"chart index {l} out of range")
-    if p.dz_degree() not in (None, 1):
-        raise ValueError("tangent projection needs a polynomial linear in dz")
-    q, n1 = p.field.p, p.N + 1
-    dz_l = tuple(int(k == l) for k in range(n1))
-    out: Dict[Exponent, object] = {}
-    for exp, c in p.terms.items():
-        _add_term(out, exp[:l] + (exp[l] + 1,) + exp[l + 1:], c, q)
-        euler = tuple(a + b for a, b in zip(exp[:n1], exp[n1:])) + dz_l
-        _add_term(out, euler, -c % q if q else -c, q)
-    return MultiPoly(p.N, p.field, out)
-
-
 # ----- modular evaluation -----
 
 
@@ -738,167 +702,7 @@ def sample_identity(
     return None
 
 
-def identity_test(
-    p: MultiPoly,
-    q: MultiPoly,
-    mode: str = "auto",
-    trials: int = 20,
-    seed: int = 0,
-) -> Dict[str, object]:
-    """Decide p == q, exactly or by Schwartz-Zippel point sampling.
-
-    Returns {"equal": bool, "mode": used mode, "trials": count, ...}. Exact
-    mode compares canonical term maps. Probabilistic mode evaluates p and q
-    separately through sample_identity; a differing value certifies
-    inequality.
-    """
-    p._check_compat(q)
-    if mode == "auto":
-        mode = "exact" if (p.term_count() + q.term_count()) <= AUTO_EXACT_TERM_LIMIT else "probabilistic"
-    if mode == "exact":
-        return {"equal": p.terms == q.terms, "mode": "exact", "trials": 0}
-    if mode != "probabilistic":
-        raise ValueError(f"unknown mode: {mode}")
-    plan = EvalPlan([p, q], identity_modulus(p.field))
-    miss = sample_identity(lambda z, dz, m: [tuple(plan(z, dz))],
-                           p.N, p.field, trials, seed, "identity_test")
-    if miss is not None:
-        t, z, dz = miss[:3]
-        return {"equal": False, "mode": "probabilistic", "trials": t + 1,
-                "witness": {"z": z, "dz": dz}}
-    return {"equal": True, "mode": "probabilistic", "trials": trials,
-            "field_size": identity_modulus(p.field)}
-
-
 # ----- determinants -----
-
-
-class MinorTable:
-    """The minors of one matrix of polynomials, each expanded once and kept
-    packed.
-
-    minor(rows, cols) is the determinant of the square submatrix on the
-    given increasing row and column positions, by cofactor expansion along
-    its last row (fraction-free; no pseudo-division steps). Every minor is
-    memoised by (rows, cols), so determinants that share all but their
-    last row share every smaller minor. Entries are packed once with one
-    codec, whose degree bound is the sum of the largest row degrees, one
-    per column at most: no minor exceeds it. Over Q every row is scaled by
-    one s, the lcm of the table's denominators, so a minor on k rows
-    carries the factor s^k, which unpacking divides back out, and two
-    minors of equal size compare term by term whatever rows they use.
-    """
-
-    def __init__(self, rows: Sequence[Sequence[MultiPoly]]):
-        if not rows or not rows[0]:
-            raise ValueError("empty matrix")
-        ncols = len(rows[0])
-        if any(len(row) != ncols for row in rows):
-            raise ValueError("ragged matrix")
-        sample = rows[0][0]
-        for row in rows:
-            for entry in row:
-                sample._check_compat(entry)
-        self.N, self.field = sample.N, sample.field
-        row_degrees = sorted((max(map(_max_degree, row)) for row in rows), reverse=True)
-        self.codec = _slot_codec(2 * (self.N + 1), sum(row_degrees[:ncols]))
-        self.scale = _denominator_lcm([e for row in rows for e in row])
-        self.entries = [[_pack(e, self.codec, self.scale) for e in row] for row in rows]
-        self._memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict[int, int]] = {}
-
-    def minor(self, rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Dict[int, int]:
-        """Packed terms of the minor on (rows, cols), reduced; not to be mutated."""
-        if len(rows) != len(cols) or not rows:
-            raise ValueError("minor needs as many rows as columns, at least one")
-        if len(rows) == 1:
-            return self.entries[rows[0]][cols[0]]
-        cached = self._memo.get((rows, cols))
-        if cached is not None:
-            return cached
-        last, above = self.entries[rows[-1]], rows[:-1]
-        out = defaultdict(int)
-        for t, col in enumerate(cols):
-            entry = last[col]
-            if not entry:
-                continue
-            if (len(cols) - 1 + t) % 2:
-                entry = {k: -c for k, c in entry.items()}
-            _product_into(out, entry, self.minor(above, cols[:t] + cols[t + 1:]))
-        self._memo[(rows, cols)] = out = _reduce(out, self.field.p)
-        return out
-
-    def unpack(self, terms: Dict[int, int], nrows: int) -> MultiPoly:
-        """The polynomial of the packed terms of a minor on nrows rows."""
-        return _unpack(terms, self.codec, self.N, self.field, self.scale ** nrows)
-
-
-# ----- packed exponents -----
-
-_SLOT_CODES = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
-
-
-@lru_cache(maxsize=None)
-def _struct_for(width: int, code: str) -> struct.Struct:
-    return struct.Struct(f"<{width}{code}")
-
-
-def _slot_codec(width: int, bound: int) -> struct.Struct:
-    """Packs `width` exponents into slots of the narrowest width whose
-    largest value is at least the degree bound."""
-    for bits, code in _SLOT_CODES:
-        if bound < 1 << bits:
-            return _struct_for(width, code)
-    raise OverflowError(f"degree bound {bound} does not fit a 64-bit exponent slot")
-
-
-def _max_degree(p: MultiPoly) -> int:
-    return max(map(sum, p.terms), default=0)
-
-
-def _denominator_lcm(polys: Sequence[MultiPoly]) -> int:
-    """The lcm of the coefficient denominators over Q; 1 over F_p."""
-    if polys[0].field.p:
-        return 1
-    return lcm(*{c.denominator for p in polys for c in p.terms.values()})
-
-
-def _pack(p: MultiPoly, codec: struct.Struct, scale: int) -> Dict[int, int]:
-    """Packed monomial -> integer coefficient; over Q the coefficients are
-    multiplied by scale, a common multiple of their denominators."""
-    pack, from_bytes = codec.pack, int.from_bytes
-    if p.field.p:
-        return {from_bytes(pack(*e), "little"): c for e, c in p.terms.items()}
-    return {from_bytes(pack(*e), "little"): c.numerator * (scale // c.denominator)
-            for e, c in p.terms.items()}
-
-
-def _product_into(out: Dict[int, int], a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
-    """The product loop: adds a * b into out (a defaultdict(int)), unreduced."""
-    items = b.items()
-    for ka, ca in a.items():
-        for kb, cb in items:
-            out[ka + kb] += ca * cb
-    return out
-
-
-def _reduce(out: Dict[int, int], p: int) -> Dict[int, int]:
-    """Coefficients mod p (over F_p), zero terms dropped."""
-    if p:
-        return {k: r for k, c in out.items() if (r := c % p)}
-    return {k: c for k, c in out.items() if c}
-
-
-def _unpack(packed: Dict[int, int], codec: struct.Struct, N: int, field: Field, scale: int) -> MultiPoly:
-    """The polynomial of reduced packed terms; over Q each coefficient is
-    divided by scale."""
-    unpack, size = codec.unpack, codec.size
-    res = MultiPoly(N, field)
-    if field.p:
-        res.terms = {unpack(k.to_bytes(size, "little")): c for k, c in packed.items()}
-    else:
-        res.terms = {unpack(k.to_bytes(size, "little")): Fraction(c, scale)
-                     for k, c in packed.items()}
-    return res
 
 
 def det_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:

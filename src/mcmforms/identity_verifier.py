@@ -12,8 +12,10 @@ Four families of checks:
   verify_transition    chart changes: the tangent substitution multiplies an
                        extracted form by z_l^(dz-degree), hence
                        z_{l_2}^n * G(w_{l_1}) == z_{l_1}^n * G(w_{l_2}),
-                       with the transition exponent cross-checked against
-                       the twist bookkeeping.
+                       because every divided differential entry keeps
+                       Euler's relation with its value entry; the
+                       transition exponent is cross-checked against the
+                       twist bookkeeping.
   verify_surjectivity  the (N+1) x dim evaluation matrix (value row plus N
                        tangent-derivative rows) of the degree-d monomial
                        basis has full rank at random points, optionally in
@@ -22,15 +24,17 @@ Four families of checks:
                        vanishing-coordinate restriction of a family, for
                        every K_nu / K_tau_rho selection of an mcm family.
 
-Gluing compares polynomial pairs: in order in exact mode, through one
-EvalPlan at the points of sample_identity in probabilistic mode. The
-transition sides are maximal minors of one matrix (_check_identities):
-exact mode compares them packed on a MinorTable that expands each shared
-minor once, probabilistic mode through det_mod_p at the points of
-sample_identity. Substituting w_l(dz) commutes with the determinant, so
-the transition sides are minors of the form's divided rows stacked with
-their projections to each chart and their multiples by z_l
-(_transition_rows); no expanded G is substituted.
+Exact mode checks the hypothesis an identity rests on, entry by entry,
+and never expands a determinant. Gluing compares polynomial pairs: in
+order in exact mode, through one EvalPlan at the points of
+sample_identity in probabilistic mode. The exact transition checks Euler's
+relation D(z; z) == deg(F_j) * V on each divided differential entry D
+(_euler_witness): then substituting w_l(dz) adds multiples of the value
+rows to z_l times the differential rows, so G(w_l) == z_l^n * G by row
+operations. Probabilistic transitions evaluate the form's divided rows,
+their images under each w_l and their multiples by z_l at the points of
+sample_identity and compare maximal minors through det_mod_p
+(_transition_rows).
 
 Every check returns a report dict: {"op", "ok", "checks": [{"id", "mode",
 "trials", "verdict", "witness"}, ...]} plus op-specific extras.
@@ -40,19 +44,16 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exact_algebra import (
-    AUTO_EXACT_TERM_LIMIT,
     EvalPlan,
-    MinorTable,
     MultiPoly,
     QQ,
     det_mod_p,
     identity_modulus,
     kill_coordinates,
     sample_identity,
-    tangent_projection,
     times_monomial,
     to_literal,
     total_differential,
@@ -61,6 +62,7 @@ from .schedule import fermat_heart_prime, twist_ledger
 from .section_builder import (
     DegreeClaimFailed,
     FormalMatrixBundle,
+    FormBundle,
     SectionFamily,
     _check_selection,
     build_matrices,
@@ -186,66 +188,65 @@ def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int
 # ----- transition formulas -----
 
 
-def _transition_rows(value: list, diff: list, at_chart: Callable, times: Callable,
+def _euler_witness(form: FormBundle, fam: SectionFamily) -> Optional[dict]:
+    """The first entry of the form's divided differential rows that breaks
+    Euler's relation, or None when every entry keeps it.
+
+    Row cr + j - 1 of the bundle is d of value row j - 1, so each of its
+    divided entries D must be linear in dz with D(z; z) == deg(F_j) * V,
+    V the divided value entry of row j - 1 in the same column: the
+    undivided entries satisfy it by Euler's relation, and dividing both by
+    the column's power of z keeps it. D(z; z) is sum_k z_k * [dz_k]D. The
+    witness names the entry by its bundle row and column, with
+    D(z; z) - deg(F_j) * V cut to 400 characters, or the entry itself when
+    it is not linear in dz."""
+    N, fld = fam.shape.N, fam.field
+    n1, cr = N + 1, fam.shape.c + fam.shape.r
+    rows, degrees = form.matrix.rows, fam.section_degrees()
+    cols = [col for col in range(len(rows[0]) + 1) if col != form.omit]
+    for t, j in zip(form.matrix_rows[cr:], form.selection):
+        for col, D, V in zip(cols, rows[t], rows[j - 1]):
+            parts: Dict[int, dict] = {}  # k -> the terms of [dz_k]D
+            for exp, c in D.terms.items():
+                if sum(exp[n1:]) != 1:
+                    return dict(row=cr + j - 1, col=col,
+                                entry_not_linear_in_dz=to_literal(D)[:400])
+                parts.setdefault(exp.index(1, n1) - n1, {})[exp[:n1] + (0,) * n1] = c
+            d_zz = sum((MultiPoly.z(N, k, fld) * MultiPoly(N, fld, part)
+                        for k, part in parts.items()), MultiPoly.zero(N, fld))
+            gap = d_zz - V.scale(degrees[j - 1])
+            if not gap.is_zero():
+                return dict(row=cr + j - 1, col=col, d_zz_minus_deg_v=to_literal(gap)[:400])
+    return None
+
+
+def _transition_rows(value: list, diff: list, at_chart: Callable, z: Sequence[int], m: int,
                      l1: int, l2: int) -> list:
-    """A form's value rows stacked, over any commutative ring, with blocks of
-    its differential rows `diff`: diff; z_{l2} * (diff at w_{l1}) and
-    z_{l1} * (diff at w_{l2}); then diff at w_l and z_l * diff for each chart
-    l in sorted order. at_chart(l) is diff at w_l, times(rows, l) is z_l * rows."""
+    """A form's value rows mod m stacked with blocks of its differential
+    rows `diff`: z_{l2} * (diff at w_{l1}) and z_{l1} * (diff at w_{l2});
+    then diff at w_l and z_l * diff for each chart l in sorted order.
+    at_chart(l) is diff at w_l, and z the point's coordinates."""
+    def times(rows: list, l: int) -> list:
+        return [[x * z[l] % m for x in row] for row in rows]
+
     w = {l: at_chart(l) for l in sorted({l1, l2})}
-    blocks = [diff, times(w[l1], l2), times(w[l2], l1)]
+    blocks = [times(w[l1], l2), times(w[l2], l1)]
     blocks += [block for l in w for block in (w[l], times(diff, l))]
     return value + [row for block in blocks for row in block]
 
 
-def _transition_identities(nvalue: int, ndiff: int, l1: int, l2: int
-                           ) -> Tuple[List[Identity], Tuple[int, ...]]:
+def _transition_identities(nvalue: int, ndiff: int, l1: int, l2: int) -> List[Identity]:
     """The transition z_{l2}^n G(w_{l1}) == z_{l1}^n G(w_{l2}), then the
     scaling G(w_l) == z_l^n G for each chart l in sorted order, as maximal
-    minors of _transition_rows (n = ndiff rows each times z_l); and G."""
+    minors of _transition_rows (n = ndiff rows each times z_l)."""
     def block(k: int) -> Tuple[int, ...]:
         return tuple(range(nvalue)) + tuple(range(nvalue + k * ndiff, nvalue + (k + 1) * ndiff))
 
-    return [(block(2 * j + 1), block(2 * j + 2)) for j in range(1 + len({l1, l2}))], block(0)
-
-
-def _check_identities(ids: Sequence[str], identities: Sequence[Identity], sign: int,
-                      table: Optional[MinorTable] = None, rows_at: Optional[Callable] = None,
-                      sampling: Optional[dict] = None) -> List[dict]:
-    """Checks that the two maximal minors of each identity agree, both
-    taken with `sign`.
-
-    With a MinorTable, check ids[k] compares the packed minors of identity
-    k; a failure's witness is lhs_minus_rhs, cut to 400 characters. Else
-    check ids[0] samples every identity from rows_at(z, dz, m), the values
-    mod m, at sample_identity's points (keyword arguments `sampling`); its
-    witness holds the point and the index of the failing identity as "pair".
-    """
-    if table is not None:
-        cols, checks = tuple(range(len(table.entries[0]))), []
-        for check_id, (lhs, rhs) in zip(ids, identities):
-            a, b = table.minor(lhs, cols), table.minor(rhs, cols)
-            if a == b:
-                checks.append(_check(check_id, "pass"))
-                continue
-            gap = table.unpack(a, len(lhs)) - table.unpack(b, len(rhs))
-            checks.append(_check(check_id, "fail", witness={
-                "lhs_minus_rhs": to_literal(gap if sign > 0 else -gap)[:400]}))
-        return checks
-
-    def sides_at(z, dz, m):
-        values = rows_at(z, dz, m)
-        return ((sign * det_mod_p([values[r] for r in lhs], m) % m,
-                 sign * det_mod_p([values[r] for r in rhs], m) % m) for lhs, rhs in identities)
-
-    miss = sample_identity(sides_at, **sampling)
-    witness = None if miss is None else dict(trial=miss[0], z=miss[1], dz=miss[2], pair=miss[3])
-    return [_check(ids[0], "fail" if witness else "pass", "probabilistic",
-                   sampling["trials"], witness)]
+    return [(block(2 * j), block(2 * j + 1)) for j in range(1 + len({l1, l2}))]
 
 
 def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
-                      l1: int, l2: int, mode: str = "auto",
+                      l1: int, l2: int, mode: str = "exact",
                       which: Optional[Tuple] = None, kind: Optional[str] = None,
                       trials: int = 20, seed: int = 0) -> dict:
     """Chart-change identities for one extracted form.
@@ -257,52 +258,55 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
       exponent     z-degree + dz-degree of G equals the twist plus the
                    omitted column's divisor share plus the coefficient
                    twists, independently recomputed.
-    Each side is a maximal minor of _transition_rows: exact mode compares
-    them packed on one MinorTable, probabilistic mode evaluates the rows at
-    points with z_{l1}, z_{l2} != 0; neither substitutes into an expanded G.
-    "auto" goes exact while len({l1, l2}) * (terms of G) stays within the
-    limit. The exponent check reads the z-degree that extract_forms
+    Exact mode checks the hypothesis these rest on (_euler_witness): a
+    divided differential entry D linear in dz with D(z; z) == deg(F_j) * V
+    gives D(z; w_l) == z_l * D - dz_l * deg(F_j) * V, and subtracting
+    multiples of the value rows turns the rows of G(w_l) into z_l times
+    those of G. A broken relation fails every scaling check and the
+    transition, with the same witness; on one chart the transition compares
+    two equal sides and passes. Probabilistic mode evaluates the maximal
+    minors of _transition_rows at points with z_{l1}, z_{l2} != 0 through
+    det_mod_p (sample_identity, stage "transition"); its witness holds the
+    point and the index of the failing identity as "pair". Neither mode
+    expands G. The exponent check reads the z-degree that extract_forms
     enforces, so it runs in every mode and also on a zero G.
     """
+    if mode not in ("exact", "probabilistic"):
+        raise ValueError(f"unknown mode {mode!r}")
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("transition", [guard], omit=omit, charts=(l1, l2))
     form = extract_forms(build_matrices(fam), which, [selection], omit=omit, kind=kind)[0]
     n_eff, N, charts = form.dz_degree, fam.shape.N, sorted({l1, l2})
-    divided = [form.matrix.rows[t] for t in form.matrix_rows]
-    nvalue = len(divided) - n_eff
-    identities, g = _transition_identities(nvalue, n_eff, l1, l2)
-    table = None
-    if mode in ("exact", "auto"):
-        diff = divided[nvalue:]
-        table = MinorTable(_transition_rows(
-            divided[:nvalue], diff, lambda l: [[tangent_projection(e, l) for e in row] for row in diff],
-            lambda rows, l: [[e * MultiPoly.z(N, l, fam.field) for e in row] for row in rows],
-            l1, l2))
-    if mode == "auto":
-        total = len(charts) * len(table.minor(g, tuple(range(len(divided[0])))))
-        mode = "exact" if total <= AUTO_EXACT_TERM_LIMIT else "probabilistic"
     if mode == "exact":
-        ids = [f"scaling chart {l}" for l in charts] + ["transition"]
-        checks = _check_identities(ids, identities[1:] + identities[:1], form.sign, table=table)
-    elif mode == "probabilistic":
-        def rows_at(z, dz, m):
+        witness = _euler_witness(form, fam)
+        checks = [_check(f"scaling chart {l}", "fail" if witness else "pass", witness=witness)
+                  for l in charts]
+        broken = witness is not None and l1 != l2
+        checks.append(_check("transition", "fail" if broken else "pass",
+                             witness=witness if broken else None))
+    else:
+        nvalue = len(form.matrix_rows) - n_eff
+        identities = _transition_identities(nvalue, n_eff, l1, l2)
+
+        def sides_at(z, dz, m):
             def at(point):
                 values = form.matrix.values_at(z, point, m)
                 return [values[t] for t in form.matrix_rows]
 
             here = at(dz)
-            return _transition_rows(
+            rows = _transition_rows(
                 here[:nvalue], here[nvalue:],
                 lambda l: at([(z[l] * dz[k] - dz[l] * z[k]) % m for k in range(N + 1)])[nvalue:],
-                lambda rows, l: [[x * z[l] % m for x in row] for row in rows], l1, l2)
+                z, m, l1, l2)
+            return ((form.sign * det_mod_p([rows[r] for r in lhs], m) % m,
+                     form.sign * det_mod_p([rows[r] for r in rhs], m) % m)
+                    for lhs, rhs in identities)
 
-        checks = _check_identities(
-            ["transition"], identities, form.sign, rows_at=rows_at,
-            sampling=dict(N=N, field=fam.field, trials=trials, seed=seed, stage="transition",
-                          nonzero=(l1, l2)))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        miss = sample_identity(sides_at, N, fam.field, trials, seed, "transition", nonzero=(l1, l2))
+        witness = None if miss is None else dict(trial=miss[0], z=miss[1], dz=miss[2], pair=miss[3])
+        checks = [_check("transition", "fail" if witness else "pass", "probabilistic",
+                         trials, witness)]
 
     # extract_forms holds every divided entry, so every term of G, to this
     # z-degree

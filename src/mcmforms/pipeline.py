@@ -363,7 +363,7 @@ def _stage_transition(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
     return _run_units(
         ctx, _transition_units(fam),
         lambda u: verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
-                                    mode="auto", which=u["which"], kind=u["kind"],
+                                    mode="exact", which=u["which"], kind=u["kind"],
                                     seed=cfg.seed),
         lambda u, rep: {"omit": u["omit"], "charts": [u["l1"], u["l2"]],
                         "mode": rep.get("mode")})

@@ -1,16 +1,33 @@
 import pytest
 
-from mcmforms.exact_algebra import EvalPlan, MinorTable, MultiPoly
+from mcmforms.exact_algebra import EvalPlan, MultiPoly
 
 
 def det(rows):
-    """The determinant of a square matrix of polynomials, expanded on a
-    MinorTable (which refuses an empty matrix)."""
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError("matrix is not square")
-    everything = tuple(range(len(rows)))
-    table = MinorTable(rows)
-    return table.unpack(table.minor(everything, everything), len(rows))
+    """The determinant of a square matrix of polynomials: the test oracle,
+    since the library never expands one. Cofactor expansion along the top
+    row, each minor memoised on its columns (its rows are the bottom ones),
+    so minors that share columns are expanded once. An empty or ragged
+    matrix raises ValueError."""
+    n = len(rows)
+    if not n or any(len(row) != n for row in rows):
+        raise ValueError("matrix is empty or not square")
+    memo = {}
+
+    def minor(cols):
+        top = rows[n - len(cols)]
+        if len(cols) == 1:
+            return top[cols[0]]
+        if cols not in memo:
+            total = MultiPoly.zero(top[0].N, top[0].field)
+            for t, col in enumerate(cols):
+                if not top[col].is_zero():
+                    piece = top[col] * minor(cols[:t] + cols[t + 1:])
+                    total = total - piece if t % 2 else total + piece
+            memo[cols] = total
+        return memo[cols]
+
+    return minor(tuple(range(n)))
 
 
 def expand_form(form):

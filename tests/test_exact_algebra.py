@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
-from collections import defaultdict
-from itertools import combinations, permutations
-from math import prod
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -16,7 +14,6 @@ from mcmforms.exact_algebra import (
     DivisibilityError,
     EvalPlan,
     Field,
-    MinorTable,
     MultiPoly,
     ParseError,
     QQ,
@@ -24,20 +21,11 @@ from mcmforms.exact_algebra import (
     det_mod_p,
     divide_exact,
     from_literal,
-    identity_test,
     sample_identity,
-    tangent_projection,
     times_monomial,
     to_literal,
     total_differential,
     z_power,
-    _denominator_lcm,
-    _max_degree,
-    _pack,
-    _product_into,
-    _reduce,
-    _slot_codec,
-    _unpack,
 )
 from mcmforms import exact_algebra
 from mcmforms.util import child_rng, chunks
@@ -61,8 +49,9 @@ def rand_poly(rng, N, field, max_terms=5, max_deg=3, with_dz=True):
 
 
 def tuple_mul(a, b):
-    """The tuple-exponent product loop MultiPoly.__mul__ ran before exponents
-    were packed: the reference for the packed kernel."""
+    """A product loop that sums with Field.coerce and Field.add, term by
+    term: the reference for MultiPoly.__mul__, which reduces once per
+    result."""
     fld = a.field
     out = {}
     small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
@@ -279,10 +268,10 @@ def test_euler_relation():
         f = MultiPoly(N, QQ, terms)
         euler = substitute_dz(total_differential(f), [MultiPoly.z(N, k) for k in range(N + 1)])
         assert euler == f.scale(deg)
-        # projecting df to chart l keeps z_l df and drops dz_l df(z, z)
+        # substituting w_l into df keeps z_l df and drops dz_l df(z, z)
         l = rng.randrange(N + 1)
         df = total_differential(f)
-        assert MultiPoly.z(N, l) * df - tangent_projection(df, l) == \
+        assert MultiPoly.z(N, l) * df - substitute_dz(df, chart_images(N, QQ, l)) == \
             MultiPoly.dz(N, l) * f.scale(deg)
 
 
@@ -326,75 +315,40 @@ def test_divide_multiply_round_trip():
 # ----- substitutions -----
 
 
-def test_tangent_projection_kills_own_direction():
-    # dz_l maps to z_l dz_l - dz_l z_l = 0
-    assert tangent_projection(MultiPoly.dz(2, 1), 1).is_zero()
-
-
 @pytest.mark.parametrize("field", [QQ, Field(5), Field(2)], ids=str)
 def test_tangent_projection_matches_the_substitution(field):
-    # linear in dz: z_l * p - dz_l * p(z, z) is p(z, w_l(dz))
+    # linear in dz: p(z, w_l(dz)) is z_l * p - dz_l * p(z, z), the step the
+    # exact transition certificate rests on, with p(z, z) = sum_k z_k [dz_k]p
     rng = random.Random(23)
     for _ in range(100):
         N = rng.randrange(1, 4)
         p = MultiPoly.zero(N, field)
+        parts = []
         for k in range(N + 1):
-            p = p + rand_poly(rng, N, field, with_dz=False) * MultiPoly.dz(N, k, field)
+            parts.append(rand_poly(rng, N, field, with_dz=False))
+            p = p + parts[-1] * MultiPoly.dz(N, k, field)
         if rng.random() < 0.2:
-            p = MultiPoly.zero(N, field)
+            p, parts = MultiPoly.zero(N, field), []
+        at_z = sum((MultiPoly.z(N, k, field) * part for k, part in enumerate(parts)),
+                   MultiPoly.zero(N, field))
         l = rng.randrange(N + 1)
-        assert tangent_projection(p, l) == substitute_dz(p, chart_images(N, field, l))
+        projected = MultiPoly.z(N, l, field) * p - MultiPoly.dz(N, l, field) * at_z
+        assert projected == substitute_dz(p, chart_images(N, field, l))
 
 
-def test_tangent_projection_refuses_a_dz_degree_other_than_one():
-    # the product dz0 * dz2 projects to w_0 * w_2, which the entry-wise
-    # projection does not compute
-    for literal in ("1 * dz0^1 dz2^1", "1 * z0^2", "1 * z1^1 + 1 * dz1^1",
-                    "1 * z0^1 dz0^1 + 1 * dz1^2"):
-        with pytest.raises(ValueError, match="linear in dz|not dz-homogeneous"):
-            tangent_projection(from_literal(literal, 2), 1)
-    with pytest.raises(ValueError, match="chart index"):
-        tangent_projection(MultiPoly.dz(2, 0), 3)
+# ----- the determinant expansion is gone -----
 
 
-# ----- identity testing -----
+def test_no_determinant_expansion_or_packed_kernel_is_left():
+    # forms are evaluated at points and exact checks compare entries, so
+    # nothing in the library expands a determinant or packs exponents
+    gone = ("MinorTable", "tangent_projection", "identity_test", "AUTO_EXACT_TERM_LIMIT",
+            "_SLOT_CODES", "_struct_for", "_slot_codec", "_max_degree", "_denominator_lcm",
+            "_pack", "_product_into", "_reduce", "_unpack")
+    assert [name for name in gone if hasattr(exact_algebra, name)] == []
 
 
-def test_identity_test_exact():
-    z0 = MultiPoly.z(2, 0)
-    z1 = MultiPoly.z(2, 1)
-    res = identity_test((z0 + z1) ** 2, z0 * z0 + z0 * z1 + z0 * z1 + z1 * z1, mode="exact")
-    assert res["equal"] and res["mode"] == "exact"
-
-
-def test_identity_test_probabilistic_detects_inequality():
-    z0 = MultiPoly.z(2, 0)
-    z1 = MultiPoly.z(2, 1)
-    res = identity_test(z0, z1, mode="probabilistic", trials=20, seed=1)
-    assert not res["equal"] and "witness" in res
-
-
-def test_identity_test_probabilistic_accepts_equal_over_fp():
-    fld = Field(101)
-    p = (MultiPoly.z(1, 0, fld) + MultiPoly.z(1, 1, fld)) ** 3
-    q = p + MultiPoly.zero(1, fld)
-    res = identity_test(p, q, mode="probabilistic", trials=5, seed=2)
-    assert res["equal"]
-
-
-def test_identity_test_probabilistic_evaluates_each_side(monkeypatch):
-    # the two sides are sampled separately; p - q is never expanded
-    fld = Field(101)
-    p = (MultiPoly.z(1, 0, fld) + MultiPoly.z(1, 1, fld)) ** 3
-    q = p + MultiPoly.z(1, 0, fld)
-
-    def refuse(self, other):
-        raise AssertionError("identity_test subtracted its sides")
-
-    monkeypatch.setattr(MultiPoly, "__sub__", refuse)
-    assert identity_test(p, p, mode="probabilistic", trials=5)["equal"]
-    res = identity_test(p, q, mode="probabilistic", trials=5)
-    assert not res["equal"] and res["trials"] >= 1
+# ----- identity sampling -----
 
 
 def test_sample_identity_draws_seeded_points_and_reports_the_first_mismatch():
@@ -424,15 +378,6 @@ def test_sampling_without_a_trial_is_refused(trials):
     # no point drawn would pass any identity, true or false
     with pytest.raises(ValueError, match="at least one trial"):
         sample_identity(lambda z, dz, m: [(1, 0)], 1, Field(5), trials, 0, "s")
-    p = MultiPoly.z(1, 0, Field(5))
-    with pytest.raises(ValueError, match="at least one trial"):
-        identity_test(p, p + p, mode="probabilistic", trials=trials)
-
-
-def test_identity_test_auto_small_goes_exact():
-    p = MultiPoly.z(1, 0)
-    res = identity_test(p, p, mode="auto")
-    assert res["mode"] == "exact" and res["equal"]
 
 
 # ----- determinants -----
@@ -452,10 +397,11 @@ def test_poly_det_vanishes_on_repeated_rows():
     assert det([row, other, row]).is_zero()
 
 
-# ----- packed-exponent kernel against the tuple loop -----
+# ----- products and determinants against field arithmetic -----
 
 PROPERTY_FIELDS = (Field(2), Field(5), Field(IDENTITY_PRIME), QQ)
-# the largest exponent of each slot width, and one past it
+# the largest exponent of 8-, 16- and 32-bit slots, and one past it: a
+# product kernel on packed exponents would have to widen its slots there
 SLOT_EDGES = (255, 256, 65535, 65536, 2**32 - 1, 2**32)
 
 
@@ -554,8 +500,8 @@ def test_calculus_and_substitutions_match_field_arithmetic(data):
 @pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=str)
 @pytest.mark.parametrize("edge", SLOT_EDGES)
 def test_packed_kernel_at_slot_edges(edge, field):
-    """Degree bounds of exactly 2**b - 1 and 2**b, in the lowest and the
-    highest slot."""
+    """Products and determinants of degree exactly 2**b - 1 and 2**b, in the
+    lowest and the highest slot, stay exact."""
     N = 1
     for slot in (0, 2 * N + 1):
         high = [0] * (2 * (N + 1))
@@ -570,22 +516,14 @@ def test_packed_kernel_at_slot_edges(edge, field):
         assert same_poly(det([[a, b], [b, a]]), brute_det([[a, b], [b, a]]))
 
 
-def test_slot_width_is_the_narrowest_above_the_degree_bound():
-    for bits, code in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")):
-        assert _slot_codec(4, 2**bits - 1).format == f"<4{code}"
-    for bits, code in ((8, "H"), (16, "I"), (32, "Q")):
-        assert _slot_codec(4, 2**bits).format == f"<4{code}"
-
-
-def test_degree_bound_beyond_64_bits_raises_instead_of_wrapping():
+def test_products_past_64_bit_exponents_stay_exact():
     big = MultiPoly.z(1, 0, Field(5), power=2**63)
     almost = MultiPoly.z(1, 0, Field(5), power=2**63 - 1)
-    assert same_poly(big * almost, tuple_mul(big, almost))
-    with pytest.raises(OverflowError):
-        big * big
     one = MultiPoly.const(1, 1, Field(5))
-    with pytest.raises(OverflowError):
-        det([[big, one], [one, big]])
+    for a, b in ((big, almost), (big, big)):
+        assert same_poly(a * b, tuple_mul(a, b))
+    assert (big * big).terms == {(2**64, 0, 0, 0): 1}
+    assert same_poly(det([[big, one], [one, big]]), brute_det([[big, one], [one, big]]))
 
 
 def test_det_mod_p_agrees_with_poly_det_on_constants():
@@ -638,39 +576,7 @@ def test_det_mod_p_satisfies_the_cramer_identities(rows):
     assert _cramer_identities([[1, 0], [0, 1], [1, 1]], [1, 1, 1], p) is not None
 
 
-# ----- minor table against the cofactor loop -----
-
-
-def cofactor_det(rows):
-    """The determinant loop used before the minor table: cofactor
-    expansion along the top row, memoised on the remaining columns, packed
-    entries and minors. The reference for MinorTable."""
-    m = len(rows)
-    sample = rows[0][0]
-    N, fld = sample.N, sample.field
-    codec = _slot_codec(2 * (N + 1), sum(max(map(_max_degree, row)) for row in rows))
-    scales = [_denominator_lcm(row) for row in rows]
-    packed = [[_pack(entry, codec, s) for entry in row] for row, s in zip(rows, scales)]
-    memo = {}
-
-    def minor(cols):
-        i = m - len(cols)
-        if len(cols) == 1:
-            return packed[i][cols[0]]
-        if cols in memo:
-            return memo[cols]
-        out = defaultdict(int)
-        for t, col in enumerate(cols):
-            entry = packed[i][col]
-            if not entry:
-                continue
-            if t % 2:
-                entry = {k: -c for k, c in entry.items()}
-            _product_into(out, entry, minor(cols[:t] + cols[t + 1:]))
-        memo[cols] = out = _reduce(out, fld.p)
-        return out
-
-    return _unpack(minor(tuple(range(m))), codec, N, fld, prod(scales))
+# ----- the determinant oracle and the Laplace identity -----
 
 
 @st.composite
@@ -688,30 +594,13 @@ def _matrices(draw, field, N, nrows, ncols):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_poly_det_matches_the_cofactor_loop(data):
+    # the memoised cofactor oracle against the permutation expansion, also
+    # on 1 x 1 matrices and on matrices with a repeated or scaled row
     field = data.draw(st.sampled_from(PROPERTY_FIELDS))
     N = data.draw(st.integers(0, 1))
     n = data.draw(st.integers(1, 4))
     rows = data.draw(_matrices(field, N, n, n))
-    assert same_poly(det(rows), cofactor_det(rows))
-
-
-@given(st.data())
-@settings(max_examples=150, deadline=None)
-def test_minor_table_matches_the_cofactor_loop_on_every_minor(data):
-    field = data.draw(st.sampled_from(PROPERTY_FIELDS))
-    N = data.draw(st.integers(0, 1))
-    nrows = data.draw(st.integers(1, 4))
-    ncols = data.draw(st.integers(1, 4))
-    rows = data.draw(_matrices(field, N, nrows, ncols))
-    table = MinorTable(rows)
-    # every minor, largest first, so that smaller ones come from the memo
-    for k in range(min(nrows, ncols), 0, -1):
-        for r in combinations(range(nrows), k):
-            for c in combinations(range(ncols), k):
-                got = table.minor(r, c)
-                want = cofactor_det([[rows[i][j] for j in c] for i in r])
-                assert len(got) == want.term_count()
-                assert same_poly(table.unpack(got, k), want)
+    assert same_poly(det(rows), brute_det(rows))
 
 
 def gluing_identity(nrows, ncols, j1, j2):
@@ -751,14 +640,14 @@ def laplace_side(terms, minor, row_sum, zero):
     return total
 
 
-def polynomial_laplace_sides(M, table, j1, j2):
+def polynomial_laplace_sides(M, j1, j2):
     """(difference, certificate) of gluing_identity on the polynomial matrix
-    M, every minor read from its MinorTable (the empty minor is 1)."""
+    M, every minor expanded by the det oracle (the empty minor is 1)."""
     sample = M[0][0]
-    one = MultiPoly.const(1, sample.N, sample.field)
+    one = MultiPoly.const(sample.N, 1, sample.field)
 
     def minor(rows, cols):
-        return table.unpack(table.minor(rows, cols), len(rows)) if rows else one
+        return det([[M[r][c] for c in cols] for r in rows]) if rows else one
 
     def row_sum(i):
         return sum(M[i][1:], M[i][0])
@@ -769,9 +658,9 @@ def polynomial_laplace_sides(M, table, j1, j2):
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
-def test_minor_table_and_det_mod_p_satisfy_the_laplace_gluing_identity(data):
+def test_det_oracle_and_det_mod_p_satisfy_the_laplace_gluing_identity(data):
     # psi_{j1} - psi_{j2} == sum_i G_i * Cof_i holds for every matrix, over
-    # Q with fractional entries and over F_5, exactly from the minor table
+    # Q with fractional entries and over F_5, exactly from the det oracle
     # and at a point through det_mod_p
     field = data.draw(st.sampled_from((Field(5), QQ)), label="field")
     n = data.draw(st.integers(1, 4), label="rows")
@@ -783,31 +672,12 @@ def test_minor_table_and_det_mod_p_satisfy_the_laplace_gluing_identity(data):
     def minor_mod(rows, cols):
         return det_mod_p([[values[r][c] for c in cols] for r in rows], m)
 
-    table = MinorTable(M)
     for j1, j2 in permutations(range(n + 1), 2):
-        difference, certificate = polynomial_laplace_sides(M, table, j1, j2)
+        difference, certificate = polynomial_laplace_sides(M, j1, j2)
         assert same_poly(difference, certificate), (j1, j2)
         diff_mod, cert_mod = (laplace_side(side, minor_mod, lambda i: sum(values[i]), 0)
                               for side in gluing_identity(n, n + 1, j1, j2))
         assert (diff_mod - cert_mod) % m == 0, (j1, j2)
-
-
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_minors_of_one_size_compare_term_by_term(data):
-    # one scale for the whole table: equal polynomials have equal packed
-    # terms whatever rows they come from
-    field = data.draw(st.sampled_from(PROPERTY_FIELDS))
-    rows = data.draw(_matrices(field, 1, 2, 2))
-    k = field.coerce(data.draw(st.sampled_from((1, -1, 2, 3))))
-    table = MinorTable(rows + [[e.scale(k) for e in row] for row in rows])
-    a = table.minor((0, 1), (0, 1))
-    b = table.minor((2, 3), (0, 1))
-    k2 = k * k % field.p if field.p else k * k
-    assert b == {key: v for key, c in a.items()
-                 if (v := c * k2 % field.p if field.p else c * k2)}
-    # and they unpack with one scale
-    assert same_poly(table.unpack(b, 2), table.unpack(a, 2).scale(k2))
 
 
 # ----- evaluation -----

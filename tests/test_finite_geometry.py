@@ -9,8 +9,8 @@ import pytest
 from census_oracle import rank as oracle_rank
 from conftest import expand_form
 
-from mcmforms import exact_algebra, finite_geometry
-from mcmforms.exact_algebra import EvalPlan, Field, QQ, deriv, det_mod_p, from_literal, to_literal
+from mcmforms import finite_geometry
+from mcmforms.exact_algebra import EvalPlan, Field, MultiPoly, QQ, deriv, det_mod_p, from_literal, to_literal
 from mcmforms.finite_geometry import (
     ProjPoint,
     RankConditionMatrix,
@@ -1013,33 +1013,37 @@ def test_crosscheck_refuses_an_n_2_family_up_front():
 
 
 def test_scans_that_only_evaluate_forms_expand_no_determinant(monkeypatch):
-    # a MinorTable is built only inside an exact identity check: none by the
-    # scans or by the stages that run them, one per exact transition unit
+    # the scans and the stages that run them form no polynomial product;
+    # an exact transition unit forms only the products z_k * [dz_k]D of
+    # its certificate, at most N + 1 per divided differential entry
     from mcmforms.identity_verifier import verify_transition
     from mcmforms.pipeline import RunConfig, _transition_units, run_pipeline
 
-    tables = []
-    real = exact_algebra.MinorTable.__init__
+    products = []
+    real = MultiPoly.__mul__
 
-    def count(self, rows):
-        tables.append(len(rows))
-        real(self, rows)
+    def count(a, b):
+        products.append((a.term_count(), b.term_count()))
+        return real(a, b)
 
-    monkeypatch.setattr(exact_algebra.MinorTable, "__init__", count)
     fam = mcm_family(4, shape=ProblemShape(2, 1, 0))
+    monkeypatch.setattr(MultiPoly, "__mul__", count)
     forms = standard_forms(fam)
     assert characterization_crosscheck(fam, 5, sample=96)["incidence_pairs"] == 7
     assert base_locus_scan(fam, forms, 5)["directions"] == 7
     stages = run_pipeline(RunConfig(stages=("base-locus", "crosscheck")))["stages"]
     assert [stages[s]["status"] for s in ("base-locus", "crosscheck")] == ["PASS", "PASS"]
     assert stages["base-locus"]["report"]["forms"] == 45
-    assert tables == []
+    assert products == []
+    N = fam.shape.N
     for u in _transition_units(fam):
         rep = verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
                                 mode="exact", which=u["which"], kind=u["kind"])
         assert rep["ok"] and rep["mode"] == "exact"
-        assert len(tables) == 1
-        tables.clear()
+        # n = 1 differential row of N entries (one column omitted)
+        assert 0 < len(products) <= (N + 1) * N
+        assert all(1 in pair for pair in products)
+        products.clear()
 
 
 def test_membership_forces_numeric_vanishing():

@@ -1,20 +1,20 @@
 import dataclasses
 import random
+from types import SimpleNamespace
 
 import pytest
-from conftest import expand_form
+from conftest import det, expand_form
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from substitution_oracle import chart_images, reference_transition, substitute_dz
 
 from mcmforms import identity_verifier
 from mcmforms.exact_algebra import (
     Field,
-    MinorTable,
     MultiPoly,
     QQ,
     deriv,
     from_literal,
-    identity_test,
-    tangent_projection,
     times_monomial,
     to_literal,
     total_differential,
@@ -31,6 +31,7 @@ from mcmforms.identity_verifier import (
 from mcmforms.pipeline import _glue_units, _transition_units
 from mcmforms.schedule import ProblemShape, TwistLedger, build_schedule, twist_ledger
 from mcmforms.section_builder import (
+    DividedMatrix,
     build_matrices,
     build_sections,
     extract_forms,
@@ -67,7 +68,7 @@ def test_line_gluing_certificate_matches_hand_expansion():
     assert rep["ok"] and rep["generators"] == 2
     K = build_matrices(fam)
     M = [list(K.entries[0]), list(K.entries[1])]
-    _, cert = polynomial_laplace_sides(M, MinorTable(M), 0, 1)
+    _, cert = polynomial_laplace_sides(M, 0, 1)
     F_dz2 = from_literal(
         "1 * z0^1 dz2^1 + 1 * z1^1 dz2^1 + 1 * z2^1 dz2^1", 2)
     dF_z2 = from_literal(
@@ -276,9 +277,9 @@ def test_tangent_scaling_holds_for_forms_but_not_in_general():
     K = build_matrices(fam)
     G = expand_form(extract_forms(K, None, [(1,)], omit=2, kind="psi")[0])
     for l in range(3):
-        assert tangent_projection(G, l) == times_monomial(G, z_power(2, l, 1))
+        assert substitute_dz(G, chart_images(2, QQ, l)) == times_monomial(G, z_power(2, l, 1))
     raw = MultiPoly.dz(2, 0, QQ)
-    assert tangent_projection(raw, 1) != times_monomial(raw, z_power(2, 1, 1))
+    assert substitute_dz(raw, chart_images(2, QQ, 1)) != times_monomial(raw, z_power(2, 1, 1))
 
 
 def test_transition_same_chart_trivial():
@@ -352,9 +353,9 @@ def test_sampling_catches_a_broken_transition_and_keeps_its_points(monkeypatch):
     real = identity_verifier.extract_forms
 
     def broken(*args, **kwargs):
-        # one term, of the entry's own bidegree, added to a divided entry of
-        # the differential row: no chart change fixes it, and exact and
-        # sampled checks both read it, from the minor table and the plan
+        # one term h, of the entry's own bidegree, added to a divided entry
+        # of the differential row: h(z; z) != 0 breaks Euler's relation, and
+        # exact and sampled checks both read it, from the divided matrix
         (form,) = real(*args, **kwargs)
         rows = form.matrix.rows
         entry = rows[form.matrix_rows[-1]][0]
@@ -366,14 +367,15 @@ def test_sampling_catches_a_broken_transition_and_keeps_its_points(monkeypatch):
     monkeypatch.setattr(identity_verifier, "extract_forms", broken)
     exact = verify_transition(fam, (1,), omit=2, l1=0, l2=1, mode="exact")
     assert not exact["ok"]
-    assert [c["verdict"] for c in exact["checks"][:3]] == ["fail"] * 3
-    # each witness is lhs - rhs of the broken G, expanded and substituted
-    G = expand_form(broken(build_matrices(fam), None, [(1,)], omit=2)[0])
-    at = {l: substitute_dz(G, chart_images(2, G.field, l)) for l in (0, 1)}
-    z = {l: MultiPoly.z(2, l, G.field) for l in (0, 1)}
-    gaps = [at[0] - z[0] * G, at[1] - z[1] * G, z[1] * at[0] - z[0] * at[1]]
+    # expanding the broken G and substituting into it fails the same checks
+    form = broken(build_matrices(fam), None, [(1,)], omit=2)[0]
+    assert [(c["id"], c["verdict"]) for c in exact["checks"][:3]] == \
+        reference_transition(form, 0, 1) == [
+            ("scaling chart 0", "fail"), ("scaling chart 1", "fail"), ("transition", "fail")]
+    # each witness names the entry (bundle row c + r + j - 1 = 1, column 0)
+    # and D(z; z) - deg(F_1) * V, which is h(z; z) = z0 z1
     assert [c["witness"] for c in exact["checks"][:3]] == [
-        {"lhs_minus_rhs": to_literal(gap)[:400]} for gap in gaps]
+        {"row": 1, "col": 0, "d_zz_minus_deg_v": "1 * z0^1 z1^1"}] * 3
     sampled = verify_transition(fam, (1,), omit=2, l1=0, l2=1, mode="probabilistic")
     assert not sampled["ok"]
     assert sampled["checks"][0]["witness"] == {
@@ -437,49 +439,59 @@ def test_exact_transition_matches_expand_then_substitute(fam):
         assert rep["ok"] and all(c["mode"] == "exact" for c in rep["checks"])
 
 
-@pytest.mark.parametrize("mode", ["exact", "auto"])
+@pytest.mark.parametrize("mode", ["exact"])
 def test_exact_transition_projects_divided_entries_and_never_expands_G(monkeypatch, mode):
-    # the tangent substitution commutes with the determinant: exact mode
-    # projects the divided differential entries, one at a time, and neither
-    # unpacks a minor (a PASS has no witness to write) nor substitutes into G
-    def refuse(self, *args):
-        raise AssertionError("a minor unpacked")
+    # exact mode reads the divided differential entries one at a time: each
+    # product it forms is a coordinate z_k times the piece [dz_k]D of one
+    # entry D, at most N + 1 of them an entry, and it neither evaluates the
+    # divided matrix nor takes a determinant
+    def refuse(*args):
+        raise AssertionError("an exact transition evaluated or took a determinant")
 
-    projected, forms = [], []
-    real_projection, real_extract = identity_verifier.tangent_projection, identity_verifier.extract_forms
+    products, forms = [], []
+    real_mul, real_extract = MultiPoly.__mul__, identity_verifier.extract_forms
 
-    def record(p, l):
-        projected.append(p)
-        return real_projection(p, l)
+    def record(a, b):
+        products.append((a, b))
+        return real_mul(a, b)
 
     def keep(*args, **kwargs):
         forms.extend(real_extract(*args, **kwargs))
         return forms[-1:]
 
-    monkeypatch.setattr(MinorTable, "unpack", refuse)
-    monkeypatch.setattr(identity_verifier, "tangent_projection", record)
+    monkeypatch.setattr(identity_verifier, "det_mod_p", refuse)
+    monkeypatch.setattr(DividedMatrix, "values_at", refuse)
     monkeypatch.setattr(identity_verifier, "extract_forms", keep)
     for label, fam in transition_families()[::2]:
+        N = fam.shape.N
+        coords = [MultiPoly.z(N, k, fam.field) for k in range(N + 1)]
         for u in transition_units(fam):
-            projected.clear()
+            products.clear()
+            monkeypatch.setattr(MultiPoly, "__mul__", record)
             rep = verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
                                     mode=mode, which=u["which"], kind=u["kind"])
+            monkeypatch.setattr(MultiPoly, "__mul__", real_mul)
             assert rep["ok"] and rep["mode"] == "exact", label
             form = forms[-1]
             diff = [form.matrix.rows[t] for t in form.matrix_rows[-form.dz_degree:]]
-            assert len(projected) == len({u["l1"], u["l2"]}) * len(diff) * len(diff[0])
-            assert all(any(p is e for row in diff for e in row) for p in projected), label
+            pieces = {exp[:N + 1] for row in diff for e in row for exp in e.terms}
+            assert 0 < len(products) <= (N + 1) * len(diff) * len(diff[0]), label
+            for z_k, piece in products:
+                assert z_k in coords and piece.dz_degree() in (None, 0), label
+                assert {exp[:N + 1] for exp in piece.terms} <= pieces, label
 
 
 def test_sampled_transition_never_substitutes_polynomials(monkeypatch):
+    # probabilistic mode evaluates the divided matrix at points and forms
+    # no polynomial product
     shape = ProblemShape(3, 2, 0)
     fam = build_sections(shape, "mcm", field=Field(5),
                          schedule=build_schedule(shape, 2), seed=3)
 
     def refuse(*args):
-        raise AssertionError("tangent_projection called in probabilistic mode")
+        raise AssertionError("a polynomial product in probabilistic mode")
 
-    monkeypatch.setattr(identity_verifier, "tangent_projection", refuse)
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse)
     rep = verify_transition(fam, (1,), omit=0, l1=0, l2=1, mode="probabilistic",
                             which=("K_nu", 0))
     assert rep["ok"] and rep["mode"] == "probabilistic"
@@ -498,15 +510,183 @@ def test_sampled_identities_compile_once_and_never_evaluate_term_by_term(compile
     assert verify_gluing(fermat, (1,), 0, 2, mode="probabilistic")["ok"]
     # both sides of c + r row sums and c * (N + 1) differential entries, one plan
     assert compiled_plans == [9, 2 * (2 + 2 * 4)]
-    p = from_literal("1/3 * z0^2 dz1^1 + 2 * z1^3 dz0^1", 1)
-    assert identity_test(p, p + p - p, mode="probabilistic")["equal"]
-    assert compiled_plans == [9, 20, 2]
 
 
 def test_transition_unknown_mode():
     fam = unit_line_family()
     with pytest.raises(ValueError):
         verify_transition(fam, (1,), omit=0, l1=0, l2=1, mode="sideways")
+
+
+def test_transition_defaults_to_exact_and_refuses_auto():
+    # no mode picks a check by the size of an expansion: "auto" is refused
+    fam = unit_line_family()
+    rep = verify_transition(fam, (1,), omit=0, l1=0, l2=1)
+    assert rep["ok"] and rep["mode"] == "exact"
+    assert all(c["mode"] == "exact" and c["trials"] == 0 for c in rep["checks"])
+    with pytest.raises(ValueError, match="unknown mode 'auto'"):
+        verify_transition(fam, (1,), omit=0, l1=0, l2=1, mode="auto")
+
+
+# ----- the Euler certificate -----
+
+
+def euler_split(V, deg):
+    """A polynomial D linear in dz with D(z; z) == deg * V, for V without a
+    constant term: each term of V divided by its first z_k, times dz_k."""
+    n1 = V.N + 1
+    terms = {}
+    for exp, c in V.terms.items():
+        k = next(i for i in range(n1) if exp[i])
+        terms[exp[:k] + (exp[k] - 1,) + exp[k + 1:n1 + k] + (1,) + exp[n1 + k + 1:]] = c
+    return MultiPoly(V.N, V.field, terms).scale(deg)
+
+
+def euler_kernel_term(N, field, g, a, b):
+    """g * (z_a dz_b - z_b dz_a), which vanishes at dz = z."""
+    z, dz = MultiPoly.z, MultiPoly.dz
+    return g * (z(N, a, field) * dz(N, b, field) - z(N, b, field) * dz(N, a, field))
+
+
+def bare_certificate(rows, cr, selection, degrees):
+    """_euler_witness of a square matrix given bare: cr value rows, then the
+    differential row of each selected j (1-based), all columns kept."""
+    N, field = rows[0][0].N, rows[0][0].field
+    form = SimpleNamespace(matrix=SimpleNamespace(rows=rows), matrix_rows=tuple(range(len(rows))),
+                           selection=selection, omit=len(rows[0]))
+    fam = SimpleNamespace(shape=SimpleNamespace(N=N, c=cr, r=0), field=field,
+                          section_degrees=lambda: tuple(degrees))
+    return identity_verifier._euler_witness(form, fam)
+
+
+def sparse_z_poly(rng, N, field, low, high, terms=3):
+    """Up to `terms` terms in z alone, of z-degree low..high; maybe zero."""
+    out = {}
+    for _ in range(rng.randrange(terms + 1)):
+        exp = [0] * (2 * (N + 1))
+        for _ in range(rng.randrange(low, high + 1)):
+            exp[rng.randrange(N + 1)] += 1
+        out[tuple(exp)] = field.rand_nonzero(rng)
+    return MultiPoly(N, field, out)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_euler_certificate_implies_equal_oracle_minors(data):
+    # random matrices over F_5 and Q whose differential entries keep
+    # D(z; z) == deg(F_j) * V, plus terms that vanish at dz = z: the
+    # certificate passes, and the oracle's minors agree, G(w_l) == z_l^n G
+    field = data.draw(st.sampled_from((Field(5), QQ)), label="field")
+    N = data.draw(st.integers(1, 2), label="N")
+    cr = data.draw(st.integers(1, 3), label="value rows")
+    n = data.draw(st.integers(1, min(cr, 4 - cr)), label="n")
+    selection = tuple(sorted(data.draw(st.permutations(range(1, cr + 1)))[:n]))
+    degrees = data.draw(st.lists(st.integers(0, 6), min_size=cr, max_size=cr), label="degrees")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    size = cr + n
+    value = [[sparse_z_poly(rng, N, field, 1, 2) for _ in range(size)] for _ in range(cr)]
+    diff = []
+    for j in selection:
+        row = []
+        for V in value[j - 1]:
+            D = euler_split(V, degrees[j - 1])
+            for a in range(N + 1):
+                for b in range(a + 1, N + 1):
+                    D = D + euler_kernel_term(N, field, sparse_z_poly(rng, N, field, 0, 1, 2), a, b)
+            row.append(D)
+        diff.append(row)
+    assert bare_certificate(value + diff, cr, selection, degrees) is None
+    G = det(value + diff)
+    for l in range(N + 1):
+        moved = [[substitute_dz(e, chart_images(N, field, l)) for e in row] for row in diff]
+        assert det(value + moved) == G * MultiPoly.z(N, l, field, power=n), l
+
+
+def mutated_transition(monkeypatch, fam, u, h_of):
+    """verify_transition of unit u in exact mode, after h_of(D) is added to
+    the divided entry D of highest z-degree in the form's last differential
+    row: (report, the mutated form, D's bundle row and column, h)."""
+    real = identity_verifier.extract_forms
+    seen = {}
+
+    def mutate(*args, **kwargs):
+        (form,) = real(*args, **kwargs)
+        rows, t = form.matrix.rows, form.matrix_rows[-1]
+        c = max((i for i, e in enumerate(rows[t]) if not e.is_zero()),
+                key=lambda i: rows[t][i].z_degree())
+        h = h_of(rows[t][c])
+        rows[t][c] = rows[t][c] + h
+        cols = [col for col in range(len(rows[t]) + 1) if col != form.omit]
+        cr = len(form.matrix_rows) - form.dz_degree
+        seen.update(form=form, row=cr + form.selection[-1] - 1, col=cols[c], h=h)
+        return [form]
+
+    with monkeypatch.context() as m:
+        m.setattr(identity_verifier, "extract_forms", mutate)
+        rep = verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
+                                mode="exact", which=u["which"], kind=u["kind"])
+    return rep, seen["form"], seen["row"], seen["col"], seen["h"]
+
+
+@pytest.mark.parametrize("fam", [pytest.param(fam, id=label)
+                                 for label, fam in transition_families()])
+def test_euler_certificate_kills_a_term_that_survives_dz_equals_z(monkeypatch, fam):
+    # h = z_k^deg dz_k, with h(z; z) = z_k^(deg + 1) != 0: every scaling
+    # check fails, naming the entry and h(z; z); so does the transition,
+    # unless both charts are one
+    N = fam.shape.N
+    for index, u in enumerate(transition_units(fam)):
+        k = index % (N + 1)
+
+        def h_of(D):
+            return MultiPoly.z(N, k, D.field, power=D.z_degree()) * MultiPoly.dz(N, k, D.field)
+
+        rep, _, row, col, h = mutated_transition(monkeypatch, fam, u, h_of)
+        assert not rep["ok"]
+        witness = {"row": row, "col": col, "d_zz_minus_deg_v": to_literal(
+            MultiPoly.z(N, k, fam.field, power=h.z_degree() + 1))}
+        checks = {c["id"]: c for c in rep["checks"]}
+        scalings = [c for c in rep["checks"] if c["id"].startswith("scaling chart")]
+        assert len(scalings) == len({u["l1"], u["l2"]})
+        assert all(c["verdict"] == "fail" and c["witness"] == witness for c in scalings)
+        same = u["l1"] == u["l2"]
+        assert checks["transition"]["verdict"] == ("pass" if same else "fail")
+        assert checks["transition"]["witness"] == (None if same else witness)
+        assert checks["transition exponent"]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("fam", [pytest.param(fam, id=label)
+                                 for label, fam in transition_families()])
+def test_euler_certificate_passes_a_term_that_vanishes_at_dz_equals_z(monkeypatch, fam):
+    # h = z_0^(deg - 1) * (z_0 dz_N - z_N dz_0) keeps the relation: the
+    # certificate passes, and so does expanding the mutated G and
+    # substituting into it
+    N = fam.shape.N
+    for u in transition_units(fam):
+        def h_of(D):
+            g = MultiPoly.z(N, 0, D.field, power=D.z_degree() - 1)
+            return euler_kernel_term(N, D.field, g, 0, N)
+
+        rep, form, _, _, _ = mutated_transition(monkeypatch, fam, u, h_of)
+        assert rep["ok"] and all(c["verdict"] == "pass" for c in rep["checks"])
+        assert all(verdict == "pass" for _, verdict in reference_transition(form, u["l1"], u["l2"]))
+
+
+@pytest.mark.parametrize("term", ["1 * z0^2", "1 * z0^1 dz1^2"])
+def test_euler_certificate_fails_an_entry_not_linear_in_dz(monkeypatch, term):
+    # a term of dz-degree 0 or 2 is a FAIL with the entry as witness, never
+    # an exception and never a PASS
+    fam = fermat_family(2, 1, 0, (2, 2, 2), (3,), seed=4)
+    u = {"selection": (1,), "omit": 2, "l1": 0, "l2": 1, "which": None, "kind": None}
+    rep, form, row, col, _ = mutated_transition(
+        monkeypatch, fam, u, lambda D: from_literal(term, 2, D.field))
+    entry = form.matrix.rows[form.matrix_rows[-1]][0]
+    assert [(c["id"], c["verdict"]) for c in rep["checks"]] == [
+        ("scaling chart 0", "fail"), ("scaling chart 1", "fail"), ("transition", "fail"),
+        ("transition exponent", "pass")]
+    assert all(c["witness"] == {"row": row, "col": col,
+                                "entry_not_linear_in_dz": to_literal(entry)}
+               for c in rep["checks"][:3])
 
 
 # ----- surjectivity -----
@@ -677,13 +857,15 @@ def test_hidden_mcm_certificates_and_ledger_twist():
 
 
 def test_hidden_reads_twists_without_unpacking_a_form(monkeypatch):
+    # the hidden checks compare entries and read twists from degrees: no
+    # polynomial product, so no determinant either
     def refuse(self, *args):
-        raise AssertionError("a minor table built")
+        raise AssertionError("a polynomial product")
 
-    monkeypatch.setattr(MinorTable, "__init__", refuse)
     shape = ProblemShape(4, 2, 0)
     mcm = build_sections(shape, "mcm", field=Field(5), schedule=build_schedule(shape, 2), seed=4)
     general = fermat_family(4, 2, 0, (2, 2, 2, 2, 2), (3, 3), seed=3)
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse)
     for fam, vanished in ((mcm, (0,)), (general, (4,))):
         rep = verify_hidden(fam, vanished, (1,))
         assert rep["ok"] and any(c["id"].startswith("twist") for c in rep["checks"])

@@ -158,6 +158,16 @@ def test_canonical_report_is_pinned(cfg, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_n2_transition_stage_runs_exact():
+    # n = 2: the transition certificate reads entries, so the stage stays
+    # exact however many terms the forms would expand to
+    report = run_pipeline(RunConfig(shape=ProblemShape(4, 2, 0), seed=1, stages=("transition",)))
+    stage = report["stages"]["transition"]
+    assert stage["status"] == "PASS"
+    units = stage["report"]["units"]
+    assert len(units) == 2 and all(u["mode"] == "exact" and u["ok"] for u in units)
+
+
 def test_budget_change_keeps_executed_units_identical():
     base = run_pipeline(small_config())
     tight = run_pipeline(small_config(max_census=10))

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from mcmforms import exact_algebra
 from mcmforms.exact_algebra import (
     Field,
     MultiPoly,
@@ -34,8 +33,7 @@ from mcmforms.section_builder import (
     selection_layouts,
     standard_forms,
 )
-from conftest import expand_form
-from test_exact_algebra import cofactor_det
+from conftest import det, expand_form
 
 F5 = Field(5)
 F101 = Field(101)
@@ -541,7 +539,8 @@ def test_lazy_standard_forms_match_eager_extraction_term_for_term():
     for a, b in zip(lazy, alone):
         rows = [a.matrix.rows[t] for t in a.matrix_rows]
         assert a == b and rows == [b.matrix.rows[t] for t in b.matrix_rows]
-        eager = cofactor_det(rows)
+        # expanded down the first column instead of along the top row
+        eager = det([list(col) for col in zip(*rows)])
         eager = eager if a.sign == 1 else -eager
         assert expand_form(a).terms == eager.terms and eager.term_count() > 0
 
@@ -560,9 +559,9 @@ def test_a_corrupted_divided_entry_trips_the_structural_degree_check(monkeypatch
     S.entries[row][2] = change(S.entries[row][2])
 
     def refuse(*args):
-        raise AssertionError("a minor expanded before the degree check")
+        raise AssertionError("a polynomial product before the degree check")
 
-    monkeypatch.setattr(exact_algebra.MinorTable, "minor", refuse)
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse)
     with pytest.raises(DegreeClaimFailed) as info:
         extract_forms(S, None, [(1,), (2,), (3,)], omit=0)
     assert info.value.quantity == quantity
