@@ -8,9 +8,12 @@ fractions, p == 0) or in F_p for a prime p < 2**31.
 
 Products run one loop over pairs of terms, adding exponent tuples: the
 program multiplies only small polynomials, such as a coordinate by part of
-one matrix entry. Nothing here expands a determinant: forms are evaluated
-at points from their divided matrix, and the exact identity checks compare
-matrix entries, not determinants (identity_verifier).
+one matrix entry. Over Q the loop multiplies integer numerators over each
+operand's common denominator and divides each result coefficient once, so
+no Fraction is normalised per pair. Nothing here expands a determinant:
+forms are evaluated at points from their divided matrix, and the exact
+identity checks compare matrix entries, not determinants
+(identity_verifier).
 
 Evaluation mod m runs in EvalPlan, the one modular evaluation loop: a
 sequence of polynomials is compiled once, its coefficients reduced mod m
@@ -36,6 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -144,6 +148,13 @@ def _is_prime(n: int) -> bool:
 QQ = Field(0)
 
 
+def _over_common_denominator(terms: Dict[Exponent, Fraction]) -> Tuple[Dict[Exponent, int], int]:
+    """(integer numerators, d) with terms == {e: n / d}, d the lcm of the
+    coefficients' denominators."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+
+
 class MultiPoly:
     """Sparse exact polynomial in z_0..z_N, dz_0..dz_N over Q or F_p."""
 
@@ -243,15 +254,25 @@ class MultiPoly:
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compat(other)
         a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        out: Dict[Exponent, object] = {}
-        get, items = out.get, b.terms.items()
-        for ea, ca in a.terms.items():
+        p = self.field.p
+        if p:
+            ta, tb = a.terms, b.terms
+        else:
+            # over Q the pairs multiply integer numerators over each
+            # operand's common denominator, and each sum is divided once
+            (ta, da), (tb, db) = _over_common_denominator(a.terms), _over_common_denominator(b.terms)
+            den = da * db
+        out: Dict[Exponent, int] = {}
+        get, items = out.get, tb.items()
+        for ea, ca in ta.items():
             for eb, cb in items:
                 key = tuple(map(add, ea, eb))
                 out[key] = get(key, 0) + ca * cb
-        p = self.field.p
         res = MultiPoly(self.N, self.field)
-        res.terms = {k: r for k, c in out.items() if (r := c % p if p else c)}
+        if p:
+            res.terms = {k: r for k, c in out.items() if (r := c % p)}
+        else:
+            res.terms = {k: Fraction(c, den) for k, c in out.items() if c}
         return res
 
     def scale(self, c) -> "MultiPoly":

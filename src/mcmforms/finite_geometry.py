@@ -44,7 +44,7 @@ from .section_builder import (
     selection_layouts,
     standard_forms,
 )
-from .util import child_rng, chunks, kernel_basis_mod_p, rank_mod_p
+from .util import child_rng, chunks, kernel_basis_mod_p, randrange_block, rank_mod_p
 
 
 @dataclass(frozen=True)
@@ -517,19 +517,24 @@ def _census_exhaustive(a: int, b: int, q: int) -> int:
 
 def _census_sampled(a: int, b: int, q: int, n: int, rng) -> int:
     """Members among n uniform b x 2(a+1) matrices, drawn entry by entry in
-    row-major order as random_rank_matrix draws them. Blocks of at most
-    CENSUS_BLOCK entries are coded column by column as in _census_exhaustive;
-    the zero sum is tested through the add table and the rank conditions
-    by _rank_mask. Above CENSUS_TABLE_MAX each draw is tested alone."""
+    row-major order as random_rank_matrix draws them, in blocks of at most
+    CENSUS_BLOCK entries read by randrange_block. Each block is coded
+    column by column as in _census_exhaustive; the zero sum is tested
+    through the add table and the rank conditions by _rank_mask. Above
+    CENSUS_TABLE_MAX each matrix of the block is tested alone."""
     width = 2 * (a + 1)
-    if not _table_fits(a, b, q):
-        return sum(membership_M_ab(random_rank_matrix(a, b, q, rng)) for _ in range(n))
-    tables, add, low = _census_kernel(a, b, q)
-    weights = q ** np.arange(b - 1, -1, -1)
+    fits = _table_fits(a, b, q)
+    if fits:
+        tables, add, low = _census_kernel(a, b, q)
+        weights = q ** np.arange(b - 1, -1, -1)
     hits, block = 0, max(1, CENSUS_BLOCK // (b * width))
     for start in range(0, n, block):
         m = min(block, n - start)
-        draws = np.array([rng.randrange(q) for _ in range(m * b * width)]).reshape(m, b, width)
+        draws = randrange_block(rng, q, m * b * width).reshape(m, b, width)
+        if not fits:
+            hits += sum(membership_M_ab(RankConditionMatrix(tuple(map(tuple, rows)), q))
+                        for rows in draws.tolist())
+            continue
         cols = list(np.einsum("mbw,b->wm", draws, weights).astype(tables.add.dtype))
         ok = (reduce(add, cols) == 0) & _rank_mask(cols[:a + 1], cols[a + 1:], add, q ** b, low)
         hits += int(np.count_nonzero(ok))

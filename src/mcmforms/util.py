@@ -2,13 +2,19 @@
 
 Randomness discipline: every randomized unit of work draws from its own
 child stream derived from (master seed, stage id, unit index), so results
-are reproducible independently of execution order.
+are reproducible independently of execution order. Bulk draws read the
+same stream in blocks: randrange_block gives exactly the values, and
+leaves exactly the state, of the same number of rng.randrange(n) calls,
+which is how the sampled census draws its matrices.
 """
 
 from __future__ import annotations
 
 import random
+from operator import index
 from typing import Iterable, List, Optional, Sequence
+
+import numpy as np
 
 
 def child_rng(master_seed: int, stage: str, unit) -> random.Random:
@@ -18,6 +24,37 @@ def child_rng(master_seed: int, stage: str, unit) -> random.Random:
     gives stable, order-independent streams.
     """
     return random.Random(f"{master_seed}:{stage}:{unit}")
+
+
+def randrange_block(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """[rng.randrange(n) for _ in range(count)] as an int64 array, leaving
+    rng in the state that loop leaves it in; n must lie in [1, 2^32).
+
+    For such n, randrange spends one 32-bit Mersenne Twister word per
+    attempt: it keeps the word's top n.bit_length() bits and rejects a
+    value >= n. getrandbits(32 w) returns the next w words, least
+    significant first, so each call reads the words for all the draws
+    still missing and keeps the accepted ones. Every word then becomes a
+    draw or a rejection, and none past the last draw is taken. Only a
+    plain random.Random is read this way: a subclass may draw otherwise.
+    """
+    if type(rng) is not random.Random:
+        raise TypeError(f"need a random.Random stream, got {type(rng).__name__}")
+    n, count = index(n), index(count)
+    if not 1 <= n < 2 ** 32:
+        raise ValueError(f"block draws need 1 <= n < 2**32, got {n}")
+    if count < 0:
+        raise ValueError(f"draw count must be >= 0, got {count}")
+    shift = 32 - n.bit_length()
+    out = np.empty(count, dtype=np.int64)
+    filled = 0
+    while filled < count:
+        w = count - filled
+        words = np.frombuffer(rng.getrandbits(32 * w).to_bytes(4 * w, "little"), dtype="<u4") >> shift
+        kept = words[words < n]
+        out[filled:filled + kept.size] = kept
+        filled += kept.size
+    return out
 
 
 def chunks(flat: Sequence, width: int) -> List[Sequence]:

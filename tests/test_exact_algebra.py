@@ -437,6 +437,20 @@ def test_packed_product_matches_tuple_loop(data):
     assert same_poly(a * b, tuple_mul(a, b))
 
 
+def test_rational_product_divides_once_and_cancels_exactly():
+    # coprime denominators on both sides: the cross terms cancel to nothing
+    # and each surviving coefficient comes back as a reduced Fraction
+    z0, z1 = MultiPoly.z(1, 0), MultiPoly.z(1, 1)
+    a = z0.scale(Fraction(1, 2)) + z1.scale(Fraction(1, 3))
+    b = z0.scale(Fraction(1, 2)) - z1.scale(Fraction(1, 3))
+    prod = a * b
+    assert same_poly(prod, tuple_mul(a, b))
+    assert prod.terms == {(2, 0, 0, 0): Fraction(1, 4), (0, 2, 0, 0): Fraction(-1, 9)}
+    assert same_poly(a * MultiPoly.zero(1), MultiPoly.zero(1))
+    c = MultiPoly.const(1, Fraction(6, 5)) * MultiPoly.const(1, Fraction(5, 6))
+    assert same_poly(c, MultiPoly.const(1, 1))
+
+
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_packed_determinant_matches_tuple_expansion(data):

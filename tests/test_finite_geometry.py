@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import tracemalloc
 from functools import reduce
@@ -617,6 +619,15 @@ def test_census_sample_mode_and_forced_fallback():
     assert big["verdict"] == "pass"
     assert big["count"] <= big["count_upper"] <= big["bound"]
     assert "count_upper" not in rank_condition_census(2, 2, 2)
+
+
+def test_sampled_census_report_is_pinned():
+    # the (3,3,3) 20,000-draw report as the scalar per-entry draws gave it;
+    # a change to how the census draws must leave it byte for byte
+    rep = rank_condition_census(3, 3, 3, mode="sample", sample_size=20_000, seed=5)
+    assert (rep["count"], rep["count_upper"]) == (183579199, 291814763)
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == "0bc804a3611b270bf1ada7e98c70a27ce0194b5ce9bcb25687e0e0a42594950b"
 
 
 @pytest.mark.parametrize("a, b, q, n", [(2, 2, 2, 5000), (2, 3, 2, 5000), (3, 3, 3, 20_000)])

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 from pathlib import Path
 
 import mcmforms
@@ -112,3 +113,20 @@ def test_every_definition_is_reached_outside_tests():
             unreached.add(f"{path}:{cls + '.' if cls else ''}{name}")
     assert sorted(unreached - ALLOWED_TEST_ONLY) == []
     assert ALLOWED_TEST_ONLY <= unreached
+
+
+def test_no_draw_comes_from_numpy_random():
+    # every draw comes from a seeded child_rng stream (util): a numpy
+    # generator would draw other values and silently change every sampled
+    # report, so neither the name nor an import of it may appear
+    package = Path(mcmforms.__file__).resolve().parent
+    offending = []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        offending += [f"{path.name}:{i}" for i, line in enumerate(text.splitlines(), 1)
+                      if re.search(r"\b(np|numpy)\.random\b", line)]
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy" \
+                    and any(alias.name == "random" for alias in node.names):
+                offending.append(f"{path.name}:{node.lineno}")
+    assert offending == [], "numpy.random in " + ", ".join(offending)
