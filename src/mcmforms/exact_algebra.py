@@ -693,13 +693,11 @@ def sample_identity(
     trials: int,
     seed: int,
     stage: str,
-    nonzero: Sequence[int] = (),
 ) -> Optional[tuple]:
     """Schwartz-Zippel test of identities given only as black boxes.
 
     Trial t draws z and then dz uniformly mod m (field.p, or the 31-bit
-    IDENTITY_PRIME over Q) from child_rng(seed, stage, t), redrawing the
-    coordinates z_k, k in nonzero, from the nonzero residues in between.
+    IDENTITY_PRIME over Q) from child_rng(seed, stage, t).
     sides(z, dz, m) yields the (lhs, rhs) values mod m of each identity at
     that point. Returns the first mismatch as (trial, z, dz, pair index,
     lhs, rhs), or None.
@@ -714,8 +712,6 @@ def sample_identity(
     for t in range(trials):
         rng = child_rng(seed, stage, t)
         z = [rng.randrange(m) for _ in range(N + 1)]
-        for k in nonzero:
-            z[k] = rng.randrange(1, m)
         dz = [rng.randrange(m) for _ in range(N + 1)]
         for idx, (lhs, rhs) in enumerate(sides(z, dz, m)):
             if lhs != rhs:

@@ -13,9 +13,9 @@ Four families of checks:
                        extracted form by z_l^(dz-degree), hence
                        z_{l_2}^n * G(w_{l_1}) == z_{l_1}^n * G(w_{l_2}),
                        because every divided differential entry keeps
-                       Euler's relation with its value entry; the
-                       transition exponent is cross-checked against the
-                       twist bookkeeping.
+                       Euler's relation with its value entry
+                       (_transition_pairs); the transition exponent is
+                       cross-checked against the twist bookkeeping.
   verify_surjectivity  the (N+1) x dim evaluation matrix (value row plus N
                        tangent-derivative rows) of the degree-d monomial
                        basis has full rank at random points, optionally in
@@ -24,17 +24,15 @@ Four families of checks:
                        vanishing-coordinate restriction of a family, for
                        every K_nu / K_tau_rho selection of an mcm family.
 
-Exact mode checks the hypothesis an identity rests on, entry by entry,
-and never expands a determinant. Gluing compares polynomial pairs: in
-order in exact mode, through one EvalPlan at the points of
-sample_identity in probabilistic mode. The exact transition checks Euler's
-relation D(z; z) == deg(F_j) * V on each divided differential entry D
-(_euler_witness): then substituting w_l(dz) adds multiples of the value
-rows to z_l times the differential rows, so G(w_l) == z_l^n * G by row
-operations. Probabilistic transitions evaluate the form's divided rows,
-their images under each w_l and their multiples by z_l at the points of
-sample_identity and compare maximal minors through det_mod_p
-(_transition_rows).
+Gluing and transitions check the hypothesis an identity rests on, entry by
+entry, and never expand a determinant. Each hypothesis is a list of
+polynomial pairs, and one comparer serves both (_check_hypothesis): exact
+mode compares the pairs in order, probabilistic mode compiles them into one
+EvalPlan and samples them at the points of sample_identity. The transition
+pairs are Euler's relation D(z; z) == deg(F_j) * V on each divided
+differential entry D: then substituting w_l(dz) adds multiples of the
+value rows to z_l times the differential rows, so G(w_l) == z_l^n * G by
+row operations.
 
 Every check returns a report dict: {"op", "ok", "checks": [{"id", "mode",
 "trials", "verdict", "witness"}, ...]} plus op-specific extras.
@@ -44,19 +42,19 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact_algebra import (
     EvalPlan,
     MultiPoly,
     QQ,
-    det_mod_p,
     identity_modulus,
     kill_coordinates,
     sample_identity,
     times_monomial,
     to_literal,
     total_differential,
+    z_power,
 )
 from .schedule import fermat_heart_prime, twist_ledger
 from .section_builder import (
@@ -72,8 +70,6 @@ from .section_builder import (
 )
 from .util import child_rng, chunks, rank_mod_p
 
-# two maximal minors of one matrix that must agree, as their row positions
-Identity = Tuple[Tuple[int, ...], Tuple[int, ...]]
 # (bundle, row, col, lhs, rhs): col is None for a row sum
 Pair = Tuple[str, int, Optional[int], MultiPoly, MultiPoly]
 
@@ -126,12 +122,14 @@ def _hypothesis_pairs(K: FormalMatrixBundle, bundle: str) -> List[Pair]:
 
 
 def _check_hypothesis(check_id: str, pairs: Sequence[Pair], fam: SectionFamily,
-                      mode: str, trials: int = 20, seed: int = 0) -> dict:
-    """One check of every pair. Exact mode compares them in order; the
-    first mismatch is the witness (bundle, row, col and lhs - rhs, cut to
-    400 characters). Probabilistic mode compiles both sides of every pair
-    into one EvalPlan and samples them (stage "gluing"); its witness holds
-    the point and the two values of the first pair that differs there."""
+                      mode: str, trials: int = 20, seed: int = 0,
+                      stage: str = "gluing") -> dict:
+    """One check of every pair, for gluing, transitions and hidden forms.
+    Exact mode compares them in order; the first mismatch is the witness
+    (bundle, row, col and lhs - rhs, cut to 400 characters). Probabilistic
+    mode compiles both sides of every pair into one EvalPlan and samples
+    them (sample_identity at `stage`); its witness holds the point and the
+    two values of the first pair that differs there."""
     if mode == "exact":
         for bundle, row, col, lhs, rhs in pairs:
             if lhs != rhs:
@@ -142,7 +140,7 @@ def _check_hypothesis(check_id: str, pairs: Sequence[Pair], fam: SectionFamily,
         raise ValueError(f"unknown mode {mode!r}")
     plan = EvalPlan([side for pair in pairs for side in pair[3:]], identity_modulus(fam.field))
     miss = sample_identity(lambda z, dz, m: chunks(plan(z, dz), 2),
-                           fam.shape.N, fam.field, trials, seed, "gluing")
+                           fam.shape.N, fam.field, trials, seed, stage)
     witness = None
     if miss is not None:
         t, z, dz, idx, lhs, rhs = miss
@@ -188,61 +186,38 @@ def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int
 # ----- transition formulas -----
 
 
-def _euler_witness(form: FormBundle, fam: SectionFamily) -> Optional[dict]:
-    """The first entry of the form's divided differential rows that breaks
-    Euler's relation, or None when every entry keeps it.
-
-    Row cr + j - 1 of the bundle is d of value row j - 1, so each of its
-    divided entries D must be linear in dz with D(z; z) == deg(F_j) * V,
-    V the divided value entry of row j - 1 in the same column: the
-    undivided entries satisfy it by Euler's relation, and dividing both by
-    the column's power of z keeps it. D(z; z) is sum_k z_k * [dz_k]D. The
-    witness names the entry by its bundle row and column, with
-    D(z; z) - deg(F_j) * V cut to 400 characters, or the entry itself when
-    it is not linear in dz."""
+def _transition_pairs(form: FormBundle, fam: SectionFamily, bundle: str,
+                      mode: str) -> Tuple[List[Pair], Optional[dict]]:
+    """The hypothesis the form's chart changes rest on, as pairs that must
+    be equal: (bundle, cr + j - 1, col, D(z; z), deg(F_j) * V) for every
+    divided entry D of the differential row of each selected j, V the
+    divided value entry of row j - 1 in the same column. That is Euler's
+    relation for the undivided entries, kept by dividing both by the
+    column's power of z. D(z; z) is sum_k z_k * [dz_k]D, by products in
+    exact mode (traced certify-exact counts them) and by raising exponents
+    in sampling, which forms none. An entry not linear in dz gives no pairs
+    and the witness {row, col, entry_not_linear_in_dz}."""
     N, fld = fam.shape.N, fam.field
     n1, cr = N + 1, fam.shape.c + fam.shape.r
     rows, degrees = form.matrix.rows, fam.section_degrees()
     cols = [col for col in range(len(rows[0]) + 1) if col != form.omit]
+
+    def times_z(k: int, part: dict) -> MultiPoly:
+        P = MultiPoly(N, fld, part)
+        return MultiPoly.z(N, k, fld) * P if mode == "exact" else times_monomial(P, z_power(N, k, 1))
+
+    pairs: List[Pair] = []
     for t, j in zip(form.matrix_rows[cr:], form.selection):
         for col, D, V in zip(cols, rows[t], rows[j - 1]):
             parts: Dict[int, dict] = {}  # k -> the terms of [dz_k]D
             for exp, c in D.terms.items():
                 if sum(exp[n1:]) != 1:
-                    return dict(row=cr + j - 1, col=col,
-                                entry_not_linear_in_dz=to_literal(D)[:400])
+                    return [], dict(row=cr + j - 1, col=col,
+                                    entry_not_linear_in_dz=to_literal(D)[:400])
                 parts.setdefault(exp.index(1, n1) - n1, {})[exp[:n1] + (0,) * n1] = c
-            d_zz = sum((MultiPoly.z(N, k, fld) * MultiPoly(N, fld, part)
-                        for k, part in parts.items()), MultiPoly.zero(N, fld))
-            gap = d_zz - V.scale(degrees[j - 1])
-            if not gap.is_zero():
-                return dict(row=cr + j - 1, col=col, d_zz_minus_deg_v=to_literal(gap)[:400])
-    return None
-
-
-def _transition_rows(value: list, diff: list, at_chart: Callable, z: Sequence[int], m: int,
-                     l1: int, l2: int) -> list:
-    """A form's value rows mod m stacked with blocks of its differential
-    rows `diff`: z_{l2} * (diff at w_{l1}) and z_{l1} * (diff at w_{l2});
-    then diff at w_l and z_l * diff for each chart l in sorted order.
-    at_chart(l) is diff at w_l, and z the point's coordinates."""
-    def times(rows: list, l: int) -> list:
-        return [[x * z[l] % m for x in row] for row in rows]
-
-    w = {l: at_chart(l) for l in sorted({l1, l2})}
-    blocks = [times(w[l1], l2), times(w[l2], l1)]
-    blocks += [block for l in w for block in (w[l], times(diff, l))]
-    return value + [row for block in blocks for row in block]
-
-
-def _transition_identities(nvalue: int, ndiff: int, l1: int, l2: int) -> List[Identity]:
-    """The transition z_{l2}^n G(w_{l1}) == z_{l1}^n G(w_{l2}), then the
-    scaling G(w_l) == z_l^n G for each chart l in sorted order, as maximal
-    minors of _transition_rows (n = ndiff rows each times z_l)."""
-    def block(k: int) -> Tuple[int, ...]:
-        return tuple(range(nvalue)) + tuple(range(nvalue + k * ndiff, nvalue + (k + 1) * ndiff))
-
-    return [(block(2 * j), block(2 * j + 1)) for j in range(1 + len({l1, l2}))]
+            d_zz = sum((times_z(k, part) for k, part in parts.items()), MultiPoly.zero(N, fld))
+            pairs.append((bundle, cr + j - 1, col, d_zz, V.scale(degrees[j - 1])))
+    return pairs, None
 
 
 def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
@@ -258,59 +233,38 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
       exponent     z-degree + dz-degree of G equals the twist plus the
                    omitted column's divisor share plus the coefficient
                    twists, independently recomputed.
-    Exact mode checks the hypothesis these rest on (_euler_witness): a
+    Scaling and transition rest on one hypothesis (_transition_pairs): a
     divided differential entry D linear in dz with D(z; z) == deg(F_j) * V
     gives D(z; w_l) == z_l * D - dz_l * deg(F_j) * V, and subtracting
     multiples of the value rows turns the rows of G(w_l) into z_l times
-    those of G. A broken relation fails every scaling check and the
-    transition, with the same witness; on one chart the transition compares
-    two equal sides and passes. Probabilistic mode evaluates the maximal
-    minors of _transition_rows at points with z_{l1}, z_{l2} != 0 through
-    det_mod_p (sample_identity, stage "transition"); its witness holds the
-    point and the index of the failing identity as "pair". Neither mode
-    expands G. The exponent check reads the z-degree that extract_forms
-    enforces, so it runs in every mode and also on a zero G.
+    those of G. _check_hypothesis compares its pairs, in order in exact
+    mode and at the points of sample_identity (stage "transition") in
+    probabilistic mode, and that one comparison is every scaling check and
+    the transition, with the same witness; on one chart the transition
+    compares two equal sides and passes. An entry not linear in dz fails
+    all of them in either mode. Neither mode expands G or takes a
+    determinant. The exponent check reads the z-degree that extract_forms
+    enforces, so it runs in every mode and also on a zero G. A chart
+    outside 0..N raises ValueError.
     """
     if mode not in ("exact", "probabilistic"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not (0 <= l1 <= fam.shape.N and 0 <= l2 <= fam.shape.N):
+        raise ValueError("chart out of range")
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("transition", [guard], omit=omit, charts=(l1, l2))
     form = extract_forms(build_matrices(fam), which, [selection], omit=omit, kind=kind)[0]
-    n_eff, N, charts = form.dz_degree, fam.shape.N, sorted({l1, l2})
-    if mode == "exact":
-        witness = _euler_witness(form, fam)
-        checks = [_check(f"scaling chart {l}", "fail" if witness else "pass", witness=witness)
-                  for l in charts]
-        broken = witness is not None and l1 != l2
-        checks.append(_check("transition", "fail" if broken else "pass",
-                             witness=witness if broken else None))
+    pairs, nonlinear = _transition_pairs(form, fam, _label(which), mode)
+    if nonlinear is None:
+        check = _check_hypothesis("transition", pairs, fam, mode, trials, seed, "transition")
     else:
-        nvalue = len(form.matrix_rows) - n_eff
-        identities = _transition_identities(nvalue, n_eff, l1, l2)
+        check = _check("transition", "fail", mode, witness=nonlinear)
+    checks = [dict(check, id=f"scaling chart {l}") for l in sorted({l1, l2})]
+    checks.append(check if l1 != l2 else dict(check, verdict="pass", witness=None))
 
-        def sides_at(z, dz, m):
-            def at(point):
-                values = form.matrix.values_at(z, point, m)
-                return [values[t] for t in form.matrix_rows]
-
-            here = at(dz)
-            rows = _transition_rows(
-                here[:nvalue], here[nvalue:],
-                lambda l: at([(z[l] * dz[k] - dz[l] * z[k]) % m for k in range(N + 1)])[nvalue:],
-                z, m, l1, l2)
-            return ((form.sign * det_mod_p([rows[r] for r in lhs], m) % m,
-                     form.sign * det_mod_p([rows[r] for r in rhs], m) % m)
-                    for lhs, rhs in identities)
-
-        miss = sample_identity(sides_at, N, fam.field, trials, seed, "transition", nonzero=(l1, l2))
-        witness = None if miss is None else dict(trial=miss[0], z=miss[1], dz=miss[2], pair=miss[3])
-        checks = [_check("transition", "fail" if witness else "pass", "probabilistic",
-                         trials, witness)]
-
-    # extract_forms holds every divided entry, so every term of G, to this
-    # z-degree
-    observed = form.z_degree + n_eff
+    # extract_forms holds every divided entry, so every term of G, to this z-degree
+    observed = form.z_degree + form.dz_degree
     a_sum = sum(fam.twists) + sum(fam.twists[j - 1] for j in selection)
     if fam.mode == "general_fermat" and form.kind == "omega":
         heart_j = fermat_heart_prime(fam.degrees, fam.lambdas, selection) \

@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -359,16 +360,18 @@ def test_sample_identity_draws_seeded_points_and_reports_the_first_mismatch():
         yield 0, 0
         yield z[1], 0
 
-    miss = sample_identity(sides, 2, Field(7), trials=50, seed=3, stage="s",
-                           nonzero=(1,))
-    t, z_miss, _, pair, lhs, rhs = miss
-    assert pair == 1 and lhs == z_miss[1] != 0 and rhs == 0
-    # z is drawn, then the forced-nonzero coordinates, then dz
-    rng = child_rng(3, "s", 0)
-    z = [rng.randrange(7) for _ in range(3)]
-    z[1] = rng.randrange(1, 7)
-    assert seen[0] == (z, [rng.randrange(7) for _ in range(3)])
-    assert t == 0 and len(seen) == 1
+    miss = sample_identity(sides, 2, Field(7), trials=50, seed=3, stage="s")
+    # trial t draws z, then dz, from its own child stream; the first trial
+    # with z1 != 0 is the miss, and no trial after it is drawn
+    drawn = []
+    for t in range(50):
+        rng = child_rng(3, "s", t)
+        drawn.append(([rng.randrange(7) for _ in range(3)], [rng.randrange(7) for _ in range(3)]))
+    first = next(t for t, (z, _) in enumerate(drawn) if z[1])
+    assert miss == (first, *drawn[first], 1, drawn[first][0][1], 0)
+    assert seen == drawn[:first + 1]
+    # no coordinate is forced away from zero
+    assert "nonzero" not in inspect.signature(sample_identity).parameters
     # over Q the points live modulo the 31-bit prime
     assert sample_identity(lambda z, dz, m: [(m, 2 ** 31 - 1)], 1, QQ, 3, 0, "q") is None
 

@@ -1026,7 +1026,8 @@ def test_crosscheck_refuses_an_n_2_family_up_front():
 def test_scans_that_only_evaluate_forms_expand_no_determinant(monkeypatch):
     # the scans and the stages that run them form no polynomial product;
     # an exact transition unit forms only the products z_k * [dz_k]D of
-    # its certificate, at most N + 1 per divided differential entry
+    # its certificate, at most N + 1 per divided differential entry, and a
+    # sampled one forms none
     from mcmforms.identity_verifier import verify_transition
     from mcmforms.pipeline import RunConfig, _transition_units, run_pipeline
 
@@ -1055,6 +1056,10 @@ def test_scans_that_only_evaluate_forms_expand_no_determinant(monkeypatch):
         assert 0 < len(products) <= (N + 1) * N
         assert all(1 in pair for pair in products)
         products.clear()
+        rep = verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
+                                mode="probabilistic", which=u["which"], kind=u["kind"])
+        assert rep["ok"] and rep["mode"] == "probabilistic"
+        assert products == []
 
 
 def test_membership_forces_numeric_vanishing():

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from substitution_oracle import chart_images, reference_transition, substitute_dz
 
-from mcmforms import identity_verifier
+from mcmforms import exact_algebra, identity_verifier, section_builder
 from mcmforms.exact_algebra import (
     Field,
     MultiPoly,
     QQ,
     deriv,
     from_literal,
+    identity_modulus,
     times_monomial,
     to_literal,
     total_differential,
@@ -375,15 +376,23 @@ def test_sampling_catches_a_broken_transition_and_keeps_its_points(monkeypatch):
     # each witness names the entry (bundle row c + r + j - 1 = 1, column 0)
     # and D(z; z) - deg(F_1) * V, which is h(z; z) = z0 z1
     assert [c["witness"] for c in exact["checks"][:3]] == [
-        {"row": 1, "col": 0, "d_zz_minus_deg_v": "1 * z0^1 z1^1"}] * 3
+        {"bundle": "full", "row": 1, "col": 0, "lhs_minus_rhs": "1 * z0^1 z1^1"}] * 3
+    # sampling compares the same pairs and fails the same checks; the
+    # witness keeps the point, the entry and its two sides there
     sampled = verify_transition(fam, (1,), omit=2, l1=0, l2=1, mode="probabilistic")
     assert not sampled["ok"]
-    assert sampled["checks"][0]["witness"] == {
-        "trial": 0, "z": [18, 20, 40], "dz": [9, 39, 23], "pair": 0}
+    witness = {"trial": 0, "z": [22, 14, 40], "dz": [17, 19, 9],
+               "bundle": "full", "row": 1, "col": 0, "lhs": 43, "rhs": 38}
+    assert [(c["id"], c["verdict"], c["mode"], c["trials"]) for c in sampled["checks"]] == [
+        ("scaling chart 0", "fail", "probabilistic", 20),
+        ("scaling chart 1", "fail", "probabilistic", 20),
+        ("transition", "fail", "probabilistic", 20), ("transition exponent", "pass", "exact", 0)]
+    assert [c["witness"] for c in sampled["checks"][:3]] == [witness] * 3
+    assert (43 - 38 - 22 * 14) % 101 == 0  # h(z; z) = z0 z1 at z
     # on one chart the transition pair holds trivially and scaling fails
     same = verify_transition(fam, (1,), omit=2, l1=1, l2=1, mode="probabilistic")
-    assert same["checks"][0]["witness"] == {
-        "trial": 0, "z": [22, 20, 40], "dz": [9, 39, 23], "pair": 1}
+    assert [(c["id"], c["verdict"], c["witness"]) for c in same["checks"][:2]] == [
+        ("scaling chart 1", "fail", witness), ("transition", "pass", None)]
     exact_same = verify_transition(fam, (1,), omit=2, l1=1, l2=1, mode="exact")
     assert [(c["id"], c["verdict"]) for c in exact_same["checks"][:2]] == [
         ("scaling chart 1", "fail"), ("transition", "pass")]
@@ -439,14 +448,15 @@ def test_exact_transition_matches_expand_then_substitute(fam):
         assert rep["ok"] and all(c["mode"] == "exact" for c in rep["checks"])
 
 
-@pytest.mark.parametrize("mode", ["exact"])
+@pytest.mark.parametrize("mode", ["exact", "probabilistic"])
 def test_exact_transition_projects_divided_entries_and_never_expands_G(monkeypatch, mode):
-    # exact mode reads the divided differential entries one at a time: each
-    # product it forms is a coordinate z_k times the piece [dz_k]D of one
-    # entry D, at most N + 1 of them an entry, and it neither evaluates the
-    # divided matrix nor takes a determinant
+    # both modes read the divided differential entries one at a time: exact
+    # mode forms only the products z_k * [dz_k]D, at most N + 1 of them an
+    # entry D, and sampling, which raises exponents instead, forms none;
+    # neither evaluates the divided matrix (sampling evaluates the pairs
+    # through their own EvalPlan) nor takes a determinant
     def refuse(*args):
-        raise AssertionError("an exact transition evaluated or took a determinant")
+        raise AssertionError("a transition evaluated the matrix or took a determinant")
 
     products, forms = [], []
     real_mul, real_extract = MultiPoly.__mul__, identity_verifier.extract_forms
@@ -459,7 +469,9 @@ def test_exact_transition_projects_divided_entries_and_never_expands_G(monkeypat
         forms.extend(real_extract(*args, **kwargs))
         return forms[-1:]
 
-    monkeypatch.setattr(identity_verifier, "det_mod_p", refuse)
+    assert not hasattr(identity_verifier, "det_mod_p")
+    monkeypatch.setattr(exact_algebra, "det_mod_p", refuse)
+    monkeypatch.setattr(section_builder, "det_mod_p", refuse)
     monkeypatch.setattr(DividedMatrix, "values_at", refuse)
     monkeypatch.setattr(identity_verifier, "extract_forms", keep)
     for label, fam in transition_families()[::2]:
@@ -471,7 +483,11 @@ def test_exact_transition_projects_divided_entries_and_never_expands_G(monkeypat
             rep = verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
                                     mode=mode, which=u["which"], kind=u["kind"])
             monkeypatch.setattr(MultiPoly, "__mul__", real_mul)
-            assert rep["ok"] and rep["mode"] == "exact", label
+            assert rep["ok"] and rep["mode"] == mode, label
+            assert all(c["mode"] == mode for c in rep["checks"][:-1]), label
+            if mode == "probabilistic":
+                assert products == [], label
+                continue
             form = forms[-1]
             diff = [form.matrix.rows[t] for t in form.matrix_rows[-form.dz_degree:]]
             pieces = {exp[:N + 1] for row in diff for e in row for exp in e.terms}
@@ -505,11 +521,27 @@ def test_sampled_identities_compile_once_and_never_evaluate_term_by_term(compile
     fermat = fermat_family(3, 2, 0, (2, 2, 2, 2), (3, 3), field=QQ, seed=1)
     assert verify_transition(fam, (1,), omit=0, l1=0, l2=1, mode="probabilistic",
                              which=("K_nu", 0))["ok"]
-    # the divided matrix: c + r + n rows of N columns (one omitted), one plan
-    assert compiled_plans == [3 * 3]
+    # both sides of n differential rows of N entries (one column omitted),
+    # one plan
+    assert compiled_plans == [2 * 3]
     assert verify_gluing(fermat, (1,), 0, 2, mode="probabilistic")["ok"]
     # both sides of c + r row sums and c * (N + 1) differential entries, one plan
-    assert compiled_plans == [9, 2 * (2 + 2 * 4)]
+    assert compiled_plans == [6, 2 * (2 + 2 * 4)]
+
+
+def test_one_comparer_serves_both_transition_modes():
+    # the minor-sampling path is gone: both modes compare the Euler pairs
+    gone = ("_transition_rows", "_transition_identities", "Identity", "det_mod_p",
+            "_euler_witness")
+    assert [name for name in gone if hasattr(identity_verifier, name)] == []
+    # exact mode multiplies by z_k and sampling raises exponents: equal pairs
+    for label, fam in transition_families():
+        for u in transition_units(fam):
+            form = extract_forms(build_matrices(fam), u["which"], [u["selection"]],
+                                 omit=u["omit"], kind=u["kind"])[0]
+            exact, sampled = (identity_verifier._transition_pairs(form, fam, "b", mode)
+                              for mode in ("exact", "probabilistic"))
+            assert exact == sampled and exact[0] and exact[1] is None, label
 
 
 def test_transition_unknown_mode():
@@ -548,15 +580,19 @@ def euler_kernel_term(N, field, g, a, b):
     return g * (z(N, a, field) * dz(N, b, field) - z(N, b, field) * dz(N, a, field))
 
 
-def bare_certificate(rows, cr, selection, degrees):
-    """_euler_witness of a square matrix given bare: cr value rows, then the
-    differential row of each selected j (1-based), all columns kept."""
+def bare_certificate(rows, cr, selection, degrees, mode="exact"):
+    """The transition check of a square matrix given bare: cr value rows,
+    then the differential row of each selected j (1-based), all columns
+    kept; its witness, or None when it passes."""
     N, field = rows[0][0].N, rows[0][0].field
     form = SimpleNamespace(matrix=SimpleNamespace(rows=rows), matrix_rows=tuple(range(len(rows))),
                            selection=selection, omit=len(rows[0]))
     fam = SimpleNamespace(shape=SimpleNamespace(N=N, c=cr, r=0), field=field,
                           section_degrees=lambda: tuple(degrees))
-    return identity_verifier._euler_witness(form, fam)
+    pairs, nonlinear = identity_verifier._transition_pairs(form, fam, "bare", mode)
+    if nonlinear is not None:
+        return nonlinear
+    return identity_verifier._check_hypothesis("transition", pairs, fam, mode)["witness"]
 
 
 def sparse_z_poly(rng, N, field, low, high, terms=3):
@@ -596,14 +632,15 @@ def test_euler_certificate_implies_equal_oracle_minors(data):
             row.append(D)
         diff.append(row)
     assert bare_certificate(value + diff, cr, selection, degrees) is None
+    assert bare_certificate(value + diff, cr, selection, degrees, "probabilistic") is None
     G = det(value + diff)
     for l in range(N + 1):
         moved = [[substitute_dz(e, chart_images(N, field, l)) for e in row] for row in diff]
         assert det(value + moved) == G * MultiPoly.z(N, l, field, power=n), l
 
 
-def mutated_transition(monkeypatch, fam, u, h_of):
-    """verify_transition of unit u in exact mode, after h_of(D) is added to
+def mutated_transition(monkeypatch, fam, u, h_of, mode="exact"):
+    """verify_transition of unit u in `mode`, after h_of(D) is added to
     the divided entry D of highest z-degree in the form's last differential
     row: (report, the mutated form, D's bundle row and column, h)."""
     real = identity_verifier.extract_forms
@@ -624,40 +661,56 @@ def mutated_transition(monkeypatch, fam, u, h_of):
     with monkeypatch.context() as m:
         m.setattr(identity_verifier, "extract_forms", mutate)
         rep = verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
-                                mode="exact", which=u["which"], kind=u["kind"])
+                                mode=mode, which=u["which"], kind=u["kind"])
     return rep, seen["form"], seen["row"], seen["col"], seen["h"]
 
 
-@pytest.mark.parametrize("fam", [pytest.param(fam, id=label)
-                                 for label, fam in transition_families()])
-def test_euler_certificate_kills_a_term_that_survives_dz_equals_z(monkeypatch, fam):
+def in_both_modes(cases):
+    """pytest params (value, mode) of every (id, value) case in each mode:
+    exact under the case's id, sampled under "<id>-probabilistic"."""
+    return [pytest.param(value, mode, id=ident if mode == "exact" else f"{ident}-{mode}")
+            for ident, value in cases for mode in ("exact", "probabilistic")]
+
+
+@pytest.mark.parametrize("fam, mode", in_both_modes(transition_families()))
+def test_euler_certificate_kills_a_term_that_survives_dz_equals_z(monkeypatch, fam, mode):
     # h = z_k^deg dz_k, with h(z; z) = z_k^(deg + 1) != 0: every scaling
-    # check fails, naming the entry and h(z; z); so does the transition,
-    # unless both charts are one
+    # check fails, naming the entry and h(z; z) (exact) or the point where
+    # the entry's two sides differ by h(z; z) (sampled); so does the
+    # transition, unless both charts are one
     N = fam.shape.N
+    m = identity_modulus(fam.field)
     for index, u in enumerate(transition_units(fam)):
         k = index % (N + 1)
 
         def h_of(D):
             return MultiPoly.z(N, k, D.field, power=D.z_degree()) * MultiPoly.dz(N, k, D.field)
 
-        rep, _, row, col, h = mutated_transition(monkeypatch, fam, u, h_of)
+        rep, _, row, col, h = mutated_transition(monkeypatch, fam, u, h_of, mode)
         assert not rep["ok"]
-        witness = {"row": row, "col": col, "d_zz_minus_deg_v": to_literal(
-            MultiPoly.z(N, k, fam.field, power=h.z_degree() + 1))}
-        checks = {c["id"]: c for c in rep["checks"]}
         scalings = [c for c in rep["checks"] if c["id"].startswith("scaling chart")]
+        witness, which = scalings[0]["witness"], u["which"]
+        bundle = "full" if which is None else f"{which[0]}({','.join(map(str, which[1:]))})"
+        entry = {"bundle": bundle, "row": row, "col": col}
+        if mode == "exact":
+            assert witness == dict(entry, lhs_minus_rhs=to_literal(
+                MultiPoly.z(N, k, fam.field, power=h.z_degree() + 1)))
+        else:
+            assert {key: witness[key] for key in entry} == entry
+            assert (witness["lhs"] - witness["rhs"]
+                    - pow(witness["z"][k], h.z_degree() + 1, m)) % m == 0
+        checks = {c["id"]: c for c in rep["checks"]}
         assert len(scalings) == len({u["l1"], u["l2"]})
-        assert all(c["verdict"] == "fail" and c["witness"] == witness for c in scalings)
+        assert all(c["verdict"] == "fail" and c["witness"] == witness and c["mode"] == mode
+                   for c in scalings)
         same = u["l1"] == u["l2"]
         assert checks["transition"]["verdict"] == ("pass" if same else "fail")
         assert checks["transition"]["witness"] == (None if same else witness)
         assert checks["transition exponent"]["verdict"] == "pass"
 
 
-@pytest.mark.parametrize("fam", [pytest.param(fam, id=label)
-                                 for label, fam in transition_families()])
-def test_euler_certificate_passes_a_term_that_vanishes_at_dz_equals_z(monkeypatch, fam):
+@pytest.mark.parametrize("fam, mode", in_both_modes(transition_families()))
+def test_euler_certificate_passes_a_term_that_vanishes_at_dz_equals_z(monkeypatch, fam, mode):
     # h = z_0^(deg - 1) * (z_0 dz_N - z_N dz_0) keeps the relation: the
     # certificate passes, and so does expanding the mutated G and
     # substituting into it
@@ -667,26 +720,45 @@ def test_euler_certificate_passes_a_term_that_vanishes_at_dz_equals_z(monkeypatc
             g = MultiPoly.z(N, 0, D.field, power=D.z_degree() - 1)
             return euler_kernel_term(N, D.field, g, 0, N)
 
-        rep, form, _, _, _ = mutated_transition(monkeypatch, fam, u, h_of)
+        rep, form, _, _, _ = mutated_transition(monkeypatch, fam, u, h_of, mode)
         assert rep["ok"] and all(c["verdict"] == "pass" for c in rep["checks"])
+        assert all(c["mode"] == mode for c in rep["checks"][:-1])
         assert all(verdict == "pass" for _, verdict in reference_transition(form, u["l1"], u["l2"]))
 
 
-@pytest.mark.parametrize("term", ["1 * z0^2", "1 * z0^1 dz1^2"])
-def test_euler_certificate_fails_an_entry_not_linear_in_dz(monkeypatch, term):
+@pytest.mark.parametrize("term, mode", in_both_modes(
+    [(term, term) for term in ("1 * z0^2", "1 * z0^1 dz1^2")]))
+def test_euler_certificate_fails_an_entry_not_linear_in_dz(monkeypatch, term, mode):
     # a term of dz-degree 0 or 2 is a FAIL with the entry as witness, never
-    # an exception and never a PASS
+    # an exception and never a PASS, in either mode
     fam = fermat_family(2, 1, 0, (2, 2, 2), (3,), seed=4)
     u = {"selection": (1,), "omit": 2, "l1": 0, "l2": 1, "which": None, "kind": None}
     rep, form, row, col, _ = mutated_transition(
-        monkeypatch, fam, u, lambda D: from_literal(term, 2, D.field))
+        monkeypatch, fam, u, lambda D: from_literal(term, 2, D.field), mode)
     entry = form.matrix.rows[form.matrix_rows[-1]][0]
-    assert [(c["id"], c["verdict"]) for c in rep["checks"]] == [
-        ("scaling chart 0", "fail"), ("scaling chart 1", "fail"), ("transition", "fail"),
-        ("transition exponent", "pass")]
+    assert [(c["id"], c["verdict"], c["mode"]) for c in rep["checks"]] == [
+        ("scaling chart 0", "fail", mode), ("scaling chart 1", "fail", mode),
+        ("transition", "fail", mode), ("transition exponent", "pass", "exact")]
     assert all(c["witness"] == {"row": row, "col": col,
                                 "entry_not_linear_in_dz": to_literal(entry)}
                for c in rep["checks"][:3])
+
+
+@pytest.mark.parametrize("mode", ["exact", "probabilistic"])
+@pytest.mark.parametrize("l1, l2", [(0, 9), (-1, 1), (4, 4)])
+def test_transition_refuses_a_chart_out_of_range(monkeypatch, mode, l1, l2):
+    # charts run over 0..N: anything else is refused before a form is
+    # extracted, never reported as a scaling check
+    shape = ProblemShape(3, 2, 0)
+    fam = build_sections(shape, "mcm", field=Field(5),
+                         schedule=build_schedule(shape, 2), seed=3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a form was extracted for an out-of-range chart")
+
+    monkeypatch.setattr(identity_verifier, "extract_forms", refuse)
+    with pytest.raises(ValueError, match="chart out of range"):
+        verify_transition(fam, (1,), omit=0, l1=l1, l2=l2, mode=mode, which=("K_nu", 0))
 
 
 # ----- surjectivity -----

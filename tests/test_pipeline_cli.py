@@ -708,14 +708,15 @@ def test_cli_verify_transition_honours_mode(tmp_path, capsys):
         assert main(argv + (["--mode", mode] if mode else [])) == 0
         checks = json.loads(capsys.readouterr().out)["checks"]
         modes[mode] = {(c["id"], c["mode"]) for c in checks}
-    # every check but the exponent's, which reads degrees, samples points;
-    # without --mode every check is exact
-    assert modes["probabilistic"] == {("transition", "probabilistic"),
-                                      ("transition exponent", "exact")}
+    # both modes report the same checks; every check but the exponent's,
+    # which reads degrees, samples points; without --mode every check is exact
+    ids = {mode: {i for i, _ in pairs} for mode, pairs in modes.items()}
+    assert ids["probabilistic"] == ids[None] == {"scaling chart 0", "scaling chart 1",
+                                                 "scaling chart 3", "transition",
+                                                 "transition exponent"}
+    assert {m for i, m in modes["probabilistic"] if i != "transition exponent"} == {"probabilistic"}
+    assert ("transition exponent", "exact") in modes["probabilistic"]
     assert {m for _, m in modes[None]} == {"exact"}
-    assert {i for i, _ in modes[None]} == {"scaling chart 0", "scaling chart 1",
-                                           "scaling chart 3", "transition",
-                                           "transition exponent"}
 
 
 def test_cli_run_rejects_bad_config(tmp_path, capsys):
