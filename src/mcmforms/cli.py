@@ -4,8 +4,10 @@ Subcommands mirror the library layers: `schedule` prints exponent schedules
 with their twist ledgers, `build` writes family files, `verify` runs the
 identity checkers, `scan` runs the finite-field scans, `coup` exposes the
 degree arithmetic, and `run`/`replay` drive config-based pipelines. Every
-subcommand emits a canonical JSON report on stdout (and to --json PATH when
-given); the exit code is 0 iff nothing FAILed.
+handler returns its report, and main emits it as canonical JSON on stdout
+(and to --json PATH when given). The exit code is 0 when nothing FAILed, 1
+when a check FAILed, and 2 when the command is refused, as for a missing
+--family or --shape. Identities are checked exactly on every path.
 """
 
 from __future__ import annotations
@@ -69,28 +71,24 @@ def _shape(text: str) -> ProblemShape:
     return ProblemShape(*parts) if len(parts) == 3 else ProblemShape(parts[0], parts[1], 0)
 
 
-def _emit(report: dict, json_path: Optional[str]) -> None:
-    text = report_to_json(report)
-    sys.stdout.write(text)
-    if json_path:
-        with open(json_path, "w") as fh:
-            fh.write(text)
+def _needs(args, flag: str):
+    """The value of --flag, or ValueError naming the missing flag."""
+    value = getattr(args, flag)
+    if value is None:
+        raise ValueError(f"{args.command} {args.what} needs --{flag}")
+    return value
 
 
-def _exit_code(report: dict) -> int:
-    return 0 if report.get("ok", True) else 1
+# ----- subcommand handlers: each returns its report -----
 
 
-# ----- subcommand handlers -----
-
-
-def _cmd_schedule(args) -> int:
+def _cmd_schedule(args) -> dict:
     shape = ProblemShape(args.N, args.c, args.r)
     sched = build_schedule(shape, heart=args.heart, eps=_csv_ints(args.eps))
     validation = validate_schedule(sched)
     ledger = ledger_to_dict(twist_ledger(sched))
     info = schedule_to_dict(sched)
-    report = {
+    return {
         "op": "schedule",
         "shape": info["shape"],
         "delta": info["delta"],
@@ -103,11 +101,9 @@ def _cmd_schedule(args) -> int:
         "validation": validation,
         "ok": validation["ok"] and ledger["ok"],
     }
-    _emit(report, args.json)
-    return _exit_code(report)
 
 
-def _cmd_build(args) -> int:
+def _cmd_build(args) -> dict:
     fam = build_family({
         "shape": [args.shape.N, args.shape.c, args.shape.r], "mode": args.mode,
         "field": args.field, "heart": args.heart, "eps": _csv_ints(args.eps),
@@ -115,7 +111,7 @@ def _cmd_build(args) -> int:
         "seed": args.seed,
     })
     save_family(fam, args.out)
-    report = {
+    return {
         "op": "build",
         "out": args.out,
         "mode": fam.mode,
@@ -125,91 +121,64 @@ def _cmd_build(args) -> int:
         "degrees": [F.z_degree() for F in fam.sections],
         "ok": True,
     }
-    _emit(report, args.json)
-    return _exit_code(report)
 
 
-def _cmd_verify(args) -> int:
-    if args.what in ("forms", "gluing", "transition"):
-        fam = load_family(args.family)
-        options = dict(mode=args.mode, trials=args.trials, seed=args.seed)
-        if args.what == "transition":
-            op, reps = "verify-transition", [
-                verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
-                                  which=u["which"], kind=u["kind"], **options)
+def _cmd_verify(args) -> dict:
+    if args.what == "surjectivity":
+        return verify_surjectivity(args.N, args.d, trials=args.trials, seed=args.seed)
+    fam = load_family(_needs(args, "family"))
+    if args.what == "hidden":
+        return verify_hidden(fam, _csv_ints(args.vanished) or (),
+                             _csv_ints(args.selection) or ())
+    if args.what == "transition":
+        reps = [verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
+                                  which=u["which"], kind=u["kind"])
                 for u in _transition_units(fam)]
-        else:
-            op, reps = f"verify-{args.what}", [
-                verify_gluing(fam, u["selection"], u["j1"], u["j2"], which=u["which"], **options)
-                for u in _glue_units(fam)]
-        report = {"op": op, "family": args.family, "checks": [c for r in reps for c in r["checks"]],
-                  "ok": all(r["ok"] for r in reps)}
-    elif args.what == "surjectivity":
-        report = verify_surjectivity(args.N, args.d, trials=args.trials,
-                                     seed=args.seed)
-    elif args.what == "hidden":
-        fam = load_family(args.family)
-        report = verify_hidden(fam, _csv_ints(args.vanished) or (),
-                               _csv_ints(args.selection) or ())
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.what)
-    _emit(report, args.json)
-    return _exit_code(report)
-
-
-def _cmd_scan(args) -> int:
-    if args.what == "census":
-        report = rank_condition_census(args.a, args.b, args.q, mode=args.mode,
-                                   sample_size=args.sample, seed=args.seed,
-                                   budget=args.budget_census)
     else:
-        fam = load_family(args.family)
-        q = args.q if args.q else fam.field.p
-        if not q:
-            raise SystemExit("scan over a rational family needs --q")
-        if args.what == "smooth":
-            report = smoothness_check(fam, q)
-        elif args.what == "base-locus":
-            forms = standard_forms(fam)
-            report = base_locus_scan(fam, forms, q,
-                                     vanished=_csv_ints(args.vanished) or ())
-            report["forms"] = len(forms)
-        elif args.what == "crosscheck":
-            report = characterization_crosscheck(fam, q, sample=args.sample,
-                                                 seed=args.seed)
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(args.what)
-    _emit(report, args.json)
-    return _exit_code(report)
+        reps = [verify_gluing(fam, u["selection"], u["j1"], u["j2"], which=u["which"])
+                for u in _glue_units(fam)]
+    return {"op": f"verify-{args.what}", "family": args.family,
+            "checks": [c for r in reps for c in r["checks"]], "ok": all(r["ok"] for r in reps)}
 
 
-def _cmd_coup(args) -> int:
+def _cmd_scan(args) -> dict:
+    if args.what == "census":
+        return rank_condition_census(args.a, args.b, args.q, mode=args.mode,
+                                     sample_size=args.sample, seed=args.seed,
+                                     budget=args.budget_census)
+    fam = load_family(_needs(args, "family"))
+    q = args.q if args.q else fam.field.p
+    if not q:
+        raise ValueError("scan over a rational family needs --q")
+    if args.what == "smooth":
+        return smoothness_check(fam, q)
+    if args.what == "base-locus":
+        forms = standard_forms(fam)
+        report = base_locus_scan(fam, forms, q, vanished=_csv_ints(args.vanished) or ())
+        report["forms"] = len(forms)
+        return report
+    return characterization_crosscheck(fam, q, sample=args.sample, seed=args.seed)
+
+
+def _cmd_coup(args) -> dict:
     if args.what == "split":
         try:
             p, q = frobenius_split(args.d, args.s)
-            report = {"op": "coup-split", "d": args.d, "s": args.s,
-                      "p": p, "q": q, "ok": True}
+            return {"op": "coup-split", "d": args.d, "s": args.s, "p": p, "q": q, "ok": True}
         except NoRepresentation as exc:
-            report = {"op": "coup-split", "d": args.d, "s": args.s,
-                      "error": str(exc), "ok": False}
-    elif args.what == "bound":
-        report = effective_bound_NN2(args.N)
-    elif args.what == "semigroup":
-        report = verify_semigroup_bound(args.s, args.horizon)
-    elif args.what == "decompose":
-        field = Field.from_spec(args.field)
-        N = args.shape.N
-        factors = [[from_literal(lit.strip(), N, field)
-                    for lit in group.split(";")]
-                   for group in args.factors]
-        report = verify_product_decomposition(factors, args.shape, args.q)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.what)
-    _emit(report, args.json)
-    return _exit_code(report)
+            return {"op": "coup-split", "d": args.d, "s": args.s,
+                    "error": str(exc), "ok": False}
+    if args.what == "bound":
+        return effective_bound_NN2(args.N)
+    if args.what == "semigroup":
+        return verify_semigroup_bound(args.s, args.horizon)
+    shape, field = _needs(args, "shape"), Field.from_spec(args.field)
+    factors = [[from_literal(lit.strip(), shape.N, field) for lit in group.split(";")]
+               for group in args.factors]
+    return verify_product_decomposition(factors, shape, args.q)
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> dict:
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
     if args.seed is not None:
@@ -220,17 +189,12 @@ def _cmd_run(args) -> int:
         cfg.max_points = args.budget_points
     if args.budget_census is not None:
         cfg.max_census = args.budget_census
-    report = run_pipeline(cfg)
-    _emit(report, args.json)
-    return _exit_code(report)
+    return run_pipeline(cfg)
 
 
-def _cmd_replay(args) -> int:
+def _cmd_replay(args) -> dict:
     with open(args.witness) as fh:
-        witness = json.load(fh)
-    report = replay(witness)
-    _emit(report, args.json)
-    return _exit_code(report)
+        return replay(json.load(fh))
 
 
 # ----- parser -----
@@ -242,17 +206,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact construction and verification of negatively "
                     "twisted symmetric differential forms.")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", help="also write the report to this path")
 
-    p = sub.add_parser("schedule", help="build and validate an exponent schedule")
+    def add(name: str, fn, **kwargs) -> argparse.ArgumentParser:
+        command = sub.add_parser(name, parents=[common], **kwargs)
+        command.set_defaults(fn=fn)
+        return command
+
+    p = add("schedule", _cmd_schedule, help="build and validate an exponent schedule")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--heart", type=int, default=2)
     p.add_argument("--eps", help="comma-separated slack offsets")
-    p.add_argument("--json", help="also write the report to this path")
-    p.set_defaults(fn=_cmd_schedule)
 
-    p = sub.add_parser("build", help="build a section family and save it")
+    p = add("build", _cmd_build, help="build a section family and save it")
     p.add_argument("--shape", type=_shape, required=True, help="N,c,r")
     p.add_argument("--mode", choices=("mcm", "general_fermat"), default="mcm")
     p.add_argument("--field", default="5", help="prime p, or Q for rationals")
@@ -262,24 +231,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", help="section degrees (general_fermat)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True, help="family file to write")
-    p.add_argument("--json")
-    p.set_defaults(fn=_cmd_build)
 
-    p = sub.add_parser("verify", help="run identity checks")
+    p = add("verify", _cmd_verify, help="run identity checks")
     p.add_argument("what", choices=("forms", "gluing", "transition",
                                     "surjectivity", "hidden"))
     p.add_argument("--family", help="family file (forms/gluing/transition/hidden)")
-    p.add_argument("--mode", choices=("exact", "probabilistic"), default="exact")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=20, help="sampled points (surjectivity)")
+    p.add_argument("--seed", type=int, default=0, help="seed of the points (surjectivity)")
     p.add_argument("--N", type=int, default=2, help="ambient dim (surjectivity)")
     p.add_argument("--d", type=int, default=3, help="degree (surjectivity)")
     p.add_argument("--vanished", help="coordinates set to zero (hidden)")
     p.add_argument("--selection", help="differential rows (hidden)")
-    p.add_argument("--json")
-    p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("scan", help="finite-field scans")
+    p = add("scan", _cmd_scan, help="finite-field scans")
     p.add_argument("what", choices=("base-locus", "smooth", "census", "crosscheck"))
     p.add_argument("--family")
     p.add_argument("--q", type=int, help="field size (defaults to the family's)")
@@ -290,10 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget-census", type=int, default=2 ** 28)
     p.add_argument("--vanished", help="coordinates set to zero (base-locus)")
-    p.add_argument("--json")
-    p.set_defaults(fn=_cmd_scan)
 
-    p = sub.add_parser("coup", help="product-coup degree arithmetic")
+    p = add("coup", _cmd_coup, help="product-coup degree arithmetic")
     p.add_argument("what", choices=("split", "bound", "semigroup", "decompose"))
     p.add_argument("--d", type=int, default=0)
     p.add_argument("--s", type=int, default=2)
@@ -305,22 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factors", action="append", default=[],
                    help="factors of one section, ';'-separated literals; "
                         "repeat per section")
-    p.add_argument("--json")
-    p.set_defaults(fn=_cmd_coup)
 
-    p = sub.add_parser("run", help="run a config-driven pipeline")
+    p = add("run", _cmd_run, help="run a config-driven pipeline")
     p.add_argument("--config", required=True, help="INI config path")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--budget-terms", type=int)
     p.add_argument("--budget-points", type=int)
     p.add_argument("--budget-census", type=int)
-    p.add_argument("--json")
-    p.set_defaults(fn=_cmd_run)
 
-    p = sub.add_parser("replay", help="rerun the stage behind a failure witness")
+    p = add("replay", _cmd_replay, help="rerun the stage behind a failure witness")
     p.add_argument("--witness", required=True, help="witness JSON path")
-    p.add_argument("--json")
-    p.set_defaults(fn=_cmd_replay)
 
     return parser
 
@@ -328,10 +284,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        report = args.fn(args)
+        text = report_to_json(report)
+        sys.stdout.write(text)
+        if args.json:
+            with open(args.json, "w") as fh:
+                fh.write(text)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    return 0 if report.get("ok", True) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -45,12 +45,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .util import _echelon_mod_p, child_rng
+from .util import _echelon_mod_p
 
 Exponent = Tuple[int, ...]
-
-# Default 31-bit prime for probabilistic identity testing (2**31 - 1).
-IDENTITY_PRIME = 2147483647
 
 # Most (point, term) entries in one block of EvalPlan.at_points, so that an
 # int64 temporary of a block stays within 64 KB. On the default pipeline,
@@ -675,48 +672,6 @@ class EvalPlan:
             sums = sums[..., self._bounds]
             out[start:start + step] = (sums[..., 1:] - sums[..., :-1]) % m
         return out
-
-
-# ----- identity testing -----
-
-
-def identity_modulus(field: Field) -> int:
-    """The modulus identities over `field` are sampled mod: p itself, or the
-    31-bit IDENTITY_PRIME over Q."""
-    return field.p or IDENTITY_PRIME
-
-
-def sample_identity(
-    sides: Callable[[List[int], List[int], int], Iterable[Tuple[int, int]]],
-    N: int,
-    field: Field,
-    trials: int,
-    seed: int,
-    stage: str,
-) -> Optional[tuple]:
-    """Schwartz-Zippel test of identities given only as black boxes.
-
-    Trial t draws z and then dz uniformly mod m (field.p, or the 31-bit
-    IDENTITY_PRIME over Q) from child_rng(seed, stage, t).
-    sides(z, dz, m) yields the (lhs, rhs) values mod m of each identity at
-    that point. Returns the first mismatch as (trial, z, dz, pair index,
-    lhs, rhs), or None.
-
-    A nonzero polynomial of total degree D vanishes at a uniform point with
-    probability at most D / m, so each trial misses with at most that chance.
-    Fewer than one trial would test nothing and raises ValueError.
-    """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    m = identity_modulus(field)
-    for t in range(trials):
-        rng = child_rng(seed, stage, t)
-        z = [rng.randrange(m) for _ in range(N + 1)]
-        dz = [rng.randrange(m) for _ in range(N + 1)]
-        for idx, (lhs, rhs) in enumerate(sides(z, dz, m)):
-            if lhs != rhs:
-                return t, z, dz, idx, lhs, rhs
-    return None
 
 
 # ----- determinants -----

@@ -26,13 +26,17 @@ Four families of checks:
 
 Gluing and transitions check the hypothesis an identity rests on, entry by
 entry, and never expand a determinant. Each hypothesis is a list of
-polynomial pairs, and one comparer serves both (_check_hypothesis): exact
-mode compares the pairs in order, probabilistic mode compiles them into one
-EvalPlan and samples them at the points of sample_identity. The transition
-pairs are Euler's relation D(z; z) == deg(F_j) * V on each divided
-differential entry D: then substituting w_l(dz) adds multiples of the
-value rows to z_l times the differential rows, so G(w_l) == z_l^n * G by
-row operations.
+polynomial pairs, and one comparer serves both (_check_hypothesis): it
+compares the pairs in order. The pipeline and `mcm verify` run only this
+exact mode. The comparer's one probabilistic branch, which samples the
+pairs at SAMPLED_TRIALS seeded points, serves the certify-sampled
+benchmark workload alone: over F_5 a sampled PASS bounds nothing, since
+the Schwartz-Zippel bound D / 5 on a trial's miss, for a nonzero
+difference of degree D, is far above 1 at the degrees built here. The
+transition pairs are Euler's relation D(z; z) == deg(F_j) * V on each
+divided differential entry D: then substituting w_l(dz) adds multiples of
+the value rows to z_l times the differential rows, so G(w_l) == z_l^n * G
+by row operations.
 
 Every check returns a report dict: {"op", "ok", "checks": [{"id", "mode",
 "trials", "verdict", "witness"}, ...]} plus op-specific extras.
@@ -48,9 +52,7 @@ from .exact_algebra import (
     EvalPlan,
     MultiPoly,
     QQ,
-    identity_modulus,
     kill_coordinates,
-    sample_identity,
     times_monomial,
     to_literal,
     total_differential,
@@ -72,6 +74,14 @@ from .util import child_rng, chunks, rank_mod_p
 
 # (bundle, row, col, lhs, rhs): col is None for a row sum
 Pair = Tuple[str, int, Optional[int], MultiPoly, MultiPoly]
+
+# The probabilistic branch of _check_hypothesis: trials per check, and the
+# modulus of its draws over Q (2**31 - 1; over F_p it draws mod p).
+SAMPLED_TRIALS = 20
+IDENTITY_PRIME = 2147483647
+
+# The prime the evaluation map's rank is checked over.
+SURJECTIVITY_PRIME = 101
 
 
 def _check(check_id: str, verdict: str, mode: str = "exact", trials: int = 0,
@@ -122,14 +132,17 @@ def _hypothesis_pairs(K: FormalMatrixBundle, bundle: str) -> List[Pair]:
 
 
 def _check_hypothesis(check_id: str, pairs: Sequence[Pair], fam: SectionFamily,
-                      mode: str, trials: int = 20, seed: int = 0,
-                      stage: str = "gluing") -> dict:
+                      mode: str, seed: int = 0, stage: str = "gluing") -> dict:
     """One check of every pair, for gluing, transitions and hidden forms.
     Exact mode compares them in order; the first mismatch is the witness
-    (bundle, row, col and lhs - rhs, cut to 400 characters). Probabilistic
-    mode compiles both sides of every pair into one EvalPlan and samples
-    them (sample_identity at `stage`); its witness holds the point and the
-    two values of the first pair that differs there."""
+    (bundle, row, col and lhs - rhs, cut to 400 characters).
+
+    The probabilistic branch serves only the certify-sampled benchmark
+    workload. It compiles both sides of every pair into one EvalPlan mod m
+    (fam.field.p, or IDENTITY_PRIME over Q). Trial t of SAMPLED_TRIALS draws
+    z, then dz, uniformly mod m from child_rng(seed, stage, t). The witness
+    holds the trial, the point and the two values of the first pair that
+    differs there."""
     if mode == "exact":
         for bundle, row, col, lhs, rhs in pairs:
             if lhs != rhs:
@@ -138,27 +151,29 @@ def _check_hypothesis(check_id: str, pairs: Sequence[Pair], fam: SectionFamily,
         return _check(check_id, "pass")
     if mode != "probabilistic":
         raise ValueError(f"unknown mode {mode!r}")
-    plan = EvalPlan([side for pair in pairs for side in pair[3:]], identity_modulus(fam.field))
-    miss = sample_identity(lambda z, dz, m: chunks(plan(z, dz), 2),
-                           fam.shape.N, fam.field, trials, seed, stage)
-    witness = None
-    if miss is not None:
-        t, z, dz, idx, lhs, rhs = miss
-        bundle, row, col = pairs[idx][:3]
-        witness = dict(trial=t, z=z, dz=dz, bundle=bundle, row=row, col=col, lhs=lhs, rhs=rhs)
-    return _check(check_id, "fail" if witness else "pass", "probabilistic", trials, witness)
+    n1, m = fam.shape.N + 1, fam.field.p or IDENTITY_PRIME
+    plan = EvalPlan([side for pair in pairs for side in pair[3:]], m)
+    for t in range(SAMPLED_TRIALS):
+        rng = child_rng(seed, stage, t)
+        z = [rng.randrange(m) for _ in range(n1)]
+        dz = [rng.randrange(m) for _ in range(n1)]
+        for (bundle, row, col, _, _), (lhs, rhs) in zip(pairs, chunks(plan(z, dz), 2)):
+            if lhs != rhs:
+                return _check(check_id, "fail", "probabilistic", SAMPLED_TRIALS, dict(
+                    trial=t, z=z, dz=dz, bundle=bundle, row=row, col=col, lhs=lhs, rhs=rhs))
+    return _check(check_id, "pass", "probabilistic", SAMPLED_TRIALS)
 
 
 def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int,
                   which: Optional[Tuple] = None, mode: str = "exact",
-                  trials: int = 20, seed: int = 0) -> dict:
+                  seed: int = 0) -> dict:
     """The gluing hypothesis for psi_{j1} and psi_{j2}: the rows of the
     family's matrix sum to its sections and its differential rows are the
     differentials of its value rows, and with `which` the same of the
     column-combined bundle, whose columns j1, j2 name the charts.
 
-    One check covers both bundles (_check_hypothesis, exactly or by
-    sampling over F_p, or modulo the 31-bit prime for rational families).
+    One check covers both bundles (_check_hypothesis, exactly unless the
+    probabilistic branch is asked for).
     The selection must name the form's differential rows, a full mcm
     bundle needs `which`, and equal or out-of-range chart columns raise
     ValueError: psi_j - psi_j == 0 tests nothing.
@@ -178,7 +193,7 @@ def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int
     if not (0 <= j1 < K.ncols and 0 <= j2 < K.ncols):
         raise ValueError("chart column out of range")
     pairs = [pair for label, B in bundles for pair in _hypothesis_pairs(B, label)]
-    check = _check_hypothesis(f"hypothesis j1={j1} j2={j2}", pairs, fam, mode, trials, seed)
+    check = _check_hypothesis(f"hypothesis j1={j1} j2={j2}", pairs, fam, mode, seed)
     return _report("gluing", [check], j1=j1, j2=j2,
                    generators=K.value_rows() + len(selection))
 
@@ -223,7 +238,7 @@ def _transition_pairs(form: FormBundle, fam: SectionFamily, bundle: str,
 def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
                       l1: int, l2: int, mode: str = "exact",
                       which: Optional[Tuple] = None, kind: Optional[str] = None,
-                      trials: int = 20, seed: int = 0) -> dict:
+                      seed: int = 0) -> dict:
     """Chart-change identities for one extracted form.
 
     Checks, for G the signed divided determinant with column `omit` removed:
@@ -238,10 +253,10 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
     gives D(z; w_l) == z_l * D - dz_l * deg(F_j) * V, and subtracting
     multiples of the value rows turns the rows of G(w_l) into z_l times
     those of G. _check_hypothesis compares its pairs, in order in exact
-    mode and at the points of sample_identity (stage "transition") in
-    probabilistic mode, and that one comparison is every scaling check and
-    the transition, with the same witness; on one chart the transition
-    compares two equal sides and passes. An entry not linear in dz fails
+    mode and at seeded points (stage "transition") in probabilistic mode,
+    and that one comparison is every scaling check and the transition,
+    with the same witness; on one chart the transition compares two equal
+    sides and passes. An entry not linear in dz fails
     all of them in either mode. Neither mode expands G or takes a
     determinant. The exponent check reads the z-degree that extract_forms
     enforces, so it runs in every mode and also on a zero G. A chart
@@ -257,7 +272,7 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
     form = extract_forms(build_matrices(fam), which, [selection], omit=omit, kind=kind)[0]
     pairs, nonlinear = _transition_pairs(form, fam, _label(which), mode)
     if nonlinear is None:
-        check = _check_hypothesis("transition", pairs, fam, mode, trials, seed, "transition")
+        check = _check_hypothesis("transition", pairs, fam, mode, seed, "transition")
     else:
         check = _check("transition", "fail", mode, witness=nonlinear)
     checks = [dict(check, id=f"scaling chart {l}") for l in sorted({l1, l2})]
@@ -309,17 +324,21 @@ def evaluation_matrix(N: int, d: int, z: Sequence[int], tangents: Sequence[Seque
 
 
 def verify_surjectivity(N: int, d: int, twist_factor: Optional[MultiPoly] = None,
-                        trials: int = 100, seed: int = 0, p: int = 101) -> dict:
+                        trials: int = 100, seed: int = 0) -> dict:
     """Full-rank check for the evaluation map at random points.
 
-    At each sampled point z (with twist factor nonzero when given) and a
-    random completion of z to a basis by N tangent vectors, the
-    (N+1) x C(N+d, N) evaluation matrix must have rank N+1.
+    At each sampled point z over F_p, p = SURJECTIVITY_PRIME (with twist
+    factor nonzero when given), and a random completion of z to a basis by
+    N tangent vectors, the (N+1) x C(N+d, N) evaluation matrix must have
+    rank N+1. N < 1 leaves no nonzero point and is refused.
     """
+    if N < 1:
+        raise ValueError(f"need N at least 1, got {N}")
     if d < 1:
         raise ValueError("need degree at least 1")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    p = SURJECTIVITY_PRIME
     factor = None if twist_factor is None else EvalPlan([twist_factor], p)
     witness = None
     for t in range(trials):

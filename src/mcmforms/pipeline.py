@@ -331,14 +331,12 @@ def _glue_units(fam) -> List[dict]:
 
 def _stage_gluing(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
     fam = ctx["family"]
-    mode = "probabilistic" if fam.mode == "general_fermat" and cfg.shape.N >= 4 else "exact"
     return _run_units(
         ctx, _glue_units(fam),
-        lambda u: verify_gluing(fam, u["selection"], u["j1"], u["j2"],
-                                which=u["which"], mode=mode, seed=cfg.seed),
+        lambda u: verify_gluing(fam, u["selection"], u["j1"], u["j2"], which=u["which"]),
         lambda u, rep: {"which": list(u["which"]) if u["which"] else None,
                         "j1": u["j1"], "j2": u["j2"]},
-        mode=mode)
+        mode="exact")
 
 
 def _transition_units(fam) -> List[dict]:
@@ -363,8 +361,7 @@ def _stage_transition(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
     return _run_units(
         ctx, _transition_units(fam),
         lambda u: verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
-                                    mode="exact", which=u["which"], kind=u["kind"],
-                                    seed=cfg.seed),
+                                    which=u["which"], kind=u["kind"]),
         lambda u, rep: {"omit": u["omit"], "charts": [u["l1"], u["l2"]],
                         "mode": rep.get("mode")})
 

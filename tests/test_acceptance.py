@@ -135,28 +135,26 @@ def test_acceptance_04_gluing_certificates():
     failures = []
     families = 0
 
-    def check(fam, shape, mode):
+    def check(fam, shape):
         nonlocal families
         families += 1
         for u in _glue_units(fam):
             for j1 in range(shape.N + 1):
                 for j2 in range(j1 + 1, shape.N + 1):
-                    rep = verify_gluing(fam, u["selection"], j1, j2,
-                                        which=u["which"], mode=mode,
-                                        seed=families)
-                    if not rep["ok"]:
+                    rep = verify_gluing(fam, u["selection"], j1, j2, which=u["which"])
+                    if not rep["ok"] or rep["checks"][0]["mode"] != "exact":
                         failures.append((shape, u, j1, j2))
 
     for shape_tuple in ((2, 1, 0), (3, 2, 0), (3, 1, 1)):
         shape = ProblemShape(*shape_tuple)
         for seed in range(10):
-            check(mcm_family(shape, seed), shape, "exact")
+            check(mcm_family(shape, seed), shape)
     shape = ProblemShape(4, 3, 0)
     for seed in range(10):
         fam = build_sections(shape, "general_fermat", field=QQ,
                              lambdas=(2, 1, 2, 1, 2), degrees=(3, 3, 4),
                              seed=seed)
-        check(fam, shape, "probabilistic")
+        check(fam, shape)
     elapsed = time.perf_counter() - t0
     ok = not failures and families == 40
     _line(4, "gluing hypothesis on every chart pair, 10 families per shape", ok,
@@ -169,24 +167,22 @@ def test_acceptance_05_transition_formulas():
     t0 = time.perf_counter()
     failures = []
     checked = 0
-    for shape_tuple, mode in (((2, 1, 0), "exact"), ((3, 2, 0), "exact"),
-                              ((3, 1, 1), "exact"), ((4, 3, 0), "probabilistic")):
+    for shape_tuple in ((2, 1, 0), (3, 2, 0), (3, 1, 1), (4, 3, 0)):
         shape = ProblemShape(*shape_tuple)
         for seed in range(3):
             fam = mcm_family(shape, seed)
             for u in _transition_units(fam):
                 rep = verify_transition(fam, u["selection"], u["omit"],
-                                        u["l1"], u["l2"], mode=mode,
-                                        which=u["which"], kind=u["kind"],
-                                        seed=seed)
+                                        u["l1"], u["l2"], which=u["which"],
+                                        kind=u["kind"])
                 checked += 1
                 exponent_checks = [c for c in rep["checks"]
                                    if c["id"] == "transition exponent"]
-                if not rep["ok"] or not exponent_checks:
+                if not rep["ok"] or not exponent_checks or rep["mode"] != "exact":
                     failures.append((shape, u, rep))
     elapsed = time.perf_counter() - t0
     ok = not failures and checked == 24
-    _line(5, "transition + ledger-recomputed exponent, N<=3 exact, N=4 prob.",
+    _line(5, "transition + ledger-recomputed exponent, exact for N<=4",
           ok, f"{checked} units, {elapsed:.1f}s")
     assert ok, failures[:2]
 

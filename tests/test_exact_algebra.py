@@ -1,4 +1,3 @@
-import inspect
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -11,7 +10,6 @@ from conftest import det
 from substitution_oracle import chart_images, substitute_dz
 
 from mcmforms.exact_algebra import (
-    IDENTITY_PRIME,
     DivisibilityError,
     EvalPlan,
     Field,
@@ -22,7 +20,6 @@ from mcmforms.exact_algebra import (
     det_mod_p,
     divide_exact,
     from_literal,
-    sample_identity,
     times_monomial,
     to_literal,
     total_differential,
@@ -32,6 +29,8 @@ from mcmforms import exact_algebra
 from mcmforms.util import child_rng, chunks
 
 F7 = Field(7)
+# 2**31 - 1, the largest prime EvalPlan accepts as a modulus
+P31 = 2147483647
 
 
 def rand_poly(rng, N, field, max_terms=5, max_deg=3, with_dz=True):
@@ -349,40 +348,6 @@ def test_no_determinant_expansion_or_packed_kernel_is_left():
     assert [name for name in gone if hasattr(exact_algebra, name)] == []
 
 
-# ----- identity sampling -----
-
-
-def test_sample_identity_draws_seeded_points_and_reports_the_first_mismatch():
-    seen = []
-
-    def sides(z, dz, m):
-        seen.append((z, dz))
-        yield 0, 0
-        yield z[1], 0
-
-    miss = sample_identity(sides, 2, Field(7), trials=50, seed=3, stage="s")
-    # trial t draws z, then dz, from its own child stream; the first trial
-    # with z1 != 0 is the miss, and no trial after it is drawn
-    drawn = []
-    for t in range(50):
-        rng = child_rng(3, "s", t)
-        drawn.append(([rng.randrange(7) for _ in range(3)], [rng.randrange(7) for _ in range(3)]))
-    first = next(t for t, (z, _) in enumerate(drawn) if z[1])
-    assert miss == (first, *drawn[first], 1, drawn[first][0][1], 0)
-    assert seen == drawn[:first + 1]
-    # no coordinate is forced away from zero
-    assert "nonzero" not in inspect.signature(sample_identity).parameters
-    # over Q the points live modulo the 31-bit prime
-    assert sample_identity(lambda z, dz, m: [(m, 2 ** 31 - 1)], 1, QQ, 3, 0, "q") is None
-
-
-@pytest.mark.parametrize("trials", [0, -3])
-def test_sampling_without_a_trial_is_refused(trials):
-    # no point drawn would pass any identity, true or false
-    with pytest.raises(ValueError, match="at least one trial"):
-        sample_identity(lambda z, dz, m: [(1, 0)], 1, Field(5), trials, 0, "s")
-
-
 # ----- determinants -----
 
 
@@ -402,7 +367,7 @@ def test_poly_det_vanishes_on_repeated_rows():
 
 # ----- products and determinants against field arithmetic -----
 
-PROPERTY_FIELDS = (Field(2), Field(5), Field(IDENTITY_PRIME), QQ)
+PROPERTY_FIELDS = (Field(2), Field(5), Field(P31), QQ)
 # the largest exponent of 8-, 16- and 32-bit slots, and one past it: a
 # product kernel on packed exponents would have to widen its slots there
 SLOT_EDGES = (255, 256, 65535, 65536, 2**32 - 1, 2**32)
@@ -682,7 +647,7 @@ def test_det_oracle_and_det_mod_p_satisfy_the_laplace_gluing_identity(data):
     field = data.draw(st.sampled_from((Field(5), QQ)), label="field")
     n = data.draw(st.integers(1, 4), label="rows")
     M = data.draw(_matrices(field, 1, n, n + 1))
-    m = field.p or IDENTITY_PRIME
+    m = field.p or P31
     point = data.draw(st.lists(st.integers(0, m - 1), min_size=4, max_size=4))
     values = chunks(EvalPlan([e for row in M for e in row], m)(point[:2], point[2:]), n + 1)
 
@@ -712,7 +677,7 @@ def test_evaluate_handles_large_exponents_mod_p():
 
 
 def _test_modulus(field):
-    return field.p or IDENTITY_PRIME
+    return field.p or P31
 
 
 @given(st.data())
@@ -755,8 +720,8 @@ def test_eval_plan_inverts_each_denominator_once():
     p = MultiPoly(1, QQ, {(k, 0, 0, 0): Fraction(1, k + 2) for k in range(6)})
     q = MultiPoly(1, QQ, {(0, k, 1, 0): Fraction(5, 2 * k + 3) for k in range(4)})
     point = ([3, 10], [4, 0])
-    want = [term_evaluate_mod(f, *point, IDENTITY_PRIME) for f in (p, q)]
-    assert EvalPlan([p, q], IDENTITY_PRIME)(*point) == want
+    want = [term_evaluate_mod(f, *point, P31) for f in (p, q)]
+    assert EvalPlan([p, q], P31)(*point) == want
 
 
 def test_eval_plan_refusals():
@@ -764,7 +729,7 @@ def test_eval_plan_refusals():
     with pytest.raises(ZeroDivisionError):
         EvalPlan([q_poly], 7)
     with pytest.raises(ZeroDivisionError):
-        EvalPlan([MultiPoly.const(1, Fraction(1, 2 * IDENTITY_PRIME), QQ)], IDENTITY_PRIME)
+        EvalPlan([MultiPoly.const(1, Fraction(1, 2 * P31), QQ)], P31)
     with pytest.raises(ZeroDivisionError):
         q_poly.evaluate_mod([1, 1], [1, 1], 7)
     assert EvalPlan([q_poly], 5)([3, 0], [0, 0]) == [3 * pow(7, 3, 5) % 5]

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import random
 from types import SimpleNamespace
 
@@ -15,7 +16,6 @@ from mcmforms.exact_algebra import (
     QQ,
     deriv,
     from_literal,
-    identity_modulus,
     times_monomial,
     to_literal,
     total_differential,
@@ -38,7 +38,7 @@ from mcmforms.section_builder import (
     extract_forms,
     random_homogeneous,
 )
-from mcmforms.util import rank_mod_p
+from mcmforms.util import child_rng, rank_mod_p
 from test_exact_algebra import polynomial_laplace_sides
 
 F101 = Field(101)
@@ -255,7 +255,7 @@ def test_gluing_characteristic_guard():
 def test_gluing_probabilistic_mode():
     fam = build_sections(ProblemShape(4, 3, 0), "general_fermat", field=QQ,
                          lambdas=(2, 1, 2, 1, 2), degrees=(3, 3, 4), seed=7)
-    rep = verify_gluing(fam, (1,), 0, 3, mode="probabilistic", trials=20, seed=0)
+    rep = verify_gluing(fam, (1,), 0, 3, mode="probabilistic", seed=0)
     assert rep["ok"]
     check = rep["checks"][0]
     assert check["mode"] == "probabilistic" and check["trials"] == 20
@@ -544,6 +544,49 @@ def test_one_comparer_serves_both_transition_modes():
             assert exact == sampled and exact[0] and exact[1] is None, label
 
 
+def test_sampled_branch_draws_seeded_points_and_reports_the_first_mismatch(monkeypatch):
+    # trial t draws z, then dz, mod p from its own child stream; the first
+    # trial with z1 != 0 fails the second pair, and no trial after it is drawn
+    N, F = 2, Field(7)
+    fam = SimpleNamespace(shape=SimpleNamespace(N=N), field=F)
+    zero = MultiPoly.zero(N, F)
+    pairs = [("b", 0, None, zero, zero), ("b", 1, 0, MultiPoly.z(N, 1, F), zero)]
+    streams = []
+
+    def record(*key):
+        streams.append(key)
+        return child_rng(*key)
+
+    monkeypatch.setattr(identity_verifier, "child_rng", record)
+    check = identity_verifier._check_hypothesis("c", pairs, fam, "probabilistic", 3, "s")
+    drawn = []
+    for t in range(identity_verifier.SAMPLED_TRIALS):
+        rng = child_rng(3, "s", t)
+        drawn.append(([rng.randrange(7) for _ in range(3)], [rng.randrange(7) for _ in range(3)]))
+    first = next(t for t, (z, _) in enumerate(drawn) if z[1])
+    z, dz = drawn[first]
+    assert check == {"id": "c", "mode": "probabilistic", "trials": 20, "verdict": "fail",
+                     "witness": {"trial": first, "z": z, "dz": dz, "bundle": "b", "row": 1,
+                                 "col": 0, "lhs": z[1], "rhs": 0}}
+    assert streams == [(3, "s", t) for t in range(first + 1)]
+    # over Q the points live modulo 2**31 - 1, where that constant is zero
+    streams.clear()
+    fam.field = QQ
+    prime = MultiPoly.const(N, identity_verifier.IDENTITY_PRIME, QQ)
+    check = identity_verifier._check_hypothesis(
+        "c", [("b", 0, None, prime, MultiPoly.zero(N, QQ))], fam, "probabilistic", 0, "q")
+    assert (check["verdict"], check["trials"], check["witness"]) == ("pass", 20, None)
+    assert streams == [(0, "q", t) for t in range(20)]
+
+
+def test_sampling_lives_in_one_branch_of_the_comparer():
+    gone = ("sample_identity", "identity_modulus", "IDENTITY_PRIME", "child_rng")
+    assert [name for name in gone if hasattr(exact_algebra, name)] == []
+    # every sampled check runs SAMPLED_TRIALS trials: no verifier takes a count
+    for fn in (verify_gluing, verify_transition, identity_verifier._check_hypothesis):
+        assert "trials" not in inspect.signature(fn).parameters, fn.__name__
+
+
 def test_transition_unknown_mode():
     fam = unit_line_family()
     with pytest.raises(ValueError):
@@ -679,7 +722,7 @@ def test_euler_certificate_kills_a_term_that_survives_dz_equals_z(monkeypatch, f
     # the entry's two sides differ by h(z; z) (sampled); so does the
     # transition, unless both charts are one
     N = fam.shape.N
-    m = identity_modulus(fam.field)
+    m = fam.field.p or identity_verifier.IDENTITY_PRIME
     for index, u in enumerate(transition_units(fam)):
         k = index % (N + 1)
 
@@ -790,9 +833,18 @@ def test_surjectivity_rejects_degree_zero():
 def test_checks_without_a_trial_are_refused(trials):
     with pytest.raises(ValueError, match="at least one trial"):
         verify_surjectivity(2, 3, trials=trials)
-    fam = fermat_family(2, 1, 0, (2, 2, 2), (3,))
-    with pytest.raises(ValueError, match="at least one trial"):
-        verify_gluing(fam, (1,), 0, 1, mode="probabilistic", trials=trials)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_surjectivity_refuses_an_ambient_dimension_below_one(N):
+    # N + 1 < 2 coordinates leave no nonzero point to draw
+    with pytest.raises(ValueError, match=f"need N at least 1, got {N}"):
+        verify_surjectivity(N, 3)
+
+
+def test_surjectivity_checks_over_its_fixed_prime():
+    assert "p" not in inspect.signature(verify_surjectivity).parameters
+    assert verify_surjectivity(2, 3, trials=5)["p"] == identity_verifier.SURJECTIVITY_PRIME == 101
 
 
 def test_monomial_basis_size():

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import signal
 
 import pytest
 
@@ -166,6 +167,18 @@ def test_n2_transition_stage_runs_exact():
     assert stage["status"] == "PASS"
     units = stage["report"]["units"]
     assert len(units) == 2 and all(u["mode"] == "exact" and u["ok"] for u in units)
+
+
+@pytest.mark.parametrize("field_spec", ["5", "Q"])
+def test_general_fermat_n4_gluing_stage_runs_exact(field_spec):
+    # no pipeline stage samples: the N = 4 general Fermat gluing compares
+    # its pairs exactly, over F_5 and over Q alike
+    cfg = RunConfig(shape=ProblemShape(4, 3, 0), mode="general_fermat", field_spec=field_spec,
+                    lambdas=(2, 1, 2, 1, 2), degrees=(3, 3, 4), stages=("gluing",))
+    stage = run_pipeline(cfg)["stages"]["gluing"]
+    assert stage["status"] == "PASS" and stage["report"]["mode"] == "exact"
+    units = stage["report"]["units"]
+    assert len(units) == 2 and all(u["ok"] and u["verdicts"] == ["pass"] for u in units)
 
 
 def test_budget_change_keeps_executed_units_identical():
@@ -611,10 +624,53 @@ def test_cli_refuses_checks_without_a_trial(tmp_path, capsys):
     assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
                  "--seed", "3", "--out", str(fam_path)]) == 0
     for trials in ("0", "-3"):
-        assert main(["verify", "forms", "--family", str(fam_path),
-                     "--mode", "probabilistic", "--trials", trials]) == 2
         assert main(["verify", "surjectivity", "--trials", trials]) == 2
-    assert capsys.readouterr().err.count("at least one trial") == 4
+    assert capsys.readouterr().err.count("at least one trial") == 2
+
+
+@pytest.mark.parametrize("N", ["0", "-1"])
+def test_cli_refuses_surjectivity_below_one_dimension(capsys, N):
+    # with N + 1 < 2 coordinates no nonzero point exists; the alarm fails
+    # the test instead of hanging it should the draw loop run again
+    def timeout(signum, frame):
+        raise TimeoutError(f"mcm verify surjectivity --N {N} did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        assert main(["verify", "surjectivity", "--N", N]) == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert capsys.readouterr().err == f"error: need N at least 1, got {N}\n"
+
+
+MISSING_INPUT = [
+    (["verify", "gluing"], "family"), (["verify", "transition"], "family"),
+    (["verify", "forms"], "family"), (["verify", "hidden", "--vanished", "0"], "family"),
+    (["scan", "smooth"], "family"), (["scan", "base-locus"], "family"),
+    (["scan", "crosscheck"], "family"),
+    (["coup", "decompose", "--factors", "1 * z0^1 + 1 * z1^1"], "shape"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", MISSING_INPUT,
+                         ids=["-".join(argv[:2]) for argv, _ in MISSING_INPUT])
+def test_cli_refuses_a_missing_family_or_shape(capsys, argv, flag):
+    # exit 1 is a FAILed check; a command without its input is refused
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {argv[0]} {argv[1]} needs --{flag}\n"
+
+
+def test_cli_scan_of_a_rational_family_without_q_is_refused(tmp_path, capsys):
+    fam_path = tmp_path / "family.json"
+    assert main(["build", "--shape", "2,1,0", "--mode", "general_fermat", "--field", "Q",
+                 "--lambdas", "2,2,2", "--degrees", "3", "--seed", "0",
+                 "--out", str(fam_path)]) == 0
+    capsys.readouterr()
+    assert main(["scan", "smooth", "--family", str(fam_path)]) == 2
+    assert capsys.readouterr().err == "error: scan over a rational family needs --q\n"
 
 
 def test_cli_run_and_replay(tmp_path, capsys):
@@ -697,26 +753,24 @@ def test_cli_verify_hidden_refuses_depth_at_or_above_n(tmp_path, capsys):
     assert "no hidden forms at depth 1 >= n = 1" in capsys.readouterr().err
 
 
-def test_cli_verify_transition_honours_mode(tmp_path, capsys):
+def test_cli_verify_reports_only_exact_checks(tmp_path, capsys):
     fam_path = tmp_path / "family.json"
     assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
                  "--seed", "3", "--out", str(fam_path)]) == 0
     capsys.readouterr()
-    modes = {}
-    for mode in ("probabilistic", None):
-        argv = ["verify", "transition", "--family", str(fam_path)]
-        assert main(argv + (["--mode", mode] if mode else [])) == 0
+    ids = {}
+    for what in ("gluing", "transition"):
+        assert main(["verify", what, "--family", str(fam_path)]) == 0
         checks = json.loads(capsys.readouterr().out)["checks"]
-        modes[mode] = {(c["id"], c["mode"]) for c in checks}
-    # both modes report the same checks; every check but the exponent's,
-    # which reads degrees, samples points; without --mode every check is exact
-    ids = {mode: {i for i, _ in pairs} for mode, pairs in modes.items()}
-    assert ids["probabilistic"] == ids[None] == {"scaling chart 0", "scaling chart 1",
-                                                 "scaling chart 3", "transition",
-                                                 "transition exponent"}
-    assert {m for i, m in modes["probabilistic"] if i != "transition exponent"} == {"probabilistic"}
-    assert ("transition exponent", "exact") in modes["probabilistic"]
-    assert {m for _, m in modes[None]} == {"exact"}
+        assert {(c["mode"], c["trials"], c["verdict"]) for c in checks} == {("exact", 0, "pass")}
+        ids[what] = {c["id"] for c in checks}
+    assert ids["transition"] == {"scaling chart 0", "scaling chart 1", "scaling chart 3",
+                                 "transition", "transition exponent"}
+    # no flag asks for sampling
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "transition", "--family", str(fam_path), "--mode", "probabilistic"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --mode probabilistic" in capsys.readouterr().err
 
 
 def test_cli_run_rejects_bad_config(tmp_path, capsys):
