@@ -144,8 +144,7 @@ def _cmd_verify(args) -> dict:
 def _cmd_scan(args) -> dict:
     if args.what == "census":
         return rank_condition_census(args.a, args.b, args.q, mode=args.mode,
-                                     sample_size=args.sample, seed=args.seed,
-                                     budget=args.budget_census)
+                                     sample_size=args.sample, seed=args.seed)
     fam = load_family(_needs(args, "family"))
     q = args.q if args.q else fam.field.p
     if not q:
@@ -183,12 +182,6 @@ def _cmd_run(args) -> dict:
         cfg = parse_config(fh.read())
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.budget_terms is not None:
-        cfg.max_terms = args.budget_terms
-    if args.budget_points is not None:
-        cfg.max_points = args.budget_points
-    if args.budget_census is not None:
-        cfg.max_census = args.budget_census
     return run_pipeline(cfg)
 
 
@@ -252,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
     p.add_argument("--sample", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget-census", type=int, default=2 ** 28)
     p.add_argument("--vanished", help="coordinates set to zero (base-locus)")
 
     p = add("coup", _cmd_coup, help="product-coup degree arithmetic")
@@ -271,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("run", _cmd_run, help="run a config-driven pipeline")
     p.add_argument("--config", required=True, help="INI config path")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--budget-terms", type=int)
-    p.add_argument("--budget-points", type=int)
-    p.add_argument("--budget-census", type=int)
 
     p = add("replay", _cmd_replay, help="rerun the stage behind a failure witness")
     p.add_argument("--witness", required=True, help="witness JSON path")

@@ -94,9 +94,6 @@ class Field:
             return int(x) % self.p
         return x if isinstance(x, Fraction) else Fraction(x)
 
-    def add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
-
     def rand_elt(self, rng):
         if self.p:
             return rng.randrange(self.p)
@@ -172,15 +169,7 @@ class MultiPoly:
                     raise ValueError("negative exponent")
                 c = field.coerce(c)
                 if c != 0:
-                    prev = clean.get(exp)
-                    if prev is None:
-                        clean[exp] = c
-                    else:
-                        s = field.add(prev, c)
-                        if s == 0:
-                            del clean[exp]
-                        else:
-                            clean[exp] = s
+                    clean[exp] = c
         self.terms = clean
 
     # ----- constructors -----

@@ -1,8 +1,9 @@
 """Finite-field geometry: point scans, rank-condition membership, censuses.
 
 Everything here works over a small prime field F_p. Projective points are
-normalized so the first nonzero coordinate equals 1; tangent directions are
-vectors modulo the Euler direction at the base point, canonically reduced.
+coordinate tuples whose first nonzero entry is 1; tangent directions are
+tuples too, vectors modulo the Euler direction at the base point,
+canonically reduced.
 The rank-condition variety M(a, b) collects the b x 2(a+1) matrices with
 column blocks alpha_0..alpha_a, beta_0..beta_a satisfying the zero-sum and
 rank inequalities. Membership of one matrix, the exhaustive census and the
@@ -45,29 +46,6 @@ from .section_builder import (
     standard_forms,
 )
 from .util import child_rng, chunks, kernel_basis_mod_p, randrange_block, rank_mod_p
-
-
-@dataclass(frozen=True)
-class ProjPoint:
-    """A normalized point of P^N(F_p): first nonzero coordinate is 1."""
-
-    coords: Tuple[int, ...]
-    p: int
-
-    def __post_init__(self):
-        if not any(self.coords):
-            raise ValueError("projective point cannot be the zero vector")
-        lead = next(c for c in self.coords if c)
-        if lead % self.p != 1:
-            raise ValueError("point is not normalized")
-
-
-@dataclass(frozen=True)
-class TangentDirection:
-    """A tangent direction at a point: a vector modulo the Euler direction,
-    with the base-point slot zeroed and the first nonzero entry scaled to 1."""
-
-    xi: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -115,25 +93,22 @@ def _require_prime(q: int) -> None:
         raise ValueError(f"need a prime q, got {q}")
 
 
-def proj_points(N: int, p: int) -> List[ProjPoint]:
-    """All (p^(N+1) - 1)/(p - 1) points of P^N(F_p), normalized."""
+def proj_points(N: int, p: int) -> List[Tuple[int, ...]]:
+    """All (p^(N+1) - 1)/(p - 1) points of P^N(F_p), as coordinate tuples
+    whose first nonzero entry is 1."""
     _require_prime(p)
-    out = []
-    for lead in range(N + 1):
-        for tail in product(range(p), repeat=N - lead):
-            coords = (0,) * lead + (1,) + tail
-            out.append(ProjPoint(coords, p))
-    return out
+    return [(0,) * lead + (1,) + tail
+            for lead in range(N + 1) for tail in product(range(p), repeat=N - lead)]
 
 
-def _at_z(plan: EvalPlan, points: Sequence[ProjPoint], N: int) -> np.ndarray:
+def _at_z(plan: EvalPlan, points: Sequence[Tuple[int, ...]], N: int) -> np.ndarray:
     """The plan's values at each point z of P^N, with dz = 0, in one
     batched call: one row per point."""
-    z = np.array([pt.coords for pt in points], dtype=np.int64).reshape(-1, N + 1)
+    z = np.array(points, dtype=np.int64).reshape(-1, N + 1)
     return plan.at_points(np.hstack((z, np.zeros_like(z))))
 
 
-def points_on_X(fam, q: int, support: Optional[Sequence[int]] = None) -> List[ProjPoint]:
+def points_on_X(fam, q: int, support: Optional[Sequence[int]] = None) -> List[Tuple[int, ...]]:
     """The F_q-points of the common zero locus of the sections of a family.
 
     With `support` given, only the points whose nonzero coordinates are
@@ -151,7 +126,7 @@ def points_on_X(fam, q: int, support: Optional[Sequence[int]] = None) -> List[Pr
         if not support <= set(range(N + 1)):
             raise ValueError(f"support {sorted(support)} has coordinates outside 0..{N}")
         points = [pt for pt in points
-                  if all((x != 0) == (k in support) for k, x in enumerate(pt.coords))]
+                  if all((x != 0) == (k in support) for k, x in enumerate(pt))]
     on_X = ~_at_z(sections, points, N).any(axis=1)
     return [pt for pt, keep in zip(points, on_X.tolist()) if keep]
 
@@ -173,7 +148,7 @@ def smoothness_check(fam: SectionFamily, q: int) -> dict:
     for pt, gradient in zip(pts, _at_z(grads, pts, N).tolist()):
         rank = rank_mod_p(chunks(gradient, N + 1), q)
         if rank != cr:
-            singular.append({"z": list(pt.coords), "rank": rank})
+            singular.append({"z": list(pt), "rank": rank})
     return {
         "op": "smoothness",
         "ok": not singular,
@@ -187,9 +162,11 @@ def smoothness_check(fam: SectionFamily, q: int) -> dict:
 def smoothness_with_resampling(shape, mode: str, field, schedule=None, seed: int = 0,
                                q: Optional[int] = None, attempts: int = 8, **build_kwargs) -> dict:
     """Build a family and scan it; on a singular verdict, rebuild with the
-    next derived seed, up to `attempts` times. Mirrors generic-choice claims."""
+    next derived seed, up to `attempts` times (at least 1), and report the
+    last scan. Mirrors generic-choice claims."""
+    if attempts < 1:
+        raise ValueError(f"need at least one attempt, got {attempts}")
     q = q or field.p
-    last = None
     for k in range(attempts):
         fam_seed = child_rng(seed, "smoothness-resample", k).randrange(2**31)
         fam = build_sections(shape, mode, field=field, schedule=schedule,
@@ -198,20 +175,19 @@ def smoothness_with_resampling(shape, mode: str, field, schedule=None, seed: int
         rep["attempt"] = k
         rep["family_seed"] = fam_seed
         if rep["ok"]:
-            return rep
-        last = rep
-    return last
+            break
+    return rep
 
 
 # ----- tangent directions -----
 
 
-def canonical_direction(z: Sequence[int], xi: Sequence[int], p: int) -> Optional[TangentDirection]:
+def canonical_direction(z: Sequence[int], xi: Sequence[int], p: int) -> Optional[Tuple[int, ...]]:
     """Reduce xi modulo the Euler direction z and projective scaling.
 
     The slot of z's first nonzero coordinate is zeroed by subtracting a
     multiple of z; the remainder is scaled so its first nonzero entry is 1.
-    Returns None when xi is proportional to z.
+    Returns the reduced tuple, or None when xi is proportional to z.
     """
     lead = next(i for i, v in enumerate(z) if v % p)
     t = (xi[lead] * pow(z[lead], p - 2, p)) % p
@@ -220,22 +196,22 @@ def canonical_direction(z: Sequence[int], xi: Sequence[int], p: int) -> Optional
     if head is None:
         return None
     inv = pow(head, p - 2, p)
-    return TangentDirection(tuple((v * inv) % p for v in w))
+    return tuple((v * inv) % p for v in w)
 
 
 def tangent_directions(z: Sequence[int], constraint_rows: Sequence[Sequence[int]],
-                       p: int) -> List[TangentDirection]:
-    """All directions [xi] with M xi = 0, modulo Euler and scaling."""
+                       p: int) -> List[Tuple[int, ...]]:
+    """All directions [xi] with M xi = 0, modulo Euler and scaling, as the
+    sorted canonical_direction tuples."""
     N1 = len(z)
     basis = kernel_basis_mod_p(constraint_rows, p, N1) if constraint_rows else \
         [[1 if i == j else 0 for i in range(N1)] for j in range(N1)]
-    seen = {}
+    seen = set()
     for coeffs in proj_points(len(basis) - 1, p):
-        v = [sum(c * b[i] for c, b in zip(coeffs.coords, basis)) % p for i in range(N1)]
-        d = canonical_direction(z, v, p)
-        if d is not None:
-            seen[d.xi] = d
-    return [seen[key] for key in sorted(seen)]
+        v = [sum(c * b[i] for c, b in zip(coeffs, basis)) % p for i in range(N1)]
+        seen.add(canonical_direction(z, v, p))
+    seen.discard(None)
+    return sorted(seen)
 
 
 # ----- rank-condition membership -----
@@ -406,12 +382,11 @@ def _rank_table(add: np.ndarray, mul: np.ndarray, k: int) -> np.ndarray:
 class RankTables(NamedTuple):
     """The coded-column tables of one shape (a, b) over F_q, read-only.
 
-    add and mul are _column_codes(b, q); add_rows is add as nested tuples
-    and low is `_rank_table(add, mul, a) <= a - 1` as one byte per key,
-    so that a single matrix is tested with no numpy call."""
+    add is _column_codes(b, q)[0]; add_rows is add as nested tuples and
+    low is `_rank_table(add, mul, a) <= a - 1` as one byte per key, so
+    that a single matrix is tested with no numpy call."""
 
     add: np.ndarray
-    mul: np.ndarray
     add_rows: Tuple[Tuple[int, ...], ...]
     low: bytes
 
@@ -422,8 +397,7 @@ def _rank_tables(a: int, b: int, q: int) -> RankTables:
     add, mul = _column_codes(b, q)
     low = (_rank_table(add, mul, a) <= a - 1).tobytes()
     add.setflags(write=False)
-    mul.setflags(write=False)
-    return RankTables(add, mul, tuple(map(tuple, add.tolist())), low)
+    return RankTables(add, tuple(map(tuple, add.tolist())), low)
 
 
 def _layout_keys(alphas: Sequence, betas: Sequence, add, Q: int, key, kind: Optional[str] = None):
@@ -631,7 +605,7 @@ def _incidence_points(fam: SectionFamily, q: int, vanished: Sequence[int] = ()):
     grads = gradient_plan(fam, q, fam.shape.c)
     pts = points_on_X(fam, q, support=[i for i in range(N + 1) if i not in vanished])
     for pt, gradient in zip(pts, _at_z(grads, pts, N).tolist()):
-        z = list(pt.coords)
+        z = list(pt)
         rows = chunks(gradient, N + 1)
         # directions live on the vanishing locus: xi_v = 0
         rows += [[int(j == v) for j in range(N + 1)] for v in vanished]
@@ -667,10 +641,10 @@ def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,
         if len(dirs) != expected_count:
             singular_tangent.append({"z": z, "directions": len(dirs)})
         count = 0
-        for d in dirs:
+        for xi in dirs:
             directions_used += 1
-            if all(f.evaluate_at(z, list(d.xi), q) == 0 for f in forms):
-                pairs.append({"z": z, "xi": list(d.xi)})
+            if all(f.evaluate_at(z, list(xi), q) == 0 for f in forms):
+                pairs.append({"z": z, "xi": list(xi)})
                 count += 1
         if count:
             fiber_counts[tuple(z)] = count
@@ -711,7 +685,7 @@ def characterization_crosscheck(fam: SectionFamily, q: int, sample: int = 10_000
         raise ValueError(f"crosscheck sample must be at least 1, got {sample}")
     # pair index zi * len(dirs) + di: z = (1, t_1..t_N) has the base-(q-1)
     # digits t_k - 1, and xi = (0,) + the di-th point of P^(N-1)
-    dirs = {pt.coords: di for di, pt in enumerate(proj_points(N - 1, q))}
+    dirs = {pt: di for di, pt in enumerate(proj_points(N - 1, q))}
     total = (q - 1) ** N * len(dirs)
     take = min(sample, total)
     rng = child_rng(seed, "crosscheck", 0)
@@ -719,10 +693,10 @@ def characterization_crosscheck(fam: SectionFamily, q: int, sample: int = 10_000
     visits = []
     for z, tangent in _incidence_points(fam, q):
         zi = reduce(lambda acc, t: acc * (q - 1) + t - 1, z[1:], 0)
-        for d in tangent:
-            idx = zi * len(dirs) + dirs[d.xi[1:]]
+        for xi in tangent:
+            idx = zi * len(dirs) + dirs[xi[1:]]
             if idx in chosen:
-                visits.append((idx, z, list(d.xi)))
+                visits.append((idx, z, list(xi)))
     visits.sort()
 
     entries = []

@@ -80,8 +80,10 @@ Pair = Tuple[str, int, Optional[int], MultiPoly, MultiPoly]
 SAMPLED_TRIALS = 20
 IDENTITY_PRIME = 2147483647
 
-# The prime the evaluation map's rank is checked over.
+# The prime the evaluation map's rank is checked over, and the draws a trial
+# may spend finding a point where z and the twist factor are nonzero.
 SURJECTIVITY_PRIME = 101
+SURJECTIVITY_DRAWS = 1000
 
 
 def _check(check_id: str, verdict: str, mode: str = "exact", trials: int = 0,
@@ -330,7 +332,8 @@ def verify_surjectivity(N: int, d: int, twist_factor: Optional[MultiPoly] = None
     At each sampled point z over F_p, p = SURJECTIVITY_PRIME (with twist
     factor nonzero when given), and a random completion of z to a basis by
     N tangent vectors, the (N+1) x C(N+d, N) evaluation matrix must have
-    rank N+1. N < 1 leaves no nonzero point and is refused.
+    rank N+1. N < 1 leaves no nonzero point and is refused, and so is a
+    twist factor that vanishes at SURJECTIVITY_DRAWS draws in a row.
     """
     if N < 1:
         raise ValueError(f"need N at least 1, got {N}")
@@ -343,9 +346,12 @@ def verify_surjectivity(N: int, d: int, twist_factor: Optional[MultiPoly] = None
     witness = None
     for t in range(trials):
         rng = child_rng(seed, "surjectivity", t)
-        z = [0] * (N + 1)
-        while not any(z) or (factor is not None and factor(z, [0] * (N + 1))[0] == 0):
+        for _ in range(SURJECTIVITY_DRAWS):
             z = [rng.randrange(p) for _ in range(N + 1)]
+            if any(z) and (factor is None or factor(z, [0] * (N + 1))[0] != 0):
+                break
+        else:
+            raise ValueError(f"twist factor vanished at {SURJECTIVITY_DRAWS} random points mod {p}")
         while True:
             tangents = [[rng.randrange(p) for _ in range(N + 1)] for _ in range(N)]
             if rank_mod_p([z] + tangents, p) == N + 1:

@@ -93,10 +93,8 @@ class RunConfig:
     degrees: Optional[Tuple[int, ...]] = None
     seed: int = 1
     stages: Tuple[str, ...] = STAGE_ORDER
-    max_terms: int = 100_000
     max_points: int = 50_000
     max_census: int = 2 ** 28
-    crosscheck_sample: int = 10_000
     census_shapes: Tuple[Tuple[int, int, int], ...] = DEFAULT_CENSUS_SHAPES
 
     def to_dict(self) -> dict:
@@ -111,12 +109,7 @@ class RunConfig:
             "degrees": list(self.degrees) if self.degrees else None,
             "seed": self.seed,
             "stages": list(self.stages),
-            "budgets": {
-                "max_terms": self.max_terms,
-                "max_points": self.max_points,
-                "max_census": self.max_census,
-                "crosscheck_sample": self.crosscheck_sample,
-            },
+            "budgets": {"max_points": self.max_points, "max_census": self.max_census},
             "census_shapes": [list(t) for t in self.census_shapes],
         }
 
@@ -124,7 +117,9 @@ class RunConfig:
 def config_from_dict(d: dict) -> RunConfig:
     """The RunConfig that RunConfig.to_dict describes, and the one place a
     config is validated: a wrong schema, a missing key, an unknown stage or
-    mode, and a value of the wrong type all raise ValueError."""
+    mode, a value of the wrong type and a budget below 1 all raise
+    ValueError. Keys it does not read are ignored, so a witness written
+    with retired budgets still replays."""
     if not isinstance(d, dict) or d.get("schema") != SCHEMA_VERSION:
         schema = d.get("schema") if isinstance(d, dict) else None
         raise ValueError(f"unsupported config schema {schema!r}, expected {SCHEMA_VERSION}")
@@ -138,6 +133,10 @@ def config_from_dict(d: dict) -> RunConfig:
             raise ValueError(f"unknown stages: {unknown}")
         if d["mode"] not in ("mcm", "general_fermat"):
             raise ValueError(f"unknown family mode {d['mode']!r}")
+        limits = {key: int(budgets[key]) for key in ("max_points", "max_census")}
+        low = [key for key, value in limits.items() if value < 1]
+        if low:
+            raise ValueError(f"budget {' and '.join(low)} must be at least 1")
 
         def ints(xs):
             return None if xs is None else tuple(int(x) for x in xs)
@@ -147,9 +146,7 @@ def config_from_dict(d: dict) -> RunConfig:
             mode=d["mode"], field_spec=str(d["field"]), heart=int(d["heart"]),
             eps=ints(d["eps"]), lambdas=ints(d["lambdas"]), degrees=ints(d["degrees"]),
             seed=int(d["seed"]), stages=tuple(s for s in STAGE_ORDER if s in d["stages"]),
-            max_terms=int(budgets["max_terms"]), max_points=int(budgets["max_points"]),
-            max_census=int(budgets["max_census"]),
-            crosscheck_sample=int(budgets["crosscheck_sample"]),
+            **limits,
             census_shapes=tuple((int(a), int(b), int(q)) for a, b, q in d["census_shapes"]))
     except KeyError as exc:
         raise ValueError(f"config has no {exc} entry") from exc
@@ -157,15 +154,27 @@ def config_from_dict(d: dict) -> RunConfig:
         raise ValueError(f"malformed config: {exc}") from exc
 
 
+# The sections and keys an INI config may hold (configparser lowercases keys).
+_INI_KEYS = {"run": ("schema", "seed", "stages"), "shape": ("n", "c", "r"),
+             "family": ("mode", "field", "heart", "eps", "lambdas", "degrees"),
+             "budgets": ("max_points", "max_census"), "census": ("shapes",)}
+
+
 def parse_config(text: str) -> RunConfig:
     """INI parser for run configs; every section optional except [run].
-    The sections fill in the default config's dict, which config_from_dict
-    validates."""
+    An unknown section or key raises ValueError naming it. The sections
+    fill in the default config's dict, which config_from_dict validates."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ValueError(f"config parse error: {exc}") from exc
+    for name in cp.sections():
+        if name not in _INI_KEYS:
+            raise ValueError(f"config has an unknown section [{name}]")
+        unknown = [key for key in cp[name] if key not in _INI_KEYS[name]]
+        if unknown:
+            raise ValueError(f"config section [{name}] has unknown keys {unknown}")
     if "run" not in cp:
         raise ValueError("config needs a [run] section")
     d = RunConfig().to_dict()
@@ -265,14 +274,11 @@ def _stage_build(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
         cfg.degrees = tuple(2 + i for i in range(cfg.shape.c + cfg.shape.r))
     ctx["family_params"] = _family_params(cfg, fam_seed)
     fam = ctx["family"] = build_family(ctx["family_params"])
-    terms = [F.term_count() for F in fam.sections]
-    ctx["terms_ok"] = max(terms) <= cfg.max_terms
     report = {
         "family_seed": fam_seed,
         "sections": len(fam.sections),
         "degrees": list(fam.section_degrees()),
-        "term_counts": terms,
-        "within_term_budget": ctx["terms_ok"],
+        "term_counts": [F.term_count() for F in fam.sections],
     }
     return "PASS", report, None
 
@@ -296,14 +302,11 @@ def _stage_divisibility(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[
     return "PASS", {"columns_verified": columns}, None
 
 
-def _run_units(ctx: dict, units: List[dict], check, describe,
-               **extra) -> Tuple[str, dict, Optional[dict]]:
+def _run_units(units: List[dict], check, describe, **extra) -> Tuple[str, dict, Optional[dict]]:
     """The unit loop of the gluing and transition stages: check(u) is the
     verifier's report on unit u, describe(u, rep) its entry in the stage
     report. Stops at the first unit that fails, whose entry is the detail;
     SKIPs when every check of every unit skipped."""
-    if not ctx.get("terms_ok", True):
-        return "SKIP", {"reason": "term budget exceeded"}, None
     report = dict(extra, units=[])
     skipped = 0
     for idx, u in enumerate(units):
@@ -332,7 +335,7 @@ def _glue_units(fam) -> List[dict]:
 def _stage_gluing(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
     fam = ctx["family"]
     return _run_units(
-        ctx, _glue_units(fam),
+        _glue_units(fam),
         lambda u: verify_gluing(fam, u["selection"], u["j1"], u["j2"], which=u["which"]),
         lambda u, rep: {"which": list(u["which"]) if u["which"] else None,
                         "j1": u["j1"], "j2": u["j2"]},
@@ -359,7 +362,7 @@ def _transition_units(fam) -> List[dict]:
 def _stage_transition(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
     fam = ctx["family"]
     return _run_units(
-        ctx, _transition_units(fam),
+        _transition_units(fam),
         lambda u: verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
                                     which=u["which"], kind=u["kind"]),
         lambda u, rep: {"omit": u["omit"], "charts": [u["l1"], u["l2"]],
@@ -411,8 +414,6 @@ def _stage_smoothness(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
 
 def _stage_base_locus(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
     q = Field.from_spec(cfg.field_spec).p
-    if not ctx.get("terms_ok", True):
-        return "SKIP", {"reason": "term budget exceeded"}, None
     forms = standard_forms(ctx["scan_family"])
     rep = base_locus_scan(ctx["scan_family"], forms, q)
     rep["forms"] = len(forms)
@@ -430,8 +431,7 @@ def _stage_crosscheck(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
     if fam.shape.n != 1:
         return "SKIP", {"reason": "crosscheck needs an n = 1 family"}, None
     q = Field.from_spec(cfg.field_spec).p
-    rep = characterization_crosscheck(fam, q, sample=cfg.crosscheck_sample,
-                                      seed=cfg.seed)
+    rep = characterization_crosscheck(fam, q, seed=cfg.seed)
     if rep["ok"]:
         return "PASS", rep, None
     return "FAIL", rep, {"disagreements": rep["disagreements"][:3]}

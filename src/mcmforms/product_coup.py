@@ -209,7 +209,7 @@ def verify_product_decomposition(factors: Sequence[Sequence[MultiPoly]],
     at_direction = EvalPlan([total_differential(F) for F in Fs[:c]]
                             + [total_differential(f) for fs in factors[:c] for f in fs], q)
 
-    points = [list(pt.coords) for pt in proj_points(N, q)]
+    points = [list(pt) for pt in proj_points(N, q)]
     point_vals = at_point.at_points([z + zero_dz for z in points]).tolist()
     factor_vals = [_split(vals, counts) for vals in point_vals]
     # with no constraint rows, the sorted directions at z depend on z only
@@ -219,7 +219,7 @@ def verify_product_decomposition(factors: Sequence[Sequence[MultiPoly]],
     for zi, z in enumerate(points):
         lead = next(i for i, v in enumerate(z) if v)
         if lead not in by_lead:
-            by_lead[lead] = [d.xi for d in tangent_directions(z, [], q)]
+            by_lead[lead] = tangent_directions(z, [], q)
         pairs += [(zi, list(xi)) for xi in by_lead[lead]]
     pair_vals = at_direction.at_points([points[zi] + xi for zi, xi in pairs]).tolist()
 

@@ -209,7 +209,6 @@ class FormBundle:
 
     kind: str
     selection: Tuple[int, ...]
-    params: Tuple[int, ...]
     vanished: Tuple[int, ...]
     omit: int
     omit_coord: Optional[int]
@@ -712,7 +711,6 @@ def extract_forms(
         forms.append(FormBundle(
             kind=kind,
             selection=selection,
-            params=tuple(K.selected_params),
             vanished=K.vanished,
             omit=omit,
             omit_coord=K.column_coords[omit],

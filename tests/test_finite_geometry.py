@@ -14,9 +14,7 @@ from conftest import expand_form
 from mcmforms import finite_geometry
 from mcmforms.exact_algebra import EvalPlan, Field, MultiPoly, QQ, deriv, det_mod_p, from_literal, to_literal
 from mcmforms.finite_geometry import (
-    ProjPoint,
     RankConditionMatrix,
-    TangentDirection,
     _census_exhaustive,
     _census_sampled,
     _column_codes,
@@ -76,19 +74,14 @@ def mcm_family(seed, shape=None, p=5, heart=2):
 # ----- points and directions -----
 
 
-def test_proj_point_normalization():
-    assert ProjPoint((0, 1, 2), 7).coords == (0, 1, 2)
-    with pytest.raises(ValueError, match="zero vector"):
-        ProjPoint((0, 0, 0), 5)
-    with pytest.raises(ValueError, match="not normalized"):
-        ProjPoint((0, 2, 1), 5)  # leading coordinate not scaled to 1
-
-
 def test_proj_points_counts():
     for N, p in [(1, 2), (2, 2), (2, 3), (2, 5), (3, 2), (4, 5)]:
         pts = proj_points(N, p)
         assert len(pts) == (p ** (N + 1) - 1) // (p - 1)
-        assert len({pt.coords for pt in pts}) == len(pts)
+        # normalized: N + 1 coordinates in 0..p-1, the first nonzero one 1
+        assert all(len(pt) == N + 1 and all(0 <= x < p for x in pt) for pt in pts)
+        assert all(next(x for x in pt if x) == 1 for pt in pts)
+        assert len(set(pts)) == len(pts)
 
 
 def test_canonical_direction_reduction():
@@ -108,8 +101,8 @@ def test_canonical_direction_reduction():
         scaled = [(2 * x) % p for x in xi]
         assert canonical_direction(z, shifted, p) == d
         assert canonical_direction(z, scaled, p) == d
-        assert d.xi[0] == 0  # slot of z's leading coordinate is zeroed
-        lead = next(v for v in d.xi if v)
+        assert d[0] == 0  # slot of z's leading coordinate is zeroed
+        lead = next(v for v in d if v)
         assert lead == 1
 
 
@@ -121,7 +114,7 @@ def test_tangent_directions_on_line():
     # kernel of (1,1,1) at z=(1,1,3) over F_5, modulo Euler: one direction
     dirs = tangent_directions((1, 1, 3), [(1, 1, 1)], 5)
     assert len(dirs) == 1
-    xi = dirs[0].xi
+    xi = dirs[0]
     assert sum(xi) % 5 == 0 and xi[0] == 0
 
 
@@ -129,8 +122,9 @@ def test_tangent_directions_unconstrained():
     # no constraints: all of F_5^3 modulo Euler and scaling, q+1 directions
     dirs = tangent_directions((1, 0, 0), [], 5)
     assert len(dirs) == 6
-    assert all(isinstance(d, TangentDirection) for d in dirs)
-    assert all(d.xi[0] == 0 for d in dirs)
+    assert all(isinstance(d, tuple) and len(d) == 3 for d in dirs)
+    assert all(d[0] == 0 for d in dirs)
+    assert dirs == sorted(set(dirs))
 
 
 # ----- points_on_X -----
@@ -145,14 +139,14 @@ def cutout(N, field, sections):
 
 def test_points_on_line_over_F2():
     pts = points_on_X(unit_line_family(), 2)
-    assert {pt.coords for pt in pts} == {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
+    assert set(pts) == {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
 
 
 def test_points_on_empty_family():
     # no equations: the whole projective space
     for N, p in [(2, 3), (3, 2), (2, 5)]:
         pts = points_on_X(cutout(N, Field(p), ()), p)
-        assert [pt.coords for pt in pts] == [pt.coords for pt in proj_points(N, p)]
+        assert pts == proj_points(N, p)
 
 
 def test_points_on_z0_squared_cutout():
@@ -160,7 +154,7 @@ def test_points_on_z0_squared_cutout():
     cut = cutout(2, F3, (sq,))
     pts = points_on_X(cut, 3)
     assert len(pts) == 4  # the line z0 = 0 in P^2(F_3)
-    assert all(pt.coords[0] == 0 for pt in pts)
+    assert all(pt[0] == 0 for pt in pts)
 
 
 def test_points_field_mismatch():
@@ -209,6 +203,16 @@ def test_smoothness_resampling_recovers():
     assert rep["ok"]
     assert rep["attempt"] == 0
     assert "family_seed" in rep
+
+
+def test_smoothness_resampling_needs_an_attempt():
+    # with no attempt there is no scan to report
+    shape = ProblemShape(4, 3, 0)
+    sched = build_schedule(shape, heart=2)
+    for attempts in (0, -1):
+        with pytest.raises(ValueError, match="at least one attempt"):
+            smoothness_with_resampling(shape, "mcm", Field(5), schedule=sched, seed=11,
+                                       attempts=attempts)
 
 
 # ----- rank-condition membership -----
@@ -726,9 +730,9 @@ def test_base_locus_matches_inline_enumeration():
             z = (1, t1, t2)
             if (1 + t1 + t2) % 5:
                 continue
-            for d in tangent_directions(z, [(1, 1, 1)], 5):
+            for xi in tangent_directions(z, [(1, 1, 1)], 5):
                 if (z[1] - z[2]) % 5 == 0:
-                    expected.append({"z": list(z), "xi": list(d.xi)})
+                    expected.append({"z": list(z), "xi": list(xi)})
     stub = ConstantForm(lambda z, xi: (z[1] - z[2]) % 5)
     rep = base_locus_scan(fam, [stub], 5)
     assert rep["base_pairs"] == expected
@@ -943,7 +947,7 @@ def reference_crosscheck(fam, q, sample, seed=0):
     K = build_matrices(fam)
     zero = [0] * (N + 1)
     zs = [(1,) + tail for tail in product(range(1, q), repeat=N)]
-    dirs = [(0,) + pt.coords for pt in proj_points(N - 1, q)]
+    dirs = [(0,) + pt for pt in proj_points(N - 1, q)]
     total = len(zs) * len(dirs)
     take = min(sample, total)
     rng = child_rng(seed, "crosscheck", 0)

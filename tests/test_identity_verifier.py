@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import random
+import signal
 from types import SimpleNamespace
 
 import pytest
@@ -822,6 +823,26 @@ def test_surjectivity_with_leibniz_twist_factor():
     A = MultiPoly.z(3, 0, F101)
     rep = verify_surjectivity(3, 2, twist_factor=A, trials=60, seed=2)
     assert rep["ok"] and rep["leibniz"]
+
+
+@pytest.mark.parametrize("literal", ["0", "z0^101 * z1 + -1 * z0 * z1"],
+                         ids=["zero", "zero-on-F101"])
+def test_surjectivity_refuses_a_twist_factor_vanishing_everywhere(literal):
+    # both factors vanish at every point of F_101^3, so no draw can find a
+    # point where the factor is nonzero: the call must refuse, not spin
+    factor = from_literal(literal, 2, F101)
+
+    def timeout(signum, frame):
+        raise TimeoutError(f"verify_surjectivity with twist factor {literal} did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ValueError, match="twist factor vanished at 1000 random points"):
+            verify_surjectivity(2, 2, twist_factor=factor, trials=1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_surjectivity_rejects_degree_zero():

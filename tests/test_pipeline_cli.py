@@ -68,7 +68,6 @@ lambdas = 2 2 2 2
 degrees = 3 4
 
 [budgets]
-max_terms = 500
 max_census = 1024
 
 [census]
@@ -81,9 +80,26 @@ shapes = 2 2 2; 2 3 2
     assert cfg.mode == "general_fermat"
     assert cfg.lambdas == (2, 2, 2, 2)
     assert cfg.degrees == (3, 4)
-    assert cfg.max_terms == 500
     assert cfg.max_census == 1024
     assert cfg.census_shapes == ((2, 2, 2), (2, 3, 2))
+    # the term budget is retired: an INI that still sets it is refused
+    with pytest.raises(ValueError, match=r"\[budgets\] has unknown keys \['max_terms'\]"):
+        parse_config(text.replace("[budgets]\n", "[budgets]\nmax_terms = 500\n"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[budget]\nmax_points = 100\n", "unknown section \\[budget\\]"),
+    ("[budgets]\nmax_point = 100\n", "\\[budgets\\] has unknown keys \\['max_point'\\]"),
+    ("[budgets]\ncrosscheck_sample = 100\n", "unknown keys \\['crosscheck_sample'\\]"),
+    ("[shape]\nN = 3\nc = 2\nrr = 0\n", "\\[shape\\] has unknown keys \\['rr'\\]"),
+    ("[budgets]\nmax_points = -5\n", "budget max_points must be at least 1"),
+    ("[budgets]\nmax_census = 0\n", "budget max_census must be at least 1"),
+], ids=["section", "key", "retired-key", "shape-key", "points", "census"])
+def test_parse_config_refuses_an_unknown_entry_or_a_budget_below_one(text, message):
+    # an ignored line or a budget below 1 (which SKIPs every point scan)
+    # would let a run report ok on less than the config asked for
+    with pytest.raises(ValueError, match=message):
+        parse_config("[run]\nschema = 1\n" + text)
 
 
 def test_parse_config_rejects_wrong_schema():
@@ -150,9 +166,9 @@ def test_pipeline_determinism_modulo_timings():
 
 @pytest.mark.parametrize("cfg, digest", [
     (RunConfig(shape=ProblemShape(3, 2, 0), mode="general_fermat", field_spec="11", seed=5),
-     "b55162b8c5ed2beb9938cc1f60c62e16efb7c4caa7a88289cc934bf09b181a7f"),
+     "a7a055499ae3b7c20edf20b823df4b2b68fb129a7c12181c3f7c8f91cbcc5dfd"),
     (RunConfig(shape=ProblemShape(3, 1, 1), mode="mcm", field_spec="5", seed=3),
-     "88a8ac5eae52fe1621f73f89f08197168d326af3516839dae07e2c3ea383f4a9"),
+     "bcad8a441a3724f10212f712748f0410a9d29050fd14f7d0ef2fb664a9dfec1e"),
 ], ids=["general_fermat-320-F11-seed5", "mcm-311-F5-seed3"])
 def test_canonical_report_is_pinned(cfg, digest):
     text = report_to_json(strip_timings(run_pipeline(cfg)))
@@ -430,6 +446,17 @@ def test_replay_smoothness_witness_reproduces_singular_family():
     assert rep["witness"] == witness
 
 
+def test_replay_ignores_retired_budgets_in_a_witness():
+    # a witness written while the run config still had a term budget and a
+    # crosscheck sample size replays to the witness of today's run
+    witness = run_pipeline(F2_SINGULAR)["stages"]["smoothness"]["witness"]
+    old = as_json(witness)
+    old["config"]["budgets"].update(max_terms=100_000, crosscheck_sample=10_000)
+    rep = replay(old)
+    assert rep["status"] == "FAIL" and not rep["ok"]
+    assert rep["witness"] == witness
+
+
 def test_replay_rejects_stale_schema():
     with pytest.raises(ValueError, match="stale witness"):
         replay({"schema": 99, "stage": "census"})
@@ -466,6 +493,9 @@ def test_config_from_dict_inverts_to_dict():
 @pytest.mark.parametrize("mutate, message", [
     (lambda d: d.pop("seed"), "no 'seed' entry"),
     (lambda d: d["budgets"].pop("max_census"), "no 'max_census' entry"),
+    (lambda d: d["budgets"].update(max_points=-5), "budget max_points must be at least 1"),
+    (lambda d: d["budgets"].update(max_points=0, max_census=0),
+     "budget max_points and max_census must be at least 1"),
     (lambda d: d["shape"].pop("c"), "needs c"),
     (lambda d: d.update(shape=[3, 2, 0]), "malformed config"),
     (lambda d: d.update(stages=["warp"]), "unknown stages"),
@@ -473,7 +503,7 @@ def test_config_from_dict_inverts_to_dict():
     (lambda d: d.update(heart="two"), "invalid literal"),
     (lambda d: d.update(census_shapes=[[2, 2]]), "not enough values"),
     (lambda d: d.update(schema=2), "unsupported config schema 2"),
-], ids=["seed", "budget", "shape-c", "shape-list", "stage", "mode", "heart",
+], ids=["seed", "budget", "points", "both-budgets", "shape-c", "shape-list", "stage", "mode", "heart",
         "census", "schema"])
 def test_config_from_dict_refuses_a_bad_config(mutate, message):
     d = RunConfig().to_dict()
@@ -778,6 +808,28 @@ def test_cli_run_rejects_bad_config(tmp_path, capsys):
     config.write_text("[run]\nschema = 99\n")
     assert main(["run", "--config", str(config)]) == 2
     assert "schema" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budgets, message", [
+    ("max_terms = 100000", "[budgets] has unknown keys ['max_terms']"),
+    ("max_points = -5", "budget max_points must be at least 1"),
+], ids=["retired-key", "negative"])
+def test_cli_run_refuses_a_bad_budget(tmp_path, capsys, budgets, message):
+    config = tmp_path / "old.ini"
+    config.write_text(f"[run]\nschema = 1\nstages = census\n\n[budgets]\n{budgets}\n")
+    assert main(["run", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_run_has_no_budget_flags(tmp_path, capsys):
+    # budgets are set in the INI [budgets] section, which is validated
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\nschema = 1\nstages = schedule\n")
+    for flag in ("--budget-terms", "--budget-points", "--budget-census"):
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--config", str(config), flag, "5"])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
 
 def test_cli_run_seed_override(tmp_path, capsys):

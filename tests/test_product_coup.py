@@ -260,7 +260,7 @@ def test_decomposition_walks_directions_once_per_lead_coordinate(monkeypatch):
     assert rep["lhs_count"] == rep["rhs_count"] == 36 and rep["ok"]
     # the walk it reuses is the one each point would have made
     for pt in finite_geometry.proj_points(3, 3):
-        z = list(pt.coords)
+        z = list(pt)
         lead = next(i for i, v in enumerate(z) if v)
         assert finite_geometry.tangent_directions(z, [], 3) == \
             finite_geometry.tangent_directions(calls[lead], [], 3)

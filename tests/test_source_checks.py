@@ -79,10 +79,22 @@ def _definitions(package):
     return found
 
 
+def _fields(package):
+    """(file, class, name) of every annotated field of a package class:
+    dataclass and NamedTuple fields alike."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                found += [(path.name, node.name, f.target.id) for f in node.body
+                          if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+    return found
+
+
 def _references(roots):
-    """(names, attribute names, string constants) used by the Python files
-    under roots; docstrings are not uses."""
-    names, attrs, strings = set(), set(), set()
+    """(names, attribute names, attribute names read, string constants)
+    used by the Python files under roots; docstrings are not uses."""
+    names, attrs, reads, strings = set(), set(), set(), set()
     for root in roots:
         for path in sorted(root.rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -92,20 +104,27 @@ def _references(roots):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     attrs.add(node.attr)
+                    if isinstance(node.ctx, ast.Load):
+                        reads.add(node.attr)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                         and id(node) not in docstrings:
                     strings.add(node.value)
-    return names, attrs, strings
+    return names, attrs, reads, strings
+
+
+def _outside_tests():
+    """The package directory and the references of src, demos and bench."""
+    package = Path(mcmforms.__file__).resolve().parent
+    root = package.parent.parent
+    roots = [package.parent, root / "demos", root / "bench"]
+    assert all(r.is_dir() for r in roots)
+    return package, _references(roots)
 
 
 def test_every_definition_is_reached_outside_tests():
     # a method counts as reached when its name is read as an attribute or
     # named in a string (the benchmark tracer patches methods by name)
-    package = Path(mcmforms.__file__).resolve().parent
-    root = package.parent.parent
-    roots = [package.parent, root / "demos", root / "bench"]
-    assert all(r.is_dir() for r in roots)
-    names, attrs, strings = _references(roots)
+    package, (names, attrs, _, strings) = _outside_tests()
     unreached = set()
     for path, cls, name in _definitions(package):
         used = name in attrs or name in strings or (cls is None and name in names)
@@ -113,6 +132,17 @@ def test_every_definition_is_reached_outside_tests():
             unreached.add(f"{path}:{cls + '.' if cls else ''}{name}")
     assert sorted(unreached - ALLOWED_TEST_ONLY) == []
     assert ALLOWED_TEST_ONLY <= unreached
+
+
+def test_every_field_is_read_outside_tests():
+    # a field that src, demos and bench never read as an attribute, nor name
+    # in a string, is carried for tests alone and is deleted instead
+    package, (_, _, reads, strings) = _outside_tests()
+    fields = _fields(package)
+    assert len(fields) > 20
+    unread = [f"{path}:{cls}.{name}" for path, cls, name in fields
+              if name not in reads and name not in strings]
+    assert unread == []
 
 
 def test_no_draw_comes_from_numpy_random():
