@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from .exact_algebra import Field, from_literal
@@ -31,6 +32,7 @@ from .identity_verifier import (
     verify_transition,
 )
 from .pipeline import (
+    RunConfig,
     _glue_units,
     _transition_units,
     build_family,
@@ -104,12 +106,10 @@ def _cmd_schedule(args) -> dict:
 
 
 def _cmd_build(args) -> dict:
-    fam = build_family({
-        "shape": [args.shape.N, args.shape.c, args.shape.r], "mode": args.mode,
-        "field": args.field, "heart": args.heart, "eps": _csv_ints(args.eps),
-        "lambdas": _csv_ints(args.lambdas), "degrees": _csv_ints(args.degrees),
-        "seed": args.seed,
-    })
+    cfg = RunConfig(shape=args.shape, mode=args.mode, field_spec=args.field,
+                    heart=args.heart, eps=_csv_ints(args.eps),
+                    lambdas=_csv_ints(args.lambdas), degrees=_csv_ints(args.degrees))
+    fam = build_family(cfg, args.seed)
     save_family(fam, args.out)
     return {
         "op": "build",
@@ -181,7 +181,7 @@ def _cmd_run(args) -> dict:
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     return run_pipeline(cfg)
 
 

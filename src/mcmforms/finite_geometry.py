@@ -555,6 +555,8 @@ def rank_condition_census(a: int, b: int, q: int, mode: str = "exhaustive",
     _require_prime(q)
     if sample_size < 1:
         raise ValueError(f"census sample size must be at least 1, got {sample_size}")
+    if budget < 1:
+        raise ValueError(f"census budget must be at least 1, got {budget}")
     dim = 2 * b * (a + 1)
     total = q ** dim
     codim_target = a + b - 1

@@ -3,8 +3,10 @@
 A run parses an INI config (schema-versioned), executes the requested
 stages in dependency order, and assembles a JSON-friendly report: identical
 configs produce byte-identical canonical JSON once the timing block is
-stripped. A config is validated in one place, config_from_dict, the inverse
-of RunConfig.to_dict; parse_config fills that dict from the INI file.
+stripped. A config is checked in one place, when its RunConfig is built,
+whether in Python, by config_from_dict (the inverse of RunConfig.to_dict)
+or by parse_config, which fills that dict from the INI file; the stages
+and run_pipeline only read it.
 
 Every FAIL or ERROR stage carries a witness: the stage, the run config
 restricted to that stage, and the stage's own detail (the failing unit,
@@ -79,10 +81,13 @@ STAGE_DEPS = {
 DEFAULT_CENSUS_SHAPES = ((2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 3, 2))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs; defaults reproduce the desk-scale flagship
-    shape N=4, c=3, r=0 over F_5 with master seed 1."""
+    shape N=4, c=3, r=0 over F_5 with master seed 1. Checked when built
+    (the functions that read census shapes, heart and eps check those);
+    a general_fermat config naming neither lambdas nor degrees gets
+    lambda_j = 2 and d_i = 2 + i."""
 
     shape: ProblemShape = dc_field(default_factory=lambda: ProblemShape(4, 3, 0))
     mode: str = "mcm"
@@ -96,6 +101,29 @@ class RunConfig:
     max_points: int = 50_000
     max_census: int = 2 ** 28
     census_shapes: Tuple[Tuple[int, int, int], ...] = DEFAULT_CENSUS_SHAPES
+
+    def __post_init__(self):
+        if self.mode not in ("mcm", "general_fermat"):
+            raise ValueError(f"unknown family mode {self.mode!r}")
+        unknown = [s for s in self.stages if s not in STAGE_ORDER]
+        if unknown:
+            raise ValueError(f"unknown stages: {unknown}")
+        if not self.stages:
+            raise ValueError("config names no stage")
+        self.field  # Field.from_spec refuses a bad spec
+        low = [key for key in ("max_points", "max_census") if getattr(self, key) < 1]
+        if low:
+            raise ValueError(f"budget {' and '.join(low)} must be at least 1")
+        if self.mode == "general_fermat":
+            if (self.lambdas is None) != (self.degrees is None):
+                raise ValueError("general_fermat needs both lambdas and degrees, or neither")
+            if self.lambdas is None:
+                object.__setattr__(self, "lambdas", (2,) * (self.shape.N + 1))
+                object.__setattr__(self, "degrees", tuple(range(2, 2 + self.shape.c + self.shape.r)))
+
+    @property
+    def field(self) -> Field:
+        return Field.from_spec(self.field_spec)
 
     def to_dict(self) -> dict:
         return {
@@ -115,28 +143,22 @@ class RunConfig:
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    """The RunConfig that RunConfig.to_dict describes, and the one place a
-    config is validated: a wrong schema, a missing key, an unknown stage or
-    mode, a value of the wrong type and a budget below 1 all raise
-    ValueError. Keys it does not read are ignored, so a witness written
-    with retired budgets still replays."""
+    """The RunConfig that RunConfig.to_dict describes, stages in STAGE_ORDER.
+    A wrong schema, a missing key and a value of the wrong type raise
+    ValueError; RunConfig refuses the rest. Keys it does not read are
+    ignored, so a witness written with retired budgets still replays."""
     if not isinstance(d, dict) or d.get("schema") != SCHEMA_VERSION:
         schema = d.get("schema") if isinstance(d, dict) else None
         raise ValueError(f"unsupported config schema {schema!r}, expected {SCHEMA_VERSION}")
     try:
-        shape, budgets = d["shape"], d["budgets"]
+        shape, budgets, stages = d["shape"], d["budgets"], tuple(d["stages"])
         missing = [key for key in ("N", "c", "r") if shape.get(key) is None]
         if missing:
             raise ValueError(f"config shape needs {' and '.join(missing)}")
-        unknown = [s for s in d["stages"] if s not in STAGE_ORDER]
-        if unknown:
-            raise ValueError(f"unknown stages: {unknown}")
-        if d["mode"] not in ("mcm", "general_fermat"):
-            raise ValueError(f"unknown family mode {d['mode']!r}")
-        limits = {key: int(budgets[key]) for key in ("max_points", "max_census")}
-        low = [key for key, value in limits.items() if value < 1]
-        if low:
-            raise ValueError(f"budget {' and '.join(low)} must be at least 1")
+        try:
+            census_shapes = tuple((int(a), int(b), int(q)) for a, b, q in d["census_shapes"])
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"config census_shapes must be triples of integers: {exc}") from exc
 
         def ints(xs):
             return None if xs is None else tuple(int(x) for x in xs)
@@ -145,9 +167,11 @@ def config_from_dict(d: dict) -> RunConfig:
             shape=ProblemShape(*(int(shape[key]) for key in ("N", "c", "r"))),
             mode=d["mode"], field_spec=str(d["field"]), heart=int(d["heart"]),
             eps=ints(d["eps"]), lambdas=ints(d["lambdas"]), degrees=ints(d["degrees"]),
-            seed=int(d["seed"]), stages=tuple(s for s in STAGE_ORDER if s in d["stages"]),
-            **limits,
-            census_shapes=tuple((int(a), int(b), int(q)) for a, b, q in d["census_shapes"]))
+            seed=int(d["seed"]),
+            stages=tuple(s for s in STAGE_ORDER if s in stages)
+            + tuple(s for s in stages if s not in STAGE_ORDER),
+            max_points=int(budgets["max_points"]), max_census=int(budgets["max_census"]),
+            census_shapes=census_shapes)
     except KeyError as exc:
         raise ValueError(f"config has no {exc} entry") from exc
     except (TypeError, AttributeError) as exc:
@@ -163,7 +187,7 @@ _INI_KEYS = {"run": ("schema", "seed", "stages"), "shape": ("n", "c", "r"),
 def parse_config(text: str) -> RunConfig:
     """INI parser for run configs; every section optional except [run].
     An unknown section or key raises ValueError naming it. The sections
-    fill in the default config's dict, which config_from_dict validates."""
+    fill in the default config's dict, which config_from_dict parses."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
@@ -221,25 +245,15 @@ def default_config_text() -> str:
 # ----- family construction -----
 
 
-def _family_params(cfg: RunConfig, fam_seed: int) -> dict:
-    d = cfg.to_dict()
-    return dict({key: d[key] for key in ("mode", "field", "heart", "eps", "lambdas", "degrees")},
-                shape=[cfg.shape.N, cfg.shape.c, cfg.shape.r], seed=fam_seed)
-
-
-def build_family(params: dict):
-    """Build the family a params dict describes (shape, mode, field, heart,
-    eps, lambdas, degrees, seed); pipeline runs and `mcm build` both
-    construct families here."""
-    shape = ProblemShape(*params["shape"])
-    field = Field.from_spec(params["field"])
-    if params["mode"] == "mcm":
-        sched = build_schedule(shape, heart=params["heart"], eps=params.get("eps"))
-        return build_sections(shape, "mcm", field=field, schedule=sched,
-                              seed=params["seed"])
-    return build_sections(shape, "general_fermat", field=field,
-                          lambdas=params["lambdas"], degrees=params["degrees"],
-                          seed=params["seed"])
+def build_family(cfg: RunConfig, seed: int):
+    """Build the family cfg describes (shape, mode, field, heart, eps,
+    lambdas, degrees) from the family seed `seed`; pipeline runs and `mcm
+    build` both construct families here."""
+    if cfg.mode == "mcm":
+        sched = build_schedule(cfg.shape, heart=cfg.heart, eps=cfg.eps)
+        return build_sections(cfg.shape, "mcm", field=cfg.field, schedule=sched, seed=seed)
+    return build_sections(cfg.shape, "general_fermat", field=cfg.field,
+                          lambdas=cfg.lambdas, degrees=cfg.degrees, seed=seed)
 
 
 # ----- stage implementations -----
@@ -268,12 +282,7 @@ def _stage_schedule(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict
 
 def _stage_build(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
     fam_seed = child_rng(cfg.seed, "build", 0).randrange(2 ** 31)
-    if cfg.mode != "mcm" and (cfg.lambdas is None or cfg.degrees is None):
-        # the report's config block echoes the defaulted exponents
-        cfg.lambdas = (2,) * (cfg.shape.N + 1)
-        cfg.degrees = tuple(2 + i for i in range(cfg.shape.c + cfg.shape.r))
-    ctx["family_params"] = _family_params(cfg, fam_seed)
-    fam = ctx["family"] = build_family(ctx["family_params"])
+    fam = ctx["family"] = build_family(cfg, fam_seed)
     report = {
         "family_seed": fam_seed,
         "sections": len(fam.sections),
@@ -387,33 +396,31 @@ def _stage_twist_ledger(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[
 
 
 def _stage_smoothness(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
-    fld = Field.from_spec(cfg.field_spec)
-    if fld.p == 0:
+    q = cfg.field.p
+    if q == 0:
         return "SKIP", {"reason": "rational field: no finite scan"}, None
+    # base-locus and the crosscheck, which also enumerate P^N(F_q), depend on this stage
+    points = (q ** (cfg.shape.N + 1) - 1) // (q - 1)
+    if points > cfg.max_points:
+        return "SKIP", {"reason": f"point budget: {points} > {cfg.max_points}"}, None
     fam = ctx["family"]
-    first = smoothness_check(fam, fld.p)
+    first = smoothness_check(fam, q)
     if first["ok"]:
         ctx["scan_family"] = fam
-        report = dict(first)
-        report["attempt"] = 0
-        report["family_seed"] = ctx["family_params"]["seed"]
-        return "PASS", report, None
+        return "PASS", dict(first, attempt=0, family_seed=fam.seed), None
     rep = smoothness_with_resampling(
-        cfg.shape, cfg.mode, fld,
-        schedule=ctx.get("schedule") if cfg.mode == "mcm" else None,
-        seed=cfg.seed, q=fld.p,
-        **({} if cfg.mode == "mcm" else
-           {"lambdas": cfg.lambdas, "degrees": cfg.degrees}),
-    )
+        cfg.shape, cfg.mode, cfg.field, seed=cfg.seed, q=q,
+        **({"schedule": ctx["schedule"]} if cfg.mode == "mcm" else
+           {"lambdas": cfg.lambdas, "degrees": cfg.degrees}))
     if rep["ok"]:
-        ctx["scan_family"] = build_family(dict(ctx["family_params"], seed=rep["family_seed"]))
+        ctx["scan_family"] = build_family(cfg, rep["family_seed"])
         return "PASS", rep, None
     # the last resample's seed and points, as in the report
     return "FAIL", rep, {"family_seed": rep["family_seed"], "singular": rep["singular"][:3]}
 
 
 def _stage_base_locus(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
-    q = Field.from_spec(cfg.field_spec).p
+    q = cfg.field.p
     forms = standard_forms(ctx["scan_family"])
     rep = base_locus_scan(ctx["scan_family"], forms, q)
     rep["forms"] = len(forms)
@@ -430,7 +437,7 @@ def _stage_crosscheck(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
         return "SKIP", {"reason": "crosscheck needs an mcm family"}, None
     if fam.shape.n != 1:
         return "SKIP", {"reason": "crosscheck needs an n = 1 family"}, None
-    q = Field.from_spec(cfg.field_spec).p
+    q = cfg.field.p
     rep = characterization_crosscheck(fam, q, seed=cfg.seed)
     if rep["ok"]:
         return "PASS", rep, None
@@ -446,19 +453,6 @@ def _stage_census(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]
         return "PASS", report, None
     return "FAIL", report, {key: failed[key] for key in ("a", "b", "q", "mode", "count")}
 
-
-def _point_budget(cfg: RunConfig) -> Optional[str]:
-    """The SKIP reason of a stage that enumerates P^N(F_q) when its point
-    count is over max_points; None within budget or over Q."""
-    q = Field.from_spec(cfg.field_spec).p
-    if not q:
-        return None
-    total = (q ** (cfg.shape.N + 1) - 1) // (q - 1)
-    return f"point budget: {total} > {cfg.max_points}" if total > cfg.max_points else None
-
-
-# The stages that enumerate P^N(F_q), each held to max_points.
-_POINT_SCANS = ("smoothness", "base-locus", "crosscheck")
 
 _STAGE_FNS = {
     "schedule": _stage_schedule,
@@ -494,17 +488,15 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     A failing or skipped stage halts its dependents (recorded as SKIP with
     the blocking stage named) but not independent stages; the overall
-    verdict is ok iff no executed stage FAILs. A point scan (_POINT_SCANS)
-    over max_points SKIPs with its point budget as the reason, unless a
-    dependency FAILed or ERRORed. The stages run on a copy of
-    cfg, so the caller's config is left as given while the report's config
-    block echoes the defaults the run filled in.
+    verdict is ok iff no executed stage FAILs or ERRORs. Over F_q with
+    more than max_points points in P^N, smoothness SKIPs with its point
+    budget as the reason, which blocks base-locus and the crosscheck. The
+    stages only read cfg, and the report's config block is cfg.to_dict().
 
     Every FAIL or ERROR entry holds a witness: the schema, the stage, the
     run config restricted to that stage (`config`, as RunConfig.to_dict
     writes it) and the stage's detail, or the error message.
     """
-    cfg = replace(cfg)
     stages = _expand_stages(cfg.stages)
     ctx: dict = {}
     stage_reports: Dict[str, dict] = {}
@@ -512,12 +504,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
     for name in stages:
         blockers = [d for d in STAGE_DEPS[name]
                     if stage_reports.get(d, {}).get("status") in ("FAIL", "SKIP", "ERROR")]
-        over = None
-        if name in _POINT_SCANS and all(stage_reports[d]["status"] == "SKIP" for d in blockers):
-            over = _point_budget(cfg)
-        if over:
-            stage_reports[name] = {"status": "SKIP", "report": {"reason": over}, "reason": over}
-            continue
         if blockers:
             stage_reports[name] = {"status": "SKIP",
                                    "reason": f"blocked by {blockers[0]}"}

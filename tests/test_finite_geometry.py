@@ -677,6 +677,15 @@ def test_census_rejects_an_empty_sample(size):
         rank_condition_census(2, 2, 2, mode="sample", sample_size=size)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_census_rejects_a_budget_below_one(budget):
+    # a budget below 1 used to turn every census into a sampled one
+    for mode in ("exhaustive", "sample"):
+        with pytest.raises(ValueError, match=f"census budget must be at least 1, got {budget}"):
+            rank_condition_census(2, 2, 2, mode=mode, budget=budget)
+    assert rank_condition_census(2, 2, 2, sample_size=500, budget=1)["forced_sample"]
+
+
 # ----- base locus -----
 
 

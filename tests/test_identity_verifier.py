@@ -238,7 +238,7 @@ def test_a_term_moved_between_A_columns_passes_gluing_and_fails_divisibility(mon
     mutant = dataclasses.replace(real, entries=rows)
     for namespace in (identity_verifier, pipeline):
         monkeypatch.setattr(namespace, "build_matrices", lambda f: mutant)
-    monkeypatch.setattr(pipeline, "build_family", lambda params: fam)
+    monkeypatch.setattr(pipeline, "build_family", lambda cfg, seed: fam)
     assert all(rep["ok"] for rep in glue_all(fam, "exact"))
     stages = run_pipeline(RunConfig(shape=shape, stages=("divisibility", "gluing")))["stages"]
     assert stages["gluing"]["status"] == "PASS"

@@ -6,6 +6,8 @@ import json
 import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcmforms.cli import main
 from mcmforms.pipeline import (
@@ -27,14 +29,13 @@ from mcmforms.pipeline import (
 )
 from mcmforms.finite_geometry import smoothness_check
 from mcmforms.schedule import ProblemShape
+from mcmforms.section_builder import load_family
 
 
 def small_config(**overrides) -> RunConfig:
     cfg = RunConfig(shape=ProblemShape(3, 2, 0), seed=3,
                     census_shapes=((2, 2, 2), (2, 3, 2)))
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+    return dataclasses.replace(cfg, **overrides)
 
 
 # ----- config parsing -----
@@ -232,12 +233,17 @@ def test_rational_family_skips_finite_scans_and_blocks_dependents():
     assert report["ok"]
 
 
-def test_stage_error_blocks_dependents_and_fails_run():
-    cfg = small_config(field_spec="4")
-    report = run_pipeline(cfg)
+def test_stage_error_blocks_dependents_and_fails_run(monkeypatch):
+    from mcmforms import pipeline as pl
+
+    def broken(cfg, seed):
+        raise ValueError("planted build failure")
+
+    monkeypatch.setattr(pl, "build_family", broken)
+    report = run_pipeline(small_config())
     assert report["stages"]["schedule"]["status"] == "PASS"
     assert report["stages"]["build"]["status"] == "ERROR"
-    assert "prime" in report["stages"]["build"]["report"]["error"]
+    assert report["stages"]["build"]["report"]["error"] == "ValueError: planted build failure"
     witness = report["stages"]["build"]["witness"]
     assert witness["stage"] == "build"
     assert witness["error"] == report["stages"]["build"]["report"]["error"]
@@ -252,8 +258,10 @@ def test_point_budget_skips_base_locus():
                     field_spec="11", lambdas=(2, 2, 2, 2), degrees=(3, 4),
                     seed=5, stages=("base-locus",), max_points=1000)
     report = run_pipeline(cfg)
+    assert report["stages"]["smoothness"]["status"] == "SKIP"
+    assert report["stages"]["smoothness"]["reason"] == "point budget: 1464 > 1000"
     assert report["stages"]["base-locus"]["status"] == "SKIP"
-    assert "point budget" in report["stages"]["base-locus"]["reason"]
+    assert report["stages"]["base-locus"]["reason"] == "blocked by smoothness"
     assert report["ok"]
 
 
@@ -264,16 +272,18 @@ def test_point_budget_skips_every_point_scan():
             "[budgets]\nmax_points = 100\n[census]\nshapes = 2 2 2\n")
     cfg = parse_config(text)
     report = run_pipeline(cfg)
-    for stage in ("smoothness", "base-locus", "crosscheck"):
+    assert report["stages"]["smoothness"] == {
+        "status": "SKIP", "reason": "point budget: 156 > 100",  # (5^4 - 1) / 4 points
+        "report": {"reason": "point budget: 156 > 100"}}
+    for stage in ("base-locus", "crosscheck"):
         entry = report["stages"][stage]
         assert entry["status"] == "SKIP"
-        assert entry["reason"] == "point budget: 156 > 100"  # (5^4 - 1) / 4 points
+        assert entry["reason"] == "blocked by smoothness"
     assert report["stages"]["build"]["status"] == "PASS"
     assert report["stages"]["census"]["status"] == "PASS"
     assert report["ok"]
     # at exactly the point count the scans run
-    cfg.max_points = 156
-    report = run_pipeline(cfg)
+    report = run_pipeline(dataclasses.replace(cfg, max_points=156))
     assert [report["stages"][s]["status"] for s in ("smoothness", "base-locus", "crosscheck")] \
         == ["PASS"] * 3
 
@@ -297,9 +307,8 @@ def test_forced_failure_blocks_dependents(monkeypatch):
 @pytest.mark.parametrize("shape, selection", [((3, 2, 0), (1,)), ((4, 2, 0), (1, 2))])
 @pytest.mark.parametrize("mode", ["mcm", "general_fermat"])
 def test_gluing_and_transition_units_select_n_differential_rows(mode, shape, selection):
-    fam = build_family({"shape": list(shape), "mode": mode, "field": "5", "heart": 2,
-                        "eps": None, "lambdas": [2] * (shape[0] + 1), "degrees": [3, 3],
-                        "seed": 1})
+    fam = build_family(RunConfig(shape=ProblemShape(*shape), mode=mode,
+                                 lambdas=(2,) * (shape[0] + 1), degrees=(3, 3)), 1)
     units = _glue_units(fam) + _transition_units(fam)
     assert len(units) == (8 if mode == "mcm" else 4)
     assert all(u["selection"] == selection for u in units)
@@ -327,10 +336,9 @@ def test_general_pipeline_passes_with_defaulted_exponents():
     assert executed["gluing"] == "PASS"
     assert executed["transition"] == "PASS"
     assert executed["smoothness"] == "PASS"
-    # the report echoes the defaulted exponents; the caller's config keeps None
-    assert report["config"]["lambdas"] == [2, 2, 2, 2]
-    assert report["config"]["degrees"] == [2, 3]
-    assert cfg.lambdas is None and cfg.degrees is None
+    # the config holds the defaulted exponents, and the report echoes it
+    assert cfg.lambdas == (2, 2, 2, 2) and cfg.degrees == (2, 3)
+    assert report["config"] == cfg.to_dict()
 
 
 def test_run_pipeline_leaves_the_callers_config_as_given():
@@ -436,9 +444,9 @@ def test_replay_smoothness_witness_reproduces_singular_family():
     assert witness["family_seed"] == entry["report"]["family_seed"] == 105480930
     assert witness["family_seed"] != report["stages"]["build"]["report"]["family_seed"]
     assert witness["singular"] == entry["report"]["singular"][:3]
-    fam = build_family({"shape": [2, 1, 0], "mode": "general_fermat", "field": "2",
-                        "heart": 2, "eps": None, "lambdas": [2, 2, 2], "degrees": [2],
-                        "seed": witness["family_seed"]})
+    fam = build_family(RunConfig(shape=ProblemShape(2, 1, 0), mode="general_fermat",
+                                 field_spec="2", lambdas=(2, 2, 2), degrees=(2,)),
+                       witness["family_seed"])
     assert smoothness_check(fam, 2)["singular"][:3] == witness["singular"]
     rep = replay(as_json(witness))
     assert rep["replayed"] == "smoothness" and rep["status"] == "FAIL"
@@ -510,6 +518,79 @@ def test_config_from_dict_refuses_a_bad_config(mutate, message):
     mutate(d)
     with pytest.raises(ValueError, match=message):
         config_from_dict(d)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"max_points": -5}, "budget max_points must be at least 1"),
+    ({"max_census": 0}, "budget max_census must be at least 1"),
+    ({"mode": "bogus"}, "unknown family mode 'bogus'"),
+    ({"stages": ("nonsense",)}, "unknown stages: \\['nonsense'\\]"),
+    ({"stages": ()}, "config names no stage"),
+    ({"field_spec": "4"}, "must be prime: 4"),
+    ({"field_spec": "five"}, "invalid literal"),
+    ({"mode": "general_fermat", "lambdas": (3, 3, 3, 3)}, "both lambdas and degrees"),
+    ({"mode": "general_fermat", "degrees": (3, 4)}, "both lambdas and degrees"),
+], ids=["points", "census", "mode", "stage", "no-stage", "field", "field-spec",
+        "lambdas-only", "degrees-only"])
+def test_run_config_refuses_a_bad_value_when_built(overrides, message):
+    # each of these used to run: skipping every scan, sampling every
+    # census, building a general Fermat family, or replacing the lambdas
+    with pytest.raises(ValueError, match=message):
+        RunConfig(shape=ProblemShape(3, 2, 0), **overrides)
+    with pytest.raises(ValueError, match=message):
+        small_config(**overrides)
+
+
+def test_run_config_is_read_only_and_keeps_the_callers_stage_order():
+    cfg = small_config(stages=("census", "schedule"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 4
+    assert run_pipeline(cfg)["config"]["stages"] == ["census", "schedule"]
+    assert config_from_dict(cfg.to_dict()).stages == ("schedule", "census")
+
+
+# (good values, bad values) of each drawn config field. Heart, eps and
+# census shapes are refused by the stage that reads them, the rest when
+# the config is built; exponents are (lambdas, degrees) for (2,1,0).
+DRAWN_FIELDS = {
+    "shape": ([(2, 1, 0), (3, 2, 0), (3, 1, 1), (4, 3, 0)], [(2, 2, 0), (0, 1, 0)]),
+    "mode": (["mcm", "general_fermat"], ["bogus"]),
+    "field_spec": (["2", "5", "Q"], ["4", "x"]),
+    "heart": ([1, 2, 3], [-1, 0]),
+    "eps": ([None], [(0, 1), (-1,)]),
+    "exponents": ([(None, None), ((2, 2, 2), (3,))], [((3, 3, 3), None), (None, (3,))]),
+    "stages": ([("schedule",), ("twist-ledger", "census"), ("census", "schedule")],
+               [(), ("nonsense",), ("census", "nonsense")]),
+    "max_points": ([1, 10 ** 6], [0, -5]),
+    "max_census": ([4096, 2 ** 28], [0, -1]),
+    "census_shapes": ([((2, 2, 2),), ((2, 2, 3), (2, 3, 2))],
+                      [((2, 2),), ((1, 2, 2),), ((2, 2, 4),)]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_drawn_config_is_refused_or_runs_to_a_consistent_report(data):
+    # fields drawn one by one, at most two of them bad: a config is refused
+    # when it is built, or it runs, and its verdict is its stages' verdicts;
+    # good values are never refused and pass
+    spoilt = data.draw(st.sets(st.sampled_from(sorted(DRAWN_FIELDS)), max_size=2))
+    values = {name: data.draw(st.sampled_from(DRAWN_FIELDS[name][name in spoilt]), label=name)
+              for name in DRAWN_FIELDS}
+    lambdas, degrees = values.pop("exponents")
+    try:
+        cfg = RunConfig(shape=ProblemShape(*values.pop("shape")), lambdas=lambdas,
+                        degrees=degrees, seed=data.draw(st.integers(0, 3), label="seed"),
+                        **values)
+    except ValueError:
+        assert spoilt, "a config of good values was refused"
+        return
+    report = run_pipeline(cfg)
+    statuses = [entry["status"] for entry in report["stages"].values()]
+    assert statuses and set(cfg.stages) <= set(report["stages"])
+    assert report["ok"] == all(s not in ("FAIL", "ERROR") for s in statuses)
+    assert report["config"] == cfg.to_dict()
+    assert report["ok"] or spoilt
 
 
 # ----- command line -----
@@ -847,4 +928,39 @@ def test_cli_run_seed_override(tmp_path, capsys):
     seed1 = rep1["stages"]["build"]["report"]["family_seed"]
     seed2 = rep2["stages"]["build"]["report"]["family_seed"]
     assert seed1 != seed2
-    assert rep2["config"]["seed"] == 4
+    assert rep2["config"] == dict(rep1["config"], seed=4)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("stages = census\n[family]\nfield = 4\n", "field characteristic must be prime: 4"),
+    ("stages = census\n[family]\nmode = bogus\n", "unknown family mode 'bogus'"),
+    ("stages =\n", "config names no stage"),
+    ("stages = build\n[shape]\nN = 3\nc = 2\n[family]\nmode = general_fermat\n"
+     "lambdas = 3 3 3 3\n", "general_fermat needs both lambdas and degrees, or neither"),
+    ("stages = census\n[census]\nshapes = 2 2 2; 2 2\n",
+     "config census_shapes must be triples of integers"),
+    ("stages = census\n[census]\nshapes = 2 2 x\n",
+     "config census_shapes must be triples of integers"),
+], ids=["field", "mode", "no-stage", "lambdas-only", "census-pair", "census-literal"])
+def test_cli_run_refuses_an_invalid_config(tmp_path, capsys, text, message):
+    # each of these used to run: to a build ERROR, a general Fermat family,
+    # an empty ok report, replaced lambdas, or an unpacking message
+    config = tmp_path / "bad.ini"
+    config.write_text("[run]\nschema = 1\n" + text)
+    assert main(["run", "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}")
+
+
+def test_cli_build_general_fermat_writes_the_run_defaults(tmp_path, capsys):
+    fam_path = tmp_path / "family.json"
+    assert main(["build", "--shape", "3,2,0", "--mode", "general_fermat", "--field", "11",
+                 "--seed", "5", "--out", str(fam_path)]) == 0
+    fam = load_family(str(fam_path))
+    cfg = RunConfig(shape=ProblemShape(3, 2, 0), mode="general_fermat", field_spec="11")
+    assert (fam.lambdas, fam.degrees) == ((2, 2, 2, 2), (2, 3)) == (cfg.lambdas, cfg.degrees)
+    assert fam.sections == build_family(cfg, 5).sections
+    capsys.readouterr()
+    assert main(["build", "--shape", "3,2,0", "--mode", "general_fermat",
+                 "--lambdas", "3,3,3,3", "--out", str(fam_path)]) == 2
+    assert "both lambdas and degrees" in capsys.readouterr().err

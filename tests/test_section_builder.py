@@ -250,7 +250,7 @@ def test_a_tampered_section_fails_the_gluing_stage(monkeypatch):
     # F_1 is no longer homogeneous: the build stage reports the claimed
     # degrees and passes, and gluing catches the section
     fam = tampered_family()
-    monkeypatch.setattr(pipeline, "build_family", lambda params: fam)
+    monkeypatch.setattr(pipeline, "build_family", lambda cfg, seed: fam)
     stages = run_pipeline(RunConfig(stages=("gluing",)))["stages"]
     assert stages["build"]["status"] == "PASS"
     assert stages["build"]["report"]["degrees"] == list(fam.section_degrees())
