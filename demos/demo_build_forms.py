@@ -12,6 +12,7 @@ from mcmforms.schedule import ProblemShape, build_schedule
 from mcmforms.section_builder import (
     build_matrices,
     build_sections,
+    build_selected,
     column_divisors,
     extract_forms,
     save_family,
@@ -26,9 +27,10 @@ print(f"built {len(fam.sections)} sections of degree {sched.d} over F_5")
 print(f"first section, first terms: {to_literal(fam.sections[0])[:70]} ...")
 
 # The bundle stacks value rows and their total differentials; selected
-# sub-bundles (K_nu, K_tau_rho) carry declared column divisors.
-K = build_matrices(fam)
-divisors = column_divisors(K, ("K_nu", 0))
+# sub-bundles (K_nu, K_tau_rho) combine its columns and carry declared
+# column divisors.
+K = build_selected(build_matrices(fam), ("K_nu", 0))
+divisors = column_divisors(K)
 print("K_nu=0 column divisors:",
       [(d["coordinate"], d["exponent"]) for d in divisors])
 
@@ -36,7 +38,7 @@ print("K_nu=0 column divisors:",
 # signed determinant with one column omitted; the twist comes out negative.
 # The determinant is never expanded: the form is evaluated at a point from
 # its divided matrix.
-form = extract_forms(K, ("K_nu", 0), [(1,)], omit=0)[0]
+form = extract_forms(K, [(1,)], omit=0)[0]
 z, dz = [1, 1, 1, 1], [1, 0, 0, 0]
 print(f"extracted form: twist={form.twist}, z-degree={form.z_degree},"
       f" dz-degree={form.dz_degree}, value mod 5 at z={z}, dz={dz}: {form.evaluate_at(z, dz, 5)}")

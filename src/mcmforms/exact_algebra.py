@@ -190,12 +190,6 @@ class MultiPoly:
         return MultiPoly(N, field, {z_power(N, j, power): 1})
 
     @staticmethod
-    def dz(N: int, j: int, field: Field = QQ, power: int = 1) -> "MultiPoly":
-        if not (0 <= j <= N):
-            raise ValueError(f"dz index {j} out of range 0..{N}")
-        return MultiPoly(N, field, {z_power(N, N + 1 + j, power): 1})
-
-    @staticmethod
     def monomial(N: int, field: Field, coeff, z_exps: Sequence[int], dz_exps: Sequence[int] = ()) -> "MultiPoly":
         zs = list(z_exps) + [0] * (N + 1 - len(z_exps))
         ds = list(dz_exps) + [0] * (N + 1 - len(dz_exps))

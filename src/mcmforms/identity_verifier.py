@@ -271,7 +271,9 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("transition", [guard], omit=omit, charts=(l1, l2))
-    form = extract_forms(build_matrices(fam), which, [selection], omit=omit, kind=kind)[0]
+    K = build_matrices(fam)
+    form = extract_forms(K if which is None else build_selected(K, which), [selection],
+                         omit=omit, kind=kind)[0]
     pairs, nonlinear = _transition_pairs(form, fam, _label(which), mode)
     if nonlinear is None:
         check = _check_hypothesis("transition", pairs, fam, mode, seed, "transition")
@@ -379,25 +381,23 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
     K_nu / K_tau_rho layout, with the layout's pairs), and the extracted
     twist must be the unrestricted twist plus sum(lambda_v - 1) over the
     killed coordinates (general families) or the depth-eta ledger entry
-    (mcm). Depth 0 and depth eta >= n raise ValueError: with nothing killed
-    there is no hidden form, and from depth n on no form is defined, so
-    either report would pass without testing anything.
+    (mcm). Depth 0 and depth eta >= n raise ValueError (the latter in
+    build_matrices): with nothing killed there is no hidden form, and from
+    depth n on no form is defined, so either report would pass without
+    testing anything.
     """
-    vanished = tuple(sorted(set(vanished)))
-    eta = len(vanished)
-    if eta == 0:
+    if not vanished:
         raise ValueError("hidden forms need at least one vanished coordinate")
-    if eta >= fam.shape.n:
-        raise ValueError(f"no hidden forms at depth {eta} >= n = {fam.shape.n}")
+    hidden = build_matrices(fam, vanished)
+    vanished, eta = hidden.vanished, hidden.eta()
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("hidden", [guard], eta=eta)
     selection = _check_selection(fam.shape, eta, selection)
-    hidden = build_selected(build_matrices(fam), ("hidden",) + vanished)
     pairs = _hypothesis_pairs(hidden, _label(("hidden",) + vanished))
     if fam.mode == "general_fermat":
         checks = [_check_hypothesis("hypothesis", pairs, fam, "exact")]
-        form = extract_forms(hidden, None, [selection], omit=0, kind="omega")[0]
+        form = extract_forms(hidden, [selection], omit=0, kind="omega")[0]
         expected = fermat_heart_prime(fam.degrees, fam.lambdas, selection) \
             + sum(fam.lambdas[v] - 1 for v in vanished)
         ok = form.twist == expected
@@ -417,7 +417,7 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
             # extract_forms takes the twist from the ledger and raises when
             # the row degrees and divisors give another one
             try:
-                twist = extract_forms(K, None, [selection], omit=0)[0].twist
+                twist = extract_forms(K, [selection], omit=0)[0].twist
             except DegreeClaimFailed as err:
                 if err.quantity != "twist":
                     raise

@@ -44,6 +44,7 @@ from .section_builder import (
     DivisibilityClaimFailed,
     build_matrices,
     build_sections,
+    build_selected,
     column_divisors,
     selection_layouts,
     standard_forms,
@@ -51,32 +52,6 @@ from .section_builder import (
 from .util import child_rng
 
 SCHEMA_VERSION = 1
-
-STAGE_ORDER = (
-    "schedule",
-    "build",
-    "divisibility",
-    "gluing",
-    "transition",
-    "twist-ledger",
-    "smoothness",
-    "base-locus",
-    "crosscheck",
-    "census",
-)
-
-STAGE_DEPS = {
-    "schedule": (),
-    "build": ("schedule",),
-    "divisibility": ("build",),
-    "gluing": ("build",),
-    "transition": ("build",),
-    "twist-ledger": ("schedule",),
-    "smoothness": ("build",),
-    "base-locus": ("build", "smoothness"),
-    "crosscheck": ("build", "smoothness"),
-    "census": (),
-}
 
 DEFAULT_CENSUS_SHAPES = ((2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 3, 2))
 
@@ -86,8 +61,9 @@ class RunConfig:
     """Everything a run needs; defaults reproduce the desk-scale flagship
     shape N=4, c=3, r=0 over F_5 with master seed 1. Checked when built
     (the functions that read census shapes, heart and eps check those);
-    a general_fermat config naming neither lambdas nor degrees gets
-    lambda_j = 2 and d_i = 2 + i."""
+    an mcm config takes no lambdas or degrees, since no stage reads them,
+    and a general_fermat config naming neither gets lambda_j = 2 and
+    d_i = 2 + i."""
 
     shape: ProblemShape = dc_field(default_factory=lambda: ProblemShape(4, 3, 0))
     mode: str = "mcm"
@@ -97,7 +73,7 @@ class RunConfig:
     lambdas: Optional[Tuple[int, ...]] = None
     degrees: Optional[Tuple[int, ...]] = None
     seed: int = 1
-    stages: Tuple[str, ...] = STAGE_ORDER
+    stages: Tuple[str, ...] = dc_field(default_factory=lambda: STAGE_ORDER)
     max_points: int = 50_000
     max_census: int = 2 ** 28
     census_shapes: Tuple[Tuple[int, int, int], ...] = DEFAULT_CENSUS_SHAPES
@@ -114,6 +90,8 @@ class RunConfig:
         low = [key for key in ("max_points", "max_census") if getattr(self, key) < 1]
         if low:
             raise ValueError(f"budget {' and '.join(low)} must be at least 1")
+        if self.mode == "mcm" and (self.lambdas is not None or self.degrees is not None):
+            raise ValueError("an mcm config takes no lambdas or degrees")
         if self.mode == "general_fermat":
             if (self.lambdas is None) != (self.degrees is None):
                 raise ValueError("general_fermat needs both lambdas and degrees, or neither")
@@ -132,9 +110,9 @@ class RunConfig:
             "mode": self.mode,
             "field": self.field_spec,
             "heart": self.heart,
-            "eps": list(self.eps) if self.eps else None,
-            "lambdas": list(self.lambdas) if self.lambdas else None,
-            "degrees": list(self.degrees) if self.degrees else None,
+            "eps": None if self.eps is None else list(self.eps),
+            "lambdas": None if self.lambdas is None else list(self.lambdas),
+            "degrees": None if self.degrees is None else list(self.degrees),
             "seed": self.seed,
             "stages": list(self.stages),
             "budgets": {"max_points": self.max_points, "max_census": self.max_census},
@@ -294,7 +272,7 @@ def _stage_build(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
 
 def _all_divisors(fam, K) -> int:
     if fam.mode == "mcm":
-        return sum(len(column_divisors(K, (kind,) + params))
+        return sum(len(column_divisors(build_selected(K, (kind,) + params)))
                    for kind, params, _ in selection_layouts(fam.shape.N))
     return len(column_divisors(K))
 
@@ -454,18 +432,20 @@ def _stage_census(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]
     return "FAIL", report, {key: failed[key] for key in ("a", "b", "q", "mode", "count")}
 
 
-_STAGE_FNS = {
-    "schedule": _stage_schedule,
-    "build": _stage_build,
-    "divisibility": _stage_divisibility,
-    "gluing": _stage_gluing,
-    "transition": _stage_transition,
-    "twist-ledger": _stage_twist_ledger,
-    "smoothness": _stage_smoothness,
-    "base-locus": _stage_base_locus,
-    "crosscheck": _stage_crosscheck,
-    "census": _stage_census,
+# Each stage once, in run order: its function and the stages it needs.
+STAGES = {
+    "schedule": (_stage_schedule, ()),
+    "build": (_stage_build, ("schedule",)),
+    "divisibility": (_stage_divisibility, ("build",)),
+    "gluing": (_stage_gluing, ("build",)),
+    "transition": (_stage_transition, ("build",)),
+    "twist-ledger": (_stage_twist_ledger, ("schedule",)),
+    "smoothness": (_stage_smoothness, ("build",)),
+    "base-locus": (_stage_base_locus, ("build", "smoothness")),
+    "crosscheck": (_stage_crosscheck, ("build", "smoothness")),
+    "census": (_stage_census, ()),
 }
+STAGE_ORDER = tuple(STAGES)
 
 
 def _expand_stages(wanted: Sequence[str]) -> List[str]:
@@ -474,7 +454,7 @@ def _expand_stages(wanted: Sequence[str]) -> List[str]:
     def add(stage: str):
         if stage in needed:
             return
-        for dep in STAGE_DEPS[stage]:
+        for dep in STAGES[stage][1]:
             add(dep)
         needed.add(stage)
 
@@ -502,7 +482,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
     stage_reports: Dict[str, dict] = {}
     timings: Dict[str, float] = {}
     for name in stages:
-        blockers = [d for d in STAGE_DEPS[name]
+        fn, deps = STAGES[name]
+        blockers = [d for d in deps
                     if stage_reports.get(d, {}).get("status") in ("FAIL", "SKIP", "ERROR")]
         if blockers:
             stage_reports[name] = {"status": "SKIP",
@@ -510,7 +491,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
             continue
         t0 = time.perf_counter()
         try:
-            status, report, detail = _STAGE_FNS[name](cfg, ctx)
+            status, report, detail = fn(cfg, ctx)
         except Exception as exc:
             status, report = "ERROR", {"error": f"{type(exc).__name__}: {exc}"}
             detail = report

@@ -17,9 +17,12 @@ same terms into columns. From a family we build the (c+r+c) x (N+1) matrix
 (value rows, then the total differentials of the first c rows), or for mcm
 the (2c+r) x (2N+2) matrix with column groups A_0..A_N, B_0..B_N (B_k
 collects the top-level terms with distinguished coordinate k).
-Column-combined selections K_nu and K_tau_rho, vanishing-coordinate
-restrictions, declared column divisors, and signed divided determinants
-with twist bookkeeping all live here.
+Each step of the construction is one function, and callers compose them:
+build_matrices builds the matrix, restricted to the vanishing locus of the
+coordinates it is given; build_selected combines its columns into K_nu or
+K_tau_rho; column_divisors verifies the declared divisors, and
+extract_forms takes signed divided determinants with twist bookkeeping,
+each of the bundle it is given.
 
 column_layout states the K_nu / K_tau_rho layouts once; build_selected
 applies them to polynomials, finite_geometry to vectors mod p and to coded
@@ -386,18 +389,12 @@ def build_sections(
 # ----- matrices -----
 
 
-def build_matrices(fam: SectionFamily) -> FormalMatrixBundle:
-    """The full structured matrix of the family. Its rows sum to the
-    sections and its differential rows are the differentials of its value
-    rows by construction; identity_verifier.verify_gluing checks both."""
-    if fam.mode not in ("mcm", "general_fermat"):
-        raise ValueError(fam.mode)
-    return _bundle(fam)
-
-
-def _bundle(fam: SectionFamily, vanished: Tuple[int, ...] = ()) -> FormalMatrixBundle:
-    """The matrix of the family over the coordinates not in `vanished`,
-    sorted from section_terms.
+def build_matrices(fam: SectionFamily, vanished: Sequence[int] = ()) -> FormalMatrixBundle:
+    """The structured matrix of the family over the coordinates not in
+    `vanished` (the full matrix when none is), sorted from section_terms.
+    Its rows sum to the sections and its differential rows are the
+    differentials of its value rows by construction, both with z_v = 0,
+    dz_v = 0 substituted; identity_verifier.verify_gluing checks both.
 
     A term survives iff its monomial avoids every vanished coordinate, with
     z_v = 0 substituted in its coefficient. It goes to the column of its
@@ -408,13 +405,23 @@ def _bundle(fam: SectionFamily, vanished: Tuple[int, ...] = ()) -> FormalMatrixB
     full groups, moves the surviving top-level terms of a restriction to
     its B columns. Differential rows are the total differentials of the
     first c value rows.
+
+    No form is defined from depth n on (an mcm model has no moving level
+    left there), so eta = len(vanished) >= n raises ValueError, and so do
+    a vanished index outside 0..N and, for a hidden general-Fermat model,
+    an exponent lambda_j < 2.
     """
     shape = fam.shape
+    vanished = tuple(sorted(set(vanished)))
+    if len(vanished) >= shape.n:
+        raise ValueError(f"no hidden forms at depth {len(vanished)} >= n = {shape.n}")
+    if any(not (0 <= v <= shape.N) for v in vanished):
+        raise ValueError("vanished index out of range")
+    mcm = fam.mode == "mcm"
+    if vanished and not mcm and any(l < 2 for l in fam.lambdas):
+        raise ValueError("hidden forms require all lambda_j >= 2")
     retained = tuple(j for j in range(shape.N + 1) if j not in vanished)
     cr = shape.c + shape.r
-    mcm = fam.mode == "mcm"
-    if mcm and len(retained) - 1 < cr + 1:
-        raise ValueError("too many vanished coordinates: no moving level remains")
     width = len(retained)
     rows: List[List[MultiPoly]] = []
     for i in range(1, cr + 1):
@@ -540,30 +547,12 @@ def _add_columns(x: List[MultiPoly], y: List[MultiPoly]) -> List[MultiPoly]:
 
 
 def build_selected(K: FormalMatrixBundle, which: Tuple) -> FormalMatrixBundle:
-    """Select and combine columns: ("K_nu", nu), ("K_tau_rho", tau, rho), or
-    ("hidden", v_1..v_eta).
-
-    K_nu and K_tau_rho combine the A/B groups as column_layout states;
-    positions refer to the retained coordinate list, and the combined
-    columns are displayed last. hidden restricts to the complement of the
-    vanished set, substituting z_v = 0, dz_v = 0: the matrix is rebuilt
-    from the surviving terms (_bundle).
-    """
+    """Combine the A/B column groups of an mcm bundle as column_layout
+    states for ("K_nu", nu) or ("K_tau_rho", tau, rho); positions refer to
+    the retained coordinate list, and the combined columns are displayed
+    last. A restricted bundle keeps its vanished coordinates."""
     kind = which[0]
     fam = K.family
-    if kind == "hidden":
-        vanished = tuple(sorted(set(which[1:]) | set(K.vanished)))
-        eta = len(vanished)
-        if not (1 <= eta <= fam.shape.n - 1):
-            raise ValueError(f"hidden depth must be 1..n-1, got {eta}")
-        if any(not (0 <= v <= fam.shape.N) for v in vanished):
-            raise ValueError("vanished index out of range")
-        if K.layout not in ("sec4", "mcm"):
-            raise ValueError("hidden selection needs a sec4 or mcm bundle")
-        if K.layout == "sec4" and any(l < 2 for l in fam.lambdas):
-            raise ValueError("hidden forms require all lambda_j >= 2")
-        return _bundle(fam, vanished)
-
     if K.layout != "mcm":
         raise ValueError("column combinations need an mcm bundle")
     top = len(K.retained) - 1
@@ -584,7 +573,7 @@ def build_selected(K: FormalMatrixBundle, which: Tuple) -> FormalMatrixBundle:
 # ----- divisors -----
 
 
-def column_divisors(K: FormalMatrixBundle, which: Optional[Tuple] = None) -> List[Dict[str, object]]:
+def column_divisors(K: FormalMatrixBundle) -> List[Dict[str, object]]:
     """Declared divisor of each column of a selected or explicit-exponent
     bundle, verified.
 
@@ -594,8 +583,6 @@ def column_divisors(K: FormalMatrixBundle, which: Optional[Tuple] = None) -> Lis
     as in the explicit-exponent matrices). Verification failures raise
     DivisibilityClaimFailed with the entry coordinates.
     """
-    if which is not None:
-        K = build_selected(K, which)
     if K.divisor_exponents is None:
         raise ValueError("column divisors are declared for selected and explicit-exponent bundles only")
     out = []
@@ -635,7 +622,6 @@ def _check_selection(shape: ProblemShape, eta: int, selection: Sequence[int]) ->
 
 def extract_forms(
     K: FormalMatrixBundle,
-    which: Optional[Tuple],
     selections: Sequence[Sequence[int]],
     omit: int,
     kind: Optional[str] = None,
@@ -651,9 +637,9 @@ def extract_forms(
     L-degrees minus sum over all columns of (e - 1), cross-checked against
     the ledger entry for mcm selections.
 
-    The selection is applied and the rows divided once for all selections,
-    into one DividedMatrix that the forms share and evaluate at points;
-    no determinant is expanded. A structural check asks each nonzero
+    The rows are divided once for all selections, into one DividedMatrix
+    that the forms share and evaluate at points; no determinant is
+    expanded. A structural check asks each nonzero
     divided entry (i, j) to be bihomogeneous of bidegree r_i + c_j: r_i is
     (deg F, 0) on the value row of F and (deg F - 1, 1) on its differential
     row, c_j is (1 - e, 0). Every term of the determinant then has the
@@ -661,8 +647,6 @@ def extract_forms(
     dz-degree and z-degree. A failing claim raises DegreeClaimFailed, in
     the order bihomogeneous, dz-degree, twist, z-degree.
     """
-    if which is not None:
-        K = build_selected(K, which)
     fam = K.family
     shape = fam.shape
     eta = K.eta()
@@ -736,9 +720,10 @@ def standard_forms(fam: SectionFamily) -> List[FormBundle]:
         selections = [(j,) for j in range(1, shape.c + 1)] if shape.n == 1 else \
             [tuple(range(1, shape.n + 1))]
         return [form for kind, params, _ in selection_layouts(shape.N)
-                for form in extract_forms(K, (kind,) + params, selections, omit=0)]
+                for form in extract_forms(build_selected(K, (kind,) + params), selections,
+                                          omit=0)]
     sel = tuple(range(1, shape.n + 1))
-    return [extract_forms(K, None, [sel], omit=0, kind=kind)[0]
+    return [extract_forms(K, [sel], omit=0, kind=kind)[0]
             for kind in ("psi", "omega")]
 
 

@@ -9,7 +9,7 @@ accumulated in a plain dict.
 
 from conftest import expand_form
 
-from mcmforms.exact_algebra import MultiPoly
+from mcmforms.exact_algebra import MultiPoly, from_literal
 
 
 def substitute_dz(p, images):
@@ -29,9 +29,13 @@ def substitute_dz(p, images):
 
 def chart_images(N, field, l):
     """w_l,k = z_l dz_k - dz_l z_k for k = 0..N."""
-    z, dz = MultiPoly.z, MultiPoly.dz
-    return [z(N, l, field) * dz(N, k, field) - dz(N, l, field) * z(N, k, field)
-            for k in range(N + 1)]
+    def z(k):
+        return MultiPoly.z(N, k, field)
+
+    def dz(k):
+        return from_literal(f"dz{k}", N, field)
+
+    return [z(l) * dz(k) - dz(l) * z(k) for k in range(N + 1)]
 
 
 def reference_transition(form, l1, l2):

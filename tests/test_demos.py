@@ -65,3 +65,18 @@ def test_pipeline_demo_runs_and_replays_its_failure():
     for line in ("overall ok: True", "deterministic: True",
                  "replayed smoothness: FAIL, same witness: True"):
         assert line in proc.stdout
+
+
+def readme_example():
+    """The python block under the README's "## Library example" heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_library_example_runs():
+    # the documented API is the one the package has: the block's own
+    # asserts hold on the family it builds
+    code = readme_example()
+    assert "extract_forms" in code and "assert" in code
+    exec(compile(code, "README.md:Library example", "exec"), {})

@@ -701,7 +701,7 @@ class ConstantForm:
 
 def line_psi(fam):
     K = build_matrices(fam)
-    return extract_forms(K, None, [(1,)], omit=0, kind="psi")[0]
+    return extract_forms(K, [(1,)], omit=0, kind="psi")[0]
 
 
 def test_base_locus_of_line_form_is_empty():

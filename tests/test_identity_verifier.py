@@ -36,6 +36,7 @@ from mcmforms.section_builder import (
     DividedMatrix,
     build_matrices,
     build_sections,
+    build_selected,
     extract_forms,
     random_homogeneous,
 )
@@ -76,8 +77,8 @@ def test_line_gluing_certificate_matches_hand_expansion():
     dF_z2 = from_literal(
         "1 * z2^1 dz0^1 + 1 * z2^1 dz1^1 + 1 * z2^1 dz2^1", 2)
     assert cert == F_dz2 - dF_z2
-    psi0 = expand_form(extract_forms(K, None, [(1,)], omit=0, kind="psi")[0])
-    psi1 = expand_form(extract_forms(K, None, [(1,)], omit=1, kind="psi")[0])
+    psi0 = expand_form(extract_forms(K, [(1,)], omit=0, kind="psi")[0])
+    psi1 = expand_form(extract_forms(K, [(1,)], omit=1, kind="psi")[0])
     assert psi0 - psi1 == cert
 
 
@@ -90,7 +91,7 @@ def test_gluing_refuses_a_repeated_or_unordered_selection(selection):
     with pytest.raises(ValueError, match="distinct|increasing"):
         verify_gluing(fam, selection, 0, 1)
     with pytest.raises(ValueError, match="distinct|increasing"):
-        extract_forms(build_matrices(fam), None, [selection], omit=0)
+        extract_forms(build_matrices(fam), [selection], omit=0)
 
 
 @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
@@ -277,10 +278,10 @@ def test_gluing_probabilistic_mode():
 def test_tangent_scaling_holds_for_forms_but_not_in_general():
     fam = unit_line_family()
     K = build_matrices(fam)
-    G = expand_form(extract_forms(K, None, [(1,)], omit=2, kind="psi")[0])
+    G = expand_form(extract_forms(K, [(1,)], omit=2, kind="psi")[0])
     for l in range(3):
         assert substitute_dz(G, chart_images(2, QQ, l)) == times_monomial(G, z_power(2, l, 1))
-    raw = MultiPoly.dz(2, 0, QQ)
+    raw = from_literal("dz0", 2, QQ)
     assert substitute_dz(raw, chart_images(2, QQ, 1)) != times_monomial(raw, z_power(2, 1, 1))
 
 
@@ -370,7 +371,7 @@ def test_sampling_catches_a_broken_transition_and_keeps_its_points(monkeypatch):
     exact = verify_transition(fam, (1,), omit=2, l1=0, l2=1, mode="exact")
     assert not exact["ok"]
     # expanding the broken G and substituting into it fails the same checks
-    form = broken(build_matrices(fam), None, [(1,)], omit=2)[0]
+    form = broken(build_matrices(fam), [(1,)], omit=2)[0]
     assert [(c["id"], c["verdict"]) for c in exact["checks"][:3]] == \
         reference_transition(form, 0, 1) == [
             ("scaling chart 0", "fail"), ("scaling chart 1", "fail"), ("transition", "fail")]
@@ -436,14 +437,20 @@ def transition_units(fam):
     return units + [dict(units[0], l1=units[0]["l2"])]
 
 
+def unit_form(fam, u):
+    """The form of transition unit u, extracted as verify_transition does."""
+    K = build_matrices(fam)
+    K = K if u["which"] is None else build_selected(K, u["which"])
+    return extract_forms(K, [u["selection"]], omit=u["omit"], kind=u["kind"])[0]
+
+
 @pytest.mark.parametrize("fam", [pytest.param(fam, id=label)
                                  for label, fam in transition_families()])
 def test_exact_transition_matches_expand_then_substitute(fam):
     for u in transition_units(fam):
         rep = verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
                                 mode="exact", which=u["which"], kind=u["kind"])
-        form = extract_forms(build_matrices(fam), u["which"], [u["selection"]],
-                             omit=u["omit"], kind=u["kind"])[0]
+        form = unit_form(fam, u)
         got = [(c["id"], c["verdict"]) for c in rep["checks"][:-1]]
         assert got == reference_transition(form, u["l1"], u["l2"]), u
         assert rep["ok"] and all(c["mode"] == "exact" for c in rep["checks"])
@@ -538,8 +545,7 @@ def test_one_comparer_serves_both_transition_modes():
     # exact mode multiplies by z_k and sampling raises exponents: equal pairs
     for label, fam in transition_families():
         for u in transition_units(fam):
-            form = extract_forms(build_matrices(fam), u["which"], [u["selection"]],
-                                 omit=u["omit"], kind=u["kind"])[0]
+            form = unit_form(fam, u)
             exact, sampled = (identity_verifier._transition_pairs(form, fam, "b", mode)
                               for mode in ("exact", "probabilistic"))
             assert exact == sampled and exact[0] and exact[1] is None, label
@@ -620,8 +626,13 @@ def euler_split(V, deg):
 
 def euler_kernel_term(N, field, g, a, b):
     """g * (z_a dz_b - z_b dz_a), which vanishes at dz = z."""
-    z, dz = MultiPoly.z, MultiPoly.dz
-    return g * (z(N, a, field) * dz(N, b, field) - z(N, b, field) * dz(N, a, field))
+    def z(k):
+        return MultiPoly.z(N, k, field)
+
+    def dz(k):
+        return from_literal(f"dz{k}", N, field)
+
+    return g * (z(a) * dz(b) - z(b) * dz(a))
 
 
 def bare_certificate(rows, cr, selection, degrees, mode="exact"):
@@ -728,7 +739,8 @@ def test_euler_certificate_kills_a_term_that_survives_dz_equals_z(monkeypatch, f
         k = index % (N + 1)
 
         def h_of(D):
-            return MultiPoly.z(N, k, D.field, power=D.z_degree()) * MultiPoly.dz(N, k, D.field)
+            return MultiPoly.z(N, k, D.field, power=D.z_degree()) \
+                * from_literal(f"dz{k}", N, D.field)
 
         rep, _, row, col, h = mutated_transition(monkeypatch, fam, u, h_of, mode)
         assert not rep["ok"]

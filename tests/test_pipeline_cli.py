@@ -13,7 +13,7 @@ from mcmforms.cli import main
 from mcmforms.pipeline import (
     RunConfig,
     SCHEMA_VERSION,
-    STAGE_DEPS,
+    STAGES,
     STAGE_ORDER,
     _expand_stages,
     _glue_units,
@@ -132,7 +132,8 @@ def test_expand_stages_pulls_dependencies_in_order():
 
 
 def test_stage_dependencies_point_backwards():
-    for stage, deps in STAGE_DEPS.items():
+    assert STAGE_ORDER == tuple(STAGES)
+    for stage, (_, deps) in STAGES.items():
         for dep in deps:
             assert STAGE_ORDER.index(dep) < STAGE_ORDER.index(stage)
 
@@ -294,7 +295,7 @@ def test_forced_failure_blocks_dependents(monkeypatch):
     def broken(cfg, ctx):
         return "FAIL", {"planted": True}, {"planted": "smoothness"}
 
-    monkeypatch.setitem(pl._STAGE_FNS, "smoothness", broken)
+    monkeypatch.setitem(pl.STAGES, "smoothness", (broken, pl.STAGES["smoothness"][1]))
     report = run_pipeline(small_config())
     assert report["stages"]["smoothness"]["status"] == "FAIL"
     assert report["stages"]["smoothness"]["witness"]["planted"] == "smoothness"
@@ -307,8 +308,8 @@ def test_forced_failure_blocks_dependents(monkeypatch):
 @pytest.mark.parametrize("shape, selection", [((3, 2, 0), (1,)), ((4, 2, 0), (1, 2))])
 @pytest.mark.parametrize("mode", ["mcm", "general_fermat"])
 def test_gluing_and_transition_units_select_n_differential_rows(mode, shape, selection):
-    fam = build_family(RunConfig(shape=ProblemShape(*shape), mode=mode,
-                                 lambdas=(2,) * (shape[0] + 1), degrees=(3, 3)), 1)
+    exponents = {} if mode == "mcm" else {"lambdas": (2,) * (shape[0] + 1), "degrees": (3, 3)}
+    fam = build_family(RunConfig(shape=ProblemShape(*shape), mode=mode, **exponents), 1)
     units = _glue_units(fam) + _transition_units(fam)
     assert len(units) == (8 if mode == "mcm" else 4)
     assert all(u["selection"] == selection for u in units)
@@ -370,7 +371,7 @@ F2_SINGULAR = RunConfig(shape=ProblemShape(2, 1, 0), mode="general_fermat",
 @pytest.mark.parametrize("stage", STAGE_ORDER)
 def test_every_stage_replays_its_planted_outcome(monkeypatch, stage, outcome):
     from mcmforms import pipeline as pl
-    real = pl._STAGE_FNS[stage]
+    real, deps = pl.STAGES[stage]
 
     def planted(cfg, ctx):
         real(cfg, ctx)  # dependents still find what the stage leaves in ctx
@@ -378,7 +379,7 @@ def test_every_stage_replays_its_planted_outcome(monkeypatch, stage, outcome):
             raise RuntimeError(f"planted in {stage}")
         return "FAIL", {"planted": True}, {"planted": stage}
 
-    monkeypatch.setitem(pl._STAGE_FNS, stage, planted)
+    monkeypatch.setitem(pl.STAGES, stage, (planted, deps))
     report = run_pipeline(small_config())
     entry = report["stages"][stage]
     witness = entry["witness"]
@@ -465,6 +466,20 @@ def test_replay_ignores_retired_budgets_in_a_witness():
     assert rep["witness"] == witness
 
 
+def test_a_witness_of_empty_exponents_replays_its_error():
+    # an empty tuple is written as an empty list, not as None, which would
+    # replay with the default schedule and pass
+    for cfg in (RunConfig(eps=(), stages=("schedule",)),
+                small_config(mode="general_fermat", lambdas=(), degrees=(), stages=("build",))):
+        (stage,) = cfg.stages
+        entry = run_pipeline(cfg)["stages"][stage]
+        assert entry["status"] == "ERROR"
+        rep = replay(as_json(entry["witness"]))
+        assert rep["status"] == "ERROR" and not rep["ok"]
+        assert rep["witness"] == entry["witness"]
+    assert entry["witness"]["config"]["lambdas"] == []
+
+
 def test_replay_rejects_stale_schema():
     with pytest.raises(ValueError, match="stale witness"):
         replay({"schema": 99, "stage": "census"})
@@ -530,11 +545,14 @@ def test_config_from_dict_refuses_a_bad_config(mutate, message):
     ({"field_spec": "five"}, "invalid literal"),
     ({"mode": "general_fermat", "lambdas": (3, 3, 3, 3)}, "both lambdas and degrees"),
     ({"mode": "general_fermat", "degrees": (3, 4)}, "both lambdas and degrees"),
+    ({"lambdas": (2,) * 4, "degrees": (3, 3)}, "an mcm config takes no lambdas or degrees"),
+    ({"degrees": (3, 3)}, "an mcm config takes no lambdas or degrees"),
 ], ids=["points", "census", "mode", "stage", "no-stage", "field", "field-spec",
-        "lambdas-only", "degrees-only"])
+        "lambdas-only", "degrees-only", "mcm-exponents", "mcm-degrees"])
 def test_run_config_refuses_a_bad_value_when_built(overrides, message):
     # each of these used to run: skipping every scan, sampling every
-    # census, building a general Fermat family, or replacing the lambdas
+    # census, building a general Fermat family, replacing the lambdas, or
+    # echoing exponents that no mcm stage reads
     with pytest.raises(ValueError, match=message):
         RunConfig(shape=ProblemShape(3, 2, 0), **overrides)
     with pytest.raises(ValueError, match=message):
@@ -551,7 +569,8 @@ def test_run_config_is_read_only_and_keeps_the_callers_stage_order():
 
 # (good values, bad values) of each drawn config field. Heart, eps and
 # census shapes are refused by the stage that reads them, the rest when
-# the config is built; exponents are (lambdas, degrees) for (2,1,0).
+# the config is built; exponents are (lambdas, degrees) for (2,1,0), and
+# an mcm config refuses any.
 DRAWN_FIELDS = {
     "shape": ([(2, 1, 0), (3, 2, 0), (3, 1, 1), (4, 3, 0)], [(2, 2, 0), (0, 1, 0)]),
     "mode": (["mcm", "general_fermat"], ["bogus"]),
@@ -578,13 +597,15 @@ def test_a_drawn_config_is_refused_or_runs_to_a_consistent_report(data):
     values = {name: data.draw(st.sampled_from(DRAWN_FIELDS[name][name in spoilt]), label=name)
               for name in DRAWN_FIELDS}
     lambdas, degrees = values.pop("exponents")
+    unread = values["mode"] == "mcm" and (lambdas, degrees) != (None, None)
     try:
         cfg = RunConfig(shape=ProblemShape(*values.pop("shape")), lambdas=lambdas,
                         degrees=degrees, seed=data.draw(st.integers(0, 3), label="seed"),
                         **values)
     except ValueError:
-        assert spoilt, "a config of good values was refused"
+        assert spoilt or unread, "a config of good values was refused"
         return
+    assert not unread, "an mcm config kept exponents that no stage reads"
     report = run_pipeline(cfg)
     statuses = [entry["status"] for entry in report["stages"].values()]
     assert statuses and set(cfg.stages) <= set(report["stages"])
@@ -941,7 +962,10 @@ def test_cli_run_seed_override(tmp_path, capsys):
      "config census_shapes must be triples of integers"),
     ("stages = census\n[census]\nshapes = 2 2 x\n",
      "config census_shapes must be triples of integers"),
-], ids=["field", "mode", "no-stage", "lambdas-only", "census-pair", "census-literal"])
+    ("stages = build\n[family]\nlambdas = 2 2 2 2 2\ndegrees = 3 3 3\n",
+     "an mcm config takes no lambdas or degrees"),
+], ids=["field", "mode", "no-stage", "lambdas-only", "census-pair", "census-literal",
+        "mcm-exponents"])
 def test_cli_run_refuses_an_invalid_config(tmp_path, capsys, text, message):
     # each of these used to run: to a build ERROR, a general Fermat family,
     # an empty ok report, replaced lambdas, or an unpacking message
@@ -964,3 +988,6 @@ def test_cli_build_general_fermat_writes_the_run_defaults(tmp_path, capsys):
     assert main(["build", "--shape", "3,2,0", "--mode", "general_fermat",
                  "--lambdas", "3,3,3,3", "--out", str(fam_path)]) == 2
     assert "both lambdas and degrees" in capsys.readouterr().err
+    assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--lambdas", "2,2,2,2",
+                 "--degrees", "3,3", "--out", str(fam_path)]) == 2
+    assert "an mcm config takes no lambdas or degrees" in capsys.readouterr().err

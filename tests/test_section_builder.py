@@ -175,7 +175,7 @@ def test_matrices_and_hidden_restrictions_match_the_reference(mode, field):
             fam = build_sections(shape, "general_fermat", field=field, lambdas=(2, 3, 2, 2, 4),
                                  degrees=(4, 5), twists=(1, 0), seed=seed)
         K = build_matrices(fam)
-        bundles = [((), K)] + [((v,), build_selected(K, ("hidden", v))) for v in range(5)]
+        bundles = [((), K)] + [((v,), build_matrices(fam, (v,))) for v in range(5)]
         for vanished, B in bundles:
             entries, tags, coords, divisors = reference_bundle(fam, vanished)
             assert B.vanished == vanished
@@ -319,8 +319,7 @@ def test_hidden_restriction_of_explicit_matrix():
         ProblemShape(4, 2, 0), "general_fermat", field=F101,
         lambdas=(2, 2, 2, 2, 2), degrees=(4, 4), seed=9,
     )
-    K = build_matrices(fam)
-    H = build_selected(K, ("hidden", 0))
+    H = build_matrices(fam, (0,))
     assert H.retained == (1, 2, 3, 4) and H.vanished == (0,)
     for row in H.entries:
         for e in row:
@@ -332,16 +331,22 @@ def test_hidden_needs_lambda_at_least_two():
         ProblemShape(4, 2, 0), "general_fermat", field=F101,
         lambdas=(1, 2, 2, 2, 2), degrees=(4, 4), seed=9,
     )
-    K = build_matrices(fam)
     with pytest.raises(ValueError, match="lambda"):
-        build_selected(K, ("hidden", 0))
+        build_matrices(fam, (0,))
 
 
 def test_hidden_depth_bounds():
     fam = mcm_family(seed=8)  # n = 1: no hidden depth available
-    K = build_matrices(fam)
     with pytest.raises(ValueError, match="depth"):
-        build_selected(K, ("hidden", 0))
+        build_matrices(fam, (0,))
+    # one depth rule for both modes: (4,2,0) has n = 2
+    fermat = build_sections(ProblemShape(4, 2, 0), "general_fermat", field=F101,
+                            lambdas=(2,) * 5, degrees=(4, 4), seed=9)
+    assert build_matrices(fermat, (3, 3)).vanished == (3,)
+    with pytest.raises(ValueError, match="no hidden forms at depth 2 >= n = 2"):
+        build_matrices(fermat, (0, 1))
+    with pytest.raises(ValueError, match="out of range"):
+        build_matrices(fermat, (5,))
 
 
 # ----- divisors -----
@@ -351,9 +356,9 @@ def test_declared_divisors_verified_for_K_nu_and_K_tau_rho():
     fam = mcm_family(seed=10)
     sched = fam.schedule
     K = build_matrices(fam)
-    div_nu = column_divisors(K, ("K_nu", 0))
+    div_nu = column_divisors(build_selected(K, ("K_nu", 0)))
     assert [d["exponent"] for d in div_nu] == [sched.d - sched.delta[4]] * 4 + [sched.mu[(4, 0)]]
-    div_tr = column_divisors(K, ("K_tau_rho", 1, 3))
+    div_tr = column_divisors(build_selected(K, ("K_tau_rho", 1, 3)))
     assert div_tr[0]["exponent"] == sched.d - 4 * sched.mu[(4, 0)]
     assert div_tr[1]["exponent"] == sched.d - 4 * sched.mu[(4, 1)]
     assert div_tr[-1]["exponent"] == sched.mu[(4, 2)]
@@ -368,7 +373,7 @@ def test_pure_columns_carry_divisor_slack_when_lower_levels_are_absent():
     for j in range(5):
         entry = K.entries[0][j]
         assert min(exp[j] for exp in entry.terms) == sched.d
-    div = column_divisors(K, ("K_nu", 2))
+    div = column_divisors(build_selected(K, ("K_nu", 2)))
     assert div[0]["exponent"] == sched.d - sched.delta[4]
 
 
@@ -377,7 +382,7 @@ def test_corrupted_entry_fails_divisor_verification_with_coordinates():
     K = build_matrices(fam)
     K.entries[0][0] = K.entries[0][0] + MultiPoly.z(4, 1, fam.field)
     with pytest.raises(DivisibilityClaimFailed) as info:
-        column_divisors(K, ("K_nu", 1))
+        column_divisors(build_selected(K, ("K_nu", 1)))
     assert info.value.row == 0 and info.value.col == 0
 
 
@@ -387,7 +392,7 @@ def test_corrupted_entry_fails_divisor_verification_with_coordinates():
 def test_line_form_and_its_value_on_a_chart():
     fam = unit_line_family()
     K = build_matrices(fam)
-    form = extract_forms(K, None, [(1,)], omit=2, kind="psi")[0]
+    form = extract_forms(K, [(1,)], omit=2, kind="psi")[0]
     G = expand_form(form)
     assert to_literal(G) == "1 * z0^1 dz1^1 + -1 * z1^1 dz0^1"
     # on the chart z0 = 1 (dz0 = 0) the form restricts to dz1
@@ -402,7 +407,7 @@ def test_cubic_divided_form_twist():
         lambdas=(2, 2, 2), degrees=(3,), seed=42,
     )
     K = build_matrices(fam)
-    form = extract_forms(K, None, [(1,)], omit=0, kind="omega")[0]
+    form = extract_forms(K, [(1,)], omit=0, kind="omega")[0]
     assert form.twist == 2 * 3 - 3 == 3
     assert expand_form(form).bidegree()[1] == 1
 
@@ -412,11 +417,11 @@ def test_mcm_K_nu_form_matches_ledger_twist():
     K = build_matrices(fam)
     ledger = twist_ledger(fam.schedule)
     for nu in (0, 3):
-        form = extract_forms(K, ("K_nu", nu), [(1,)], omit=4)[0]
+        form = extract_forms(build_selected(K, ("K_nu", nu)), [(1,)], omit=4)[0]
         assert form.kind == "phi_nu"
         assert form.twist == ledger.lookup(0, "K_nu", None, (1,)).value == -8
         assert form.dz_degree == 1
-    form = extract_forms(K, ("K_tau_rho", 0, 2), [(1,)], omit=0)[0]
+    form = extract_forms(build_selected(K, ("K_tau_rho", 0, 2)), [(1,)], omit=0)[0]
     assert form.kind == "psi_tau_rho" and form.twist == -8
 
 
@@ -431,16 +436,16 @@ def test_extract_form_rejects_a_ledger_that_disagrees_with_the_row_degrees(monke
 
     monkeypatch.setattr(TwistLedger, "lookup", lookup)
     with pytest.raises(DegreeClaimFailed) as info:
-        extract_forms(K, ("K_nu", 0), [(1,)], omit=4)[0]
+        extract_forms(build_selected(K, ("K_nu", 0)), [(1,)], omit=4)[0]
     assert info.value.quantity == "twist"
     assert (info.value.expected, info.value.observed) == (-7, -8)
-    assert extract_forms(K, ("K_tau_rho", 0, 2), [(1,)], omit=0)[0].twist == -8
+    assert extract_forms(build_selected(K, ("K_tau_rho", 0, 2)), [(1,)], omit=0)[0].twist == -8
 
 
 def test_form_evaluation_matches_value_global():
     fam = mcm_family(seed=14)
     K = build_matrices(fam)
-    form = extract_forms(K, ("K_nu", 1), [(1,)], omit=2)[0]
+    form = extract_forms(build_selected(K, ("K_nu", 1)), [(1,)], omit=2)[0]
     G = expand_form(form)
     rng = random.Random(0)
     for _ in range(5):
@@ -453,16 +458,16 @@ def test_selection_validation():
     fam = mcm_family(seed=15)
     K = build_matrices(fam)
     with pytest.raises(ValueError):
-        extract_forms(K, ("K_nu", 0), [(1, 2)], omit=0)[0]  # too many rows
+        extract_forms(build_selected(K, ("K_nu", 0)), [(1, 2)], omit=0)[0]  # too many rows
     with pytest.raises(ValueError):
-        extract_forms(K, ("K_nu", 0), [(4,)], omit=0)[0]  # row index out of range
+        extract_forms(build_selected(K, ("K_nu", 0)), [(4,)], omit=0)[0]  # row index out of range
 
 
 def test_omit_sign_convention():
     fam = unit_line_family()
     K = build_matrices(fam)
-    f0 = extract_forms(K, None, [(1,)], omit=0, kind="psi")[0]
-    f1 = extract_forms(K, None, [(1,)], omit=1, kind="psi")[0]
+    f0 = extract_forms(K, [(1,)], omit=0, kind="psi")[0]
+    f1 = extract_forms(K, [(1,)], omit=1, kind="psi")[0]
     # (-1)^0 det[[z1,z2],[dz1,dz2]] and (-1)^1 det[[z0,z2],[dz0,dz2]]
     assert to_literal(expand_form(f0)) == "1 * z1^1 dz2^1 + -1 * z2^1 dz1^1"
     assert to_literal(expand_form(f1)) == "-1 * z0^1 dz2^1 + 1 * z2^1 dz0^1"
@@ -488,7 +493,7 @@ def test_twist_consistency_for_random_families_all_small_shapes():
             omit = rng.randrange(N + 1)
             rng.randrange(N + 1)  # the draw of a chart, kept so the families stay the same
             kind = "psi" if trial % 2 else "omega"
-            form = extract_forms(K, None, [selection], omit=omit, kind=kind)[0]
+            form = extract_forms(K, [selection], omit=omit, kind=kind)[0]
             spent = sum(l - 1 for l in lambdas) if kind == "omega" else 0
             expected = sum(degrees) + sum(degrees[j - 1] for j in selection) - spent
             assert form.twist == expected
@@ -504,15 +509,14 @@ def test_hidden_mcm_form_twist_matches_hidden_ledger():
     shape = ProblemShape(4, 2, 0)  # n = 2: hidden depth 1 available
     sched = build_schedule(shape, 2)
     fam = build_sections(shape, "mcm", field=F5, schedule=sched, seed=21)
-    K = build_matrices(fam)
-    H = build_selected(K, ("hidden", 4))
+    H = build_matrices(fam, (4,))
     assert H.retained == (0, 1, 2, 3)
     ledger = twist_ledger(sched)
-    form = extract_forms(H, ("K_nu", 0), [(2,)], omit=1)[0]
+    form = extract_forms(build_selected(H, ("K_nu", 0)), [(2,)], omit=1)[0]
     assert form.kind == "hidden_phi_nu"
     assert form.twist == ledger.lookup(1, "K_nu", None, (2,)).value
     assert form.dz_degree == 1
-    form2 = extract_forms(H, ("K_tau_rho", 0, 3), [(1,)], omit=2)[0]
+    form2 = extract_forms(build_selected(H, ("K_tau_rho", 0, 3)), [(1,)], omit=2)[0]
     assert form2.twist == ledger.lookup(1, "K_tau_rho", 0, (1,)).value
 
 
@@ -521,9 +525,8 @@ def test_hidden_explicit_form_twist():
         ProblemShape(4, 2, 0), "general_fermat", field=F101,
         lambdas=(2, 2, 2, 2, 2), degrees=(4, 4), seed=31,
     )
-    K = build_matrices(fam)
-    H = build_selected(K, ("hidden", 0))
-    form = extract_forms(H, None, [(1,)], omit=1, kind="omega")[0]
+    H = build_matrices(fam, (0,))
+    form = extract_forms(H, [(1,)], omit=1, kind="omega")[0]
     assert form.kind == "hidden_omega"
     # heart' skips the vanished lambda: (4 + 4 + 4) - 4*(2-1)
     assert form.twist == 12 - 4
@@ -533,7 +536,7 @@ def test_lazy_standard_forms_match_eager_extraction_term_for_term():
     fam = mcm_family()
     K = build_matrices(fam)
     lazy = standard_forms(fam)
-    alone = [extract_forms(K, (kind,) + params, [(j,)], omit=0)[0]
+    alone = [extract_forms(build_selected(K, (kind,) + params), [(j,)], omit=0)[0]
              for kind, params, _ in selection_layouts(4) for j in (1, 2, 3)]
     assert len(lazy) == len(alone) == 45
     for a, b in zip(lazy, alone):
@@ -551,7 +554,7 @@ def test_lazy_standard_forms_match_eager_extraction_term_for_term():
     # plus terms of another degree
     (lambda e: e + e * MultiPoly.z(4, 1, F5), "bihomogeneous"),
     # one more power of dz1 on a differential row
-    (lambda e: e * MultiPoly.dz(4, 1, F5), "dz-degree"),
+    (lambda e: e * from_literal("dz1", 4, F5), "dz-degree"),
 ])
 def test_a_corrupted_divided_entry_trips_the_structural_degree_check(monkeypatch, change, quantity):
     row = 3 if quantity == "dz-degree" else 1
@@ -563,7 +566,7 @@ def test_a_corrupted_divided_entry_trips_the_structural_degree_check(monkeypatch
 
     monkeypatch.setattr(MultiPoly, "__mul__", refuse)
     with pytest.raises(DegreeClaimFailed) as info:
-        extract_forms(S, None, [(1,), (2,), (3,)], omit=0)
+        extract_forms(S, [(1,), (2,), (3,)], omit=0)
     assert info.value.quantity == quantity
     assert info.value.entry == (row, 2)
 
@@ -647,7 +650,7 @@ def test_hidden_K_tau_rho_declares_each_divisor_per_column():
     shape = ProblemShape(4, 2, 0)
     sched = build_schedule(shape, 2)
     fam = build_sections(shape, "mcm", field=F5, schedule=sched, seed=21)
-    H = build_selected(build_matrices(fam), ("hidden", 4))
+    H = build_matrices(fam, (4,))
     top = len(H.retained) - 1
     assert top == 3
     ledger = twist_ledger(sched)
@@ -657,7 +660,7 @@ def test_hidden_K_tau_rho_declares_each_divisor_per_column():
         which = ("K_tau_rho", tau, rho)
         sel = build_selected(H, which)
         assert len(column_divisors(sel)) == top + 1
-        form = extract_forms(H, which, [(1,)], omit=0)[0]
+        form = extract_forms(sel, [(1,)], omit=0)[0]
         assert form.twist == ledger.lookup(1, "K_tau_rho", tau, (1,)).value
     corner = build_selected(H, ("K_tau_rho", 2, 3))
     assert corner.column_tags[-1] == "A_3+sumB_gt_tau"

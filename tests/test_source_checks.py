@@ -91,14 +91,21 @@ def _fields(package):
     return found
 
 
+def _fragment_ids(tree):
+    """ids of the literal fragments of the f-strings of a module."""
+    return {id(part) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+            for part in node.values if isinstance(part, ast.Constant)}
+
+
 def _references(roots):
     """(names, attribute names, attribute names read, string constants)
-    used by the Python files under roots; docstrings are not uses."""
+    used by the Python files under roots; docstrings and f-string fragments
+    (the "dz" of f"dz{k}") are not uses."""
     names, attrs, reads, strings = set(), set(), set(), set()
     for root in roots:
         for path in sorted(root.rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
-            docstrings = _docstring_ids(tree)
+            not_uses = _docstring_ids(tree) | _fragment_ids(tree)
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
@@ -107,7 +114,7 @@ def _references(roots):
                     if isinstance(node.ctx, ast.Load):
                         reads.add(node.attr)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                        and id(node) not in docstrings:
+                        and id(node) not in not_uses:
                     strings.add(node.value)
     return names, attrs, reads, strings
 
