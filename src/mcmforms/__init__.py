@@ -3,7 +3,7 @@ on Fermat-type and moving-coefficient complete intersections.
 
 Modules:
   exact_algebra    sparse bigraded polynomials over Q or F_p, differentials,
-                   exact division, identity testing, determinants
+                   exact division, compiled evaluation mod m, determinants mod p
   schedule         exponent recurrences, twist-degree ledger, bound reports
   section_builder  section families, structured matrices, form extraction
   identity_verifier  gluing, transition, surjectivity and hidden-form checks

@@ -199,6 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact construction and verification of negatively "
                     "twisted symmetric differential forms.")
     sub = parser.add_subparsers(dest="command", required=True)
+    eps_help = "the epsilon_i, comma-separated: one per section, each at least 1"
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", help="also write the report to this path")
 
@@ -212,14 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--heart", type=int, default=2)
-    p.add_argument("--eps", help="comma-separated slack offsets")
+    p.add_argument("--eps", help=eps_help)
 
     p = add("build", _cmd_build, help="build a section family and save it")
     p.add_argument("--shape", type=_shape, required=True, help="N,c,r")
     p.add_argument("--mode", choices=("mcm", "general_fermat"), default="mcm")
     p.add_argument("--field", default="5", help="prime p, or Q for rationals")
     p.add_argument("--heart", type=int, default=2)
-    p.add_argument("--eps")
+    p.add_argument("--eps", help=eps_help)
     p.add_argument("--lambdas", help="explicit exponents (general_fermat)")
     p.add_argument("--degrees", help="section degrees (general_fermat)")
     p.add_argument("--seed", type=int, default=1)

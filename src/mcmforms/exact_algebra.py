@@ -402,7 +402,6 @@ def from_literal(s: str, N: int, field: Field = QQ) -> MultiPoly:
     if text == "0":
         return MultiPoly.zero(N, field)
     terms: Dict[Exponent, object] = {}
-    poly = MultiPoly.zero(N, field)
     for raw_term in text.split("+"):
         term = raw_term.strip()
         if not term:

@@ -21,14 +21,16 @@ Four families of checks:
                        basis has full rank at random points, optionally in
                        the Leibniz-premultiplied variant for a twist factor.
   verify_hidden        the gluing hypothesis and the twist formula on the
-                       vanishing-coordinate restriction of a family, for
+                       vanishing-coordinate restriction of a family, and on
                        every K_nu / K_tau_rho selection of an mcm family.
 
 Gluing and transitions check the hypothesis an identity rests on, entry by
 entry, and never expand a determinant. Each hypothesis is a list of
 polynomial pairs, and one comparer serves both (_check_hypothesis): it
-compares the pairs in order. The pipeline and `mcm verify` run only this
-exact mode. The comparer's one probabilistic branch, which samples the
+compares the pairs in order. A hypothesis belongs to the matrix, not to a
+chart, so each is one check; the charts a caller names are range-checked
+and echoed, and do not enter it. The pipeline and `mcm verify` run only
+this exact mode. The comparer's one probabilistic branch, which samples the
 pairs at SAMPLED_TRIALS seeded points, serves the certify-sampled
 benchmark workload alone: over F_5 a sampled PASS bounds nothing, since
 the Schwartz-Zippel bound D / 5 on a trial's miss, for a nonzero
@@ -174,9 +176,9 @@ def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int
     differentials of its value rows, and with `which` the same of the
     column-combined bundle, whose columns j1, j2 name the charts.
 
-    One check covers both bundles (_check_hypothesis, exactly unless the
-    probabilistic branch is asked for).
-    The selection must name the form's differential rows, a full mcm
+    One check, "hypothesis", covers both bundles and every pair of charts
+    (_check_hypothesis, exactly unless the probabilistic branch is asked
+    for). The selection must name the form's differential rows, a full mcm
     bundle needs `which`, and equal or out-of-range chart columns raise
     ValueError: psi_j - psi_j == 0 tests nothing.
     """
@@ -195,9 +197,8 @@ def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int
     if not (0 <= j1 < K.ncols and 0 <= j2 < K.ncols):
         raise ValueError("chart column out of range")
     pairs = [pair for label, B in bundles for pair in _hypothesis_pairs(B, label)]
-    check = _check_hypothesis(f"hypothesis j1={j1} j2={j2}", pairs, fam, mode, seed)
-    return _report("gluing", [check], j1=j1, j2=j2,
-                   generators=K.value_rows() + len(selection))
+    checks = [_check_hypothesis("hypothesis", pairs, fam, mode, seed)]
+    return _report("gluing", checks, j1=j1, j2=j2, generators=K.value_rows() + len(selection))
 
 
 # ----- transition formulas -----
@@ -241,25 +242,25 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
                       l1: int, l2: int, mode: str = "exact",
                       which: Optional[Tuple] = None, kind: Optional[str] = None,
                       seed: int = 0) -> dict:
-    """Chart-change identities for one extracted form.
+    """Chart-change identities for one extracted form: exactly the checks
+    "transition" and "transition exponent".
 
-    Checks, for G the signed divided determinant with column `omit` removed:
-      scaling      G(z, w_l(dz)) == z_l^n * G(z, dz)  for l in {l1, l2},
-                   where w_l(dz_k) = z_l dz_k - dz_l z_k;
-      transition   z_{l2}^n * G(z, w_{l1}) == z_{l1}^n * G(z, w_{l2});
+    For G the signed divided determinant with column `omit` removed:
+      transition   G(z, w_l(dz)) == z_l^n * G(z, dz) on every chart l,
+                   where w_l(dz_k) = z_l dz_k - dz_l z_k, and so
+                   z_{l2}^n * G(z, w_{l1}) == z_{l1}^n * G(z, w_{l2});
       exponent     z-degree + dz-degree of G equals the twist plus the
                    omitted column's divisor share plus the coefficient
                    twists, independently recomputed.
-    Scaling and transition rest on one hypothesis (_transition_pairs): a
-    divided differential entry D linear in dz with D(z; z) == deg(F_j) * V
-    gives D(z; w_l) == z_l * D - dz_l * deg(F_j) * V, and subtracting
-    multiples of the value rows turns the rows of G(w_l) into z_l times
-    those of G. _check_hypothesis compares its pairs, in order in exact
-    mode and at seeded points (stage "transition") in probabilistic mode,
-    and that one comparison is every scaling check and the transition,
-    with the same witness; on one chart the transition compares two equal
-    sides and passes. An entry not linear in dz fails
-    all of them in either mode. Neither mode expands G or takes a
+    The transition rests on one hypothesis (_transition_pairs): a divided
+    differential entry D linear in dz with D(z; z) == deg(F_j) * V gives
+    D(z; w_l) == z_l * D - dz_l * deg(F_j) * V, and subtracting multiples
+    of the value rows turns the rows of G(w_l) into z_l times those of G.
+    _check_hypothesis compares its pairs, in order in exact mode and at
+    seeded points (stage "transition") in probabilistic mode, and that one
+    comparison covers every chart, l1 == l2 included: the charts are
+    range-checked and echoed, and do not enter it. An entry not linear in
+    dz fails it in either mode. Neither mode expands G or takes a
     determinant. The exponent check reads the z-degree that extract_forms
     enforces, so it runs in every mode and also on a zero G. A chart
     outside 0..N raises ValueError.
@@ -275,12 +276,8 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
     form = extract_forms(K if which is None else build_selected(K, which), [selection],
                          omit=omit, kind=kind)[0]
     pairs, nonlinear = _transition_pairs(form, fam, _label(which), mode)
-    if nonlinear is None:
-        check = _check_hypothesis("transition", pairs, fam, mode, seed, "transition")
-    else:
-        check = _check("transition", "fail", mode, witness=nonlinear)
-    checks = [dict(check, id=f"scaling chart {l}") for l in sorted({l1, l2})]
-    checks.append(check if l1 != l2 else dict(check, verdict="pass", witness=None))
+    checks = [_check("transition", "fail", mode, witness=nonlinear) if nonlinear
+              else _check_hypothesis("transition", pairs, fam, mode, seed, "transition")]
 
     # extract_forms holds every divided entry, so every term of G, to this z-degree
     observed = form.z_degree + form.dz_degree
@@ -377,14 +374,14 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
     """The gluing hypothesis and the twist increment on a vanishing locus.
 
     With eta coordinates killed, the restricted bundle must satisfy the
-    gluing hypothesis (_hypothesis_pairs; for mcm families once per
-    K_nu / K_tau_rho layout, with the layout's pairs), and the extracted
-    twist must be the unrestricted twist plus sum(lambda_v - 1) over the
-    killed coordinates (general families) or the depth-eta ledger entry
-    (mcm). Depth 0 and depth eta >= n raise ValueError (the latter in
-    build_matrices): with nothing killed there is no hidden form, and from
-    depth n on no form is defined, so either report would pass without
-    testing anything.
+    gluing hypothesis (_hypothesis_pairs, the check "hypothesis"), and so
+    must each K_nu / K_tau_rho layout of an mcm family, on its own pairs
+    ("hypothesis <layout>"); the extracted twist must be the unrestricted
+    twist plus sum(lambda_v - 1) over the killed coordinates (general
+    families) or the depth-eta ledger entry (mcm). Depth 0 and depth
+    eta >= n raise ValueError (the latter in build_matrices): with nothing
+    killed there is no hidden form, and from depth n on no form is
+    defined, so either report would pass without testing anything.
     """
     if not vanished:
         raise ValueError("hidden forms need at least one vanished coordinate")
@@ -394,9 +391,9 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
     if guard is not None:
         return _report("hidden", [guard], eta=eta)
     selection = _check_selection(fam.shape, eta, selection)
-    pairs = _hypothesis_pairs(hidden, _label(("hidden",) + vanished))
+    checks = [_check_hypothesis("hypothesis", _hypothesis_pairs(
+        hidden, _label(("hidden",) + vanished)), fam, "exact")]
     if fam.mode == "general_fermat":
-        checks = [_check_hypothesis("hypothesis", pairs, fam, "exact")]
         form = extract_forms(hidden, [selection], omit=0, kind="omega")[0]
         expected = fermat_heart_prime(fam.degrees, fam.lambdas, selection) \
             + sum(fam.lambdas[v] - 1 for v in vanished)
@@ -405,13 +402,13 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
                              witness=None if ok else {"twist": form.twist,
                                                       "expected": expected}))
     else:
-        checks, ledger = [], twist_ledger(fam.schedule)
+        ledger = twist_ledger(fam.schedule)
         for kind, params, _ in selection_layouts(len(hidden.retained) - 1):
             which = (kind,) + params
             label = _label(which)
             K = build_selected(hidden, which)
-            checks.append(_check_hypothesis(f"hypothesis {label}",
-                                            pairs + _hypothesis_pairs(K, label), fam, "exact"))
+            checks.append(_check_hypothesis(f"hypothesis {label}", _hypothesis_pairs(K, label),
+                                            fam, "exact"))
             tau = params[0] if kind == "K_tau_rho" else None
             entry = ledger.lookup(eta, kind, tau, selection)
             # extract_forms takes the twist from the ledger and raises when

@@ -310,13 +310,13 @@ def _run_units(units: List[dict], check, describe, **extra) -> Tuple[str, dict, 
 
 
 def _glue_units(fam) -> List[dict]:
+    """One unit per layout, at charts (0, 1): the gluing hypothesis does not
+    depend on the charts, so another pair would repeat the same check."""
     shape = fam.shape
-    sel = tuple(range(1, shape.n + 1))
-    if fam.mode == "mcm":
-        return [{"which": which, "selection": sel, "j1": j1, "j2": j2}
-                for which in (("K_nu", 0), ("K_nu", shape.N), ("K_tau_rho", 0, 1))
-                for j1, j2 in ((0, 1), (1, shape.N))]
-    return [{"which": None, "selection": sel, "j1": 0, "j2": j2} for j2 in (1, shape.N)]
+    whichs = ((("K_nu", 0), ("K_nu", shape.N), ("K_tau_rho", 0, 1)) if fam.mode == "mcm"
+              else (None,))
+    return [{"which": which, "selection": tuple(range(1, shape.n + 1)), "j1": 0, "j2": 1}
+            for which in whichs]
 
 
 def _stage_gluing(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:

@@ -632,10 +632,11 @@ def extract_forms(
     named by a selection (indices in 1..c). Columns: all but position
     `omit`; each remaining column is divided by z_coord^(e-1) for its
     declared exponent e (e = lambda template; e = 1 for the undivided kind
-    "psi"). The form is (-1)^omit * det of the divided matrix,
-    bihomogeneous of dz-degree n - eta. The twist is sum of the row
-    L-degrees minus sum over all columns of (e - 1), cross-checked against
-    the ledger entry for mcm selections.
+    "psi"); a selected bundle's layout names its kind and refuses another.
+    The form is (-1)^omit * det of the divided matrix, bihomogeneous of
+    dz-degree n - eta. The twist is sum of the row L-degrees minus sum over
+    all columns of (e - 1), cross-checked against the ledger entry for mcm
+    selections.
 
     The rows are divided once for all selections, into one DividedMatrix
     that the forms share and evaluate at points; no determinant is
@@ -663,6 +664,8 @@ def extract_forms(
             raise ValueError(f"kind {kind!r} invalid for explicit-exponent bundles")
         divisor_exps = K.divisor_exponents if kind == "omega" else (1,) * ncols
     elif K.layout == "selected":
+        if kind is not None:
+            raise ValueError(f"kind {kind!r} invalid for a selected bundle, whose layout names it")
         kind = "phi_nu" if K.selected_kind == "K_nu" else "psi_tau_rho"
         divisor_exps = K.divisor_exponents
     else:
@@ -822,26 +825,26 @@ def save_family(fam: SectionFamily, path: str) -> None:
 
 
 def load_family(path: str) -> SectionFamily:
+    """The family save_family wrote to path. A wrong schema version, a
+    missing entry and a malformed one raise ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if data.get("schema_version") != FAMILY_SCHEMA_VERSION:
-        raise ValueError(f"unsupported family schema version: {data.get('schema_version')}")
-    shape = ProblemShape(**data["shape"])
-    field = Field(data["field_p"])
-    kwargs = dict(
-        shape=shape,
-        mode=data["mode"],
-        field=field,
-        twists=data["twists"],
-        explicit=data["coefficients"],
-        seed=data.get("seed"),
-    )
-    if data["mode"] == "general_fermat":
-        kwargs.update(lambdas=data["lambdas"], degrees=data["degrees"])
-    else:
-        sched = schedule_from_dict(data["schedule"])
-        if sched != build_schedule(sched.shape, sched.heart, sched.eps, sched.slack):
-            raise ValueError("family schedule does not match its recomputation "
-                             "from shape, heart, eps and slack")
-        kwargs.update(schedule=sched)
+    try:
+        if data.get("schema_version") != FAMILY_SCHEMA_VERSION:
+            raise ValueError(f"unsupported family schema version: {data.get('schema_version')}")
+        kwargs = dict(shape=ProblemShape(**data["shape"]), mode=data["mode"],
+                      field=Field(data["field_p"]), twists=list(data["twists"]),
+                      explicit=dict(data["coefficients"]), seed=data.get("seed"))
+        if data["mode"] == "general_fermat":
+            kwargs.update(lambdas=data["lambdas"], degrees=data["degrees"])
+        else:
+            sched = schedule_from_dict(data["schedule"])
+            if sched != build_schedule(sched.shape, sched.heart, sched.eps, sched.slack):
+                raise ValueError("family schedule does not match its recomputation "
+                                 "from shape, heart, eps and slack")
+            kwargs.update(schedule=sched)
+    except KeyError as exc:
+        raise ValueError(f"family file has no {exc} entry") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed family file: {exc}") from exc
     return build_sections(**kwargs)

@@ -8,6 +8,8 @@ integer comparisons; the stated wall-clock budgets are asserted too.
 import hashlib
 import time
 
+from legacy_reports import legacy_pipeline
+
 from mcmforms.exact_algebra import QQ, Field
 from mcmforms.finite_geometry import (
     base_locus_scan,
@@ -47,8 +49,10 @@ from mcmforms.util import child_rng
 F3 = Field(3)
 F5 = Field(5)
 
-# sha256 of the canonical report of the default config, modulo timings
-DEFAULT_REPORT_SHA256 = "17a16fe9ee77e45dd87698659eb02d3efb4370d1e8a6b88d3462207f58c42acd"
+# sha256 of the canonical report of the default config, modulo timings, and
+# of that report mapped back to its chart copies (legacy_reports)
+DEFAULT_REPORT_SHA256 = "922b01e7d05e8a3a5b37728b9656650d724e8e5dc04121a16976b6ead0b68085"
+LEGACY_REPORT_SHA256 = "17a16fe9ee77e45dd87698659eb02d3efb4370d1e8a6b88d3462207f58c42acd"
 
 
 def _line(num: int, name: str, ok: bool, note: str = "") -> None:
@@ -285,8 +289,10 @@ def test_acceptance_10_pipeline_determinism():
     j1 = report_to_json(strip_timings(r1))
     j2 = report_to_json(strip_timings(r2))
     elapsed = time.perf_counter() - t0
+    legacy = report_to_json(legacy_pipeline(strip_timings(r1)))
     ok = (r1["ok"] and r2["ok"] and j1 == j2
-          and hashlib.sha256(j1.encode()).hexdigest() == DEFAULT_REPORT_SHA256)
+          and hashlib.sha256(j1.encode()).hexdigest() == DEFAULT_REPORT_SHA256
+          and hashlib.sha256(legacy.encode()).hexdigest() == LEGACY_REPORT_SHA256)
     _line(10, "two default pipeline runs identical modulo timings", ok,
           f"{len(j1)} bytes, {elapsed:.1f}s")
     assert ok

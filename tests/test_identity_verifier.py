@@ -370,34 +370,34 @@ def test_sampling_catches_a_broken_transition_and_keeps_its_points(monkeypatch):
     monkeypatch.setattr(identity_verifier, "extract_forms", broken)
     exact = verify_transition(fam, (1,), omit=2, l1=0, l2=1, mode="exact")
     assert not exact["ok"]
-    # expanding the broken G and substituting into it fails the same checks
+    # expanding the broken G and substituting into it fails every scaling
+    # and the transition: the one transition check fails with them
     form = broken(build_matrices(fam), [(1,)], omit=2)[0]
-    assert [(c["id"], c["verdict"]) for c in exact["checks"][:3]] == \
-        reference_transition(form, 0, 1) == [
-            ("scaling chart 0", "fail"), ("scaling chart 1", "fail"), ("transition", "fail")]
-    # each witness names the entry (bundle row c + r + j - 1 = 1, column 0)
+    assert reference_transition(form, 0, 1) == [
+        ("scaling chart 0", "fail"), ("scaling chart 1", "fail"), ("transition", "fail")]
+    # the witness names the entry (bundle row c + r + j - 1 = 1, column 0)
     # and D(z; z) - deg(F_1) * V, which is h(z; z) = z0 z1
-    assert [c["witness"] for c in exact["checks"][:3]] == [
-        {"bundle": "full", "row": 1, "col": 0, "lhs_minus_rhs": "1 * z0^1 z1^1"}] * 3
-    # sampling compares the same pairs and fails the same checks; the
+    entry = {"bundle": "full", "row": 1, "col": 0, "lhs_minus_rhs": "1 * z0^1 z1^1"}
+    assert [(c["id"], c["verdict"], c["witness"]) for c in exact["checks"]] == [
+        ("transition", "fail", entry), ("transition exponent", "pass", None)]
+    # sampling compares the same pairs and fails the same check; the
     # witness keeps the point, the entry and its two sides there
     sampled = verify_transition(fam, (1,), omit=2, l1=0, l2=1, mode="probabilistic")
     assert not sampled["ok"]
     witness = {"trial": 0, "z": [22, 14, 40], "dz": [17, 19, 9],
                "bundle": "full", "row": 1, "col": 0, "lhs": 43, "rhs": 38}
-    assert [(c["id"], c["verdict"], c["mode"], c["trials"]) for c in sampled["checks"]] == [
-        ("scaling chart 0", "fail", "probabilistic", 20),
-        ("scaling chart 1", "fail", "probabilistic", 20),
-        ("transition", "fail", "probabilistic", 20), ("transition exponent", "pass", "exact", 0)]
-    assert [c["witness"] for c in sampled["checks"][:3]] == [witness] * 3
+    assert [(c["id"], c["verdict"], c["mode"], c["trials"], c["witness"])
+            for c in sampled["checks"]] == [
+        ("transition", "fail", "probabilistic", 20, witness),
+        ("transition exponent", "pass", "exact", 0, None)]
     assert (43 - 38 - 22 * 14) % 101 == 0  # h(z; z) = z0 z1 at z
-    # on one chart the transition pair holds trivially and scaling fails
-    same = verify_transition(fam, (1,), omit=2, l1=1, l2=1, mode="probabilistic")
-    assert [(c["id"], c["verdict"], c["witness"]) for c in same["checks"][:2]] == [
-        ("scaling chart 1", "fail", witness), ("transition", "pass", None)]
-    exact_same = verify_transition(fam, (1,), omit=2, l1=1, l2=1, mode="exact")
-    assert [(c["id"], c["verdict"]) for c in exact_same["checks"][:2]] == [
-        ("scaling chart 1", "fail"), ("transition", "pass")]
+    # on one chart the broken entry fails the same check with the same
+    # witness: nothing passes that was not tested
+    assert verify_transition(fam, (1,), omit=2, l1=1, l2=1, mode="probabilistic") == \
+        dict(sampled, charts=(1, 1))
+    assert verify_transition(fam, (1,), omit=2, l1=1, l2=1, mode="exact") == \
+        dict(exact, charts=(1, 1))
+    assert reference_transition(form, 1, 1)[0] == ("scaling chart 1", "fail")
 
 
 def fractional_fermat_family():
@@ -451,8 +451,11 @@ def test_exact_transition_matches_expand_then_substitute(fam):
         rep = verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
                                 mode="exact", which=u["which"], kind=u["kind"])
         form = unit_form(fam, u)
-        got = [(c["id"], c["verdict"]) for c in rep["checks"][:-1]]
-        assert got == reference_transition(form, u["l1"], u["l2"]), u
+        assert [c["id"] for c in rep["checks"]] == ["transition", "transition exponent"]
+        # every scaling and the transition of the reference carry the one
+        # transition verdict
+        verdict = rep["checks"][0]["verdict"]
+        assert all(v == verdict for _, v in reference_transition(form, u["l1"], u["l2"])), u
         assert rep["ok"] and all(c["mode"] == "exact" for c in rep["checks"])
 
 
@@ -729,10 +732,9 @@ def in_both_modes(cases):
 
 @pytest.mark.parametrize("fam, mode", in_both_modes(transition_families()))
 def test_euler_certificate_kills_a_term_that_survives_dz_equals_z(monkeypatch, fam, mode):
-    # h = z_k^deg dz_k, with h(z; z) = z_k^(deg + 1) != 0: every scaling
-    # check fails, naming the entry and h(z; z) (exact) or the point where
-    # the entry's two sides differ by h(z; z) (sampled); so does the
-    # transition, unless both charts are one
+    # h = z_k^deg dz_k, with h(z; z) = z_k^(deg + 1) != 0: the transition
+    # check fails, on one chart too, naming the entry and h(z; z) (exact)
+    # or the point where the entry's two sides differ by h(z; z) (sampled)
     N = fam.shape.N
     m = fam.field.p or identity_verifier.IDENTITY_PRIME
     for index, u in enumerate(transition_units(fam)):
@@ -744,8 +746,8 @@ def test_euler_certificate_kills_a_term_that_survives_dz_equals_z(monkeypatch, f
 
         rep, _, row, col, h = mutated_transition(monkeypatch, fam, u, h_of, mode)
         assert not rep["ok"]
-        scalings = [c for c in rep["checks"] if c["id"].startswith("scaling chart")]
-        witness, which = scalings[0]["witness"], u["which"]
+        transition, exponent = rep["checks"]
+        witness, which = transition["witness"], u["which"]
         bundle = "full" if which is None else f"{which[0]}({','.join(map(str, which[1:]))})"
         entry = {"bundle": bundle, "row": row, "col": col}
         if mode == "exact":
@@ -755,14 +757,9 @@ def test_euler_certificate_kills_a_term_that_survives_dz_equals_z(monkeypatch, f
             assert {key: witness[key] for key in entry} == entry
             assert (witness["lhs"] - witness["rhs"]
                     - pow(witness["z"][k], h.z_degree() + 1, m)) % m == 0
-        checks = {c["id"]: c for c in rep["checks"]}
-        assert len(scalings) == len({u["l1"], u["l2"]})
-        assert all(c["verdict"] == "fail" and c["witness"] == witness and c["mode"] == mode
-                   for c in scalings)
-        same = u["l1"] == u["l2"]
-        assert checks["transition"]["verdict"] == ("pass" if same else "fail")
-        assert checks["transition"]["witness"] == (None if same else witness)
-        assert checks["transition exponent"]["verdict"] == "pass"
+        assert (transition["id"], transition["verdict"], transition["mode"]) \
+            == ("transition", "fail", mode)
+        assert (exponent["id"], exponent["verdict"]) == ("transition exponent", "pass")
 
 
 @pytest.mark.parametrize("fam, mode", in_both_modes(transition_families()))
@@ -793,18 +790,16 @@ def test_euler_certificate_fails_an_entry_not_linear_in_dz(monkeypatch, term, mo
         monkeypatch, fam, u, lambda D: from_literal(term, 2, D.field), mode)
     entry = form.matrix.rows[form.matrix_rows[-1]][0]
     assert [(c["id"], c["verdict"], c["mode"]) for c in rep["checks"]] == [
-        ("scaling chart 0", "fail", mode), ("scaling chart 1", "fail", mode),
         ("transition", "fail", mode), ("transition exponent", "pass", "exact")]
-    assert all(c["witness"] == {"row": row, "col": col,
-                                "entry_not_linear_in_dz": to_literal(entry)}
-               for c in rep["checks"][:3])
+    assert rep["checks"][0]["witness"] == {"row": row, "col": col,
+                                           "entry_not_linear_in_dz": to_literal(entry)}
 
 
 @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
 @pytest.mark.parametrize("l1, l2", [(0, 9), (-1, 1), (4, 4)])
 def test_transition_refuses_a_chart_out_of_range(monkeypatch, mode, l1, l2):
     # charts run over 0..N: anything else is refused before a form is
-    # extracted, never reported as a scaling check
+    # extracted, never reported as a check
     shape = ProblemShape(3, 2, 0)
     fam = build_sections(shape, "mcm", field=Field(5),
                          schedule=build_schedule(shape, 2), seed=3)
@@ -1011,6 +1006,45 @@ def test_hidden_mcm_certificates_and_ledger_twist():
     assert len(certs) == 10 and len(twists) == 10
     assert all(c["verdict"] == "pass" for c in rep["checks"])
     assert "hypothesis K_tau_rho(2,3)" in [c["id"] for c in certs]
+
+
+def record_hypotheses(monkeypatch):
+    """Record (check id, bundles of the pairs) of every _check_hypothesis call."""
+    real, calls = identity_verifier._check_hypothesis, []
+
+    def record(check_id, pairs, *args, **kwargs):
+        calls.append((check_id, {pair[0] for pair in pairs}))
+        return real(check_id, pairs, *args, **kwargs)
+
+    monkeypatch.setattr(identity_verifier, "_check_hypothesis", record)
+    return calls
+
+
+def test_hidden_compares_the_restricted_bundle_once(monkeypatch):
+    # the restricted pairs go to one check; each layout check compares the
+    # layout's own pairs only
+    shape = ProblemShape(4, 2, 0)
+    fam = build_sections(shape, "mcm", field=Field(5), schedule=build_schedule(shape, 2), seed=4)
+    calls = record_hypotheses(monkeypatch)
+    rep = verify_hidden(fam, (0,), (1,))
+    assert rep["ok"]
+    assert [bundles for _, bundles in calls if "hidden(0)" in bundles] == [{"hidden(0)"}]
+    assert calls[0] == ("hypothesis", {"hidden(0)"})
+    assert [check_id for check_id, _ in calls[1:]] == [
+        f"hypothesis {bundle}" for _, (bundle,) in calls[1:]]
+    assert len(calls) == 1 + 10
+
+
+def test_default_pipeline_checks_each_hypothesis_once(monkeypatch):
+    # one gluing check per layout and one per transition unit: 3 + 2
+    from mcmforms.pipeline import default_config_text, parse_config, run_pipeline
+
+    calls = record_hypotheses(monkeypatch)
+    assert run_pipeline(parse_config(default_config_text()))["ok"]
+    assert [check_id for check_id, _ in calls] == ["hypothesis"] * 3 + ["transition"] * 2
+    assert [bundles for _, bundles in calls] == [
+        {"full", "K_nu(0)"}, {"full", "K_nu(4)"}, {"full", "K_tau_rho(0,1)"},
+        {"K_nu(0)"}, {"K_tau_rho(0,1)"}]
 
 
 def test_hidden_reads_twists_without_unpacking_a_form(monkeypatch):

@@ -6,14 +6,20 @@ steps produce on fixed families: the restriction to a vanishing locus
 (build_selected), the declared divisors (column_divisors) and the divided
 forms (extract_forms, through verify_transition and standard_forms). A
 change to how those steps are composed must leave every digest as it is.
+
+The transition and mcm hidden reports lost their chart copies and their
+repeated restricted pairs; each is pinned as it is now and, mapped back to
+that form (legacy_reports), to the digest it had then.
 """
 
 import hashlib
 import json
 
+from legacy_reports import legacy_hidden, legacy_transition
+
 from mcmforms.exact_algebra import Field, QQ, to_literal
-from mcmforms.identity_verifier import verify_hidden, verify_transition
-from mcmforms.pipeline import _transition_units
+from mcmforms.identity_verifier import verify_gluing, verify_hidden, verify_transition
+from mcmforms.pipeline import _glue_units, _transition_units
 from mcmforms.schedule import ProblemShape, build_schedule
 from mcmforms.section_builder import (
     build_matrices,
@@ -60,7 +66,9 @@ def fermat_n3():
 
 def test_hidden_reports_are_pinned():
     payload = [verify_hidden(mcm_n2(), (v,), sel) for v in range(5) for sel in ((1,), (2,))]
-    assert digest(payload) == "417533624556f7142ae1fb11210481d524e867c9d1ad3b5dda02f7d39cc87d95"
+    assert digest(payload) == "3b51e1ca4a441bbdd6d20bc4ada8ceefe3283255117f77617635df4e930c7792"
+    assert digest([legacy_hidden(rep) for rep in payload]) \
+        == "417533624556f7142ae1fb11210481d524e867c9d1ad3b5dda02f7d39cc87d95"
     fam, deep = fermat_n2(), fermat_n3()
     payload = [verify_hidden(fam, (v,), sel) for v in range(5) for sel in ((1,), (2,))]
     payload += [verify_hidden(deep, vanished, sel)
@@ -81,7 +89,9 @@ def test_transition_reports_are_pinned():
     fam = flagship()
     payload += [verify_transition(fam, (1,), 4, 0, 4, which=(kind,) + params)
                 for kind, params, _ in selection_layouts(4)]
-    assert digest(payload) == "6df2bb7404fa527ef3a0b58d240172e9a2a503d86c4c2fb9010e3692d0d486cf"
+    assert digest(payload) == "48fdf1043af097068a6347e53be4ec183307327bcbc02123e1bf43cc85bbf7c6"
+    assert digest([legacy_transition(rep) for rep in payload]) \
+        == "6df2bb7404fa527ef3a0b58d240172e9a2a503d86c4c2fb9010e3692d0d486cf"
 
 
 def test_column_divisors_are_pinned():
@@ -111,3 +121,23 @@ def test_standard_form_inventory_is_pinned():
                 matrix_rows=form.matrix_rows, sign=form.sign,
                 rows=digest([[to_literal(e) for e in row] for row in form.matrix.rows])))
     assert digest(payload) == "828ab00dd0c83b768a92a3e53a7eccabe21b72fa61cb4477be50f031806788ab"
+
+
+def test_each_report_checks_each_identity_once():
+    # no check id repeats within a gluing, transition or hidden report of
+    # the pinned families
+    reports = []
+    for fam in (flagship(), mcm_n2(), fermat_n2(), fermat_n3()):
+        reports += [verify_gluing(fam, u["selection"], u["j1"], u["j2"], which=u["which"])
+                    for u in _glue_units(fam)]
+        reports += [verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
+                                      mode=mode, which=u["which"], kind=u["kind"])
+                    for u in _transition_units(fam) for mode in ("exact", "probabilistic")]
+    reports += [verify_hidden(mcm_n2(), (v,), (1,)) for v in range(5)]
+    reports += [verify_hidden(fermat_n3(), (0, 3), sel) for sel in ((1,), (2,))]
+    assert len(reports) == 3 + 3 + 1 + 1 + 4 * 4 + 5 + 2
+    for rep in reports:
+        ids = [c["id"] for c in rep["checks"]]
+        assert len(ids) == len(set(ids)), ids
+        if rep["op"] == "transition":
+            assert ids == ["transition", "transition exponent"]

@@ -8,6 +8,7 @@ import signal
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from legacy_reports import legacy_pipeline
 
 from mcmforms.cli import main
 from mcmforms.pipeline import (
@@ -166,15 +167,19 @@ def test_pipeline_determinism_modulo_timings():
     assert report_to_json(strip_timings(r1)) == report_to_json(strip_timings(r2))
 
 
-@pytest.mark.parametrize("cfg, digest", [
+@pytest.mark.parametrize("cfg, digest, legacy", [
     (RunConfig(shape=ProblemShape(3, 2, 0), mode="general_fermat", field_spec="11", seed=5),
+     "e91ca97def52508540c70018f4656543ebf69dbc51f2c36e36304f2f05ac8073",
      "a7a055499ae3b7c20edf20b823df4b2b68fb129a7c12181c3f7c8f91cbcc5dfd"),
     (RunConfig(shape=ProblemShape(3, 1, 1), mode="mcm", field_spec="5", seed=3),
+     "a9eaa298ae6b43295c539c4fc4809b91923c600ea7a50aa90223c320624fdaf4",
      "bcad8a441a3724f10212f712748f0410a9d29050fd14f7d0ef2fb664a9dfec1e"),
 ], ids=["general_fermat-320-F11-seed5", "mcm-311-F5-seed3"])
-def test_canonical_report_is_pinned(cfg, digest):
-    text = report_to_json(strip_timings(run_pipeline(cfg)))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+def test_canonical_report_is_pinned(cfg, digest, legacy):
+    # legacy: the same report with its chart copies put back (legacy_reports)
+    report = strip_timings(run_pipeline(cfg))
+    for rep, pin in ((report, digest), (legacy_pipeline(report), legacy)):
+        assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == pin
 
 
 def test_n2_transition_stage_runs_exact():
@@ -195,8 +200,8 @@ def test_general_fermat_n4_gluing_stage_runs_exact(field_spec):
                     lambdas=(2, 1, 2, 1, 2), degrees=(3, 3, 4), stages=("gluing",))
     stage = run_pipeline(cfg)["stages"]["gluing"]
     assert stage["status"] == "PASS" and stage["report"]["mode"] == "exact"
-    units = stage["report"]["units"]
-    assert len(units) == 2 and all(u["ok"] and u["verdicts"] == ["pass"] for u in units)
+    (unit,) = stage["report"]["units"]
+    assert unit["ok"] and unit["verdicts"] == ["pass"]
 
 
 def test_budget_change_keeps_executed_units_identical():
@@ -311,7 +316,8 @@ def test_gluing_and_transition_units_select_n_differential_rows(mode, shape, sel
     exponents = {} if mode == "mcm" else {"lambdas": (2,) * (shape[0] + 1), "degrees": (3, 3)}
     fam = build_family(RunConfig(shape=ProblemShape(*shape), mode=mode, **exponents), 1)
     units = _glue_units(fam) + _transition_units(fam)
-    assert len(units) == (8 if mode == "mcm" else 4)
+    # one gluing unit per layout (3 mcm, 1 general Fermat) and 2 transitions
+    assert len(units) == (5 if mode == "mcm" else 3)
     assert all(u["selection"] == selection for u in units)
 
 
@@ -425,7 +431,7 @@ def test_replay_gluing_witness_reruns_exact_unit(monkeypatch):
 
     monkeypatch.setattr(pl, "verify_gluing", broken)
     witness = run_pipeline(small_config())["stages"]["gluing"]["witness"]
-    assert witness["unit"] == {"unit": 2, "which": ["K_nu", 3], "j1": 0, "j2": 1,
+    assert witness["unit"] == {"unit": 1, "which": ["K_nu", 3], "j1": 0, "j2": 1,
                                "ok": False, "verdicts": ["fail"]}
     run_calls = list(calls)
     calls.clear()
@@ -866,6 +872,25 @@ def test_cli_run_refuses_a_shape_without_N_or_c(tmp_path, capsys, shape, missing
     assert f"error: config shape needs {missing}\n" == capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["shape", "mode", "field_p", "twists", "coefficients",
+                                 "schedule", "r"])
+def test_cli_verify_refuses_a_family_file_missing_an_entry(tmp_path, capsys, key):
+    # a malformed family file is a refusal (exit 2), never a FAIL (exit 1)
+    fam_path = tmp_path / "family.json"
+    assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
+                 "--seed", "3", "--out", str(fam_path)]) == 0
+    capsys.readouterr()
+    data = json.loads(fam_path.read_text())
+    if key == "r":
+        del data["shape"]["r"]
+    else:
+        del data[key]
+    fam_path.write_text(json.dumps(data))
+    assert main(["verify", "gluing", "--family", str(fam_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{key}'" in err
+
+
 def test_cli_verify_hidden_refuses_depth_zero(tmp_path, capsys):
     fam_path = tmp_path / "family.json"
     assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
@@ -896,8 +921,7 @@ def test_cli_verify_reports_only_exact_checks(tmp_path, capsys):
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert {(c["mode"], c["trials"], c["verdict"]) for c in checks} == {("exact", 0, "pass")}
         ids[what] = {c["id"] for c in checks}
-    assert ids["transition"] == {"scaling chart 0", "scaling chart 1", "scaling chart 3",
-                                 "transition", "transition exponent"}
+    assert ids == {"gluing": {"hypothesis"}, "transition": {"transition", "transition exponent"}}
     # no flag asks for sampling
     with pytest.raises(SystemExit) as err:
         main(["verify", "transition", "--family", str(fam_path), "--mode", "probabilistic"])

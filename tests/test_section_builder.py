@@ -571,6 +571,15 @@ def test_a_corrupted_divided_entry_trips_the_structural_degree_check(monkeypatch
     assert info.value.entry == (row, 2)
 
 
+def test_extract_forms_refuses_a_kind_on_a_selected_bundle():
+    # the layout names a selected bundle's kind: no other is read
+    S = build_selected(build_matrices(mcm_family()), ("K_nu", 0))
+    assert extract_forms(S, [(1,)], omit=0)[0].kind == "phi_nu"
+    for kind in ("bogus", "psi"):
+        with pytest.raises(ValueError, match=f"kind '{kind}' invalid for a selected bundle"):
+            extract_forms(S, [(1,)], omit=0, kind=kind)
+
+
 # ----- serialization -----
 
 
@@ -609,6 +618,33 @@ def test_load_family_rejects_tampered_twists(tmp_path, mode):
     # every coefficient degree follows from the twists
     with pytest.raises(ValueError, match="degree bookkeeping mismatch at A:1:0"):
         load_family(str(path))
+
+
+@pytest.mark.parametrize("mode", ["mcm", "general_fermat"])
+def test_load_family_names_a_missing_entry(tmp_path, mode):
+    # every entry save_family writes but the seed is needed: removing one is
+    # a ValueError naming it, never a KeyError or TypeError
+    fam = pinned_family(mode)
+    path = tmp_path / "family.json"
+    save_family(fam, str(path))
+    saved = json.loads(path.read_text())
+    for key in saved:
+        data = {k: v for k, v in saved.items() if k != key}
+        path.write_text(json.dumps(data))
+        if key == "seed":
+            assert load_family(str(path)).sections == fam.sections
+            continue
+        message = "schema version: None" if key == "schema_version" else f"no '{key}' entry"
+        with pytest.raises(ValueError, match=message):
+            load_family(str(path))
+    for broken, message in ((dict(saved, shape={"N": 3, "c": 1}), "malformed family file: .*'r'"),
+                            (dict(saved, shape=None), "malformed family file"),
+                            (dict(saved, twists=None), "malformed family file"),
+                            (dict(saved, coefficients=None), "malformed family file"),
+                            ([saved], "malformed family file")):
+        path.write_text(json.dumps(broken))
+        with pytest.raises(ValueError, match=message):
+            load_family(str(path))
 
 
 def test_family_save_load_round_trip(tmp_path):
