@@ -89,15 +89,9 @@ def _cmd_schedule(args) -> dict:
     sched = build_schedule(shape, heart=args.heart, eps=_csv_ints(args.eps))
     validation = validate_schedule(sched)
     ledger = ledger_to_dict(twist_ledger(sched))
-    info = schedule_to_dict(sched)
     return {
         "op": "schedule",
-        "shape": info["shape"],
-        "delta": info["delta"],
-        "mu": info["mu"],
-        "d": info["d"],
-        "heart": info["heart"],
-        "eps": info["eps"],
+        **{k: v for k, v in schedule_to_dict(sched).items() if k != "slack"},
         "ledger": ledger,
         "bounds": effective_bound_report(sched),
         "validation": validation,
@@ -131,14 +125,17 @@ def _cmd_verify(args) -> dict:
         return verify_hidden(fam, _csv_ints(args.vanished) or (),
                              _csv_ints(args.selection) or ())
     if args.what == "transition":
+        units = _transition_units(fam)
         reps = [verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
-                                  which=u["which"], kind=u["kind"])
-                for u in _transition_units(fam)]
+                                  which=u["which"], kind=u["kind"]) for u in units]
     else:
+        units = _glue_units(fam)
         reps = [verify_gluing(fam, u["selection"], u["j1"], u["j2"], which=u["which"])
-                for u in _glue_units(fam)]
+                for u in units]
     return {"op": f"verify-{args.what}", "family": args.family,
-            "checks": [c for r in reps for c in r["checks"]], "ok": all(r["ok"] for r in reps)}
+            "checks": [dict(c, which=list(u["which"]) if u["which"] else None)
+                       for u, r in zip(units, reps) for c in r["checks"]],
+            "ok": all(r["ok"] for r in reps)}
 
 
 def _cmd_scan(args) -> dict:

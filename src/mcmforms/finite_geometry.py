@@ -12,9 +12,10 @@ F_q^b are coded by their index and summed through an add table, each
 K_nu / K_tau_rho layout drops its alpha_0 column (on a zero-sum matrix it
 is minus the sum of the other a, so the rank is theirs), and the a
 columns left are one lookup in an a-column rank table, folded from a span
-automaton and built once per shape (_rank_tables). Membership takes that
-path while (q^b)^(a+1) is at most CENSUS_TABLE_MAX and Gaussian
-elimination above it; membership_M_ab_alt stays the independent oracle.
+automaton and built once per shape (_rank_tables), keyed by one key plan
+per (a, kind) (_layout_keys). Membership takes that path while
+(q^b)^(a+1) is at most CENSUS_TABLE_MAX and Gaussian elimination above
+it; membership_M_ab_alt stays the independent oracle.
 The census counts members exhaustively or by sampling, and compares
 against the codimension bound q^(dim - (a+b-1) + 1). The exhaustive count
 is factored: with alpha_0 dropped, the K_nu layouts see the betas only
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 from math import ceil, exp, lgamma, log, log1p
-from operator import and_
+from operator import add, and_, sub
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,8 +59,8 @@ class RankConditionMatrix:
 
     def __post_init__(self):
         _require_prime(self.p)
-        width = len(self.rows[0])
-        if width % 2 or any(len(r) != width for r in self.rows):
+        width = len(self.rows[0]) if self.rows else 0
+        if not width or width % 2 or any(len(r) != width for r in self.rows):
             raise ValueError("need a b x 2(a+1) matrix")
         if not (2 <= self.a <= self.b):
             raise ValueError(f"need 2 <= a <= b, got a={self.a}, b={self.b}")
@@ -71,15 +72,6 @@ class RankConditionMatrix:
     @property
     def a(self) -> int:
         return len(self.rows[0]) // 2 - 1
-
-    def column(self, j: int) -> Tuple[int, ...]:
-        return tuple(row[j] % self.p for row in self.rows)
-
-    def alpha(self, j: int) -> Tuple[int, ...]:
-        return self.column(j)
-
-    def beta(self, j: int) -> Tuple[int, ...]:
-        return self.column(self.a + 1 + j)
 
 
 # ----- projective enumeration -----
@@ -217,10 +209,6 @@ def tangent_directions(z: Sequence[int], constraint_rows: Sequence[Sequence[int]
 # ----- rank-condition membership -----
 
 
-def _vec_add(*vecs: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(sum(col) for col in zip(*vecs))
-
-
 def membership_M_ab(M: RankConditionMatrix) -> bool:
     """The zero-column-sum and rank conditions, as displayed.
 
@@ -233,39 +221,39 @@ def membership_M_ab(M: RankConditionMatrix) -> bool:
     While the shape fits (_table_fits), the columns are coded by their
     index as in the census and summed through its add table; once the zero
     sum holds, each layout's combined columns, less the one that holds
-    alpha_0, are one lookup in the same a-column rank table (_rank_tables,
-    _layout_keys). Larger shapes are reduced by Gaussian elimination
-    (_membership_by_elimination).
+    alpha_0, are one lookup in the same a-column rank table (_rank_tables),
+    keyed by the census's key plan (_layout_keys), and the first layout
+    that fails ends the test. Larger shapes are reduced by Gaussian
+    elimination (_membership_by_elimination).
     """
     a, b, p = M.a, M.b, M.p
     if not _table_fits(a, b, p):
         return _membership_by_elimination(M)
     tables = _rank_tables(a, b, p)
-    add, low = tables.add_rows, tables.low
-    codes = [0] * (2 * a + 2)
-    for row in M.rows:
-        codes = [c * p + x % p for c, x in zip(codes, row)]
+    add_rows, low, code_of = tables.add_rows, tables.low, tables.code_of
+    codes = [code_of[col] if col in code_of else code_of[tuple(x % p for x in col)]
+             for col in zip(*M.rows)]
     total = codes[0]
     for c in codes[1:]:
-        total = add[total][c]
+        total = add_rows[total][c]
     if total:
         return False
-    return all(low[key] for key in _layout_keys(codes[:a + 1], codes[a + 1:],
-                                                  lambda x, y: add[x][y], p ** b, 0))
+    return all(map(low.__getitem__, _layout_keys(codes[:a + 1], codes[a + 1:],
+                                                 lambda x, y: add_rows[x][y], p ** b, 0)))
 
 
 def _membership_by_elimination(M: RankConditionMatrix) -> bool:
-    """membership_M_ab for any shape: the columns as vectors mod p, each
-    layout's rank by rank_mod_p."""
+    """membership_M_ab for any shape: the columns as vectors (reduced mod p
+    by rank_mod_p), each layout's rank by rank_mod_p."""
     a, p = M.a, M.p
-    alphas = [M.alpha(j) for j in range(a + 1)]
-    betas = [M.beta(j) for j in range(a + 1)]
-    total = _vec_add(*alphas, *betas)
-    if any(v % p for v in total):
+    if any(sum(row) % p for row in M.rows):
         return False
+    cols = list(zip(*M.rows))
+    alphas, betas = cols[:a + 1], cols[a + 1:]
     memo: dict = {}
     return all(
-        rank_mod_p(_combine_columns(layout, alphas, betas, _vec_add, memo), p) <= a - 1
+        rank_mod_p(_combine_columns(layout, alphas, betas, lambda x, y: tuple(map(add, x, y)),
+                                    memo), p) <= a - 1
         for _, _, layout in selection_layouts(a)
     )
 
@@ -275,32 +263,31 @@ def membership_M_ab_alt(M: RankConditionMatrix) -> bool:
 
     The zero-sum condition lets alpha_0 be dropped from the rank sets; the
     beta blocks enter only through consecutive differences S_i - S_{i+1}.
-    Must agree with membership_M_ab everywhere.
+    Must agree with membership_M_ab everywhere: as the independent side of
+    the dual check it reads M.rows itself, takes one rank_mod_p per layout,
+    and may use no rank table, column code, key plan, layout or combination
+    helper of the primary path.
     """
     a, b, p = M.a, M.b, M.p
-    alphas = [M.alpha(j) for j in range(a + 1)]
-    betas = [M.beta(j) for j in range(a + 1)]
-    total = _vec_add(*alphas, *betas)
-    if any(v % p for v in total):
+    if any(sum(row) % p for row in M.rows):
         return False
-    S = [None] * (a + 2)
-    S[a + 1] = (0,) * b
-    for i in range(a, -1, -1):
-        S[i] = _vec_add(S[i + 1], betas[i])
+    cols = list(zip(*M.rows))
+    alphas = cols[:a + 1]
+    S = [(0,) * b]
+    for beta in reversed(cols[a + 1:]):
+        S.append(tuple(map(add, beta, S[-1])))
+    S.reverse()
     for nu in range(a + 1):
-        cols = [alphas[j] for j in range(1, a + 1) if j != nu]
-        cols.append(_vec_add(alphas[nu], S[0]))
-        if rank_mod_p(cols, p) > a - 1:
+        rank_cols = [alphas[j] for j in range(1, a + 1) if j != nu]
+        rank_cols.append(tuple(map(add, alphas[nu], S[0])))
+        if rank_mod_p(rank_cols, p) > a - 1:
             return False
     for tau in range(a):
+        paired = [tuple(map(sub, map(add, alphas[k], S[k]), S[k + 1])) for k in range(1, tau + 1)]
         for rho in range(tau + 1, a + 1):
-            cols = [
-                _vec_add(alphas[k], S[k], tuple(-x for x in S[k + 1]))
-                for k in range(1, tau + 1)
-            ]
-            cols += [alphas[j] for j in range(tau + 1, a + 1) if j != rho]
-            cols.append(_vec_add(alphas[rho], S[tau + 1]))
-            if rank_mod_p(cols, p) > a - 1:
+            rank_cols = paired + [alphas[j] for j in range(tau + 1, a + 1) if j != rho]
+            rank_cols.append(tuple(map(add, alphas[rho], S[tau + 1])))
+            if rank_mod_p(rank_cols, p) > a - 1:
                 return False
     return True
 
@@ -382,11 +369,13 @@ def _rank_table(add: np.ndarray, mul: np.ndarray, k: int) -> np.ndarray:
 class RankTables(NamedTuple):
     """The coded-column tables of one shape (a, b) over F_q, read-only.
 
-    add is _column_codes(b, q)[0]; add_rows is add as nested tuples and
-    low is `_rank_table(add, mul, a) <= a - 1` as one byte per key, so
-    that a single matrix is tested with no numpy call."""
+    add is _column_codes(b, q)[0]; code_of maps each column of F_q^b, as a
+    tuple of entries in 0..q-1, to its code; add_rows is add as nested
+    tuples and low is `_rank_table(add, mul, a) <= a - 1` as one byte per
+    key, so that a single matrix is tested with no numpy call."""
 
     add: np.ndarray
+    code_of: Dict[Tuple[int, ...], int]
     add_rows: Tuple[Tuple[int, ...], ...]
     low: bytes
 
@@ -397,28 +386,44 @@ def _rank_tables(a: int, b: int, q: int) -> RankTables:
     add, mul = _column_codes(b, q)
     low = (_rank_table(add, mul, a) <= a - 1).tobytes()
     add.setflags(write=False)
-    return RankTables(add, tuple(map(tuple, add.tolist())), low)
+    code_of = {col: code for code, col in enumerate(product(range(q), repeat=b))}
+    return RankTables(add, code_of, tuple(map(tuple, add.tolist())), low)
+
+
+@lru_cache(maxsize=None)
+def _key_plan(a: int, kind: Optional[str]) -> Tuple[list, list]:
+    """(subsets, layouts) of the layouts of `kind` (all when None) at top
+    level a: the beta subsets of size > 1 they add to an alpha, and per
+    layout the (alpha index, value or None) of each column but alpha_0's;
+    values 0..a are the betas, and a + 1 + i is the sum of subsets[i]."""
+    layouts = [[c for c in layout if c.a] for kind_, _, layout in selection_layouts(a)
+               if kind in (None, kind_)]
+    subsets = sorted({c.b for layout in layouts for c in layout if len(c.b) > 1})
+    value = {(j,): j for j in range(a + 1)}
+    value.update((subset, a + 1 + i) for i, subset in enumerate(subsets))
+    return subsets, [[(c.a, value.get(c.b)) for c in layout] for layout in layouts]
 
 
 def _layout_keys(alphas: Sequence, betas: Sequence, add, Q: int, key, kind: Optional[str] = None):
     """The rank-table key of the combined columns of every K_nu and
     K_tau_rho layout (only those of `kind` when given), in
     selection_layouts order, for the coded columns alpha_0..alpha_a |
-    beta_0..beta_a (code arrays or single codes, summed by add). Keys fold
-    from `key`, a zero wide enough for the table.
+    beta_0..beta_a (code arrays or single codes, summed by add), by the
+    key plan of (a, kind). Keys fold from `key`, a zero wide enough for the
+    table.
 
     Each layout drops its column that holds alpha_0. A layout's columns
     sum to the matrix's column sum, so on a zero-sum matrix the dropped
     column is minus the sum of the other a, and the rank is theirs. So
     alpha_0 is never read, the K_nu layouts read the betas only through
     their sum, and the K_tau_rho layouts never read beta_0."""
-    memo: dict = {}
-    for kind_, _, layout in selection_layouts(len(alphas) - 1):
-        if kind in (None, kind_):
-            k = key
-            for col in _combine_columns([c for c in layout if c.a], alphas, betas, add, memo):
-                k = k * Q + col
-            yield k
+    subsets, layouts = _key_plan(len(alphas) - 1, kind)
+    values = list(betas) + [reduce(add, [betas[j] for j in subset]) for subset in subsets]
+    for layout in layouts:
+        k = key
+        for i, v in layout:
+            k = k * Q + (alphas[i] if v is None else add(alphas[i], values[v]))
+        yield k
 
 
 def _rank_mask(alphas: Sequence, betas: Sequence, add, Q: int, low: np.ndarray,

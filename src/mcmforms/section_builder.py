@@ -75,6 +75,7 @@ from .schedule import (
     fermat_hidden_heart_prime,
     schedule_from_dict,
     schedule_to_dict,
+    TwistLedger,
     twist_ledger,
 )
 from .util import child_rng, chunks
@@ -542,10 +543,6 @@ def _column_tag(kind: str, col: LayoutColumn, retained: Sequence[int]) -> str:
     return f"A_{coord}+sumB" if kind == "K_nu" else f"A_{coord}+sumB_gt_tau"
 
 
-def _add_columns(x: List[MultiPoly], y: List[MultiPoly]) -> List[MultiPoly]:
-    return [u + v for u, v in zip(x, y)]
-
-
 def build_selected(K: FormalMatrixBundle, which: Tuple) -> FormalMatrixBundle:
     """Combine the A/B column groups of an mcm bundle as column_layout
     states for ("K_nu", nu) or ("K_tau_rho", tau, rho); positions refer to
@@ -559,7 +556,8 @@ def build_selected(K: FormalMatrixBundle, which: Tuple) -> FormalMatrixBundle:
     params = tuple(which[1:])
     layout = column_layout(kind, params, top)
     columns = [[row[j] for row in K.entries] for j in range(K.ncols)]
-    combined = _combine_columns(layout, columns[: top + 1], columns[top + 1:], _add_columns)
+    combined = _combine_columns(layout, columns[: top + 1], columns[top + 1:],
+                                lambda x, y: [u + v for u, v in zip(x, y)])
     return FormalMatrixBundle(
         layout="selected", family=fam, entries=[list(row) for row in zip(*combined)],
         column_tags=tuple(_column_tag(kind, col, K.retained) for col in layout),
@@ -688,9 +686,10 @@ def extract_forms(
 
     matrix = DividedMatrix(divided)
     sign = -1 if omit % 2 else 1
+    ledger = twist_ledger(fam.schedule) if K.layout == "selected" and selections else None
     forms = []
     for selection in selections:
-        twist = _twist_for(K, kind, selection, divisor_exps)
+        twist = _twist_for(K, kind, selection, ledger)
         _check_twist(fam, twist, selection, divisor_exps)
         if "z-degree" in faults:
             raise faults["z-degree"]
@@ -770,7 +769,7 @@ def _structural_faults(divided, row_bidegrees, col_shifts, row_ids, cols
     return faults
 
 
-def _twist_for(K: FormalMatrixBundle, kind: str, selection, divisor_exps) -> int:
+def _twist_for(K: FormalMatrixBundle, kind: str, selection, ledger: Optional[TwistLedger]) -> int:
     fam = K.family
     base_kind = kind.removeprefix("hidden_")
     if base_kind == "psi":
@@ -779,7 +778,6 @@ def _twist_for(K: FormalMatrixBundle, kind: str, selection, divisor_exps) -> int
         if K.vanished:
             return fermat_hidden_heart_prime(fam.degrees, fam.lambdas, selection, K.vanished)
         return fermat_heart_prime(fam.degrees, fam.lambdas, selection)
-    ledger = twist_ledger(fam.schedule)
     eta = K.eta()
     if base_kind == "phi_nu":
         return ledger.lookup(eta, "K_nu", None, selection).value

@@ -242,6 +242,8 @@ def test_membership_nontrivial_members():
 def test_membership_shape_guards():
     with pytest.raises(ValueError, match="b x 2"):
         RankConditionMatrix(((1, 0, 0), (0, 0, 0)), 2)
+    with pytest.raises(ValueError, match="b x 2"):
+        RankConditionMatrix((), 2)  # no rows
     with pytest.raises(ValueError, match="2 <= a <= b"):
         RankConditionMatrix(((0, 0, 0, 0),) * 4, 2)  # a = 1
     with pytest.raises(ValueError, match="2 <= a <= b"):
@@ -279,6 +281,64 @@ def test_table_elimination_and_alt_agree_on_every_2_2_2_matrix():
         assert table == finite_geometry._membership_by_elimination(M) == membership_M_ab_alt(M)
         members += table
     assert members == 148
+
+
+def test_membership_reads_entries_mod_p():
+    # entries outside 0..p-1 are coded by their residues on the table path
+    rng = random.Random("entries-mod-p")
+    for _ in range(300):
+        M = random_rank_matrix(2, 2, 3, rng, constrained=True)
+        shifted = RankConditionMatrix(
+            tuple(tuple(x + 3 * rng.randrange(-2, 3) for x in row) for row in M.rows), 3)
+        assert membership_M_ab(shifted) == membership_M_ab(M) == membership_M_ab_alt(shifted)
+
+
+def test_every_zero_sum_2_3_2_matrix_counts_the_census_members():
+    # each row's alpha_0 entry solved from its other five: all 2^15 zero-sum
+    # matrices, which hold every member, through the key plan at b = 3
+    primary = alt = 0
+    for free in product(range(2), repeat=15):
+        rows = tuple((sum(r) % 2,) + r for r in (free[:5], free[5:10], free[10:]))
+        M = RankConditionMatrix(rows, 2)
+        primary += membership_M_ab(M)
+        alt += membership_M_ab_alt(M)
+    assert primary == alt == rank_condition_census(2, 3, 2)["count"] == 596
+
+
+@pytest.mark.parametrize("a", [2, 3, 4])
+def test_layout_keys_follow_the_layouts_and_sum_only_their_kinds_subsets(a):
+    # columns as disjoint bit sets and add as union: each key spells out its
+    # layout's columns, and every sum the walk forms is recorded
+    Q = 1 << (2 * a + 2)
+    alphas = [1 << i for i in range(a + 1)]
+    betas = [1 << (a + 1 + j) for j in range(a + 1)]
+    layouts = {kind: [layout for kind_, _, layout in selection_layouts(a) if kind in (None, kind_)]
+               for kind in (None, "K_nu", "K_tau_rho")}
+
+    def beta_sum(js):
+        return sum(betas[j] for j in js)
+
+    for kind, kind_layouts in layouts.items():
+        formed = []
+
+        def add(x, y):
+            assert not x & y  # no column enters a sum twice
+            formed.append(x | y)
+            return x | y
+
+        expected = []
+        for layout in kind_layouts:
+            key = 0
+            for col in layout:
+                if col.a:
+                    key = key * Q + alphas[col.a] + beta_sum(col.b)
+            expected.append(key)
+        assert list(finite_geometry._layout_keys(alphas, betas, add, Q, 0, kind)) == expected
+        own = {beta_sum(col.b) for layout in kind_layouts for col in layout}
+        others = {beta_sum(col.b) for layout in layouts[None] for col in layout} - own
+        assert not others & set(formed)
+        beta_sums = [x for x in formed if not x & (betas[0] - 1)]  # no alpha bit
+        assert len(beta_sums) == len(set(beta_sums))  # each formed once
 
 
 def _count_calls(monkeypatch, name):
@@ -429,7 +489,8 @@ def test_rank_mask_matches_alt_membership(a, b, q):
     add = np.bitwise_xor if q == 2 else (lambda x, y: tables.add[x, y])
     low = np.frombuffer(tables.low, dtype=np.bool_)
     assert len(low) == q ** (a * b)  # one key per a-column tuple
-    cols = [np.array([_code_of(M.column(j), q) for M in mats], dtype=tables.add.dtype)
+    columns = [list(zip(*M.rows)) for M in mats]  # entries already reduced mod q
+    cols = [np.array([_code_of(c[j], q) for c in columns], dtype=tables.add.dtype)
             for j in range(2 * a + 2)]
     mask = _rank_mask(cols[:a + 1], cols[a + 1:], add, q ** b, low)
     expected = [membership_M_ab_alt(M) for M in mats]
@@ -441,8 +502,8 @@ def _layout_ranks(M, keep):
     """rank_mod_p of the combined columns of every layout of M, keeping the
     layout columns for which keep(col) holds."""
     q = M.p
-    alphas = [M.alpha(j) for j in range(M.a + 1)]
-    betas = [M.beta(j) for j in range(M.a + 1)]
+    cols = list(zip(*M.rows))
+    alphas, betas = cols[:M.a + 1], cols[M.a + 1:]
 
     def add(x, y):
         return tuple((u + v) % q for u, v in zip(x, y))

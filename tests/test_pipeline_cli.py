@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from legacy_reports import legacy_pipeline
 
+from mcmforms import cli
 from mcmforms.cli import main
 from mcmforms.pipeline import (
     RunConfig,
@@ -1015,3 +1016,29 @@ def test_cli_build_general_fermat_writes_the_run_defaults(tmp_path, capsys):
     assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--lambdas", "2,2,2,2",
                  "--degrees", "3,3", "--out", str(fam_path)]) == 2
     assert "an mcm config takes no lambdas or degrees" in capsys.readouterr().err
+
+
+def test_cli_verify_checks_name_their_layout(tmp_path, capsys, monkeypatch):
+    fam_path = tmp_path / "family.json"
+    assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
+                 "--seed", "3", "--out", str(fam_path)]) == 0
+    capsys.readouterr()
+    for what in ("gluing", "forms", "transition"):
+        assert main(["verify", what, "--family", str(fam_path)]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        pairs = [(c["id"], tuple(c["which"])) for c in checks]
+        assert len(set(pairs)) == len(pairs), what
+    # one unit's report forced to fail: the merged FAIL names its layout
+    real = cli.verify_gluing
+
+    def failing_on_k_tau_rho(fam, selection, j1, j2, which=None):
+        rep = real(fam, selection, j1, j2, which=which)
+        if which == ("K_tau_rho", 0, 1):
+            rep = dict(rep, ok=False, checks=[dict(c, verdict="fail") for c in rep["checks"]])
+        return rep
+
+    monkeypatch.setattr(cli, "verify_gluing", failing_on_k_tau_rho)
+    assert main(["verify", "gluing", "--family", str(fam_path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert not report["ok"]
+    assert [c["which"] for c in report["checks"] if c["verdict"] == "fail"] == [["K_tau_rho", 0, 1]]

@@ -167,3 +167,49 @@ def test_no_draw_comes_from_numpy_random():
                     and any(alias.name == "random" for alias in node.names):
                 offending.append(f"{path.name}:{node.lineno}")
     assert offending == [], "numpy.random in " + ", ".join(offending)
+
+
+# The primary membership path: the rank tables and their column codes, the
+# key plan and the layouts it folds, and membership_M_ab itself.
+PRIMARY_MEMBERSHIP_PATH = {
+    "_rank_tables", "_column_codes", "_rank_table", "RankTables", "_key_plan",
+    "_layout_keys", "_rank_mask", "_combine_columns", "selection_layouts", "column_layout",
+    "membership_M_ab", "_membership_by_elimination",
+}
+
+
+def _names_reached(functions, name):
+    """Every name and attribute read in the body of `name` and, through the
+    module-level functions of the same module it names, in theirs."""
+    seen, todo, found = set(), [name], set()
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for node in ast.walk(functions[fn]):
+            used = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else None
+            if used:
+                found.add(used)
+                if used in functions:
+                    todo.append(used)
+    return found
+
+
+def oracle_independence_faults(source):
+    """The names of the primary membership path that membership_M_ab_alt
+    reaches in a finite_geometry source."""
+    tree = ast.parse(source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    return sorted(_names_reached(functions, "membership_M_ab_alt") & PRIMARY_MEMBERSHIP_PATH)
+
+
+def test_the_membership_oracle_uses_nothing_of_the_primary_path():
+    # membership_M_ab_alt is the independent side of the dual check: a
+    # shared helper would let one fault pass both sides
+    path = Path(mcmforms.__file__).resolve().parent / "finite_geometry.py"
+    assert oracle_independence_faults(path.read_text(encoding="utf-8")) == []
+    routed = "def _helper(M):\n    return _layout_keys(M)\n\n" \
+             "def membership_M_ab_alt(M):\n    return all(_helper(M))\n"
+    assert oracle_independence_faults(routed) == ["_layout_keys"]
