@@ -660,12 +660,23 @@ class EvalPlan:
 
 
 def det_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Determinant of a square integer matrix over F_p: the signed product
-    of the pivots of its echelon form, or 0 when a pivot is missing."""
-    m, pivots, sign = _echelon_mod_p(rows, p, len(rows))
-    if len(pivots) < len(m):
+    """Determinant of a square integer matrix over F_p. Each echelon row is
+    its input row less a combination of the rows found before it, so the
+    determinant is that of the echelon rows: 0 when a row is missing, else
+    the product of the pivots, negated once for each pair of rows whose
+    pivot columns are out of order (sorting the rows by pivot gives a
+    triangular matrix). A matrix that is not square is refused."""
+    n = len(rows)
+    if rows and len(rows[0]) != n:
+        raise ValueError(f"determinant of a non-square {n} x {len(rows[0])} matrix")
+    echelon = _echelon_mod_p(rows, p)
+    if len(echelon) < n:
         return 0
-    det = sign % p
-    for r in range(len(m)):
-        det = (det * m[r][r]) % p
-    return det
+    det, found = 1, []
+    for pc, _, r in echelon:
+        det = det * r[pc] % p
+        for q in found:
+            if q > pc:
+                det = -det
+        found.append(pc)
+    return det % p

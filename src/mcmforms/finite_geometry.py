@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import accumulate, product
 from math import ceil, exp, lgamma, log, log1p
 from operator import add, and_, sub
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -218,28 +218,32 @@ def membership_M_ab(M: RankConditionMatrix) -> bool:
           A and the betas as the B columns, the combined columns have
           rank <= a-1.
 
-    While the shape fits (_table_fits), the columns are coded by their
-    index as in the census and summed through its add table; once the zero
+    While the shape fits (_table_fits), each column is coded by one
+    code_of lookup (reduced mod p only if the lookup misses) and the codes
+    are summed from code 0 through the census's add table; once the zero
     sum holds, each layout's combined columns, less the one that holds
     alpha_0, are one lookup in the same a-column rank table (_rank_tables),
     keyed by the census's key plan (_layout_keys), and the first layout
     that fails ends the test. Larger shapes are reduced by Gaussian
     elimination (_membership_by_elimination).
     """
-    a, b, p = M.a, M.b, M.p
+    rows, p = M.rows, M.p
+    b, a = len(rows), len(rows[0]) // 2 - 1
     if not _table_fits(a, b, p):
         return _membership_by_elimination(M)
     tables = _rank_tables(a, b, p)
-    add_rows, low, code_of = tables.add_rows, tables.low, tables.code_of
-    codes = [code_of[col] if col in code_of else code_of[tuple(x % p for x in col)]
-             for col in zip(*M.rows)]
-    total = codes[0]
-    for c in codes[1:]:
+    code_of, add_rows, low = tables.code_of, tables.add_rows, tables.low
+    try:
+        codes = [code_of[col] for col in zip(*rows)]
+    except KeyError:
+        codes = [code_of[tuple(x % p for x in col)] for col in zip(*rows)]
+    total = 0
+    for c in codes:
         total = add_rows[total][c]
     if total:
         return False
     return all(map(low.__getitem__, _layout_keys(codes[:a + 1], codes[a + 1:],
-                                                 lambda x, y: add_rows[x][y], p ** b, 0)))
+                                                 lambda x, y: add_rows[x][y], len(add_rows), 0)))
 
 
 def _membership_by_elimination(M: RankConditionMatrix) -> bool:
@@ -264,30 +268,30 @@ def membership_M_ab_alt(M: RankConditionMatrix) -> bool:
     The zero-sum condition lets alpha_0 be dropped from the rank sets; the
     beta blocks enter only through consecutive differences S_i - S_{i+1}.
     Must agree with membership_M_ab everywhere: as the independent side of
-    the dual check it reads M.rows itself, takes one rank_mod_p per layout,
-    and may use no rank table, column code, key plan, layout or combination
-    helper of the primary path.
+    the dual check it reads M.rows itself (row sums for the zero sum, the
+    alpha columns by zip, the partial sums as running sums of each row's
+    betas from beta_a back), takes one rank_mod_p per layout on one list
+    of its columns, and may use no rank table, column code, key plan,
+    layout or combination helper of the primary path.
     """
-    a, b, p = M.a, M.b, M.p
-    if any(sum(row) % p for row in M.rows):
+    rows, p = M.rows, M.p
+    if any(sum(row) % p for row in rows):
         return False
-    cols = list(zip(*M.rows))
-    alphas = cols[:a + 1]
-    S = [(0,) * b]
-    for beta in reversed(cols[a + 1:]):
-        S.append(tuple(map(add, beta, S[-1])))
+    a = len(rows[0]) // 2 - 1
+    alphas = list(zip(*rows))[:a + 1]
+    S = list(zip(*[accumulate(row[:a:-1]) for row in rows]))  # S_a, ..., S_0
     S.reverse()
     for nu in range(a + 1):
-        rank_cols = [alphas[j] for j in range(1, a + 1) if j != nu]
-        rank_cols.append(tuple(map(add, alphas[nu], S[0])))
-        if rank_mod_p(rank_cols, p) > a - 1:
+        if rank_mod_p([*alphas[1:nu], *alphas[nu + 1:], tuple(map(add, alphas[nu], S[0]))],
+                      p) > a - 1:
             return False
+    paired = []  # alpha_k + S_k - S_(k+1) for k = 1..tau
     for tau in range(a):
-        paired = [tuple(map(sub, map(add, alphas[k], S[k]), S[k + 1])) for k in range(1, tau + 1)]
+        if tau:
+            paired.append(tuple(map(sub, map(add, alphas[tau], S[tau]), S[tau + 1])))
         for rho in range(tau + 1, a + 1):
-            rank_cols = paired + [alphas[j] for j in range(tau + 1, a + 1) if j != rho]
-            rank_cols.append(tuple(map(add, alphas[rho], S[tau + 1])))
-            if rank_mod_p(rank_cols, p) > a - 1:
+            if rank_mod_p([*paired, *alphas[tau + 1:rho], *alphas[rho + 1:],
+                           tuple(map(add, alphas[rho], S[tau + 1]))], p) > a - 1:
                 return False
     return True
 

@@ -6,13 +6,22 @@ are reproducible independently of execution order. Bulk draws read the
 same stream in blocks: randrange_block gives exactly the values, and
 leaves exactly the state, of the same number of rng.randrange(n) calls,
 which is how the sampled census draws its matrices.
+
+F_p linear algebra has one row reduction, _echelon_mod_p: each row is
+reduced mod p and by multiples of the echelon basis rows found before it,
+and joins the basis as (pivot column, pivot inverse, row) if anything is
+left. Rank counts the basis, the determinant multiplies its pivots and
+the kernel back-substitutes through it sorted by pivot. A malformed matrix
+is refused with a ValueError naming its shape: ragged rows everywhere, a
+determinant of a matrix that is not square, and a kernel of rows whose
+width is not the stated number of columns.
 """
 
 from __future__ import annotations
 
 import random
 from operator import index
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,60 +72,66 @@ def chunks(flat: Sequence, width: int) -> List[Sequence]:
     return [flat[i:i + width] for i in range(0, len(flat), width)]
 
 
-def _echelon_mod_p(rows: Iterable[Sequence[int]], p: int, ncols: Optional[int] = None):
-    """Forward Gaussian elimination over F_p, the one row reduction behind
-    rank_mod_p, kernel_basis_mod_p and exact_algebra.det_mod_p.
+def _echelon_mod_p(rows: Sequence[Sequence[int]],
+                   p: int) -> List[Tuple[int, Optional[int], List[int]]]:
+    """Row echelon basis over F_p by row insertion, the one row reduction
+    behind rank_mod_p, kernel_basis_mod_p and exact_algebra.det_mod_p.
 
-    Returns (m, pivots, sign): m is the reduced matrix, whose first
-    len(pivots) rows carry unnormalized pivots in the columns `pivots` with
-    zeros below them; sign is (-1)^(row swaps). Only the first ncols
-    columns (default: all) are searched for pivots.
+    Each row is reduced against the basis rows found so far, in the order
+    they were found, and joins the basis if an entry is left; its first
+    nonzero column is its pivot. A row is reduced mod p once: by its first
+    subtraction, or on its own when it needs none. A basis row is zero in
+    the pivot columns of the rows found before it, so the pivots are distinct
+    and the rows sorted by pivot form an echelon matrix. Returns one
+    (pivot column, pivot inverse, row) per basis row, in input order. The
+    last input row's inverse is not taken, since no row is reduced against
+    it, and reads None. Rows of different lengths raise ValueError.
     """
-    m = [[x % p for x in row] for row in rows]
-    nrows = len(m)
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
-    pivots: List[int] = []
-    sign = 1
-    for col in range(ncols):
-        row = len(pivots)
-        if row == nrows:
-            break
-        for pivot in range(row, nrows):
-            if m[pivot][col]:
-                break
-        else:
-            continue
-        if pivot != row:
-            m[row], m[pivot] = m[pivot], m[row]
-            sign = -sign
-        prow = m[row]
-        inv = pow(prow[col], p - 2, p)
-        for i in range(row + 1, nrows):
-            f = m[i][col]
+    basis: List[Tuple[int, Optional[int], List[int]]] = []
+    if not rows:
+        return basis
+    width, last = len(rows[0]), len(rows) - 1
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"ragged {len(rows)}-row matrix: row {i} has {len(row)} entries, "
+                             f"row 0 has {width}")
+        r = row
+        for pc, inv, prow in basis:
+            f = r[pc] % p
             if f:
-                f = (f * inv) % p
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], prow)]
-        pivots.append(col)
-    return m, pivots, sign
+                f = f * inv % p
+                r = [(x - f * y) % p for x, y in zip(r, prow)]
+        if r is row:  # no subtraction, so not yet reduced mod p
+            r = [x % p for x in row]
+        if any(r):
+            pc = 0
+            while not r[pc]:
+                pc += 1
+            basis.append((pc, pow(r[pc], p - 2, p) if i < last else None, r))
+    return basis
 
 
-def rank_mod_p(rows: Iterable[Sequence[int]], p: int) -> int:
-    """Rank of a matrix over F_p: its pivot count after elimination."""
-    return len(_echelon_mod_p(rows, p)[1])
+def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank of a matrix over F_p: the size of its echelon basis."""
+    return len(_echelon_mod_p(rows, p))
 
 
-def kernel_basis_mod_p(rows: Iterable[Sequence[int]], p: int, ncols: int) -> List[List[int]]:
+def kernel_basis_mod_p(rows: Sequence[Sequence[int]], p: int, ncols: int) -> List[List[int]]:
     """Basis of the right kernel {x : M x = 0} over F_p: one vector per free
-    column (set to 1, the other free columns to 0), back-substituted."""
-    m, pivots, _ = _echelon_mod_p(rows, p, ncols)
+    column (set to 1, the other free columns to 0), back-substituted through
+    the echelon rows in pivot order, each pivot inverted once. Rows whose
+    width is not ncols raise ValueError."""
+    if rows and len(rows[0]) != ncols:
+        raise ValueError(f"kernel in {ncols} columns of a {len(rows)} x {len(rows[0])} matrix")
+    echelon = [(pc, pow(r[pc], p - 2, p) if inv is None else inv, r)
+               for pc, inv, r in sorted(_echelon_mod_p(rows, p))]  # the pivots are distinct
+    pivots = {pc for pc, _, _ in echelon}
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
         vec[fc] = 1
-        for r in reversed(range(len(pivots))):
-            pc = pivots[r]
-            s = sum(m[r][j] * vec[j] for j in range(pc + 1, ncols))
-            vec[pc] = (-s * pow(m[r][pc], p - 2, p)) % p
+        for pc, inv, r in reversed(echelon):
+            s = sum(r[j] * vec[j] for j in range(pc + 1, ncols))
+            vec[pc] = (-s * inv) % p
         basis.append(vec)
     return basis

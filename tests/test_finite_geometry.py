@@ -283,6 +283,39 @@ def test_table_elimination_and_alt_agree_on_every_2_2_2_matrix():
     assert members == 148
 
 
+# Work of the dual check on 250 seeded zero-sum matrices of each scan-fp
+# shape: the oracle's rank_mod_p calls and the members. A speed-up of the
+# oracle or of the row reduction must leave both as they are.
+DUAL_CHECK_WORK = {(2, 2, 2): (687, 31), (2, 3, 2): (441, 3), (2, 2, 3): (482, 5),
+                   (3, 3, 2): (1124, 35)}
+
+
+@pytest.mark.parametrize("shape", list(DUAL_CHECK_WORK))
+def test_dual_check_work_is_pinned(monkeypatch, shape):
+    rng = random.Random(f"dual-check-work:{shape}")
+    mats = [random_rank_matrix(*shape, rng, constrained=True) for _ in range(250)]
+    a = shape[0]
+    # the oracle ranks the layouts in selection_layouts order and stops at
+    # the first whose rank exceeds a - 1
+    expected_calls = []
+    for M in mats:
+        ranks = _layout_ranks(M, lambda c: True)
+        expected_calls.append(next((i + 1 for i, r in enumerate(ranks) if r > a - 1), len(ranks)))
+    ranks_taken = _count_calls(monkeypatch, "rank_mod_p")
+    calls, members = [], 0
+    for M in mats:
+        before = len(ranks_taken)
+        members += membership_M_ab_alt(M)
+        calls.append(len(ranks_taken) - before)
+    assert calls == expected_calls
+    assert (len(ranks_taken), members) == DUAL_CHECK_WORK[shape]
+    # the primary reads the rank table and eliminates nothing
+    ranks_taken.clear()
+    eliminated = _count_calls(monkeypatch, "_membership_by_elimination")
+    assert sum(map(membership_M_ab, mats)) == members
+    assert ranks_taken == [] and eliminated == []
+
+
 def test_membership_reads_entries_mod_p():
     # entries outside 0..p-1 are coded by their residues on the table path
     rng = random.Random("entries-mod-p")
