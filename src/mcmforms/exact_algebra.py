@@ -174,6 +174,16 @@ class MultiPoly:
 
     # ----- constructors -----
 
+    @classmethod
+    def _of(cls, N: int, field: Field, terms: Dict[Exponent, object]) -> "MultiPoly":
+        """The polynomial with these terms, taken as they are: the trusted
+        constructor for results of this module's arithmetic, whose terms
+        already have the width 2(N+1), no negative exponent and nonzero
+        coefficients of `field`. Outside input goes through __init__."""
+        poly = object.__new__(cls)
+        poly.N, poly.field, poly.terms = N, field, terms
+        return poly
+
     @staticmethod
     def zero(N: int, field: Field = QQ) -> "MultiPoly":
         return MultiPoly(N, field)
@@ -215,18 +225,12 @@ class MultiPoly:
                 out[exp] = s
             else:
                 del out[exp]
-        res = MultiPoly(self.N, self.field)
-        res.terms = out
-        return res
+        return MultiPoly._of(self.N, self.field, out)
 
     def __neg__(self) -> "MultiPoly":
         p = self.field.p
-        res = MultiPoly(self.N, self.field)
-        if p:
-            res.terms = {exp: -c % p for exp, c in self.terms.items()}
-        else:
-            res.terms = {exp: -c for exp, c in self.terms.items()}
-        return res
+        return MultiPoly._of(self.N, self.field, {exp: -c % p for exp, c in self.terms.items()}
+                             if p else {exp: -c for exp, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -248,12 +252,8 @@ class MultiPoly:
             for eb, cb in items:
                 key = tuple(map(add, ea, eb))
                 out[key] = get(key, 0) + ca * cb
-        res = MultiPoly(self.N, self.field)
-        if p:
-            res.terms = {k: r for k, c in out.items() if (r := c % p)}
-        else:
-            res.terms = {k: Fraction(c, den) for k, c in out.items() if c}
-        return res
+        return MultiPoly._of(self.N, self.field, {k: r for k, c in out.items() if (r := c % p)}
+                             if p else {k: Fraction(c, den) for k, c in out.items() if c})
 
     def scale(self, c) -> "MultiPoly":
         fld = self.field
@@ -261,12 +261,8 @@ class MultiPoly:
         if c == 0:
             return MultiPoly.zero(self.N, fld)
         p = fld.p
-        res = MultiPoly(self.N, fld)
-        if p:
-            res.terms = {exp: (v * c) % p for exp, v in self.terms.items()}
-        else:
-            res.terms = {exp: v * c for exp, v in self.terms.items()}
-        return res
+        return MultiPoly._of(self.N, fld, {exp: (v * c) % p for exp, v in self.terms.items()}
+                             if p else {exp: v * c for exp, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
@@ -470,9 +466,7 @@ def deriv(p: MultiPoly, j: int) -> MultiPoly:
             coeff = c * e % q if q else c * e
             if coeff:
                 out[exp[:j] + (e - 1,) + exp[j + 1:]] = coeff
-    res = MultiPoly(p.N, p.field)
-    res.terms = out
-    return res
+    return MultiPoly._of(p.N, p.field, out)
 
 
 def total_differential(p: MultiPoly) -> MultiPoly:
@@ -491,9 +485,7 @@ def total_differential(p: MultiPoly) -> MultiPoly:
                 new[k] = e - 1
                 new[n1 + k] += 1
                 _add_term(out, tuple(new), coeff, q)
-    res = MultiPoly(p.N, p.field)
-    res.terms = out
-    return res
+    return MultiPoly._of(p.N, p.field, out)
 
 
 def z_power(N: int, j: int, e: int) -> Exponent:
@@ -504,9 +496,8 @@ def z_power(N: int, j: int, e: int) -> Exponent:
 
 
 def times_monomial(p: MultiPoly, mono: Exponent) -> MultiPoly:
-    res = MultiPoly(p.N, p.field)
-    res.terms = {tuple(a + b for a, b in zip(exp, mono)): c for exp, c in p.terms.items()}
-    return res
+    return MultiPoly._of(p.N, p.field,
+                         {tuple(a + b for a, b in zip(exp, mono)): c for exp, c in p.terms.items()})
 
 
 def divide_exact(p: MultiPoly, mono: Exponent) -> MultiPoly:
@@ -524,9 +515,7 @@ def divide_exact(p: MultiPoly, mono: Exponent) -> MultiPoly:
                     f"term with exponents {exp} not divisible by monomial {mono}", term=exp
                 )
         out[tuple(new)] = c
-    res = MultiPoly(p.N, p.field)
-    res.terms = out
-    return res
+    return MultiPoly._of(p.N, p.field, out)
 
 
 def kill_coordinates(p: MultiPoly, vanished: Iterable[int]) -> MultiPoly:
@@ -544,9 +533,7 @@ def kill_coordinates(p: MultiPoly, vanished: Iterable[int]) -> MultiPoly:
         if any(exp[v] or exp[n1 + v] for v in vset):
             continue
         out[exp] = c
-    res = MultiPoly(p.N, p.field)
-    res.terms = out
-    return res
+    return MultiPoly._of(p.N, p.field, out)
 
 
 # ----- modular evaluation -----
@@ -573,7 +560,7 @@ class EvalPlan:
     term) entries, and at least one point.
     """
 
-    __slots__ = ("modulus", "_coeffs", "_monomial", "_slots", "_bounds")
+    __slots__ = ("modulus", "_width", "_coeffs", "_monomial", "_slots", "_bounds")
 
     def __init__(self, polys: Sequence[MultiPoly], modulus: int):
         if not 2 <= modulus < 2**31:
@@ -583,6 +570,7 @@ class EvalPlan:
             if p.field.p not in (0, modulus):
                 raise ValueError(f"coefficients live in F_{p.field.p}, not F_{modulus}")
         self.modulus = modulus
+        self._width = 2 * (polys[0].N + 1) if polys else None
         inverses: Dict[int, int] = {}
         coeffs = []
         for p in polys:
@@ -611,17 +599,24 @@ class EvalPlan:
         self._bounds = np.cumsum([0] + [len(p.terms) for p in polys])
 
     def __call__(self, z_vals: Sequence[int], dz_vals: Sequence[int]) -> List[int]:
-        """The value mod m of each compiled polynomial at (z, dz)."""
+        """The value mod m of each compiled polynomial at (z, dz); a z and
+        a dz of different lengths raise ValueError."""
+        if len(z_vals) != len(dz_vals):
+            raise ValueError(f"z has {len(z_vals)} coordinates but dz has {len(dz_vals)}")
         return self.at_points([list(z_vals) + list(dz_vals)])[0].tolist()
 
     def at_points(self, points: Sequence[Sequence[int]]) -> np.ndarray:
         """The value mod m of each compiled polynomial at each row (z | dz)
-        of `points`: an int64 array of shape (rows, polynomials)."""
+        of `points`: an int64 array of shape (rows, polynomials). Once a
+        polynomial is compiled, rows whose width is not 2(N+1) raise
+        ValueError."""
         m = self.modulus
         try:
             pts = np.asarray(points, dtype=np.int64)
         except OverflowError:
             pts = np.asarray([[x % m for x in row] for row in points], dtype=np.int64)
+        if len(pts) and self._width is not None and pts.shape[1:] != (self._width,):
+            raise ValueError(f"points (z | dz) need width {self._width}, got shape {pts.shape}")
         out = np.empty((len(pts), len(self._bounds) - 1), dtype=np.int64)
         if not len(pts):
             return out

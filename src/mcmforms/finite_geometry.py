@@ -123,29 +123,33 @@ def points_on_X(fam, q: int, support: Optional[Sequence[int]] = None) -> List[Tu
     return [pt for pt, keep in zip(points, on_X.tolist()) if keep]
 
 
-def gradient_plan(fam: SectionFamily, q: int, rows: Optional[int] = None) -> EvalPlan:
-    """The partials dF_i/dz_j of the first `rows` sections (default all),
-    row-major, compiled for evaluation mod q."""
+def _jacobians(fam: SectionFamily, q: int, rows: Optional[int] = None,
+               support: Optional[Sequence[int]] = None):
+    """(point, Jacobian rows) for each point of points_on_X(fam, q, support):
+    the partials dF_i/dz_j of the first `rows` sections (default all),
+    compiled once and evaluated at every point in one batched call."""
     N = fam.shape.N
-    return EvalPlan([deriv(F, j) for F in fam.sections[:rows] for j in range(N + 1)], q)
+    grads = EvalPlan([deriv(F, j) for F in fam.sections[:rows] for j in range(N + 1)], q)
+    pts = points_on_X(fam, q, support)
+    for pt, gradient in zip(pts, _at_z(grads, pts, N).tolist()):
+        yield pt, chunks(gradient, N + 1)
 
 
 def smoothness_check(fam: SectionFamily, q: int) -> dict:
     """Rank of the Jacobian at every F_q-point of X; full rank everywhere
     means no F_q-witness of singularity."""
-    N, cr = fam.shape.N, fam.shape.c + fam.shape.r
-    grads = gradient_plan(fam, q)
+    cr = fam.shape.c + fam.shape.r
+    walk = list(_jacobians(fam, q))
     singular = []
-    pts = points_on_X(fam, q)
-    for pt, gradient in zip(pts, _at_z(grads, pts, N).tolist()):
-        rank = rank_mod_p(chunks(gradient, N + 1), q)
+    for pt, jacobian in walk:
+        rank = rank_mod_p(jacobian, q)
         if rank != cr:
             singular.append({"z": list(pt), "rank": rank})
     return {
         "op": "smoothness",
         "ok": not singular,
         "q": q,
-        "points": len(pts),
+        "points": len(walk),
         "expected_rank": cr,
         "singular": singular,
     }
@@ -196,8 +200,7 @@ def tangent_directions(z: Sequence[int], constraint_rows: Sequence[Sequence[int]
     """All directions [xi] with M xi = 0, modulo Euler and scaling, as the
     sorted canonical_direction tuples."""
     N1 = len(z)
-    basis = kernel_basis_mod_p(constraint_rows, p, N1) if constraint_rows else \
-        [[1 if i == j else 0 for i in range(N1)] for j in range(N1)]
+    basis = kernel_basis_mod_p(constraint_rows, p, N1)
     seen = set()
     for coeffs in proj_points(len(basis) - 1, p):
         v = [sum(c * b[i] for c, b in zip(coeffs, basis)) % p for i in range(N1)]
@@ -553,11 +556,11 @@ def rank_condition_census(a: int, b: int, q: int, mode: str = "exhaustive",
     every q), factored as the sum over (alpha_1..alpha_a) of the K_nu count
     times the K_tau_rho count, each read from the a-column rank table: it
     walks q^(b(a+1)) + q^(2ab) column tuples, not q^(b(2a+1)). Sample mode,
-    the fallback above the budget, draws uniform matrices and tests them
-    with the same coded columns and rank table (_census_sampled): `count`
-    extrapolates the hits, and the verdict compares the bound with
-    `count_upper`, their one-sided Clopper-Pearson upper bound at
-    `confidence`, scaled the same way.
+    the fallback when that walk exceeds `budget` tuples, draws uniform
+    matrices and tests them with the same coded columns and rank table
+    (_census_sampled): `count` extrapolates the hits, and the verdict
+    compares the bound with `count_upper`, their one-sided Clopper-Pearson
+    upper bound at `confidence`, scaled the same way.
     """
     if not (2 <= a <= b):
         raise ValueError("need 2 <= a <= b")
@@ -570,7 +573,7 @@ def rank_condition_census(a: int, b: int, q: int, mode: str = "exhaustive",
     total = q ** dim
     codim_target = a + b - 1
     bound = q ** (dim - codim_target + 1)
-    forced = mode == "exhaustive" and total > budget
+    forced = mode == "exhaustive" and q ** (b * (a + 1)) + q ** (2 * a * b) > budget
     if forced:
         mode = "sample"
 
@@ -613,11 +616,9 @@ def _incidence_points(fam: SectionFamily, q: int, vanished: Sequence[int] = ()):
     directions solve dF_1..dF_c = 0 at z (and xi_v = 0 for each vanished v)
     modulo the Euler direction."""
     N = fam.shape.N
-    grads = gradient_plan(fam, q, fam.shape.c)
-    pts = points_on_X(fam, q, support=[i for i in range(N + 1) if i not in vanished])
-    for pt, gradient in zip(pts, _at_z(grads, pts, N).tolist()):
+    support = [i for i in range(N + 1) if i not in vanished]
+    for pt, rows in _jacobians(fam, q, fam.shape.c, support):
         z = list(pt)
-        rows = chunks(gradient, N + 1)
         # directions live on the vanishing locus: xi_v = 0
         rows += [[int(j == v) for j in range(N + 1)] for v in vanished]
         yield z, tangent_directions(z, rows, q)

@@ -18,8 +18,7 @@ Four families of checks:
                        cross-checked against the twist bookkeeping.
   verify_surjectivity  the (N+1) x dim evaluation matrix (value row plus N
                        tangent-derivative rows) of the degree-d monomial
-                       basis has full rank at random points, optionally in
-                       the Leibniz-premultiplied variant for a twist factor.
+                       basis has full rank at random points.
   verify_hidden        the gluing hypothesis and the twist formula on the
                        vanishing-coordinate restriction of a family, and on
                        every K_nu / K_tau_rho selection of an mcm family.
@@ -38,7 +37,8 @@ difference of degree D, is far above 1 at the degrees built here. The
 transition pairs are Euler's relation D(z; z) == deg(F_j) * V on each
 divided differential entry D: then substituting w_l(dz) adds multiples of
 the value rows to z_l times the differential rows, so G(w_l) == z_l^n * G
-by row operations.
+by row operations. Both modes form D(z; z) the same way, by the products
+z_k * [dz_k]D, and compare the one pair list.
 
 Every check returns a report dict: {"op", "ok", "checks": [{"id", "mode",
 "trials", "verdict", "witness"}, ...]} plus op-specific extras.
@@ -55,12 +55,10 @@ from .exact_algebra import (
     MultiPoly,
     QQ,
     kill_coordinates,
-    times_monomial,
     to_literal,
     total_differential,
-    z_power,
 )
-from .schedule import fermat_heart_prime, twist_ledger
+from .schedule import fermat_heart_prime
 from .section_builder import (
     DegreeClaimFailed,
     FormalMatrixBundle,
@@ -82,10 +80,8 @@ Pair = Tuple[str, int, Optional[int], MultiPoly, MultiPoly]
 SAMPLED_TRIALS = 20
 IDENTITY_PRIME = 2147483647
 
-# The prime the evaluation map's rank is checked over, and the draws a trial
-# may spend finding a point where z and the twist factor are nonzero.
+# The prime the evaluation map's rank is checked over.
 SURJECTIVITY_PRIME = 101
-SURJECTIVITY_DRAWS = 1000
 
 
 def _check(check_id: str, verdict: str, mode: str = "exact", trials: int = 0,
@@ -204,26 +200,20 @@ def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int
 # ----- transition formulas -----
 
 
-def _transition_pairs(form: FormBundle, fam: SectionFamily, bundle: str,
-                      mode: str) -> Tuple[List[Pair], Optional[dict]]:
+def _transition_pairs(form: FormBundle, fam: SectionFamily,
+                      bundle: str) -> Tuple[List[Pair], Optional[dict]]:
     """The hypothesis the form's chart changes rest on, as pairs that must
     be equal: (bundle, cr + j - 1, col, D(z; z), deg(F_j) * V) for every
     divided entry D of the differential row of each selected j, V the
     divided value entry of row j - 1 in the same column. That is Euler's
     relation for the undivided entries, kept by dividing both by the
-    column's power of z. D(z; z) is sum_k z_k * [dz_k]D, by products in
-    exact mode (traced certify-exact counts them) and by raising exponents
-    in sampling, which forms none. An entry not linear in dz gives no pairs
-    and the witness {row, col, entry_not_linear_in_dz}."""
+    column's power of z. D(z; z) is sum_k z_k * [dz_k]D, by products, in
+    every mode. An entry not linear in dz gives no pairs and the witness
+    {row, col, entry_not_linear_in_dz}."""
     N, fld = fam.shape.N, fam.field
     n1, cr = N + 1, fam.shape.c + fam.shape.r
     rows, degrees = form.matrix.rows, fam.section_degrees()
     cols = [col for col in range(len(rows[0]) + 1) if col != form.omit]
-
-    def times_z(k: int, part: dict) -> MultiPoly:
-        P = MultiPoly(N, fld, part)
-        return MultiPoly.z(N, k, fld) * P if mode == "exact" else times_monomial(P, z_power(N, k, 1))
-
     pairs: List[Pair] = []
     for t, j in zip(form.matrix_rows[cr:], form.selection):
         for col, D, V in zip(cols, rows[t], rows[j - 1]):
@@ -233,7 +223,8 @@ def _transition_pairs(form: FormBundle, fam: SectionFamily, bundle: str,
                     return [], dict(row=cr + j - 1, col=col,
                                     entry_not_linear_in_dz=to_literal(D)[:400])
                 parts.setdefault(exp.index(1, n1) - n1, {})[exp[:n1] + (0,) * n1] = c
-            d_zz = sum((times_z(k, part) for k, part in parts.items()), MultiPoly.zero(N, fld))
+            d_zz = sum((MultiPoly.z(N, k, fld) * MultiPoly(N, fld, part)
+                        for k, part in parts.items()), MultiPoly.zero(N, fld))
             pairs.append((bundle, cr + j - 1, col, d_zz, V.scale(degrees[j - 1])))
     return pairs, None
 
@@ -275,7 +266,7 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
     K = build_matrices(fam)
     form = extract_forms(K if which is None else build_selected(K, which), [selection],
                          omit=omit, kind=kind)[0]
-    pairs, nonlinear = _transition_pairs(form, fam, _label(which), mode)
+    pairs, nonlinear = _transition_pairs(form, fam, _label(which))
     checks = [_check("transition", "fail", mode, witness=nonlinear) if nonlinear
               else _check_hypothesis("transition", pairs, fam, mode, seed, "transition")]
 
@@ -305,34 +296,26 @@ def monomial_basis(N: int, d: int) -> List[Tuple[int, ...]]:
 
 
 def evaluation_matrix(N: int, d: int, z: Sequence[int], tangents: Sequence[Sequence[int]],
-                      p: int, twist_factor: Optional[MultiPoly] = None) -> List[List[int]]:
+                      p: int) -> List[List[int]]:
     """The (N+1) x dim matrix of monomial values and tangent derivatives, mod p.
 
     Row 0 evaluates every degree-d monomial m at z; row 1+t evaluates its
-    differential at (z, tangents[t]). With a twist factor A the monomials
-    become A*m, whose differential at (z, v) is the Leibniz row
-    A(z)*Dm(v) + DA(v)*m(z). Rational coefficients are reduced mod p;
-    a factor over another prime field raises ValueError.
+    differential at (z, tangents[t]).
     """
     zero = (0,) * (N + 1)
-    if twist_factor is None:
-        polys = [MultiPoly.monomial(N, QQ, 1, e) for e in monomial_basis(N, d)]
-    else:
-        polys = [times_monomial(twist_factor, e + zero) for e in monomial_basis(N, d)]
+    polys = [MultiPoly.monomial(N, QQ, 1, e) for e in monomial_basis(N, d)]
     values = EvalPlan(polys, p)
     differentials = EvalPlan([total_differential(f) for f in polys], p)
     return [values(z, zero)] + differentials.at_points([list(z) + list(v) for v in tangents]).tolist()
 
 
-def verify_surjectivity(N: int, d: int, twist_factor: Optional[MultiPoly] = None,
-                        trials: int = 100, seed: int = 0) -> dict:
+def verify_surjectivity(N: int, d: int, trials: int = 100, seed: int = 0) -> dict:
     """Full-rank check for the evaluation map at random points.
 
-    At each sampled point z over F_p, p = SURJECTIVITY_PRIME (with twist
-    factor nonzero when given), and a random completion of z to a basis by
-    N tangent vectors, the (N+1) x C(N+d, N) evaluation matrix must have
-    rank N+1. N < 1 leaves no nonzero point and is refused, and so is a
-    twist factor that vanishes at SURJECTIVITY_DRAWS draws in a row.
+    At each sampled nonzero point z over F_p, p = SURJECTIVITY_PRIME, and a
+    random completion of z to a basis by N tangent vectors, the
+    (N+1) x C(N+d, N) evaluation matrix must have rank N+1. N < 1 leaves no
+    nonzero point and is refused.
     """
     if N < 1:
         raise ValueError(f"need N at least 1, got {N}")
@@ -341,29 +324,24 @@ def verify_surjectivity(N: int, d: int, twist_factor: Optional[MultiPoly] = None
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     p = SURJECTIVITY_PRIME
-    factor = None if twist_factor is None else EvalPlan([twist_factor], p)
     witness = None
     for t in range(trials):
         rng = child_rng(seed, "surjectivity", t)
-        for _ in range(SURJECTIVITY_DRAWS):
+        z = [0] * (N + 1)
+        while not any(z):
             z = [rng.randrange(p) for _ in range(N + 1)]
-            if any(z) and (factor is None or factor(z, [0] * (N + 1))[0] != 0):
-                break
-        else:
-            raise ValueError(f"twist factor vanished at {SURJECTIVITY_DRAWS} random points mod {p}")
         while True:
             tangents = [[rng.randrange(p) for _ in range(N + 1)] for _ in range(N)]
             if rank_mod_p([z] + tangents, p) == N + 1:
                 break
-        mat = evaluation_matrix(N, d, z, tangents, p, twist_factor)
+        mat = evaluation_matrix(N, d, z, tangents, p)
         rank = rank_mod_p(mat, p)
         if rank != N + 1:
             witness = {"trial": t, "z": z, "rank": rank}
             break
     checks = [_check("evaluation rank", "fail" if witness else "pass",
                      "numeric", trials, witness)]
-    return _report("surjectivity", checks, N=N, d=d, dim=comb(N + d, N), p=p,
-                   leibniz=twist_factor is not None)
+    return _report("surjectivity", checks, N=N, d=d, dim=comb(N + d, N), p=p)
 
 
 # ----- hidden forms -----
@@ -402,25 +380,21 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
                              witness=None if ok else {"twist": form.twist,
                                                       "expected": expected}))
     else:
-        ledger = twist_ledger(fam.schedule)
         for kind, params, _ in selection_layouts(len(hidden.retained) - 1):
             which = (kind,) + params
             label = _label(which)
             K = build_selected(hidden, which)
             checks.append(_check_hypothesis(f"hypothesis {label}", _hypothesis_pairs(K, label),
                                             fam, "exact"))
-            tau = params[0] if kind == "K_tau_rho" else None
-            entry = ledger.lookup(eta, kind, tau, selection)
             # extract_forms takes the twist from the ledger and raises when
             # the row degrees and divisors give another one
+            witness = None
             try:
-                twist = extract_forms(K, [selection], omit=0)[0].twist
+                extract_forms(K, [selection], omit=0)
             except DegreeClaimFailed as err:
                 if err.quantity != "twist":
                     raise
-                twist = err.observed
-            ok = twist == entry.value
-            checks.append(_check(f"twist {label}", "pass" if ok else "fail",
-                                 witness=None if ok else {"twist": twist,
-                                                          "ledger": entry.value}))
+                witness = {"twist": err.observed, "ledger": err.expected}
+            checks.append(_check(f"twist {label}", "fail" if witness else "pass",
+                                 witness=witness))
     return _report("hidden", checks, eta=eta, vanished=list(vanished))

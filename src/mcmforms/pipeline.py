@@ -75,6 +75,8 @@ class RunConfig:
     seed: int = 1
     stages: Tuple[str, ...] = dc_field(default_factory=lambda: STAGE_ORDER)
     max_points: int = 50_000
+    # the most column tuples an exact census walks, else it samples; a walk
+    # of 2**28 would take about 10 s (extrapolated, not timed; see README)
     max_census: int = 2 ** 28
     census_shapes: Tuple[Tuple[int, int, int], ...] = DEFAULT_CENSUS_SHAPES
 
@@ -386,10 +388,8 @@ def _stage_smoothness(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
     if first["ok"]:
         ctx["scan_family"] = fam
         return "PASS", dict(first, attempt=0, family_seed=fam.seed), None
-    rep = smoothness_with_resampling(
-        cfg.shape, cfg.mode, cfg.field, seed=cfg.seed, q=q,
-        **({"schedule": ctx["schedule"]} if cfg.mode == "mcm" else
-           {"lambdas": cfg.lambdas, "degrees": cfg.degrees}))
+    rep = smoothness_with_resampling(fam.shape, fam.mode, fam.field, schedule=fam.schedule,
+                                     seed=cfg.seed, q=q, lambdas=fam.lambdas, degrees=fam.degrees)
     if rep["ok"]:
         ctx["scan_family"] = build_family(cfg, rep["family_seed"])
         return "PASS", rep, None

@@ -57,15 +57,6 @@ class ExponentSchedule:
     d: int
     slack: int = 0
 
-    def mu_row(self, l: int) -> List[int]:
-        return [self.mu[(l, k)] for k in range(l + 1)]
-
-    def first_level(self) -> int:
-        return self.shape.c + self.shape.r + 1
-
-    def levels(self) -> range:
-        return range(self.first_level(), self.shape.N + 1)
-
 
 def build_schedule(
     shape: ProblemShape, heart: int, eps: Optional[Sequence[int]] = None, slack: int = 0
@@ -110,20 +101,15 @@ def validate_schedule(s: ExponentSchedule) -> Dict[str, object]:
     checks: List[Dict[str, object]] = []
 
     def add(name: str, lhs: int, rhs: int, relation: str):
-        if relation == ">=":
-            ok = lhs >= rhs
-            margin = lhs - rhs
-        elif relation == "==":
-            ok = lhs == rhs
-            margin = lhs - rhs
-        else:
-            raise ValueError(relation)
-        checks.append({"name": name, "lhs": lhs, "rhs": rhs, "relation": relation, "slack": margin, "ok": ok})
+        ok = lhs >= rhs if relation == ">=" else lhs == rhs
+        checks.append({"name": name, "lhs": lhs, "rhs": rhs, "relation": relation,
+                       "slack": lhs - rhs, "ok": ok})
 
     shape = s.shape
-    first = s.first_level()
+    first = shape.c + shape.r + 1
+    levels = range(first, shape.N + 1)
     add("delta_base >= max(eps)", s.delta[first], max(s.eps), ">=")
-    for l in s.levels():
+    for l in levels:
         for k in range(l + 1):
             bound = (l - k) * s.delta[l] + l * s.delta[first] + l + 1 + l * s.heart
             bound += sum(l * s.mu[(l, j)] for j in range(k))
@@ -133,8 +119,8 @@ def validate_schedule(s: ExponentSchedule) -> Dict[str, object]:
 
     # structural invariants: strict growth along each row and across levels,
     # and positive residual exponents d - l*mu_{l,k} for the monomial shapes
-    for l in s.levels():
-        row = s.mu_row(l)
+    for l in levels:
+        row = [s.mu[(l, k)] for k in range(l + 1)]
         for k in range(l):
             add(f"mu[{l},{k + 1}] > mu[{l},{k}]", row[k + 1], row[k] + 1, ">=")
         add(f"delta[{l + 1}] > mu[{l},{l}]", s.delta[l + 1], row[l] + 1, ">=")

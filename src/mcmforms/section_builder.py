@@ -166,10 +166,6 @@ class FormalMatrixBundle:
     divisor_exponents: Optional[Tuple[int, ...]] = None
 
     @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
     def ncols(self) -> int:
         return len(self.entries[0])
 
@@ -588,7 +584,7 @@ def column_divisors(K: FormalMatrixBundle) -> List[Dict[str, object]]:
     for col in range(K.ncols):
         e = K.divisor_exponents[col]
         coord = K.column_coords[col]
-        for row in range(K.nrows):
+        for row in range(len(K.entries)):
             need = e if row < cr else e - 1
             entry = K.entries[row][col]
             if entry.is_zero():

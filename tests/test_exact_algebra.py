@@ -750,6 +750,33 @@ def test_eval_plan_refusals():
             EvalPlan([MultiPoly.z(1, 0, QQ)], modulus)
 
 
+def test_eval_plan_refuses_rows_of_the_wrong_width():
+    # N = 2: a row (z | dz) has 6 entries; extra entries are refused, not
+    # dropped, and missing ones are refused, not read as zero
+    p = from_literal("z0 * dz1 + 2 * z2^2", 2, Field(5))
+    plan = EvalPlan([p], 5)
+    assert plan.at_points([[1, 2, 3, 0, 1, 0]]).tolist() == [[4]]
+    for rows in ([[1, 2, 3, 0, 1, 0, 7, 7]], [[1, 2, 3, 0, 1]], [1, 2, 3, 0, 1, 0]):
+        with pytest.raises(ValueError, match="need width 6"):
+            plan.at_points(rows)
+    # a zero polynomial fixes the width too; a plan of none reads any row
+    with pytest.raises(ValueError, match="need width 6"):
+        EvalPlan([MultiPoly.zero(2, Field(5))], 5).at_points([[1, 2]])
+    assert EvalPlan([], 5).at_points([[1, 2]]).shape == (1, 0)
+
+
+def test_eval_plan_refuses_a_z_and_a_dz_of_different_lengths():
+    # ([1, 2, 3, 4], [0, 1]) has the width of a point of P^2 but is none
+    p = from_literal("z0 * dz1 + 2 * z2^2", 2, Field(5))
+    plan = EvalPlan([p], 5)
+    assert plan([1, 2, 3], [0, 1, 0]) == [4]
+    for z, dz in (([1, 2, 3, 4], [0, 1]), ([1, 2], [0, 1, 0])):
+        with pytest.raises(ValueError, match=f"z has {len(z)} coordinates but dz has {len(dz)}"):
+            plan(z, dz)
+    with pytest.raises(ValueError, match="z has 4 coordinates but dz has 2"):
+        p.evaluate_mod([1, 2, 3, 4], [0, 1], 5)
+
+
 # ----- batched evaluation -----
 
 BATCH_FIELDS = (Field(5), F7, QQ)

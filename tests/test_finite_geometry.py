@@ -712,11 +712,22 @@ def test_census_sample_mode_and_forced_fallback():
     assert rep["count"] == 138  # extrapolated, deterministic for this seed
     assert rep["confidence"] == 0.95
     assert rep["count"] <= rep["count_upper"] <= rep["bound"]
-    big = rank_condition_census(3, 4, 2, sample_size=20_000, seed=1)
+    # (3,4,2) walks 2^16 + 2^24 column tuples: above this budget it samples
+    big = rank_condition_census(3, 4, 2, sample_size=20_000, seed=1, budget=2 ** 24)
     assert big["forced_sample"] and big["mode"] == "sample" and not big["exact"]
     assert big["verdict"] == "pass"
     assert big["count"] <= big["count_upper"] <= big["bound"]
     assert "count_upper" not in rank_condition_census(2, 2, 2)
+
+
+@pytest.mark.parametrize("shape, count", [((2, 3, 3), 13_131), ((3, 4, 2), 4_037_056)])
+def test_census_budget_gates_the_walk_not_the_ambient_space(shape, count):
+    # q^(2b(a+1)) exceeds the default budget for both, but the exact walk,
+    # q^(b(a+1)) + q^(2ab) column tuples, stays within it
+    rep = rank_condition_census(*shape)
+    assert rep["exact"] and not rep["forced_sample"] and rep["count"] == count
+    a, b, q = shape
+    assert q ** (2 * b * (a + 1)) > 2 ** 28 >= q ** (b * (a + 1)) + q ** (2 * a * b)
 
 
 def test_sampled_census_report_is_pinned():
@@ -1134,19 +1145,19 @@ def test_scans_that_only_evaluate_forms_expand_no_determinant(monkeypatch):
     # the scans and the stages that run them form no polynomial product;
     # an exact transition unit forms only the products z_k * [dz_k]D of
     # its certificate, at most N + 1 per divided differential entry, and a
-    # sampled one forms none
+    # sampled one forms the same products
     from mcmforms.identity_verifier import verify_transition
     from mcmforms.pipeline import RunConfig, _transition_units, run_pipeline
 
     products = []
     real = MultiPoly.__mul__
 
-    def count(a, b):
-        products.append((a.term_count(), b.term_count()))
+    def record(a, b):
+        products.append((a, b))
         return real(a, b)
 
     fam = mcm_family(4, shape=ProblemShape(2, 1, 0))
-    monkeypatch.setattr(MultiPoly, "__mul__", count)
+    monkeypatch.setattr(MultiPoly, "__mul__", record)
     forms = standard_forms(fam)
     assert characterization_crosscheck(fam, 5, sample=96)["incidence_pairs"] == 7
     assert base_locus_scan(fam, forms, 5)["directions"] == 7
@@ -1161,12 +1172,14 @@ def test_scans_that_only_evaluate_forms_expand_no_determinant(monkeypatch):
         assert rep["ok"] and rep["mode"] == "exact"
         # n = 1 differential row of N entries (one column omitted)
         assert 0 < len(products) <= (N + 1) * N
-        assert all(1 in pair for pair in products)
+        assert all(1 in (a.term_count(), b.term_count()) for a, b in products)
+        exact = products[:]
         products.clear()
         rep = verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
                                 mode="probabilistic", which=u["which"], kind=u["kind"])
         assert rep["ok"] and rep["mode"] == "probabilistic"
-        assert products == []
+        assert products == exact
+        products.clear()
 
 
 def test_membership_forces_numeric_vanishing():

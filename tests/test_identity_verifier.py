@@ -1,7 +1,6 @@
 import dataclasses
 import inspect
 import random
-import signal
 from types import SimpleNamespace
 
 import pytest
@@ -15,7 +14,6 @@ from mcmforms.exact_algebra import (
     Field,
     MultiPoly,
     QQ,
-    deriv,
     from_literal,
     times_monomial,
     to_literal,
@@ -38,7 +36,6 @@ from mcmforms.section_builder import (
     build_sections,
     build_selected,
     extract_forms,
-    random_homogeneous,
 )
 from mcmforms.util import child_rng, rank_mod_p
 from test_exact_algebra import polynomial_laplace_sides
@@ -461,11 +458,11 @@ def test_exact_transition_matches_expand_then_substitute(fam):
 
 @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
 def test_exact_transition_projects_divided_entries_and_never_expands_G(monkeypatch, mode):
-    # both modes read the divided differential entries one at a time: exact
-    # mode forms only the products z_k * [dz_k]D, at most N + 1 of them an
-    # entry D, and sampling, which raises exponents instead, forms none;
-    # neither evaluates the divided matrix (sampling evaluates the pairs
-    # through their own EvalPlan) nor takes a determinant
+    # both modes read the divided differential entries one at a time and
+    # form only the products z_k * [dz_k]D, at most N + 1 of them an entry
+    # D, and a sampled unit forms exactly the exact unit's products; neither
+    # evaluates the divided matrix (sampling evaluates the pairs through
+    # their own EvalPlan) nor takes a determinant
     def refuse(*args):
         raise AssertionError("a transition evaluated the matrix or took a determinant")
 
@@ -480,6 +477,14 @@ def test_exact_transition_projects_divided_entries_and_never_expands_G(monkeypat
         forms.extend(real_extract(*args, **kwargs))
         return forms[-1:]
 
+    def run(fam, u, run_mode):
+        products.clear()
+        monkeypatch.setattr(MultiPoly, "__mul__", record)
+        rep = verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
+                                mode=run_mode, which=u["which"], kind=u["kind"])
+        monkeypatch.setattr(MultiPoly, "__mul__", real_mul)
+        return rep, list(products)
+
     assert not hasattr(identity_verifier, "det_mod_p")
     monkeypatch.setattr(exact_algebra, "det_mod_p", refuse)
     monkeypatch.setattr(section_builder, "det_mod_p", refuse)
@@ -489,40 +494,40 @@ def test_exact_transition_projects_divided_entries_and_never_expands_G(monkeypat
         N = fam.shape.N
         coords = [MultiPoly.z(N, k, fam.field) for k in range(N + 1)]
         for u in transition_units(fam):
-            products.clear()
-            monkeypatch.setattr(MultiPoly, "__mul__", record)
-            rep = verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
-                                    mode=mode, which=u["which"], kind=u["kind"])
-            monkeypatch.setattr(MultiPoly, "__mul__", real_mul)
+            rep, made = run(fam, u, mode)
             assert rep["ok"] and rep["mode"] == mode, label
             assert all(c["mode"] == mode for c in rep["checks"][:-1]), label
-            if mode == "probabilistic":
-                assert products == [], label
-                continue
             form = forms[-1]
             diff = [form.matrix.rows[t] for t in form.matrix_rows[-form.dz_degree:]]
             pieces = {exp[:N + 1] for row in diff for e in row for exp in e.terms}
-            assert 0 < len(products) <= (N + 1) * len(diff) * len(diff[0]), label
-            for z_k, piece in products:
+            assert 0 < len(made) <= (N + 1) * len(diff) * len(diff[0]), label
+            for z_k, piece in made:
                 assert z_k in coords and piece.dz_degree() in (None, 0), label
                 assert {exp[:N + 1] for exp in piece.terms} <= pieces, label
+            if mode == "probabilistic":
+                assert made == run(fam, u, "exact")[1], label
 
 
-def test_sampled_transition_never_substitutes_polynomials(monkeypatch):
-    # probabilistic mode evaluates the divided matrix at points and forms
-    # no polynomial product
+def test_sampled_transition_forms_the_exact_units_products(monkeypatch):
+    # probabilistic mode builds the pairs exactly as exact mode does: the
+    # same products z_k * [dz_k]D, in the same order, before it samples
     shape = ProblemShape(3, 2, 0)
     fam = build_sections(shape, "mcm", field=Field(5),
                          schedule=build_schedule(shape, 2), seed=3)
+    products = {"exact": [], "probabilistic": []}
+    real = MultiPoly.__mul__
 
-    def refuse(*args):
-        raise AssertionError("a polynomial product in probabilistic mode")
+    for mode, made in products.items():
+        def record(a, b, made=made):
+            made.append((a, b))
+            return real(a, b)
 
-    monkeypatch.setattr(MultiPoly, "__mul__", refuse)
-    rep = verify_transition(fam, (1,), omit=0, l1=0, l2=1, mode="probabilistic",
-                            which=("K_nu", 0))
-    assert rep["ok"] and rep["mode"] == "probabilistic"
+        monkeypatch.setattr(MultiPoly, "__mul__", record)
+        rep = verify_transition(fam, (1,), omit=0, l1=0, l2=1, mode=mode, which=("K_nu", 0))
+        monkeypatch.setattr(MultiPoly, "__mul__", real)
+        assert rep["ok"] and rep["mode"] == mode
     assert rep["checks"][0]["trials"] == 20
+    assert products["probabilistic"] == products["exact"] and products["exact"]
 
 
 def test_sampled_identities_compile_once_and_never_evaluate_term_by_term(compiled_plans):
@@ -540,18 +545,31 @@ def test_sampled_identities_compile_once_and_never_evaluate_term_by_term(compile
     assert compiled_plans == [6, 2 * (2 + 2 * 4)]
 
 
-def test_one_comparer_serves_both_transition_modes():
-    # the minor-sampling path is gone: both modes compare the Euler pairs
+def test_one_comparer_serves_both_transition_modes(monkeypatch):
+    # the minor-sampling path is gone, and the pairs take no mode: both
+    # modes hand the comparer the one pair list of _transition_pairs
     gone = ("_transition_rows", "_transition_identities", "Identity", "det_mod_p",
             "_euler_witness")
     assert [name for name in gone if hasattr(identity_verifier, name)] == []
-    # exact mode multiplies by z_k and sampling raises exponents: equal pairs
+    pairs_of = identity_verifier._transition_pairs
+    assert list(inspect.signature(pairs_of).parameters) == ["form", "fam", "bundle"]
+    compared = []
+    real = identity_verifier._check_hypothesis
+
+    def record(check_id, pairs, fam, mode, *rest):
+        compared.append((mode, pairs))
+        return real(check_id, pairs, fam, mode, *rest)
+
+    monkeypatch.setattr(identity_verifier, "_check_hypothesis", record)
     for label, fam in transition_families():
         for u in transition_units(fam):
-            form = unit_form(fam, u)
-            exact, sampled = (identity_verifier._transition_pairs(form, fam, "b", mode)
-                              for mode in ("exact", "probabilistic"))
-            assert exact == sampled and exact[0] and exact[1] is None, label
+            compared.clear()
+            for mode in ("exact", "probabilistic"):
+                assert verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
+                                         mode=mode, which=u["which"], kind=u["kind"])["ok"]
+            pairs, nonlinear = pairs_of(unit_form(fam, u), fam, identity_verifier._label(u["which"]))
+            assert pairs and nonlinear is None, label
+            assert compared == [("exact", pairs), ("probabilistic", pairs)], label
 
 
 def test_sampled_branch_draws_seeded_points_and_reports_the_first_mismatch(monkeypatch):
@@ -647,7 +665,7 @@ def bare_certificate(rows, cr, selection, degrees, mode="exact"):
                            selection=selection, omit=len(rows[0]))
     fam = SimpleNamespace(shape=SimpleNamespace(N=N, c=cr, r=0), field=field,
                           section_degrees=lambda: tuple(degrees))
-    pairs, nonlinear = identity_verifier._transition_pairs(form, fam, "bare", mode)
+    pairs, nonlinear = identity_verifier._transition_pairs(form, fam, "bare")
     if nonlinear is not None:
         return nonlinear
     return identity_verifier._check_hypothesis("transition", pairs, fam, mode)["witness"]
@@ -818,38 +836,13 @@ def test_transition_refuses_a_chart_out_of_range(monkeypatch, mode, l1, l2):
 def test_surjectivity_linear_basis():
     rep = verify_surjectivity(1, 1, trials=50, seed=0)
     assert rep["ok"] and rep["dim"] == 2
+    assert list(rep) == ["op", "ok", "checks", "N", "d", "dim", "p"]
 
 
 def test_surjectivity_quadrics_dimension_and_rank():
     rep = verify_surjectivity(3, 2, trials=100, seed=1)
     assert rep["ok"] and rep["dim"] == 10
     assert rep["checks"][0]["trials"] == 100
-
-
-def test_surjectivity_with_leibniz_twist_factor():
-    A = MultiPoly.z(3, 0, F101)
-    rep = verify_surjectivity(3, 2, twist_factor=A, trials=60, seed=2)
-    assert rep["ok"] and rep["leibniz"]
-
-
-@pytest.mark.parametrize("literal", ["0", "z0^101 * z1 + -1 * z0 * z1"],
-                         ids=["zero", "zero-on-F101"])
-def test_surjectivity_refuses_a_twist_factor_vanishing_everywhere(literal):
-    # both factors vanish at every point of F_101^3, so no draw can find a
-    # point where the factor is nonzero: the call must refuse, not spin
-    factor = from_literal(literal, 2, F101)
-
-    def timeout(signum, frame):
-        raise TimeoutError(f"verify_surjectivity with twist factor {literal} did not return")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(10)
-    try:
-        with pytest.raises(ValueError, match="twist factor vanished at 1000 random points"):
-            verify_surjectivity(2, 2, twist_factor=factor, trials=1)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_surjectivity_rejects_degree_zero():
@@ -873,6 +866,30 @@ def test_surjectivity_refuses_an_ambient_dimension_below_one(N):
 def test_surjectivity_checks_over_its_fixed_prime():
     assert "p" not in inspect.signature(verify_surjectivity).parameters
     assert verify_surjectivity(2, 3, trials=5)["p"] == identity_verifier.SURJECTIVITY_PRIME == 101
+
+
+def test_surjectivity_redraws_a_zero_point(monkeypatch):
+    # a trial draws z from its own stream until z is nonzero; over F_2 some
+    # of 20 trials meet z == 0 first
+    monkeypatch.setattr(identity_verifier, "SURJECTIVITY_PRIME", 2)
+    seen = []
+    real = identity_verifier.evaluation_matrix
+
+    def record(N, d, z, tangents, p):
+        seen.append(z)
+        return real(N, d, z, tangents, p)
+
+    monkeypatch.setattr(identity_verifier, "evaluation_matrix", record)
+    assert verify_surjectivity(1, 1, trials=20)["ok"]
+    expected, redrawn = [], 0
+    for t in range(20):
+        rng = child_rng(0, "surjectivity", t)
+        z = [rng.randrange(2), rng.randrange(2)]
+        redrawn += not any(z)
+        while not any(z):
+            z = [rng.randrange(2), rng.randrange(2)]
+        expected.append(z)
+    assert seen == expected and redrawn > 0
 
 
 def test_monomial_basis_size():
@@ -904,10 +921,10 @@ def test_rank_verdict_invariant_under_lower_triangular_change():
         assert rank_mod_p(mixed, p) == base
 
 
-def reference_evaluation_matrix(N, d, z, tangents, p, twist_factor=None):
+def reference_evaluation_matrix(N, d, z, tangents, p):
     """The hand-written loop evaluation_matrix ran before EvalPlan:
-    monomial values and directional derivatives mod p, premultiplied by the
-    twist factor by the Leibniz rule. The reference for evaluation_matrix."""
+    monomial values and directional derivatives mod p. The reference for
+    evaluation_matrix."""
     def eval_monomial(e):
         v = 1
         for zi, ei in zip(z, e):
@@ -925,46 +942,19 @@ def reference_evaluation_matrix(N, d, z, tangents, p, twist_factor=None):
         return total % p
 
     basis = monomial_basis(N, d)
-    a_val, da_val = 1, [0] * len(tangents)
-    if twist_factor is not None:
-        zero_dz = [0] * (N + 1)
-        a_val = twist_factor.evaluate(z, zero_dz) % p
-        for t, v in enumerate(tangents):
-            da_val[t] = sum(deriv(twist_factor, i).evaluate(z, zero_dz) * v[i]
-                            for i in range(N + 1)) % p
-    rows = [[(a_val * eval_monomial(e)) % p for e in basis]]
-    for t, v in enumerate(tangents):
-        rows.append([(a_val * dir_derivative(e, v) + da_val[t] * eval_monomial(e)) % p
-                     for e in basis])
+    rows = [[eval_monomial(e) for e in basis]]
+    rows += [[dir_derivative(e, v) for e in basis] for v in tangents]
     return rows
 
 
 def test_evaluation_matrix_matches_the_reference_loop():
     rng = random.Random(21)
     for N, d in [(1, 1), (2, 3), (3, 2), (4, 2)]:
-        factors = [None, random_homogeneous(N, 2, F101, rng), MultiPoly.z(N, N, F101)]
-        for A in factors:
-            for _ in range(5):
-                z = [rng.randrange(101) for _ in range(N + 1)]
-                tangents = [[rng.randrange(101) for _ in range(N + 1)] for _ in range(N)]
-                assert evaluation_matrix(N, d, z, tangents, 101, A) == \
-                    reference_evaluation_matrix(N, d, z, tangents, 101, A)
-
-
-def test_surjectivity_reduces_a_rational_twist_factor_mod_p():
-    A = from_literal("1/2 * z0^1 + 1 * z1^1", 2)
-    residues = from_literal("51 * z0^1 + 1 * z1^1", 2, F101)  # 1/2 = 51 mod 101
-    z, tangents = [3, 5, 7], [[1, 0, 0], [0, 0, 1]]
-    mat = evaluation_matrix(2, 2, z, tangents, 101, A)
-    assert mat == reference_evaluation_matrix(2, 2, z, tangents, 101, residues)
-    assert all(isinstance(x, int) and 0 <= x < 101 for row in mat for x in row)
-    rep = verify_surjectivity(2, 2, twist_factor=A, trials=20)
-    assert rep["ok"] and rep["leibniz"]
-
-
-def test_surjectivity_refuses_a_twist_factor_over_another_field():
-    with pytest.raises(ValueError, match="F_7"):
-        verify_surjectivity(2, 2, twist_factor=MultiPoly.z(2, 0, Field(7)))
+        for _ in range(5):
+            z = [rng.randrange(101) for _ in range(N + 1)]
+            tangents = [[rng.randrange(101) for _ in range(N + 1)] for _ in range(N)]
+            assert evaluation_matrix(N, d, z, tangents, 101) == \
+                reference_evaluation_matrix(N, d, z, tangents, 101)
 
 
 # ----- hidden -----

@@ -70,7 +70,7 @@ def test_known_schedules_match_frozen_values_and_oracle():
         s = build_schedule(ProblemShape(N, c, r), heart, eps)
         assert s.delta[c + r + 1] == delta_first
         for level, row in mu_rows.items():
-            assert s.mu_row(level) == row
+            assert [s.mu[(level, k)] for k in range(level + 1)] == row
         assert s.d == d
         odelta, omu, od = oracle_schedule(N, c, r, heart, eps)
         assert od == d
@@ -86,8 +86,8 @@ def test_builder_agrees_with_oracle_on_many_shapes():
             s = build_schedule(shape, heart, eps)
             odelta, omu, od = oracle_schedule(shape.N, shape.c, shape.r, heart, eps)
             assert s.d == od
-            for level in s.levels():
-                assert s.mu_row(level) == omu[level]
+            for level in range(shape.c + shape.r + 1, shape.N + 1):
+                assert [s.mu[(level, k)] for k in range(level + 1)] == omu[level]
                 assert s.delta[level] == odelta[level]
 
 
@@ -144,8 +144,8 @@ def test_slack_builds_still_validate():
 def test_monotonicity_and_positive_residuals():
     for shape in all_shapes(5):
         s = build_schedule(shape, 2)
-        for l in s.levels():
-            row = s.mu_row(l)
+        for l in range(shape.c + shape.r + 1, shape.N + 1):
+            row = [s.mu[(l, k)] for k in range(l + 1)]
             assert all(row[k] < row[k + 1] for k in range(l))
             assert row[l] < s.delta[l + 1]
             if l + 1 <= shape.N:
@@ -206,7 +206,7 @@ def test_ledger_closed_form_with_zero_slack():
     shape = ProblemShape(4, 2, 1)
     s = build_schedule(shape, 3, (1, 2, 1))
     ledger = twist_ledger(s)
-    base = s.delta[s.first_level()]
+    base = s.delta[shape.c + shape.r + 1]
     for e in ledger.entries:
         m = shape.N - e.eta
         eps_sum = sum(s.eps) + sum(s.eps[j - 1] for j in e.selection)

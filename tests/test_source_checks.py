@@ -213,3 +213,39 @@ def test_the_membership_oracle_uses_nothing_of_the_primary_path():
     routed = "def _helper(M):\n    return _layout_keys(M)\n\n" \
              "def membership_M_ab_alt(M):\n    return all(_helper(M))\n"
     assert oracle_independence_faults(routed) == ["_layout_keys"]
+
+
+# The functions that may store a polynomial's terms: __init__, which
+# validates outside input, and _of, the trusted constructor of results.
+TERMS_WRITERS = {"MultiPoly.__init__", "MultiPoly._of"}
+
+
+def terms_store_faults(source):
+    """(function, line) of every store to an attribute `terms` in a source
+    outside TERMS_WRITERS; a method is named Class.method."""
+    faults = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "terms" \
+                    and not isinstance(child.ctx, ast.Load) and where not in TERMS_WRITERS:
+                faults.append((where, child.lineno))
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return faults
+
+
+def test_only_the_constructors_store_a_polynomials_terms():
+    # results are built by MultiPoly._of, never by constructing an empty
+    # polynomial and assigning its terms afterwards
+    package = Path(mcmforms.__file__).resolve().parent
+    faults = [f"{path.name}:{line} in {where}" for path in sorted(package.glob("*.py"))
+              for where, line in terms_store_faults(path.read_text(encoding="utf-8"))]
+    assert faults == []
+    planted = "class MultiPoly:\n    def __neg__(self):\n" \
+              "        res = MultiPoly(self.N, self.field)\n        res.terms = {}\n"
+    assert terms_store_faults(planted) == [("MultiPoly.__neg__", 4)]
