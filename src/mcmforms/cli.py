@@ -141,7 +141,8 @@ def _cmd_verify(args) -> dict:
 def _cmd_scan(args) -> dict:
     if args.what == "census":
         return rank_condition_census(args.a, args.b, args.q, mode=args.mode,
-                                     sample_size=args.sample, seed=args.seed)
+                                     sample_size=10_000 if args.sample is None else args.sample,
+                                     seed=args.seed)
     fam = load_family(_needs(args, "family"))
     q = args.q if args.q else fam.field.p
     if not q:
@@ -241,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, default=2, help="census row pairs")
     p.add_argument("--b", type=int, default=2, help="census rows")
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    p.add_argument("--sample", type=int, default=10_000)
+    p.add_argument("--sample", type=int,
+                   help="census: matrices drawn in sample mode (default 10000); "
+                        "crosscheck: pairs drawn (default every pair)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--vanished", help="coordinates set to zero (base-locus)")
 

@@ -315,12 +315,16 @@ class MultiPoly:
 
     def evaluate(self, z_vals: Sequence, dz_vals: Sequence):
         """Exact evaluation in the coefficient field; over F_p through
-        EvalPlan, the one modular evaluation loop."""
+        EvalPlan, the one modular evaluation loop. A z or dz without
+        exactly N + 1 coordinates raises ValueError, as EvalPlan does."""
         fld = self.field
         if fld.p:
             return self.evaluate_mod([fld.coerce(v) for v in z_vals],
                                      [fld.coerce(v) for v in dz_vals], fld.p)
         n1 = self.N + 1
+        if len(z_vals) != n1 or len(dz_vals) != n1:
+            raise ValueError(f"z and dz need {n1} coordinates each, "
+                             f"got {len(z_vals)} and {len(dz_vals)}")
         zv = [fld.coerce(v) for v in z_vals]
         dv = [fld.coerce(v) for v in dz_vals]
         total = Fraction(0)

@@ -22,8 +22,10 @@ is factored: with alpha_0 dropped, the K_nu layouts see the betas only
 through their sum and the K_tau_rho layouts never see beta_0, so it sums
 N_nu(A) N_tau_rho(A) over A = (alpha_1..alpha_a). Base-locus and the
 crosscheck walk the same incidence pairs (_incidence_points) and evaluate
-the same standard_forms from their divided matrices. Every scan, census
-and rank-condition matrix rejects a composite q.
+the same standard_forms from their divided matrices; the crosscheck
+visits every pair unless given a sample size, and both scans accept the
+walk and the forms already built, so a pipeline run builds them once for
+both. Every scan, census and rank-condition matrix rejects a composite q.
 """
 
 from __future__ import annotations
@@ -398,17 +400,26 @@ def _rank_tables(a: int, b: int, q: int) -> RankTables:
 
 
 @lru_cache(maxsize=None)
-def _key_plan(a: int, kind: Optional[str]) -> Tuple[list, list]:
-    """(subsets, layouts) of the layouts of `kind` (all when None) at top
-    level a: the beta subsets of size > 1 they add to an alpha, and per
-    layout the (alpha index, value or None) of each column but alpha_0's;
-    values 0..a are the betas, and a + 1 + i is the sum of subsets[i]."""
-    layouts = [[c for c in layout if c.a] for kind_, _, layout in selection_layouts(a)
-               if kind in (None, kind_)]
-    subsets = sorted({c.b for layout in layouts for c in layout if len(c.b) > 1})
+def _key_plan(a: int, kind: Optional[str]) -> list:
+    """Per layout of `kind` (all when None) at top level a, in
+    selection_layouts order: (new, columns). new lists the beta subsets of
+    size > 1 that the layout is the first to add to an alpha, and columns
+    the (alpha index, value or None) of each column but alpha_0's; values
+    0..a are the betas, and a + 1 + i is the sum of the i-th subset listed
+    in some layout's new."""
     value = {(j,): j for j in range(a + 1)}
-    value.update((subset, a + 1 + i) for i, subset in enumerate(subsets))
-    return subsets, [[(c.a, value.get(c.b)) for c in layout] for layout in layouts]
+    plan = []
+    for kind_, _, layout in selection_layouts(a):
+        if kind not in (None, kind_):
+            continue
+        columns = [c for c in layout if c.a]
+        new = []
+        for c in columns:
+            if len(c.b) > 1 and c.b not in value:
+                value[c.b] = len(value)
+                new.append(c.b)
+        plan.append((new, [(c.a, value.get(c.b)) for c in columns]))
+    return plan
 
 
 def _layout_keys(alphas: Sequence, betas: Sequence, add, Q: int, key, kind: Optional[str] = None):
@@ -417,18 +428,20 @@ def _layout_keys(alphas: Sequence, betas: Sequence, add, Q: int, key, kind: Opti
     selection_layouts order, for the coded columns alpha_0..alpha_a |
     beta_0..beta_a (code arrays or single codes, summed by add), by the
     key plan of (a, kind). Keys fold from `key`, a zero wide enough for the
-    table.
+    table. Each beta-subset sum is formed when the first layout that needs
+    it is reached, so a caller that stops early forms only those it read.
 
     Each layout drops its column that holds alpha_0. A layout's columns
     sum to the matrix's column sum, so on a zero-sum matrix the dropped
     column is minus the sum of the other a, and the rank is theirs. So
     alpha_0 is never read, the K_nu layouts read the betas only through
     their sum, and the K_tau_rho layouts never read beta_0."""
-    subsets, layouts = _key_plan(len(alphas) - 1, kind)
-    values = list(betas) + [reduce(add, [betas[j] for j in subset]) for subset in subsets]
-    for layout in layouts:
+    values = list(betas)
+    for new, columns in _key_plan(len(alphas) - 1, kind):
+        for subset in new:
+            values.append(reduce(add, [betas[j] for j in subset]))
         k = key
-        for i, v in layout:
+        for i, v in columns:
             k = k * Q + (alphas[i] if v is None else add(alphas[i], values[v]))
         yield k
 
@@ -625,11 +638,12 @@ def _incidence_points(fam: SectionFamily, q: int, vanished: Sequence[int] = ()):
 
 
 def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,
-                    vanished: Sequence[int] = ()) -> dict:
+                    vanished: Sequence[int] = (), walk: Optional[Sequence] = None) -> dict:
     """Common zeros mod q of the given forms over the coordinates-nonvanishing
     part of X, paired with tangent directions.
 
-    The pairs are those of _incidence_points, and each form is evaluated
+    The pairs are those of _incidence_points(fam, q, vanished), or of
+    `walk`, that walk already materialized, and each form is evaluated
     there from its divided matrix, never expanded. Returns the vanishing
     pairs, per-point fiber counts, and any points where the tangent solve
     has wrong dimension. A vanished coordinate outside 0..N, or more
@@ -648,7 +662,7 @@ def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,
     singular_tangent = []
     points_used = 0
     directions_used = 0
-    for z, dirs in _incidence_points(fam, q, vanished):
+    for z, dirs in _incidence_points(fam, q, vanished) if walk is None else walk:
         points_used += 1
         if len(dirs) != expected_count:
             singular_tangent.append({"z": z, "directions": len(dirs)})
@@ -676,44 +690,48 @@ def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,
 # ----- characterization crosscheck -----
 
 
-def characterization_crosscheck(fam: SectionFamily, q: int, sample: int = 10_000,
-                                seed: int = 0) -> dict:
+def characterization_crosscheck(fam: SectionFamily, q: int, sample: Optional[int] = None,
+                                seed: int = 0, forms: Optional[Sequence] = None,
+                                walk: Optional[Sequence] = None) -> dict:
     """Agreement between 'all forms vanish' and rank-condition membership.
 
     Pairs (z, [xi]) run over the all-coordinates-nonzero points of P^N and
-    all tangent directions modulo Euler, and `sample` of them are drawn by
-    index. Membership implies the incidence equations (z on X, xi tangent),
-    so off-incidence pairs agree trivially and are counted in bulk. The
-    sampled incidence pairs of _incidence_points are visited in index
-    order: the numeric 2c+r x 2N+2 matrix is tested for membership, and
-    the standard_forms are evaluated. Disagreements are witnesses.
+    all tangent directions modulo Euler: every pair by default, or `sample`
+    of them drawn by index. Membership implies the incidence equations (z
+    on X, xi tangent), so off-incidence pairs agree trivially and are
+    counted in bulk. The incidence pairs of _incidence_points (or of
+    `walk`, that walk already materialized) that are taken are visited in
+    index order: the numeric 2c+r x 2N+2 matrix is tested for membership,
+    and the standard_forms (or `forms`, when given) are evaluated.
+    Disagreements are witnesses. The pipeline hands base-locus and the
+    crosscheck one walk and one set of forms.
     """
     N = fam.shape.N
     if fam.mode != "mcm":
         raise ValueError("crosscheck is defined for mcm families")
     if fam.shape.n != 1:
         raise ValueError("crosscheck expects n = 1 families")
-    if sample < 1:
+    if sample is not None and sample < 1:
         raise ValueError(f"crosscheck sample must be at least 1, got {sample}")
     # pair index zi * len(dirs) + di: z = (1, t_1..t_N) has the base-(q-1)
     # digits t_k - 1, and xi = (0,) + the di-th point of P^(N-1)
     dirs = {pt: di for di, pt in enumerate(proj_points(N - 1, q))}
     total = (q - 1) ** N * len(dirs)
-    take = min(sample, total)
-    rng = child_rng(seed, "crosscheck", 0)
-    chosen = set(rng.sample(range(total), take)) if take < total else range(total)
+    take = total if sample is None else min(sample, total)
+    chosen = (set(child_rng(seed, "crosscheck", 0).sample(range(total), take))
+              if take < total else None)
     visits = []
-    for z, tangent in _incidence_points(fam, q):
+    for z, tangent in _incidence_points(fam, q) if walk is None else walk:
         zi = reduce(lambda acc, t: acc * (q - 1) + t - 1, z[1:], 0)
         for xi in tangent:
             idx = zi * len(dirs) + dirs[xi[1:]]
-            if idx in chosen:
+            if chosen is None or idx in chosen:
                 visits.append((idx, z, list(xi)))
     visits.sort()
 
     entries = []
     if visits:
-        forms = standard_forms(fam)
+        forms = standard_forms(fam) if forms is None else forms
         # value rows are dz-free and differential rows linear in dz
         entries = EvalPlan([e for row in build_matrices(fam).entries for e in row],
                            q).at_points([z + xi for _, z, xi in visits]).tolist()

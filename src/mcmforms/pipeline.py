@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact_algebra import Field
 from .finite_geometry import (
+    _incidence_points,
     base_locus_scan,
     characterization_crosscheck,
     rank_condition_census,
@@ -397,10 +398,20 @@ def _stage_smoothness(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
     return "FAIL", rep, {"family_seed": rep["family_seed"], "singular": rep["singular"][:3]}
 
 
+def _scan_inputs(ctx: dict, q: int) -> Tuple[list, list]:
+    """The standard_forms of ctx["scan_family"] and its incidence walk
+    (_incidence_points, materialized), built the first time base-locus or
+    the crosscheck asks and kept in ctx for the other."""
+    if "scan_inputs" not in ctx:
+        fam = ctx["scan_family"]
+        ctx["scan_inputs"] = (standard_forms(fam), list(_incidence_points(fam, q)))
+    return ctx["scan_inputs"]
+
+
 def _stage_base_locus(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
     q = cfg.field.p
-    forms = standard_forms(ctx["scan_family"])
-    rep = base_locus_scan(ctx["scan_family"], forms, q)
+    forms, walk = _scan_inputs(ctx, q)
+    rep = base_locus_scan(ctx["scan_family"], forms, q, walk=walk)
     rep["forms"] = len(forms)
     rep["form_inventory"] = [
         {"kind": f.kind, "twist": f.twist, "dz_degree": f.dz_degree} for f in forms]
@@ -416,7 +427,9 @@ def _stage_crosscheck(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
     if fam.shape.n != 1:
         return "SKIP", {"reason": "crosscheck needs an n = 1 family"}, None
     q = cfg.field.p
-    rep = characterization_crosscheck(fam, q, seed=cfg.seed)
+    forms, walk = _scan_inputs(ctx, q)
+    # every incidence pair, the pairs base-locus visits
+    rep = characterization_crosscheck(fam, q, forms=forms, walk=walk)
     if rep["ok"]:
         return "PASS", rep, None
     return "FAIL", rep, {"disagreements": rep["disagreements"][:3]}

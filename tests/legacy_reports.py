@@ -20,7 +20,14 @@ the old form:
 Guard reports, which hold only the "characteristic guard" skip, are the
 same in both forms. The pipeline map takes passing and skipped stages
 only: a failing stage stopped at another unit in the old form.
+
+legacy_crosscheck maps a pipeline report back to the form it had while
+the crosscheck stage drew 10,000 of the ambient pairs by index, with the
+run's seed, instead of visiting every pair.
 """
+
+from mcmforms.finite_geometry import characterization_crosscheck
+from mcmforms.pipeline import build_family, config_from_dict
 
 
 def legacy_gluing(rep):
@@ -76,3 +83,12 @@ def legacy_pipeline(report):
                 units.append(dict(u, verdicts=[c["verdict"] for c in copies] + [exponent]))
         stages[name] = dict(entry, report=dict(entry["report"], units=units))
     return dict(report, stages=stages)
+
+
+def legacy_crosscheck(report):
+    entry = report["stages"]["crosscheck"]
+    assert entry["status"] == "PASS", "only a passing crosscheck maps back"
+    cfg = config_from_dict(report["config"])
+    fam = build_family(cfg, report["stages"]["smoothness"]["report"]["family_seed"])
+    sampled = characterization_crosscheck(fam, cfg.field.p, sample=10_000, seed=cfg.seed)
+    return dict(report, stages=dict(report["stages"], crosscheck=dict(entry, report=sampled)))

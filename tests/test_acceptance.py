@@ -8,7 +8,7 @@ integer comparisons; the stated wall-clock budgets are asserted too.
 import hashlib
 import time
 
-from legacy_reports import legacy_pipeline
+from legacy_reports import legacy_crosscheck, legacy_pipeline
 
 from mcmforms.exact_algebra import QQ, Field
 from mcmforms.finite_geometry import (
@@ -50,9 +50,13 @@ F3 = Field(3)
 F5 = Field(5)
 
 # sha256 of the canonical report of the default config, modulo timings, and
-# of that report mapped back to its chart copies (legacy_reports)
-DEFAULT_REPORT_SHA256 = "922b01e7d05e8a3a5b37728b9656650d724e8e5dc04121a16976b6ead0b68085"
-LEGACY_REPORT_SHA256 = "17a16fe9ee77e45dd87698659eb02d3efb4370d1e8a6b88d3462207f58c42acd"
+# of that report mapped back to its chart copies (legacy_reports); then both
+# again with the crosscheck mapped back to its 10,000-pair sample, the pins
+# of the report before the crosscheck visited every pair
+DEFAULT_REPORT_SHA256 = "b20350c526d4e914f099e800628f3da2332f8b7822b36f55eeece51069cdb8c6"
+LEGACY_REPORT_SHA256 = "85c7ff4430a3f0e0e7cf01c8a3fbb8b346e3d0ad8839b2c25c6fffcb16315ce4"
+SAMPLED_REPORT_SHA256 = "922b01e7d05e8a3a5b37728b9656650d724e8e5dc04121a16976b6ead0b68085"
+SAMPLED_LEGACY_REPORT_SHA256 = "17a16fe9ee77e45dd87698659eb02d3efb4370d1e8a6b88d3462207f58c42acd"
 
 
 def _line(num: int, name: str, ok: bool, note: str = "") -> None:
@@ -245,13 +249,14 @@ def test_acceptance_08_smoothness_base_locus_crosscheck():
                          seed=smooth["family_seed"])
     forms = standard_forms(fam)
     locus = base_locus_scan(fam, forms, 5)
-    cross = characterization_crosscheck(fam, 5, sample=39936, seed=1)
+    cross = characterization_crosscheck(fam, 5)  # every pair
     elapsed = time.perf_counter() - t0
     ok = (smooth["ok"] and smooth["attempt"] < 8
           and locus["ok"]
           and isinstance(locus["fiber_counts"], dict)
           and cross["total_pairs"] >= 10_000
           and cross["samples"] >= 10_000
+          and cross["incidence_pairs"] == locus["directions"]
           and cross["member_not_vanish"] == 0
           and cross["ok"])
     _line(8, "smooth within 8 reseeds; base-locus fibers; crosscheck >= 1e4",
@@ -289,10 +294,14 @@ def test_acceptance_10_pipeline_determinism():
     j1 = report_to_json(strip_timings(r1))
     j2 = report_to_json(strip_timings(r2))
     elapsed = time.perf_counter() - t0
-    legacy = report_to_json(legacy_pipeline(strip_timings(r1)))
+    sampled = legacy_crosscheck(strip_timings(r1))
+    pins = ((strip_timings(r1), DEFAULT_REPORT_SHA256),
+            (legacy_pipeline(strip_timings(r1)), LEGACY_REPORT_SHA256),
+            (sampled, SAMPLED_REPORT_SHA256),
+            (legacy_pipeline(sampled), SAMPLED_LEGACY_REPORT_SHA256))
     ok = (r1["ok"] and r2["ok"] and j1 == j2
-          and hashlib.sha256(j1.encode()).hexdigest() == DEFAULT_REPORT_SHA256
-          and hashlib.sha256(legacy.encode()).hexdigest() == LEGACY_REPORT_SHA256)
+          and all(hashlib.sha256(report_to_json(rep).encode()).hexdigest() == pin
+                  for rep, pin in pins))
     _line(10, "two default pipeline runs identical modulo timings", ok,
           f"{len(j1)} bytes, {elapsed:.1f}s")
     assert ok

@@ -676,6 +676,15 @@ def test_evaluate_exact_and_mod():
     assert p.evaluate_mod([2, 5], [7, 0], 11) == (4 + 105) % 11
 
 
+def test_evaluate_over_q_refuses_a_point_of_the_wrong_width():
+    # extra coordinates were once ignored, and too few raised IndexError
+    p = from_literal("z0*dz1 + 2*z2^2", 2)
+    assert p.evaluate([1, 2, 3], [0, 1, 0]) == 19
+    for z, dz in (([1, 2, 3, 9], [0, 1, 0, 9]), ([1, 2], [0, 1]), ([1, 2, 3], [0, 1])):
+        with pytest.raises(ValueError, match="need 3 coordinates"):
+            p.evaluate(z, dz)
+
+
 def test_evaluate_handles_large_exponents_mod_p():
     p = MultiPoly.z(1, 0, Field(5), power=64845)
     assert p.evaluate([2, 1], [0, 0]) == pow(2, 64845, 5)

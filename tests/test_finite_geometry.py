@@ -250,26 +250,60 @@ def test_membership_shape_guards():
         RankConditionMatrix(((0,) * 8, (0,) * 8), 2)  # a = 3 > b = 2
 
 
+def drawn_rank_matrices(a, b, qs, rng, constrained=False, chunk=500):
+    """The matrices random_rank_matrix(a, b, q, rng, constrained) draws for
+    q in qs, in turn, read from one block of stream words per `chunk` of
+    them: the same matrices, and rng left in the same state.
+
+    As util.randrange_block reads them, randrange(q) spends one 32-bit
+    word per attempt, keeps its top q.bit_length() bits and rejects a
+    value >= q; after each chunk the stream is rewound and advanced by the
+    words its matrices took."""
+    width = 2 * (a + 1)
+    m = b * width
+    for lo in range(0, len(qs), chunk):
+        q_seq = qs[lo:lo + chunk]
+        state = rng.getstate()
+        n = 2 * m * len(q_seq)  # at least half the attempts are accepted
+        words = np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), dtype="<u4")
+        shifts = {q: 32 - q.bit_length() for q in set(q_seq)}
+        # per modulus, the positions of the words it accepts, and how many
+        # it accepts before each position
+        kept = {q: words >> s < q for q, s in shifts.items()}
+        kept = {q: (np.flatnonzero(ok), np.cumsum(ok) - ok) for q, ok in kept.items()}
+        ends = [0]
+        for q in q_seq:  # just past the m-th word q accepts from the last end
+            where, before = kept[q]
+            ends.append(int(where[before[ends[-1]] + m - 1]) + 1)
+        rng.setstate(state)
+        rng.getrandbits(32 * ends[-1])
+        taken = np.diff(ends)
+        values = words[:ends[-1]] >> np.repeat([shifts[q] for q in q_seq], taken)
+        rows = values[values < np.repeat(q_seq, taken)].astype(np.int64).reshape(-1, b, width)
+        if constrained:
+            rows[:, :, 0] = -rows[:, :, 1:].sum(axis=2) % np.array(q_seq)[:, None]
+        for M, q in zip(rows.tolist(), q_seq):
+            yield RankConditionMatrix(tuple(map(tuple, M)), q)
+
+
 def test_membership_primary_and_alt_agree():
     # reformulation equivalence, swept over every (a, b) up to (3, 4)
     pairs = [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
     qs = (2, 3, 5)
     for a, b in pairs:
         rng = random.Random(f"agree-{a}-{b}")
+        twin = random.Random()
         members = 0
-        for i in range(100_000):
-            q = qs[i % 3]
-            M = random_rank_matrix(a, b, q, rng)
-            lhs = membership_M_ab(M)
-            assert lhs == membership_M_ab_alt(M)
-            members += lhs
         # column-sum-constrained draws exercise the rank conditions densely
-        for i in range(1500):
-            q = qs[i % 3]
-            M = random_rank_matrix(a, b, q, rng, constrained=True)
-            lhs = membership_M_ab(M)
-            assert lhs == membership_M_ab_alt(M)
-            members += lhs
+        for constrained, count in ((False, 100_000), (True, 1500)):
+            twin.setstate(rng.getstate())
+            moduli = [qs[i % 3] for i in range(count)]
+            for i, M in enumerate(drawn_rank_matrices(a, b, moduli, rng, constrained)):
+                if i < 1000:
+                    assert M == random_rank_matrix(a, b, M.p, twin, constrained)
+                lhs = membership_M_ab(M)
+                assert lhs == membership_M_ab_alt(M)
+                members += lhs
         assert members > 0
 
 
@@ -1119,6 +1153,20 @@ def test_crosscheck_matches_the_ambient_reference(shape_t, seed, sample, sample_
     if shape_t == (2, 1, 0) and seed == 4:
         # both branches: a member pair that vanishes, and non-members
         assert rep["incidence_pairs"] == 7 and rep["vanish_and_member"] == 1
+
+
+@pytest.mark.parametrize("shape_t, seed", [((2, 1, 0), 4), ((3, 1, 1), 0), ((4, 3, 0), 1)])
+def test_crosscheck_without_a_sample_visits_every_pair(shape_t, seed):
+    fam = mcm_family(seed, shape=ProblemShape(*shape_t))
+    rep = characterization_crosscheck(fam, 5)
+    assert rep["samples"] == rep["total_pairs"]
+    assert rep == characterization_crosscheck(fam, 5, sample=rep["total_pairs"])
+    # the walk and forms the pipeline hands both scans give the same reports
+    forms, walk = standard_forms(fam), list(finite_geometry._incidence_points(fam, 5))
+    assert characterization_crosscheck(fam, 5, forms=forms, walk=walk) == rep
+    locus = base_locus_scan(fam, forms, 5)
+    assert base_locus_scan(fam, forms, 5, walk=walk) == locus
+    assert rep["incidence_pairs"] == locus["directions"]
 
 
 def test_crosscheck_reads_the_programs_forms(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from legacy_reports import legacy_pipeline
 
-from mcmforms import cli
+from mcmforms import cli, finite_geometry, pipeline
 from mcmforms.cli import main
 from mcmforms.pipeline import (
     RunConfig,
@@ -31,7 +31,7 @@ from mcmforms.pipeline import (
 )
 from mcmforms.finite_geometry import smoothness_check
 from mcmforms.schedule import ProblemShape
-from mcmforms.section_builder import load_family
+from mcmforms.section_builder import FormBundle, load_family
 
 
 def small_config(**overrides) -> RunConfig:
@@ -332,6 +332,55 @@ def test_crosscheck_stage_skips_an_n_2_family():
         "status": "SKIP", "reason": "crosscheck needs an n = 1 family",
         "report": {"reason": "crosscheck needs an n = 1 family"}}
     assert report["ok"]
+
+
+# The master seeds of the two pipelines of a pipeline-default benchmark
+# pass at workload seeds 1 and 20261017 (bench/workloads.py, _seeds)
+PIPELINE_DEFAULT_SEEDS = (1169344821, 1166727779, 968459955, 1051055586)
+
+
+@pytest.mark.parametrize("seed", (1,) + PIPELINE_DEFAULT_SEEDS)
+def test_crosscheck_visits_every_base_locus_pair(monkeypatch, seed):
+    # the pairs each scan evaluates forms at, each scan run on its own,
+    # and both in one default run
+    cfg = dataclasses.replace(parse_config(default_config_text()), seed=seed)
+    evaluate_at, visited = FormBundle.evaluate_at, set()
+
+    def recording(self, z, dz, q):
+        visited.add((tuple(z), tuple(dz)))
+        return evaluate_at(self, z, dz, q)
+
+    monkeypatch.setattr(FormBundle, "evaluate_at", recording)
+    pairs = {}
+    for stage in ("base-locus", "crosscheck"):
+        visited.clear()
+        assert run_pipeline(dataclasses.replace(cfg, stages=(stage,)))["ok"]
+        pairs[stage] = set(visited)
+    assert pairs["crosscheck"] == pairs["base-locus"] != set()
+    report = run_pipeline(cfg)
+    assert report["ok"]
+    locus = report["stages"]["base-locus"]["report"]
+    cross = report["stages"]["crosscheck"]["report"]
+    assert cross["incidence_pairs"] == locus["directions"] == len(pairs["base-locus"])
+    assert cross["samples"] == cross["total_pairs"] == 39_936
+    assert cross["member_not_vanish"] == 0
+
+
+def test_one_default_run_extracts_the_forms_once_and_walks_once(monkeypatch):
+    calls = {"standard_forms": 0, "_incidence_points": 0}
+    for name in calls:
+        original = getattr(finite_geometry, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # the pipeline's own names and the ones the scans fall back on
+        for module in (pipeline, finite_geometry):
+            monkeypatch.setattr(module, name, counting)
+    report = run_pipeline(parse_config(default_config_text()))
+    assert report["stages"]["crosscheck"]["report"]["incidence_pairs"] > 0
+    assert calls == {"standard_forms": 1, "_incidence_points": 1}
 
 
 def test_general_pipeline_passes_with_defaulted_exponents():
@@ -703,6 +752,19 @@ def test_cli_scan_census(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["count"] == 148
     assert report["verdict"] == "pass"
+
+
+def test_cli_crosscheck_visits_every_pair_without_a_sample(tmp_path, capsys):
+    fam_path, out = tmp_path / "family.json", tmp_path / "crosscheck.json"
+    assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
+                 "--seed", "3", "--out", str(fam_path)]) == 0
+    assert main(["scan", "crosscheck", "--family", str(fam_path), "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["samples"] == report["total_pairs"] == 4 ** 3 * 31
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["scan", "--help"])
+    assert "crosscheck: pairs drawn (default every pair)" in " ".join(capsys.readouterr().out.split())
 
 
 def test_cli_coup_split_exit_codes(capsys):
