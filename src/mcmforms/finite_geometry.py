@@ -41,8 +41,10 @@ import numpy as np
 
 from .exact_algebra import EvalPlan, Field, deriv
 from .section_builder import (
+    FormalMatrixBundle,
     SectionFamily,
     _combine_columns,
+    _family_matrices,
     build_matrices,
     build_sections,
     selection_layouts,
@@ -60,12 +62,16 @@ class RankConditionMatrix:
     p: int
 
     def __post_init__(self):
+        # one pass over the row widths, and a and b from locals: the
+        # crosscheck builds one matrix per incidence pair
+        rows = self.rows
         _require_prime(self.p)
-        width = len(self.rows[0]) if self.rows else 0
-        if not width or width % 2 or any(len(r) != width for r in self.rows):
+        width = len(rows[0]) if rows else 0
+        if not width or width % 2 or len(set(map(len, rows))) != 1:
             raise ValueError("need a b x 2(a+1) matrix")
-        if not (2 <= self.a <= self.b):
-            raise ValueError(f"need 2 <= a <= b, got a={self.a}, b={self.b}")
+        a, b = width // 2 - 1, len(rows)
+        if not 2 <= a <= b:
+            raise ValueError(f"need 2 <= a <= b, got a={a}, b={b}")
 
     @property
     def b(self) -> int:
@@ -162,6 +168,14 @@ def smoothness_with_resampling(shape, mode: str, field, schedule=None, seed: int
     """Build a family and scan it; on a singular verdict, rebuild with the
     next derived seed, up to `attempts` times (at least 1), and report the
     last scan. Mirrors generic-choice claims."""
+    return _resample_smooth(shape, mode, field, schedule, seed, q, attempts, **build_kwargs)[0]
+
+
+def _resample_smooth(shape, mode: str, field, schedule=None, seed: int = 0,
+                     q: Optional[int] = None, attempts: int = 8,
+                     **build_kwargs) -> Tuple[dict, SectionFamily]:
+    """smoothness_with_resampling's report with the family its last scan
+    read, so a caller keeps that family instead of building it again."""
     if attempts < 1:
         raise ValueError(f"need at least one attempt, got {attempts}")
     q = q or field.p
@@ -174,7 +188,7 @@ def smoothness_with_resampling(shape, mode: str, field, schedule=None, seed: int
         rep["family_seed"] = fam_seed
         if rep["ok"]:
             break
-    return rep
+    return rep, fam
 
 
 # ----- tangent directions -----
@@ -692,7 +706,8 @@ def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,
 
 def characterization_crosscheck(fam: SectionFamily, q: int, sample: Optional[int] = None,
                                 seed: int = 0, forms: Optional[Sequence] = None,
-                                walk: Optional[Sequence] = None) -> dict:
+                                walk: Optional[Sequence] = None,
+                                matrices: Optional[FormalMatrixBundle] = None) -> dict:
     """Agreement between 'all forms vanish' and rank-condition membership.
 
     Pairs (z, [xi]) run over the all-coordinates-nonzero points of P^N and
@@ -704,7 +719,9 @@ def characterization_crosscheck(fam: SectionFamily, q: int, sample: Optional[int
     index order: the numeric 2c+r x 2N+2 matrix is tested for membership,
     and the standard_forms (or `forms`, when given) are evaluated.
     Disagreements are witnesses. The pipeline hands base-locus and the
-    crosscheck one walk and one set of forms.
+    crosscheck one walk and one set of forms, and the crosscheck the
+    family's build_matrices bundle as `matrices`; a bundle of another
+    family, or a restricted one, raises ValueError.
     """
     N = fam.shape.N
     if fam.mode != "mcm":
@@ -713,6 +730,8 @@ def characterization_crosscheck(fam: SectionFamily, q: int, sample: Optional[int
         raise ValueError("crosscheck expects n = 1 families")
     if sample is not None and sample < 1:
         raise ValueError(f"crosscheck sample must be at least 1, got {sample}")
+    if matrices is not None:
+        _family_matrices(fam, matrices)
     # pair index zi * len(dirs) + di: z = (1, t_1..t_N) has the base-(q-1)
     # digits t_k - 1, and xi = (0,) + the di-th point of P^(N-1)
     dirs = {pt: di for di, pt in enumerate(proj_points(N - 1, q))}
@@ -731,9 +750,10 @@ def characterization_crosscheck(fam: SectionFamily, q: int, sample: Optional[int
 
     entries = []
     if visits:
-        forms = standard_forms(fam) if forms is None else forms
+        K = build_matrices(fam) if matrices is None else matrices
+        forms = standard_forms(fam, K) if forms is None else forms
         # value rows are dz-free and differential rows linear in dz
-        entries = EvalPlan([e for row in build_matrices(fam).entries for e in row],
+        entries = EvalPlan([e for row in K.entries for e in row],
                            q).at_points([z + xi for _, z, xi in visits]).tolist()
     vanish_and_member = 0
     vanish_not_member = 0

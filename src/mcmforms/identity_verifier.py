@@ -40,6 +40,11 @@ the value rows to z_l times the differential rows, so G(w_l) == z_l^n * G
 by row operations. Both modes form D(z; z) the same way, by the products
 z_k * [dz_k]D, and compare the one pair list.
 
+verify_gluing and verify_transition build the family's matrix bundle, or
+read the one a caller passes as `matrices` (a pipeline run and `mcm verify`
+share one per family across their units); a bundle of another family, or
+a restricted one, is refused.
+
 Every check returns a report dict: {"op", "ok", "checks": [{"id", "mode",
 "trials", "verdict", "witness"}, ...]} plus op-specific extras.
 """
@@ -65,6 +70,7 @@ from .section_builder import (
     FormBundle,
     SectionFamily,
     _check_selection,
+    _family_matrices,
     build_matrices,
     build_selected,
     extract_forms,
@@ -166,7 +172,7 @@ def _check_hypothesis(check_id: str, pairs: Sequence[Pair], fam: SectionFamily,
 
 def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int,
                   which: Optional[Tuple] = None, mode: str = "exact",
-                  seed: int = 0) -> dict:
+                  seed: int = 0, matrices: Optional[FormalMatrixBundle] = None) -> dict:
     """The gluing hypothesis for psi_{j1} and psi_{j2}: the rows of the
     family's matrix sum to its sections and its differential rows are the
     differentials of its value rows, and with `which` the same of the
@@ -176,16 +182,18 @@ def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int
     (_check_hypothesis, exactly unless the probabilistic branch is asked
     for). The selection must name the form's differential rows, a full mcm
     bundle needs `which`, and equal or out-of-range chart columns raise
-    ValueError: psi_j - psi_j == 0 tests nothing.
+    ValueError: psi_j - psi_j == 0 tests nothing. So does a `matrices`
+    that is not fam's own build_matrices bundle (_family_matrices).
     """
     if j1 == j2:
         raise ValueError("chart columns must differ")
+    full = build_matrices(fam) if matrices is None else _family_matrices(fam, matrices)
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("gluing", [guard], j1=j1, j2=j2)
-    bundles = [(_label(None), build_matrices(fam))]
+    bundles = [(_label(None), full)]
     if which is not None:
-        bundles.append((_label(which), build_selected(bundles[0][1], which)))
+        bundles.append((_label(which), build_selected(full, which)))
     K = bundles[-1][1]
     if K.layout == "mcm":
         raise ValueError("full mcm bundles need a K_nu/K_tau_rho selection")
@@ -232,7 +240,7 @@ def _transition_pairs(form: FormBundle, fam: SectionFamily,
 def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
                       l1: int, l2: int, mode: str = "exact",
                       which: Optional[Tuple] = None, kind: Optional[str] = None,
-                      seed: int = 0) -> dict:
+                      seed: int = 0, matrices: Optional[FormalMatrixBundle] = None) -> dict:
     """Chart-change identities for one extracted form: exactly the checks
     "transition" and "transition exponent".
 
@@ -254,16 +262,17 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
     dz fails it in either mode. Neither mode expands G or takes a
     determinant. The exponent check reads the z-degree that extract_forms
     enforces, so it runs in every mode and also on a zero G. A chart
-    outside 0..N raises ValueError.
+    outside 0..N raises ValueError, and so does a `matrices` that is not
+    fam's own build_matrices bundle (_family_matrices).
     """
     if mode not in ("exact", "probabilistic"):
         raise ValueError(f"unknown mode {mode!r}")
     if not (0 <= l1 <= fam.shape.N and 0 <= l2 <= fam.shape.N):
         raise ValueError("chart out of range")
+    K = build_matrices(fam) if matrices is None else _family_matrices(fam, matrices)
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("transition", [guard], omit=omit, charts=(l1, l2))
-    K = build_matrices(fam)
     form = extract_forms(K if which is None else build_selected(K, which), [selection],
                          omit=omit, kind=kind)[0]
     pairs, nonlinear = _transition_pairs(form, fam, _label(which))

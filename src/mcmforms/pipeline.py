@@ -8,6 +8,12 @@ whether in Python, by config_from_dict (the inverse of RunConfig.to_dict)
 or by parse_config, which fills that dict from the INI file; the stages
 and run_pipeline only read it.
 
+One run builds each family's matrix bundle once (build_matrices, kept in
+the run's context by _matrices), and each K_nu / K_tau_rho selection of it
+once (kept on the bundle by build_selected): divisibility, gluing,
+transitions, base-locus and the crosscheck read those copies, and the
+verifiers take the bundle as `matrices`. Nothing outlives the run.
+
 Every FAIL or ERROR stage carries a witness: the stage, the run config
 restricted to that stage, and the stage's own detail (the failing unit,
 row and column, singular points, or census shape and count). replay reruns
@@ -26,11 +32,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exact_algebra import Field
 from .finite_geometry import (
     _incidence_points,
+    _resample_smooth,
     base_locus_scan,
     characterization_crosscheck,
     rank_condition_census,
     smoothness_check,
-    smoothness_with_resampling,
 )
 from .identity_verifier import verify_gluing, verify_transition
 from .schedule import (
@@ -43,6 +49,7 @@ from .schedule import (
 )
 from .section_builder import (
     DivisibilityClaimFailed,
+    FormalMatrixBundle,
     build_matrices,
     build_sections,
     build_selected,
@@ -280,9 +287,20 @@ def _all_divisors(fam, K) -> int:
     return len(column_divisors(K))
 
 
+def _matrices(ctx: dict, fam) -> FormalMatrixBundle:
+    """build_matrices(fam), built the first time a stage asks and kept in
+    ctx, with each selection build_selected makes of it. ctx keeps one
+    bundle: the stages ask for ctx["family"]'s before ctx["scan_family"]'s,
+    so a resampled scan family's bundle replaces the other."""
+    K = ctx.get("matrices")
+    if K is None or K.family is not fam:
+        K = ctx["matrices"] = build_matrices(fam)
+    return K
+
+
 def _stage_divisibility(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
     fam = ctx["family"]
-    K = build_matrices(fam)
+    K = _matrices(ctx, fam)
     columns = 0
     try:
         columns = _all_divisors(fam, K)
@@ -324,9 +342,11 @@ def _glue_units(fam) -> List[dict]:
 
 def _stage_gluing(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
     fam = ctx["family"]
+    K = _matrices(ctx, fam)
     return _run_units(
         _glue_units(fam),
-        lambda u: verify_gluing(fam, u["selection"], u["j1"], u["j2"], which=u["which"]),
+        lambda u: verify_gluing(fam, u["selection"], u["j1"], u["j2"], which=u["which"],
+                                matrices=K),
         lambda u, rep: {"which": list(u["which"]) if u["which"] else None,
                         "j1": u["j1"], "j2": u["j2"]},
         mode="exact")
@@ -351,10 +371,11 @@ def _transition_units(fam) -> List[dict]:
 
 def _stage_transition(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
     fam = ctx["family"]
+    K = _matrices(ctx, fam)
     return _run_units(
         _transition_units(fam),
         lambda u: verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
-                                    which=u["which"], kind=u["kind"]),
+                                    which=u["which"], kind=u["kind"], matrices=K),
         lambda u, rep: {"omit": u["omit"], "charts": [u["l1"], u["l2"]],
                         "mode": rep.get("mode")})
 
@@ -389,10 +410,12 @@ def _stage_smoothness(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
     if first["ok"]:
         ctx["scan_family"] = fam
         return "PASS", dict(first, attempt=0, family_seed=fam.seed), None
-    rep = smoothness_with_resampling(fam.shape, fam.mode, fam.field, schedule=fam.schedule,
-                                     seed=cfg.seed, q=q, lambdas=fam.lambdas, degrees=fam.degrees)
+    # the resampler's own family, which build_family(cfg, rep["family_seed"]) rebuilds
+    rep, resampled = _resample_smooth(fam.shape, fam.mode, fam.field, schedule=fam.schedule,
+                                      seed=cfg.seed, q=q, lambdas=fam.lambdas,
+                                      degrees=fam.degrees)
     if rep["ok"]:
-        ctx["scan_family"] = build_family(cfg, rep["family_seed"])
+        ctx["scan_family"] = resampled
         return "PASS", rep, None
     # the last resample's seed and points, as in the report
     return "FAIL", rep, {"family_seed": rep["family_seed"], "singular": rep["singular"][:3]}
@@ -404,7 +427,8 @@ def _scan_inputs(ctx: dict, q: int) -> Tuple[list, list]:
     the crosscheck asks and kept in ctx for the other."""
     if "scan_inputs" not in ctx:
         fam = ctx["scan_family"]
-        ctx["scan_inputs"] = (standard_forms(fam), list(_incidence_points(fam, q)))
+        ctx["scan_inputs"] = (standard_forms(fam, _matrices(ctx, fam)),
+                              list(_incidence_points(fam, q)))
     return ctx["scan_inputs"]
 
 
@@ -429,7 +453,8 @@ def _stage_crosscheck(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
     q = cfg.field.p
     forms, walk = _scan_inputs(ctx, q)
     # every incidence pair, the pairs base-locus visits
-    rep = characterization_crosscheck(fam, q, forms=forms, walk=walk)
+    rep = characterization_crosscheck(fam, q, forms=forms, walk=walk,
+                                      matrices=_matrices(ctx, fam))
     if rep["ok"]:
         return "PASS", rep, None
     return "FAIL", rep, {"disagreements": rep["disagreements"][:3]}
@@ -494,8 +519,12 @@ def run_pipeline(cfg: RunConfig) -> dict:
     ctx: dict = {}
     stage_reports: Dict[str, dict] = {}
     timings: Dict[str, float] = {}
-    for name in stages:
+    for i, name in enumerate(stages):
         fn, deps = STAGES[name]
+        if not any(STAGES[s][1] for s in stages[i:]):
+            # a stage reads only what its dependencies left in ctx: drop the
+            # run's families, bundle and scan inputs before the census
+            ctx.clear()
         blockers = [d for d in deps
                     if stage_reports.get(d, {}).get("status") in ("FAIL", "SKIP", "ERROR")]
         if blockers:

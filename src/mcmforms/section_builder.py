@@ -46,10 +46,11 @@ conditions by hand, as the deliberately independent oracle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .exact_algebra import (
     DivisibilityError,
@@ -109,7 +110,7 @@ class DegreeClaimFailed(ValueError):
         self.entry = entry
 
 
-@dataclass
+@dataclass(frozen=True)
 class SectionFamily:
     """Sections F_1..F_{c+r} with their coefficient data.
 
@@ -117,18 +118,31 @@ class SectionFamily:
     moving terms (i is 1-based, coordinates 0-based, jk the distinguished
     coordinate inside the tuple). degrees holds the L-degrees d_i (general
     mode) and is derived as eps_i + d in mcm mode.
+
+    A family is frozen, its coefficients a read-only copy of the mapping it
+    is given: a changed family is a new one (dataclasses.replace), which
+    no bundle built from the old one is taken for.
     """
 
     shape: ProblemShape
     mode: str
     field: Field
     twists: Tuple[int, ...]
-    coefficients: Dict[str, MultiPoly]
+    coefficients: Mapping[str, MultiPoly]
     sections: Tuple[MultiPoly, ...]
     lambdas: Optional[Tuple[int, ...]] = None
     degrees: Optional[Tuple[int, ...]] = None
     schedule: Optional[ExponentSchedule] = None
     seed: Optional[int] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", MappingProxyType(dict(self.coefficients)))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle: copies and pickles rebuild the
+        # family from a plain dict of its coefficients
+        return SectionFamily, tuple(dict(self.coefficients) if f.name == "coefficients"
+                                    else getattr(self, f.name) for f in fields(self))
 
     def section_l_degrees(self) -> Tuple[int, ...]:
         """The L-degree of each section (the O(1)-degree minus the a_i twist)."""
@@ -164,6 +178,8 @@ class FormalMatrixBundle:
     selected_kind: Optional[str] = None
     selected_params: Tuple[int, ...] = ()
     divisor_exponents: Optional[Tuple[int, ...]] = None
+    _selected: Dict[Tuple, "FormalMatrixBundle"] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def ncols(self) -> int:
@@ -543,18 +559,23 @@ def build_selected(K: FormalMatrixBundle, which: Tuple) -> FormalMatrixBundle:
     """Combine the A/B column groups of an mcm bundle as column_layout
     states for ("K_nu", nu) or ("K_tau_rho", tau, rho); positions refer to
     the retained coordinate list, and the combined columns are displayed
-    last. A restricted bundle keeps its vanished coordinates."""
+    last. A restricted bundle keeps its vanished coordinates. Each
+    selection is built once per K and kept on it: every caller holding K
+    gets the same bundle, which goes away with K."""
     kind = which[0]
     fam = K.family
     if K.layout != "mcm":
         raise ValueError("column combinations need an mcm bundle")
-    top = len(K.retained) - 1
     params = tuple(which[1:])
+    kept = K._selected.get((kind, params))
+    if kept is not None:
+        return kept
+    top = len(K.retained) - 1
     layout = column_layout(kind, params, top)
     columns = [[row[j] for row in K.entries] for j in range(K.ncols)]
     combined = _combine_columns(layout, columns[: top + 1], columns[top + 1:],
                                 lambda x, y: [u + v for u, v in zip(x, y)])
-    return FormalMatrixBundle(
+    S = K._selected[(kind, params)] = FormalMatrixBundle(
         layout="selected", family=fam, entries=[list(row) for row in zip(*combined)],
         column_tags=tuple(_column_tag(kind, col, K.retained) for col in layout),
         column_coords=tuple(K.retained[col.a] for col in layout),
@@ -562,6 +583,7 @@ def build_selected(K: FormalMatrixBundle, which: Tuple) -> FormalMatrixBundle:
         selected_params=params,
         divisor_exponents=tuple(divisor_exponent(col, fam.schedule, top) for col in layout),
     )
+    return S
 
 
 # ----- divisors -----
@@ -707,12 +729,27 @@ def extract_forms(
     return forms
 
 
-def standard_forms(fam: SectionFamily) -> List[FormBundle]:
+def _family_matrices(fam: SectionFamily, K: FormalMatrixBundle) -> FormalMatrixBundle:
+    """K, once it is fam's full build_matrices bundle; a bundle of another
+    family object, a restricted one or a selection raises ValueError, so a
+    caller's bundle is never checked in place of the family's."""
+    if K.family is not fam:
+        raise ValueError("matrices were built for another family")
+    if K.vanished or K.layout == "selected":
+        raise ValueError("matrices must be the family's full bundle, not a "
+                         "restriction or a selection")
+    return K
+
+
+def standard_forms(fam: SectionFamily,
+                   matrices: Optional[FormalMatrixBundle] = None) -> List[FormBundle]:
     """The default form inventory for scans: every selected-bundle kind with
     every admissible differential-row choice (mcm), or the psi/omega pair
     (explicit exponents), all extracted at omit=0. The forms of
-    one layout share one divided matrix and stay unexpanded."""
-    K = build_matrices(fam)
+    one layout share one divided matrix and stay unexpanded. `matrices`,
+    when given, is fam's build_matrices bundle (_family_matrices), read in
+    place of a new one."""
+    K = build_matrices(fam) if matrices is None else _family_matrices(fam, matrices)
     shape = fam.shape
     if fam.mode == "mcm":
         selections = [(j,) for j in range(1, shape.c + 1)] if shape.n == 1 else \

@@ -248,6 +248,14 @@ def test_membership_shape_guards():
         RankConditionMatrix(((0, 0, 0, 0),) * 4, 2)  # a = 1
     with pytest.raises(ValueError, match="2 <= a <= b"):
         RankConditionMatrix(((0,) * 8, (0,) * 8), 2)  # a = 3 > b = 2
+    for q in (0, 4, 9):  # 0 is Q, not a prime field
+        with pytest.raises(ValueError, match="prime"):
+            RankConditionMatrix(((0,) * 6,) * 2, q)
+    for ragged in (((0,) * 6, (0,) * 4), ((0,) * 6, (0,) * 6, (0,) * 8), ((0,) * 6, ())):
+        with pytest.raises(ValueError, match="b x 2"):
+            RankConditionMatrix(ragged, 3)
+    assert (RankConditionMatrix(((0,) * 6,) * 2, 3).a, RankConditionMatrix(((0,) * 6,) * 2, 3).b) \
+        == (2, 2)
 
 
 def drawn_rank_matrices(a, b, qs, rng, constrained=False, chunk=500):

@@ -383,6 +383,21 @@ def test_one_default_run_extracts_the_forms_once_and_walks_once(monkeypatch):
     assert calls == {"standard_forms": 1, "_incidence_points": 1}
 
 
+def test_smoothness_keeps_the_family_it_resampled(monkeypatch):
+    # seed 3's built family is singular over F_5: the stage keeps the
+    # resampler's family, which is the one build_family makes from its seed
+    cfg = RunConfig(seed=3)
+    ctx = {}
+    for stage in ("schedule", "build"):
+        pipeline.STAGES[stage][0](cfg, ctx)
+    monkeypatch.setattr(pipeline, "build_family", None)  # not called again
+    status, rep, _ = pipeline._stage_smoothness(cfg, ctx)
+    monkeypatch.undo()
+    assert status == "PASS" and ctx["scan_family"] is not ctx["family"]
+    assert ctx["scan_family"].seed == rep["family_seed"]
+    assert ctx["scan_family"].sections == build_family(cfg, rep["family_seed"]).sections
+
+
 def test_general_pipeline_passes_with_defaulted_exponents():
     cfg = RunConfig(shape=ProblemShape(3, 2, 0), mode="general_fermat",
                     field_spec="11", seed=5,
@@ -1093,8 +1108,8 @@ def test_cli_verify_checks_name_their_layout(tmp_path, capsys, monkeypatch):
     # one unit's report forced to fail: the merged FAIL names its layout
     real = cli.verify_gluing
 
-    def failing_on_k_tau_rho(fam, selection, j1, j2, which=None):
-        rep = real(fam, selection, j1, j2, which=which)
+    def failing_on_k_tau_rho(fam, selection, j1, j2, which=None, **kwargs):
+        rep = real(fam, selection, j1, j2, which=which, **kwargs)
         if which == ("K_tau_rho", 0, 1):
             rep = dict(rep, ok=False, checks=[dict(c, verdict="fail") for c in rep["checks"]])
         return rep

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import pickle
 import random
+from copy import deepcopy
 
 import pytest
 
@@ -226,8 +228,8 @@ def tampered_family():
     """The (4,3,0) mcm family of seed 4 with z0^67 added to F_1, so that
     value row 0 of its matrix no longer sums to its first section."""
     fam = mcm_family(seed=4)
-    fam.sections = (fam.sections[0] + MultiPoly.z(4, 0, fam.field, power=67),) + fam.sections[1:]
-    return fam
+    return dataclasses.replace(fam, sections=(
+        fam.sections[0] + MultiPoly.z(4, 0, fam.field, power=67),) + fam.sections[1:])
 
 
 def test_a_section_that_is_not_its_row_sum_is_rejected():
@@ -262,17 +264,51 @@ def test_a_tampered_section_fails_the_gluing_stage(monkeypatch):
 
 def test_bundle_invariants_hold_under_python_O(run_optimized):
     out = run_optimized(
+        "import dataclasses\n"
         "from mcmforms.exact_algebra import Field, MultiPoly\n"
         "from mcmforms.identity_verifier import verify_gluing\n"
         "from mcmforms.schedule import ProblemShape, build_schedule\n"
         "from mcmforms.section_builder import build_sections\n"
         "shape = ProblemShape(4, 3, 0)\n"
         "fam = build_sections(shape, 'mcm', field=Field(5), schedule=build_schedule(shape, 2), seed=4)\n"
-        "fam.sections = (fam.sections[0] + MultiPoly.z(4, 0, Field(5), power=67),) + fam.sections[1:]\n"
+        "fam = dataclasses.replace(fam, sections=(\n"
+        "    fam.sections[0] + MultiPoly.z(4, 0, Field(5), power=67),) + fam.sections[1:])\n"
         "check = verify_gluing(fam, (1,), 0, 1, which=('K_nu', 0))['checks'][0]\n"
         "w = check['witness']\n"
         "print(check['verdict'], w['bundle'], w['row'], w['col'], w['lhs_minus_rhs'])\n")
     assert out == "fail full 0 None 4 * z0^67\n"
+
+
+def test_a_family_is_frozen_and_a_changed_copy_is_checked_anew():
+    # gluing passes on the family; its replaced copy with z0^67 added to
+    # F_1, checked after it in the same process, fails with the witness of
+    # a family tampered before any check, and cannot borrow its bundle
+    fam = mcm_family(seed=4)
+    K = build_matrices(fam)
+    assert verify_gluing(fam, (1,), 0, 1, which=("K_nu", 0), matrices=K)["ok"]
+    changed = dataclasses.replace(fam, sections=(
+        fam.sections[0] + MultiPoly.z(4, 0, fam.field, power=67),) + fam.sections[1:])
+    (check,) = verify_gluing(changed, (1,), 0, 1, which=("K_nu", 0))["checks"]
+    assert check["verdict"] == "fail"
+    assert (check["witness"]["bundle"], check["witness"]["row"], check["witness"]["col"],
+            check["witness"]["lhs_minus_rhs"]) == ("full", 0, None, "4 * z0^67")
+    with pytest.raises(ValueError, match="another family"):
+        verify_gluing(changed, (1,), 0, 1, which=("K_nu", 0), matrices=K)
+    for name, value in (("sections", changed.sections), ("seed", 5), ("twists", (1, 0, 0))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fam, name, value)
+    with pytest.raises(TypeError):
+        fam.coefficients["A:1:0"] = fam.coefficients["A:1:1"]
+    # the family keeps its own copy of the mapping it was built from
+    coefficients = dict(fam.coefficients)
+    copy = dataclasses.replace(fam, coefficients=coefficients)
+    coefficients.clear()
+    assert copy.coefficients == fam.coefficients != {}
+    # and copies and pickles as before, into a frozen family
+    for clone in (deepcopy(fam), pickle.loads(pickle.dumps(fam))):
+        assert clone == fam and clone is not fam
+        with pytest.raises(TypeError):
+            clone.coefficients["A:1:0"] = fam.coefficients["A:1:1"]
 
 
 # ----- column selection -----
