@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +54,8 @@ Exponent = Tuple[int, ...]
 # larger blocks raised the peak RSS (by about 0.7 MB at 1 << 16) and smaller
 # ones slowed the scans (points_on_X took about 1.6 times as long at 1 << 12).
 EVAL_BLOCK = 1 << 13
+# every int64 product EvalPlan forms stays below this
+INT64_LIMIT = 1 << 63
 
 
 class DivisibilityError(ValueError):
@@ -292,24 +294,28 @@ class MultiPoly:
 
     # ----- grading -----
 
-    def _common(self, key: Callable, what: str):
-        """The value of key shared by every term; None for zero."""
-        values = {key(exp) for exp in self.terms}
+    @staticmethod
+    def _common(values: set, what: str):
+        """The one grading in `values`, the set of every term's; None for
+        zero."""
         if len(values) > 1:
             raise ValueError(f"not {what} {sorted(values)}")
         return values.pop() if values else None
 
     def z_degree(self) -> Optional[int]:
         """Common z-degree when z-homogeneous; None for the zero polynomial."""
-        return self._common(lambda exp: sum(exp[: self.N + 1]), "z-homogeneous: degrees")
+        n1 = self.N + 1
+        return self._common({sum(exp[:n1]) for exp in self.terms}, "z-homogeneous: degrees")
 
     def dz_degree(self) -> Optional[int]:
-        return self._common(lambda exp: sum(exp[self.N + 1:]), "dz-homogeneous: degrees")
+        n1 = self.N + 1
+        return self._common({sum(exp[n1:]) for exp in self.terms}, "dz-homogeneous: degrees")
 
     def bidegree(self) -> Optional[Tuple[int, int]]:
         """(z-degree, dz-degree) when bihomogeneous; None for zero."""
         n1 = self.N + 1
-        return self._common(lambda exp: (sum(exp[:n1]), sum(exp[n1:])), "bihomogeneous: bidegrees")
+        return self._common({(sum(exp[:n1]), sum(exp[n1:])) for exp in self.terms},
+                            "bihomogeneous: bidegrees")
 
     # ----- evaluation -----
 
@@ -557,14 +563,19 @@ class EvalPlan:
     terms take their coefficient times their monomial's value, and each
     polynomial sums its terms. A slot with one distinct value multiplies in
     a single row, so the values stay 1-D until two points differ in a slot,
-    and a single point never leaves 1-D. Products of two residues below
-    2**31 stay below 2**62, so the int64 values are reduced after every
-    multiply and never overflow; the running sum of fewer than 2**32
-    residues stays below 2**63. A block holds at most EVAL_BLOCK (point,
-    term) entries, and at least one point.
+    and a single point never leaves 1-D. Compiling also fixes where the
+    values are reduced: k unreduced factors multiply to at most (m - 1)^k,
+    so the values are reduced mod m only before a multiply, or the
+    coefficient multiply, that could reach 2**63. For m = 5 and 10 slots a
+    monomial is never reduced before its coefficient, and for m near 2**31
+    the values are reduced before every multiply but the first. So the
+    int64 values never overflow, the terms are reduced, and the running
+    sum of fewer than 2**32 residues stays below 2**63. A block holds at
+    most EVAL_BLOCK (point, term) entries, and at least one point.
     """
 
-    __slots__ = ("modulus", "_width", "_coeffs", "_monomial", "_slots", "_bounds")
+    __slots__ = ("modulus", "_width", "_coeffs", "_monomial", "_slots", "_reduce_last",
+                 "_bounds")
 
     def __init__(self, polys: Sequence[MultiPoly], modulus: int):
         if not 2 <= modulus < 2**31:
@@ -593,13 +604,19 @@ class EvalPlan:
         monomials: Dict[Exponent, int] = {}
         self._monomial = np.array([monomials.setdefault(exp, len(monomials))
                                    for p in polys for exp in p.terms], dtype=np.intp)
+        # each slot's factors are residues, at most top; bound is that of the
+        # product multiplied in since the last reduction
+        top, bound = modulus - 1, 1
         self._slots = []
         for k, column in enumerate(zip(*monomials)):
             exps = sorted(set(column))
             if exps[-1]:
                 position = {e: i for i, e in enumerate(exps)}
                 index = np.array([position[e] for e in column], dtype=np.intp)
-                self._slots.append((k, exps, index))
+                reduce_first = bound * top >= INT64_LIMIT
+                bound = (top if reduce_first else bound) * top
+                self._slots.append((k, exps, index, reduce_first))
+        self._reduce_last = bound * top >= INT64_LIMIT  # before the coefficients
         self._bounds = np.cumsum([0] + [len(p.terms) for p in polys])
 
     def __call__(self, z_vals: Sequence[int], dz_vals: Sequence[int]) -> List[int]:
@@ -627,7 +644,7 @@ class EvalPlan:
         # per slot, the powers of its distinct coordinate values, and for
         # each row the index of its value (None when there is one value)
         tables = []
-        for k, exps, _ in self._slots:
+        for k, exps, _, _ in self._slots:
             if len(pts) == 1:
                 distinct, where = [int(pts[0, k])], None
             else:
@@ -641,10 +658,12 @@ class EvalPlan:
         step = max(1, EVAL_BLOCK // max(1, len(self._coeffs)))
         for start in range(0, len(pts), step):
             vals = None  # the monomials' values over the slots so far
-            for (_, _, index), (powers, where) in zip(self._slots, tables):
+            for (_, _, index, reduce_first), (powers, where) in zip(self._slots, tables):
                 factor = powers[index] if where is None else \
                     powers[where[start:start + step]][:, index]
-                vals = factor if vals is None else vals * factor % m
+                vals = factor if vals is None else (vals % m if reduce_first else vals) * factor
+            if vals is not None and self._reduce_last:
+                vals = vals % m
             terms = self._coeffs if vals is None else self._coeffs * vals[..., self._monomial] % m
             # each polynomial's sum as a difference of prefix sums that start
             # at 0, so a zero polynomial (an empty run of terms) sums to 0

@@ -25,7 +25,9 @@ crosscheck walk the same incidence pairs (_incidence_points) and evaluate
 the same standard_forms from their divided matrices; the crosscheck
 visits every pair unless given a sample size, and both scans accept the
 walk and the forms already built, so a pipeline run builds them once for
-both. Every scan, census and rank-condition matrix rejects a composite q.
+both; that walk reads the Jacobians its smoothness check evaluated at
+every point of X(F_q) (_smoothness), so a run evaluates X(F_q) once. Every
+scan, census and rank-condition matrix rejects a composite q.
 """
 
 from __future__ import annotations
@@ -108,6 +110,11 @@ def _at_z(plan: EvalPlan, points: Sequence[Tuple[int, ...]], N: int) -> np.ndarr
     return plan.at_points(np.hstack((z, np.zeros_like(z))))
 
 
+def _has_support(pt: Sequence[int], support: set) -> bool:
+    """Whether the nonzero coordinates of pt are exactly those in support."""
+    return all((x != 0) == (k in support) for k, x in enumerate(pt))
+
+
 def points_on_X(fam, q: int, support: Optional[Sequence[int]] = None) -> List[Tuple[int, ...]]:
     """The F_q-points of the common zero locus of the sections of a family.
 
@@ -125,8 +132,7 @@ def points_on_X(fam, q: int, support: Optional[Sequence[int]] = None) -> List[Tu
         support = set(support)
         if not support <= set(range(N + 1)):
             raise ValueError(f"support {sorted(support)} has coordinates outside 0..{N}")
-        points = [pt for pt in points
-                  if all((x != 0) == (k in support) for k, x in enumerate(pt))]
+        points = [pt for pt in points if _has_support(pt, support)]
     on_X = ~_at_z(sections, points, N).any(axis=1)
     return [pt for pt, keep in zip(points, on_X.tolist()) if keep]
 
@@ -143,9 +149,10 @@ def _jacobians(fam: SectionFamily, q: int, rows: Optional[int] = None,
         yield pt, chunks(gradient, N + 1)
 
 
-def smoothness_check(fam: SectionFamily, q: int) -> dict:
-    """Rank of the Jacobian at every F_q-point of X; full rank everywhere
-    means no F_q-witness of singularity."""
+def _smoothness(fam: SectionFamily, q: int) -> Tuple[dict, list]:
+    """smoothness_check's report with the walk it read, the materialized
+    _jacobians(fam, q), which a pipeline run's incidence walk reads in
+    place of evaluating X(F_q) again."""
     cr = fam.shape.c + fam.shape.r
     walk = list(_jacobians(fam, q))
     singular = []
@@ -160,7 +167,13 @@ def smoothness_check(fam: SectionFamily, q: int) -> dict:
         "points": len(walk),
         "expected_rank": cr,
         "singular": singular,
-    }
+    }, walk
+
+
+def smoothness_check(fam: SectionFamily, q: int) -> dict:
+    """Rank of the Jacobian at every F_q-point of X; full rank everywhere
+    means no F_q-witness of singularity."""
+    return _smoothness(fam, q)[0]
 
 
 def smoothness_with_resampling(shape, mode: str, field, schedule=None, seed: int = 0,
@@ -173,9 +186,10 @@ def smoothness_with_resampling(shape, mode: str, field, schedule=None, seed: int
 
 def _resample_smooth(shape, mode: str, field, schedule=None, seed: int = 0,
                      q: Optional[int] = None, attempts: int = 8,
-                     **build_kwargs) -> Tuple[dict, SectionFamily]:
+                     **build_kwargs) -> Tuple[dict, SectionFamily, list]:
     """smoothness_with_resampling's report with the family its last scan
-    read, so a caller keeps that family instead of building it again."""
+    read and that scan's walk (as _smoothness returns it), so a caller
+    keeps both instead of building them again."""
     if attempts < 1:
         raise ValueError(f"need at least one attempt, got {attempts}")
     q = q or field.p
@@ -183,12 +197,12 @@ def _resample_smooth(shape, mode: str, field, schedule=None, seed: int = 0,
         fam_seed = child_rng(seed, "smoothness-resample", k).randrange(2**31)
         fam = build_sections(shape, mode, field=field, schedule=schedule,
                              seed=fam_seed, **build_kwargs)
-        rep = smoothness_check(fam, q)
+        rep, walk = _smoothness(fam, q)
         rep["attempt"] = k
         rep["family_seed"] = fam_seed
         if rep["ok"]:
             break
-    return rep, fam
+    return rep, fam, walk
 
 
 # ----- tangent directions -----
@@ -637,18 +651,31 @@ def rank_condition_census(a: int, b: int, q: int, mode: str = "exhaustive",
 # ----- base locus scan -----
 
 
-def _incidence_points(fam: SectionFamily, q: int, vanished: Sequence[int] = ()):
+def _incidence_points(fam: SectionFamily, q: int, vanished: Sequence[int] = (),
+                      jacobians: Optional[Sequence] = None):
     """(z, directions) for each point z of X(F_q) with every retained
     coordinate nonzero and every listed vanished coordinate zero; the
     directions solve dF_1..dF_c = 0 at z (and xi_v = 0 for each vanished v)
-    modulo the Euler direction."""
-    N = fam.shape.N
+    modulo the Euler direction.
+
+    The points and their gradients come from `jacobians`, a walk of all of
+    X(F_q) as _smoothness returns it, when one is given: its points on the
+    support, in walk order (points_on_X's), each with its first c rows.
+    The walk is only read. Otherwise they are compiled and evaluated at
+    the points on the support alone."""
+    N, c = fam.shape.N, fam.shape.c
     support = [i for i in range(N + 1) if i not in vanished]
-    for pt, rows in _jacobians(fam, q, fam.shape.c, support):
+    if jacobians is None:
+        jacobians = _jacobians(fam, q, c, support)
+    else:
+        keep = set(support)
+        jacobians = [(pt, rows) for pt, rows in jacobians if _has_support(pt, keep)]
+    # directions live on the vanishing locus: xi_v = 0
+    pinned = [[int(j == v) for j in range(N + 1)] for v in vanished]
+    for pt, rows in jacobians:
         z = list(pt)
-        # directions live on the vanishing locus: xi_v = 0
-        rows += [[int(j == v) for j in range(N + 1)] for v in vanished]
-        yield z, tangent_directions(z, rows, q)
+        # a new list: a shared walk's rows stay as smoothness read them
+        yield z, tangent_directions(z, rows[:c] + pinned, q)
 
 
 def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,

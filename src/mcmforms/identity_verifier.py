@@ -191,16 +191,19 @@ def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("gluing", [guard], j1=j1, j2=j2)
-    bundles = [(_label(None), full)]
-    if which is not None:
-        bundles.append((_label(which), build_selected(full, which)))
-    K = bundles[-1][1]
+    K = full if which is None else build_selected(full, which)
     if K.layout == "mcm":
         raise ValueError("full mcm bundles need a K_nu/K_tau_rho selection")
     selection = _check_selection(fam.shape, K.eta(), selection)
     if not (0 <= j1 < K.ncols and 0 <= j2 < K.ncols):
         raise ValueError("chart column out of range")
-    pairs = [pair for label, B in bundles for pair in _hypothesis_pairs(B, label)]
+    # formed once per bundle and kept on it, as build_selected keeps its
+    # selections: every unit that shares a family's bundle compares them
+    if full._hypothesis is None:
+        full._hypothesis = _hypothesis_pairs(full, _label(None))
+    pairs = full._hypothesis
+    if which is not None:
+        pairs = pairs + _hypothesis_pairs(K, _label(which))
     checks = [_check_hypothesis("hypothesis", pairs, fam, mode, seed)]
     return _report("gluing", checks, j1=j1, j2=j2, generators=K.value_rows() + len(selection))
 

@@ -33,10 +33,10 @@ from .exact_algebra import Field
 from .finite_geometry import (
     _incidence_points,
     _resample_smooth,
+    _smoothness,
     base_locus_scan,
     characterization_crosscheck,
     rank_condition_census,
-    smoothness_check,
 )
 from .identity_verifier import verify_gluing, verify_transition
 from .schedule import (
@@ -406,16 +406,16 @@ def _stage_smoothness(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
     if points > cfg.max_points:
         return "SKIP", {"reason": f"point budget: {points} > {cfg.max_points}"}, None
     fam = ctx["family"]
-    first = smoothness_check(fam, q)
+    first, walk = _smoothness(fam, q)
     if first["ok"]:
-        ctx["scan_family"] = fam
+        ctx["scan_family"], ctx["scan_walk"] = fam, walk
         return "PASS", dict(first, attempt=0, family_seed=fam.seed), None
     # the resampler's own family, which build_family(cfg, rep["family_seed"]) rebuilds
-    rep, resampled = _resample_smooth(fam.shape, fam.mode, fam.field, schedule=fam.schedule,
-                                      seed=cfg.seed, q=q, lambdas=fam.lambdas,
-                                      degrees=fam.degrees)
+    rep, resampled, walk = _resample_smooth(fam.shape, fam.mode, fam.field,
+                                            schedule=fam.schedule, seed=cfg.seed, q=q,
+                                            lambdas=fam.lambdas, degrees=fam.degrees)
     if rep["ok"]:
-        ctx["scan_family"] = resampled
+        ctx["scan_family"], ctx["scan_walk"] = resampled, walk
         return "PASS", rep, None
     # the last resample's seed and points, as in the report
     return "FAIL", rep, {"family_seed": rep["family_seed"], "singular": rep["singular"][:3]}
@@ -424,11 +424,13 @@ def _stage_smoothness(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
 def _scan_inputs(ctx: dict, q: int) -> Tuple[list, list]:
     """The standard_forms of ctx["scan_family"] and its incidence walk
     (_incidence_points, materialized), built the first time base-locus or
-    the crosscheck asks and kept in ctx for the other."""
+    the crosscheck asks and kept in ctx for the other. The walk reads the
+    Jacobians the smoothness stage evaluated at every point of X(F_q)
+    (ctx["scan_walk"]), so a run evaluates X(F_q) once."""
     if "scan_inputs" not in ctx:
         fam = ctx["scan_family"]
         ctx["scan_inputs"] = (standard_forms(fam, _matrices(ctx, fam)),
-                              list(_incidence_points(fam, q)))
+                              list(_incidence_points(fam, q, jacobians=ctx["scan_walk"])))
     return ctx["scan_inputs"]
 
 

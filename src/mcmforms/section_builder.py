@@ -180,6 +180,8 @@ class FormalMatrixBundle:
     divisor_exponents: Optional[Tuple[int, ...]] = None
     _selected: Dict[Tuple, "FormalMatrixBundle"] = dc_field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # the gluing hypothesis of this bundle, formed once by identity_verifier
+    _hypothesis: Optional[list] = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def ncols(self) -> int:

@@ -191,6 +191,20 @@ def test_inhomogeneous_bidegree_raises():
         p.bidegree()
 
 
+def test_grading_errors_list_every_distinct_degree_once():
+    # two terms share bidegree (2, 1): each distinct value is listed once, sorted
+    p = sum((MultiPoly.monomial(1, QQ, 1, z, dz) for z, dz in
+             (([2, 0], [0, 1]), ([1, 1], [1, 0]), ([0, 1], [1, 1]), ([3, 0], [0, 0]))),
+            MultiPoly.zero(1, QQ))
+    for grading, message in (
+            (p.bidegree, "not bihomogeneous: bidegrees [(1, 2), (2, 1), (3, 0)]"),
+            (p.z_degree, "not z-homogeneous: degrees [1, 2, 3]"),
+            (p.dz_degree, "not dz-homogeneous: degrees [0, 1, 2]")):
+        with pytest.raises(ValueError) as info:
+            grading()
+        assert str(info.value) == message
+
+
 # ----- literals -----
 
 
@@ -838,3 +852,45 @@ def test_at_points_edge_cases(field, monkeypatch):
     many = [[k, k * k - 3, 2 * k + 1, m - k] for k in range(-10, 30)]
     assert plan.at_points(many).tolist() == [
         [term_evaluate_mod(p, pt[:2], pt[2:], m) for p in polys] for pt in many]
+
+
+# moduli whose products of many factors need a reduction before the
+# coefficient (7 past 24 slots, 5 past 30, 2**31 - 1 past 2) or none
+WIDE_FIELDS = (Field(5), F7, Field(P31), QQ)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_at_points_defers_its_reductions_without_overflow(data):
+    # up to 32 slots, most of them used by every term: at m = 5 and N <= 14
+    # no monomial is reduced before its coefficient, at 7 and 2**31 - 1 the
+    # kernel must reduce on the way
+    field = data.draw(st.sampled_from(WIDE_FIELDS))
+    N = data.draw(st.integers(0, 15))
+    m = _test_modulus(field)
+    exps = st.tuples(*[st.integers(0, 3)] * (2 * N + 2))
+    polys = data.draw(st.lists(
+        st.dictionaries(exps, _coefficients(field), max_size=3).map(
+            lambda terms: MultiPoly(N, field, terms)), min_size=1, max_size=3))
+    residues = st.integers(0, m - 1) | st.sampled_from((1, m - 1))
+    points = data.draw(st.lists(st.lists(residues, min_size=2 * N + 2, max_size=2 * N + 2),
+                                min_size=1, max_size=4))
+    values = EvalPlan(polys, m).at_points(points).tolist()
+    assert values == [[term_evaluate_mod(p, pt[:N + 1], pt[N + 1:], m) for p in polys]
+                      for pt in points]
+
+
+@pytest.mark.parametrize("N", [4, 15])
+def test_at_points_at_the_int64_edge(N):
+    # every coordinate m - 1 and every slot used, coefficient m - 1 too:
+    # each unreduced product of three factors would pass 2**63
+    m = P31
+    width = 2 * N + 2
+    polys = [MultiPoly(N, Field(P31), {(1,) * width: m - 1}),
+             MultiPoly(N, Field(P31), {(2,) * width: m - 1, (3,) * width: m - 1})]
+    edge = [m - 1] * width
+    points = [edge, edge, [1] * width]
+    want = [[term_evaluate_mod(p, pt[:N + 1], pt[N + 1:], m) for p in polys] for pt in points]
+    # (-1)^(width + 1), and (-1)^(2 width + 1) + (-1)^(3 width + 1) at the edge
+    assert want[0] == [m - 1, m - 2]
+    assert EvalPlan(polys, m).at_points(points).tolist() == want

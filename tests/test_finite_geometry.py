@@ -1,9 +1,10 @@
+import copy
 import hashlib
 import json
 import random
 import tracemalloc
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -1175,6 +1176,24 @@ def test_crosscheck_without_a_sample_visits_every_pair(shape_t, seed):
     locus = base_locus_scan(fam, forms, 5)
     assert base_locus_scan(fam, forms, 5, walk=walk) == locus
     assert rep["incidence_pairs"] == locus["directions"]
+
+
+def test_a_given_walk_gives_the_incidence_walk_of_a_general_family():
+    # two Jacobian rows (c = 1, r = 1): the incidence walk takes the first
+    fam = build_sections(ProblemShape(3, 1, 1), "general_fermat", field=QQ,
+                         lambdas=(2, 2, 2, 2), degrees=(3, 3), seed=1)
+    rep, walk = finite_geometry._smoothness(fam, 5)
+    assert rep == smoothness_check(fam, 5) and rep["ok"] and rep["points"] == len(walk) == 12
+    before = copy.deepcopy(walk)
+    forms = standard_forms(fam)
+    met = 0
+    for vanished in (v for k in range(3) for v in combinations(range(4), k)):
+        alone = list(finite_geometry._incidence_points(fam, 5, vanished))
+        assert list(finite_geometry._incidence_points(fam, 5, vanished, jacobians=walk)) == alone
+        met += len(alone)
+        assert base_locus_scan(fam, forms, 5, vanished, walk=alone) \
+            == base_locus_scan(fam, forms, 5, vanished)
+    assert met == 12 and walk == before
 
 
 def test_crosscheck_reads_the_programs_forms(monkeypatch):

@@ -1,7 +1,9 @@
 """Tests for the config-driven pipeline and the command line tool."""
 
+import copy
 import dataclasses
 import hashlib
+import itertools
 import json
 import signal
 
@@ -367,6 +369,8 @@ def test_crosscheck_visits_every_base_locus_pair(monkeypatch, seed):
 
 
 def test_one_default_run_extracts_the_forms_once_and_walks_once(monkeypatch):
+    # X(F_5) is evaluated once per smoothness attempt (seed 3 resamples once),
+    # and base-locus and the crosscheck read the accepted attempt's walk
     calls = {"standard_forms": 0, "_incidence_points": 0}
     for name in calls:
         original = getattr(finite_geometry, name)
@@ -378,9 +382,52 @@ def test_one_default_run_extracts_the_forms_once_and_walks_once(monkeypatch):
         # the pipeline's own names and the ones the scans fall back on
         for module in (pipeline, finite_geometry):
             monkeypatch.setattr(module, name, counting)
-    report = run_pipeline(parse_config(default_config_text()))
-    assert report["stages"]["crosscheck"]["report"]["incidence_pairs"] > 0
-    assert calls == {"standard_forms": 1, "_incidence_points": 1}
+    running, walks = [], []
+
+    def jacobians(*args, _original=finite_geometry._jacobians, **kwargs):
+        walks.append(running[-1])
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(finite_geometry, "_jacobians", jacobians)
+    for name, (fn, deps) in pipeline.STAGES.items():
+        def staged(cfg, ctx, _fn=fn, _name=name):
+            running.append(_name)
+            return _fn(cfg, ctx)
+        monkeypatch.setitem(pipeline.STAGES, name, (staged, deps))
+    for seed in (1, 3):
+        for name in calls:
+            calls[name] = 0
+        walks.clear()
+        cfg = dataclasses.replace(parse_config(default_config_text()), seed=seed)
+        report = run_pipeline(cfg)
+        assert report["stages"]["crosscheck"]["report"]["incidence_pairs"] > 0
+        assert calls == {"standard_forms": 1, "_incidence_points": 1}
+        smooth = report["stages"]["smoothness"]["report"]
+        resampled = smooth["family_seed"] != report["stages"]["build"]["report"]["family_seed"]
+        assert resampled == (seed == 3)
+        attempts = 1 + (smooth["attempt"] + 1 if resampled else 0)
+        assert walks == ["smoothness"] * attempts
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_the_smoothness_walk_gives_the_incidence_walk(seed):
+    # points, order and directions as a walk of its own, for every vanished
+    # set base-locus accepts; seed 3 scans its resampled family
+    ctx = {}
+    for stage in ("schedule", "build", "smoothness"):
+        pipeline.STAGES[stage][0](RunConfig(seed=seed), ctx)
+    fam, walk = ctx["scan_family"], ctx["scan_walk"]
+    assert (fam is not ctx["family"]) == (seed == 3)
+    shape = fam.shape
+    before = copy.deepcopy(walk)
+    met = 0
+    for vanished in (v for k in range(shape.N - shape.c + 1)
+                     for v in itertools.combinations(range(shape.N + 1), k)):
+        alone = list(finite_geometry._incidence_points(fam, 5, vanished))
+        assert list(finite_geometry._incidence_points(fam, 5, vanished, jacobians=walk)) == alone
+        met += len(alone)
+    assert 0 < met <= len(walk)  # points with more zeros lie on no scanned support
+    assert walk == before
 
 
 def test_smoothness_keeps_the_family_it_resampled(monkeypatch):

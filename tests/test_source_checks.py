@@ -5,6 +5,8 @@ import os
 import re
 from pathlib import Path
 
+import pytest
+
 import mcmforms
 
 # (module, function) pairs whose `assert` guards only a loop count, never a
@@ -218,11 +220,21 @@ def test_the_membership_oracle_uses_nothing_of_the_primary_path():
 # The functions that may store a polynomial's terms: __init__, which
 # validates outside input, and _of, the trusted constructor of results.
 TERMS_WRITERS = {"MultiPoly.__init__", "MultiPoly._of"}
+# the dict methods that change a dict in place
+DICT_MUTATORS = {"update", "pop", "popitem", "setdefault", "clear"}
+
+
+def _is_terms(node):
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
 
 
 def terms_store_faults(source):
-    """(function, line) of every store to an attribute `terms` in a source
-    outside TERMS_WRITERS; a method is named Class.method."""
+    """(function, line) of every change to an attribute `terms` in a source
+    outside TERMS_WRITERS: a store or del of the attribute, a store or del
+    of one of its items, or a call of a dict method that changes it in
+    place; a method is named Class.method. Bundles, selections and walks
+    are shared between a run's stages, which is safe only while no one
+    edits a polynomial's terms in place."""
     faults = []
 
     def visit(node, where):
@@ -230,8 +242,12 @@ def terms_store_faults(source):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{where}.{child.name}" if where else child.name)
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "terms" \
-                    and not isinstance(child.ctx, ast.Load) and where not in TERMS_WRITERS:
+            if where not in TERMS_WRITERS and (
+                    _is_terms(child) and not isinstance(child.ctx, ast.Load)
+                    or isinstance(child, ast.Subscript) and _is_terms(child.value)
+                    and not isinstance(child.ctx, ast.Load)
+                    or isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in DICT_MUTATORS and _is_terms(child.func.value)):
                 faults.append((where, child.lineno))
             visit(child, where)
 
@@ -241,7 +257,8 @@ def terms_store_faults(source):
 
 def test_only_the_constructors_store_a_polynomials_terms():
     # results are built by MultiPoly._of, never by constructing an empty
-    # polynomial and assigning its terms afterwards
+    # polynomial and assigning its terms afterwards, and no one edits the
+    # terms of a polynomial that a bundle or a walk may share
     package = Path(mcmforms.__file__).resolve().parent
     faults = [f"{path.name}:{line} in {where}" for path in sorted(package.glob("*.py"))
               for where, line in terms_store_faults(path.read_text(encoding="utf-8"))]
@@ -249,3 +266,25 @@ def test_only_the_constructors_store_a_polynomials_terms():
     planted = "class MultiPoly:\n    def __neg__(self):\n" \
               "        res = MultiPoly(self.N, self.field)\n        res.terms = {}\n"
     assert terms_store_faults(planted) == [("MultiPoly.__neg__", 4)]
+
+
+@pytest.mark.parametrize("edit", [
+    "p.terms[e] = 1",
+    "p.terms[e] += 1",
+    "del p.terms[e]",
+    "del p.terms",
+    "p.terms.update({e: 1})",
+    "p.terms.pop(e)",
+    "p.terms.popitem()",
+    "p.terms.setdefault(e, 0)",
+    "p.terms.clear()",
+    "fam.sections[0].terms[e] = 2",
+])
+def test_an_in_place_edit_of_a_polynomials_terms_is_flagged(edit):
+    planted = f"def bump(p, fam, e):\n    {edit}\n"
+    assert terms_store_faults(planted) == [("bump", 2)]
+    # the constructors may fill the dict they build; reads are never flagged
+    writer = f"class MultiPoly:\n    def _of(p, fam, e):\n        {edit}\n"
+    assert terms_store_faults(writer) == []
+    reads = "def read(p, e):\n    return p.terms[e], p.terms.get(e), p.terms.items()\n"
+    assert terms_store_faults(reads) == []
