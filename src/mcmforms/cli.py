@@ -57,7 +57,7 @@ from .schedule import (
     twist_ledger,
     validate_schedule,
 )
-from .section_builder import build_matrices, load_family, save_family, standard_forms
+from .section_builder import FamilyData, load_family, save_family
 
 
 def _csv_ints(text: Optional[str]) -> Optional[tuple]:
@@ -124,16 +124,15 @@ def _cmd_verify(args) -> dict:
     if args.what == "hidden":
         return verify_hidden(fam, _csv_ints(args.vanished) or (),
                              _csv_ints(args.selection) or ())
-    K = build_matrices(fam)  # one bundle for every unit of the command
+    data = FamilyData(fam)  # one holder for every unit of the command
     if args.what == "transition":
         units = _transition_units(fam)
-        reps = [verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
-                                  which=u["which"], kind=u["kind"], matrices=K)
-                for u in units]
+        reps = [verify_transition(data, u["selection"], u["omit"], u["l1"], u["l2"],
+                                  which=u["which"], kind=u["kind"]) for u in units]
     else:
         units = _glue_units(fam)
-        reps = [verify_gluing(fam, u["selection"], u["j1"], u["j2"], which=u["which"],
-                              matrices=K) for u in units]
+        reps = [verify_gluing(data, u["selection"], u["j1"], u["j2"], which=u["which"])
+                for u in units]
     return {"op": f"verify-{args.what}", "family": args.family,
             "checks": [dict(c, which=list(u["which"]) if u["which"] else None)
                        for u, r in zip(units, reps) for c in r["checks"]],
@@ -152,8 +151,9 @@ def _cmd_scan(args) -> dict:
     if args.what == "smooth":
         return smoothness_check(fam, q)
     if args.what == "base-locus":
-        forms = standard_forms(fam)
-        report = base_locus_scan(fam, forms, q, vanished=_csv_ints(args.vanished) or ())
+        data = FamilyData(fam)
+        forms = data.forms
+        report = base_locus_scan(data, forms, q, vanished=_csv_ints(args.vanished) or ())
         report["forms"] = len(forms)
         return report
     return characterization_crosscheck(fam, q, sample=args.sample, seed=args.seed)

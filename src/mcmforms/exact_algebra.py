@@ -419,6 +419,8 @@ def from_literal(s: str, N: int, field: Field = QQ) -> MultiPoly:
             tok = tokens[0]
             if "/" in tok:
                 num, den = tok.split("/")
+                if int(den) == 0:
+                    raise ParseError(f"zero denominator in {tok!r}", token=tok)
                 coeff = Fraction(int(num), int(den))
             else:
                 coeff = int(tok)

@@ -23,11 +23,13 @@ through their sum and the K_tau_rho layouts never see beta_0, so it sums
 N_nu(A) N_tau_rho(A) over A = (alpha_1..alpha_a). Base-locus and the
 crosscheck walk the same incidence pairs (_incidence_points) and evaluate
 the same standard_forms from their divided matrices; the crosscheck
-visits every pair unless given a sample size, and both scans accept the
-walk and the forms already built, so a pipeline run builds them once for
-both; that walk reads the Jacobians its smoothness check evaluated at
-every point of X(F_q) (_smoothness), so a run evaluates X(F_q) once. Every
-scan, census and rank-condition matrix rejects a composite q.
+visits every pair unless given a sample size. The scans take a family or
+its FamilyData holder and keep their walks on the holder: the Jacobian
+walk of X(F_q) (_jacobians), which smoothness_check reads and every
+incidence walk filters, and the incidence walk per vanished set. So a
+pipeline run, which passes one holder to every scan, evaluates X(F_q)
+once and walks the incidence pairs once. Every scan, census and
+rank-condition matrix rejects a composite q.
 """
 
 from __future__ import annotations
@@ -43,14 +45,11 @@ import numpy as np
 
 from .exact_algebra import EvalPlan, Field, deriv
 from .section_builder import (
-    FormalMatrixBundle,
+    FamilyData,
     SectionFamily,
     _combine_columns,
-    _family_matrices,
-    build_matrices,
     build_sections,
     selection_layouts,
-    standard_forms,
 )
 from .util import child_rng, chunks, kernel_basis_mod_p, randrange_block, rank_mod_p
 
@@ -110,51 +109,40 @@ def _at_z(plan: EvalPlan, points: Sequence[Tuple[int, ...]], N: int) -> np.ndarr
     return plan.at_points(np.hstack((z, np.zeros_like(z))))
 
 
-def _has_support(pt: Sequence[int], support: set) -> bool:
-    """Whether the nonzero coordinates of pt are exactly those in support."""
-    return all((x != 0) == (k in support) for k, x in enumerate(pt))
-
-
-def points_on_X(fam, q: int, support: Optional[Sequence[int]] = None) -> List[Tuple[int, ...]]:
-    """The F_q-points of the common zero locus of the sections of a family.
-
-    With `support` given, only the points whose nonzero coordinates are
-    exactly those listed are kept, and the sections are evaluated at those
-    alone; a listed coordinate outside 0..N raises ValueError. The sections
-    are evaluated at every candidate point in one batched call.
-    """
+def points_on_X(fam, q: int) -> List[Tuple[int, ...]]:
+    """The F_q-points of the common zero locus of the sections of a family,
+    the sections evaluated at every point of P^N(F_q) in one batched call."""
     if fam.field.p not in (0, q):
         raise ValueError(f"family lives over F_{fam.field.p}, not F_{q}")
     N = fam.shape.N
-    sections = EvalPlan(fam.sections, q)
     points = proj_points(N, q)
-    if support is not None:
-        support = set(support)
-        if not support <= set(range(N + 1)):
-            raise ValueError(f"support {sorted(support)} has coordinates outside 0..{N}")
-        points = [pt for pt in points if _has_support(pt, support)]
-    on_X = ~_at_z(sections, points, N).any(axis=1)
+    on_X = ~_at_z(EvalPlan(fam.sections, q), points, N).any(axis=1)
     return [pt for pt, keep in zip(points, on_X.tolist()) if keep]
 
 
-def _jacobians(fam: SectionFamily, q: int, rows: Optional[int] = None,
-               support: Optional[Sequence[int]] = None):
-    """(point, Jacobian rows) for each point of points_on_X(fam, q, support):
-    the partials dF_i/dz_j of the first `rows` sections (default all),
-    compiled once and evaluated at every point in one batched call."""
+def _jacobians(fam: SectionFamily, q: int) -> list:
+    """(point, Jacobian rows) for each point of points_on_X(fam, q): the
+    partials dF_i/dz_j of every section, compiled once and evaluated at
+    every point in one batched call."""
     N = fam.shape.N
-    grads = EvalPlan([deriv(F, j) for F in fam.sections[:rows] for j in range(N + 1)], q)
-    pts = points_on_X(fam, q, support)
-    for pt, gradient in zip(pts, _at_z(grads, pts, N).tolist()):
-        yield pt, chunks(gradient, N + 1)
+    grads = EvalPlan([deriv(F, j) for F in fam.sections for j in range(N + 1)], q)
+    pts = points_on_X(fam, q)
+    return [(pt, chunks(gradient, N + 1))
+            for pt, gradient in zip(pts, _at_z(grads, pts, N).tolist())]
 
 
-def _smoothness(fam: SectionFamily, q: int) -> Tuple[dict, list]:
-    """smoothness_check's report with the walk it read, the materialized
-    _jacobians(fam, q), which a pipeline run's incidence walk reads in
-    place of evaluating X(F_q) again."""
-    cr = fam.shape.c + fam.shape.r
-    walk = list(_jacobians(fam, q))
+def _walk(data: FamilyData, q: int) -> list:
+    """The holder's Jacobian walk of X(F_q), evaluated on first read."""
+    return data.derived(("jacobians", q), lambda: _jacobians(data.family, q))
+
+
+def smoothness_check(fam: SectionFamily | FamilyData, q: int) -> dict:
+    """Rank of the Jacobian at every F_q-point of X; full rank everywhere
+    means no F_q-witness of singularity. The walk stays on the holder,
+    for the incidence walks of the scans."""
+    data = FamilyData.of(fam)
+    cr = data.family.shape.c + data.family.shape.r
+    walk = _walk(data, q)
     singular = []
     for pt, jacobian in walk:
         rank = rank_mod_p(jacobian, q)
@@ -167,13 +155,7 @@ def _smoothness(fam: SectionFamily, q: int) -> Tuple[dict, list]:
         "points": len(walk),
         "expected_rank": cr,
         "singular": singular,
-    }, walk
-
-
-def smoothness_check(fam: SectionFamily, q: int) -> dict:
-    """Rank of the Jacobian at every F_q-point of X; full rank everywhere
-    means no F_q-witness of singularity."""
-    return _smoothness(fam, q)[0]
+    }
 
 
 def smoothness_with_resampling(shape, mode: str, field, schedule=None, seed: int = 0,
@@ -186,23 +168,22 @@ def smoothness_with_resampling(shape, mode: str, field, schedule=None, seed: int
 
 def _resample_smooth(shape, mode: str, field, schedule=None, seed: int = 0,
                      q: Optional[int] = None, attempts: int = 8,
-                     **build_kwargs) -> Tuple[dict, SectionFamily, list]:
-    """smoothness_with_resampling's report with the family its last scan
-    read and that scan's walk (as _smoothness returns it), so a caller
-    keeps both instead of building them again."""
+                     **build_kwargs) -> Tuple[dict, FamilyData]:
+    """smoothness_with_resampling's report with the holder of the family
+    its last scan read, which keeps that scan's walk."""
     if attempts < 1:
         raise ValueError(f"need at least one attempt, got {attempts}")
     q = q or field.p
     for k in range(attempts):
         fam_seed = child_rng(seed, "smoothness-resample", k).randrange(2**31)
-        fam = build_sections(shape, mode, field=field, schedule=schedule,
-                             seed=fam_seed, **build_kwargs)
-        rep, walk = _smoothness(fam, q)
+        data = FamilyData(build_sections(shape, mode, field=field, schedule=schedule,
+                                         seed=fam_seed, **build_kwargs))
+        rep = smoothness_check(data, q)
         rep["attempt"] = k
         rep["family_seed"] = fam_seed
         if rep["ok"]:
             break
-    return rep, fam, walk
+    return rep, data
 
 
 # ----- tangent directions -----
@@ -651,46 +632,40 @@ def rank_condition_census(a: int, b: int, q: int, mode: str = "exhaustive",
 # ----- base locus scan -----
 
 
-def _incidence_points(fam: SectionFamily, q: int, vanished: Sequence[int] = (),
-                      jacobians: Optional[Sequence] = None):
+def _incidence_points(data: FamilyData, q: int, vanished: Sequence[int] = ()) -> list:
     """(z, directions) for each point z of X(F_q) with every retained
     coordinate nonzero and every listed vanished coordinate zero; the
     directions solve dF_1..dF_c = 0 at z (and xi_v = 0 for each vanished v)
-    modulo the Euler direction.
+    modulo the Euler direction. The points and their first c gradient rows
+    are the holder's Jacobian walk's (_walk) on the support, in walk order;
+    the walk is only read. Kept on the holder per q and vanished set."""
 
-    The points and their gradients come from `jacobians`, a walk of all of
-    X(F_q) as _smoothness returns it, when one is given: its points on the
-    support, in walk order (points_on_X's), each with its first c rows.
-    The walk is only read. Otherwise they are compiled and evaluated at
-    the points on the support alone."""
-    N, c = fam.shape.N, fam.shape.c
-    support = [i for i in range(N + 1) if i not in vanished]
-    if jacobians is None:
-        jacobians = _jacobians(fam, q, c, support)
-    else:
-        keep = set(support)
-        jacobians = [(pt, rows) for pt, rows in jacobians if _has_support(pt, keep)]
-    # directions live on the vanishing locus: xi_v = 0
-    pinned = [[int(j == v) for j in range(N + 1)] for v in vanished]
-    for pt, rows in jacobians:
-        z = list(pt)
-        # a new list: a shared walk's rows stay as smoothness read them
-        yield z, tangent_directions(z, rows[:c] + pinned, q)
+    def walk():
+        N, c = data.family.shape.N, data.family.shape.c
+        # directions live on the vanishing locus: xi_v = 0
+        pinned = [[int(j == v) for j in range(N + 1)] for v in vanished]
+        # rows[:c] is a new list: the walk's rows stay as smoothness read them
+        return [(list(pt), tangent_directions(pt, rows[:c] + pinned, q))
+                for pt, rows in _walk(data, q)
+                if all((x == 0) == (k in vanished) for k, x in enumerate(pt))]
+
+    return data.derived(("incidence", q, tuple(vanished)), walk)
 
 
-def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,
-                    vanished: Sequence[int] = (), walk: Optional[Sequence] = None) -> dict:
+def base_locus_scan(fam: SectionFamily | FamilyData, forms: Sequence, q: int,
+                    vanished: Sequence[int] = ()) -> dict:
     """Common zeros mod q of the given forms over the coordinates-nonvanishing
     part of X, paired with tangent directions.
 
-    The pairs are those of _incidence_points(fam, q, vanished), or of
-    `walk`, that walk already materialized, and each form is evaluated
-    there from its divided matrix, never expanded. Returns the vanishing
-    pairs, per-point fiber counts, and any points where the tangent solve
-    has wrong dimension. A vanished coordinate outside 0..N, or more
-    vanished coordinates than N - c, raises ValueError.
+    The pairs are those of _incidence_points(fam, q, vanished), and each
+    form is evaluated there from its divided matrix, never expanded.
+    Returns the vanishing pairs, per-point fiber counts, and any points
+    where the tangent solve has wrong dimension. A vanished coordinate
+    outside 0..N, or more vanished coordinates than N - c, raises
+    ValueError.
     """
-    shape = fam.shape
+    data = FamilyData.of(fam)
+    shape = data.family.shape
     vanished = tuple(sorted(set(vanished)))
     if any(not 0 <= v <= shape.N for v in vanished):
         raise ValueError(f"vanished {list(vanished)} has coordinates outside 0..{shape.N}")
@@ -703,7 +678,7 @@ def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,
     singular_tangent = []
     points_used = 0
     directions_used = 0
-    for z, dirs in _incidence_points(fam, q, vanished) if walk is None else walk:
+    for z, dirs in _incidence_points(data, q, vanished):
         points_used += 1
         if len(dirs) != expected_count:
             singular_tangent.append({"z": z, "directions": len(dirs)})
@@ -731,25 +706,21 @@ def base_locus_scan(fam: SectionFamily, forms: Sequence, q: int,
 # ----- characterization crosscheck -----
 
 
-def characterization_crosscheck(fam: SectionFamily, q: int, sample: Optional[int] = None,
-                                seed: int = 0, forms: Optional[Sequence] = None,
-                                walk: Optional[Sequence] = None,
-                                matrices: Optional[FormalMatrixBundle] = None) -> dict:
+def characterization_crosscheck(fam: SectionFamily | FamilyData, q: int,
+                                sample: Optional[int] = None, seed: int = 0) -> dict:
     """Agreement between 'all forms vanish' and rank-condition membership.
 
     Pairs (z, [xi]) run over the all-coordinates-nonzero points of P^N and
     all tangent directions modulo Euler: every pair by default, or `sample`
     of them drawn by index. Membership implies the incidence equations (z
     on X, xi tangent), so off-incidence pairs agree trivially and are
-    counted in bulk. The incidence pairs of _incidence_points (or of
-    `walk`, that walk already materialized) that are taken are visited in
-    index order: the numeric 2c+r x 2N+2 matrix is tested for membership,
-    and the standard_forms (or `forms`, when given) are evaluated.
-    Disagreements are witnesses. The pipeline hands base-locus and the
-    crosscheck one walk and one set of forms, and the crosscheck the
-    family's build_matrices bundle as `matrices`; a bundle of another
-    family, or a restricted one, raises ValueError.
+    counted in bulk. The incidence pairs of _incidence_points that are
+    taken are visited in index order: the numeric 2c+r x 2N+2 matrix of
+    the holder's bundle is tested for membership, and its standard_forms
+    are evaluated. Disagreements are witnesses.
     """
+    data = FamilyData.of(fam)
+    fam = data.family
     N = fam.shape.N
     if fam.mode != "mcm":
         raise ValueError("crosscheck is defined for mcm families")
@@ -757,8 +728,6 @@ def characterization_crosscheck(fam: SectionFamily, q: int, sample: Optional[int
         raise ValueError("crosscheck expects n = 1 families")
     if sample is not None and sample < 1:
         raise ValueError(f"crosscheck sample must be at least 1, got {sample}")
-    if matrices is not None:
-        _family_matrices(fam, matrices)
     # pair index zi * len(dirs) + di: z = (1, t_1..t_N) has the base-(q-1)
     # digits t_k - 1, and xi = (0,) + the di-th point of P^(N-1)
     dirs = {pt: di for di, pt in enumerate(proj_points(N - 1, q))}
@@ -767,7 +736,7 @@ def characterization_crosscheck(fam: SectionFamily, q: int, sample: Optional[int
     chosen = (set(child_rng(seed, "crosscheck", 0).sample(range(total), take))
               if take < total else None)
     visits = []
-    for z, tangent in _incidence_points(fam, q) if walk is None else walk:
+    for z, tangent in _incidence_points(data, q):
         zi = reduce(lambda acc, t: acc * (q - 1) + t - 1, z[1:], 0)
         for xi in tangent:
             idx = zi * len(dirs) + dirs[xi[1:]]
@@ -777,10 +746,9 @@ def characterization_crosscheck(fam: SectionFamily, q: int, sample: Optional[int
 
     entries = []
     if visits:
-        K = build_matrices(fam) if matrices is None else matrices
-        forms = standard_forms(fam, K) if forms is None else forms
+        forms = data.forms
         # value rows are dz-free and differential rows linear in dz
-        entries = EvalPlan([e for row in K.entries for e in row],
+        entries = EvalPlan([e for row in data.matrices.entries for e in row],
                            q).at_points([z + xi for _, z, xi in visits]).tolist()
     vanish_and_member = 0
     vanish_not_member = 0

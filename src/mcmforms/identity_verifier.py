@@ -40,10 +40,10 @@ the value rows to z_l times the differential rows, so G(w_l) == z_l^n * G
 by row operations. Both modes form D(z; z) the same way, by the products
 z_k * [dz_k]D, and compare the one pair list.
 
-verify_gluing and verify_transition build the family's matrix bundle, or
-read the one a caller passes as `matrices` (a pipeline run and `mcm verify`
-share one per family across their units); a bundle of another family, or
-a restricted one, is refused.
+verify_gluing and verify_transition take a family or its FamilyData
+holder, and read the bundle, the selections and the full bundle's
+hypothesis from the holder: a pipeline run and `mcm verify` pass one
+holder per family to every unit, so each is formed once.
 
 Every check returns a report dict: {"op", "ok", "checks": [{"id", "mode",
 "trials", "verdict", "witness"}, ...]} plus op-specific extras.
@@ -66,11 +66,11 @@ from .exact_algebra import (
 from .schedule import fermat_heart_prime
 from .section_builder import (
     DegreeClaimFailed,
+    FamilyData,
     FormalMatrixBundle,
     FormBundle,
     SectionFamily,
     _check_selection,
-    _family_matrices,
     build_matrices,
     build_selected,
     extract_forms,
@@ -170,9 +170,8 @@ def _check_hypothesis(check_id: str, pairs: Sequence[Pair], fam: SectionFamily,
     return _check(check_id, "pass", "probabilistic", SAMPLED_TRIALS)
 
 
-def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int,
-                  which: Optional[Tuple] = None, mode: str = "exact",
-                  seed: int = 0, matrices: Optional[FormalMatrixBundle] = None) -> dict:
+def verify_gluing(fam: SectionFamily | FamilyData, selection: Sequence[int], j1: int, j2: int,
+                  which: Optional[Tuple] = None, mode: str = "exact", seed: int = 0) -> dict:
     """The gluing hypothesis for psi_{j1} and psi_{j2}: the rows of the
     family's matrix sum to its sections and its differential rows are the
     differentials of its value rows, and with `which` the same of the
@@ -182,26 +181,23 @@ def verify_gluing(fam: SectionFamily, selection: Sequence[int], j1: int, j2: int
     (_check_hypothesis, exactly unless the probabilistic branch is asked
     for). The selection must name the form's differential rows, a full mcm
     bundle needs `which`, and equal or out-of-range chart columns raise
-    ValueError: psi_j - psi_j == 0 tests nothing. So does a `matrices`
-    that is not fam's own build_matrices bundle (_family_matrices).
+    ValueError: psi_j - psi_j == 0 tests nothing.
     """
+    data = FamilyData.of(fam)
+    fam = data.family
     if j1 == j2:
         raise ValueError("chart columns must differ")
-    full = build_matrices(fam) if matrices is None else _family_matrices(fam, matrices)
+    full = data.matrices
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("gluing", [guard], j1=j1, j2=j2)
-    K = full if which is None else build_selected(full, which)
+    K = full if which is None else data.selected(which)
     if K.layout == "mcm":
         raise ValueError("full mcm bundles need a K_nu/K_tau_rho selection")
     selection = _check_selection(fam.shape, K.eta(), selection)
     if not (0 <= j1 < K.ncols and 0 <= j2 < K.ncols):
         raise ValueError("chart column out of range")
-    # formed once per bundle and kept on it, as build_selected keeps its
-    # selections: every unit that shares a family's bundle compares them
-    if full._hypothesis is None:
-        full._hypothesis = _hypothesis_pairs(full, _label(None))
-    pairs = full._hypothesis
+    pairs = data.derived("hypothesis", lambda: _hypothesis_pairs(full, _label(None)))
     if which is not None:
         pairs = pairs + _hypothesis_pairs(K, _label(which))
     checks = [_check_hypothesis("hypothesis", pairs, fam, mode, seed)]
@@ -240,10 +236,10 @@ def _transition_pairs(form: FormBundle, fam: SectionFamily,
     return pairs, None
 
 
-def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
+def verify_transition(fam: SectionFamily | FamilyData, selection: Sequence[int], omit: int,
                       l1: int, l2: int, mode: str = "exact",
                       which: Optional[Tuple] = None, kind: Optional[str] = None,
-                      seed: int = 0, matrices: Optional[FormalMatrixBundle] = None) -> dict:
+                      seed: int = 0) -> dict:
     """Chart-change identities for one extracted form: exactly the checks
     "transition" and "transition exponent".
 
@@ -265,18 +261,19 @@ def verify_transition(fam: SectionFamily, selection: Sequence[int], omit: int,
     dz fails it in either mode. Neither mode expands G or takes a
     determinant. The exponent check reads the z-degree that extract_forms
     enforces, so it runs in every mode and also on a zero G. A chart
-    outside 0..N raises ValueError, and so does a `matrices` that is not
-    fam's own build_matrices bundle (_family_matrices).
+    outside 0..N raises ValueError.
     """
+    data = FamilyData.of(fam)
+    fam = data.family
     if mode not in ("exact", "probabilistic"):
         raise ValueError(f"unknown mode {mode!r}")
     if not (0 <= l1 <= fam.shape.N and 0 <= l2 <= fam.shape.N):
         raise ValueError("chart out of range")
-    K = build_matrices(fam) if matrices is None else _family_matrices(fam, matrices)
+    K = data.matrices
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("transition", [guard], omit=omit, charts=(l1, l2))
-    form = extract_forms(K if which is None else build_selected(K, which), [selection],
+    form = extract_forms(K if which is None else data.selected(which), [selection],
                          omit=omit, kind=kind)[0]
     pairs, nonlinear = _transition_pairs(form, fam, _label(which))
     checks = [_check("transition", "fail", mode, witness=nonlinear) if nonlinear

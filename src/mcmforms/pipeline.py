@@ -8,11 +8,12 @@ whether in Python, by config_from_dict (the inverse of RunConfig.to_dict)
 or by parse_config, which fills that dict from the INI file; the stages
 and run_pipeline only read it.
 
-One run builds each family's matrix bundle once (build_matrices, kept in
-the run's context by _matrices), and each K_nu / K_tau_rho selection of it
-once (kept on the bundle by build_selected): divisibility, gluing,
-transitions, base-locus and the crosscheck read those copies, and the
-verifiers take the bundle as `matrices`. Nothing outlives the run.
+A run keeps one FamilyData holder in its context, for the family the
+build stage made, and the smoothness stage replaces it with the holder of
+a resampled family. The stages pass the holder as the family to the
+verifiers and scans, so the bundle, each K_nu / K_tau_rho selection, the
+gluing hypothesis, standard_forms and the walks of X(F_q) are each built
+once per family. Nothing outlives the run.
 
 Every FAIL or ERROR stage carries a witness: the stage, the run config
 restricted to that stage, and the stage's own detail (the failing unit,
@@ -31,12 +32,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact_algebra import Field
 from .finite_geometry import (
-    _incidence_points,
     _resample_smooth,
-    _smoothness,
     base_locus_scan,
     characterization_crosscheck,
     rank_condition_census,
+    smoothness_check,
 )
 from .identity_verifier import verify_gluing, verify_transition
 from .schedule import (
@@ -49,13 +49,10 @@ from .schedule import (
 )
 from .section_builder import (
     DivisibilityClaimFailed,
-    FormalMatrixBundle,
-    build_matrices,
+    FamilyData,
     build_sections,
-    build_selected,
     column_divisors,
     selection_layouts,
-    standard_forms,
 )
 from .util import child_rng
 
@@ -270,7 +267,8 @@ def _stage_schedule(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict
 
 def _stage_build(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
     fam_seed = child_rng(cfg.seed, "build", 0).randrange(2 ** 31)
-    fam = ctx["family"] = build_family(cfg, fam_seed)
+    fam = build_family(cfg, fam_seed)
+    ctx["data"] = FamilyData(fam)
     report = {
         "family_seed": fam_seed,
         "sections": len(fam.sections),
@@ -280,30 +278,18 @@ def _stage_build(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
     return "PASS", report, None
 
 
-def _all_divisors(fam, K) -> int:
+def _all_divisors(data: FamilyData) -> int:
+    fam = data.family
     if fam.mode == "mcm":
-        return sum(len(column_divisors(build_selected(K, (kind,) + params)))
+        return sum(len(column_divisors(data.selected((kind,) + params)))
                    for kind, params, _ in selection_layouts(fam.shape.N))
-    return len(column_divisors(K))
-
-
-def _matrices(ctx: dict, fam) -> FormalMatrixBundle:
-    """build_matrices(fam), built the first time a stage asks and kept in
-    ctx, with each selection build_selected makes of it. ctx keeps one
-    bundle: the stages ask for ctx["family"]'s before ctx["scan_family"]'s,
-    so a resampled scan family's bundle replaces the other."""
-    K = ctx.get("matrices")
-    if K is None or K.family is not fam:
-        K = ctx["matrices"] = build_matrices(fam)
-    return K
+    return len(column_divisors(data.matrices))
 
 
 def _stage_divisibility(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
-    fam = ctx["family"]
-    K = _matrices(ctx, fam)
     columns = 0
     try:
-        columns = _all_divisors(fam, K)
+        columns = _all_divisors(ctx["data"])
     except DivisibilityClaimFailed as exc:
         return ("FAIL", {"columns_verified": columns, "error": str(exc)},
                 {"row": exc.row, "col": exc.col})
@@ -341,12 +327,10 @@ def _glue_units(fam) -> List[dict]:
 
 
 def _stage_gluing(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
-    fam = ctx["family"]
-    K = _matrices(ctx, fam)
+    data = ctx["data"]
     return _run_units(
-        _glue_units(fam),
-        lambda u: verify_gluing(fam, u["selection"], u["j1"], u["j2"], which=u["which"],
-                                matrices=K),
+        _glue_units(data.family),
+        lambda u: verify_gluing(data, u["selection"], u["j1"], u["j2"], which=u["which"]),
         lambda u, rep: {"which": list(u["which"]) if u["which"] else None,
                         "j1": u["j1"], "j2": u["j2"]},
         mode="exact")
@@ -370,12 +354,11 @@ def _transition_units(fam) -> List[dict]:
 
 
 def _stage_transition(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
-    fam = ctx["family"]
-    K = _matrices(ctx, fam)
+    data = ctx["data"]
     return _run_units(
-        _transition_units(fam),
-        lambda u: verify_transition(fam, u["selection"], u["omit"], u["l1"], u["l2"],
-                                    which=u["which"], kind=u["kind"], matrices=K),
+        _transition_units(data.family),
+        lambda u: verify_transition(data, u["selection"], u["omit"], u["l1"], u["l2"],
+                                    which=u["which"], kind=u["kind"]),
         lambda u, rep: {"omit": u["omit"], "charts": [u["l1"], u["l2"]],
                         "mode": rep.get("mode")})
 
@@ -405,39 +388,26 @@ def _stage_smoothness(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
     points = (q ** (cfg.shape.N + 1) - 1) // (q - 1)
     if points > cfg.max_points:
         return "SKIP", {"reason": f"point budget: {points} > {cfg.max_points}"}, None
-    fam = ctx["family"]
-    first, walk = _smoothness(fam, q)
+    data = ctx["data"]
+    fam = data.family
+    first = smoothness_check(data, q)
     if first["ok"]:
-        ctx["scan_family"], ctx["scan_walk"] = fam, walk
         return "PASS", dict(first, attempt=0, family_seed=fam.seed), None
     # the resampler's own family, which build_family(cfg, rep["family_seed"]) rebuilds
-    rep, resampled, walk = _resample_smooth(fam.shape, fam.mode, fam.field,
-                                            schedule=fam.schedule, seed=cfg.seed, q=q,
-                                            lambdas=fam.lambdas, degrees=fam.degrees)
+    rep, resampled = _resample_smooth(fam.shape, fam.mode, fam.field,
+                                      schedule=fam.schedule, seed=cfg.seed, q=q,
+                                      lambdas=fam.lambdas, degrees=fam.degrees)
     if rep["ok"]:
-        ctx["scan_family"], ctx["scan_walk"] = resampled, walk
+        ctx["data"] = resampled  # one holder at a time: the built family's goes
         return "PASS", rep, None
     # the last resample's seed and points, as in the report
     return "FAIL", rep, {"family_seed": rep["family_seed"], "singular": rep["singular"][:3]}
 
 
-def _scan_inputs(ctx: dict, q: int) -> Tuple[list, list]:
-    """The standard_forms of ctx["scan_family"] and its incidence walk
-    (_incidence_points, materialized), built the first time base-locus or
-    the crosscheck asks and kept in ctx for the other. The walk reads the
-    Jacobians the smoothness stage evaluated at every point of X(F_q)
-    (ctx["scan_walk"]), so a run evaluates X(F_q) once."""
-    if "scan_inputs" not in ctx:
-        fam = ctx["scan_family"]
-        ctx["scan_inputs"] = (standard_forms(fam, _matrices(ctx, fam)),
-                              list(_incidence_points(fam, q, jacobians=ctx["scan_walk"])))
-    return ctx["scan_inputs"]
-
-
 def _stage_base_locus(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
-    q = cfg.field.p
-    forms, walk = _scan_inputs(ctx, q)
-    rep = base_locus_scan(ctx["scan_family"], forms, q, walk=walk)
+    data = ctx["data"]
+    forms = data.forms
+    rep = base_locus_scan(data, forms, cfg.field.p)
     rep["forms"] = len(forms)
     rep["form_inventory"] = [
         {"kind": f.kind, "twist": f.twist, "dz_degree": f.dz_degree} for f in forms]
@@ -447,16 +417,13 @@ def _stage_base_locus(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
 
 
 def _stage_crosscheck(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
-    fam = ctx["scan_family"]
-    if fam.mode != "mcm":
+    data = ctx["data"]
+    if data.family.mode != "mcm":
         return "SKIP", {"reason": "crosscheck needs an mcm family"}, None
-    if fam.shape.n != 1:
+    if data.family.shape.n != 1:
         return "SKIP", {"reason": "crosscheck needs an n = 1 family"}, None
-    q = cfg.field.p
-    forms, walk = _scan_inputs(ctx, q)
     # every incidence pair, the pairs base-locus visits
-    rep = characterization_crosscheck(fam, q, forms=forms, walk=walk,
-                                      matrices=_matrices(ctx, fam))
+    rep = characterization_crosscheck(data, cfg.field.p)
     if rep["ok"]:
         return "PASS", rep, None
     return "FAIL", rep, {"disagreements": rep["disagreements"][:3]}
@@ -525,7 +492,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         fn, deps = STAGES[name]
         if not any(STAGES[s][1] for s in stages[i:]):
             # a stage reads only what its dependencies left in ctx: drop the
-            # run's families, bundle and scan inputs before the census
+            # run's holder before the census
             ctx.clear()
         blockers = [d for d in deps
                     if stage_reports.get(d, {}).get("status") in ("FAIL", "SKIP", "ERROR")]

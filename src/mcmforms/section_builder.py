@@ -22,7 +22,10 @@ build_matrices builds the matrix, restricted to the vanishing locus of the
 coordinates it is given; build_selected combines its columns into K_nu or
 K_tau_rho; column_divisors verifies the declared divisors, and
 extract_forms takes signed divided determinants with twist bookkeeping,
-each of the bundle it is given.
+each of the bundle it is given. FamilyData holds what a family's checks
+derive from it (the full bundle, its selections, standard_forms, and the
+items other modules derive through FamilyData.derived), each computed on
+first read and kept as long as the holder is.
 
 column_layout states the K_nu / K_tau_rho layouts once; build_selected
 applies them to polynomials, finite_geometry to vectors mod p and to coded
@@ -178,10 +181,6 @@ class FormalMatrixBundle:
     selected_kind: Optional[str] = None
     selected_params: Tuple[int, ...] = ()
     divisor_exponents: Optional[Tuple[int, ...]] = None
-    _selected: Dict[Tuple, "FormalMatrixBundle"] = dc_field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    # the gluing hypothesis of this bundle, formed once by identity_verifier
-    _hypothesis: Optional[list] = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def ncols(self) -> int:
@@ -330,7 +329,8 @@ def build_sections(
     matches. Every coefficient of section i has degree a_i + (L-degree of
     F_i) - (degree of its monomial). Coefficients are drawn at random from
     the seed, or, when `explicit` is given, parsed from its polynomial
-    literals keyed like SectionFamily.coefficients.
+    literals keyed like SectionFamily.coefficients; a key that names no
+    term raises ValueError.
     """
     cr = shape.c + shape.r
     if twists is None:
@@ -391,6 +391,9 @@ def build_sections(
         if not F.is_zero() and F.z_degree() != expected:
             raise ValueError(f"section {i} degree {F.z_degree()} != {expected}")
         sections.append(F)
+    unread = sorted(set(explicit or ()) - set(coeffs))
+    if unread:
+        raise ValueError(f"explicit coefficients the family does not read: {', '.join(unread)}")
     # negativity reading of the twist data: heart must exceed every a_i
     if mode == "mcm" and schedule.heart <= max(twists, default=0):
         raise ValueError("schedule heart must exceed every twist a_i")
@@ -561,23 +564,18 @@ def build_selected(K: FormalMatrixBundle, which: Tuple) -> FormalMatrixBundle:
     """Combine the A/B column groups of an mcm bundle as column_layout
     states for ("K_nu", nu) or ("K_tau_rho", tau, rho); positions refer to
     the retained coordinate list, and the combined columns are displayed
-    last. A restricted bundle keeps its vanished coordinates. Each
-    selection is built once per K and kept on it: every caller holding K
-    gets the same bundle, which goes away with K."""
+    last. A restricted bundle keeps its vanished coordinates."""
     kind = which[0]
     fam = K.family
     if K.layout != "mcm":
         raise ValueError("column combinations need an mcm bundle")
     params = tuple(which[1:])
-    kept = K._selected.get((kind, params))
-    if kept is not None:
-        return kept
     top = len(K.retained) - 1
     layout = column_layout(kind, params, top)
     columns = [[row[j] for row in K.entries] for j in range(K.ncols)]
     combined = _combine_columns(layout, columns[: top + 1], columns[top + 1:],
                                 lambda x, y: [u + v for u, v in zip(x, y)])
-    S = K._selected[(kind, params)] = FormalMatrixBundle(
+    return FormalMatrixBundle(
         layout="selected", family=fam, entries=[list(row) for row in zip(*combined)],
         column_tags=tuple(_column_tag(kind, col, K.retained) for col in layout),
         column_coords=tuple(K.retained[col.a] for col in layout),
@@ -585,7 +583,6 @@ def build_selected(K: FormalMatrixBundle, which: Tuple) -> FormalMatrixBundle:
         selected_params=params,
         divisor_exponents=tuple(divisor_exponent(col, fam.schedule, top) for col in layout),
     )
-    return S
 
 
 # ----- divisors -----
@@ -731,33 +728,55 @@ def extract_forms(
     return forms
 
 
-def _family_matrices(fam: SectionFamily, K: FormalMatrixBundle) -> FormalMatrixBundle:
-    """K, once it is fam's full build_matrices bundle; a bundle of another
-    family object, a restricted one or a selection raises ValueError, so a
-    caller's bundle is never checked in place of the family's."""
-    if K.family is not fam:
-        raise ValueError("matrices were built for another family")
-    if K.vanished or K.layout == "selected":
-        raise ValueError("matrices must be the family's full bundle, not a "
-                         "restriction or a selection")
-    return K
+class FamilyData:
+    """One family's derived data, each item computed on first read and
+    kept for as long as the holder is: the full build_matrices bundle
+    (matrices), each K_nu / K_tau_rho selection of it (selected),
+    standard_forms (forms), and any item another module derives through
+    derived. The verifiers and scans take a SectionFamily or a FamilyData
+    as `fam` (FamilyData.of), and every item is derived from the family
+    itself, so a check never reads data of another family."""
+
+    def __init__(self, fam: SectionFamily):
+        self.family = fam
+        self._items: dict = {}
+
+    @classmethod
+    def of(cls, fam: SectionFamily | FamilyData) -> FamilyData:
+        """fam itself when it is a holder, else a new holder of fam."""
+        return fam if isinstance(fam, FamilyData) else cls(fam)
+
+    def derived(self, key, build: Callable):
+        """build(), called the first time `key` is read and kept."""
+        if key not in self._items:
+            self._items[key] = build()
+        return self._items[key]
+
+    @property
+    def matrices(self) -> FormalMatrixBundle:
+        return self.derived("matrices", lambda: build_matrices(self.family))
+
+    def selected(self, which: Sequence) -> FormalMatrixBundle:
+        which = (which[0],) + tuple(which[1:])
+        return self.derived(("selected", which), lambda: build_selected(self.matrices, which))
+
+    @property
+    def forms(self) -> List[FormBundle]:
+        return self.derived("forms", lambda: standard_forms(self))
 
 
-def standard_forms(fam: SectionFamily,
-                   matrices: Optional[FormalMatrixBundle] = None) -> List[FormBundle]:
+def standard_forms(fam: SectionFamily | FamilyData) -> List[FormBundle]:
     """The default form inventory for scans: every selected-bundle kind with
     every admissible differential-row choice (mcm), or the psi/omega pair
     (explicit exponents), all extracted at omit=0. The forms of
-    one layout share one divided matrix and stay unexpanded. `matrices`,
-    when given, is fam's build_matrices bundle (_family_matrices), read in
-    place of a new one."""
-    K = build_matrices(fam) if matrices is None else _family_matrices(fam, matrices)
-    shape = fam.shape
-    if fam.mode == "mcm":
+    one layout share one divided matrix and stay unexpanded."""
+    data = FamilyData.of(fam)
+    K, shape = data.matrices, data.family.shape
+    if data.family.mode == "mcm":
         selections = [(j,) for j in range(1, shape.c + 1)] if shape.n == 1 else \
             [tuple(range(1, shape.n + 1))]
         return [form for kind, params, _ in selection_layouts(shape.N)
-                for form in extract_forms(build_selected(K, (kind,) + params), selections,
+                for form in extract_forms(data.selected((kind,) + params), selections,
                                           omit=0)]
     sel = tuple(range(1, shape.n + 1))
     return [extract_forms(K, [sel], omit=0, kind=kind)[0]
@@ -859,7 +878,8 @@ def save_family(fam: SectionFamily, path: str) -> None:
 
 def load_family(path: str) -> SectionFamily:
     """The family save_family wrote to path. A wrong schema version, a
-    missing entry and a malformed one raise ValueError naming it."""
+    missing entry, a malformed one and a coefficient key the family does
+    not read raise ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:

@@ -243,6 +243,16 @@ def test_parse_errors_name_the_token():
         from_literal("", 2)
 
 
+@pytest.mark.parametrize("literal, token", [("1/0*z0", "1/0"), ("z1 + -3/0 * dz2", "-3/0"),
+                                            ("0/0", "0/0")])
+def test_a_zero_denominator_is_a_parse_error(literal, token):
+    # a refusal (ValueError) that names the token, never a ZeroDivisionError
+    with pytest.raises(ParseError, match="zero denominator") as info:
+        from_literal(literal, 2, Field(5))
+    assert info.value.token == token and isinstance(info.value, ValueError)
+    assert from_literal("1/2*z0", 2, Field(5)) == MultiPoly.z(2, 0, Field(5)).scale(3)
+
+
 def test_canonical_order_is_graded_lex_descending():
     # z1^2 (degree 2) before z0 dz... same-degree terms compared lexicographically
     p = from_literal("1 * z0^1 + 1 * z1^2 + 1 * z0^1 dz0^1", 1)

@@ -39,6 +39,7 @@ from mcmforms.finite_geometry import (
 from mcmforms.product_coup import verify_product_decomposition
 from mcmforms.schedule import ProblemShape, build_schedule
 from mcmforms.section_builder import (
+    FamilyData,
     FormBundle,
     build_matrices,
     build_sections,
@@ -996,13 +997,6 @@ def test_base_locus_refuses_bad_vanished_coordinates(vanished, message):
     assert base_locus_scan(fam, [], 5, vanished=(0,))["ok"]
 
 
-def test_points_on_X_refuses_a_support_outside_the_coordinates():
-    fam = mcm_family(1)
-    assert points_on_X(fam, 5, support=[0, 1, 2, 3, 4])
-    with pytest.raises(ValueError, match=r"support \[0, 1, 2, 3, 9\] has coordinates outside 0\.\.4"):
-        points_on_X(fam, 5, support=[0, 1, 2, 3, 9])
-
-
 # ----- characterization crosscheck -----
 
 
@@ -1170,30 +1164,65 @@ def test_crosscheck_without_a_sample_visits_every_pair(shape_t, seed):
     rep = characterization_crosscheck(fam, 5)
     assert rep["samples"] == rep["total_pairs"]
     assert rep == characterization_crosscheck(fam, 5, sample=rep["total_pairs"])
-    # the walk and forms the pipeline hands both scans give the same reports
-    forms, walk = standard_forms(fam), list(finite_geometry._incidence_points(fam, 5))
-    assert characterization_crosscheck(fam, 5, forms=forms, walk=walk) == rep
-    locus = base_locus_scan(fam, forms, 5)
-    assert base_locus_scan(fam, forms, 5, walk=walk) == locus
+    # one holder handed to both scans, as a pipeline run hands it, gives
+    # the reports of standalone calls
+    locus = base_locus_scan(fam, standard_forms(fam), 5)
+    data = FamilyData(fam)
+    assert base_locus_scan(data, data.forms, 5) == locus
+    assert characterization_crosscheck(data, 5) == rep
     assert rep["incidence_pairs"] == locus["directions"]
 
 
-def test_a_given_walk_gives_the_incidence_walk_of_a_general_family():
+def reference_incidence(fam, q, vanished):
+    """The incidence walk from its definition, sharing no walk: the points
+    of proj_points on X with exactly the retained coordinates nonzero, in
+    that order, each with the tangent_directions of its first c gradient
+    rows, each entry a MultiPoly.evaluate_mod call, and xi_v = 0 for each
+    vanished v."""
+    N, c = fam.shape.N, fam.shape.c
+    zero = [0] * (N + 1)
+    pinned = [[int(j == v) for j in range(N + 1)] for v in vanished]
+    out = []
+    for pt in proj_points(N, q):
+        z = list(pt)
+        if any((x != 0) == (k in vanished) for k, x in enumerate(z)) \
+                or any(F.evaluate_mod(z, zero, q) for F in fam.sections):
+            continue
+        rows = [[deriv(F, j).evaluate_mod(z, zero, q) for j in range(N + 1)]
+                for F in fam.sections[:c]]
+        out.append((z, tangent_directions(z, rows + pinned, q)))
+    return out
+
+
+def incidence_faults(data, q):
+    """The vanished sets base-locus accepts on which the holder's incidence
+    walk differs from reference_incidence, with the points the walks met;
+    the holder's Jacobian walk must be unchanged by them."""
+    shape = data.family.shape
+    walk = finite_geometry._walk(data, q)
+    before = copy.deepcopy(walk)
+    faults, met = [], 0
+    for vanished in (v for k in range(shape.N - shape.c + 1)
+                     for v in combinations(range(shape.N + 1), k)):
+        alone = reference_incidence(data.family, q, vanished)
+        if finite_geometry._incidence_points(data, q, vanished) != alone:
+            faults.append(vanished)
+        met += len(alone)
+    assert walk == before
+    return faults, met
+
+
+def test_the_incidence_walk_of_a_general_family_is_the_reference():
     # two Jacobian rows (c = 1, r = 1): the incidence walk takes the first
     fam = build_sections(ProblemShape(3, 1, 1), "general_fermat", field=QQ,
                          lambdas=(2, 2, 2, 2), degrees=(3, 3), seed=1)
-    rep, walk = finite_geometry._smoothness(fam, 5)
-    assert rep == smoothness_check(fam, 5) and rep["ok"] and rep["points"] == len(walk) == 12
-    before = copy.deepcopy(walk)
+    data = FamilyData(fam)
+    rep = smoothness_check(data, 5)
+    assert rep == smoothness_check(fam, 5) and rep["ok"] and rep["points"] == 12
+    assert incidence_faults(data, 5) == ([], 12)
     forms = standard_forms(fam)
-    met = 0
     for vanished in (v for k in range(3) for v in combinations(range(4), k)):
-        alone = list(finite_geometry._incidence_points(fam, 5, vanished))
-        assert list(finite_geometry._incidence_points(fam, 5, vanished, jacobians=walk)) == alone
-        met += len(alone)
-        assert base_locus_scan(fam, forms, 5, vanished, walk=alone) \
-            == base_locus_scan(fam, forms, 5, vanished)
-    assert met == 12 and walk == before
+        assert base_locus_scan(data, forms, 5, vanished) == base_locus_scan(fam, forms, 5, vanished)
 
 
 def test_crosscheck_reads_the_programs_forms(monkeypatch):

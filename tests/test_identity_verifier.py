@@ -142,15 +142,16 @@ def mcm_430_family():
 
 
 def mutate_matrices(monkeypatch, change):
-    """Make the verifier read every family's matrix with change(K) applied."""
-    real = identity_verifier.build_matrices
+    """Make the verifier read every family's matrix with change(K) applied:
+    the family's holder builds it (FamilyData.matrices)."""
+    real = section_builder.build_matrices
 
     def mutated(fam):
         K = real(fam)
         change(K)
         return K
 
-    monkeypatch.setattr(identity_verifier, "build_matrices", mutated)
+    monkeypatch.setattr(section_builder, "build_matrices", mutated)
 
 
 def glue_all(fam, mode, **kwargs):
@@ -201,14 +202,14 @@ def test_gluing_fails_a_differential_entry_and_names_it(monkeypatch):
 
 def test_gluing_fails_a_layout_that_drops_a_column(monkeypatch):
     fam = mcm_430_family()
-    real = identity_verifier.build_selected
+    real = section_builder.build_selected
 
     def dropped(K, which):
         S = real(K, which)
         return dataclasses.replace(S, entries=[row[:-1] for row in S.entries]) \
             if which == ("K_tau_rho", 0, 1) else S
 
-    monkeypatch.setattr(identity_verifier, "build_selected", dropped)
+    monkeypatch.setattr(section_builder, "build_selected", dropped)
     assert verify_gluing(fam, (1,), 0, 1, which=("K_nu", 0))["ok"]
     for mode in ("exact", "probabilistic"):
         rep = verify_gluing(fam, (1,), 0, 1, which=("K_tau_rho", 0, 1), mode=mode)
@@ -234,8 +235,7 @@ def test_a_term_moved_between_A_columns_passes_gluing_and_fails_divisibility(mon
     rows[0][0], rows[0][1] = rows[0][0] - moved, rows[0][1] + moved
     rows[2:] = [[total_differential(e) for e in row] for row in rows[:2]]
     mutant = dataclasses.replace(real, entries=rows)
-    for namespace in (identity_verifier, pipeline):
-        monkeypatch.setattr(namespace, "build_matrices", lambda f: mutant)
+    monkeypatch.setattr(section_builder, "build_matrices", lambda f: mutant)
     monkeypatch.setattr(pipeline, "build_family", lambda cfg, seed: fam)
     assert all(rep["ok"] for rep in glue_all(fam, "exact"))
     stages = run_pipeline(RunConfig(shape=shape, stages=("divisibility", "gluing")))["stages"]

@@ -1,9 +1,7 @@
 """Tests for the config-driven pipeline and the command line tool."""
 
-import copy
 import dataclasses
 import hashlib
-import itertools
 import json
 import signal
 
@@ -12,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from legacy_reports import legacy_pipeline
 
-from mcmforms import cli, finite_geometry, pipeline
+from mcmforms import cli, finite_geometry, pipeline, section_builder
 from mcmforms.cli import main
 from mcmforms.pipeline import (
     RunConfig,
@@ -33,7 +31,8 @@ from mcmforms.pipeline import (
 )
 from mcmforms.finite_geometry import smoothness_check
 from mcmforms.schedule import ProblemShape
-from mcmforms.section_builder import FormBundle, load_family
+from mcmforms.section_builder import FamilyData, FormBundle, load_family
+from test_finite_geometry import incidence_faults
 
 
 def small_config(**overrides) -> RunConfig:
@@ -371,17 +370,22 @@ def test_crosscheck_visits_every_base_locus_pair(monkeypatch, seed):
 def test_one_default_run_extracts_the_forms_once_and_walks_once(monkeypatch):
     # X(F_5) is evaluated once per smoothness attempt (seed 3 resamples once),
     # and base-locus and the crosscheck read the accepted attempt's walk
-    calls = {"standard_forms": 0, "_incidence_points": 0}
-    for name in calls:
-        original = getattr(finite_geometry, name)
+    # through one incidence walk of its holder
+    calls = {"standard_forms": 0, "incidence": 0}
+    real_forms, real_derived = section_builder.standard_forms, FamilyData.derived
 
-        def counting(*args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def forms(*args, **kwargs):
+        calls["standard_forms"] += 1
+        return real_forms(*args, **kwargs)
 
-        # the pipeline's own names and the ones the scans fall back on
-        for module in (pipeline, finite_geometry):
-            monkeypatch.setattr(module, name, counting)
+    def derived(data, key, build):
+        def counted():
+            calls["incidence"] += key[0] == "incidence"
+            return build()
+        return real_derived(data, key, counted)
+
+    monkeypatch.setattr(section_builder, "standard_forms", forms)
+    monkeypatch.setattr(FamilyData, "derived", derived)
     running, walks = [], []
 
     def jacobians(*args, _original=finite_geometry._jacobians, **kwargs):
@@ -401,7 +405,7 @@ def test_one_default_run_extracts_the_forms_once_and_walks_once(monkeypatch):
         cfg = dataclasses.replace(parse_config(default_config_text()), seed=seed)
         report = run_pipeline(cfg)
         assert report["stages"]["crosscheck"]["report"]["incidence_pairs"] > 0
-        assert calls == {"standard_forms": 1, "_incidence_points": 1}
+        assert calls == {"standard_forms": 1, "incidence": 1}
         smooth = report["stages"]["smoothness"]["report"]
         resampled = smooth["family_seed"] != report["stages"]["build"]["report"]["family_seed"]
         assert resampled == (seed == 3)
@@ -411,38 +415,39 @@ def test_one_default_run_extracts_the_forms_once_and_walks_once(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_the_smoothness_walk_gives_the_incidence_walk(seed):
-    # points, order and directions as a walk of its own, for every vanished
-    # set base-locus accepts; seed 3 scans its resampled family
+    # points, order and directions as the walk's reference restates them,
+    # for every vanished set base-locus accepts; seed 3 scans its resampled
+    # family
     ctx = {}
-    for stage in ("schedule", "build", "smoothness"):
+    for stage in ("schedule", "build"):
         pipeline.STAGES[stage][0](RunConfig(seed=seed), ctx)
-    fam, walk = ctx["scan_family"], ctx["scan_walk"]
-    assert (fam is not ctx["family"]) == (seed == 3)
-    shape = fam.shape
-    before = copy.deepcopy(walk)
-    met = 0
-    for vanished in (v for k in range(shape.N - shape.c + 1)
-                     for v in itertools.combinations(range(shape.N + 1), k)):
-        alone = list(finite_geometry._incidence_points(fam, 5, vanished))
-        assert list(finite_geometry._incidence_points(fam, 5, vanished, jacobians=walk)) == alone
-        met += len(alone)
-    assert 0 < met <= len(walk)  # points with more zeros lie on no scanned support
-    assert walk == before
+    built = ctx["data"]
+    pipeline.STAGES["smoothness"][0](RunConfig(seed=seed), ctx)
+    data = ctx["data"]
+    assert (data is not built) == (seed == 3)
+    faults, met = incidence_faults(data, 5)
+    assert faults == []
+    # points with more zeros lie on no scanned support
+    assert 0 < met <= len(finite_geometry._walk(data, 5))
 
 
 def test_smoothness_keeps_the_family_it_resampled(monkeypatch):
     # seed 3's built family is singular over F_5: the stage keeps the
-    # resampler's family, which is the one build_family makes from its seed
+    # holder of the resampler's family, which is the one build_family makes
+    # from its seed, in place of the built family's
     cfg = RunConfig(seed=3)
     ctx = {}
     for stage in ("schedule", "build"):
         pipeline.STAGES[stage][0](cfg, ctx)
+    built = ctx["data"]
     monkeypatch.setattr(pipeline, "build_family", None)  # not called again
     status, rep, _ = pipeline._stage_smoothness(cfg, ctx)
     monkeypatch.undo()
-    assert status == "PASS" and ctx["scan_family"] is not ctx["family"]
-    assert ctx["scan_family"].seed == rep["family_seed"]
-    assert ctx["scan_family"].sections == build_family(cfg, rep["family_seed"]).sections
+    assert status == "PASS" and ctx["data"] is not built
+    assert sorted(ctx) == ["data", "schedule"]
+    fam = ctx["data"].family
+    assert fam.seed == rep["family_seed"]
+    assert fam.sections == build_family(cfg, rep["family_seed"]).sections
 
 
 def test_general_pipeline_passes_with_defaulted_exponents():
@@ -1014,6 +1019,24 @@ def test_cli_verify_refuses_a_family_file_missing_an_entry(tmp_path, capsys, key
     assert main(["verify", "gluing", "--family", str(fam_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"'{key}'" in err
+
+
+@pytest.mark.parametrize("what", ["gluing", "transition"])
+def test_cli_verify_refuses_a_zero_denominator_and_an_unread_key(tmp_path, capsys, what):
+    # bad family files are refusals (exit 2), never an uncaught error or a PASS
+    fam_path = tmp_path / "family.json"
+    assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
+                 "--seed", "3", "--out", str(fam_path)]) == 0
+    capsys.readouterr()
+    saved = json.loads(fam_path.read_text())
+    for key, literal, message in (("A:1:0", "1/0*z0^2", "zero denominator in '1/0'"),
+                                  ("X:3", "1", "does not read: X:3")):
+        data = json.loads(json.dumps(saved))
+        data["coefficients"][key] = literal
+        fam_path.write_text(json.dumps(data))
+        assert main(["verify", what, "--family", str(fam_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 def test_cli_verify_hidden_refuses_depth_zero(tmp_path, capsys):

@@ -22,6 +22,7 @@ from mcmforms.identity_verifier import verify_gluing
 from mcmforms.section_builder import (
     DegreeClaimFailed,
     DivisibilityClaimFailed,
+    FamilyData,
     SectionFamily,
     build_matrices,
     build_sections,
@@ -282,18 +283,18 @@ def test_bundle_invariants_hold_under_python_O(run_optimized):
 def test_a_family_is_frozen_and_a_changed_copy_is_checked_anew():
     # gluing passes on the family; its replaced copy with z0^67 added to
     # F_1, checked after it in the same process, fails with the witness of
-    # a family tampered before any check, and cannot borrow its bundle
+    # a family tampered before any check, and cannot borrow its bundle: a
+    # holder derives everything from the one family it holds
     fam = mcm_family(seed=4)
-    K = build_matrices(fam)
-    assert verify_gluing(fam, (1,), 0, 1, which=("K_nu", 0), matrices=K)["ok"]
+    data = FamilyData(fam)
+    assert verify_gluing(data, (1,), 0, 1, which=("K_nu", 0))["ok"]
     changed = dataclasses.replace(fam, sections=(
         fam.sections[0] + MultiPoly.z(4, 0, fam.field, power=67),) + fam.sections[1:])
     (check,) = verify_gluing(changed, (1,), 0, 1, which=("K_nu", 0))["checks"]
     assert check["verdict"] == "fail"
     assert (check["witness"]["bundle"], check["witness"]["row"], check["witness"]["col"],
             check["witness"]["lhs_minus_rhs"]) == ("full", 0, None, "4 * z0^67")
-    with pytest.raises(ValueError, match="another family"):
-        verify_gluing(changed, (1,), 0, 1, which=("K_nu", 0), matrices=K)
+    assert FamilyData.of(changed).family is changed and data.matrices.family is fam
     for name, value in (("sections", changed.sections), ("seed", 5), ("twists", (1, 0, 0))):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(fam, name, value)
@@ -680,6 +681,21 @@ def test_load_family_names_a_missing_entry(tmp_path, mode):
                             ([saved], "malformed family file")):
         path.write_text(json.dumps(broken))
         with pytest.raises(ValueError, match=message):
+            load_family(str(path))
+
+
+@pytest.mark.parametrize("mode", ["mcm", "general_fermat"])
+def test_load_family_refuses_a_coefficient_key_it_does_not_read(tmp_path, mode):
+    fam = pinned_family(mode)
+    path = tmp_path / "family.json"
+    save_family(fam, str(path))
+    saved = json.loads(path.read_text())
+    assert load_family(str(path)) == fam
+    for extra in ("X:3", "A:9:0", "M:1:0,1:0"):
+        data = json.loads(json.dumps(saved))
+        data["coefficients"][extra] = "1"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"does not read: {extra}$"):
             load_family(str(path))
 
 

@@ -1,13 +1,14 @@
-"""One matrix bundle per family per run: counts and equivalence.
+"""One holder of derived data per family per run: counts and equivalence.
 
-A pipeline run builds each family's build_matrices bundle once and each
-K_nu / K_tau_rho selection of it once, and nothing survives the run; the
-verifiers, standard_forms and the crosscheck read a bundle they are given
-exactly as one they build, and refuse a bundle that is not the family's.
+A pipeline run keeps one FamilyData holder at a time, builds each family's
+build_matrices bundle once and each K_nu / K_tau_rho selection of it once,
+and nothing survives the run; the verifiers, standard_forms and the scans
+read a holder exactly as they read its family.
 """
 
-import dataclasses
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -19,7 +20,7 @@ from mcmforms import (
     section_builder,
 )
 from mcmforms.exact_algebra import Field, QQ
-from mcmforms.finite_geometry import characterization_crosscheck
+from mcmforms.finite_geometry import base_locus_scan, characterization_crosscheck
 from mcmforms.identity_verifier import verify_gluing, verify_transition
 from mcmforms.pipeline import (
     RunConfig,
@@ -31,6 +32,7 @@ from mcmforms.pipeline import (
 )
 from mcmforms.schedule import ProblemShape, build_schedule
 from mcmforms.section_builder import (
+    FamilyData,
     build_matrices,
     build_sections,
     build_selected,
@@ -59,18 +61,10 @@ def counts(monkeypatch):
         return real_combine(*args, **kwargs)
 
     for module in (cli, finite_geometry, identity_verifier, pipeline, section_builder):
-        monkeypatch.setattr(module, "build_matrices", building)
+        if hasattr(module, "build_matrices"):
+            monkeypatch.setattr(module, "build_matrices", building)
     monkeypatch.setattr(section_builder, "_combine_columns", combining)
     return seen
-
-
-def _scan_family(cfg):
-    """The family the scans of a run of cfg read, and the run's context."""
-    ctx = {}
-    for stage in ("schedule", "build", "smoothness"):
-        status, _, _ = pipeline.STAGES[stage][0](cfg, ctx)
-        assert status == "PASS"
-    return ctx["scan_family"], ctx
 
 
 @pytest.mark.parametrize("seed, families", [(1, 1), (RESAMPLED_SEED, 2)])
@@ -101,10 +95,38 @@ def test_mcm_verify_builds_one_bundle(counts, capsys, tmp_path, what):
     assert len(counts["families"]) == 1
 
 
+@pytest.mark.parametrize("seed", [1, RESAMPLED_SEED])
+def test_nothing_of_a_run_outlives_it(monkeypatch, seed):
+    holders, bundles = [], []
+    real_init, real_build = FamilyData.__init__, section_builder.build_matrices
+
+    def init(self, fam):
+        holders.append(weakref.ref(self))
+        real_init(self, fam)
+
+    def building(fam, vanished=()):
+        K = real_build(fam, vanished)
+        bundles.append(weakref.ref(K))
+        return K
+
+    monkeypatch.setattr(FamilyData, "__init__", init)
+    monkeypatch.setattr(section_builder, "build_matrices", building)
+    assert run_pipeline(RunConfig(seed=seed))["ok"]
+    gc.collect()
+    # the build stage's holder, and each resampling attempt's
+    assert len(holders) >= (2 if seed == RESAMPLED_SEED else 1)
+    assert len(bundles) == (2 if seed == RESAMPLED_SEED else 1)
+    assert [ref() for ref in holders + bundles] == [None] * len(holders + bundles)
+
+
 def _resampled_family():
-    fam, ctx = _scan_family(RunConfig(seed=RESAMPLED_SEED))
-    assert fam is not ctx["family"]
-    return fam
+    ctx, built = {}, None
+    for stage in ("schedule", "build", "smoothness"):
+        built = built or ctx.get("data")
+        status, _, _ = pipeline.STAGES[stage][0](RunConfig(seed=RESAMPLED_SEED), ctx)
+        assert status == "PASS"
+    assert ctx["data"] is not built
+    return ctx["data"].family
 
 
 FAMILIES = {
@@ -116,72 +138,41 @@ FAMILIES = {
 
 
 @pytest.mark.parametrize("label", FAMILIES)
-def test_a_given_bundle_reads_as_a_built_one(label):
+def test_a_holder_reads_as_its_family(label):
     fam = FAMILIES[label]()
-    K = build_matrices(fam)
+    data = FamilyData(fam)
+    assert FamilyData.of(data) is data and FamilyData.of(fam) is not data
     for u in _glue_units(fam):
-        args = (fam, u["selection"], u["j1"], u["j2"])
-        assert verify_gluing(*args, which=u["which"], matrices=K) \
-            == verify_gluing(*args, which=u["which"]), label
+        args = (u["selection"], u["j1"], u["j2"])
+        assert verify_gluing(data, *args, which=u["which"]) \
+            == verify_gluing(fam, *args, which=u["which"]), label
     for u in _transition_units(fam):
-        args = (fam, u["selection"], u["omit"], u["l1"], u["l2"])
+        args = (u["selection"], u["omit"], u["l1"], u["l2"])
         kwargs = dict(which=u["which"], kind=u["kind"])
-        assert verify_transition(*args, matrices=K, **kwargs) \
-            == verify_transition(*args, **kwargs), label
+        assert verify_transition(data, *args, **kwargs) \
+            == verify_transition(fam, *args, **kwargs), label
     z, dz = [1, 2, 3, 4, 2][: fam.shape.N + 1], [0, 1, 4, 2, 3][: fam.shape.N + 1]
     q = fam.field.p or 101
-    shared, own = standard_forms(fam, K), standard_forms(fam)
-    assert [(f.kind, f.twist, f.evaluate_at(z, dz, q)) for f in shared] \
-        == [(f.kind, f.twist, f.evaluate_at(z, dz, q)) for f in own], label
+    assert data.forms is data.forms
+    assert [(f.kind, f.twist, f.evaluate_at(z, dz, q)) for f in data.forms] \
+        == [(f.kind, f.twist, f.evaluate_at(z, dz, q)) for f in standard_forms(fam)], label
+    assert base_locus_scan(data, data.forms, 5) == base_locus_scan(fam, data.forms, 5), label
     if fam.mode == "mcm":
-        rep = characterization_crosscheck(fam, 5, matrices=K)
+        rep = characterization_crosscheck(data, 5)
         assert rep["incidence_pairs"] > 0
         assert rep == characterization_crosscheck(fam, 5)
 
 
-def _refusing_calls(fam, K):
-    sel = tuple(range(1, fam.shape.n + 1))
-    return [
-        lambda: verify_gluing(fam, sel, 0, 1, which=("K_nu", 0), matrices=K),
-        lambda: verify_transition(fam, sel, 0, 0, 1, which=("K_nu", 0), matrices=K),
-        lambda: standard_forms(fam, K),
-        lambda: characterization_crosscheck(fam, 5, matrices=K),
-    ]
-
-
-def test_a_bundle_that_is_not_the_familys_is_refused():
+def test_a_selection_is_built_once_per_holder():
     fam = build_family(RunConfig(), 7)
-    equal = build_family(RunConfig(), 7)
-    assert equal == fam and equal is not fam
-    other = build_family(RunConfig(), 8)
-    for K in (build_matrices(other), build_matrices(equal)):
-        for call in _refusing_calls(fam, K):
-            with pytest.raises(ValueError, match="another family"):
-                call()
-    for call in _refusing_calls(fam, build_selected(build_matrices(fam), ("K_nu", 0))):
-        with pytest.raises(ValueError, match="full bundle"):
-            call()
-
-
-def test_a_hidden_bundle_is_refused():
-    shape = ProblemShape(4, 2, 0)  # n = 2: a bundle at depth 1 exists
-    fam = build_sections(shape, "mcm", field=Field(5), schedule=build_schedule(shape, 2),
-                         seed=3)
-    hidden = build_matrices(fam, (0,))
-    for call in (
-        lambda: verify_gluing(fam, (1, 2), 0, 1, which=("K_nu", 0), matrices=hidden),
-        lambda: verify_transition(fam, (1, 2), 0, 0, 1, which=("K_nu", 0), matrices=hidden),
-        lambda: standard_forms(fam, hidden),
-    ):
-        with pytest.raises(ValueError, match="full bundle"):
-            call()
-
-
-def test_a_selection_is_built_once_per_bundle():
-    fam = build_family(RunConfig(), 7)
-    K = build_matrices(fam)
-    S = build_selected(K, ("K_tau_rho", 0, 1))
-    assert build_selected(K, ["K_tau_rho", 0, 1]) is S
-    # another bundle of the same family has its own selections
-    assert build_selected(build_matrices(fam), ("K_tau_rho", 0, 1)) is not S
-    assert dataclasses.replace(K)._selected == {}
+    data = FamilyData(fam)
+    S = data.selected(("K_tau_rho", 0, 1))
+    assert data.selected(["K_tau_rho", 0, 1]) is S
+    assert S.family is fam and S.selected_params == (0, 1)
+    # another holder of the same family has its own selections, and
+    # build_selected itself keeps nothing
+    assert FamilyData(fam).selected(("K_tau_rho", 0, 1)) is not S
+    K = data.matrices
+    assert build_selected(K, ("K_tau_rho", 0, 1)) is not build_selected(K, ("K_tau_rho", 0, 1))
+    assert build_selected(K, ("K_tau_rho", 0, 1)) == S
+    assert build_matrices(fam) == K

@@ -288,3 +288,54 @@ def test_an_in_place_edit_of_a_polynomials_terms_is_flagged(edit):
     assert terms_store_faults(writer) == []
     reads = "def read(p, e):\n    return p.terms[e], p.terms.get(e), p.terms.items()\n"
     assert terms_store_faults(reads) == []
+
+
+# Derived data a family's checks share lives on its FamilyData holder; a
+# parameter that threads it by hand past the holder is refused.
+PLUMBING_PARAMETERS = {"matrices", "walk", "jacobians"}
+
+
+def plumbing_parameter_faults(source):
+    """(function, parameter) of every parameter of a function or method in
+    a source that is named in PLUMBING_PARAMETERS, or is a `forms` that
+    defaults to None (a scan that builds the forms when not given them)."""
+    faults = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaults = dict(zip([a.arg for a in positional][len(positional) - len(args.defaults):],
+                            args.defaults))
+        defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d)
+        for arg in positional + args.kwonlyargs:
+            default = defaults.get(arg.arg)
+            if arg.arg in PLUMBING_PARAMETERS or arg.arg == "forms" and \
+                    isinstance(default, ast.Constant) and default.value is None:
+                faults.append((getattr(node, "name", "<lambda>"), arg.arg))
+    return faults
+
+
+def test_no_function_threads_derived_data_past_the_holder():
+    package = Path(mcmforms.__file__).resolve().parent
+    faults = [f"{path.name}: {fn}({arg})" for path in sorted(package.glob("*.py"))
+              for fn, arg in plumbing_parameter_faults(path.read_text(encoding="utf-8"))]
+    assert faults == []
+
+
+@pytest.mark.parametrize("planted, fault", [
+    ("def scan(fam, q, matrices=None):\n    pass\n", ("scan", "matrices")),
+    ("def scan(fam, q, *, walk):\n    pass\n", ("scan", "walk")),
+    ("class S:\n    def walk(self, q, jacobians=()):\n        pass\n", ("walk", "jacobians")),
+    ("def scan(fam, forms=None, q=5):\n    pass\n", ("scan", "forms")),
+    ("def scan(fam, q, *, forms=None):\n    pass\n", ("scan", "forms")),
+    ("check = lambda fam, matrices: fam\n", ("<lambda>", "matrices")),
+])
+def test_a_plumbing_parameter_is_flagged(planted, fault):
+    assert plumbing_parameter_faults(planted) == [fault]
+
+
+def test_an_explicit_forms_parameter_is_allowed():
+    # base_locus_scan takes the forms it evaluates, with no default
+    assert plumbing_parameter_faults("def scan(fam, forms, q, vanished=()):\n    pass\n") == []
+    assert plumbing_parameter_faults("def scan(fam, forms=(), q=5):\n    pass\n") == []
