@@ -29,13 +29,14 @@ code = main(["build", "--shape", "3,2,0", "--field", "5", "--seed", "3",
              "--out", str(family)])
 print(f"# mcm build -> exit {code}, wrote {family.name}")
 
+# verify gluing runs the pipeline's gluing stage on the family file.
 verify_json = workdir / "verify.json"
-code = main(["verify", "forms", "--family", str(family),
+code = main(["verify", "gluing", "--family", str(family),
              "--json", str(verify_json)])
 report = json.loads(verify_json.read_text())
-print(f"# mcm verify forms -> exit {code},"
-      f" {len(report['checks'])} checks all"
-      f" {set(c['verdict'] for c in report['checks'])}")
+verdicts = {v for unit in report["units"] for v in unit["verdicts"]}
+print(f"# mcm verify gluing -> exit {code}, {report['status']},"
+      f" {len(report['units'])} units all {verdicts}")
 
 scan_json = workdir / "scan.json"
 code = main(["scan", "smooth", "--family", str(family),

@@ -3,7 +3,10 @@
 Subcommands mirror the library layers: `schedule` prints exponent schedules
 with their twist ledgers, `build` writes family files, `verify` runs the
 identity checkers, `scan` runs the finite-field scans, `coup` exposes the
-degree arithmetic, and `run`/`replay` drive config-based pipelines. Every
+degree arithmetic, and `run`/`replay` drive config-based pipelines.
+`verify gluing|transition` and `scan base-locus` print the report of the
+pipeline's stage body run on the loaded family; `scan smooth|crosscheck`
+call the scans without a run's point budget, resampling or SKIPs. Every
 handler returns its report, and main emits it as canonical JSON on stdout
 (and to --json PATH when given). The exit code is 0 when nothing FAILed, 1
 when a check FAILed, and 2 when the command is refused, as for a missing
@@ -19,27 +22,18 @@ from dataclasses import replace
 from typing import List, Optional
 
 from .exact_algebra import Field, from_literal
-from .finite_geometry import (
-    base_locus_scan,
-    characterization_crosscheck,
-    rank_condition_census,
-    smoothness_check,
-)
-from .identity_verifier import (
-    verify_gluing,
-    verify_hidden,
-    verify_surjectivity,
-    verify_transition,
-)
+from .finite_geometry import characterization_crosscheck, rank_condition_census, smoothness_check
+from .identity_verifier import verify_hidden, verify_surjectivity
 from .pipeline import (
     RunConfig,
-    _glue_units,
-    _transition_units,
     build_family,
     parse_config,
     replay,
     report_to_json,
     run_pipeline,
+    stage_base_locus,
+    stage_gluing,
+    stage_transition,
 )
 from .product_coup import (
     NoRepresentation,
@@ -124,19 +118,10 @@ def _cmd_verify(args) -> dict:
     if args.what == "hidden":
         return verify_hidden(fam, _csv_ints(args.vanished) or (),
                              _csv_ints(args.selection) or ())
-    data = FamilyData(fam)  # one holder for every unit of the command
-    if args.what == "transition":
-        units = _transition_units(fam)
-        reps = [verify_transition(data, u["selection"], u["omit"], u["l1"], u["l2"],
-                                  which=u["which"], kind=u["kind"]) for u in units]
-    else:
-        units = _glue_units(fam)
-        reps = [verify_gluing(data, u["selection"], u["j1"], u["j2"], which=u["which"])
-                for u in units]
-    return {"op": f"verify-{args.what}", "family": args.family,
-            "checks": [dict(c, which=list(u["which"]) if u["which"] else None)
-                       for u, r in zip(units, reps) for c in r["checks"]],
-            "ok": all(r["ok"] for r in reps)}
+    stage = stage_gluing if args.what == "gluing" else stage_transition
+    status, report, _ = stage(FamilyData(fam))
+    return {"op": f"verify-{args.what}", "family": args.family, "status": status, **report,
+            "ok": status != "FAIL"}
 
 
 def _cmd_scan(args) -> dict:
@@ -151,11 +136,7 @@ def _cmd_scan(args) -> dict:
     if args.what == "smooth":
         return smoothness_check(fam, q)
     if args.what == "base-locus":
-        data = FamilyData(fam)
-        forms = data.forms
-        report = base_locus_scan(data, forms, q, vanished=_csv_ints(args.vanished) or ())
-        report["forms"] = len(forms)
-        return report
+        return stage_base_locus(FamilyData(fam), q, _csv_ints(args.vanished) or ())[1]
     return characterization_crosscheck(fam, q, sample=args.sample, seed=args.seed)
 
 
@@ -227,9 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="family file to write")
 
     p = add("verify", _cmd_verify, help="run identity checks")
-    p.add_argument("what", choices=("forms", "gluing", "transition",
-                                    "surjectivity", "hidden"))
-    p.add_argument("--family", help="family file (forms/gluing/transition/hidden)")
+    p.add_argument("what", choices=("gluing", "transition", "surjectivity", "hidden"))
+    p.add_argument("--family", help="family file (gluing/transition/hidden)")
     p.add_argument("--trials", type=int, default=20, help="sampled points (surjectivity)")
     p.add_argument("--seed", type=int, default=0, help="seed of the points (surjectivity)")
     p.add_argument("--N", type=int, default=2, help="ambient dim (surjectivity)")

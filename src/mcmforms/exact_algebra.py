@@ -76,11 +76,14 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Field:
-    """Coefficient field: Q when p == 0, else F_p for a prime p < 2**31."""
+    """Coefficient field: Q when p == 0, else F_p for a prime p < 2**31.
+    p must be an int: a float, bool or string is refused."""
 
     p: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.p, int) or isinstance(self.p, bool):
+            raise ValueError(f"field characteristic must be an integer, got {self.p!r}")
         if self.p:
             if not (2 <= self.p < 2**31):
                 raise ValueError(f"field characteristic out of range: {self.p}")

@@ -39,7 +39,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate, product
 from math import ceil, exp, lgamma, log, log1p
 from operator import add, and_, sub
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,21 +163,20 @@ def smoothness_with_resampling(shape, mode: str, field, schedule=None, seed: int
     """Build a family and scan it; on a singular verdict, rebuild with the
     next derived seed, up to `attempts` times (at least 1), and report the
     last scan. Mirrors generic-choice claims."""
-    return _resample_smooth(shape, mode, field, schedule, seed, q, attempts, **build_kwargs)[0]
+    return _resample_smooth(lambda s: build_sections(shape, mode, field=field, schedule=schedule,
+                                                     seed=s, **build_kwargs),
+                            seed, q or field.p, attempts)[0]
 
 
-def _resample_smooth(shape, mode: str, field, schedule=None, seed: int = 0,
-                     q: Optional[int] = None, attempts: int = 8,
-                     **build_kwargs) -> Tuple[dict, FamilyData]:
-    """smoothness_with_resampling's report with the holder of the family
-    its last scan read, which keeps that scan's walk."""
+def _resample_smooth(build: Callable[[int], SectionFamily], seed: int, q: int,
+                     attempts: int = 8) -> Tuple[dict, FamilyData]:
+    """smoothness_with_resampling's report on the families build(fam_seed)
+    makes, with the holder of the last one scanned, which keeps its walk."""
     if attempts < 1:
         raise ValueError(f"need at least one attempt, got {attempts}")
-    q = q or field.p
     for k in range(attempts):
         fam_seed = child_rng(seed, "smoothness-resample", k).randrange(2**31)
-        data = FamilyData(build_sections(shape, mode, field=field, schedule=schedule,
-                                         seed=fam_seed, **build_kwargs))
+        data = FamilyData(build(fam_seed))
         rep = smoothness_check(data, q)
         rep["attempt"] = k
         rep["family_seed"] = fam_seed

@@ -42,8 +42,10 @@ z_k * [dz_k]D, and compare the one pair list.
 
 verify_gluing and verify_transition take a family or its FamilyData
 holder, and read the bundle, the selections and the full bundle's
-hypothesis from the holder: a pipeline run and `mcm verify` pass one
-holder per family to every unit, so each is formed once.
+hypothesis from the holder: a pipeline run, whose gluing and transition
+stages `mcm verify` also runs, passes one holder per family to every unit,
+so each is formed once. A characteristic guard SKIPs before any of them is
+read.
 
 Every check returns a report dict: {"op", "ok", "checks": [{"id", "mode",
 "trials", "verdict", "witness"}, ...]} plus op-specific extras.
@@ -187,17 +189,16 @@ def verify_gluing(fam: SectionFamily | FamilyData, selection: Sequence[int], j1:
     fam = data.family
     if j1 == j2:
         raise ValueError("chart columns must differ")
-    full = data.matrices
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("gluing", [guard], j1=j1, j2=j2)
-    K = full if which is None else data.selected(which)
+    K = data.matrices if which is None else data.selected(which)
     if K.layout == "mcm":
         raise ValueError("full mcm bundles need a K_nu/K_tau_rho selection")
     selection = _check_selection(fam.shape, K.eta(), selection)
     if not (0 <= j1 < K.ncols and 0 <= j2 < K.ncols):
         raise ValueError("chart column out of range")
-    pairs = data.derived("hypothesis", lambda: _hypothesis_pairs(full, _label(None)))
+    pairs = data.derived("hypothesis", lambda: _hypothesis_pairs(data.matrices, _label(None)))
     if which is not None:
         pairs = pairs + _hypothesis_pairs(K, _label(which))
     checks = [_check_hypothesis("hypothesis", pairs, fam, mode, seed)]
@@ -269,11 +270,10 @@ def verify_transition(fam: SectionFamily | FamilyData, selection: Sequence[int],
         raise ValueError(f"unknown mode {mode!r}")
     if not (0 <= l1 <= fam.shape.N and 0 <= l2 <= fam.shape.N):
         raise ValueError("chart out of range")
-    K = data.matrices
     guard = _characteristic_skip(fam)
     if guard is not None:
         return _report("transition", [guard], omit=omit, charts=(l1, l2))
-    form = extract_forms(K if which is None else data.selected(which), [selection],
+    form = extract_forms(data.matrices if which is None else data.selected(which), [selection],
                          omit=omit, kind=kind)[0]
     pairs, nonlinear = _transition_pairs(form, fam, _label(which))
     checks = [_check("transition", "fail", mode, witness=nonlinear) if nonlinear

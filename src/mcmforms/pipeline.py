@@ -16,8 +16,9 @@ gluing hypothesis, standard_forms and the walks of X(F_q) are each built
 once per family. Nothing outlives the run.
 
 Every FAIL or ERROR stage carries a witness: the stage, the run config
-restricted to that stage, and the stage's own detail (the failing unit,
-row and column, singular points, or census shape and count). replay reruns
+restricted to that stage, and the stage's own detail (the first failing
+unit with its failing checks, row and column, singular points, or census
+shape and count). replay reruns
 the witness's config through run_pipeline, so a stage is replayed by the
 code that ran it.
 """
@@ -65,10 +66,10 @@ DEFAULT_CENSUS_SHAPES = ((2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 3, 2))
 class RunConfig:
     """Everything a run needs; defaults reproduce the desk-scale flagship
     shape N=4, c=3, r=0 over F_5 with master seed 1. Checked when built
-    (the functions that read census shapes, heart and eps check those);
-    an mcm config takes no lambdas or degrees, since no stage reads them,
-    and a general_fermat config naming neither gets lambda_j = 2 and
-    d_i = 2 + i."""
+    (the functions that read census shapes, heart and eps check their
+    values): every number is an int, never a float, bool or string, an
+    mcm config takes no lambdas or degrees, since no stage reads them, and
+    a general_fermat config naming neither gets lambda_j = 2 and d_i = 2 + i."""
 
     shape: ProblemShape = dc_field(default_factory=lambda: ProblemShape(4, 3, 0))
     mode: str = "mcm"
@@ -88,6 +89,15 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in ("mcm", "general_fermat"):
             raise ValueError(f"unknown family mode {self.mode!r}")
+        numbers = {"shape": (self.shape.N, self.shape.c, self.shape.r), "heart": (self.heart,),
+                   "eps": self.eps or (), "lambdas": self.lambdas or (),
+                   "degrees": self.degrees or (), "seed": (self.seed,),
+                   "max_points": (self.max_points,), "max_census": (self.max_census,),
+                   "census_shapes": [x for triple in self.census_shapes for x in triple]}
+        for key, values in numbers.items():
+            bad = [x for x in values if not isinstance(x, int) or isinstance(x, bool)]
+            if bad:
+                raise ValueError(f"config {key} must hold integers, got {bad[0]!r}")
         unknown = [s for s in self.stages if s not in STAGE_ORDER]
         if unknown:
             raise ValueError(f"unknown stages: {unknown}")
@@ -130,8 +140,9 @@ class RunConfig:
 def config_from_dict(d: dict) -> RunConfig:
     """The RunConfig that RunConfig.to_dict describes, stages in STAGE_ORDER.
     A wrong schema, a missing key and a value of the wrong type raise
-    ValueError; RunConfig refuses the rest. Keys it does not read are
-    ignored, so a witness written with retired budgets still replays."""
+    ValueError; RunConfig refuses the rest, a number that is not an int
+    included. Keys it does not read are ignored, so a witness written with
+    retired budgets still replays."""
     if not isinstance(d, dict) or d.get("schema") != SCHEMA_VERSION:
         schema = d.get("schema") if isinstance(d, dict) else None
         raise ValueError(f"unsupported config schema {schema!r}, expected {SCHEMA_VERSION}")
@@ -141,21 +152,21 @@ def config_from_dict(d: dict) -> RunConfig:
         if missing:
             raise ValueError(f"config shape needs {' and '.join(missing)}")
         try:
-            census_shapes = tuple((int(a), int(b), int(q)) for a, b, q in d["census_shapes"])
+            census_shapes = tuple((a, b, q) for a, b, q in d["census_shapes"])
         except (ValueError, TypeError) as exc:
             raise ValueError(f"config census_shapes must be triples of integers: {exc}") from exc
 
-        def ints(xs):
-            return None if xs is None else tuple(int(x) for x in xs)
+        def optional(xs):
+            return None if xs is None else tuple(xs)
 
         return RunConfig(
-            shape=ProblemShape(*(int(shape[key]) for key in ("N", "c", "r"))),
-            mode=d["mode"], field_spec=str(d["field"]), heart=int(d["heart"]),
-            eps=ints(d["eps"]), lambdas=ints(d["lambdas"]), degrees=ints(d["degrees"]),
-            seed=int(d["seed"]),
+            shape=ProblemShape(*(shape[key] for key in ("N", "c", "r"))),
+            mode=d["mode"], field_spec=str(d["field"]), heart=d["heart"],
+            eps=optional(d["eps"]), lambdas=optional(d["lambdas"]),
+            degrees=optional(d["degrees"]), seed=d["seed"],
             stages=tuple(s for s in STAGE_ORDER if s in stages)
             + tuple(s for s in stages if s not in STAGE_ORDER),
-            max_points=int(budgets["max_points"]), max_census=int(budgets["max_census"]),
+            max_points=budgets["max_points"], max_census=budgets["max_census"],
             census_shapes=census_shapes)
     except KeyError as exc:
         raise ValueError(f"config has no {exc} entry") from exc
@@ -172,7 +183,8 @@ _INI_KEYS = {"run": ("schema", "seed", "stages"), "shape": ("n", "c", "r"),
 def parse_config(text: str) -> RunConfig:
     """INI parser for run configs; every section optional except [run].
     An unknown section or key raises ValueError naming it. The sections
-    fill in the default config's dict, which config_from_dict parses."""
+    fill in the default config's dict, every integer parsed from its text
+    here, and config_from_dict parses the dict."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
@@ -186,6 +198,13 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"config section [{name}] has unknown keys {unknown}")
     if "run" not in cp:
         raise ValueError("config needs a [run] section")
+
+    def ints(key, text, what="integers"):
+        try:
+            return [int(x) for x in text.split()]
+        except ValueError:
+            raise ValueError(f"config {key} must be {what}, got {text!r}") from None
+
     d = RunConfig().to_dict()
     run = cp["run"]
     d["schema"] = run.getint("schema", fallback=None)
@@ -202,12 +221,13 @@ def parse_config(text: str) -> RunConfig:
         d["heart"] = sec.getint("heart", fallback=d["heart"])
         for key in ("eps", "lambdas", "degrees"):
             if key in sec:
-                d[key] = sec[key].split()
+                d[key] = ints(key, sec[key])
     if "budgets" in cp:
         for key, value in d["budgets"].items():
             d["budgets"][key] = cp["budgets"].getint(key, fallback=value)
     if "census" in cp and "shapes" in cp["census"]:
-        d["census_shapes"] = [chunk.split() for chunk in cp["census"]["shapes"].split(";")]
+        d["census_shapes"] = [ints("census_shapes", chunk, "triples of integers")
+                              for chunk in cp["census"]["shapes"].split(";")]
     return config_from_dict(d)
 
 
@@ -299,19 +319,23 @@ def _stage_divisibility(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[
 def _run_units(units: List[dict], check, describe, **extra) -> Tuple[str, dict, Optional[dict]]:
     """The unit loop of the gluing and transition stages: check(u) is the
     verifier's report on unit u, describe(u, rep) its entry in the stage
-    report. Stops at the first unit that fails, whose entry is the detail;
-    SKIPs when every check of every unit skipped."""
+    report. Runs every unit; a failing unit's entry also keeps the id,
+    layout and witness of each failing check, and the first such entry is
+    the detail. SKIPs when every check of every unit skipped."""
     report = dict(extra, units=[])
-    skipped = 0
     for idx, u in enumerate(units):
         rep = check(u)
         verdicts = [c["verdict"] for c in rep["checks"]]
-        skipped += all(v == "skip" for v in verdicts)
-        report["units"].append(dict(describe(u, rep), unit=idx, ok=rep["ok"],
-                                    verdicts=verdicts))
+        entry = dict(describe(u, rep), unit=idx, ok=rep["ok"], verdicts=verdicts)
         if not rep["ok"]:
-            return "FAIL", report, {"unit": report["units"][-1]}
-    if skipped == len(units):
+            which = list(u["which"]) if u["which"] else None
+            entry["failed"] = [{"id": c["id"], "which": which, "witness": c["witness"]}
+                               for c in rep["checks"] if c["verdict"] == "fail"]
+        report["units"].append(entry)
+    failed = next((entry for entry in report["units"] if not entry["ok"]), None)
+    if failed:
+        return "FAIL", report, {"unit": failed}
+    if all(v == "skip" for entry in report["units"] for v in entry["verdicts"]):
         return "SKIP", dict(report, reason="characteristic guard"), None
     return "PASS", report, None
 
@@ -326,8 +350,8 @@ def _glue_units(fam) -> List[dict]:
             for which in whichs]
 
 
-def _stage_gluing(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
-    data = ctx["data"]
+def stage_gluing(data: FamilyData) -> Tuple[str, dict, Optional[dict]]:
+    """The gluing stage on a family's holder; `mcm verify gluing` runs it too."""
     return _run_units(
         _glue_units(data.family),
         lambda u: verify_gluing(data, u["selection"], u["j1"], u["j2"], which=u["which"]),
@@ -337,24 +361,17 @@ def _stage_gluing(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]
 
 
 def _transition_units(fam) -> List[dict]:
-    shape = fam.shape
-    sel = tuple(range(1, shape.n + 1))
-    if fam.mode == "mcm":
-        return [
-            {"which": ("K_nu", 0), "selection": sel, "omit": 0, "l1": 0, "l2": 1,
-             "kind": None},
-            {"which": ("K_tau_rho", 0, 1), "selection": sel, "omit": 1, "l1": 0,
-             "l2": shape.N, "kind": None},
-        ]
-    return [
-        {"which": None, "selection": sel, "omit": 0, "l1": 0, "l2": 1, "kind": "psi"},
-        {"which": None, "selection": sel, "omit": shape.N, "l1": 0, "l2": 1,
-         "kind": "omega"},
-    ]
+    N, sel = fam.shape.N, tuple(range(1, fam.shape.n + 1))
+    # (which, omit, l2, kind), each at charts (0, l2)
+    units = (((("K_nu", 0), 0, 1, None), (("K_tau_rho", 0, 1), 1, N, None)) if fam.mode == "mcm"
+             else ((None, 0, 1, "psi"), (None, N, 1, "omega")))
+    return [{"which": which, "selection": sel, "omit": omit, "l1": 0, "l2": l2, "kind": kind}
+            for which, omit, l2, kind in units]
 
 
-def _stage_transition(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
-    data = ctx["data"]
+def stage_transition(data: FamilyData) -> Tuple[str, dict, Optional[dict]]:
+    """The transition stage on a family's holder; `mcm verify transition`
+    runs it too."""
     return _run_units(
         _transition_units(data.family),
         lambda u: verify_transition(data, u["selection"], u["omit"], u["l1"], u["l2"],
@@ -388,15 +405,10 @@ def _stage_smoothness(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
     points = (q ** (cfg.shape.N + 1) - 1) // (q - 1)
     if points > cfg.max_points:
         return "SKIP", {"reason": f"point budget: {points} > {cfg.max_points}"}, None
-    data = ctx["data"]
-    fam = data.family
-    first = smoothness_check(data, q)
+    first = smoothness_check(ctx["data"], q)
     if first["ok"]:
-        return "PASS", dict(first, attempt=0, family_seed=fam.seed), None
-    # the resampler's own family, which build_family(cfg, rep["family_seed"]) rebuilds
-    rep, resampled = _resample_smooth(fam.shape, fam.mode, fam.field,
-                                      schedule=fam.schedule, seed=cfg.seed, q=q,
-                                      lambdas=fam.lambdas, degrees=fam.degrees)
+        return "PASS", dict(first, attempt=0, family_seed=ctx["data"].family.seed), None
+    rep, resampled = _resample_smooth(lambda s: build_family(cfg, s), cfg.seed, q)
     if rep["ok"]:
         ctx["data"] = resampled  # one holder at a time: the built family's goes
         return "PASS", rep, None
@@ -404,10 +416,12 @@ def _stage_smoothness(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[di
     return "FAIL", rep, {"family_seed": rep["family_seed"], "singular": rep["singular"][:3]}
 
 
-def _stage_base_locus(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
-    data = ctx["data"]
+def stage_base_locus(data: FamilyData, q: int,
+                     vanished: Sequence[int] = ()) -> Tuple[str, dict, Optional[dict]]:
+    """The base-locus stage on a family's holder over F_q; `mcm scan
+    base-locus` runs it too, with the vanished coordinates it is given."""
     forms = data.forms
-    rep = base_locus_scan(data, forms, cfg.field.p)
+    rep = base_locus_scan(data, forms, q, vanished)
     rep["forms"] = len(forms)
     rep["form_inventory"] = [
         {"kind": f.kind, "twist": f.twist, "dz_degree": f.dz_degree} for f in forms]
@@ -444,11 +458,12 @@ STAGES = {
     "schedule": (_stage_schedule, ()),
     "build": (_stage_build, ("schedule",)),
     "divisibility": (_stage_divisibility, ("build",)),
-    "gluing": (_stage_gluing, ("build",)),
-    "transition": (_stage_transition, ("build",)),
+    "gluing": (lambda cfg, ctx: stage_gluing(ctx["data"]), ("build",)),
+    "transition": (lambda cfg, ctx: stage_transition(ctx["data"]), ("build",)),
     "twist-ledger": (_stage_twist_ledger, ("schedule",)),
     "smoothness": (_stage_smoothness, ("build",)),
-    "base-locus": (_stage_base_locus, ("build", "smoothness")),
+    "base-locus": (lambda cfg, ctx: stage_base_locus(ctx["data"], cfg.field.p),
+                   ("build", "smoothness")),
     "crosscheck": (_stage_crosscheck, ("build", "smoothness")),
     "census": (_stage_census, ()),
 }

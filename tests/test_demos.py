@@ -1,9 +1,11 @@
 """Every name a demo imports from mcmforms exists, and every demo runs to
-exit 0 as a script (about 6 s in all, 2.5 s of it in demo_census)."""
+exit 0 as a script (about 6 s in all, 2.5 s of it in demo_census); the
+README's library example runs and its command lines parse."""
 
 import ast
 import importlib
 import os
+import shlex
 import subprocess
 import sys
 from functools import lru_cache
@@ -80,3 +82,26 @@ def test_readme_library_example_runs():
     code = readme_example()
     assert "extract_forms" in code and "assert" in code
     exec(compile(code, "README.md:Library example", "exec"), {})
+
+
+def readme_commands():
+    """The `mcm` command lines of the sh blocks under the README's
+    "## Command line" heading, split as a shell would (comments dropped,
+    continued lines joined), without the leading `mcm`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [block.split("\n```", 1)[0] for block in section.split("```sh\n")[1:]]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [argv[1:] for argv in (shlex.split(line, comments=True) for line in lines)
+            if argv[:1] == ["mcm"]]
+
+
+def test_readme_command_lines_parse():
+    # every documented command is one the parser accepts; none is run
+    from mcmforms.cli import build_parser
+
+    commands = readme_commands()
+    for argv in commands:
+        build_parser().parse_args(argv)
+    assert {argv[0] for argv in commands} == {
+        "schedule", "build", "verify", "scan", "coup", "run", "replay"}

@@ -164,6 +164,13 @@ def test_field_rejects_composite_characteristic():
         Field(2**31)
 
 
+@pytest.mark.parametrize("p", [5.0, 0.0, True, "5", None])
+def test_field_refuses_a_characteristic_that_is_not_an_int(p):
+    # Field(5.0) used to be F_5.0
+    with pytest.raises(ValueError, match="field characteristic must be an integer"):
+        Field(p)
+
+
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
 @settings(max_examples=50, deadline=None)
 def test_ring_axioms_on_constants_and_variables(a, b, c):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import signal
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from legacy_reports import legacy_pipeline
 
-from mcmforms import cli, finite_geometry, pipeline, section_builder
+from mcmforms import finite_geometry, pipeline, section_builder
 from mcmforms.cli import main
 from mcmforms.pipeline import (
     RunConfig,
@@ -440,9 +441,13 @@ def test_smoothness_keeps_the_family_it_resampled(monkeypatch):
     for stage in ("schedule", "build"):
         pipeline.STAGES[stage][0](cfg, ctx)
     built = ctx["data"]
-    monkeypatch.setattr(pipeline, "build_family", None)  # not called again
+    real, seeds = pipeline.build_family, []
+    monkeypatch.setattr(pipeline, "build_family",
+                        lambda cfg, seed: seeds.append(seed) or real(cfg, seed))
     status, rep, _ = pipeline._stage_smoothness(cfg, ctx)
     monkeypatch.undo()
+    # build_family makes each attempt's family once, and nothing after
+    assert len(seeds) == rep["attempt"] + 1 and seeds[-1] == rep["family_seed"]
     assert status == "PASS" and ctx["data"] is not built
     assert sorted(ctx) == ["data", "schedule"]
     fam = ctx["data"].family
@@ -549,11 +554,14 @@ def test_replay_gluing_witness_reruns_exact_unit(monkeypatch):
     monkeypatch.setattr(pl, "verify_gluing", broken)
     witness = run_pipeline(small_config())["stages"]["gluing"]["witness"]
     assert witness["unit"] == {"unit": 1, "which": ["K_nu", 3], "j1": 0, "j2": 1,
-                               "ok": False, "verdicts": ["fail"]}
+                               "ok": False, "verdicts": ["fail"],
+                               "failed": [{"id": "hypothesis", "which": ["K_nu", 3],
+                                           "witness": None}]}
     run_calls = list(calls)
     calls.clear()
     rep = replay(as_json(witness))
-    assert calls == run_calls and calls[-1] == (("K_nu", 3), 0, 1)
+    # every unit runs, the failing one second
+    assert calls == run_calls and len(calls) == 3 and calls[1] == (("K_nu", 3), 0, 1)
     assert rep["replayed"] == "gluing" and rep["status"] == "FAIL"
     assert rep["report"]["mode"] == "exact"
     assert rep["witness"] == witness
@@ -646,7 +654,7 @@ def test_config_from_dict_inverts_to_dict():
     (lambda d: d.update(shape=[3, 2, 0]), "malformed config"),
     (lambda d: d.update(stages=["warp"]), "unknown stages"),
     (lambda d: d.update(mode="fermat"), "unknown family mode"),
-    (lambda d: d.update(heart="two"), "invalid literal"),
+    (lambda d: d.update(heart="two"), "config heart must hold integers, got 'two'"),
     (lambda d: d.update(census_shapes=[[2, 2]]), "not enough values"),
     (lambda d: d.update(schema=2), "unsupported config schema 2"),
 ], ids=["seed", "budget", "points", "both-budgets", "shape-c", "shape-list", "stage", "mode", "heart",
@@ -656,6 +664,58 @@ def test_config_from_dict_refuses_a_bad_config(mutate, message):
     mutate(d)
     with pytest.raises(ValueError, match=message):
         config_from_dict(d)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.update(heart=1.5), "config heart must hold integers, got 1.5"),
+    (lambda d: d.update(seed="5"), "config seed must hold integers, got '5'"),
+    (lambda d: d.update(seed=True), "config seed must hold integers, got True"),
+    (lambda d: d["budgets"].update(max_points=2.9),
+     "config max_points must hold integers, got 2.9"),
+    (lambda d: d["shape"].update(N=4.0), "config shape must hold integers, got 4.0"),
+    (lambda d: d.update(eps=[1, "1", 1]), "config eps must hold integers, got '1'"),
+    (lambda d: d.update(census_shapes=[[2, 2, 2.0]]),
+     "config census_shapes must hold integers, got 2.0"),
+], ids=["heart-float", "seed-string", "seed-bool", "budget-float", "shape-float", "eps-string",
+        "census-float"])
+def test_config_from_dict_refuses_a_number_it_would_convert(mutate, message):
+    # these used to be truncated or parsed (1.5 -> 1, "5" -> 5), so a report
+    # echoed a config nobody wrote
+    d = RunConfig().to_dict()
+    mutate(d)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_dict(d)
+
+
+@pytest.mark.parametrize("overrides", [{"heart": 1.5}, {"seed": "5"}, {"max_census": True},
+                                       {"shape": ProblemShape(3.0, 2, 0)}, {"eps": (1, 1.0)},
+                                       {"census_shapes": (("2", 2, 2),)}])
+def test_run_config_refuses_a_number_that_is_not_an_int(overrides):
+    # a config built in Python is checked as one read from a dict
+    with pytest.raises(ValueError, match="must hold integers"):
+        RunConfig(**overrides)
+
+
+def test_cli_replay_refuses_a_witness_config_with_a_string_seed(tmp_path, capsys):
+    config = RunConfig(stages=("census",), census_shapes=((2, 2, 2),)).to_dict()
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps({"schema": SCHEMA_VERSION, "stage": "census",
+                                "config": dict(config, seed="5")}))
+    assert main(["replay", "--witness", str(path)]) == 2
+    assert capsys.readouterr().err == "error: config seed must hold integers, got '5'\n"
+
+
+def test_parse_config_reads_each_integer_from_its_text(tmp_path, capsys):
+    cfg = parse_config("[run]\nschema = 1\n[shape]\nN = 3\nc = 2\n[family]\n"
+                       "mode = general_fermat\nlambdas = 2 2 3 2\ndegrees = 3 4\n"
+                       "[census]\nshapes = 2 2 2; 2 3 2\n")
+    assert (cfg.lambdas, cfg.degrees, cfg.census_shapes) == (
+        (2, 2, 3, 2), (3, 4), ((2, 2, 2), (2, 3, 2)))
+    config = tmp_path / "bad.ini"
+    config.write_text("[run]\nschema = 1\nstages = schedule\n[shape]\nN = 3\nc = 2\n"
+                      "[family]\neps = 1 1.5\n")
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: config eps must be integers, got '1 1.5'\n"
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -766,11 +826,11 @@ def test_cli_build_verify_scan_round_trip(tmp_path, capsys):
     assert fam_path.exists()
 
     report_path = tmp_path / "verify.json"
-    assert main(["verify", "forms", "--family", str(fam_path),
+    assert main(["verify", "gluing", "--family", str(fam_path),
                  "--json", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
-    assert report["ok"]
-    assert all(c["verdict"] == "pass" for c in report["checks"])
+    assert report["ok"] and report["status"] == "PASS"
+    assert all(v == "pass" for u in report["units"] for v in u["verdicts"])
 
     scan_path = tmp_path / "scan.json"
     assert main(["scan", "smooth", "--family", str(fam_path),
@@ -785,7 +845,7 @@ def test_cli_verify_op_names_the_verb_and_help_lists_gluing(tmp_path, capsys):
     fam_path = tmp_path / "family.json"
     assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
                  "--seed", "3", "--out", str(fam_path)]) == 0
-    for what in ("forms", "gluing"):
+    for what in ("gluing", "transition"):
         report_path = tmp_path / f"{what}.json"
         assert main(["verify", what, "--family", str(fam_path),
                      "--json", str(report_path)]) == 0
@@ -794,7 +854,15 @@ def test_cli_verify_op_names_the_verb_and_help_lists_gluing(tmp_path, capsys):
     capsys.readouterr()
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
-    assert "family file (forms/gluing/transition/hidden)" in " ".join(capsys.readouterr().out.split())
+    assert "family file (gluing/transition/hidden)" in " ".join(capsys.readouterr().out.split())
+
+
+def test_cli_verify_forms_is_refused(tmp_path, capsys):
+    # `verify forms` was `verify gluing` under another name
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "forms", "--family", str(tmp_path / "family.json")])
+    assert err.value.code == 2
+    assert "invalid choice: 'forms'" in capsys.readouterr().err
 
 
 def test_cli_verify_refuses_a_tampered_family(tmp_path, capsys):
@@ -805,7 +873,7 @@ def test_cli_verify_refuses_a_tampered_family(tmp_path, capsys):
     data["schedule"]["mu"]["3,0"] += 1
     fam_path.write_text(json.dumps(data))
     report_path = tmp_path / "verify.json"
-    assert main(["verify", "forms", "--family", str(fam_path),
+    assert main(["verify", "gluing", "--family", str(fam_path),
                  "--json", str(report_path)]) != 0
     assert not report_path.exists()
     assert "schedule" in capsys.readouterr().err
@@ -915,7 +983,7 @@ def test_cli_refuses_surjectivity_below_one_dimension(capsys, N):
 
 MISSING_INPUT = [
     (["verify", "gluing"], "family"), (["verify", "transition"], "family"),
-    (["verify", "forms"], "family"), (["verify", "hidden", "--vanished", "0"], "family"),
+    (["verify", "hidden", "--vanished", "0"], "family"),
     (["scan", "smooth"], "family"), (["scan", "base-locus"], "family"),
     (["scan", "crosscheck"], "family"),
     (["coup", "decompose", "--factors", "1 * z0^1 + 1 * z1^1"], "shape"),
@@ -1021,6 +1089,19 @@ def test_cli_verify_refuses_a_family_file_missing_an_entry(tmp_path, capsys, key
     assert err.startswith("error: ") and f"'{key}'" in err
 
 
+@pytest.mark.parametrize("field_p", [5.0, True, "5"])
+def test_cli_verify_refuses_a_field_that_is_not_an_int(tmp_path, capsys, field_p):
+    # `field_p: 5.0` used to load as the field F_5.0
+    fam_path = tmp_path / "family.json"
+    assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
+                 "--seed", "3", "--out", str(fam_path)]) == 0
+    capsys.readouterr()
+    fam_path.write_text(json.dumps(dict(json.loads(fam_path.read_text()), field_p=field_p)))
+    assert main(["verify", "gluing", "--family", str(fam_path)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: field characteristic must be an integer, got {field_p!r}\n"
+
+
 @pytest.mark.parametrize("what", ["gluing", "transition"])
 def test_cli_verify_refuses_a_zero_denominator_and_an_unread_key(tmp_path, capsys, what):
     # bad family files are refusals (exit 2), never an uncaught error or a PASS
@@ -1063,13 +1144,15 @@ def test_cli_verify_reports_only_exact_checks(tmp_path, capsys):
     assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
                  "--seed", "3", "--out", str(fam_path)]) == 0
     capsys.readouterr()
-    ids = {}
+    verdicts = {}
     for what in ("gluing", "transition"):
         assert main(["verify", what, "--family", str(fam_path)]) == 0
-        checks = json.loads(capsys.readouterr().out)["checks"]
-        assert {(c["mode"], c["trials"], c["verdict"]) for c in checks} == {("exact", 0, "pass")}
-        ids[what] = {c["id"] for c in checks}
-    assert ids == {"gluing": {"hypothesis"}, "transition": {"transition", "transition exponent"}}
+        report = json.loads(capsys.readouterr().out)
+        modes = ({report.get("mode")} | {u.get("mode") for u in report["units"]}) - {None}
+        assert modes == {"exact"}
+        verdicts[what] = {tuple(u["verdicts"]) for u in report["units"]}
+    # one check per gluing unit; a transition and its exponent per transition unit
+    assert verdicts == {"gluing": {("pass",)}, "transition": {("pass", "pass")}}
     # no flag asks for sampling
     with pytest.raises(SystemExit) as err:
         main(["verify", "transition", "--family", str(fam_path), "--mode", "probabilistic"])
@@ -1170,22 +1253,28 @@ def test_cli_verify_checks_name_their_layout(tmp_path, capsys, monkeypatch):
     assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
                  "--seed", "3", "--out", str(fam_path)]) == 0
     capsys.readouterr()
-    for what in ("gluing", "forms", "transition"):
+    for what, layout in (("gluing", lambda u: tuple(u["which"])),
+                         ("transition", lambda u: (u["omit"], tuple(u["charts"])))):
         assert main(["verify", what, "--family", str(fam_path)]) == 0
-        checks = json.loads(capsys.readouterr().out)["checks"]
-        pairs = [(c["id"], tuple(c["which"])) for c in checks]
-        assert len(set(pairs)) == len(pairs), what
-    # one unit's report forced to fail: the merged FAIL names its layout
-    real = cli.verify_gluing
+        units = json.loads(capsys.readouterr().out)["units"]
+        layouts = [layout(u) for u in units]
+        assert len(set(layouts)) == len(layouts) > 1, what
+    # one unit's report forced to fail: the FAIL names its layout and keeps
+    # its check's witness, and the units after it still run; the CLI runs
+    # the pipeline's stage body, which calls pipeline.verify_gluing
+    real = pipeline.verify_gluing
 
-    def failing_on_k_tau_rho(fam, selection, j1, j2, which=None, **kwargs):
+    def failing_on_k_nu(fam, selection, j1, j2, which=None, **kwargs):
         rep = real(fam, selection, j1, j2, which=which, **kwargs)
-        if which == ("K_tau_rho", 0, 1):
-            rep = dict(rep, ok=False, checks=[dict(c, verdict="fail") for c in rep["checks"]])
+        if which == ("K_nu", 0):
+            rep = dict(rep, ok=False, checks=[dict(c, verdict="fail", witness={"planted": 1})
+                                              for c in rep["checks"]])
         return rep
 
-    monkeypatch.setattr(cli, "verify_gluing", failing_on_k_tau_rho)
+    monkeypatch.setattr(pipeline, "verify_gluing", failing_on_k_nu)
     assert main(["verify", "gluing", "--family", str(fam_path)]) == 1
     report = json.loads(capsys.readouterr().out)
-    assert not report["ok"]
-    assert [c["which"] for c in report["checks"] if c["verdict"] == "fail"] == [["K_tau_rho", 0, 1]]
+    assert not report["ok"] and report["status"] == "FAIL"
+    assert [u["verdicts"] for u in report["units"]] == [["fail"], ["pass"], ["pass"]]
+    assert [c for u in report["units"] for c in u.get("failed", ())] == [
+        {"id": "hypothesis", "which": ["K_nu", 0], "witness": {"planted": 1}}]

@@ -259,8 +259,15 @@ def test_a_tampered_section_fails_the_gluing_stage(monkeypatch):
     assert stages["build"]["report"]["degrees"] == list(fam.section_degrees())
     entry = stages["gluing"]
     assert entry["status"] == "FAIL"
-    assert entry["witness"]["unit"] == {"unit": 0, "which": ["K_nu", 0], "j1": 0, "j2": 1,
-                                        "ok": False, "verdicts": ["fail"]}
+    unit = dict(entry["witness"]["unit"])
+    failed = unit.pop("failed")
+    assert unit == {"unit": 0, "which": ["K_nu", 0], "j1": 0, "j2": 1,
+                    "ok": False, "verdicts": ["fail"]}
+    # the witness keeps the failing check's own witness: the full bundle's row 0
+    assert failed == [{"id": "hypothesis", "which": ["K_nu", 0], "witness": {
+        "bundle": "full", "row": 0, "col": None, "lhs_minus_rhs": "4 * z0^67"}}]
+    # every unit runs, and each fails on the full bundle's row sum
+    assert [u["ok"] for u in entry["report"]["units"]] == [False] * 3
 
 
 def test_bundle_invariants_hold_under_python_O(run_optimized):

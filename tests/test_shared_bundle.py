@@ -95,6 +95,16 @@ def test_mcm_verify_builds_one_bundle(counts, capsys, tmp_path, what):
     assert len(counts["families"]) == 1
 
 
+def test_a_characteristic_skip_builds_no_bundle(counts):
+    # char 2 divides every lambda: each verifier SKIPs before it reads a bundle
+    fam = build_sections(ProblemShape(2, 1, 0), "general_fermat", field=Field(2),
+                         lambdas=(2, 2, 2), degrees=(3,), seed=0)
+    for rep in (verify_gluing(fam, (1,), 0, 1),
+                verify_transition(fam, (1,), 0, 0, 1, kind="psi")):
+        assert [c["verdict"] for c in rep["checks"]] == ["skip"]
+    assert counts["families"] == []
+
+
 @pytest.mark.parametrize("seed", [1, RESAMPLED_SEED])
 def test_nothing_of_a_run_outlives_it(monkeypatch, seed):
     holders, bundles = [], []

@@ -339,3 +339,54 @@ def test_an_explicit_forms_parameter_is_allowed():
     # base_locus_scan takes the forms it evaluates, with no default
     assert plumbing_parameter_faults("def scan(fam, forms, q, vanished=()):\n    pass\n") == []
     assert plumbing_parameter_faults("def scan(fam, forms=(), q=5):\n    pass\n") == []
+
+
+# The command line reaches the checks a pipeline stage wraps through that
+# stage's body, and uses no other module's private names.
+CLI_STAGE_WRAPPED = {"verify_gluing", "verify_transition", "base_locus_scan"}
+
+
+def cli_faults(source):
+    """Sorted (fault, name) pairs of a cli source: each _-prefixed name it
+    imports from another mcmforms module, and each name of
+    CLI_STAGE_WRAPPED it imports or mentions."""
+    faults = set()
+    for node in ast.walk(ast.parse(source)):
+        names = []
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            if node.level or (node.module or "").split(".")[0] == "mcmforms":
+                faults.update(("private import", name) for name in names if name.startswith("_"))
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        faults.update(("names", name) for name in names if name in CLI_STAGE_WRAPPED)
+    return sorted(faults)
+
+
+def test_the_cli_runs_the_stage_bodies_and_imports_no_private_name():
+    source = (Path(mcmforms.__file__).resolve().parent / "cli.py").read_text(encoding="utf-8")
+    assert cli_faults(source) == []
+
+
+def test_a_second_cli_path_is_flagged():
+    # the form of the command line that looped the verifiers over the
+    # pipeline's private unit lists
+    planted = (
+        "from __future__ import annotations\n"
+        "from .finite_geometry import base_locus_scan, smoothness_check\n"
+        "from .identity_verifier import verify_gluing, verify_hidden, verify_transition\n"
+        "from .pipeline import RunConfig, _glue_units, _transition_units\n"
+        "def verify(data, fam):\n"
+        "    return [verify_gluing(data, u['selection'], 0, 1) for u in _glue_units(fam)]\n"
+    )
+    assert cli_faults(planted) == [
+        ("names", "base_locus_scan"), ("names", "verify_gluing"), ("names", "verify_transition"),
+        ("private import", "_glue_units"), ("private import", "_transition_units")]
+    assert cli_faults("from mcmforms import identity_verifier\n"
+                      "identity_verifier.verify_gluing\n") == [("names", "verify_gluing")]
+    # the stage bodies, public names and a private name of the module itself are allowed
+    assert cli_faults("from .pipeline import stage_gluing\n"
+                      "from argparse import _SubParsersAction\n"
+                      "def _csv_ints(text):\n    return stage_gluing\n") == []
