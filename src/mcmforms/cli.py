@@ -119,7 +119,7 @@ def _cmd_verify(args) -> dict:
         return verify_hidden(fam, _csv_ints(args.vanished) or (),
                              _csv_ints(args.selection) or ())
     stage = stage_gluing if args.what == "gluing" else stage_transition
-    status, report, _ = stage(FamilyData(fam))
+    status, report, _ = stage(FamilyData(fam), checks=True)
     return {"op": f"verify-{args.what}", "family": args.family, "status": status, **report,
             "ok": status != "FAIL"}
 

@@ -316,20 +316,27 @@ def _stage_divisibility(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[
     return "PASS", {"columns_verified": columns}, None
 
 
-def _run_units(units: List[dict], check, describe, **extra) -> Tuple[str, dict, Optional[dict]]:
+def _run_units(units: List[dict], check, describe, checks: bool = False,
+               **extra) -> Tuple[str, dict, Optional[dict]]:
     """The unit loop of the gluing and transition stages: check(u) is the
     verifier's report on unit u, describe(u, rep) its entry in the stage
-    report. Runs every unit; a failing unit's entry also keeps the id,
-    layout and witness of each failing check, and the first such entry is
-    the detail. SKIPs when every check of every unit skipped."""
+    report. Runs every unit. A failing unit's entry also names its layout
+    (`which`) and keeps the id and witness of each failing check, and the
+    first such entry is the detail; with `checks`, every entry names its
+    layout and lists the verifier's checks whole (id, mode, trials, verdict,
+    witness) in their place. SKIPs when every check of every unit skipped."""
     report = dict(extra, units=[])
     for idx, u in enumerate(units):
         rep = check(u)
         verdicts = [c["verdict"] for c in rep["checks"]]
         entry = dict(describe(u, rep), unit=idx, ok=rep["ok"], verdicts=verdicts)
-        if not rep["ok"]:
-            which = list(u["which"]) if u["which"] else None
-            entry["failed"] = [{"id": c["id"], "which": which, "witness": c["witness"]}
+        if checks or not rep["ok"]:
+            # the gluing stage's entry names it already
+            entry.setdefault("which", list(u["which"]) if u["which"] else None)
+        if checks:
+            entry["checks"] = rep["checks"]
+        elif not rep["ok"]:
+            entry["failed"] = [{"id": c["id"], "witness": c["witness"]}
                                for c in rep["checks"] if c["verdict"] == "fail"]
         report["units"].append(entry)
     failed = next((entry for entry in report["units"] if not entry["ok"]), None)
@@ -350,34 +357,45 @@ def _glue_units(fam) -> List[dict]:
             for which in whichs]
 
 
-def stage_gluing(data: FamilyData) -> Tuple[str, dict, Optional[dict]]:
-    """The gluing stage on a family's holder; `mcm verify gluing` runs it too."""
+def stage_gluing(data: FamilyData, checks: bool = False) -> Tuple[str, dict, Optional[dict]]:
+    """The gluing stage on a family's holder; `mcm verify gluing` runs it
+    too, with each unit's `checks` (see _run_units)."""
     return _run_units(
         _glue_units(data.family),
         lambda u: verify_gluing(data, u["selection"], u["j1"], u["j2"], which=u["which"]),
         lambda u, rep: {"which": list(u["which"]) if u["which"] else None,
                         "j1": u["j1"], "j2": u["j2"]},
-        mode="exact")
+        checks, mode="exact")
 
 
 def _transition_units(fam) -> List[dict]:
-    N, sel = fam.shape.N, tuple(range(1, fam.shape.n + 1))
-    # (which, omit, l2, kind), each at charts (0, l2)
-    units = (((("K_nu", 0), 0, 1, None), (("K_tau_rho", 0, 1), 1, N, None)) if fam.mode == "mcm"
-             else ((None, 0, 1, "psi"), (None, N, 1, "omega")))
-    return [{"which": which, "selection": sel, "omit": omit, "l1": 0, "l2": l2, "kind": kind}
-            for which, omit, l2, kind in units]
+    shape = fam.shape
+    sel = tuple(range(1, shape.n + 1))
+    if fam.mode == "mcm":
+        return [
+            {"which": ("K_nu", 0), "selection": sel, "omit": 0, "l1": 0, "l2": 1,
+             "kind": None},
+            {"which": ("K_tau_rho", 0, 1), "selection": sel, "omit": 1, "l1": 0,
+             "l2": shape.N, "kind": None},
+        ]
+    return [
+        {"which": None, "selection": sel, "omit": 0, "l1": 0, "l2": 1, "kind": "psi"},
+        {"which": None, "selection": sel, "omit": shape.N, "l1": 0, "l2": 1,
+         "kind": "omega"},
+    ]
 
 
-def stage_transition(data: FamilyData) -> Tuple[str, dict, Optional[dict]]:
+def stage_transition(data: FamilyData,
+                     checks: bool = False) -> Tuple[str, dict, Optional[dict]]:
     """The transition stage on a family's holder; `mcm verify transition`
-    runs it too."""
+    runs it too, with each unit's `checks` (see _run_units)."""
     return _run_units(
         _transition_units(data.family),
         lambda u: verify_transition(data, u["selection"], u["omit"], u["l1"], u["l2"],
                                     which=u["which"], kind=u["kind"]),
         lambda u, rep: {"omit": u["omit"], "charts": [u["l1"], u["l2"]],
-                        "mode": rep.get("mode")})
+                        "mode": rep.get("mode")},
+        checks)
 
 
 def _stage_twist_ledger(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:

@@ -555,8 +555,7 @@ def test_replay_gluing_witness_reruns_exact_unit(monkeypatch):
     witness = run_pipeline(small_config())["stages"]["gluing"]["witness"]
     assert witness["unit"] == {"unit": 1, "which": ["K_nu", 3], "j1": 0, "j2": 1,
                                "ok": False, "verdicts": ["fail"],
-                               "failed": [{"id": "hypothesis", "which": ["K_nu", 3],
-                                           "witness": None}]}
+                               "failed": [{"id": "hypothesis", "witness": None}]}
     run_calls = list(calls)
     calls.clear()
     rep = replay(as_json(witness))
@@ -565,6 +564,30 @@ def test_replay_gluing_witness_reruns_exact_unit(monkeypatch):
     assert rep["replayed"] == "gluing" and rep["status"] == "FAIL"
     assert rep["report"]["mode"] == "exact"
     assert rep["witness"] == witness
+
+
+def test_a_failing_transition_unit_names_its_layout(monkeypatch):
+    # a passing transition unit names its layout by omit and charts alone; a
+    # failing one also names `which` and keeps its checks' witnesses
+    real = pipeline.verify_transition
+
+    def broken(fam, selection, omit, l1, l2, which=None, **kwargs):
+        rep = real(fam, selection, omit, l1, l2, which=which, **kwargs)
+        if which != ("K_tau_rho", 0, 1):
+            return rep
+        return dict(rep, ok=False, checks=[dict(rep["checks"][0], verdict="fail",
+                                                witness={"planted": 1})] + rep["checks"][1:])
+
+    monkeypatch.setattr(pipeline, "verify_transition", broken)
+    entry = run_pipeline(small_config(stages=("transition",)))["stages"]["transition"]
+    assert entry["status"] == "FAIL"
+    assert [sorted(u) for u in entry["report"]["units"]] == [
+        ["charts", "mode", "ok", "omit", "unit", "verdicts"],
+        ["charts", "failed", "mode", "ok", "omit", "unit", "verdicts", "which"]]
+    assert entry["witness"]["unit"] == {
+        "unit": 1, "omit": 1, "charts": [0, 3], "mode": "exact", "which": ["K_tau_rho", 0, 1],
+        "ok": False, "verdicts": ["fail", "pass"],
+        "failed": [{"id": "transition", "witness": {"planted": 1}}]}
 
 
 def test_replay_smoothness_witness_reproduces_singular_family():
@@ -1144,15 +1167,14 @@ def test_cli_verify_reports_only_exact_checks(tmp_path, capsys):
     assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
                  "--seed", "3", "--out", str(fam_path)]) == 0
     capsys.readouterr()
-    verdicts = {}
+    ids = {}
     for what in ("gluing", "transition"):
         assert main(["verify", what, "--family", str(fam_path)]) == 0
-        report = json.loads(capsys.readouterr().out)
-        modes = ({report.get("mode")} | {u.get("mode") for u in report["units"]}) - {None}
-        assert modes == {"exact"}
-        verdicts[what] = {tuple(u["verdicts"]) for u in report["units"]}
-    # one check per gluing unit; a transition and its exponent per transition unit
-    assert verdicts == {"gluing": {("pass",)}, "transition": {("pass", "pass")}}
+        units = json.loads(capsys.readouterr().out)["units"]
+        checks = [c for u in units for c in u["checks"]]
+        assert {(c["mode"], c["trials"], c["verdict"]) for c in checks} == {("exact", 0, "pass")}
+        ids[what] = {c["id"] for c in checks}
+    assert ids == {"gluing": {"hypothesis"}, "transition": {"transition", "transition exponent"}}
     # no flag asks for sampling
     with pytest.raises(SystemExit) as err:
         main(["verify", "transition", "--family", str(fam_path), "--mode", "probabilistic"])
@@ -1253,12 +1275,11 @@ def test_cli_verify_checks_name_their_layout(tmp_path, capsys, monkeypatch):
     assert main(["build", "--shape", "3,2,0", "--mode", "mcm", "--field", "5",
                  "--seed", "3", "--out", str(fam_path)]) == 0
     capsys.readouterr()
-    for what, layout in (("gluing", lambda u: tuple(u["which"])),
-                         ("transition", lambda u: (u["omit"], tuple(u["charts"])))):
+    for what in ("gluing", "transition"):
         assert main(["verify", what, "--family", str(fam_path)]) == 0
         units = json.loads(capsys.readouterr().out)["units"]
-        layouts = [layout(u) for u in units]
-        assert len(set(layouts)) == len(layouts) > 1, what
+        pairs = [(c["id"], tuple(u["which"])) for u in units for c in u["checks"]]
+        assert len(set(pairs)) == len(pairs), what
     # one unit's report forced to fail: the FAIL names its layout and keeps
     # its check's witness, and the units after it still run; the CLI runs
     # the pipeline's stage body, which calls pipeline.verify_gluing
@@ -1276,5 +1297,5 @@ def test_cli_verify_checks_name_their_layout(tmp_path, capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert not report["ok"] and report["status"] == "FAIL"
     assert [u["verdicts"] for u in report["units"]] == [["fail"], ["pass"], ["pass"]]
-    assert [c for u in report["units"] for c in u.get("failed", ())] == [
-        {"id": "hypothesis", "which": ["K_nu", 0], "witness": {"planted": 1}}]
+    assert [(u["which"], c["id"], c["witness"]) for u in report["units"] for c in u["checks"]
+            if c["verdict"] == "fail"] == [(["K_nu", 0], "hypothesis", {"planted": 1})]

@@ -264,7 +264,7 @@ def test_a_tampered_section_fails_the_gluing_stage(monkeypatch):
     assert unit == {"unit": 0, "which": ["K_nu", 0], "j1": 0, "j2": 1,
                     "ok": False, "verdicts": ["fail"]}
     # the witness keeps the failing check's own witness: the full bundle's row 0
-    assert failed == [{"id": "hypothesis", "which": ["K_nu", 0], "witness": {
+    assert failed == [{"id": "hypothesis", "witness": {
         "bundle": "full", "row": 0, "col": None, "lhs_minus_rhs": "4 * z0^67"}}]
     # every unit runs, and each fails on the full bundle's row sum
     assert [u["ok"] for u in entry["report"]["units"]] == [False] * 3
