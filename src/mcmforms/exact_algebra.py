@@ -45,7 +45,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .util import _echelon_mod_p
+from .util import _echelon_mod_p, require_ints
 
 Exponent = Tuple[int, ...]
 
@@ -82,8 +82,7 @@ class Field:
     p: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or isinstance(self.p, bool):
-            raise ValueError(f"field characteristic must be an integer, got {self.p!r}")
+        require_ints("field characteristic must be an integer", (self.p,))
         if self.p:
             if not (2 <= self.p < 2**31):
                 raise ValueError(f"field characteristic out of range: {self.p}")

@@ -14,8 +14,8 @@ Four families of checks:
                        z_{l_2}^n * G(w_{l_1}) == z_{l_1}^n * G(w_{l_2}),
                        because every divided differential entry keeps
                        Euler's relation with its value entry
-                       (_transition_pairs); the transition exponent is
-                       cross-checked against the twist bookkeeping.
+                       (_transition_pairs); the transition exponent restates
+                       extract_forms's twist and z-degree claims.
   verify_surjectivity  the (N+1) x dim evaluation matrix (value row plus N
                        tangent-derivative rows) of the degree-d monomial
                        basis has full rank at random points.
@@ -250,7 +250,8 @@ def verify_transition(fam: SectionFamily | FamilyData, selection: Sequence[int],
                    z_{l2}^n * G(z, w_{l1}) == z_{l1}^n * G(z, w_{l2});
       exponent     z-degree + dz-degree of G equals the twist plus the
                    omitted column's divisor share plus the coefficient
-                   twists, independently recomputed.
+                   twists: implied by extract_forms's twist and z-degree
+                   claims, so it cannot fail.
     The transition rests on one hypothesis (_transition_pairs): a divided
     differential entry D linear in dz with D(z; z) == deg(F_j) * V gives
     D(z; w_l) == z_l * D - dz_l * deg(F_j) * V, and subtracting multiples
@@ -363,9 +364,10 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
     With eta coordinates killed, the restricted bundle must satisfy the
     gluing hypothesis (_hypothesis_pairs, the check "hypothesis"), and so
     must each K_nu / K_tau_rho layout of an mcm family, on its own pairs
-    ("hypothesis <layout>"); the extracted twist must be the unrestricted
-    twist plus sum(lambda_v - 1) over the killed coordinates (general
-    families) or the depth-eta ledger entry (mcm). Depth 0 and depth
+    ("hypothesis <layout>"); the twist claimed for the extracted form (the
+    unrestricted twist plus sum(lambda_v - 1) over the killed coordinates,
+    or the depth-eta ledger entry for mcm) must match its row degrees and
+    divisors (_twist_check). Depth 0 and depth
     eta >= n raise ValueError (the latter in build_matrices): with nothing
     killed there is no hidden form, and from depth n on no form is
     defined, so either report would pass without testing anything.
@@ -381,13 +383,7 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
     checks = [_check_hypothesis("hypothesis", _hypothesis_pairs(
         hidden, _label(("hidden",) + vanished)), fam, "exact")]
     if fam.mode == "general_fermat":
-        form = extract_forms(hidden, [selection], omit=0, kind="omega")[0]
-        expected = fermat_heart_prime(fam.degrees, fam.lambdas, selection) \
-            + sum(fam.lambdas[v] - 1 for v in vanished)
-        ok = form.twist == expected
-        checks.append(_check("twist increment", "pass" if ok else "fail",
-                             witness=None if ok else {"twist": form.twist,
-                                                      "expected": expected}))
+        checks.append(_twist_check("twist increment", hidden, selection, "expected", "omega"))
     else:
         for kind, params, _ in selection_layouts(len(hidden.retained) - 1):
             which = (kind,) + params
@@ -395,15 +391,18 @@ def verify_hidden(fam: SectionFamily, vanished: Sequence[int],
             K = build_selected(hidden, which)
             checks.append(_check_hypothesis(f"hypothesis {label}", _hypothesis_pairs(K, label),
                                             fam, "exact"))
-            # extract_forms takes the twist from the ledger and raises when
-            # the row degrees and divisors give another one
-            witness = None
-            try:
-                extract_forms(K, [selection], omit=0)
-            except DegreeClaimFailed as err:
-                if err.quantity != "twist":
-                    raise
-                witness = {"twist": err.observed, "ledger": err.expected}
-            checks.append(_check(f"twist {label}", "fail" if witness else "pass",
-                                 witness=witness))
+            checks.append(_twist_check(f"twist {label}", K, selection, "ledger"))
     return _report("hidden", checks, eta=eta, vanished=list(vanished))
+
+
+def _twist_check(check_id: str, K: FormalMatrixBundle, selection, claimed: str,
+                 kind: Optional[str] = None) -> dict:
+    """check_id FAILs, with the twist and the one claimed (keyed `claimed`),
+    when extract_forms refuses the twist it claims for K's form."""
+    try:
+        extract_forms(K, [selection], omit=0, kind=kind)
+    except DegreeClaimFailed as err:
+        if err.quantity != "twist":
+            raise
+        return _check(check_id, "fail", witness={"twist": err.observed, claimed: err.expected})
+    return _check(check_id, "pass")

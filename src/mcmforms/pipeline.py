@@ -55,7 +55,7 @@ from .section_builder import (
     column_divisors,
     selection_layouts,
 )
-from .util import child_rng
+from .util import child_rng, require_ints
 
 SCHEMA_VERSION = 1
 
@@ -67,7 +67,8 @@ class RunConfig:
     """Everything a run needs; defaults reproduce the desk-scale flagship
     shape N=4, c=3, r=0 over F_5 with master seed 1. Checked when built
     (the functions that read census shapes, heart and eps check their
-    values): every number is an int, never a float, bool or string, an
+    values): every number is an int, never a float, bool or string, the
+    census names a shape (an empty one would PASS counting nothing), an
     mcm config takes no lambdas or degrees, since no stage reads them, and
     a general_fermat config naming neither gets lambda_j = 2 and d_i = 2 + i."""
 
@@ -89,15 +90,14 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in ("mcm", "general_fermat"):
             raise ValueError(f"unknown family mode {self.mode!r}")
-        numbers = {"shape": (self.shape.N, self.shape.c, self.shape.r), "heart": (self.heart,),
-                   "eps": self.eps or (), "lambdas": self.lambdas or (),
+        numbers = {"heart": (self.heart,), "eps": self.eps or (), "lambdas": self.lambdas or (),
                    "degrees": self.degrees or (), "seed": (self.seed,),
                    "max_points": (self.max_points,), "max_census": (self.max_census,),
                    "census_shapes": [x for triple in self.census_shapes for x in triple]}
         for key, values in numbers.items():
-            bad = [x for x in values if not isinstance(x, int) or isinstance(x, bool)]
-            if bad:
-                raise ValueError(f"config {key} must hold integers, got {bad[0]!r}")
+            require_ints(f"config {key} must hold integers", values)
+        if not self.census_shapes:
+            raise ValueError("config names no census shape")
         unknown = [s for s in self.stages if s not in STAGE_ORDER]
         if unknown:
             raise ValueError(f"unknown stages: {unknown}")
@@ -298,18 +298,15 @@ def _stage_build(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
     return "PASS", report, None
 
 
-def _all_divisors(data: FamilyData) -> int:
-    fam = data.family
-    if fam.mode == "mcm":
-        return sum(len(column_divisors(data.selected((kind,) + params)))
-                   for kind, params, _ in selection_layouts(fam.shape.N))
-    return len(column_divisors(data.matrices))
-
-
 def _stage_divisibility(cfg: RunConfig, ctx: dict) -> Tuple[str, dict, Optional[dict]]:
+    data = ctx["data"]
+    fam = data.family
+    bundles = ((data.selected((kind,) + params) for kind, params, _ in
+                selection_layouts(fam.shape.N)) if fam.mode == "mcm" else (data.matrices,))
     columns = 0
     try:
-        columns = _all_divisors(ctx["data"])
+        for K in bundles:
+            columns += len(column_divisors(K))
     except DivisibilityClaimFailed as exc:
         return ("FAIL", {"columns_verified": columns, "error": str(exc)},
                 {"row": exc.row, "col": exc.col})

@@ -6,7 +6,9 @@ ledger (the integers heart^nu, heart^{tau,rho} and their hidden variants,
 all required to be <= -(N-eta)*heart) and the effective-bound report.
 
 All arithmetic is exact big-integer; mu values overflow 64 bits already for
-N >= 6 with several levels.
+N >= 6 with several levels, so ProblemShape and build_schedule refuse an
+input that is not an int, never convert it. No schedule is read back:
+section_builder.load_family recomputes a saved one from its inputs.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from itertools import combinations
 from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .util import require_ints
+
 
 @dataclass(frozen=True)
 class ProblemShape:
@@ -28,6 +32,7 @@ class ProblemShape:
     r: int
 
     def __post_init__(self):
+        require_ints("shape N, c and r must be integers", (self.N, self.c, self.r))
         if self.N < 1 or self.c < 1 or self.r < 0:
             raise ValueError(f"invalid shape (N={self.N}, c={self.c}, r={self.r})")
         if 2 * self.c + self.r < self.N:
@@ -70,9 +75,8 @@ def build_schedule(
     and finally d = (N+1) * mu_{N,N}.
     """
     cr = shape.c + shape.r
-    if eps is None:
-        eps = (1,) * cr
-    eps = tuple(int(e) for e in eps)
+    eps = require_ints("schedule eps must be integers", (1,) * cr if eps is None else eps)
+    require_ints("schedule heart and slack must be integers", (heart, slack))
     if len(eps) != cr:
         raise ValueError(f"need {cr} epsilon values, got {len(eps)}")
     if any(e < 1 for e in eps):
@@ -337,24 +341,6 @@ def schedule_to_dict(s: ExponentSchedule) -> Dict[str, object]:
         "mu": {f"{l},{k}": v for (l, k), v in sorted(s.mu.items())},
         "d": s.d,
     }
-
-
-def schedule_from_dict(data: Dict[str, object]) -> ExponentSchedule:
-    shape = ProblemShape(N=data["shape"]["N"], c=data["shape"]["c"], r=data["shape"]["r"])
-    delta = {int(l): int(v) for l, v in data["delta"].items()}
-    mu = {}
-    for key, v in data["mu"].items():
-        l, k = key.split(",")
-        mu[(int(l), int(k))] = int(v)
-    return ExponentSchedule(
-        shape=shape,
-        heart=int(data["heart"]),
-        eps=tuple(int(e) for e in data["eps"]),
-        delta=delta,
-        mu=mu,
-        d=int(data["d"]),
-        slack=int(data.get("slack", 0)),
-    )
 
 
 def ledger_to_dict(ledger: TwistLedger) -> Dict[str, object]:

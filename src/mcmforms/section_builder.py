@@ -77,12 +77,11 @@ from .schedule import (
     fermat_heart,
     fermat_heart_prime,
     fermat_hidden_heart_prime,
-    schedule_from_dict,
     schedule_to_dict,
     TwistLedger,
     twist_ledger,
 )
-from .util import child_rng, chunks
+from .util import child_rng, chunks, require_ints
 
 FAMILY_SCHEMA_VERSION = 1
 
@@ -333,9 +332,9 @@ def build_sections(
     term raises ValueError.
     """
     cr = shape.c + shape.r
-    if twists is None:
-        twists = (0,) * cr
-    twists = tuple(int(a) for a in twists)
+    twists = require_ints("twists must be integers", (0,) * cr if twists is None else twists)
+    if seed is not None:
+        require_ints("seed must be an integer", (seed,))
     if len(twists) != cr:
         raise ValueError(f"need {cr} twists")
 
@@ -357,8 +356,8 @@ def build_sections(
     if mode == "general_fermat":
         if lambdas is None or degrees is None:
             raise ValueError("general_fermat needs lambdas and degrees")
-        lambdas = tuple(int(x) for x in lambdas)
-        degrees = tuple(int(x) for x in degrees)
+        lambdas = require_ints("lambdas must be integers", lambdas)
+        degrees = require_ints("degrees must be integers", degrees)
         if len(lambdas) != shape.N + 1 or any(l < 1 for l in lambdas):
             raise ValueError("need N+1 lambdas, all >= 1")
         if len(degrees) != cr:
@@ -878,21 +877,27 @@ def save_family(fam: SectionFamily, path: str) -> None:
 
 def load_family(path: str) -> SectionFamily:
     """The family save_family wrote to path. A wrong schema version, a
-    missing entry, a malformed one and a coefficient key the family does
-    not read raise ValueError naming it."""
+    missing entry, a malformed one, a number that is not an int and a
+    coefficient key the family does not read raise ValueError naming it;
+    so does a schedule whose JSON is not schedule_to_dict of build_schedule
+    on its shape, heart, eps and slack."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        if data.get("schema_version") != FAMILY_SCHEMA_VERSION:
-            raise ValueError(f"unsupported family schema version: {data.get('schema_version')}")
+        version = data.get("schema_version")
+        if type(version) is not int or version != FAMILY_SCHEMA_VERSION:  # 1.0 and True == 1
+            raise ValueError(f"unsupported family schema version: {version!r}")
         kwargs = dict(shape=ProblemShape(**data["shape"]), mode=data["mode"],
                       field=Field(data["field_p"]), twists=list(data["twists"]),
                       explicit=dict(data["coefficients"]), seed=data.get("seed"))
         if data["mode"] == "general_fermat":
-            kwargs.update(lambdas=data["lambdas"], degrees=data["degrees"])
+            kwargs.update(lambdas=list(data["lambdas"]), degrees=list(data["degrees"]))
         else:
-            sched = schedule_from_dict(data["schedule"])
-            if sched != build_schedule(sched.shape, sched.heart, sched.eps, sched.slack):
+            given = data["schedule"]
+            sched = build_schedule(ProblemShape(*(given["shape"][k] for k in ("N", "c", "r"))),
+                                   given["heart"], given["eps"], given["slack"])
+            if json.dumps(given, sort_keys=True) != json.dumps(schedule_to_dict(sched),
+                                                               sort_keys=True):
                 raise ValueError("family schedule does not match its recomputation "
                                  "from shape, heart, eps and slack")
             kwargs.update(schedule=sched)

@@ -1,4 +1,5 @@
-"""Shared small helpers: seeded RNG streams and F_p linear algebra.
+"""Shared small helpers: the one integer rule for numbers from outside
+(require_ints), seeded RNG streams and F_p linear algebra.
 
 Randomness discipline: every randomized unit of work draws from its own
 child stream derived from (master seed, stage id, unit index), so results
@@ -21,9 +22,19 @@ from __future__ import annotations
 
 import random
 from operator import index
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+
+def require_ints(what: str, values: Iterable) -> Tuple[int, ...]:
+    """values as a tuple if each is an int, never converted; else ValueError
+    f"{what}, got {value!r}" for the first that is not, a bool included."""
+    values = tuple(values)
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"{what}, got {x!r}")
+    return values
 
 
 def child_rng(master_seed: int, stage: str, unit) -> random.Random:

@@ -1079,6 +1079,20 @@ def test_hidden_mcm_twist_check_fails_on_a_corrupted_ledger(monkeypatch):
     assert failed[0]["witness"] == {"twist": true_twist, "ledger": true_twist + 1}
 
 
+def test_hidden_general_twist_check_fails_on_a_wrong_hidden_twist(monkeypatch):
+    # the check compared the twist with the identity that computed it, so
+    # it could not fail, and a wrong twist raised from extract_forms instead
+    fam = fermat_family(4, 2, 0, (2,) * 5, (3, 3), field=Field(11), seed=3)
+    real = section_builder.fermat_hidden_heart_prime
+    monkeypatch.setattr(section_builder, "fermat_hidden_heart_prime",
+                        lambda *args: real(*args) + 1)
+    rep = verify_hidden(fam, (0,), (1,))
+    assert not rep["ok"]
+    assert [(c["id"], c["verdict"]) for c in rep["checks"]] == [
+        ("hypothesis", "pass"), ("twist increment", "fail")]
+    assert rep["checks"][1]["witness"] == {"twist": 5, "expected": 6}
+
+
 def test_hidden_characteristic_guard():
     fam = fermat_family(4, 2, 0, (2, 2, 2, 2, 2), (3, 3), field=Field(2), seed=5)
     rep = verify_hidden(fam, (4,), (1,))

@@ -470,6 +470,24 @@ def test_general_pipeline_passes_with_defaulted_exponents():
     assert report["config"] == cfg.to_dict()
 
 
+def test_divisibility_fail_counts_the_columns_verified_before_it(monkeypatch):
+    # the count read 0 on every FAIL; at N = 4 each layout has 5 columns,
+    # so two layouts verified before the third failed
+    real, calls = section_builder.column_divisors, []
+
+    def third_fails(K):
+        calls.append(K.selected_kind)
+        if len(calls) == 3:
+            raise section_builder.DivisibilityClaimFailed("planted", 1, 2)
+        return real(K)
+
+    monkeypatch.setattr(pipeline, "column_divisors", third_fails)
+    stage = run_pipeline(RunConfig(stages=("divisibility",)))["stages"]["divisibility"]
+    assert stage["status"] == "FAIL" and len(calls) == 3
+    assert stage["report"] == {"columns_verified": 10, "error": "planted"}
+    assert (stage["witness"]["row"], stage["witness"]["col"]) == (1, 2)
+
+
 def test_run_pipeline_leaves_the_callers_config_as_given():
     cfg = RunConfig(shape=ProblemShape(3, 2, 0), mode="general_fermat",
                     field_spec="11", seed=5, stages=("build",))
@@ -679,9 +697,10 @@ def test_config_from_dict_inverts_to_dict():
     (lambda d: d.update(mode="fermat"), "unknown family mode"),
     (lambda d: d.update(heart="two"), "config heart must hold integers, got 'two'"),
     (lambda d: d.update(census_shapes=[[2, 2]]), "not enough values"),
+    (lambda d: d.update(census_shapes=[]), "config names no census shape"),
     (lambda d: d.update(schema=2), "unsupported config schema 2"),
 ], ids=["seed", "budget", "points", "both-budgets", "shape-c", "shape-list", "stage", "mode", "heart",
-        "census", "schema"])
+        "census", "no-census", "schema"])
 def test_config_from_dict_refuses_a_bad_config(mutate, message):
     d = RunConfig().to_dict()
     mutate(d)
@@ -695,7 +714,7 @@ def test_config_from_dict_refuses_a_bad_config(mutate, message):
     (lambda d: d.update(seed=True), "config seed must hold integers, got True"),
     (lambda d: d["budgets"].update(max_points=2.9),
      "config max_points must hold integers, got 2.9"),
-    (lambda d: d["shape"].update(N=4.0), "config shape must hold integers, got 4.0"),
+    (lambda d: d["shape"].update(N=4.0), "shape N, c and r must be integers, got 4.0"),
     (lambda d: d.update(eps=[1, "1", 1]), "config eps must hold integers, got '1'"),
     (lambda d: d.update(census_shapes=[[2, 2, 2.0]]),
      "config census_shapes must hold integers, got 2.0"),
@@ -711,8 +730,7 @@ def test_config_from_dict_refuses_a_number_it_would_convert(mutate, message):
 
 
 @pytest.mark.parametrize("overrides", [{"heart": 1.5}, {"seed": "5"}, {"max_census": True},
-                                       {"shape": ProblemShape(3.0, 2, 0)}, {"eps": (1, 1.0)},
-                                       {"census_shapes": (("2", 2, 2),)}])
+                                       {"eps": (1, 1.0)}, {"census_shapes": (("2", 2, 2),)}])
 def test_run_config_refuses_a_number_that_is_not_an_int(overrides):
     # a config built in Python is checked as one read from a dict
     with pytest.raises(ValueError, match="must hold integers"):
@@ -753,12 +771,14 @@ def test_parse_config_reads_each_integer_from_its_text(tmp_path, capsys):
     ({"mode": "general_fermat", "degrees": (3, 4)}, "both lambdas and degrees"),
     ({"lambdas": (2,) * 4, "degrees": (3, 3)}, "an mcm config takes no lambdas or degrees"),
     ({"degrees": (3, 3)}, "an mcm config takes no lambdas or degrees"),
+    ({"census_shapes": ()}, "config names no census shape"),
 ], ids=["points", "census", "mode", "stage", "no-stage", "field", "field-spec",
-        "lambdas-only", "degrees-only", "mcm-exponents", "mcm-degrees"])
+        "lambdas-only", "degrees-only", "mcm-exponents", "mcm-degrees", "no-census"])
 def test_run_config_refuses_a_bad_value_when_built(overrides, message):
     # each of these used to run: skipping every scan, sampling every
-    # census, building a general Fermat family, replacing the lambdas, or
-    # echoing exponents that no mcm stage reads
+    # census, building a general Fermat family, replacing the lambdas,
+    # echoing exponents that no mcm stage reads, or passing a census that
+    # counted nothing
     with pytest.raises(ValueError, match=message):
         RunConfig(shape=ProblemShape(3, 2, 0), **overrides)
     with pytest.raises(ValueError, match=message):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 from decimal import Decimal
 from itertools import combinations
@@ -7,7 +8,6 @@ from itertools import combinations
 import pytest
 
 from mcmforms.schedule import (
-    ExponentSchedule,
     ProblemShape,
     build_schedule,
     effective_bound_report,
@@ -15,8 +15,6 @@ from mcmforms.schedule import (
     fermat_heart_prime,
     fermat_hidden_heart_prime,
     ledger_to_dict,
-    schedule_from_dict,
-    schedule_to_dict,
     twist_ledger,
     validate_schedule,
 )
@@ -55,6 +53,28 @@ def test_shape_invariants_enforced():
         ProblemShape(3, 2, 1)  # c+r = N
     with pytest.raises(ValueError):
         ProblemShape(0, 1, 0)
+
+
+@pytest.mark.parametrize("args, bad", [((3.0, 2, 0), 3.0), ((3, 2, 0.0), 0.0),
+                                       ((3, True, 0), True), ((3, "2", 0), "'2'")])
+def test_shape_refuses_a_number_that_is_not_an_int(args, bad):
+    # ProblemShape(3.0, 2, 0) used to be built, and range(3.0 + 1) then
+    # escaped as a TypeError
+    with pytest.raises(ValueError, match=re.escape(f"shape N, c and r must be integers, got {bad}")):
+        ProblemShape(*args)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(heart=2.5), "schedule heart and slack must be integers, got 2.5"),
+    (dict(heart=True), "schedule heart and slack must be integers, got True"),
+    (dict(heart=2, slack=0.5), "schedule heart and slack must be integers, got 0.5"),
+    (dict(heart=2, eps=(1.5, 1)), "schedule eps must be integers, got 1.5"),
+    (dict(heart=2, eps=("1", 1)), "schedule eps must be integers, got '1'"),
+])
+def test_build_schedule_refuses_a_number_that_is_not_an_int(kwargs, message):
+    # these were truncated (eps) or ran the recurrences on floats (heart, slack)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_schedule(ProblemShape(3, 2, 0), **kwargs)
 
 
 def test_shape_n_range():
@@ -300,13 +320,3 @@ def test_effective_bound_report_where_N_to_the_N2_overflows_a_float(shape, preci
     assert abs(Decimal(rep["d0_approx"]) / d0 - 1) < Decimal("1e-15")
     assert abs(Decimal(rep["eps0_approx"]) * d0 / 3 - 1) < Decimal("1e-5")
 
-
-# ----- serialization -----
-
-
-def test_schedule_round_trip():
-    s = build_schedule(ProblemShape(4, 2, 0), 2, (1, 2))
-    data = schedule_to_dict(s)
-    s2 = schedule_from_dict(data)
-    assert s2 == s
-    assert isinstance(s2, ExponentSchedule)

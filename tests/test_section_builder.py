@@ -691,6 +691,62 @@ def test_load_family_names_a_missing_entry(tmp_path, mode):
             load_family(str(path))
 
 
+def int_leaves(node):
+    """(container, key) of every int in a JSON value, bools aside: in a
+    saved family, schema_version, shape, field_p, twists, seed, lambdas
+    and degrees, and the schedule's shape, heart, eps, slack, d and every
+    delta and mu."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from int_leaves(value)
+        elif isinstance(value, int) and not isinstance(value, bool):
+            yield node, key
+
+
+@pytest.mark.parametrize("mode", ["mcm", "general_fermat"])
+def test_every_number_in_a_family_file_must_be_an_int(tmp_path, capsys, mode):
+    # mutation-based fuzzing of the saved file, one leaf at a time: twists
+    # [0.5, 0.5], heart 2.5, eps 1.5 and slack 0.5, and lambdas and degrees
+    # + 0.5, were truncated and verified; a float shape escaped as a
+    # TypeError. Each mutant is refused by the loader and by the command line.
+    from mcmforms.cli import main
+
+    path = tmp_path / "family.json"
+    save_family(pinned_family(mode), str(path))
+    saved = json.loads(path.read_text())
+    mutants = 0
+    escapes = []
+    for i in range(len(list(int_leaves(saved)))):
+        for mutate in (lambda x: x + 0.5, float, lambda x: True, str):
+            data = deepcopy(saved)
+            holder, key = list(int_leaves(data))[i]
+            holder[key] = mutate(holder[key])
+            path.write_text(json.dumps(data))
+            mutants += 1
+            try:
+                fam = load_family(str(path))
+            except ValueError:
+                pass
+            except Exception as exc:  # an escape, which this test looks for
+                escapes.append((key, holder[key], "load", repr(exc)))
+            else:
+                save_family(fam, str(tmp_path / "saved.json"))
+                same = json.dumps(json.loads((tmp_path / "saved.json").read_text()),
+                                  sort_keys=True) == json.dumps(data, sort_keys=True)
+                escapes.append((key, holder[key], "loaded", "round trip" if same else "changed"))
+            try:
+                code = main(["verify", "transition", "--family", str(path)])
+            except Exception as exc:
+                code = repr(exc)
+            err = capsys.readouterr().err.splitlines()
+            if code != 2 or len(err) != 1 or not err[0].startswith("error: "):
+                escapes.append((key, holder[key], "mcm verify transition", code))
+    assert escapes == []
+    assert mutants == {"mcm": 92, "general_fermat": 56}[mode]
+
+
 @pytest.mark.parametrize("mode", ["mcm", "general_fermat"])
 def test_load_family_refuses_a_coefficient_key_it_does_not_read(tmp_path, mode):
     fam = pinned_family(mode)

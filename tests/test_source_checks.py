@@ -390,3 +390,30 @@ def test_a_second_cli_path_is_flagged():
     assert cli_faults("from .pipeline import stage_gluing\n"
                       "from argparse import _SubParsersAction\n"
                       "def _csv_ints(text):\n    return stage_gluing\n") == []
+
+
+# The modules that build schedules and families from outside numbers refuse
+# a number that is not an int (util.require_ints); they never convert one.
+NO_INT_CONVERSION = ("schedule.py", "section_builder.py")
+
+
+def int_call_faults(source):
+    """Sorted line numbers of every int(...) call in a source."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "int")
+
+
+def test_the_value_types_convert_no_number():
+    package = Path(mcmforms.__file__).resolve().parent
+    faults = [f"{name}:{line}" for name in NO_INT_CONVERSION
+              for line in int_call_faults((package / name).read_text(encoding="utf-8"))]
+    assert faults == []
+
+
+def test_an_int_conversion_is_flagged():
+    # the truncations build_schedule and build_sections made
+    planted = ("def build(eps, twists):\n"
+               "    eps = tuple(int(e) for e in eps)\n"
+               "    return eps, tuple(int(a) for a in twists), isinstance(eps, int)\n")
+    assert int_call_faults(planted) == [2, 3]
