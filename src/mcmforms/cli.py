@@ -126,7 +126,7 @@ def _cmd_verify(args) -> dict:
 
 def _cmd_scan(args) -> dict:
     if args.what == "census":
-        return rank_condition_census(args.a, args.b, args.q, mode=args.mode,
+        return rank_condition_census(args.a, args.b, _needs(args, "q"), mode=args.mode,
                                      sample_size=10_000 if args.sample is None else args.sample,
                                      seed=args.seed)
     fam = load_family(_needs(args, "family"))

@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -103,12 +103,6 @@ class Field:
             return rng.randrange(self.p)
         return Fraction(rng.randrange(-10, 11))
 
-    def rand_nonzero(self, rng):
-        while True:
-            x = self.rand_elt(rng)
-            if x != 0:
-                return x
-
     def __str__(self):
         return "Q" if self.p == 0 else f"F_{self.p}"
 
@@ -120,27 +114,9 @@ class Field:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    # deterministic Miller-Rabin, valid far beyond 2**31
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    # trial division: Field refuses p >= 2**31 first, so at most
+    # isqrt(2**31 - 1) = 46340 candidates
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
 
 
 QQ = Field(0)
@@ -364,14 +340,6 @@ def canonical_terms(p: MultiPoly) -> List[Tuple[Exponent, object]]:
     return sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
 
-def _coeff_str(c) -> str:
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return str(c.numerator)
-        return f"{c.numerator}/{c.denominator}"
-    return str(c)
-
-
 def to_literal(p: MultiPoly) -> str:
     """Canonical literal: terms like 'coeff * z0^a ... dz0^b ...' joined by ' + '."""
     if p.is_zero():
@@ -387,9 +355,9 @@ def to_literal(p: MultiPoly) -> str:
             if exp[n1 + k]:
                 factors.append(f"dz{k}^{exp[n1 + k]}")
         if factors:
-            parts.append(f"{_coeff_str(c)} * " + " ".join(factors))
+            parts.append(f"{c} * " + " ".join(factors))
         else:
-            parts.append(_coeff_str(c))
+            parts.append(str(c))
     return " + ".join(parts)
 
 
@@ -402,13 +370,14 @@ def from_literal(s: str, N: int, field: Field = QQ) -> MultiPoly:
 
     Accepts a coefficient, '*' separators, and factors z<k>[^e] / dz<k>[^e];
     the caret and exponent may be omitted for exponent 1, and the leading
-    coefficient may be omitted for coefficient 1.
+    coefficient may be omitted for coefficient 1. Anything but a str is
+    refused, like any malformed literal, with ParseError.
     """
+    if not isinstance(s, str):
+        raise ParseError(f"literal must be a string, got {s!r}")
     text = s.strip()
     if text == "":
         raise ParseError("empty literal", token=s)
-    if text == "0":
-        return MultiPoly.zero(N, field)
     terms: Dict[Exponent, object] = {}
     for raw_term in text.split("+"):
         term = raw_term.strip()
@@ -578,7 +547,7 @@ class EvalPlan:
     most EVAL_BLOCK (point, term) entries, and at least one point.
     """
 
-    __slots__ = ("modulus", "_width", "_coeffs", "_monomial", "_slots", "_reduce_last",
+    __slots__ = ("modulus", "_width", "_coeffs", "_monomial", "_slots", "_reduce_monomials",
                  "_bounds")
 
     def __init__(self, polys: Sequence[MultiPoly], modulus: int):
@@ -620,7 +589,7 @@ class EvalPlan:
                 reduce_first = bound * top >= INT64_LIMIT
                 bound = (top if reduce_first else bound) * top
                 self._slots.append((k, exps, index, reduce_first))
-        self._reduce_last = bound * top >= INT64_LIMIT  # before the coefficients
+        self._reduce_monomials = bound * top >= INT64_LIMIT  # before the coefficients
         self._bounds = np.cumsum([0] + [len(p.terms) for p in polys])
 
     def __call__(self, z_vals: Sequence[int], dz_vals: Sequence[int]) -> List[int]:
@@ -666,7 +635,7 @@ class EvalPlan:
                 factor = powers[index] if where is None else \
                     powers[where[start:start + step]][:, index]
                 vals = factor if vals is None else (vals % m if reduce_first else vals) * factor
-            if vals is not None and self._reduce_last:
+            if vals is not None and self._reduce_monomials:
                 vals = vals % m
             terms = self._coeffs if vals is None else self._coeffs * vals[..., self._monomial] % m
             # each polynomial's sum as a difference of prefix sums that start

@@ -70,7 +70,8 @@ class RunConfig:
     values): every number is an int, never a float, bool or string, the
     census names a shape (an empty one would PASS counting nothing), an
     mcm config takes no lambdas or degrees, since no stage reads them, and
-    a general_fermat config naming neither gets lambda_j = 2 and d_i = 2 + i."""
+    a general_fermat config naming neither gets lambda_j = 2 and d_i = 2 + i.
+    Its stages are kept in STAGE_ORDER, once each, however they were given."""
 
     shape: ProblemShape = dc_field(default_factory=lambda: ProblemShape(4, 3, 0))
     mode: str = "mcm"
@@ -103,6 +104,7 @@ class RunConfig:
             raise ValueError(f"unknown stages: {unknown}")
         if not self.stages:
             raise ValueError("config names no stage")
+        object.__setattr__(self, "stages", tuple(s for s in STAGE_ORDER if s in self.stages))
         self.field  # Field.from_spec refuses a bad spec
         low = [key for key in ("max_points", "max_census") if getattr(self, key) < 1]
         if low:
@@ -138,7 +140,7 @@ class RunConfig:
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    """The RunConfig that RunConfig.to_dict describes, stages in STAGE_ORDER.
+    """The RunConfig that RunConfig.to_dict describes.
     A wrong schema, a missing key and a value of the wrong type raise
     ValueError; RunConfig refuses the rest, a number that is not an int
     included. Keys it does not read are ignored, so a witness written with
@@ -163,9 +165,7 @@ def config_from_dict(d: dict) -> RunConfig:
             shape=ProblemShape(*(shape[key] for key in ("N", "c", "r"))),
             mode=d["mode"], field_spec=str(d["field"]), heart=d["heart"],
             eps=optional(d["eps"]), lambdas=optional(d["lambdas"]),
-            degrees=optional(d["degrees"]), seed=d["seed"],
-            stages=tuple(s for s in STAGE_ORDER if s in stages)
-            + tuple(s for s in stages if s not in STAGE_ORDER),
+            degrees=optional(d["degrees"]), seed=d["seed"], stages=stages,
             max_points=budgets["max_points"], max_census=budgets["max_census"],
             census_shapes=census_shapes)
     except KeyError as exc:
@@ -556,8 +556,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
 
 def report_to_json(report: dict) -> str:
-    """Canonical JSON: sorted keys, newline-terminated."""
-    return json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
+    """Canonical JSON: sorted keys, newline-terminated. A value JSON has
+    no type for (a numpy integer, a Fraction) raises TypeError."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def strip_timings(report: dict) -> dict:

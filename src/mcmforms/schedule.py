@@ -13,7 +13,7 @@ section_builder.load_family recomputes a saved one from its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import combinations
@@ -349,17 +349,5 @@ def ledger_to_dict(ledger: TwistLedger) -> Dict[str, object]:
         "heart": ledger.heart,
         "eps": list(ledger.eps),
         "ok": ledger.ok,
-        "entries": [
-            {
-                "eta": e.eta,
-                "kind": e.kind,
-                "tau": e.tau,
-                "selection": list(e.selection),
-                "value": e.value,
-                "bound": e.bound,
-                "ok": e.ok,
-                "tight": e.tight,
-            }
-            for e in ledger.entries
-        ],
+        "entries": [asdict(e) for e in ledger.entries],
     }

@@ -194,24 +194,19 @@ class FormalMatrixBundle:
 
 class DividedMatrix:
     """The divided rows of one extraction, shared by the forms taken from
-    them: compiled once per modulus, and evaluated once per point however
-    many of its forms are evaluated there."""
+    them: compiled once per modulus, whichever of its forms is evaluated."""
 
     def __init__(self, rows: List[List[MultiPoly]]):
         self.rows = rows
         self._plans: Dict[int, EvalPlan] = {}
-        self._last: Optional[tuple] = None
 
     def values_at(self, z_vals: Sequence[int], dz_vals: Sequence[int],
                   q: int) -> List[List[int]]:
         """The entries' values mod q at (z, dz), row by row."""
-        point = (q, tuple(z_vals), tuple(dz_vals))
-        if self._last is None or self._last[0] != point:
-            plan = self._plans.get(q)
-            if plan is None:
-                plan = self._plans[q] = EvalPlan([e for row in self.rows for e in row], q)
-            self._last = (point, chunks(plan(z_vals, dz_vals), len(self.rows[0])))
-        return self._last[1]
+        plan = self._plans.get(q)
+        if plan is None:
+            plan = self._plans[q] = EvalPlan([e for row in self.rows for e in row], q)
+        return chunks(plan(z_vals, dz_vals), len(self.rows[0]))
 
 
 @dataclass
@@ -248,8 +243,6 @@ class FormBundle:
 
 def random_homogeneous(N: int, degree: int, field: Field, rng) -> MultiPoly:
     """Dense random homogeneous polynomial of exact degree; never zero."""
-    if degree == 0:
-        return MultiPoly.const(N, field.rand_nonzero(rng), field)
     while True:
         terms = {}
         for combo in combinations_with_replacement(range(N + 1), degree):

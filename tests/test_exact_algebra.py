@@ -164,6 +164,21 @@ def test_field_rejects_composite_characteristic():
         Field(2**31)
 
 
+def test_is_prime_matches_a_sieve():
+    # trial division below 2**31 must agree with a sieve, and refuse the
+    # smallest strong pseudoprimes to the bases {2}, {2, 3} and {2, 3, 5}
+    limit = 200_000
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for n in range(2, int(limit ** 0.5) + 1):
+        if sieve[n]:
+            sieve[n * n::n] = bytes(len(range(n * n, limit, n)))
+    assert [n for n in range(limit) if exact_algebra._is_prime(n)] == \
+        [n for n in range(limit) if sieve[n]]
+    assert not any(exact_algebra._is_prime(n) for n in (2047, 1_373_653, 25_326_001))
+    assert exact_algebra._is_prime(P31)
+
+
 @pytest.mark.parametrize("p", [5.0, 0.0, True, "5", None])
 def test_field_refuses_a_characteristic_that_is_not_an_int(p):
     # Field(5.0) used to be F_5.0
@@ -248,6 +263,20 @@ def test_parse_errors_name_the_token():
         from_literal("z5", 2)
     with pytest.raises(ParseError):
         from_literal("", 2)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=str)
+def test_the_zero_literal_reads_back_as_zero(field):
+    # the general parse reads coefficient 0 and MultiPoly drops the term
+    for literal in ("0", " 0 ", "0 * z1^2", "z0 + -1 * z0"):
+        assert from_literal(literal, 2, field).terms == {}
+
+
+@pytest.mark.parametrize("value", [5, None, [1], 1.5, True, {"z0": 1}], ids=repr)
+def test_a_literal_that_is_not_a_string_is_a_parse_error(value):
+    # a family file's coefficient 5 escaped as AttributeError from str.strip
+    with pytest.raises(ParseError, match="literal must be a string"):
+        from_literal(value, 2, F7)
 
 
 @pytest.mark.parametrize("literal, token", [("1/0*z0", "1/0"), ("z1 + -3/0 * dz2", "-3/0"),

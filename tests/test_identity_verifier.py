@@ -678,7 +678,10 @@ def sparse_z_poly(rng, N, field, low, high, terms=3):
         exp = [0] * (2 * (N + 1))
         for _ in range(rng.randrange(low, high + 1)):
             exp[rng.randrange(N + 1)] += 1
-        out[tuple(exp)] = field.rand_nonzero(rng)
+        c = field.rand_elt(rng)
+        while c == 0:
+            c = field.rand_elt(rng)
+        out[tuple(exp)] = c
     return MultiPoly(N, field, out)
 
 

@@ -5,7 +5,9 @@ import hashlib
 import json
 import re
 import signal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -785,12 +787,14 @@ def test_run_config_refuses_a_bad_value_when_built(overrides, message):
         small_config(**overrides)
 
 
-def test_run_config_is_read_only_and_keeps_the_callers_stage_order():
+def test_run_config_is_read_only_and_keeps_its_stages_in_stage_order():
     cfg = small_config(stages=("census", "schedule"))
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.seed = 4
-    assert run_pipeline(cfg)["config"]["stages"] == ["census", "schedule"]
-    assert config_from_dict(cfg.to_dict()).stages == ("schedule", "census")
+    # a report echoes the stage order config_from_dict of it keeps
+    assert run_pipeline(cfg)["config"]["stages"] == ["schedule", "census"]
+    assert config_from_dict(cfg.to_dict()).stages == cfg.stages == ("schedule", "census")
+    assert RunConfig(stages=("gluing", "gluing")).stages == ("gluing",)
 
 
 # (good values, bad values) of each drawn config field. Heart, eps and
@@ -838,6 +842,47 @@ def test_a_drawn_config_is_refused_or_runs_to_a_consistent_report(data):
     assert report["ok"] == all(s not in ("FAIL", "ERROR") for s in statuses)
     assert report["config"] == cfg.to_dict()
     assert report["ok"] or spoilt
+
+
+SHAPES = [(2, 1, 0), (3, 2, 0), (3, 1, 1), (4, 3, 0)]
+INTS = st.lists(st.integers(0, 5), max_size=4).map(tuple)
+
+
+@st.composite
+def run_configs(draw):
+    """A RunConfig of good values, its stages in any order with repeats."""
+    mode = draw(st.sampled_from(["mcm", "general_fermat"]))
+    lambdas, degrees = None, None
+    if mode == "general_fermat":
+        lambdas, degrees = draw(st.just((None, None)) | st.tuples(INTS, INTS))
+    return RunConfig(
+        shape=ProblemShape(*draw(st.sampled_from(SHAPES))), mode=mode,
+        field_spec=draw(st.sampled_from(["5", "11", "Q"])), heart=draw(st.integers(1, 3)),
+        eps=draw(st.none() | INTS), lambdas=lambdas, degrees=degrees,
+        seed=draw(st.integers(0, 2 ** 40)),
+        stages=tuple(draw(st.lists(st.sampled_from(STAGE_ORDER), min_size=1, max_size=12))),
+        max_points=draw(st.integers(1, 10 ** 9)), max_census=draw(st.integers(1, 2 ** 40)),
+        census_shapes=tuple(draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4),
+                                                    st.sampled_from([2, 3, 5])),
+                                          min_size=1, max_size=4))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=run_configs())
+def test_a_config_round_trips_through_its_dict(cfg):
+    # a report's config block is cfg.to_dict(): reading it back, through
+    # JSON as a witness is, gives the same config and the same dict
+    d = cfg.to_dict()
+    back = config_from_dict(json.loads(json.dumps(d)))
+    assert back == cfg and back.to_dict() == d
+    assert cfg.stages == tuple(s for s in STAGE_ORDER if s in cfg.stages)
+
+
+def test_report_json_refuses_a_value_json_has_no_type_for():
+    # default=str wrote these as strings, with no error
+    for value in (np.int64(1), Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            report_to_json({"op": "run", "count": value, "ok": True})
 
 
 # ----- command line -----
@@ -1028,7 +1073,7 @@ MISSING_INPUT = [
     (["verify", "gluing"], "family"), (["verify", "transition"], "family"),
     (["verify", "hidden", "--vanished", "0"], "family"),
     (["scan", "smooth"], "family"), (["scan", "base-locus"], "family"),
-    (["scan", "crosscheck"], "family"),
+    (["scan", "crosscheck"], "family"), (["scan", "census"], "q"),
     (["coup", "decompose", "--factors", "1 * z0^1 + 1 * z1^1"], "shape"),
 ]
 

@@ -6,6 +6,8 @@ import random
 from copy import deepcopy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcmforms.exact_algebra import (
     Field,
@@ -745,6 +747,58 @@ def test_every_number_in_a_family_file_must_be_an_int(tmp_path, capsys, mode):
                 escapes.append((key, holder[key], "mcm verify transition", code))
     assert escapes == []
     assert mutants == {"mcm": 92, "general_fermat": 56}[mode]
+
+
+@pytest.mark.parametrize("value", [5, None, [1], 1.5], ids=repr)
+def test_a_coefficient_value_that_is_not_a_string_is_refused(tmp_path, capsys, value):
+    # these escaped from from_literal as an uncaught AttributeError, which
+    # mcm verify transition reported as exit 1, the code of a FAILed check
+    from mcmforms.cli import main
+
+    path = tmp_path / "family.json"
+    save_family(pinned_family("mcm"), str(path))
+    data = json.loads(path.read_text())
+    data["coefficients"]["A:1:0"] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="literal must be a string"):
+        load_family(str(path))
+    assert main(["verify", "transition", "--family", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: literal must be a string, got {value!r}\n"
+
+
+@pytest.fixture(scope="module")
+def saved_pinned(tmp_path_factory):
+    """A directory and, per mode, the text save_family writes for
+    pinned_family(mode)."""
+    tmp = tmp_path_factory.mktemp("pinned")
+    texts = {}
+    for mode in ("mcm", "general_fermat"):
+        save_family(pinned_family(mode), str(tmp / f"{mode}.json"))
+        texts[mode] = (tmp / f"{mode}.json").read_text()
+    return tmp, texts
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=6)
+NOT_A_STRING = JSON_VALUES.filter(lambda value: not isinstance(value, str))
+
+
+@pytest.mark.parametrize("mode", ["mcm", "general_fermat"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_coefficient_value_that_is_not_a_string_is_refused(saved_pinned, mode, data):
+    tmp, texts = saved_pinned
+    saved = json.loads(texts[mode])
+    key = data.draw(st.sampled_from(sorted(saved["coefficients"])), label="key")
+    saved["coefficients"][key] = data.draw(NOT_A_STRING, label="value")
+    path = tmp / "mutant.json"
+    path.write_text(json.dumps(saved))
+    with pytest.raises(ValueError):
+        load_family(str(path))
 
 
 @pytest.mark.parametrize("mode", ["mcm", "general_fermat"])

@@ -417,3 +417,32 @@ def test_an_int_conversion_is_flagged():
                "    eps = tuple(int(e) for e in eps)\n"
                "    return eps, tuple(int(a) for a in twists), isinstance(eps, int)\n")
     assert int_call_faults(planted) == [2, 3]
+
+
+def json_default_faults(source):
+    """Sorted line numbers of every json.dump or json.dumps call that
+    passes default=, which writes a value JSON has no type for as whatever
+    the hook returns."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("dump", "dumps")
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                  and any(kw.arg == "default" for kw in node.keywords))
+
+
+def test_no_json_writer_passes_a_default():
+    package = Path(mcmforms.__file__).resolve().parent
+    faults = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+              for line in json_default_faults(path.read_text(encoding="utf-8"))]
+    assert faults == []
+
+
+def test_a_json_default_is_flagged():
+    # the form report_to_json had, which wrote a numpy integer as a string
+    planted = ("import json\n"
+               "def report_to_json(report):\n"
+               "    return json.dumps(report, sort_keys=True, indent=2, default=str)\n"
+               "def save(data, fh):\n"
+               "    json.dump(data, fh, default=repr)\n"
+               "    json.dump(data, fh, sort_keys=True)\n")
+    assert json_default_faults(planted) == [3, 5]
